@@ -15,8 +15,8 @@
 //    per-bitstring approximate_fidelity vs approximate_fidelity_outputs
 //    (terms x outputs batched in one traversal per chunk);
 //  * trajectory estimates -- per-bitstring trajectories_tn vs
-//    trajectories_tn_outputs (every sample scores all K bitstrings on one
-//    sampled circuit).
+//    trajectories_tn_sweep with one K-wide shard (every sample scores all K
+//    bitstrings on one sampled circuit).
 //
 // Every batched value must equal its per-bitstring reference BIT FOR BIT;
 // the bench exits non-zero on any mismatch, or when the amplitude phase's
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
     for (int round = 0; round < 2; ++round) {
       auto t0 = Clock::now();
       const std::vector<sim::TrajectoryResult> tbatch =
-          core::trajectories_tn_outputs(nc, 0, vb, traj_samples, 7, popts, eval);
+          core::trajectories_tn_sweep(nc, 0, vb, traj_samples, 7, popts, eval, K);
       run.traj_batched_seconds = std::min(run.traj_batched_seconds, secs(t0, Clock::now()));
       t0 = Clock::now();
       for (std::size_t o = 0; o < K; ++o) {

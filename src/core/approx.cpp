@@ -7,8 +7,7 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <optional>
-#include <thread>
+#include <string>
 
 #include "circuit/simplify.hpp"
 #include "core/bounds.hpp"
@@ -136,30 +135,6 @@ std::vector<Term> enumerate_terms(const std::vector<Site>& sites, std::size_t le
   return out;
 }
 
-// Deterministic static partition shared by both sweeps: worker w owns a
-// contiguous, balanced index range (sizes differ by at most one, so no
-// worker sits idle), and the index-to-worker assignment is a pure function
-// of (total, threads). No two workers share an output slot, and reductions
-// run on the joined values in enumeration order either way.
-void run_partitioned(std::size_t threads, std::size_t total,
-                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (threads <= 1) {
-    body(0, 0, total);
-    return;
-  }
-  const std::size_t base_size = total / threads;
-  const std::size_t remainder = total % threads;
-  std::vector<std::future<void>> workers;
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < threads; ++w) {
-    const std::size_t end = begin + base_size + (w < remainder ? 1 : 0);
-    workers.push_back(
-        std::async(std::launch::async, [&body, w, begin, end] { body(w, begin, end); }));
-    begin = end;
-  }
-  for (auto& f : workers) f.get();  // rethrows worker exceptions
-}
-
 // Shared progress accounting (the contract ApproxOptions::progress
 // documents): the counter is atomic and the possibly-not-thread-safe user
 // callback is serialized behind a mutex, incremented inside the lock so
@@ -209,7 +184,7 @@ class SweepTimer {
 };
 
 // Tensorized SVD factors per (site, term index) and the network node each
-// site substitutes, shared by both sweeps. The bottom template is built
+// site substitutes. The bottom template is built
 // with conjugate=true, which conjugates whatever matrix the site gate
 // carries; the seed path stored conj(V) there to apply V itself, and
 // conj(conj(V)) == V bitwise, so V enters the substitution directly.
@@ -552,9 +527,10 @@ class SweepQueue {
   std::vector<std::size_t> term_pending_ GUARDED_BY(mutex_);
 };
 
-// The engine behind approximate_fidelity_outputs and xeb_sweep: a single
-// 2-D (term-range x output-chunk) work queue drained by `threads` workers,
-// with a streaming chunk-ordered reduction.
+// The one Algorithm-1 engine, behind approximate_fidelity (K = 1),
+// approximate_fidelity_outputs and xeb_sweep: a single 2-D (term-range x
+// output-chunk) work queue drained by `threads` workers, with a streaming
+// chunk-ordered reduction.
 //
 //  * Items are dispensed in range-major order together with a buffer from a
 //    bounded pool (threads + 2 buffers): a worker only claims an item when
@@ -620,11 +596,18 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t num_chunks = (K + shard - 1) / shard;
 
   // Term ranges: batch_terms wide, additionally capped so one batched
-  // traversal holds at most kMaxPairs (term, output) pairs.
+  // traversal holds at most kMaxPairs (term, output) pairs. That width sizes
+  // the batched plans; when the queue would still hold fewer items than
+  // workers (a single output is one chunk), the ranges narrow further so
+  // every worker gets one -- a batch below capacity never changes bits.
   const std::size_t out_chunk = std::min(shard, kOutputChunk);
-  const std::size_t term_batch =
-      std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms,
-                std::max<std::size_t>(kMaxPairs / out_chunk, 1)});
+  std::size_t term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms,
+                                     std::max<std::size_t>(kMaxPairs / out_chunk, 1)});
+  const std::size_t capacity = term_batch * out_chunk;
+  const std::size_t ranges_wanted =
+      (std::max<std::size_t>(opts.threads, 1) + num_chunks - 1) / num_chunks;
+  if ((num_terms + term_batch - 1) / term_batch < ranges_wanted)
+    term_batch = (num_terms + ranges_wanted - 1) / ranges_wanted;
   const std::size_t num_ranges = (num_terms + term_batch - 1) / term_batch;
 
   // --- per-strategy setup (templates, plans, factor tensors) ---------------
@@ -647,7 +630,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   SiteFactors fac;
   std::vector<const tsr::Tensor*> caps_of_output;
   std::vector<std::size_t> slots, cap_nodes;
-  std::size_t V = 0, capacity = 0;
+  std::size_t V = 0;
 
   try {
   if (tn_path) {
@@ -680,22 +663,26 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     std::vector<char> unconstrained(V, 0);
     for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
     for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
-    capacity = term_batch * out_chunk;
 
-    try {
-      top_bplan =
-          acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
-      bot_bplan =
-          acquire_batched(bot_at, slots, capacity, counts, level, unconstrained, setup_stats);
-      if (!output_batch_worthwhile(*top_bplan) || !output_batch_worthwhile(*bot_bplan)) {
+    // A 1 x 1 item (batch_terms <= 1 at one output) replays the per-term
+    // plan through a Session instead of a capacity-1 batched plan, so
+    // batch_terms = 1 stays the per-term reference path.
+    if (capacity > 1) {
+      try {
+        top_bplan =
+            acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
+        bot_bplan =
+            acquire_batched(bot_at, slots, capacity, counts, level, unconstrained, setup_stats);
+        if (!output_batch_worthwhile(*top_bplan) || !output_batch_worthwhile(*bot_bplan)) {
+          top_bplan.reset();
+          bot_bplan.reset();
+        }
+      } catch (const MemoryOutError&) {
+        // Combined batch exceeds the workspace budget; the per-output plan
+        // replay below fits and is bit-identical.
         top_bplan.reset();
         bot_bplan.reset();
       }
-    } catch (const MemoryOutError&) {
-      // Combined batch exceeds the workspace budget; the per-output plan
-      // replay below fits and is bit-identical.
-      top_bplan.reset();
-      bot_bplan.reset();
     }
   }
   } catch (const CancelledError&) {
@@ -813,7 +800,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // Reference path (state-vector backend, or reuse_plans disabled): each
     // term materializes its gate lists and evaluates the chunk's outputs
     // through batch_amplitudes (one evolution / one template per layer per
-    // term per chunk).
+    // term per chunk) -- or, at a single output, through amplitude(), which
+    // re-plans every tensor-network contraction from scratch.
     make_eval = [&](std::size_t) -> WorkerEval {
       auto top = std::make_shared<std::vector<qc::Gate>>(skeleton);
       auto bottom = std::make_shared<std::vector<qc::Gate>>(skeleton);
@@ -823,6 +811,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
                                  tn::ContractStats& stats) {
         const std::span<const std::uint64_t> chunk_outputs = v_bits.subspan(obegin, ocount);
         for (std::size_t t = 0; t < tcount; ++t) {
+          if (control) control->poll();  // state-vector terms have no inner poll points
           const Term& term = terms[t0 + t];
           for (std::size_t s = 0; s < num_sites; ++s) {
             std::size_t ti = 0;
@@ -832,6 +821,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             // The bottom layer is evaluated with conjugate=true (which
             // conjugates every matrix), so store conj(V) to apply V itself.
             (*bottom)[site_pos[s]].custom = base.sites[s].split.v[ti].conj();
+          }
+          if (ocount == 1) {
+            const cplx top_amp =
+                amplitude(n, *top, psi_bits, chunk_outputs[0], /*conjugate=*/false, eval, &stats);
+            const cplx bot_amp =
+                amplitude(n, *bottom, psi_bits, chunk_outputs[0], /*conjugate=*/true, eval, &stats);
+            out[t] = top_amp * bot_amp;
+            continue;
           }
           const std::vector<cplx> top_amp = batch_amplitudes(
               n, *top, psi_bits, chunk_outputs, /*conjugate=*/false, eval, &stats);
@@ -953,6 +950,16 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   return result;
 }
 
+// A sweep whose cancel raises instead of salvaging (approximate_fidelity's
+// and approximate_fidelity_outputs' contract; salvage is xeb_sweep's only).
+ApproxBatchResult sweep_or_throw(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                                 std::span<const std::uint64_t> v_bits,
+                                 const ApproxOptions& opts, const char* what) {
+  ApproxBatchResult r = sweep_outputs(nc, psi_bits, v_bits, opts, /*shard_outputs=*/0);
+  if (r.cancelled) throw CancelledError(std::string(what) + " cancelled via RunControl");
+  return r;
+}
+
 }  // namespace
 
 double ApproxCostModel::error_bound(std::size_t level) const {
@@ -979,7 +986,7 @@ double ApproxCostModel::term_count(std::size_t level) const {
 }
 
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                                  std::uint64_t v_bits, const ApproxOptions& opts) {
+                                  const ApproxOptions& opts) {
   const int n = nc.num_qubits();
   BaseLists base = build_base(nc);
 
@@ -1003,13 +1010,13 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
 
   model.tensor_network = uses_tensor_network(eval, n);
   if (model.tensor_network) {
-    // Compile (or fetch) the top-layer template under the sweep's own cache
-    // key: the plan's flops/arena ARE the per-layer cost, and a cache miss
-    // here is work the run would have paid anyway.
+    // Compile (or fetch) the top-layer template under the sweep's own
+    // canonical v = 0 cache key: the plan's flops/arena ARE the per-layer
+    // cost (the output caps only change tensor values, never the plan), and
+    // a cache miss here is work the run would have paid anyway.
     tn::ContractStats setup_stats;
-    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, skeleton, psi_bits,
-                                                  v_bits, /*conjugate=*/false, eval,
-                                                  setup_stats);
+    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0,
+                                                  /*conjugate=*/false, eval, setup_stats);
     const tn::ContractionPlan& plan = top.tmpl().plan();
     model.layer_flops = static_cast<double>(plan.total_flops());
     model.peak_elems = plan.workspace_elems();
@@ -1027,198 +1034,19 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
 
 ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   std::uint64_t v_bits, const ApproxOptions& opts) {
-  const int n = nc.num_qubits();
-  BaseLists base = build_base(nc);
-  const std::size_t num_sites = base.sites.size();
-  const std::size_t level = std::min(opts.level, num_sites);
-
-  // Simplify once: every noise site carries an insertion in every term, so
-  // the cancellation structure is term-independent.
-  std::vector<qc::Gate> skeleton = base.gates;
-  if (opts.eval.simplify) skeleton = qc::cancel_inverse_pairs(std::move(skeleton));
-  const std::vector<std::size_t> site_pos = locate_sites(skeleton, num_sites);
-
-  // Resolve the evaluation options once at the sweep boundary (see
-  // sweep_outputs): downstream resolution sites become pass-throughs.
-  EvalOptions eval = resolved_eval_options(n, skeleton, opts.eval);
-  eval.simplify = false;  // already applied to the skeleton
-
-  // Cooperative control (see sweep_outputs): plan compiles poll through
-  // eval.tn, per-term execution polls through the sessions / workspaces.
-  const RunControl* control = opts.control;
-  eval.tn.control = control;
-
-  const std::vector<Term> terms = enumerate_terms(base.sites, level);
-
+  ApproxBatchResult r = sweep_or_throw(nc, psi_bits, std::span(&v_bits, 1), opts,
+                                       "approximate_fidelity");
   ApproxResult result;
-  result.term_sums.assign(level + 1, cplx{0.0, 0.0});
-
-  SerializedProgress progress(opts.progress);
-  auto note_progress = [&] { progress.note(); };
-
-  std::vector<cplx> values(terms.size());
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min<std::size_t>(opts.threads, terms.size()));
-  auto run_workers = [&](const std::function<void(std::size_t, std::size_t, std::size_t)>&
-                             body) { run_partitioned(threads, terms.size(), body); };
-
-  std::vector<tn::ContractStats> worker_stats(threads);
-  tn::ContractStats setup_stats;
-  SweepTimer timer(result.plan_seconds, result.eval_seconds);
-
-  if (opts.reuse_plans && uses_tensor_network(eval, n)) {
-    // Plan/execute fast path: every term's top (bottom) network shares one
-    // topology -- only the tensors at the u chosen noise sites change. Plan
-    // each single-layer network once (or fetch it from the plan cache),
-    // then replay the plan per term with substituted site tensors, one
-    // workspace per worker.
-    const AcquiredTemplate top_at = acquire_template(
-        opts.plan_cache, n, skeleton, psi_bits, v_bits, /*conjugate=*/false, eval, setup_stats);
-    const AcquiredTemplate bot_at = acquire_template(
-        opts.plan_cache, n, skeleton, psi_bits, v_bits, /*conjugate=*/true, eval, setup_stats);
-    const AmplitudeTemplate& top_tmpl = top_at.tmpl();
-    const AmplitudeTemplate& bot_tmpl = bot_at.tmpl();
-
-    const SiteFactors fac = build_site_factors(base.sites, site_pos, top_tmpl);
-    const std::vector<std::size_t>& site_node = fac.node;
-    const std::vector<std::vector<tsr::Tensor>>& top_fac = fac.top;
-    const std::vector<std::vector<tsr::Tensor>>& bot_fac = fac.bot;
-
-    // Batch size: ApproxOptions::batch_terms clamped to the term count;
-    // <= 1 selects the per-term replay reference path below.
-    const std::size_t batch =
-        std::min(std::max<std::size_t>(opts.batch_terms, 1), terms.size());
-    if (batch > 1) {
-      // Batched replay: each worker chunks its range and executes every
-      // chunk in one plan traversal (shared-cone steps once per chunk,
-      // duplicate slices memcpy'd). Bit-identical to the per-term path at
-      // any batch size -- the reduction below still runs per term in
-      // enumeration order.
-      // Each site only ever substitutes one of its split factors, which
-      // bounds every step's distinct rows by the variant product of its
-      // cone -- most of the batched arena shrinks accordingly.
-      std::vector<std::size_t> variant_counts(num_sites);
-      for (std::size_t s = 0; s < num_sites; ++s)
-        variant_counts[s] = base.sites[s].split.terms();
-      // At level l every term deviates from the dominant assignment at u <=
-      // l sites, which tightens the batched row bounds substantially.
-      const std::shared_ptr<const tn::BatchedPlan> top_bplan =
-          acquire_batched(top_at, site_node, batch, variant_counts, level, {}, setup_stats);
-      const std::shared_ptr<const tn::BatchedPlan> bot_bplan =
-          acquire_batched(bot_at, site_node, batch, variant_counts, level, {}, setup_stats);
-
-      timer.eval_started();
-      run_workers([&](std::size_t w, std::size_t begin, std::size_t end) {
-        AmplitudeTemplate::BatchedSession top_session(top_tmpl, *top_bplan);
-        AmplitudeTemplate::BatchedSession bot_session(bot_tmpl, *bot_bplan);
-        top_session.set_control(control);
-        bot_session.set_control(control);
-        std::vector<const tsr::Tensor*> top_ptrs(batch * num_sites);
-        std::vector<const tsr::Tensor*> bot_ptrs(batch * num_sites);
-        std::vector<cplx> top_amp(batch), bot_amp(batch);
-        for (std::size_t b0 = begin; b0 < end; b0 += batch) {
-          const std::size_t kk = std::min(batch, end - b0);
-          for (std::size_t t = 0; t < kk; ++t) {
-            const Term& term = terms[b0 + t];
-            // Dominant factor everywhere, subdominant at the chosen sites.
-            for (std::size_t s = 0; s < num_sites; ++s) {
-              top_ptrs[t * num_sites + s] = &top_fac[s][0];
-              bot_ptrs[t * num_sites + s] = &bot_fac[s][0];
-            }
-            for (std::size_t c = 0; c < term.sites.size(); ++c) {
-              const std::size_t s = term.sites[c];
-              top_ptrs[t * num_sites + s] = &top_fac[s][term.term_idx[c]];
-              bot_ptrs[t * num_sites + s] = &bot_fac[s][term.term_idx[c]];
-            }
-          }
-          top_session.evaluate(std::span(top_ptrs).first(kk * num_sites), kk, top_amp);
-          bot_session.evaluate(std::span(bot_ptrs).first(kk * num_sites), kk, bot_amp);
-          for (std::size_t t = 0; t < kk; ++t) {
-            values[b0 + t] = top_amp[t] * bot_amp[t];
-            note_progress();
-          }
-        }
-        worker_stats[w].merge(top_session.stats());
-        worker_stats[w].merge(bot_session.stats());
-      });
-      timer.eval_done();
-    } else {
-      timer.eval_started();
-      run_workers([&](std::size_t w, std::size_t begin, std::size_t end) {
-        AmplitudeTemplate::Session top_session = top_tmpl.session();
-        AmplitudeTemplate::Session bot_session = bot_tmpl.session();
-        top_session.set_control(control);
-        bot_session.set_control(control);
-        std::vector<AmplitudeTemplate::Substitution> top_subs(num_sites), bot_subs(num_sites);
-        for (std::size_t i = begin; i < end; ++i) {
-          const Term& term = terms[i];
-          // Dominant factor everywhere, subdominant at the chosen sites.
-          for (std::size_t s = 0; s < num_sites; ++s) {
-            top_subs[s] = {site_node[s], &top_fac[s][0]};
-            bot_subs[s] = {site_node[s], &bot_fac[s][0]};
-          }
-          for (std::size_t c = 0; c < term.sites.size(); ++c) {
-            const std::size_t s = term.sites[c];
-            top_subs[s].second = &top_fac[s][term.term_idx[c]];
-            bot_subs[s].second = &bot_fac[s][term.term_idx[c]];
-          }
-          const cplx top_amp = top_session.evaluate(top_subs);
-          const cplx bot_amp = bot_session.evaluate(bot_subs);
-          note_progress();
-          values[i] = top_amp * bot_amp;
-        }
-        worker_stats[w].merge(top_session.stats());
-        worker_stats[w].merge(bot_session.stats());
-      });
-      timer.eval_done();
-    }
-  } else {
-    // Reference path (state-vector backend, or reuse_plans disabled):
-    // each term materializes its gate lists and evaluates them standalone,
-    // re-planning any tensor-network contraction from scratch. Each worker
-    // owns private copies of the skeleton.
-    auto eval_term = [&](const Term& term, std::vector<qc::Gate>& top,
-                         std::vector<qc::Gate>& bottom, tn::ContractStats* stats) {
-      if (control) control->poll();  // SV terms have no inner poll points
-      for (std::size_t s = 0; s < num_sites; ++s) {
-        std::size_t t = 0;
-        for (std::size_t c = 0; c < term.sites.size(); ++c)
-          if (term.sites[c] == s) t = term.term_idx[c];
-        top[site_pos[s]].custom = base.sites[s].split.u[t];
-        // The bottom layer is evaluated with conjugate=true (which
-        // conjugates every matrix), so store conj(V) to apply V itself.
-        bottom[site_pos[s]].custom = base.sites[s].split.v[t].conj();
-      }
-      const cplx top_amp = amplitude(n, top, psi_bits, v_bits, /*conjugate=*/false, eval, stats);
-      const cplx bot_amp = amplitude(n, bottom, psi_bits, v_bits, /*conjugate=*/true, eval, stats);
-      note_progress();
-      return top_amp * bot_amp;
-    };
-
-    timer.eval_started();
-    run_workers([&](std::size_t w, std::size_t begin, std::size_t end) {
-      std::vector<qc::Gate> top = skeleton, bottom = skeleton;
-      for (std::size_t i = begin; i < end; ++i)
-        values[i] = eval_term(terms[i], top, bottom, &worker_stats[w]);
-    });
-    timer.eval_done();
-  }
-
-  // Deterministic stats reduction: setup first, then workers in order.
-  result.contract_stats.merge(setup_stats);
-  for (const tn::ContractStats& ws : worker_stats) result.contract_stats.merge(ws);
-
-  // Deterministic reduction in enumeration order.
-  for (std::size_t i = 0; i < terms.size(); ++i) result.term_sums[terms[i].level] += values[i];
-  for (std::size_t u = 0; u <= level; ++u) {
-    result.raw += result.term_sums[u];
-    result.level_values.push_back(result.raw.real());
-  }
-  result.contractions = 2 * terms.size();
-  result.value = result.raw.real();
-
-  fill_error_bounds(base.sites, level, nc.max_noise_rate(), result.error_bound,
-                    result.tight_error_bound);
+  result.value = r.values[0];
+  result.raw = r.raw[0];
+  result.level_values = std::move(r.level_values[0]);
+  result.term_sums = std::move(r.term_sums[0]);
+  result.contractions = r.contractions;
+  result.error_bound = r.error_bound;
+  result.tight_error_bound = r.tight_error_bound;
+  result.contract_stats = r.contract_stats;
+  result.plan_seconds = r.plan_seconds;
+  result.eval_seconds = r.eval_seconds;
   return result;
 }
 
@@ -1226,13 +1054,7 @@ ApproxBatchResult approximate_fidelity_outputs(const ch::NoisyCircuit& nc,
                                                std::uint64_t psi_bits,
                                                std::span<const std::uint64_t> v_bits,
                                                const ApproxOptions& opts) {
-  ApproxBatchResult r = sweep_outputs(nc, psi_bits, v_bits, opts, /*shard_outputs=*/0);
-  // This entry point's contract matches approximate_fidelity: a cancel
-  // raises. Salvage semantics (partial results + validity mask) are
-  // xeb_sweep's contract only.
-  if (r.cancelled)
-    throw CancelledError("approximate_fidelity_outputs cancelled via RunControl");
-  return r;
+  return sweep_or_throw(nc, psi_bits, v_bits, opts, "approximate_fidelity_outputs");
 }
 
 ApproxBatchResult xeb_sweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,

@@ -39,25 +39,25 @@ struct ApproxOptions {
   /// Compile each layer's contraction plan once and replay it across all
   /// enumerated terms (every term's single-layer network shares one
   /// topology, differing only in the u inserted noise tensors). Disable to
-  /// re-plan every term -- the reference path mirroring the pre-refactor
-  /// per-term planning structure, kept for the bench_contract_plan speedup
-  /// baseline and equivalence tests; both paths share one planner and
-  /// executor, so they produce bit-identical values. Only affects the
-  /// tensor-network backend.
+  /// re-plan every term -- the reference path the bench_contract_plan
+  /// re-planning baseline and the equivalence tests compare against; both
+  /// paths share one planner and executor, so they produce bit-identical
+  /// values. Only affects the tensor-network backend.
   bool reuse_plans = true;
   /// Terms replayed per batched plan traversal (tensor-network backend with
-  /// reuse_plans only). Each worker chunks its term range into batches of
-  /// this size and executes every batch in ONE plan traversal: steps
-  /// outside the noise sites' light cone run once per batch, duplicate
-  /// slices are memcpy'd, and per-step dispatch/permutation work amortizes
-  /// over the batch -- results stay bit-identical to per-term replay at any
-  /// batch size or thread count. <= 1 disables batching (the PR-2 per-term
-  /// replay path, kept as the speedup baseline and equivalence reference).
-  /// Note the batched workspace grows with the batch size: with
-  /// max_workspace_elems set, a batch can exceed a budget the per-term
-  /// path fits (MemoryOutError at batched-plan compile time). The
-  /// per-replay timeout_seconds budget scales with the batch (k terms get
-  /// k replay budgets), so TO behavior does not depend on batch size.
+  /// reuse_plans only). The sweep's work items cover term ranges of this
+  /// width, and each item executes in ONE plan traversal: steps outside the
+  /// noise sites' light cone run once per batch, duplicate slices are
+  /// memcpy'd, and per-step dispatch/permutation work amortizes over the
+  /// batch -- results stay bit-identical to per-term replay at any batch
+  /// size or thread count. <= 1 at a single output replays each term's plan
+  /// through a per-term session: the speedup baseline and equivalence
+  /// reference. The batched workspace grows with the batch size; when
+  /// max_workspace_elems admits the per-term plans but not the batched one,
+  /// the sweep falls back to per-term replay, bit-identically, instead of
+  /// raising MemoryOutError. The per-replay timeout_seconds budget scales
+  /// with the batch (k terms get k replay budgets), so TO behavior does not
+  /// depend on batch size.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
@@ -110,13 +110,15 @@ struct ApproxResult {
   /// plan and batched-plan compilation, paid once per sweep) vs the
   /// per-term evaluation loop. Per-term throughput is terms/eval_seconds;
   /// the re-planning reference path plans inside the loop, so its
-  /// plan_seconds is 0.
+  /// plan_seconds is ~0.
   double plan_seconds = 0.0;
   double eval_seconds = 0.0;
 };
 
 /// Run Algorithm 1 on a noisy circuit with computational-basis input and
-/// output states.
+/// output states. This is the one-output call of the sweep engine behind
+/// xeb_sweep (same work queue, fault sites, and cooperative drain); a
+/// cancel raises CancelledError.
 ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   std::uint64_t v_bits, const ApproxOptions& opts = {});
 
@@ -136,14 +138,15 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 /// combined batch exceeds max_workspace_elems the sweep falls back to
 /// per-output plan replay, which is bit-identical too.
 ///
-/// Since the sharded sweep engine this is a thin wrapper over xeb_sweep
-/// with the default shard size: work is scheduled as a 2-D (term-range x
-/// output-chunk) queue, the output axis is threaded alongside the term
-/// axis, and each chunk's per-output level sums are reduced streaming in
-/// chunk-ordered term-enumeration order -- peak memory for the value table
-/// is O(outputs), not O(terms x outputs). Arbitrarily large v_bits spans
-/// are fine in one call; pair with ApproxOptions::plan_cache so repeated
-/// calls skip plan recompilation too.
+/// Like approximate_fidelity, this is a thin wrapper over the sweep engine
+/// behind xeb_sweep, at the default shard size: work is scheduled as a 2-D
+/// (term-range x output-chunk) queue, the output axis is threaded alongside
+/// the term axis, and each chunk's per-output level sums are reduced
+/// streaming in chunk-ordered term-enumeration order -- peak memory for the
+/// value table is O(outputs), not O(terms x outputs). Arbitrarily large
+/// v_bits spans are fine in one call; pair with ApproxOptions::plan_cache so
+/// repeated calls skip plan recompilation too. Unlike xeb_sweep, a cancel
+/// raises CancelledError instead of returning the completed outputs.
 struct ApproxBatchResult {
   /// A(l) per output bitstring (real part of raw[o]).
   std::vector<double> values;
@@ -222,9 +225,9 @@ ApproxBatchResult xeb_sweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
 /// Plan-time cost/accuracy model of an Algorithm-1 sweep: what the
 /// simulate() front door's TN adapters consult to search the level ladder
 /// WITHOUT contracting anything. Built from the same skeleton, boundary-
-/// resolved options, and plan-cache key approximate_fidelity itself uses, so
-/// a template compiled during estimation is exactly the one the subsequent
-/// run replays (estimation pre-warms the cache).
+/// resolved options, and canonical (v = 0) plan-cache key the sweep itself
+/// uses, so a template compiled during estimation is exactly the one the
+/// subsequent run replays at any output (estimation pre-warms the cache).
 struct ApproxCostModel {
   std::size_t num_sites = 0;
   /// Every noise site is 1-qubit, i.e. the paper's Theorem 1 applies.
@@ -259,14 +262,15 @@ struct ApproxCostModel {
   double sweep_flops(std::size_t level) const { return 2.0 * term_count(level) * layer_flops; }
 };
 
-/// Build the cost model for approximate_fidelity(nc, psi_bits, v_bits,
-/// opts). On the tensor-network path this compiles (or fetches from
-/// opts.plan_cache) the top-layer AmplitudeTemplate under the sweep's own
-/// cache key, so MemoryOutError / TimeoutError surface here exactly as they
-/// would at the start of the run. opts.level is ignored -- the model answers
-/// for every level through error_bound/term_count/sweep_flops.
+/// Build the cost model for approximate_fidelity(nc, psi_bits, v, opts) at
+/// any output v (the model does not depend on it). On the tensor-network
+/// path this compiles (or fetches from opts.plan_cache) the top-layer
+/// AmplitudeTemplate under the sweep's own cache key, so MemoryOutError /
+/// TimeoutError surface here exactly as they would at the start of the run.
+/// opts.level is ignored -- the model answers for every level through
+/// error_bound/term_count/sweep_flops.
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                                  std::uint64_t v_bits, const ApproxOptions& opts = {});
+                                  const ApproxOptions& opts = {});
 
 /// Rewrite <v|E(rho)|v> with v = U_ideal |v_bits> into basis form by
 /// appending U_ideal^dagger to the circuit: <v|E(rho)|v> =

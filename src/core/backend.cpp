@@ -138,10 +138,10 @@ class TnApproxBackend final : public Backend {
   BackendKind kind() const override { return BackendKind::TnApprox; }
 
   CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                        std::uint64_t v_bits, const SimulateOptions& opts) const override {
+                        std::uint64_t, const SimulateOptions& opts) const override {
     CostEstimate est;
     const ApproxCostModel model =
-        approx_cost_model(nc, psi_bits, v_bits, tn_approx_options(opts, 0));
+        approx_cost_model(nc, psi_bits, tn_approx_options(opts, 0));
     est.peak_elems = model.peak_elems;  // level-independent: one layer at a time
     if (est.peak_elems > opts.memory_budget) {
       check_budgets(est, opts);
@@ -190,7 +190,7 @@ class TnTrajectoriesBackend final : public Backend {
   BackendKind kind() const override { return BackendKind::TnTrajectories; }
 
   CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                        std::uint64_t v_bits, const SimulateOptions& opts) const override {
+                        std::uint64_t, const SimulateOptions& opts) const override {
     CostEstimate est;
     if (!trajectories_tn_eligible(nc)) {
       est.reason = "a channel is not a normalized mixture of unitaries";
@@ -204,7 +204,7 @@ class TnTrajectoriesBackend final : public Backend {
     // topology Algorithm 1 contracts, so the cost model's layer figures
     // apply verbatim (and compiling them pre-warms the shared plan cache).
     const ApproxCostModel model =
-        approx_cost_model(nc, psi_bits, v_bits, tn_approx_options(opts, 0));
+        approx_cost_model(nc, psi_bits, tn_approx_options(opts, 0));
     sim::TrajectoryCost cost;
     cost.per_sample_flops = model.layer_flops;
     cost.peak_elems = model.peak_elems;

@@ -277,17 +277,19 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
     const std::size_t cap = std::min(std::max<std::size_t>(popts.chunk_size, 1), samples);
     const TnPlanContext ctx(nc, sk, psi_bits, v_bits, eval, cap);
     if (ctx.bplan) {
-      auto make_sampler = [&](std::size_t) -> sim::ChunkSampler {
+      auto make_sampler = [&](std::size_t) -> sim::ShardChunkSampler {
         auto session =
             std::make_shared<AmplitudeTemplate::BatchedSession>(ctx.tmpl, *ctx.bplan);
         auto ptrs =
             std::make_shared<std::vector<const tsr::Tensor*>>(cap * sk.mixtures.size());
         auto amps = std::make_shared<std::vector<cplx>>(cap);
-        return [&sk, &ctx, session, ptrs, amps](std::mt19937_64& rng, std::span<double> out) {
+        return [&sk, &ctx, session, ptrs, amps](std::mt19937_64& rng, std::size_t,
+                                                std::size_t, std::size_t,
+                                                std::span<double> out) {
           sample_chunk_plan(sk, ctx, *session, *ptrs, *amps, rng, out);
         };
       };
-      return sim::run_trajectories_chunked(samples, seed, make_sampler, popts);
+      return sim::run_trajectories_sharded(samples, 1, 1, seed, make_sampler, popts)[0];
     }
     auto make_sampler = [&](std::size_t) -> sim::Sampler {
       auto session = std::make_shared<AmplitudeTemplate::Session>(ctx.tmpl.session());
@@ -308,118 +310,6 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
     };
   };
   return sim::run_trajectories(samples, seed, make_sampler, popts);
-}
-
-std::vector<sim::TrajectoryResult> trajectories_tn_outputs(
-    const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-    std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,
-    const sim::ParallelOptions& popts, const EvalOptions& eval) {
-  const std::size_t K = v_bits.size();
-  if (K == 0) return {};
-  if (samples == 0) return std::vector<sim::TrajectoryResult>(K);
-  const int n = nc.num_qubits();
-  const std::size_t nn = static_cast<std::size_t>(n);
-  const TnSkeleton sk = build_skeleton(nc);
-  const std::size_t num_sites = sk.mixtures.size();
-
-  if (plan_replay_applies(eval, n)) {
-    // Template + per-site tensors (batch_capacity 1: the term-batched plan
-    // of the single-output path is replaced by the output-batched plan
-    // below). The template's caps are placeholders -- always substituted.
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1);
-
-    // Shared read-only cap table: ptr identity drives row sharing across
-    // bitstrings that agree on a qubit.
-    std::vector<const tsr::Tensor*> caps_of_output(K * nn);
-    for (std::size_t o = 0; o < K; ++o)
-      ctx.tmpl.fill_output_caps(v_bits[o], std::span(caps_of_output).subspan(o * nn, nn));
-
-    constexpr std::size_t kOutputBatch = 32;
-    const std::size_t ocap = std::min(K, kOutputBatch);
-    std::optional<tn::BatchedPlan> obplan;
-    try {
-      obplan.emplace(ctx.tmpl.compile_batched_outputs(ocap));
-      if (!output_batch_worthwhile(*obplan)) obplan.reset();
-    } catch (const MemoryOutError&) {
-      // Batch-aware workspace budget exceeded; the per-output session
-      // replay below fits and produces bit-identical estimates.
-    }
-
-    if (obplan) {
-      auto make_sampler = [&](std::size_t) -> sim::MultiChunkSampler {
-        auto session =
-            std::make_shared<AmplitudeTemplate::BatchedSession>(ctx.tmpl, *obplan);
-        auto subs = std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites);
-        auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(ocap * nn);
-        auto amps = std::make_shared<std::vector<cplx>>(ocap);
-        return [&sk, &ctx, &caps_of_output, K, nn, ocap, num_sites, session, subs, ptrs,
-                amps](std::mt19937_64& rng, std::size_t count, std::span<double> out) {
-          for (std::size_t s = 0; s < count; ++s) {
-            // One draw set per trajectory, in sample order -- the same RNG
-            // consumption as every single-output path.
-            for (std::size_t site = 0; site < num_sites; ++site) {
-              const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-              (*subs)[site] = {ctx.site_node[site], &ctx.site_tensors[site][j]};
-            }
-            for (std::size_t o0 = 0; o0 < K; o0 += ocap) {
-              const std::size_t k = std::min(ocap, K - o0);
-              std::copy(caps_of_output.begin() + static_cast<std::ptrdiff_t>(o0 * nn),
-                        caps_of_output.begin() + static_cast<std::ptrdiff_t>((o0 + k) * nn),
-                        ptrs->begin());
-              session->evaluate(*subs, std::span(*ptrs).first(k * nn), k,
-                                std::span<cplx>(*amps));
-              for (std::size_t t = 0; t < k; ++t)
-                out[s * K + o0 + t] = std::norm((*amps)[t]);
-            }
-          }
-        };
-      };
-      return sim::run_trajectories_multi(samples, K, seed, make_sampler, popts);
-    }
-
-    auto make_sampler = [&](std::size_t) -> sim::MultiChunkSampler {
-      auto session = std::make_shared<AmplitudeTemplate::Session>(ctx.tmpl.session());
-      auto subs =
-          std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites + nn);
-      return [&sk, &ctx, &caps_of_output, K, nn, num_sites, session, subs](
-                 std::mt19937_64& rng, std::size_t count, std::span<double> out) {
-        for (std::size_t s = 0; s < count; ++s) {
-          for (std::size_t site = 0; site < num_sites; ++site) {
-            const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-            (*subs)[site] = {ctx.site_node[site], &ctx.site_tensors[site][j]};
-          }
-          for (std::size_t o = 0; o < K; ++o) {
-            for (std::size_t q = 0; q < nn; ++q)
-              (*subs)[num_sites + q] = {ctx.tmpl.node_of_output_cap(static_cast<int>(q)),
-                                        caps_of_output[o * nn + q]};
-            out[s * K + o] = std::norm(session->evaluate(*subs));
-          }
-        }
-      };
-    };
-    return sim::run_trajectories_multi(samples, K, seed, make_sampler, popts);
-  }
-
-  // Non-replay backends: sample the gate list once per trajectory and score
-  // every bitstring through batch_amplitudes (the state-vector backend runs
-  // one evolution per sample instead of K).
-  auto make_sampler = [&](std::size_t) -> sim::MultiChunkSampler {
-    auto gates = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-    return [&sk, gates, n, psi_bits, v_bits, K, eval](std::mt19937_64& rng,
-                                                      std::size_t count,
-                                                      std::span<double> out) {
-      for (std::size_t s = 0; s < count; ++s) {
-        for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
-          const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-          (*gates)[sk.site_gate_index[site]].custom = sk.mixtures[site].unitaries[j];
-        }
-        const std::vector<cplx> amps =
-            batch_amplitudes(n, *gates, psi_bits, v_bits, /*conjugate=*/false, eval);
-        for (std::size_t o = 0; o < K; ++o) out[s * K + o] = std::norm(amps[o]);
-      }
-    };
-  };
-  return sim::run_trajectories_multi(samples, K, seed, make_sampler, popts);
 }
 
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(

@@ -45,34 +45,24 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 
 /// Estimate <v_t|E(|psi><psi|)|v_t> for EVERY output bitstring in `v_bits`
 /// from ONE set of sampled trajectories: each trajectory draws its site
-/// unitaries once and scores all K bitstrings on the same sampled circuit
-/// -- on the tensor-network path through ONE output-batched plan traversal
-/// per sample (the basis caps are the varying slots; the sampled unitaries
-/// enter as shared substitutions). Element t is bit-identical to
-/// trajectories_tn(nc, psi_bits, v_bits[t], samples, seed, popts, eval):
-/// the per-sample draws depend only on (seed, chunk_size). Estimates are
-/// correlated across bitstrings (they share the noise realizations), which
-/// is exactly what sampling / XEB workloads want. samples == 0 returns K
-/// well-defined empty estimates.
-std::vector<sim::TrajectoryResult> trajectories_tn_outputs(
-    const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-    std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,
-    const sim::ParallelOptions& popts, const EvalOptions& eval = {});
-
-/// Sharded variant of trajectories_tn_outputs for very large bitstring
-/// sets: the bitstrings are partitioned into shards of `shard_outputs` and
-/// the (bitstring-shard x sample-chunk) grid forms a single 2-D work queue
-/// (sim::run_trajectories_sharded). Each item draws its chunk's noise
-/// realizations once -- the same streams every shard and the unsharded path
-/// draw, since the site draws are independent of the scored outputs -- and
-/// scores the shard's bitstrings via the shared-substitution output-batched
-/// traversals. Element t is bit-identical to trajectories_tn_outputs and to
-/// trajectories_tn(nc, psi_bits, v_bits[t], ...) at EVERY thread count and
-/// shard size; per-worker transient storage is O(chunk_size x shard)
-/// instead of O(chunk_size x K). shard_outputs 0 picks the default: 32
+/// unitaries once and scores the bitstrings on the same sampled circuit --
+/// on the tensor-network path through output-batched plan traversals (the
+/// basis caps are the varying slots; the sampled unitaries enter as shared
+/// substitutions). The bitstrings are partitioned into shards of
+/// `shard_outputs` and the (bitstring-shard x sample-chunk) grid forms a
+/// single 2-D work queue (sim::run_trajectories_sharded). Each item draws
+/// its chunk's noise realizations -- the same streams every shard draws,
+/// since the site draws are independent of the scored outputs. Element t is
+/// bit-identical to trajectories_tn(nc, psi_bits, v_bits[t], samples, seed,
+/// popts, eval) at EVERY thread count and shard size; per-worker transient
+/// storage is O(chunk_size x shard). Estimates are correlated across
+/// bitstrings (they share the noise realizations), which is exactly what
+/// sampling / XEB workloads want. shard_outputs 0 picks the default: 32
 /// (the output-batched traversal width) on the plan-replay path, all K on
 /// the other backends (whose per-sample evaluation covers every output in
-/// one evolution, so sharding would repeat it).
+/// one evolution, so sharding would repeat it); shard_outputs = K scores
+/// every bitstring of a sample in one item. samples == 0 returns K
+/// well-defined empty estimates.
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
     const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
     std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,

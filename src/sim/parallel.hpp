@@ -4,15 +4,17 @@
 // All three trajectory baselines (statevector, MPS, tensor network) draw
 // i.i.d. fidelity samples in an outer loop; this engine parallelizes that
 // loop while keeping the estimate bit-for-bit reproducible for a fixed seed
-// regardless of the number of worker threads:
+// regardless of the number of worker threads. There is ONE runner,
+// run_trajectories_sharded; run_trajectories is its single-estimate,
+// sample-at-a-time adapter.
 //
 //  * the sample budget is split into fixed-size chunks, and chunk c always
 //    draws from its own std::mt19937_64 seeded from splitmix64(seed, c) --
 //    the set of random streams is a function of (seed, chunk_size) only,
 //    never of the thread count;
-//  * idle workers steal the next unclaimed chunk from a shared atomic
-//    counter, so uneven per-sample costs (e.g. MPS bond growth) balance
-//    out without a static partition;
+//  * idle workers steal the next unclaimed (shard, chunk) item from a
+//    shared atomic counter, so uneven per-sample costs (e.g. MPS bond
+//    growth) balance out without a static partition;
 //  * each chunk accumulates its own Welford mean/M2 and the per-chunk
 //    statistics are merged in chunk order (Chan's parallel variance
 //    update) after all workers join; the merge order is deterministic, so
@@ -23,6 +25,7 @@
 #include <functional>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "core/run_control.hpp"
 
@@ -77,57 +80,6 @@ using Sampler = std::function<double(std::mt19937_64&)>;
 /// can own scratch state (e.g. a gate-list copy) without synchronization.
 using SamplerFactory = std::function<Sampler(std::size_t worker)>;
 
-/// Fill one chunk's fidelity samples (values.size() <= chunk_size) drawing
-/// from `rng` exactly as the per-sample path would, in sample order --
-/// backends that evaluate a whole chunk at once (the batched TN plan
-/// executor) pre-draw per-sample randomness in order and then fill the
-/// values in one shot, which keeps the estimate bit-identical to
-/// sample-at-a-time evaluation.
-using ChunkSampler = std::function<void(std::mt19937_64&, std::span<double>)>;
-/// Per-worker chunk-sampler factory (owns scratch, like SamplerFactory).
-using ChunkSamplerFactory = std::function<ChunkSampler(std::size_t worker)>;
-
-/// Run `samples` trajectories with work-stealing over seed-indexed chunks.
-/// The result is identical for any `opts.threads` (including 1).
-/// samples == 0 returns the well-defined empty estimate (0 samples, mean 0,
-/// no error bar) without invoking the sampler.
-TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
-                                  const SamplerFactory& make_sampler,
-                                  const ParallelOptions& opts = {});
-
-/// Convenience overload for samplers without per-worker scratch.
-TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
-                                  const Sampler& sampler, const ParallelOptions& opts = {});
-
-/// Chunk-at-a-time variant of run_trajectories: same chunking, RNG streams,
-/// and deterministic Welford merge, but each chunk's samples are produced
-/// by one ChunkSampler call (enabling batched evaluation across the chunk).
-TrajectoryResult run_trajectories_chunked(std::size_t samples, std::uint64_t seed,
-                                          const ChunkSamplerFactory& make_sampler,
-                                          const ParallelOptions& opts = {});
-
-/// Fill one chunk's samples for MANY estimates at once:
-/// values[s * num_estimates + o] = trajectory s scored for estimate o
-/// (s < the passed sample count). Per-sample randomness must be drawn in
-/// sample order exactly as the single-estimate path would -- one draw set
-/// per trajectory, shared by every estimate -- so each estimate's stream
-/// matches its standalone run bit for bit.
-using MultiChunkSampler =
-    std::function<void(std::mt19937_64&, std::size_t, std::span<double>)>;
-/// Per-worker multi-estimate sampler factory (owns scratch).
-using MultiChunkSamplerFactory = std::function<MultiChunkSampler(std::size_t worker)>;
-
-/// run_trajectories_chunked over `num_estimates` estimates that share every
-/// trajectory's randomness (e.g. one sampled noise realization scored at
-/// many output bitstrings). Returns one TrajectoryResult per estimate;
-/// estimate o is bit-identical to the single-estimate runner fed stream o
-/// (same chunking, same per-chunk Welford accumulation, same chunk-order
-/// merge). samples == 0 yields well-defined empty estimates (0 samples,
-/// mean 0).
-std::vector<TrajectoryResult> run_trajectories_multi(
-    std::size_t samples, std::size_t num_estimates, std::uint64_t seed,
-    const MultiChunkSamplerFactory& make_sampler, const ParallelOptions& opts = {});
-
 /// Fill one chunk's samples for the estimates of ONE shard:
 /// values[s * shard_count + j] = trajectory s scored for estimate
 /// shard_begin + j (s < sample_count). Per-sample randomness must be drawn
@@ -135,27 +87,43 @@ std::vector<TrajectoryResult> run_trajectories_multi(
 /// set per trajectory, independent of which shard is being scored -- so
 /// every estimate's stream matches its standalone run bit for bit. Shards
 /// of the same chunk redraw the same per-sample randomness (draws are cheap
-/// next to scoring).
+/// next to scoring). Backends that evaluate a whole chunk at once (the
+/// batched TN plan executor) pre-draw the chunk's randomness in order and
+/// then fill the values in one shot.
 using ShardChunkSampler =
     std::function<void(std::mt19937_64&, std::size_t, std::size_t, std::size_t,
                        std::span<double>)>;
 /// Per-worker shard-chunk sampler factory (owns scratch).
 using ShardChunkSamplerFactory = std::function<ShardChunkSampler(std::size_t worker)>;
 
-/// run_trajectories_multi over a single 2-D (estimate-shard x sample-chunk)
-/// work queue: the estimates are partitioned into shards of `shard_size`
-/// (0 = one shard holding all of them) and workers steal (shard, chunk)
-/// items, so a sweep with few sample chunks but many estimates fills every
-/// thread instead of idling on a chunk-only partition, and a worker's value
-/// buffer holds chunk_size x shard_size samples instead of chunk_size x
-/// num_estimates. Estimate o is bit-identical to run_trajectories_multi and
-/// to the single-estimate runner fed stream o, at every thread count and
-/// shard size: per-(estimate, chunk) Welford accumulation and the
-/// chunk-order merge are unchanged, and the chunk RNG streams depend only
-/// on (seed, chunk_size).
+/// The trajectory runner: `num_estimates` estimates that share every
+/// trajectory's randomness (e.g. one sampled noise realization scored at
+/// many output bitstrings), over a single 2-D (estimate-shard x
+/// sample-chunk) work queue. The estimates are partitioned into shards of
+/// `shard_size` (0 = one shard holding all of them) and workers steal
+/// (shard, chunk) items, so a sweep with few sample chunks but many
+/// estimates fills every thread instead of idling on a chunk-only
+/// partition, and a worker's value buffer holds chunk_size x shard_size
+/// samples. Estimate o accumulates its own per-chunk Welford statistics
+/// and merges them in chunk order, and the chunk RNG streams depend only
+/// on (seed, chunk_size): estimate o is bit-identical to the
+/// single-estimate runner fed stream o, at every thread count and shard
+/// size. samples == 0 yields well-defined empty estimates (0 samples,
+/// mean 0, no error bar) without invoking the sampler.
 std::vector<TrajectoryResult> run_trajectories_sharded(
     std::size_t samples, std::size_t num_estimates, std::size_t shard_size,
     std::uint64_t seed, const ShardChunkSamplerFactory& make_sampler,
     const ParallelOptions& opts = {});
+
+/// One estimate drawn sample by sample: run_trajectories_sharded with a
+/// single estimate. The result is identical for any `opts.threads`
+/// (including 1).
+TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
+                                  const SamplerFactory& make_sampler,
+                                  const ParallelOptions& opts = {});
+
+/// Convenience overload for samplers without per-worker scratch.
+TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
+                                  const Sampler& sampler, const ParallelOptions& opts = {});
 
 }  // namespace noisim::sim

@@ -1,6 +1,6 @@
 // Tests for the output-bitstring batching axis: batch_amplitudes /
 // AmplitudeTemplate::compile_batched_outputs, approximate_fidelity_outputs,
-// trajectories_tn_outputs -- plus the sampling-path regression tests this
+// trajectories_tn_sweep -- plus the sampling-path regression tests this
 // PR fixes (unnormalized mixtures, zero-sample entry points, progress
 // serialization).
 #include <gtest/gtest.h>
@@ -179,7 +179,7 @@ TEST(FlopFraction, JustBelowThresholdKeepsTheBatchedPath) {
   EXPECT_GT(bp.sequential_flop_fraction(), 0.99);
   EXPECT_LT(bp.sequential_flop_fraction(), 0.999);
   // The exact branch condition batch_amplitudes / the sweep engine /
-  // trajectories_tn_outputs test before keeping their batched plan.
+  // trajectories_tn_sweep test before keeping their batched plan.
   EXPECT_TRUE(output_batch_worthwhile(bp));
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 2, 71);
   expect_batch_matches_amplitude(16, c.gates(), vb, tn_eval());
@@ -381,35 +381,14 @@ TEST(ApproxProgress, CallsAreSerializedAndStrictlyIncreasing) {
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
 }
 
-// --- trajectories_tn_outputs --------------------------------------------------
+// --- trajectories_tn_sweep, every bitstring in one shard -------------------
+//
+// Bit-identity with per-bitstring trajectories_tn across shards, threads and
+// backends is SweepProperties.TrajectorySweepBitIdenticalAcrossShardsAndThreads.
 
 ch::NoisyCircuit traj_workload(std::uint64_t seed) {
   return bench::insert_noises(bench::qaoa(16, 1, 5), 3, bench::depolarizing_noise(0.02),
                               seed);
-}
-
-TEST(TrajOutputs, BitIdenticalToPerBitstringRuns) {
-  const ch::NoisyCircuit nc = traj_workload(17);
-  std::vector<std::uint64_t> vb = sampled_bitstrings(16, 5, 53);
-  vb.push_back(vb[1]);  // duplicate
-  vb.push_back(0);
-  sim::ParallelOptions serial;
-  serial.threads = 1;
-  sim::ParallelOptions quad;
-  quad.threads = 4;
-
-  for (const EvalOptions& eval : {tn_eval(), sv_eval()}) {
-    const auto multi = trajectories_tn_outputs(nc, 0, vb, 96, 7, serial, eval);
-    const auto threaded = trajectories_tn_outputs(nc, 0, vb, 96, 7, quad, eval);
-    ASSERT_EQ(multi.size(), vb.size());
-    for (std::size_t o = 0; o < vb.size(); ++o) {
-      const sim::TrajectoryResult ref = trajectories_tn(nc, 0, vb[o], 96, 7, serial, eval);
-      EXPECT_EQ(ref.mean, multi[o].mean) << "output " << o;
-      EXPECT_EQ(ref.std_error, multi[o].std_error) << "output " << o;
-      EXPECT_EQ(multi[o].mean, threaded[o].mean) << "output " << o;
-      EXPECT_EQ(multi[o].std_error, threaded[o].std_error) << "output " << o;
-    }
-  }
 }
 
 TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
@@ -419,7 +398,7 @@ TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   serial.threads = 1;
   EvalOptions eval = tn_eval();
   eval.tn.greedy_cost_weights = {1.0};
-  const auto full = trajectories_tn_outputs(nc, 0, vb, 64, 7, serial, eval);
+  const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, eval, vb.size());
 
   // Budget = the skeleton's per-term arena: the output batch reports MO at
   // compile time and the per-output session path takes over.
@@ -427,7 +406,7 @@ TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   EvalOptions budgeted = eval;
   budgeted.tn.max_workspace_elems =
       tn::ContractionPlan::compile(net, eval.tn).workspace_elems();
-  const auto fallback = trajectories_tn_outputs(nc, 0, vb, 64, 7, serial, budgeted);
+  const auto fallback = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, budgeted, vb.size());
   for (std::size_t o = 0; o < vb.size(); ++o) {
     EXPECT_EQ(full[o].mean, fallback[o].mean);
     EXPECT_EQ(full[o].std_error, fallback[o].std_error);
@@ -438,14 +417,14 @@ TEST(TrajOutputs, ZeroSamplesAndNoOutputs) {
   const ch::NoisyCircuit nc = traj_workload(23);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 3, 61);
   sim::ParallelOptions popts;
-  const auto empty = trajectories_tn_outputs(nc, 0, vb, 0, 7, popts, tn_eval());
+  const auto empty = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, tn_eval(), vb.size());
   ASSERT_EQ(empty.size(), vb.size());
   for (const sim::TrajectoryResult& r : empty) {
     EXPECT_EQ(r.samples, 0u);
     EXPECT_EQ(r.mean, 0.0);
     EXPECT_EQ(r.std_error, 0.0);
   }
-  EXPECT_TRUE(trajectories_tn_outputs(nc, 0, {}, 10, 7, popts, tn_eval()).empty());
+  EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, tn_eval()).empty());
 }
 
 // --- zero-sample entry points (SV / MPS / TN) ---------------------------------
@@ -488,7 +467,8 @@ TEST(SampleIndex, UnnormalizedMixtureFailsLoudly) {
   sim::ParallelOptions popts;
   EXPECT_THROW(trajectories_tn(nc, 0, 0, 10, 7, popts, sv_eval()), LinalgError);
   const std::vector<std::uint64_t> vb{0, 1};
-  EXPECT_THROW(trajectories_tn_outputs(nc, 0, vb, 10, 7, popts, sv_eval()), LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(nc, 0, vb, 10, 7, popts, sv_eval(), vb.size()),
+               LinalgError);
 }
 
 TEST(SampleIndex, RoundoffDeficitIsNormalizedAway) {

@@ -330,6 +330,22 @@ TEST_F(FaultTest, SweepWorkerThrowDrainsCleanAndRerunsBitIdentical) {
       EXPECT_EQ(rerun.values[o], base.values[o]) << "nth=" << nth << " output " << o;
     fault::disarm_all();
   }
+
+  // approximate_fidelity is the one-output call of the same engine: with
+  // batch_terms = 2 its 10 terms span 5 items over the 2 workers, so the
+  // throw lands part-way through the output and must drain the same way.
+  ApproxOptions single = sopts.approx;
+  single.batch_terms = 2;
+  const ApproxResult single_base = approximate_fidelity(nc, 0, outputs[1], single);
+  for (const std::uint64_t nth : {std::uint64_t{1}, std::uint64_t{3}}) {
+    fault::arm("sweep-worker", nth);
+    EXPECT_THROW(approximate_fidelity(nc, 0, outputs[1], single), fault::FaultError);
+    EXPECT_TRUE(fault::fired("sweep-worker"));
+    const ApproxResult rerun = approximate_fidelity(nc, 0, outputs[1], single);
+    EXPECT_EQ(rerun.raw, single_base.raw) << "nth=" << nth;
+    EXPECT_EQ(rerun.level_values, single_base.level_values) << "nth=" << nth;
+    fault::disarm_all();
+  }
 }
 
 // Control errors (deadline, memory ceiling) firing inside a worker's plan

@@ -630,30 +630,6 @@ TEST(BatchedApprox, StatsCountBatchedCompilesAndReplays) {
   EXPECT_GT(r.plan_seconds, 0.0);
 }
 
-TEST(BatchedApprox, WorkspaceBudgetTripsOnlyTheBatchedPath) {
-  const ch::NoisyCircuit nc = fig4_workload(16, 3);
-  // Single greedy weight so budgeted and unbudgeted compiles choose the
-  // same schedule; budget = exactly the per-term arena of the two layers.
-  ApproxOptions base = tn_opts(2, true, 1, 1);
-  base.eval.tn.greedy_cost_weights = {1.0};
-  base.eval.tn.max_workspace_elems = std::max(skeleton_arena_elems(nc, false, base.eval),
-                                              skeleton_arena_elems(nc, true, base.eval));
-
-  const ApproxResult per_term = approximate_fidelity(nc, 0, 0, base);
-  EXPECT_TRUE(std::isfinite(per_term.value));
-
-  // The batched arena cannot fit the per-term budget: MO surfaces at
-  // batched-plan compile time and the harness maps it to the paper's "MO".
-  ApproxOptions batched = base;
-  batched.batch_terms = 32;
-  EXPECT_THROW(approximate_fidelity(nc, 0, 0, batched), MemoryOutError);
-  const bench::RunOutcome out = bench::run_guarded([&] {
-    return approximate_fidelity(nc, 0, 0, batched).value;
-  });
-  EXPECT_EQ(out.status, bench::RunOutcome::Status::MemoryOut);
-  EXPECT_EQ(bench::format_time(out), "MO");
-}
-
 TEST(BatchedTrajectories, BudgetFallbackIsBitIdenticalToBatchedSampling) {
   // trajectories_tn batches samples across each RNG chunk; when the batched
   // plan exceeds the workspace budget it falls back to per-sample replay.

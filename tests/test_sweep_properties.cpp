@@ -225,6 +225,17 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
       EXPECT_EQ(refs[o].raw.imag(), sweep.raw[o].imag()) << "shard " << shard;
     }
   }
+
+  // approximate_fidelity is the one-output sweep: under the same budget its
+  // term batch no longer fits either, and it falls back to per-term replay
+  // (bit-identical) instead of raising MemoryOutError.
+  ApproxOptions single = budgeted;
+  single.threads = 2;
+  for (std::size_t o = 0; o < vb.size(); ++o) {
+    const ApproxResult r = approximate_fidelity(nc, 0, vb[o], single);
+    EXPECT_EQ(refs[o].raw.real(), r.raw.real()) << "single output " << o;
+    EXPECT_EQ(refs[o].raw.imag(), r.raw.imag()) << "single output " << o;
+  }
 }
 
 // --- sharded trajectory sweep -------------------------------------------------
@@ -237,6 +248,7 @@ TEST(SweepProperties, TrajectorySweepBitIdenticalAcrossShardsAndThreads) {
   std::mt19937_64 rng(80);
   std::vector<std::uint64_t> vb = random_bitstrings(9, 5, rng);
   vb.push_back(vb[2]);  // duplicate
+  vb.push_back(0);      // all-zeros
   sim::ParallelOptions serial;
   serial.threads = 1;
   sim::ParallelOptions quad;
@@ -293,7 +305,6 @@ TEST(SweepProperties, EmptyBitstringSpansAreWellDefinedEverywhere) {
 
     // Trajectory sweeps: no outputs -> no estimates; zero samples -> K
     // empty estimates (and no capacity-0 plans on either path).
-    EXPECT_TRUE(trajectories_tn_outputs(nc, 0, {}, 10, 7, popts, eval).empty());
     EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, eval).empty());
     const std::vector<std::uint64_t> vb{0, 1, 2};
     const auto zero = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, eval);

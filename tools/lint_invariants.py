@@ -34,6 +34,12 @@ exercised by --self-test):
                     carry // lint: not-guarded(<reason>) -- the audit
                     behind the Clang thread-safety annotations, enforced
                     even on GCC-only checkouts.
+  worker-pool       std::async appears in src/ only at the two worker-pool
+                    launch sites: once in core/approx.cpp (the Algorithm-1
+                    sweep engine) and once in sim/parallel.cpp (the
+                    trajectory runner). A third scheduler would have to
+                    re-earn the cooperative drain, fault sites and
+                    deterministic fold those two carry.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -54,6 +60,7 @@ RULES = (
     "env-getenv",
     "claim-loop-polls",
     "mutex-guards",
+    "worker-pool",
 )
 
 
@@ -407,6 +414,37 @@ def check_mutex_guards(cxx_files):
     return findings
 
 
+ASYNC_RE = re.compile(r"\bstd\s*::\s*async\b")
+# The sanctioned launch sites, as paths relative to the scan root, and how
+# many std::async calls each may hold.
+WORKER_POOL_SITES = {("src", "core", "approx.cpp"): 1, ("src", "sim", "parallel.cpp"): 1}
+
+
+def check_worker_pool(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if not rel or rel[0] != "src":
+            continue
+        allowed = WORKER_POOL_SITES.get(rel, 0)
+        code = strip_code(text)
+        for count, m in enumerate(ASYNC_RE.finditer(code), start=1):
+            if count <= allowed:
+                continue
+            where = ("a second launch site in this file" if allowed
+                     else "a launch site outside the two worker pools")
+            findings.append(Finding(
+                path, line_of(code, m.start()), "worker-pool",
+                f"std::async at {where}; src/ schedules work only through the "
+                "Algorithm-1 sweep engine (core/approx.cpp) and the trajectory "
+                "runner (sim/parallel.cpp) -- route new parallel work through "
+                "one of them"))
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 def collect(root, fixture_mode):
@@ -440,6 +478,7 @@ def run_rules(root, cxx_files, cmake_texts):
     findings += check_env_getenv(cxx_files)
     findings += check_claim_loop_polls(cxx_files)
     findings += check_mutex_guards(cxx_files)
+    findings += check_worker_pool(root, cxx_files)
     return findings
 
 
