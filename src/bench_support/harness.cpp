@@ -56,7 +56,7 @@ std::string stats_json(const tn::ContractStats& stats) {
                                   stats.elapsed_seconds / 1e9
                             : 0.0;
   out += ", \"effective_gflops\": " + sci(gflops);
-  // Portfolio accounting: per-strategy win counts and summed best-candidate
+  // Order-search accounting: per-strategy win counts and summed best-candidate
   // flop estimates, keyed by strategy name (zero-only strategies omitted).
   out += ", \"strategy_chosen\": {";
   bool first = true;

@@ -124,7 +124,7 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
                                     bool conjugate, const tn::ContractOptions& copts) {
   std::string key;
   key.reserve(64 + skeleton.size() * 48);
-  put_u64(key, 2);  // key-format version (2: portfolio knobs added)
+  put_u64(key, 3);  // key-format version (3: portfolio knobs removed)
   put_u64(key, static_cast<std::uint64_t>(n));
   put_u64(key, psi_bits);
   put_u64(key, v_bits);
@@ -135,13 +135,6 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
   put_u64(key, copts.max_workspace_elems);
   put_u64(key, copts.greedy_cost_weights.size());
   for (const double w : copts.greedy_cost_weights) put_f64(key, w);
-  // Portfolio knobs steer which schedule Auto compiles to, so they are
-  // part of the resolved-options identity like the greedy ladder above.
-  put_u64(key, copts.portfolio ? 1 : 0);
-  put_u64(key, copts.portfolio_strategies.size());
-  for (const tn::OrderStrategy s : copts.portfolio_strategies)
-    put_u64(key, static_cast<std::uint64_t>(s));
-  put_u64(key, copts.random_restarts);
   put_u64(key, copts.custom_sequence.size());
   for (const std::size_t s : copts.custom_sequence) put_u64(key, s);
   put_u64(key, skeleton.size());

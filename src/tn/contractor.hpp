@@ -12,26 +12,23 @@
 //                 for few qubits / deep circuits). Builders that tag nodes
 //                 with grid coordinates can pass a custom sequence for
 //                 row-sweep (boundary) contraction instead.
-//  * PairwiseRecursive — balanced binary reduction over insertion order
-//                 (merge adjacent pairs, repeat on the halved level), the
-//                 pairwise grouping of ddsim's simulation-path framework.
-//  * Bracket    — partition insertion order into consecutive brackets
-//                 (sizes 2/4/8 tried as an internal ladder), contract
-//                 within each bracket sequentially, then fold the bracket
-//                 results sequentially.
 //  * Alternating — two accumulators absorb nodes from the front and the
 //                 back of insertion order alternately, merged at the end
-//                 (the gate-cap-balanced order of the same framework).
+//                 (the gate-cap-balanced order of ddsim's simulation-path
+//                 framework).
 //  * RandomGreedy — restarted greedy with a deterministically seeded score
 //                 jitter and a per-restart alpha drawn from a wide range
 //                 (CoTenGra-style randomized search); the seed is a pure
 //                 function of the network topology, never wall clock or
 //                 entropy, so the chosen plan stays a pure function of
 //                 topology + options.
-//  * Auto       — portfolio search across the strategies above (see
-//                 ContractOptions::portfolio), keeping the schedule with
-//                 minimum total flops; with the portfolio disabled, Greedy
-//                 with a Sequential fallback on memory-out.
+//  * Auto       — one fixed search: the greedy ladder, Alternating, and
+//                 RandomGreedy, keeping the order with minimum total flops
+//                 (ties: smaller peak intermediate, then the earlier
+//                 candidate); Sequential is the last resort when every
+//                 candidate exceeds the memory budget. Candidates are
+//                 scored by a shape-only walk; only the winning order is
+//                 materialized into a plan.
 //
 // Guard rails: the contractor enforces a tensor-size budget and a wall-clock
 // deadline, throwing MemoryOutError / TimeoutError; the benchmark harness
@@ -55,14 +52,14 @@ enum class OrderStrategy {
   Auto,
   Greedy,
   Sequential,
-  PairwiseRecursive,
-  Bracket,
   Alternating,
   RandomGreedy,
 };
 
 /// Number of OrderStrategy values (fixed-size per-strategy stats arrays).
-inline constexpr std::size_t kNumOrderStrategies = 7;
+inline constexpr std::size_t kNumOrderStrategies = 5;
+static_assert(kNumOrderStrategies == static_cast<std::size_t>(OrderStrategy::RandomGreedy) + 1,
+              "kNumOrderStrategies must count every OrderStrategy (RandomGreedy is the last)");
 
 /// Stable display name (stats_json keys, bench tables, test diagnostics).
 inline const char* order_strategy_name(OrderStrategy s) {
@@ -70,8 +67,6 @@ inline const char* order_strategy_name(OrderStrategy s) {
     case OrderStrategy::Auto: return "auto";
     case OrderStrategy::Greedy: return "greedy";
     case OrderStrategy::Sequential: return "sequential";
-    case OrderStrategy::PairwiseRecursive: return "pairwise_recursive";
-    case OrderStrategy::Bracket: return "bracket";
     case OrderStrategy::Alternating: return "alternating";
     case OrderStrategy::RandomGreedy: return "random_greedy";
   }
@@ -88,7 +83,8 @@ struct ContractOptions {
   /// deadline) and, separately, each plan replay.
   double timeout_seconds = 0.0;
   /// When non-empty: node indices in the order Sequential should absorb
-  /// them (must be a permutation of all node indices).
+  /// them. Must be a permutation of all node indices; compile() rejects
+  /// anything else before planning.
   std::vector<std::size_t> custom_sequence;
   /// Budget for the plan's whole intermediate arena (the liveness-packed
   /// workspace all intermediates live in), in complex elements; exceeding
@@ -104,33 +100,15 @@ struct ContractOptions {
   /// many times can afford a deeper ladder. Must be non-empty for
   /// Greedy/Auto.
   std::vector<double> greedy_cost_weights{1.0, 4.0};
-  /// Auto runs a portfolio search over `portfolio_strategies` (sharing the
-  /// one planning deadline above) and keeps the schedule with minimum total
-  /// flops, ties broken by peak intermediate and then by enumeration order
-  /// -- selection is a pure function of topology + these options, never of
-  /// wall clock or attempt timing, so cached plans and fresh compiles
-  /// always agree. Off restores the pre-portfolio Auto (Greedy with a
-  /// Sequential fallback on memory-out). Direct strategies ignore it.
-  bool portfolio = true;
-  /// Strategy subset the Auto portfolio tries, in tie-break order. Entries
-  /// must not be Auto; must be non-empty when the portfolio runs. Keeping
-  /// Greedy in the set guarantees the portfolio never selects a schedule
-  /// with more flops than the greedy ladder alone.
-  std::vector<OrderStrategy> portfolio_strategies{
-      OrderStrategy::Greedy, OrderStrategy::PairwiseRecursive, OrderStrategy::Bracket,
-      OrderStrategy::Alternating, OrderStrategy::RandomGreedy};
-  /// Restart count for RandomGreedy: each restart reseeds the score jitter
-  /// and redraws alpha from a deterministic per-restart stream (seeded by
-  /// the network's topology hash, restart index, and nothing else).
-  std::size_t random_restarts = 4;
   /// Cooperative control polled during PLANNING (compile-time cancel /
   /// deadline / memory ceiling); caller-owned, may be null. Run-time
   /// (replay) control travels through tn::PlanWorkspace::control instead,
   /// because compiled plans are cached and shared across calls whose
   /// controls differ -- nothing execution-scoped may be baked into a plan.
   /// Deliberately excluded from PlanCache keys (core/plan_cache.cpp
-  /// serializes these options field by field): an armed control never
-  /// changes what a plan computes, only whether it is allowed to finish.
+  /// serializes every other field; the cache-key-covers-options lint rule
+  /// checks that): an armed control never changes what a plan computes,
+  /// only whether it is allowed to finish.
   const core::RunControl* control = nullptr;
 };
 
@@ -170,13 +148,12 @@ struct ContractStats {
   std::size_t kernels_scalar = 0;
   std::size_t kernels_avx2 = 0;
   std::size_t kernels_avx512 = 0;
-  /// Portfolio accounting, indexed by static_cast<std::size_t>(strategy):
+  /// Order-search accounting, indexed by static_cast<std::size_t>(strategy):
   /// compiles whose winning schedule came from each strategy, and the
   /// summed flop estimate of each strategy's best candidate schedule per
   /// compile (0 while a strategy never produced a feasible schedule --
-  /// skipped, memory-out, or not in the portfolio subset). Together they
-  /// record which orders actually win and by how much, which is what
-  /// bench_ablation_orders gates on.
+  /// not tried, or memory-out). Together they record which orders actually
+  /// win and by how much, which is what bench_ablation_orders reports.
   std::array<std::size_t, kNumOrderStrategies> strategy_chosen{};
   std::array<std::size_t, kNumOrderStrategies> strategy_flops{};
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -133,12 +134,38 @@ class DedupTable {
   std::size_t mask_ = 0;
 };
 
+/// A candidate contraction order: the merge pairs a strategy chose and the
+/// score the shape-only walk gave them.
+struct ScoredOrder {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::size_t flops = 0;  // sum of m*k*n over the merges
+  std::size_t peak = 0;   // largest intermediate
+};
+
+/// Strict (total flops, peak intermediate) order: a candidate replaces the
+/// kept one only when strictly cheaper, so the EARLIER candidate wins full
+/// ties and every ladder and the Auto search break ties in enumeration
+/// order.
+bool cheaper(const ScoredOrder& a, const ScoredOrder& b) {
+  return a.flops < b.flops || (a.flops == b.flops && a.peak < b.peak);
+}
+
+/// RandomGreedy restart count: each restart reseeds the score jitter and
+/// redraws alpha from a per-restart stream seeded by the network's
+/// topology hash and the restart index alone.
+constexpr std::size_t kRandomGreedyRestarts = 4;
+
 }  // namespace
 
-/// Shape-and-edge-only replica of the contractor's working state: merges
-/// emit PlanSteps instead of performing arithmetic. The pairwise order,
-/// tie-breaking, and budget checks mirror the eager contractor exactly, so
-/// a compiled plan replays to bit-identical results.
+/// Shape-and-edge-only replica of the contractor's working state. Every
+/// candidate order is a scored walk: merge() tracks edges, dims, the
+/// per-intermediate and arena budgets, flops and peak, and records the
+/// pair it merged. Only a `materialize` compiler also emits the PlanSteps
+/// (permutation stride tables, traffic model) that finalize() turns into a
+/// ContractionPlan; compile() runs one, replaying the winning candidate's
+/// pairs through the same merge(). The pairwise order, tie-breaking, and
+/// budget checks mirror the eager contractor exactly, so a compiled plan
+/// replays to bit-identical results.
 struct PlanCompiler {
   struct MetaNode {
     std::vector<EdgeId> edges;
@@ -147,12 +174,14 @@ struct PlanCompiler {
   };
 
   const ContractOptions& opts;
+  const bool materialize;
   std::vector<MetaNode> nodes;  // indexed by slot
   std::vector<bool> alive;
   std::unordered_map<EdgeId, std::vector<std::size_t>> edge_nodes;
   std::size_t num_inputs = 0;
 
-  std::vector<PlanStep> steps;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;  // merge order
+  std::vector<PlanStep> steps;                              // materialize only
   ArenaLayout arena;
   std::vector<std::size_t> slot_offset;  // arena offset (intermediates only)
   std::size_t peak = 0;
@@ -164,12 +193,13 @@ struct PlanCompiler {
   Clock::time_point deadline{};
   bool has_deadline = false;
 
-  // `deadline` is shared by every planning attempt of one compile() call
-  // (all greedy cost weights plus the Auto fallback), so timeout_seconds
-  // bounds total planning time, not each attempt.
+  // `deadline` is shared by every walk of one compile() call (all
+  // candidates plus the materialization), so timeout_seconds bounds total
+  // planning time, not each attempt.
   PlanCompiler(const Network& net, const ContractOptions& o, Clock::time_point shared_deadline,
-               bool deadline_set)
-      : opts(o), deadline(shared_deadline), has_deadline(deadline_set) {
+               bool deadline_set, bool materialize_steps)
+      : opts(o), materialize(materialize_steps), deadline(shared_deadline),
+        has_deadline(deadline_set) {
     num_inputs = net.num_nodes();
     nodes.reserve(num_inputs);
     for (std::size_t i = 0; i < num_inputs; ++i) {
@@ -183,6 +213,8 @@ struct PlanCompiler {
       slot_offset.push_back(0);
     }
   }
+
+  ScoredOrder scored() && { return ScoredOrder{std::move(pairs), flops, peak}; }
 
   void check_deadline() const {
     if (opts.control) opts.control->poll();
@@ -281,35 +313,6 @@ struct PlanCompiler {
       throw MemoryOutError("tensor network contraction exceeded memory budget (intermediate of " +
                            std::to_string(step.out_elems) + " elements)");
 
-    // Operand permutations: lhs to [free..., contracted...], rhs to
-    // [contracted..., free...]. Identity permutations are recorded as
-    // in-place reads (no scratch, no copy at execution).
-    std::vector<std::size_t> perm_a = free_a;
-    perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
-    std::vector<std::size_t> perm_b = axes_v;
-    perm_b.insert(perm_b.end(), free_b.begin(), free_b.end());
-
-    step.identity_a = tsr::is_identity_permutation(perm_a);
-    if (!step.identity_a) {
-      const std::vector<std::size_t> strides = tsr::row_major_strides(nu.dims);
-      for (std::size_t p : perm_a) {
-        step.a_perm_shape.push_back(nu.dims[p]);
-        step.a_src_stride.push_back(strides[p]);
-      }
-      scratch_a = std::max(scratch_a, nu.elems);
-      max_rank = std::max(max_rank, perm_a.size());
-    }
-    step.identity_b = tsr::is_identity_permutation(perm_b);
-    if (!step.identity_b) {
-      const std::vector<std::size_t> strides = tsr::row_major_strides(nv.dims);
-      for (std::size_t p : perm_b) {
-        step.b_perm_shape.push_back(nv.dims[p]);
-        step.b_src_stride.push_back(strides[p]);
-      }
-      scratch_b = std::max(scratch_b, nv.elems);
-      max_rank = std::max(max_rank, perm_b.size());
-    }
-
     // Arena: the output region is claimed while both operands are still
     // live (no overlap), then consumed operand regions are recycled.
     step.out_offset = arena.alloc(step.out_elems);
@@ -321,10 +324,42 @@ struct PlanCompiler {
 
     peak = std::max(peak, step.out_elems);
     flops += step.m * step.k * step.n;
-    // Traffic model: operand reads (plus a read+write permutation copy when
-    // not identity), output zero-fill + accumulate write.
-    bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
-                             step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+    pairs.emplace_back(u, v);
+
+    if (materialize) {
+      // Operand permutations: lhs to [free..., contracted...], rhs to
+      // [contracted..., free...]. Identity permutations are recorded as
+      // in-place reads (no scratch, no copy at execution).
+      std::vector<std::size_t> perm_a = free_a;
+      perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
+      std::vector<std::size_t> perm_b = axes_v;
+      perm_b.insert(perm_b.end(), free_b.begin(), free_b.end());
+
+      step.identity_a = tsr::is_identity_permutation(perm_a);
+      if (!step.identity_a) {
+        const std::vector<std::size_t> strides = tsr::row_major_strides(nu.dims);
+        for (std::size_t p : perm_a) {
+          step.a_perm_shape.push_back(nu.dims[p]);
+          step.a_src_stride.push_back(strides[p]);
+        }
+        scratch_a = std::max(scratch_a, nu.elems);
+        max_rank = std::max(max_rank, perm_a.size());
+      }
+      step.identity_b = tsr::is_identity_permutation(perm_b);
+      if (!step.identity_b) {
+        const std::vector<std::size_t> strides = tsr::row_major_strides(nv.dims);
+        for (std::size_t p : perm_b) {
+          step.b_perm_shape.push_back(nv.dims[p]);
+          step.b_src_stride.push_back(strides[p]);
+        }
+        scratch_b = std::max(scratch_b, nv.elems);
+        max_rank = std::max(max_rank, perm_b.size());
+      }
+      // Traffic model: operand reads (plus a read+write permutation copy
+      // when not identity), output zero-fill + accumulate write.
+      bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
+                               step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+    }
 
     alive[u] = alive[v] = false;
     const std::size_t idx = nodes.size();
@@ -340,7 +375,7 @@ struct PlanCompiler {
     slot_offset.push_back(step.out_offset);
     nodes.push_back(std::move(merged));
     alive.push_back(true);
-    steps.push_back(std::move(step));
+    if (materialize) steps.push_back(std::move(step));
     return idx;
   }
 
@@ -418,52 +453,14 @@ struct PlanCompiler {
   }
 
   void sequential(const std::vector<std::size_t>& sequence) {
+    // compile() has already checked that a custom sequence is a permutation.
     std::vector<std::size_t> order = sequence;
     if (order.empty()) {
       order.resize(num_inputs);
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    } else {
-      la::detail::require(order.size() == num_inputs,
-                          "sequential contraction: sequence must cover all nodes");
-      for (std::size_t i : order)
-        la::detail::require(i < num_inputs, "sequential contraction: sequence index out of range");
     }
     std::size_t acc = order[0];
     for (std::size_t i = 1; i < order.size(); ++i) acc = merge(acc, order[i]);
-  }
-
-  /// Balanced binary reduction over insertion order: merge adjacent pairs,
-  /// carry an odd leftover, repeat on the halved level (ddsim's pairwise
-  /// simulation-path grouping). Depth log2(n), so early intermediates stay
-  /// small on layered circuit networks.
-  void pairwise_recursive() {
-    std::vector<std::size_t> level(num_inputs);
-    for (std::size_t i = 0; i < num_inputs; ++i) level[i] = i;
-    while (level.size() > 1) {
-      std::vector<std::size_t> next;
-      next.reserve((level.size() + 1) / 2);
-      for (std::size_t i = 0; i + 1 < level.size(); i += 2)
-        next.push_back(merge(level[i], level[i + 1]));
-      if (level.size() % 2 != 0) next.push_back(level.back());
-      level = std::move(next);
-    }
-  }
-
-  /// Consecutive brackets of `width` nodes in insertion order: contract
-  /// within each bracket sequentially, then fold the bracket results
-  /// sequentially -- the bracketed grouping of ddsim's simulation-path
-  /// framework (gate blocks absorb locally before touching the growing
-  /// accumulator).
-  void bracket(std::size_t width) {
-    std::vector<std::size_t> groups;
-    for (std::size_t start = 0; start < num_inputs; start += width) {
-      std::size_t acc = start;
-      const std::size_t stop = std::min(start + width, num_inputs);
-      for (std::size_t i = start + 1; i < stop; ++i) acc = merge(acc, i);
-      groups.push_back(acc);
-    }
-    std::size_t acc = groups[0];
-    for (std::size_t g = 1; g < groups.size(); ++g) acc = merge(acc, groups[g]);
   }
 
   /// Two accumulators absorb nodes from the front and the back of
@@ -534,8 +531,22 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
   fault::poke("plan-mo");
   fault::poke("plan-to");
   if (opts.control) opts.control->poll();
+  // A custom sequence is caller input: reject a non-permutation before any
+  // merge, so it surfaces as a caller error rather than as a memory-out or
+  // a half-reduced network.
+  if (!opts.custom_sequence.empty()) {
+    la::detail::require(opts.custom_sequence.size() == net.num_nodes(),
+                        "sequential contraction: sequence must cover all nodes");
+    std::vector<char> seen(net.num_nodes(), 0);
+    for (const std::size_t i : opts.custom_sequence) {
+      la::detail::require(i < net.num_nodes(),
+                          "sequential contraction: sequence index out of range");
+      la::detail::require(!seen[i], "sequential contraction: sequence repeats a node index");
+      seen[i] = 1;
+    }
+  }
 
-  // One deadline across every planning attempt below, so timeout_seconds
+  // One deadline across every planning walk below, so timeout_seconds
   // bounds the whole compile (each replay later gets its own budget).
   Clock::time_point deadline{};
   const bool has_deadline = opts.timeout_seconds > 0.0;
@@ -543,201 +554,99 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
     deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                   std::chrono::duration<double>(opts.timeout_seconds));
 
-  // Keep `plan` if it beats `best` by (total flops, peak intermediate);
-  // strict comparisons keep the EARLIER candidate on full ties, which is
-  // what makes every ladder and the portfolio tie-break stable in
-  // enumeration order.
-  auto keep_cheapest = [](ContractionPlan& best, bool& have_best, ContractionPlan&& plan) {
-    if (!have_best || plan.total_flops_ < best.total_flops_ ||
-        (plan.total_flops_ == best.total_flops_ && plan.peak_elems_ < best.peak_elems_)) {
-      best = std::move(plan);
-      have_best = true;
-    }
-  };
-
-  auto build_sequential = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.sequential(opts.custom_sequence);
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::Sequential;
-    return plan;
-  };
-
-  // Greedy = a deterministic ladder of score weights; keep the cheapest
-  // schedule by (total flops, peak intermediate). Planning happens once per
-  // topology while the plan replays per term, so a several-fold deeper
-  // search at plan time is almost free -- and routinely finds schedules
-  // several times cheaper than the single alpha = 1 heuristic.
-  auto build_greedy = [&]() -> ContractionPlan {
-    ContractionPlan best;
-    bool have_best = false;
-    bool saw_memory_out = false;
-    for (const double alpha : opts.greedy_cost_weights) {
+  // The cheapest candidate order of strategy `s`, scored without
+  // materializing anything. A candidate that exceeds a memory budget is
+  // skipped -- other ladder entries may still fit -- and MemoryOutError
+  // surfaces only when none does. TimeoutError always propagates:
+  // returning a best-so-far at the deadline would make plan selection
+  // depend on wall clock, breaking the purity contract PlanCache and
+  // bit-identical replay rest on.
+  auto search = [&](OrderStrategy s) -> ScoredOrder {
+    std::optional<ScoredOrder> best;
+    std::string memory_out;  // the last candidate's memory-out message
+    auto attempt = [&](auto&& walk) {
       try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.greedy(alpha);
-        keep_cheapest(best, have_best, compiler.finalize(net));
-      } catch (const MemoryOutError&) {
-        saw_memory_out = true;  // other weights may still fit the budget
+        PlanCompiler compiler(net, opts, deadline, has_deadline, /*materialize=*/false);
+        walk(compiler);
+        ScoredOrder cand = std::move(compiler).scored();
+        if (!best || cheaper(cand, *best)) best = std::move(cand);
+      } catch (const MemoryOutError& e) {
+        memory_out = e.what();
       }
-    }
-    if (!have_best) {
-      la::detail::require(saw_memory_out, "ContractionPlan: no greedy cost weights configured");
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "greedy cost weight");
-    }
-    best.chosen_strategy_ = OrderStrategy::Greedy;
-    return best;
-  };
-
-  auto build_pairwise = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.pairwise_recursive();
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::PairwiseRecursive;
-    return plan;
-  };
-
-  // Bracket widths form an internal ladder like the greedy score weights:
-  // three fixed widths, cheapest schedule wins, earlier width wins ties.
-  auto build_bracket = [&]() -> ContractionPlan {
-    ContractionPlan best;
-    bool have_best = false;
-    for (const std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.bracket(width);
-        keep_cheapest(best, have_best, compiler.finalize(net));
-      } catch (const MemoryOutError&) {
-        // narrower/wider brackets may still fit the budget
-      }
-    }
-    if (!have_best)
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "bracket width");
-    best.chosen_strategy_ = OrderStrategy::Bracket;
-    return best;
-  };
-
-  auto build_alternating = [&] {
-    PlanCompiler compiler(net, opts, deadline, has_deadline);
-    compiler.alternating();
-    ContractionPlan plan = compiler.finalize(net);
-    plan.chosen_strategy_ = OrderStrategy::Alternating;
-    return plan;
-  };
-
-  // Restarted jittered greedy. Every restart's generator is seeded from
-  // the network's topology hash and the restart index alone -- no wall
-  // clock, no process entropy -- so the restart ladder (and therefore the
-  // kept schedule) is a pure function of topology + options, as the
-  // PlanCache replay contract requires.
-  auto build_random_greedy = [&]() -> ContractionPlan {
-    la::detail::require(opts.random_restarts > 0,
-                        "ContractionPlan: random_restarts must be >= 1");
-    const std::uint64_t topology_seed = net.topology_hash();
-    ContractionPlan best;
-    bool have_best = false;
-    for (std::size_t restart = 0; restart < opts.random_restarts; ++restart) {
-      SplitMix64 rng{topology_seed + 0x9e3779b97f4a7c15ULL * (restart + 1)};
-      // alpha log-uniform in [0.5, 8]: spans well past both ends of the
-      // deterministic ladder, which is where restarts find schedules the
-      // fixed weights miss.
-      const double alpha = 0.5 * std::exp(rng.uniform() * std::log(16.0));
-      try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline);
-        compiler.greedy(alpha, &rng, 0.25);
-        keep_cheapest(best, have_best, compiler.finalize(net));
-      } catch (const MemoryOutError&) {
-        // other restarts may still fit the budget
-      }
-    }
-    if (!have_best)
-      throw MemoryOutError("tensor network contraction exceeded memory budget for every "
-                           "randomized greedy restart");
-    best.chosen_strategy_ = OrderStrategy::RandomGreedy;
-    return best;
-  };
-
-  auto build_for = [&](OrderStrategy s) -> ContractionPlan {
+    };
     switch (s) {
       case OrderStrategy::Greedy:
-        return build_greedy();
-      case OrderStrategy::Sequential:
-        return build_sequential();
-      case OrderStrategy::PairwiseRecursive:
-        return build_pairwise();
-      case OrderStrategy::Bracket:
-        return build_bracket();
-      case OrderStrategy::Alternating:
-        return build_alternating();
-      case OrderStrategy::RandomGreedy:
-        return build_random_greedy();
-      case OrderStrategy::Auto:
+        // A deterministic ladder of score weights. Planning happens once
+        // per topology while the plan replays per term, so a several-fold
+        // deeper search at plan time is almost free -- and routinely finds
+        // schedules several times cheaper than alpha = 1 alone.
+        la::detail::require(!opts.greedy_cost_weights.empty(),
+                            "ContractionPlan: no greedy cost weights configured");
+        for (const double alpha : opts.greedy_cost_weights)
+          attempt([&](PlanCompiler& c) { c.greedy(alpha); });
         break;
-    }
-    la::detail::fail("ContractionPlan: invalid portfolio strategy");
-  };
-
-  // Portfolio search: try every configured strategy under the ONE shared
-  // deadline, keep the minimum-total-flop schedule (ties: peak elems, then
-  // enumeration order). A strategy that exceeds the memory budget is
-  // skipped -- some orders legitimately cannot fit budgets others can --
-  // but TimeoutError always propagates: returning a best-so-far at the
-  // deadline would make plan selection depend on wall clock, breaking the
-  // purity contract PlanCache and bit-identical replay rest on.
-  auto build_portfolio = [&]() -> ContractionPlan {
-    la::detail::require(!opts.portfolio_strategies.empty(),
-                        "ContractionPlan: portfolio_strategies must be non-empty");
-    for (const OrderStrategy s : opts.portfolio_strategies)
-      la::detail::require(s != OrderStrategy::Auto,
-                          "ContractionPlan: portfolio_strategies may not contain Auto");
-    ContractionPlan best;
-    bool have_best = false;
-    for (const OrderStrategy s : opts.portfolio_strategies) {
-      ContractionPlan plan;
-      try {
-        plan = build_for(s);
-      } catch (const MemoryOutError&) {
-        continue;
+      case OrderStrategy::Sequential:
+        attempt([&](PlanCompiler& c) { c.sequential(opts.custom_sequence); });
+        break;
+      case OrderStrategy::Alternating:
+        attempt([&](PlanCompiler& c) { c.alternating(); });
+        break;
+      case OrderStrategy::RandomGreedy: {
+        // Restarted jittered greedy. Every restart's generator is seeded
+        // from the network's topology hash and the restart index alone --
+        // no wall clock, no process entropy -- so the kept schedule is a
+        // pure function of topology + options.
+        const std::uint64_t topology_seed = net.topology_hash();
+        for (std::size_t restart = 0; restart < kRandomGreedyRestarts; ++restart) {
+          SplitMix64 rng{topology_seed + 0x9e3779b97f4a7c15ULL * (restart + 1)};
+          // alpha log-uniform in [0.5, 8]: spans well past both ends of the
+          // deterministic ladder, which is where restarts find schedules
+          // the fixed weights miss.
+          const double alpha = 0.5 * std::exp(rng.uniform() * std::log(16.0));
+          attempt([&](PlanCompiler& c) { c.greedy(alpha, &rng, 0.25); });
+        }
+        break;
       }
-      if (stats) stats->strategy_flops[static_cast<std::size_t>(s)] += plan.total_flops_;
-      keep_cheapest(best, have_best, std::move(plan));
+      case OrderStrategy::Auto:
+        la::detail::fail("ContractionPlan: Auto is not a single strategy");
     }
-    if (have_best) return best;
-    // Every portfolio strategy exceeded the memory budget; the Auto
-    // contract keeps its pre-portfolio fallback of last resort.
-    ContractionPlan plan = build_sequential();
-    if (stats)
-      stats->strategy_flops[static_cast<std::size_t>(OrderStrategy::Sequential)] +=
-          plan.total_flops_;
-    return plan;
+    if (!best) throw MemoryOutError(memory_out);
+    if (stats) stats->strategy_flops[static_cast<std::size_t>(s)] += best->flops;
+    return std::move(*best);
   };
 
-  auto build = [&]() -> ContractionPlan {
-    if (opts.strategy == OrderStrategy::Auto) {
-      if (opts.portfolio) return build_portfolio();
+  // Auto: the fixed search, cheapest candidate wins (ties: earlier
+  // strategy). Sequential is the last resort when every candidate exceeds
+  // the memory budget.
+  OrderStrategy chosen = opts.strategy;
+  std::optional<ScoredOrder> order;
+  if (opts.strategy == OrderStrategy::Auto) {
+    for (const OrderStrategy s :
+         {OrderStrategy::Greedy, OrderStrategy::Alternating, OrderStrategy::RandomGreedy}) {
       try {
-        return build_greedy();
+        ScoredOrder cand = search(s);
+        if (!order || cheaper(cand, *order)) {
+          order = std::move(cand);
+          chosen = s;
+        }
       } catch (const MemoryOutError&) {
-        // Greedy painted itself into a corner; a time-ordered sweep can
-        // succeed on few-qubit deep circuits where greedy fails.
-        return build_sequential();
+        // some orders legitimately cannot fit budgets others can
       }
     }
-    return build_for(opts.strategy);
-  };
+    if (!order) chosen = OrderStrategy::Sequential;
+  }
+  if (!order) order = search(chosen);
 
-  ContractionPlan plan = build();
+  // Materialize the winner only: replaying its pairs through the same
+  // merge() rebuilds the scored walk step for step, so every budget check
+  // already passed.
+  PlanCompiler compiler(net, opts, deadline, has_deadline, /*materialize=*/true);
+  for (const auto& [u, v] : order->pairs) compiler.merge(u, v);
+  ContractionPlan plan = compiler.finalize(net);
+  plan.chosen_strategy_ = chosen;
   if (stats) {
     ++stats->plans_compiled;
-    ++stats->strategy_chosen[static_cast<std::size_t>(plan.chosen_strategy_)];
-    // The portfolio path records each attempt's estimate itself (the
-    // winner's is already in); direct strategies record theirs here, so
-    // strategy_flops is always "summed best-candidate flops per compile".
-    if (!(opts.strategy == OrderStrategy::Auto && opts.portfolio))
-      stats->strategy_flops[static_cast<std::size_t>(plan.chosen_strategy_)] +=
-          plan.total_flops_;
+    ++stats->strategy_chosen[static_cast<std::size_t>(chosen)];
   }
   return plan;
 }

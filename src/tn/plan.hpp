@@ -224,13 +224,15 @@ class BatchedPlan {
 class ContractionPlan {
  public:
   /// Compile a plan for the network's topology. Ordering follows
-  /// opts.strategy exactly as contract_network does (Auto = the strategy
-  /// portfolio when opts.portfolio is set, keeping the min-total-flop
-  /// schedule; otherwise Greedy with a Sequential fallback on memory-out).
-  /// Throws MemoryOutError when any
-  /// intermediate exceeds opts.max_tensor_elems (or the arena exceeds
+  /// opts.strategy exactly as contract_network does (Auto = the fixed
+  /// search of tn/contractor.hpp, keeping the min-total-flop order).
+  /// Candidate orders are only scored; the plan is materialized once, for
+  /// the winning order. Throws MemoryOutError when every candidate has an
+  /// intermediate above opts.max_tensor_elems (or an arena above
   /// opts.max_workspace_elems) and TimeoutError past opts.timeout_seconds,
-  /// so MO/TO surface at plan time, before any arithmetic runs.
+  /// so MO/TO surface at plan time, before any arithmetic runs. Throws
+  /// LinalgError when opts.custom_sequence is non-empty and not a
+  /// permutation of the node indices.
   static ContractionPlan compile(const Network& net, const ContractOptions& opts = {},
                                  ContractStats* stats = nullptr);
 
@@ -288,9 +290,9 @@ class ContractionPlan {
   /// equal fingerprints (plan determinism).
   std::string fingerprint() const;
   /// The ordering strategy that produced this schedule. Direct compiles
-  /// report their strategy; an Auto portfolio compile reports the winning
-  /// portfolio entry (never Auto itself), and the pre-portfolio Auto
-  /// fallback reports Greedy or Sequential.
+  /// report their strategy; an Auto compile reports the winning candidate's
+  /// strategy (Greedy, Alternating or RandomGreedy), or Sequential when its
+  /// last resort ran -- never Auto itself.
   OrderStrategy chosen_strategy() const { return chosen_strategy_; }
 
  private:

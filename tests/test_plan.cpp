@@ -189,27 +189,27 @@ TEST(Plan, PlanTimeTimeoutMapsToTO) {
   EXPECT_EQ(bench::format_time(out), "TO");
 }
 
-// --- contraction-order portfolio ------------------------------------------
+// --- Auto order search -----------------------------------------------------
 
 /// A 6x6 one-round QAOA amplitude network: ~100 nodes, wide enough that
-/// the portfolio's non-greedy orders make real choices and a compile does
+/// the Auto search's non-greedy orders make real choices and a compile does
 /// measurable work (which the bounded-deadline test below relies on).
 Network qaoa_amplitude_network() {
   const qc::Circuit c = bench::qaoa(36, 1, 7);
   return core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
 }
 
-/// Every concrete (non-Auto) strategy, for the forced-subset loops below.
-const OrderStrategy kAllConcreteStrategies[] = {
-    OrderStrategy::Greedy,  OrderStrategy::Sequential,  OrderStrategy::PairwiseRecursive,
-    OrderStrategy::Bracket, OrderStrategy::Alternating, OrderStrategy::RandomGreedy,
+/// Every strategy, Auto included.
+const OrderStrategy kAllStrategies[] = {
+    OrderStrategy::Auto,        OrderStrategy::Greedy,       OrderStrategy::Sequential,
+    OrderStrategy::Alternating, OrderStrategy::RandomGreedy,
 };
 
 TEST(Portfolio, RepeatedCompilesAreFingerprintIdentical) {
-  // The portfolio is pure in topology + options: no wall-clock or RNG
+  // The Auto search is pure in topology + options: no wall-clock or RNG
   // entropy may leak into the selection.
   const Network net = qaoa_amplitude_network();
-  const ContractOptions opts;  // Auto with the portfolio on by default.
+  const ContractOptions opts;  // Auto
   const ContractionPlan first = ContractionPlan::compile(net, opts);
   EXPECT_NE(first.chosen_strategy(), OrderStrategy::Auto);
   for (int i = 0; i < 3; ++i) {
@@ -235,8 +235,8 @@ TEST(Portfolio, ConcurrentCompilesAreFingerprintIdentical) {
 }
 
 TEST(Portfolio, NeverKeepsMoreFlopsThanGreedy) {
-  // Greedy is in the default subset, so the kept-cheapest rule can never
-  // select a schedule costlier than the greedy ladder's.
+  // The greedy ladder is an Auto candidate, so the kept-cheapest rule can
+  // never select a schedule costlier than the greedy ladder's.
   std::vector<Network> nets;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) nets.push_back(ladder_network(seed));
   nets.push_back(qaoa_amplitude_network());
@@ -244,32 +244,63 @@ TEST(Portfolio, NeverKeepsMoreFlopsThanGreedy) {
     ContractOptions greedy_opts;
     greedy_opts.strategy = OrderStrategy::Greedy;
     const ContractionPlan greedy = ContractionPlan::compile(net, greedy_opts);
-    const ContractionPlan portfolio = ContractionPlan::compile(net);
-    EXPECT_LE(portfolio.total_flops(), greedy.total_flops());
+    const ContractionPlan automatic = ContractionPlan::compile(net);
+    EXPECT_LE(automatic.total_flops(), greedy.total_flops());
   }
 }
 
-TEST(Portfolio, SingletonSubsetMatchesDirectStrategyBitwise) {
-  // Auto with portfolio_strategies = {s} must be indistinguishable from a
-  // direct strategy-s compile: same fingerprint, same replayed bits.
+TEST(Portfolio, EveryStrategyReplaysContractNetworkBitwise) {
+  // Each strategy's compiled plan -- for Auto, the one winning order it
+  // materializes -- replays to exactly the eager contraction's bits.
   const Network net = ladder_network(31);
-  for (OrderStrategy s : kAllConcreteStrategies) {
-    ContractOptions direct;
-    direct.strategy = s;
-    ContractOptions forced;
-    forced.portfolio_strategies = {s};
-    const ContractionPlan direct_plan = ContractionPlan::compile(net, direct);
-    const ContractionPlan forced_plan = ContractionPlan::compile(net, forced);
-    EXPECT_EQ(direct_plan.fingerprint(), forced_plan.fingerprint())
-        << order_strategy_name(s);
-    EXPECT_EQ(direct_plan.chosen_strategy(), s);
-    EXPECT_EQ(forced_plan.chosen_strategy(), s);
-    // Both replays must match the eager contraction bit for bit.
-    const Tensor eager = contract_network(net, direct);
+  for (OrderStrategy s : kAllStrategies) {
+    ContractOptions opts;
+    opts.strategy = s;
+    const ContractionPlan plan = ContractionPlan::compile(net, opts);
+    if (s == OrderStrategy::Auto)
+      EXPECT_NE(plan.chosen_strategy(), OrderStrategy::Auto);
+    else
+      EXPECT_EQ(plan.chosen_strategy(), s);
+    const Tensor eager = contract_network(net, opts);
     PlanWorkspace ws;
-    EXPECT_TRUE(same_bits(eager, direct_plan.execute(net, ws))) << order_strategy_name(s);
-    EXPECT_TRUE(same_bits(eager, forced_plan.execute(net, ws))) << order_strategy_name(s);
+    EXPECT_TRUE(same_bits(eager, plan.execute(net, ws))) << order_strategy_name(s);
   }
+}
+
+TEST(Portfolio, AutoFitsATensorBudgetForcedGreedyExceeds) {
+  // Candidates are scored against max_tensor_elems by the shape-only walk:
+  // a budget every greedy-ladder order exceeds must still leave Auto a
+  // candidate that fits, and the plan it materializes must honor it.
+  const qc::Circuit c = bench::supremacy_inst(3, 3, 8, 5);
+  const Network net = core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
+  ContractOptions greedy;
+  greedy.strategy = OrderStrategy::Greedy;
+  ContractOptions opts;
+  opts.max_tensor_elems = ContractionPlan::compile(net, greedy).peak_elems() / 2;
+  greedy.max_tensor_elems = opts.max_tensor_elems;
+  ASSERT_THROW(ContractionPlan::compile(net, greedy), MemoryOutError);
+  const ContractionPlan plan = ContractionPlan::compile(net, opts);
+  EXPECT_LE(plan.peak_elems(), opts.max_tensor_elems);
+  const Tensor eager = contract_network(net, opts);
+  PlanWorkspace ws;
+  EXPECT_TRUE(same_bits(eager, plan.execute(net, ws)));
+}
+
+TEST(Portfolio, AutoKeepsACandidateWithinTheWorkspaceBudget) {
+  // A max_workspace_elems just below the cheapest-flop candidate's arena:
+  // the scored walk drops that candidate and Auto keeps one whose arena
+  // fits, without materialization ever raising MemoryOutError.
+  const qc::Circuit c = bench::qaoa(16, 1, 7);
+  const Network net = core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
+  const ContractionPlan cheapest = ContractionPlan::compile(net);
+  ContractOptions opts;
+  opts.max_workspace_elems = cheapest.workspace_elems() - 1;
+  const ContractionPlan plan = ContractionPlan::compile(net, opts);
+  EXPECT_LE(plan.workspace_elems(), opts.max_workspace_elems);
+  EXPECT_GE(plan.total_flops(), cheapest.total_flops());
+  const Tensor eager = contract_network(net, opts);
+  PlanWorkspace ws;
+  EXPECT_TRUE(same_bits(eager, plan.execute(net, ws)));
 }
 
 TEST(Portfolio, StatsRecordChosenStrategyAndCandidateFlops) {
@@ -279,14 +310,14 @@ TEST(Portfolio, StatsRecordChosenStrategyAndCandidateFlops) {
   EXPECT_EQ(stats.plans_compiled, 1u);
   const std::size_t winner = static_cast<std::size_t>(plan.chosen_strategy());
   EXPECT_EQ(stats.strategy_chosen[winner], 1u);
-  // Every surviving portfolio attempt records its candidate cost, and the
-  // winner's recorded cost is exactly the kept schedule's.
+  // Every strategy the Auto search tried records its best candidate's
+  // cost, and the winner's recorded cost is exactly the kept schedule's.
   EXPECT_EQ(stats.strategy_flops[winner], plan.total_flops());
   std::size_t attempts = 0;
   for (std::size_t s = 0; s < kNumOrderStrategies; ++s)
     if (stats.strategy_flops[s] != 0) ++attempts;
   EXPECT_GE(attempts, 2u);  // more than one strategy actually ran
-  // A direct (non-portfolio) compile records exactly its own strategy.
+  // A direct compile records exactly its own strategy.
   ContractStats direct_stats;
   ContractOptions direct;
   direct.strategy = OrderStrategy::Sequential;
@@ -299,8 +330,8 @@ TEST(Portfolio, StatsRecordChosenStrategyAndCandidateFlops) {
 TEST(Portfolio, TinyDeadlineRaisesTimeoutWithinBoundedLatency) {
   // The planning deadline is polled inside every strategy's inner loop, so
   // an already-expired deadline must surface promptly even on a network
-  // where a full portfolio compile does real work -- not after the current
-  // strategy (or the whole portfolio) finishes.
+  // where a full Auto compile does real work -- not after the current
+  // strategy (or the whole search) finishes.
   const Network net = qaoa_amplitude_network();
   ContractOptions opts;
   opts.timeout_seconds = 1e-9;

@@ -40,6 +40,11 @@ exercised by --self-test):
                     trajectory runner). A third scheduler would have to
                     re-earn the cooperative drain, fault sites and
                     deterministic fold those two carry.
+  cache-key-covers-options
+                    every tn::ContractOptions field except `control` is
+                    read as copts.<field> inside PlanCache::template_key --
+                    an unkeyed planner option would let the plan cache serve
+                    a plan compiled under different options.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -61,6 +66,7 @@ RULES = (
     "claim-loop-polls",
     "mutex-guards",
     "worker-pool",
+    "cache-key-covers-options",
 )
 
 
@@ -138,6 +144,40 @@ def brace_scopes(code):
         elif ch == "}" and stack:
             scopes.append((stack.pop(), pos))
     return scopes
+
+
+def blank_nested_braces(body):
+    """`body` with every nested brace group (method bodies, nested types,
+    braced initializers) blanked, preserving layout, so only the direct
+    member declarations remain."""
+    flat = []
+    depth = 0
+    for ch in body:
+        if ch == "{":
+            depth += 1
+            flat.append(" ")
+        elif ch == "}":
+            depth -= 1
+            flat.append(" ")
+        else:
+            flat.append(ch if (depth == 0 or ch == "\n") else " ")
+    return "".join(flat)
+
+
+def matching_close(code, open_pos):
+    """Position of the bracket closing the '(' or '{' at open_pos
+    (len(code) if unbalanced)."""
+    opener = code[open_pos]
+    closer = ")" if opener == "(" else "}"
+    depth = 0
+    for k in range(open_pos, len(code)):
+        if code[k] == opener:
+            depth += 1
+        elif code[k] == closer:
+            depth -= 1
+            if depth == 0:
+                return k
+    return len(code)
 
 
 def scope_kind(code, open_pos):
@@ -366,21 +406,7 @@ def check_mutex_guards(cxx_files):
             if not re.search(r"\b(?:class|struct)\s+[\w:]*\s*(?:final\s*)?(?::[^;{}]*)?$",
                              header.rstrip()):
                 continue
-            body = code[open_pos + 1:close_pos]
-            # Blank nested braces (method bodies, nested types, braced
-            # initializers) so only direct member declarations remain.
-            flat = []
-            depth = 0
-            for ch in body:
-                if ch == "{":
-                    depth += 1
-                    flat.append(" ")
-                elif ch == "}":
-                    depth -= 1
-                    flat.append(" ")
-                else:
-                    flat.append(ch if (depth == 0 or ch == "\n") else " ")
-            flat = "".join(flat)
+            flat = blank_nested_braces(code[open_pos + 1:close_pos])
             if not MUTEX_MEMBER_RE.search(flat):
                 continue  # the mutex lives in a nested type, not this one
             offset = 0
@@ -445,6 +471,67 @@ def check_worker_pool(root, cxx_files):
     return findings
 
 
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+ContractOptions\s*\{")
+TEMPLATE_KEY_RE = re.compile(r"\bPlanCache\s*::\s*template_key\s*\(")
+# Options that never change what a plan computes, so keys leave them out.
+KEY_EXEMPT_FIELDS = {"control"}
+
+
+def struct_fields(code, open_pos):
+    """(name, position) of each data member declared directly in the braced
+    body at open_pos."""
+    flat = blank_nested_braces(code[open_pos + 1:matching_close(code, open_pos)])
+    fields = []
+    offset = 0
+    for stmt in flat.split(";"):
+        stmt_pos = open_pos + 1 + offset
+        offset += len(stmt) + 1
+        decl = stmt.strip()
+        if not decl or "(" in decl:
+            continue
+        m = re.match(r"^(?:mutable\s+)?[A-Za-z_][\w:<>,*&\s]*[\s&*>](\w+)\s*(?:=[^;]*)?$",
+                     decl)
+        if m and not re.match(r"^(?:using|typedef|friend|static)\b", decl):
+            fields.append((m.group(1), stmt_pos + stmt.find(decl)))
+    return fields
+
+
+def check_cache_key_covers_options(cxx_files):
+    template_key_body = None
+    options = []  # (path, code, struct match)
+    for path, text in cxx_files:
+        code = strip_code(text)
+        for m in TEMPLATE_KEY_RE.finditer(code):
+            # A definition: the parameter list is followed by a body.
+            close_paren = matching_close(code, m.end() - 1)
+            body = re.match(r"\s*\{", code[close_paren + 1:])
+            if body:
+                open_pos = close_paren + body.end()
+                template_key_body = code[open_pos:matching_close(code, open_pos)]
+        m = OPTIONS_STRUCT_RE.search(code)
+        if m:
+            options.append((path, code, m))
+    findings = []
+    for path, code, m in options:
+        if template_key_body is None:
+            findings.append(Finding(
+                path, line_of(code, m.start()), "cache-key-covers-options",
+                "ContractOptions is defined but no PlanCache::template_key "
+                "definition was found to key it"))
+            continue
+        for name, pos in struct_fields(code, m.end() - 1):
+            if name in KEY_EXEMPT_FIELDS:
+                continue
+            if re.search(r"\bcopts\s*\.\s*" + re.escape(name) + r"\b", template_key_body):
+                continue
+            findings.append(Finding(
+                path, line_of(code, pos), "cache-key-covers-options",
+                f"ContractOptions::{name} is not serialized as copts.{name} in "
+                "PlanCache::template_key; the plan cache could serve a plan "
+                "compiled under a different value"))
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 def collect(root, fixture_mode):
@@ -479,6 +566,7 @@ def run_rules(root, cxx_files, cmake_texts):
     findings += check_claim_loop_polls(cxx_files)
     findings += check_mutex_guards(cxx_files)
     findings += check_worker_pool(root, cxx_files)
+    findings += check_cache_key_covers_options(cxx_files)
     return findings
 
 
