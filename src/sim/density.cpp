@@ -2,40 +2,9 @@
 
 #include <cmath>
 
+#include "tensor/kernels.hpp"
+
 namespace noisim::sim {
-
-namespace {
-
-// Statevector-style kernels on a raw flat buffer: apply a 2x2 / 4x4 matrix
-// at the given bit position(s) of the flat index.
-void kernel1(std::vector<cplx>& v, const la::Matrix& m, std::size_t bit) {
-  const cplx m00 = m(0, 0), m01 = m(0, 1), m10 = m(1, 0), m11 = m(1, 1);
-  const std::size_t size = v.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (i & bit) continue;
-    const cplx a0 = v[i], a1 = v[i | bit];
-    v[i] = m00 * a0 + m01 * a1;
-    v[i | bit] = m10 * a0 + m11 * a1;
-  }
-}
-
-void kernel2(std::vector<cplx>& v, const la::Matrix& m, std::size_t bit_hi, std::size_t bit_lo) {
-  const std::size_t size = v.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (i & (bit_hi | bit_lo)) continue;
-    cplx old[4], neu[4];
-    for (std::size_t t = 0; t < 4; ++t)
-      old[t] = v[i | ((t & 2) ? bit_hi : 0) | ((t & 1) ? bit_lo : 0)];
-    for (std::size_t r = 0; r < 4; ++r) {
-      neu[r] = cplx{0.0, 0.0};
-      for (std::size_t c = 0; c < 4; ++c) neu[r] += m(r, c) * old[c];
-    }
-    for (std::size_t t = 0; t < 4; ++t)
-      v[i | ((t & 2) ? bit_hi : 0) | ((t & 1) ? bit_lo : 0)] = neu[t];
-  }
-}
-
-}  // namespace
 
 DensityMatrix::DensityMatrix(int n) : n_(n) {
   la::detail::require(n > 0 && n <= kDensityMaxQubits,
@@ -55,34 +24,34 @@ DensityMatrix DensityMatrix::from_statevector(const Statevector& sv) {
 
 void DensityMatrix::apply_gate(const qc::Gate& g) {
   const la::Matrix u = g.matrix();
+  if (g.num_qubits() == 1)
+    apply_local(u, g.qubits[0], -1, rho_);
+  else
+    apply_local(u, g.qubits[0], g.qubits[1], rho_);
+}
+
+void DensityMatrix::apply_local(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const {
+  // U on the row bits, conj(U) on the column bits (right-multiplication by
+  // U^dag), each one pass of the state-vector kernels over the flat buffer.
+  const tsr::KernelTable& kt = tsr::active_kernels();
   const int two_n = 2 * n_;
-  if (g.num_qubits() == 1) {
-    const std::size_t row_bit = std::size_t{1} << (two_n - 1 - g.qubits[0]);
-    const std::size_t col_bit = std::size_t{1} << (n_ - 1 - g.qubits[0]);
-    kernel1(rho_, u, row_bit);
-    kernel1(rho_, u.conj(), col_bit);
+  if (b < 0) {
+    SvOp::one(m, qubit_bit(two_n, a)).apply(buf.data(), buf.size(), kt);
+    SvOp::one(m.conj(), qubit_bit(n_, a)).apply(buf.data(), buf.size(), kt);
   } else {
-    const std::size_t row_a = std::size_t{1} << (two_n - 1 - g.qubits[0]);
-    const std::size_t row_b = std::size_t{1} << (two_n - 1 - g.qubits[1]);
-    const std::size_t col_a = std::size_t{1} << (n_ - 1 - g.qubits[0]);
-    const std::size_t col_b = std::size_t{1} << (n_ - 1 - g.qubits[1]);
-    kernel2(rho_, u, row_a, row_b);
-    kernel2(rho_, u.conj(), col_a, col_b);
+    SvOp::two(m, qubit_bit(two_n, a), qubit_bit(two_n, b)).apply(buf.data(), buf.size(), kt);
+    SvOp::two(m.conj(), qubit_bit(n_, a), qubit_bit(n_, b)).apply(buf.data(), buf.size(), kt);
   }
 }
 
 void DensityMatrix::apply_channel(const ch::Channel& channel, int q) {
   la::detail::require(channel.dim() == 2, "DensityMatrix::apply_channel: 1-qubit channels only");
   la::detail::require(q >= 0 && q < n_, "DensityMatrix::apply_channel: qubit out of range");
-  const std::size_t row_bit = std::size_t{1} << (2 * n_ - 1 - q);
-  const std::size_t col_bit = std::size_t{1} << (n_ - 1 - q);
-
   std::vector<cplx> acc(rho_.size(), cplx{0.0, 0.0});
   std::vector<cplx> buf;
   for (const la::Matrix& k : channel.kraus()) {
     buf = rho_;
-    kernel1(buf, k, row_bit);
-    kernel1(buf, k.conj(), col_bit);
+    apply_local(k, q, -1, buf);
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += buf[i];
   }
   rho_ = std::move(acc);
@@ -92,17 +61,11 @@ void DensityMatrix::apply_channel_2q(const ch::Channel& channel, int a, int b) {
   la::detail::require(channel.dim() == 4, "DensityMatrix::apply_channel_2q: need dim 4");
   la::detail::require(a >= 0 && a < n_ && b >= 0 && b < n_ && a != b,
                       "DensityMatrix::apply_channel_2q: bad qubits");
-  const std::size_t row_a = std::size_t{1} << (2 * n_ - 1 - a);
-  const std::size_t row_b = std::size_t{1} << (2 * n_ - 1 - b);
-  const std::size_t col_a = std::size_t{1} << (n_ - 1 - a);
-  const std::size_t col_b = std::size_t{1} << (n_ - 1 - b);
-
   std::vector<cplx> acc(rho_.size(), cplx{0.0, 0.0});
   std::vector<cplx> buf;
   for (const la::Matrix& k : channel.kraus()) {
     buf = rho_;
-    kernel2(buf, k, row_a, row_b);
-    kernel2(buf, k.conj(), col_a, col_b);
+    apply_local(k, a, b, buf);
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += buf[i];
   }
   rho_ = std::move(acc);

@@ -43,12 +43,9 @@ class DensityMatrix {
   la::Matrix to_matrix() const;
 
  private:
-  // Apply 2x2 (or 4x4) matrix m to the row index bits of rho.
-  void apply_left1(const la::Matrix& m, int q, std::vector<cplx>& buf) const;
-  void apply_left2(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const;
-  // Apply conj(m) to the column index bits (right-multiplication by m^dag).
-  void apply_right1(const la::Matrix& m, int q, std::vector<cplx>& buf) const;
-  void apply_right2(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const;
+  /// buf <- (m on the row bits) buf (conj(m) on the column bits) for a
+  /// 1-qubit (b < 0) or 2-qubit operator; a indexes m's high-order bit.
+  void apply_local(const la::Matrix& m, int a, int b, std::vector<cplx>& buf) const;
 
   int n_ = 0;
   std::vector<cplx> rho_;  // row-major, size 4^n

@@ -1,67 +1,157 @@
 #include "sim/trajectories.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+
+#include "tensor/kernels.hpp"
 
 namespace noisim::sim {
 
-double sample_trajectory_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                            std::uint64_t v_bits, std::mt19937_64& rng) {
-  Statevector sv = Statevector::basis(nc.num_qubits(), psi_bits);
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
+namespace {
 
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      sv.apply_gate(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    const auto& kraus = noise.channel.kraus();
-    const bool two_qubit = noise.num_qubits() == 2;
+/// One NoisyCircuit op resolved for replay: a gate as an SvOp, or a noise
+/// site with its Kraus operators' coefficients and, for 1-qubit sites, the
+/// Born operators K^dag K (the la::Matrix product k.adjoint() * k).
+struct TrajOp {
+  bool noise = false;
+  bool two_qubit = false;
+  SvOp gate;                               // !noise
+  std::size_t bit_a = 0, bit_b = 0;        // noise qubit (and qubit2) bits
+  std::vector<std::array<cplx, 16>> kraus;  // row-major 2x2 or 4x4
+  std::vector<SvOp> born;                  // 1-qubit: K^dag K per candidate
+};
 
-    // Born probabilities p_k = <psi| E_k^dag E_k |psi>. The 1-qubit case
-    // uses a local 2x2 expectation (no copies); the 2-qubit case applies
-    // each candidate to a scratch copy and reads the norm.
-    auto born = [&](std::size_t k) {
-      if (!two_qubit) return sv.expectation1(kraus[k].adjoint() * kraus[k], noise.qubit).real();
-      Statevector scratch = sv;
-      scratch.apply_matrix2(kraus[k], noise.qubit, noise.qubit2);
-      return scratch.norm2();
-    };
+/// Per-worker buffers: the state, reset to |psi> per sample, and the
+/// 2-qubit Born scratch, allocated only for circuits with a 2-qubit noise
+/// site.
+struct TrajBuffers {
+  std::vector<cplx> state, scratch;
+};
 
-    double cumulative = 0.0;
-    const double u = unif(rng);
-    std::size_t chosen = kraus.size() - 1;
-    double p_chosen = 0.0;
-    for (std::size_t k = 0; k < kraus.size(); ++k) {
-      const double pk = born(k);
-      cumulative += pk;
-      if (u < cumulative) {
-        chosen = k;
-        p_chosen = pk;
-        break;
+/// A NoisyCircuit compiled once per call of a trajectory entry point and
+/// replayed by every sample (read-only, shared by all workers).
+class CompiledTrajectory {
+ public:
+  CompiledTrajectory(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits)
+      : kt_(tsr::active_kernels()), psi_(psi_bits), v_(v_bits) {
+    const int n = nc.num_qubits();
+    la::detail::require(n > 0 && n <= 26, "trajectories_sv: qubit count out of range [1, 26]");
+    size_ = std::size_t{1} << n;
+    la::detail::require(psi_bits < size_, "trajectories_sv: psi_bits out of range");
+    la::detail::require(v_bits < size_, "trajectories_sv: v_bits out of range");
+    ops_.reserve(nc.size());
+    for (const ch::Op& op : nc.ops()) {
+      TrajOp t;
+      if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
+        const la::Matrix m = g->matrix();
+        t.gate = g->num_qubits() == 1
+                     ? SvOp::one(m, qubit_bit(n, g->qubits[0]))
+                     : SvOp::two(m, qubit_bit(n, g->qubits[0]), qubit_bit(n, g->qubits[1]));
+        ops_.push_back(std::move(t));
+        continue;
       }
-      p_chosen = pk;  // fall through to the last operator on rounding
-    }
-    if (two_qubit)
-      sv.apply_matrix2(kraus[chosen], noise.qubit, noise.qubit2);
-    else
-      sv.apply_matrix1(kraus[chosen], noise.qubit);
-    if (p_chosen > 0.0) {
-      const double scale = 1.0 / std::sqrt(p_chosen);
-      sv.apply_matrix1(la::Matrix{{scale, 0}, {0, scale}}, noise.qubit);
+      const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
+      t.noise = true;
+      t.two_qubit = noise.num_qubits() == 2;
+      t.bit_a = qubit_bit(n, noise.qubit);
+      if (t.two_qubit) {
+        t.bit_b = qubit_bit(n, noise.qubit2);
+        two_qubit_noise_ = true;
+      }
+      for (const la::Matrix& k : noise.channel.kraus()) {
+        std::array<cplx, 16> c{};
+        const std::size_t d = k.cols();
+        for (std::size_t e = 0; e < d * d; ++e) c[e] = k(e / d, e % d);
+        t.kraus.push_back(c);
+        if (!t.two_qubit) t.born.push_back(SvOp::one(k.adjoint() * k, t.bit_a));
+      }
+      ops_.push_back(std::move(t));
     }
   }
-  return std::norm(sv.amplitude(v_bits));
+
+  /// One trajectory: |<v|psi_traj>|^2.
+  double sample(TrajBuffers& buf, std::mt19937_64& rng) const {
+    if (buf.state.size() != size_) buf.state.resize(size_);
+    if (two_qubit_noise_ && buf.scratch.size() != size_) buf.scratch.resize(size_);
+    std::fill(buf.state.begin(), buf.state.end(), cplx{0.0, 0.0});
+    buf.state[psi_] = cplx{1.0, 0.0};
+    std::uniform_real_distribution<double> unif(0.0, 1.0);
+
+    for (const TrajOp& op : ops_) {
+      if (!op.noise) {
+        op.gate.apply(buf.state.data(), size_, kt_);
+        continue;
+      }
+      // Born probabilities p_k = <psi| E_k^dag E_k |psi>: a local 2x2
+      // expectation for 1-qubit sites; for 2-qubit sites E_k |psi> is
+      // written into the scratch buffer and its norm read off.
+      auto born = [&](std::size_t k) {
+        if (!op.two_qubit) return expectation1(buf.state.data(), size_, op.born[k]).real();
+        kt_.sv_dense2_into(buf.state.data(), buf.scratch.data(), size_, op.bit_a, op.bit_b,
+                           op.kraus[k].data());
+        return norm2(buf.scratch.data(), size_);
+      };
+
+      double cumulative = 0.0;
+      const double u = unif(rng);
+      std::size_t chosen = op.kraus.size() - 1;
+      double p_chosen = 0.0;
+      for (std::size_t k = 0; k < op.kraus.size(); ++k) {
+        const double pk = born(k);
+        cumulative += pk;
+        if (u < cumulative) {
+          chosen = k;
+          p_chosen = pk;
+          break;
+        }
+        p_chosen = pk;  // fall through to the last operator on rounding
+      }
+      const double scale = p_chosen > 0.0 ? 1.0 / std::sqrt(p_chosen) : 0.0;
+      if (op.two_qubit) {
+        // The scratch holds E_chosen |psi> (the last candidate evaluated);
+        // renormalize with the 2x2 pass s*x + 0*y on the first qubit.
+        std::swap(buf.state, buf.scratch);
+        if (p_chosen > 0.0) {
+          const cplx renorm[4] = {{scale, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {scale, 0.0}};
+          kt_.sv_dense1(buf.state.data(), size_, op.bit_a, renorm);
+        }
+      } else if (p_chosen > 0.0) {
+        kt_.sv_kraus1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data(), scale);
+      } else {
+        kt_.sv_dense1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data());
+      }
+    }
+    return std::norm(buf.state[v_]);
+  }
+
+ private:
+  const tsr::KernelTable& kt_;
+  std::uint64_t psi_, v_;
+  std::size_t size_ = 0;
+  bool two_qubit_noise_ = false;
+  std::vector<TrajOp> ops_;
+};
+
+}  // namespace
+
+double sample_trajectory_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                            std::uint64_t v_bits, std::mt19937_64& rng) {
+  const CompiledTrajectory traj(nc, psi_bits, v_bits);
+  TrajBuffers buf;
+  return traj.sample(buf, rng);
 }
 
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                  std::uint64_t v_bits, std::size_t samples,
                                  std::mt19937_64& rng) {
+  const CompiledTrajectory traj(nc, psi_bits, v_bits);
   // Zero samples is a well-defined (empty) estimate, not an error.
   if (samples == 0) return {};
+  TrajBuffers buf;
   double sum = 0.0, sum_sq = 0.0;
   for (std::size_t s = 0; s < samples; ++s) {
-    const double f = sample_trajectory_sv(nc, psi_bits, v_bits, rng);
+    const double f = traj.sample(buf, rng);
     sum += f;
     sum_sq += f * f;
   }
@@ -79,9 +169,14 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                  std::uint64_t v_bits, std::size_t samples, std::uint64_t seed,
                                  const ParallelOptions& opts) {
+  const CompiledTrajectory traj(nc, psi_bits, v_bits);
   return run_trajectories(
       samples, seed,
-      [&](std::mt19937_64& rng) { return sample_trajectory_sv(nc, psi_bits, v_bits, rng); },
+      [&traj](std::size_t) -> Sampler {
+        return [&traj, buf = TrajBuffers{}](std::mt19937_64& rng) mutable {
+          return traj.sample(buf, rng);
+        };
+      },
       opts);
 }
 

@@ -22,7 +22,10 @@
 namespace noisim::sim {
 
 /// Run `samples` trajectories of the noisy circuit starting from |psi_bits>
-/// and estimate <v_bits| E(|psi><psi|) |v_bits>.
+/// and estimate <v_bits| E(|psi><psi|) |v_bits>. Every entry point below
+/// compiles the circuit once per call and reuses one state buffer per
+/// worker; each throws LinalgError, before sampling, when psi_bits or
+/// v_bits is not below 2^n.
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                  std::uint64_t v_bits, std::size_t samples,
                                  std::mt19937_64& rng);

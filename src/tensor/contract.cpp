@@ -231,6 +231,140 @@ void matmul_accumulate_batched(const cplx* a, const cplx* b, cplx* out, std::siz
     kernel(a + s * a_stride, b + s * b_stride, out + s * out_stride, m, k, n);
 }
 
+// --- state-vector kernels ---------------------------------------------------
+
+namespace {
+
+/// Complex coefficient split into doubles once per kernel call.
+struct Coef {
+  double r, i;
+  explicit Coef(const cplx& c) : r(c.real()), i(c.imag()) {}
+};
+
+bool is_one(const cplx& c) { return c.real() == 1.0 && c.imag() == 0.0; }
+
+/// out = c * x as (cr*xr - ci*xi, cr*xi + ci*xr).
+inline void cmul(const Coef& c, const double* x, double* out) {
+  out[0] = c.r * x[0] - c.i * x[1];
+  out[1] = c.r * x[1] + c.i * x[0];
+}
+
+/// Multiply every element of the index block selected by `offset` (0 or a
+/// combination of the operator's bits) by c, visiting the groups of a 1-
+/// (lo == hi) or 2-qubit operator run by run.
+void scale_block(cplx* v, std::size_t size, std::size_t hi, std::size_t lo, std::size_t offset,
+                 const cplx& c) {
+  const Coef k(c);
+  double* p = reinterpret_cast<double*>(v);
+  for (std::size_t b1 = 0; b1 < size; b1 += 2 * hi)
+    for (std::size_t b2 = b1; b2 < b1 + hi; b2 += 2 * lo)
+      for (std::size_t i = b2 + offset; i < b2 + offset + lo; ++i) {
+        const double x[2] = {p[2 * i], p[2 * i + 1]};
+        cmul(k, x, p + 2 * i);
+      }
+}
+
+/// Row r of a 4x4 apply on x = (x0, x1, x2, x3) as 8 doubles:
+/// ((m0*x0 + m1*x1) + m2*x2) + m3*x3.
+inline void row4(const Coef* m, const double* x, double* out) {
+  double t[2];
+  cmul(m[0], x, out);
+  for (std::size_t c = 1; c < 4; ++c) {
+    cmul(m[c], x + 2 * c, t);
+    out[0] += t[0];
+    out[1] += t[1];
+  }
+}
+
+/// 2x2 apply; Scaled multiplies both outputs by `scale` (the fused Kraus
+/// renormalization), which plain gates skip.
+template <bool Scaled>
+void dense1(cplx* v, std::size_t size, std::size_t bit, const cplx* m, double scale) {
+  const Coef m00(m[0]), m01(m[1]), m10(m[2]), m11(m[3]);
+  double* p = reinterpret_cast<double*>(v);
+  for (std::size_t base = 0; base < size; base += 2 * bit)
+    for (std::size_t i = base; i < base + bit; ++i) {
+      double* a = p + 2 * i;
+      double* b = p + 2 * (i + bit);
+      const double x0[2] = {a[0], a[1]}, x1[2] = {b[0], b[1]};
+      double t0[2], t1[2], u0[2], u1[2];
+      cmul(m00, x0, t0);
+      cmul(m01, x1, t1);
+      cmul(m10, x0, u0);
+      cmul(m11, x1, u1);
+      a[0] = t0[0] + t1[0];
+      a[1] = t0[1] + t1[1];
+      b[0] = u0[0] + u1[0];
+      b[1] = u0[1] + u1[1];
+      if constexpr (Scaled) {
+        a[0] *= scale;
+        a[1] *= scale;
+        b[0] *= scale;
+        b[1] *= scale;
+      }
+    }
+}
+
+void dense2(const cplx* src, cplx* dst, std::size_t size, std::size_t bit_a, std::size_t bit_b,
+            const cplx* m) {
+  const Coef k[16] = {Coef(m[0]),  Coef(m[1]),  Coef(m[2]),  Coef(m[3]),
+                      Coef(m[4]),  Coef(m[5]),  Coef(m[6]),  Coef(m[7]),
+                      Coef(m[8]),  Coef(m[9]),  Coef(m[10]), Coef(m[11]),
+                      Coef(m[12]), Coef(m[13]), Coef(m[14]), Coef(m[15])};
+  const std::size_t hi = std::max(bit_a, bit_b), lo = std::min(bit_a, bit_b);
+  const std::size_t off[4] = {0, bit_b, bit_a, bit_a | bit_b};
+  const double* ps = reinterpret_cast<const double*>(src);
+  double* pd = reinterpret_cast<double*>(dst);
+  for (std::size_t b1 = 0; b1 < size; b1 += 2 * hi)
+    for (std::size_t b2 = b1; b2 < b1 + hi; b2 += 2 * lo)
+      for (std::size_t i = b2; i < b2 + lo; ++i) {
+        double x[8];
+        for (std::size_t t = 0; t < 4; ++t) {
+          x[2 * t] = ps[2 * (i + off[t])];
+          x[2 * t + 1] = ps[2 * (i + off[t]) + 1];
+        }
+        for (std::size_t r = 0; r < 4; ++r) row4(k + 4 * r, x, pd + 2 * (i + off[r]));
+      }
+}
+
+}  // namespace
+
+void sv_dense1(cplx* v, std::size_t size, std::size_t bit, const cplx* m) {
+  dense1<false>(v, size, bit, m, 1.0);
+}
+
+void sv_diag1(cplx* v, std::size_t size, std::size_t bit, const cplx* d) {
+  for (std::size_t t = 0; t < 2; ++t)
+    if (!is_one(d[t])) scale_block(v, size, bit, bit, t * bit, d[t]);
+}
+
+void sv_dense2(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b, const cplx* m) {
+  dense2(v, v, size, bit_a, bit_b, m);
+}
+
+void sv_diag2(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b, const cplx* d) {
+  const std::size_t hi = std::max(bit_a, bit_b), lo = std::min(bit_a, bit_b);
+  const std::size_t off[4] = {0, bit_b, bit_a, bit_a | bit_b};
+  for (std::size_t t = 0; t < 4; ++t)
+    if (!is_one(d[t])) scale_block(v, size, hi, lo, off[t], d[t]);
+}
+
+void sv_cx(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b) {
+  const std::size_t hi = std::max(bit_a, bit_b), lo = std::min(bit_a, bit_b);
+  for (std::size_t b1 = 0; b1 < size; b1 += 2 * hi)
+    for (std::size_t b2 = b1; b2 < b1 + hi; b2 += 2 * lo)
+      std::swap_ranges(v + b2 + bit_a, v + b2 + bit_a + lo, v + b2 + (bit_a | bit_b));
+}
+
+void sv_kraus1(cplx* v, std::size_t size, std::size_t bit, const cplx* m, double scale) {
+  dense1<true>(v, size, bit, m, scale);
+}
+
+void sv_dense2_into(const cplx* src, cplx* dst, std::size_t size, std::size_t bit_a,
+                    std::size_t bit_b, const cplx* m) {
+  dense2(src, dst, size, bit_a, bit_b, m);
+}
+
 }  // namespace detail
 
 std::size_t contract_result_size(const Tensor& a, std::span<const std::size_t> axes_a,

@@ -77,6 +77,41 @@ void matmul_accumulate_batched(const cplx* a, const cplx* b, cplx* out, std::siz
                                std::size_t a_stride, std::size_t b_stride,
                                std::size_t out_stride);
 
+// --- state-vector kernels ---------------------------------------------------
+//
+// In-place updates of a flat amplitude buffer v[0..size) (size a power of
+// two) by a 1- or 2-qubit operator acting on the index bit(s) `bit`
+// (`bit_a`, `bit_b`: single-bit masks; bit_a indexes the high-order bit of
+// the 4x4 matrix). Matrices are row-major (2x2 = 4 entries, 4x4 = 16);
+// diagonal variants take just the diagonal. Every amplitude sees the
+// operation sequence of the textbook loop
+//   y_r = m(r,0)*x_0 + m(r,1)*x_1 (+ m(r,2)*x_2 + m(r,3)*x_3),
+// each complex product as (mr*xr - mi*xi, mr*xi + mi*xr) and the row sum
+// left to right, so the branchy full-range loop, the pair-stride loops
+// below and every SIMD tier agree bit for bit on finite inputs. Shortcuts
+// the exact-zero pattern allows (a dropped 0*x term, an untouched block
+// whose diagonal entry is exactly 1) change at most the sign of an exact
+// zero -- never a nonzero value, and so never a norm or a probability.
+
+/// 2x2 matrix m on bit.
+void sv_dense1(cplx* v, std::size_t size, std::size_t bit, const cplx* m);
+/// diag(d[0], d[1]) on bit; blocks whose entry is exactly 1 are skipped.
+void sv_diag1(cplx* v, std::size_t size, std::size_t bit, const cplx* d);
+/// 4x4 matrix m on (bit_a, bit_b).
+void sv_dense2(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b, const cplx* m);
+/// diag(d[0..4)) on (bit_a, bit_b); blocks whose entry is exactly 1 are
+/// skipped (a CZ touches one quarter of the state).
+void sv_diag2(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b, const cplx* d);
+/// The CX permutation: swap the |10> and |11> blocks of (bit_a, bit_b).
+void sv_cx(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b);
+/// sv_dense1 followed by a real rescale of both outputs, fused into one
+/// pass: y_r = (m(r,0)*x_0 + m(r,1)*x_1) * scale, componentwise -- a
+/// second sv_dense1 pass with diag(scale, scale), up to the zero sign.
+void sv_kraus1(cplx* v, std::size_t size, std::size_t bit, const cplx* m, double scale);
+/// Out-of-place sv_dense2: dst = m applied to src (src is not modified).
+void sv_dense2_into(const cplx* src, cplx* dst, std::size_t size, std::size_t bit_a,
+                    std::size_t bit_b, const cplx* m);
+
 }  // namespace detail
 
 }  // namespace noisim::tsr

@@ -1,15 +1,21 @@
 #pragma once
 // Runtime-dispatched kernel tiers: one KernelTable per instruction-set
 // tier (scalar, AVX2, AVX-512), all implementing the four matmul kernel
-// families of tensor/contract.hpp with BIT-IDENTICAL results.
+// families of tensor/contract.hpp and the state-vector kernel families
+// (1- and 2-qubit gate application, the CX permutation, the fused Kraus
+// apply + renormalization, the out-of-place 2-qubit apply) with
+// BIT-IDENTICAL results.
 //
 // The bit-identity contract: every tier accumulates ascending-k per output
 // element with the scalar tier's zero-skip, and performs the complex
 // multiply-accumulate as the same sequence of IEEE double operations
 // (mul, mul, sub/add, add -- never contracted into FMA), only on wider
-// registers. Lane-wise the arithmetic is the scalar arithmetic, so the
-// tier choice NEVER changes bits -- the determinism contract of the plan
-// executor (replay == recontract, batched == per-term, any thread count)
+// registers. The state-vector families likewise run, per amplitude, the
+// scalar tier's exact operation sequence (coefficient-times-amplitude as
+// mul, mul, sub/add; row sums left to right). Lane-wise the arithmetic is
+// the scalar arithmetic, so the tier choice NEVER changes bits -- the
+// determinism contract of the plan executor (replay == recontract,
+// batched == per-term, any thread count) and of the trajectory samplers
 // survives dispatch, and a GPU or remote executor can later slot in behind
 // the same reference path by satisfying the same table interface.
 //
@@ -41,19 +47,39 @@ using BatchedFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t 
                            std::size_t n, std::size_t batch, std::size_t a_stride,
                            std::size_t b_stride, std::size_t out_stride);
 
+// State-vector families (signatures and scalar semantics in
+// tensor/contract.hpp, sv_*).
+using Sv1Fn = void (*)(cplx* v, std::size_t size, std::size_t bit, const cplx* m);
+using Sv2Fn = void (*)(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b,
+                       const cplx* m);
+using SvCxFn = void (*)(cplx* v, std::size_t size, std::size_t bit_a, std::size_t bit_b);
+using SvKraus1Fn = void (*)(cplx* v, std::size_t size, std::size_t bit, const cplx* m,
+                            double scale);
+using Sv2IntoFn = void (*)(const cplx* src, cplx* dst, std::size_t size, std::size_t bit_a,
+                           std::size_t bit_b, const cplx* m);
+
 }  // namespace detail
 
-/// One tier's implementation of the four kernel families. The plan
-/// executor calls kernels exclusively through a table (the executor seam):
-/// replacing the table replaces the device the plan replays on, which is
-/// the shape batched-contraction offload interfaces (cuTensorNet-style)
-/// expose. Any table slotted in must honor the bit-identity contract
-/// above to keep replays interchangeable with the CPU reference path.
+/// One tier's implementation of the matmul and state-vector kernel
+/// families. The plan executor and the state-vector engine
+/// (sim/statevector.hpp) call kernels exclusively through a table (the
+/// executor seam): replacing the table replaces the device the plan
+/// replays on, which is the shape batched-contraction offload interfaces
+/// (cuTensorNet-style) expose. Any table slotted in must honor the
+/// bit-identity contract above to keep replays interchangeable with the
+/// CPU reference path.
 struct KernelTable {
   detail::MatmulFn matmul;      // generic blocked matmul_accumulate
   detail::SelectFn select;      // fixed-shape microkernel dispatch
   detail::GatheredFn gathered;  // permutation-fused gather-table variant
   detail::BatchedFn batched;    // strided-batched (stride 0 = broadcast)
+  detail::Sv1Fn sv_dense1;        // 2x2 on one qubit
+  detail::Sv1Fn sv_diag1;         // diagonal 2x2 on one qubit
+  detail::Sv2Fn sv_dense2;        // 4x4 on two qubits
+  detail::Sv2Fn sv_diag2;         // diagonal 4x4 on two qubits
+  detail::SvCxFn sv_cx;           // |10> <-> |11> block swap
+  detail::SvKraus1Fn sv_kraus1;   // 2x2 apply fused with a real rescale
+  detail::Sv2IntoFn sv_dense2_into;  // out-of-place 4x4 apply
   KernelTier tier;
   const char* name;
 };

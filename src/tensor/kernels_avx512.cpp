@@ -101,14 +101,78 @@ inline void axpy_gathered(double ar, double ai, const double* pb, const std::uin
   for (; j < n; ++j) axpy_one(ar, ai, pb + 2 * bidx[j], o + 2 * j);
 }
 
+/// State-vector widths (see kernels_simd_body.inc): four, two and one
+/// complex elements per 512-, 256- and 128-bit register.
+struct W512 {
+  using R = __m512d;
+  static constexpr std::size_t kLanes = 4;
+  static R load(const cplx* p) { return _mm512_loadu_pd(reinterpret_cast<const double*>(p)); }
+  static void store(cplx* p, R x) { _mm512_storeu_pd(reinterpret_cast<double*>(p), x); }
+  static R bcast(double x) { return _mm512_set1_pd(x); }
+  static R add(R a, R b) { return _mm512_add_pd(a, b); }
+  static R mul(R a, R b) { return _mm512_mul_pd(a, b); }
+  static R swap(R x) { return _mm512_permute_pd(x, 0x55); }
+  static R cmul(R cr, R ci, R x) {
+    return _mm512_add_pd(_mm512_mul_pd(cr, x), negate_even(_mm512_mul_pd(ci, swap(x))));
+  }
+};
+
+struct W256 {
+  using R = __m256d;
+  static constexpr std::size_t kLanes = 2;
+  static R load(const cplx* p) { return _mm256_loadu_pd(reinterpret_cast<const double*>(p)); }
+  static void store(cplx* p, R x) { _mm256_storeu_pd(reinterpret_cast<double*>(p), x); }
+  static R bcast(double x) { return _mm256_set1_pd(x); }
+  static R add(R a, R b) { return _mm256_add_pd(a, b); }
+  static R mul(R a, R b) { return _mm256_mul_pd(a, b); }
+  static R swap(R x) { return _mm256_permute_pd(x, 0b0101); }
+  static R cmul(R cr, R ci, R x) {
+    return _mm256_addsub_pd(_mm256_mul_pd(cr, x), _mm256_mul_pd(ci, swap(x)));
+  }
+};
+
+struct W128 {
+  using R = __m128d;
+  static constexpr std::size_t kLanes = 1;
+  static R load(const cplx* p) { return _mm_loadu_pd(reinterpret_cast<const double*>(p)); }
+  static void store(cplx* p, R x) { _mm_storeu_pd(reinterpret_cast<double*>(p), x); }
+  static R bcast(double x) { return _mm_set1_pd(x); }
+  static R add(R a, R b) { return _mm_add_pd(a, b); }
+  static R mul(R a, R b) { return _mm_mul_pd(a, b); }
+  static R swap(R x) { return _mm_shuffle_pd(x, x, 0b01); }
+  static R cmul(R cr, R ci, R x) {
+    return _mm_addsub_pd(_mm_mul_pd(cr, x), _mm_mul_pd(ci, swap(x)));
+  }
+};
+
+template <class F>
+inline void with_width(std::size_t run, F&& f) {
+  if (run >= W512::kLanes)
+    f(W512{});
+  else if (run >= W256::kLanes)
+    f(W256{});
+  else
+    f(W128{});
+}
+
 #include "tensor/kernels_simd_body.inc"
 
 }  // namespace
 
 const KernelTable* avx512_table() {
-  static const KernelTable table{&simd_matmul_accumulate, &simd_select_matmul,
-                                 &simd_matmul_gathered, &simd_matmul_batched,
-                                 KernelTier::Avx512, "avx512"};
+  static const KernelTable table{&simd_matmul_accumulate,
+                                 &simd_select_matmul,
+                                 &simd_matmul_gathered,
+                                 &simd_matmul_batched,
+                                 &simd_sv_dense1,
+                                 &simd_sv_diag1,
+                                 &simd_sv_dense2,
+                                 &simd_sv_diag2,
+                                 &simd_sv_cx,
+                                 &simd_sv_kraus1,
+                                 &simd_sv_dense2_into,
+                                 KernelTier::Avx512,
+                                 "avx512"};
   return &table;
 }
 

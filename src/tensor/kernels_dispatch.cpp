@@ -19,8 +19,19 @@ const KernelTable* avx512_table();
 /// Scalar reference table: the contract.cpp kernels every other tier is
 /// bit-checked against. Always present.
 const KernelTable* scalar_table() {
-  static const KernelTable table{&matmul_accumulate, &select_matmul, &matmul_accumulate_gathered,
-                                 &matmul_accumulate_batched, KernelTier::Scalar, "scalar"};
+  static const KernelTable table{&matmul_accumulate,
+                                 &select_matmul,
+                                 &matmul_accumulate_gathered,
+                                 &matmul_accumulate_batched,
+                                 &sv_dense1,
+                                 &sv_diag1,
+                                 &sv_dense2,
+                                 &sv_diag2,
+                                 &sv_cx,
+                                 &sv_kraus1,
+                                 &sv_dense2_into,
+                                 KernelTier::Scalar,
+                                 "scalar"};
   return &table;
 }
 

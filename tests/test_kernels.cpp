@@ -5,17 +5,23 @@
 // xeb_sweep with each tier forced at multiple thread counts. Also covers
 // the dispatch machinery (cpuid detection, NOISIM_KERNELS parsing and
 // fallback, per-tier stats counters) and the 64-byte-alignment guarantee
-// of the executor's arenas.
+// of the executor's arenas. The state-vector families are checked against
+// a test-side copy of the engine's original branchy loops, and the
+// trajectory estimates they feed must carry the same bits on every tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_support/generators.hpp"
+#include "channels/catalog.hpp"
 #include "core/approx.hpp"
+#include "sim/statevector.hpp"
+#include "sim/trajectories.hpp"
 #include "tensor/aligned.hpp"
 #include "tensor/contract.hpp"
 #include "tensor/kernels.hpp"
@@ -369,6 +375,269 @@ TEST(Kernels, WorkspaceTableOverridesActiveTier) {
   const Tensor via_active = plan.execute(net, ws);
   ASSERT_EQ(via_scalar.size(), via_active.size());
   for (std::size_t i = 0; i < via_scalar.size(); ++i) EXPECT_EQ(via_scalar[i], via_active[i]);
+}
+
+// --- state-vector families -----------------------------------------------------
+
+// Reference oracle: the state-vector engine's original loops, which visit
+// every index and skip half (or three quarters) of them with a branch.
+// They define the bits every kernel tier must reproduce.
+void oracle_apply1(std::vector<cplx>& v, const std::vector<cplx>& m, std::size_t bit) {
+  const cplx m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i & bit) continue;
+    const cplx a0 = v[i];
+    const cplx a1 = v[i | bit];
+    v[i] = m00 * a0 + m01 * a1;
+    v[i | bit] = m10 * a0 + m11 * a1;
+  }
+}
+
+void oracle_apply2(std::vector<cplx>& v, const std::vector<cplx>& m, std::size_t bit_a,
+                   std::size_t bit_b) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i & (bit_a | bit_b)) continue;
+    cplx old[4], neu[4];
+    for (std::size_t t = 0; t < 4; ++t)
+      old[t] = v[i | ((t & 2) ? bit_a : 0) | ((t & 1) ? bit_b : 0)];
+    for (std::size_t r = 0; r < 4; ++r) {
+      neu[r] = cplx{0.0, 0.0};
+      for (std::size_t c = 0; c < 4; ++c) neu[r] += m[4 * r + c] * old[c];
+    }
+    for (std::size_t t = 0; t < 4; ++t)
+      v[i | ((t & 2) ? bit_a : 0) | ((t & 1) ? bit_b : 0)] = neu[t];
+  }
+}
+
+cplx oracle_expectation1(const std::vector<cplx>& v, const std::vector<cplx>& m,
+                         std::size_t bit) {
+  cplx s{0.0, 0.0};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i & bit) continue;
+    const cplx a0 = v[i], a1 = v[i | bit];
+    s += std::conj(a0) * (m[0] * a0 + m[1] * a1);
+    s += std::conj(a1) * (m[2] * a0 + m[3] * a1);
+  }
+  return s;
+}
+
+la::Matrix as_matrix(const std::vector<cplx>& m) {
+  const std::size_t d = m.size() == 4 ? 2 : 4;
+  la::Matrix out(d, d);
+  for (std::size_t e = 0; e < m.size(); ++e) out(e / d, e % d) = m[e];
+  return out;
+}
+
+std::vector<cplx> random_state(std::size_t size, std::mt19937_64& rng) {
+  std::normal_distribution<double> gauss;
+  std::vector<cplx> v(size);
+  for (cplx& a : v) a = rng() % 5 == 0 ? cplx{0.0, 0.0} : cplx{gauss(rng), gauss(rng)};
+  return v;
+}
+
+/// Row-major d x d matrices of every shape class: dense (non-unitary),
+/// diagonal (with and without entries exactly 1), and for d == 4 the CX
+/// permutation (also with the -0 imaginary parts conj() produces) and a
+/// permutation that is not CX (SWAP, dense class).
+std::vector<std::vector<cplx>> shape_matrices(std::size_t d, std::mt19937_64& rng) {
+  std::normal_distribution<double> gauss;
+  auto entry = [&] { return cplx{gauss(rng), gauss(rng)}; };
+  std::vector<std::vector<cplx>> out;
+  std::vector<cplx> dense(d * d), diag(d * d), diag_ones(d * d);
+  for (cplx& x : dense) x = entry();
+  for (std::size_t t = 0; t < d; ++t) {
+    diag[t * d + t] = entry();
+    diag_ones[t * d + t] = t + 1 == d ? cplx{-1.0, 0.0} : cplx{1.0, 0.0};
+  }
+  diag_ones[0] = entry();  // T-like: one general entry, the rest exact +-1
+  out = {dense, diag, diag_ones};
+  if (d == 4) {
+    std::vector<cplx> cx(16), cx_conj(16), swap(16);
+    for (const std::size_t e : {0, 5, 11, 14}) {  // (0,0) (1,1) (2,3) (3,2)
+      cx[e] = cplx{1.0, 0.0};
+      cx_conj[e] = cplx{1.0, -0.0};
+    }
+    for (const std::size_t e : {0, 6, 9, 15}) swap[e] = 1.0;  // (0,0) (1,2) (2,1) (3,3)
+    out.push_back(cx);
+    out.push_back(cx_conj);
+    out.push_back(swap);
+  }
+  return out;
+}
+
+/// Scalar vs oracle: equal as values (an exact zero may change sign).
+void expect_values_equal(const std::vector<cplx>& ref, const std::vector<cplx>& got,
+                         const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(ref[i].real(), got[i].real()) << what << " elem " << i;
+    ASSERT_EQ(ref[i].imag(), got[i].imag()) << what << " elem " << i;
+  }
+}
+
+/// Identical bit patterns, zero signs included.
+bool same_bits(const cplx& a, const cplx& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) == std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) == std::bit_cast<std::uint64_t>(b.imag());
+}
+
+/// Tier vs scalar: identical bit patterns, zero signs included.
+void expect_bitwise(const std::vector<cplx>& ref, const std::vector<cplx>& got,
+                    const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_TRUE(same_bits(ref[i], got[i])) << what << " elem " << i;
+}
+
+TEST(SvKernels, EveryTierMatchesScalar) {
+  std::mt19937_64 rng(2026);
+  const KernelTable& scalar = *kernel_table(KernelTier::Scalar);
+  const std::vector<std::vector<cplx>> mats1 = shape_matrices(2, rng);
+  const std::vector<std::vector<cplx>> mats2 = shape_matrices(4, rng);
+  for (const KernelTier tier : available_tiers()) {
+    const KernelTable& kt = *kernel_table(tier);
+    for (int n = 1; n <= 10; ++n) {
+      const std::size_t size = std::size_t{1} << n;
+      for (int q = 0; q < n; ++q) {
+        const std::size_t bit = sim::qubit_bit(n, q);
+        for (std::size_t mi = 0; mi < mats1.size(); ++mi) {
+          const std::vector<cplx>& m = mats1[mi];
+          const std::string what = std::string(kernel_tier_name(tier)) + " n=" +
+                                   std::to_string(n) + " q=" + std::to_string(q) +
+                                   " 2x2 #" + std::to_string(mi);
+          const std::vector<cplx> psi = random_state(size, rng);
+          std::vector<cplx> ref = psi, base = psi, got = psi;
+          oracle_apply1(ref, m, bit);
+          const sim::SvOp op = sim::SvOp::one(as_matrix(m), bit);
+          op.apply(base.data(), size, scalar);
+          op.apply(got.data(), size, kt);
+          expect_values_equal(ref, base, what);
+          expect_bitwise(base, got, what);
+
+          // Fused Kraus apply == apply, then the 2x2 pass diag(s, s).
+          const double s = 1.0 / std::sqrt(0.37);
+          const std::vector<cplx> renorm{{s, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {s, 0.0}};
+          ref = psi;
+          oracle_apply1(ref, m, bit);
+          oracle_apply1(ref, renorm, bit);
+          base = psi;
+          got = psi;
+          scalar.sv_kraus1(base.data(), size, bit, m.data(), s);
+          kt.sv_kraus1(got.data(), size, bit, m.data(), s);
+          expect_values_equal(ref, base, what + " kraus1");
+          expect_bitwise(base, got, what + " kraus1");
+
+          // Born expectation: the same bits as the textbook loop.
+          const cplx e_ref = oracle_expectation1(psi, m, bit);
+          const cplx e_got = sim::expectation1(psi.data(), size, op);
+          EXPECT_TRUE(same_bits(e_ref, e_got)) << what;
+        }
+        for (int b = 0; b < n; ++b) {
+          if (b == q) continue;  // (q, b) and (b, q) both visited
+          const std::size_t bit_b = sim::qubit_bit(n, b);
+          for (std::size_t mi = 0; mi < mats2.size(); ++mi) {
+            const std::vector<cplx>& m = mats2[mi];
+            const std::string what = std::string(kernel_tier_name(tier)) + " n=" +
+                                     std::to_string(n) + " (a,b)=(" + std::to_string(q) + "," +
+                                     std::to_string(b) + ") 4x4 #" + std::to_string(mi);
+            const std::vector<cplx> psi = random_state(size, rng);
+            std::vector<cplx> ref = psi, base = psi, got = psi;
+            oracle_apply2(ref, m, bit, bit_b);
+            const sim::SvOp op = sim::SvOp::two(as_matrix(m), bit, bit_b);
+            op.apply(base.data(), size, scalar);
+            op.apply(got.data(), size, kt);
+            expect_values_equal(ref, base, what);
+            expect_bitwise(base, got, what);
+
+            // Out-of-place apply: same bits, source untouched.
+            std::vector<cplx> src = psi, into_scalar(size), into(size);
+            scalar.sv_dense2_into(src.data(), into_scalar.data(), size, bit, bit_b, m.data());
+            kt.sv_dense2_into(src.data(), into.data(), size, bit, bit_b, m.data());
+            expect_bitwise(psi, src, what + " into: source");
+            expect_values_equal(ref, into_scalar, what + " into");
+            expect_bitwise(into_scalar, into, what + " into");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SvKernels, OperatorsClassifyByExactZeroPattern) {
+  using Shape = sim::SvOp::Shape;
+  EXPECT_EQ(sim::SvOp::one(qc::h(0).matrix(), 1).shape, Shape::Dense1);
+  EXPECT_EQ(sim::SvOp::one(qc::t(0).matrix(), 1).shape, Shape::Diag1);
+  EXPECT_EQ(sim::SvOp::one(qc::rz(0, 0.3).matrix(), 1).shape, Shape::Diag1);
+  EXPECT_EQ(sim::SvOp::two(qc::cz(0, 1).matrix(), 2, 1).shape, Shape::Diag2);
+  EXPECT_EQ(sim::SvOp::two(qc::cx(0, 1).matrix(), 2, 1).shape, Shape::Cx);
+  EXPECT_EQ(sim::SvOp::two(qc::cx(0, 1).matrix().conj(), 2, 1).shape, Shape::Cx);
+  EXPECT_EQ(sim::SvOp::two(qc::fsim(0, 1, 0.3, 0.2).matrix(), 2, 1).shape, Shape::Dense2);
+}
+
+/// Small noisy circuit mixing every gate shape class with 1-qubit unitary-
+/// mixture and non-mixture noise and 2-qubit noise in both qubit orders.
+ch::NoisyCircuit tier_trajectory_circuit() {
+  std::mt19937_64 rng(77);
+  const int n = 6;
+  qc::Circuit c(n);
+  for (int q = 0; q < n; ++q) c.add(qc::h(q));
+  for (int layer = 0; layer < 4; ++layer) {
+    for (int q = 0; q + 1 < n; q += 2) c.add(layer % 2 ? qc::cz(q, q + 1) : qc::cx(q + 1, q));
+    for (int q = 0; q < n; ++q)
+      c.add(q % 3 == 0 ? qc::rx(q, 0.3 * layer + 0.1) : q % 3 == 1 ? qc::t(q) : qc::rz(q, 0.7));
+  }
+  ch::NoisyCircuit nc(n);
+  std::size_t i = 0;
+  for (const qc::Gate& g : c.gates()) {
+    nc.add_gate(g);
+    switch (i++ % 9) {
+      case 2: nc.add_noise(g.qubits[0], ch::depolarizing(0.2)); break;
+      case 5: nc.add_noise(g.qubits[0], ch::amplitude_damping(0.3)); break;
+      case 7:
+        nc.add_noise_2q(static_cast<int>(rng() % 3), 3 + static_cast<int>(rng() % 3),
+                        ch::two_qubit_depolarizing(0.2));
+        break;
+      case 8:
+        nc.add_noise_2q(5, static_cast<int>(rng() % 5), ch::two_qubit_depolarizing(0.1));
+        break;
+      default: break;
+    }
+  }
+  return nc;
+}
+
+TEST(Trajectories, EstimateBitsAcrossTiers) {
+  const ch::NoisyCircuit nc = tier_trajectory_circuit();
+  const std::uint64_t v = 0b101101;
+  sim::TrajectoryResult ref_par, ref_serial;
+  double ref_sample = 0.0;
+  {
+    TierGuard guard(KernelTier::Scalar);
+    sim::ParallelOptions opts;
+    opts.threads = 1;
+    opts.chunk_size = 16;
+    ref_par = sim::trajectories_sv(nc, 0, v, 200, 5, opts);
+    std::mt19937_64 rng(5);
+    ref_serial = sim::trajectories_sv(nc, 0, v, 100, rng);
+    ref_sample = sim::sample_trajectory_sv(nc, 0, v, rng);
+  }
+  EXPECT_GT(ref_par.mean, 0.0);
+  for (const KernelTier tier : available_tiers()) {
+    TierGuard guard(tier);
+    for (const std::size_t threads : {1ul, 3ul}) {
+      sim::ParallelOptions opts;
+      opts.threads = threads;
+      opts.chunk_size = 16;
+      const sim::TrajectoryResult r = sim::trajectories_sv(nc, 0, v, 200, 5, opts);
+      EXPECT_EQ(r.mean, ref_par.mean) << kernel_tier_name(tier) << " threads " << threads;
+      EXPECT_EQ(r.std_error, ref_par.std_error) << kernel_tier_name(tier) << " threads " << threads;
+    }
+    std::mt19937_64 rng(5);
+    const sim::TrajectoryResult serial = sim::trajectories_sv(nc, 0, v, 100, rng);
+    EXPECT_EQ(serial.mean, ref_serial.mean) << kernel_tier_name(tier);
+    EXPECT_EQ(serial.std_error, ref_serial.std_error) << kernel_tier_name(tier);
+    EXPECT_EQ(sim::sample_trajectory_sv(nc, 0, v, rng), ref_sample) << kernel_tier_name(tier);
+  }
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "bench_support/generators.hpp"
 #include "channels/catalog.hpp"
+#include "core/backend.hpp"
 #include "linalg/qr.hpp"
 #include "sim/density.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectories.hpp"
+#include "tensor/kernels.hpp"
 
 namespace noisim::sim {
 namespace {
@@ -358,6 +362,134 @@ TEST(Trajectories, SingleSampleOfUnitaryMixtureIsValidFidelity) {
     const double f = sample_trajectory_sv(nc, 0, 0, rng);
     EXPECT_GE(f, -1e-12);
     EXPECT_LE(f, 1.0 + 1e-12);
+  }
+}
+
+// --- out-of-range arguments ----------------------------------------------------
+
+TEST(Trajectories, OutOfRangeBitstringsThrowBeforeSampling) {
+  qc::Circuit c(3);
+  c.add(qc::h(0)).add(qc::cx(0, 1));
+  ch::NoisyCircuit nc(c);
+  nc.add_noise(1, ch::depolarizing(0.1));
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (const std::uint64_t bad : {std::uint64_t{8}, huge}) {
+    std::mt19937_64 rng(3);
+    EXPECT_THROW(sample_trajectory_sv(nc, 0, bad, rng), LinalgError);
+    EXPECT_THROW(sample_trajectory_sv(nc, bad, 0, rng), LinalgError);
+    EXPECT_THROW(trajectories_sv(nc, 0, bad, 10, rng), LinalgError);
+    EXPECT_THROW(trajectories_sv(nc, bad, 0, 0, rng), LinalgError);
+    // Nothing was drawn: the stream is where a fresh generator starts.
+    EXPECT_EQ(rng(), std::mt19937_64(3)());
+    ParallelOptions opts;
+    opts.threads = 4;
+    EXPECT_THROW(trajectories_sv(nc, 0, bad, 64, 1, opts), LinalgError);
+    EXPECT_THROW(trajectories_sv(nc, bad, 0, 64, 1, opts), LinalgError);
+  }
+  // The last valid output still samples.
+  std::mt19937_64 rng(3);
+  EXPECT_NO_THROW(sample_trajectory_sv(nc, 7, 7, rng));
+}
+
+TEST(Trajectories, ForcedSvTrajectoriesRejectsOutOfRangeOutput) {
+  qc::Circuit c(3);
+  c.add(qc::h(0)).add(qc::cx(0, 1));
+  ch::NoisyCircuit nc(c);
+  nc.add_noise(1, ch::depolarizing(0.1));
+  core::SimulateOptions opts;
+  opts.error_budget = 5e-2;
+  opts.force_backend = core::BackendKind::SvTrajectories;
+  EXPECT_THROW(core::simulate(nc, 0, std::uint64_t{1} << 40, opts), LinalgError);
+}
+
+TEST(Statevector, OutOfRangeQubitAndBitsThrow) {
+  const Statevector sv(3);
+  const la::Matrix z{{1, 0}, {0, -1}};
+  EXPECT_THROW(sv.expectation1(z, -1), LinalgError);
+  EXPECT_THROW(sv.expectation1(z, 3), LinalgError);
+  EXPECT_NO_THROW(sv.expectation1(z, 2));
+  EXPECT_THROW(sv.amplitude(8), LinalgError);
+  EXPECT_THROW(sv.amplitude(std::uint64_t{1} << 40), LinalgError);
+  EXPECT_EQ(sv.amplitude(0), cplx(1.0, 0.0));
+}
+
+// --- golden estimate bits ------------------------------------------------------
+//
+// Fixed-seed trajectories_sv estimates pinned as hex-float literals. The
+// values were recorded from the engine before its state-vector kernels were
+// rewritten (branchy full-range loops, per-sample allocation), so they pin
+// that the rewrite performs the same IEEE operations per amplitude: any
+// change to Born probabilities, Kraus selection, renormalization or the
+// amplitude read-out moves at least one of them. Every kernel tier must
+// reproduce them, at one and four threads and through the serial overload.
+
+struct GoldenCase {
+  const char* name;
+  ch::NoisyCircuit nc;
+  std::uint64_t v;
+  std::size_t samples;
+  double mean, std_error;                // seed 2024, chunk_size 8, any thread count
+  double serial_mean, serial_std_error;  // std::mt19937_64(2024) overload
+};
+
+ch::NoisyCircuit golden_fig5(double p) {
+  return bench::insert_noises(bench::qaoa_grid(4, 4, 1, 7), 12, bench::depolarizing_noise(p), 11);
+}
+
+ch::NoisyCircuit golden_damping() {
+  return bench::insert_noises(bench::qaoa_grid(3, 3, 1, 5), 10,
+                              [](std::mt19937_64&) { return ch::amplitude_damping(0.25); }, 13);
+}
+
+/// Two-qubit depolarizing after every fifth 2-qubit gate, alternating the
+/// (high, low) qubit order of the channel.
+ch::NoisyCircuit golden_two_qubit() {
+  const qc::Circuit c = bench::qaoa_grid(3, 3, 1, 5);
+  ch::NoisyCircuit nc(c.num_qubits());
+  int twoq = 0;
+  for (const qc::Gate& g : c.gates()) {
+    nc.add_gate(g);
+    if (g.num_qubits() != 2) continue;
+    ++twoq;
+    if (twoq % 10 == 0)
+      nc.add_noise_2q(g.qubits[0], g.qubits[1], ch::two_qubit_depolarizing(0.2));
+    else if (twoq % 5 == 0)
+      nc.add_noise_2q(g.qubits[1], g.qubits[0], ch::two_qubit_depolarizing(0.2));
+  }
+  return nc;
+}
+
+TEST(TrajectoryGolden, EstimatesMatchPinnedBitsOnEveryTierAndThreadCount) {
+  const GoldenCase cases[] = {
+      {"fig5 depolarizing(1e-3)", golden_fig5(1e-3), 11289, 32, 0x1.f3c41d839a75ep-11, 0x0p+0,
+       0x1.f3c41d839a75fp-11, 0x1.c27ffbe4d563bp-39},
+      {"fig5 depolarizing(0.3)", golden_fig5(0.3), 11289, 32, 0x1.985ab0efa315p-13,
+       0x1.815e4ceec5e06p-15, 0x1.11d1d14900821p-13, 0x1.a7e7fd627d6d3p-16},
+      {"amplitude_damping(0.25)", golden_damping(), 110, 64, 0x1.d5842abcfe0e3p-7,
+       0x1.9eff4680a461ap-10, 0x1.084d8b510c1dfp-6, 0x1.a2cf8c837edbap-10},
+      {"two_qubit_depolarizing(0.2)", golden_two_qubit(), 110, 64, 0x1.3f3a43d45da9p-6,
+       0x1.115b9856beed9p-9, 0x1.9ccb966b34d2ap-6, 0x1.120c5efe49dc1p-9},
+  };
+  for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+    const auto tier = static_cast<tsr::KernelTier>(t);
+    if (!tsr::kernel_table(tier)) continue;
+    const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
+    for (const GoldenCase& gc : cases) {
+      const std::string where = std::string(gc.name) + " on " + tsr::kernel_tier_name(tier);
+      for (const std::size_t threads : {1ul, 4ul}) {
+        ParallelOptions opts;
+        opts.threads = threads;
+        opts.chunk_size = 8;
+        const TrajectoryResult r = trajectories_sv(gc.nc, 0, gc.v, gc.samples, 2024, opts);
+        EXPECT_EQ(r.mean, gc.mean) << where << ", threads " << threads;
+        EXPECT_EQ(r.std_error, gc.std_error) << where << ", threads " << threads;
+      }
+      std::mt19937_64 rng(2024);
+      const TrajectoryResult r = trajectories_sv(gc.nc, 0, gc.v, gc.samples, rng);
+      EXPECT_EQ(r.mean, gc.serial_mean) << where << ", serial";
+      EXPECT_EQ(r.std_error, gc.serial_std_error) << where << ", serial";
+    }
+    tsr::set_kernel_tier(prev);
   }
 }
 

@@ -8,11 +8,15 @@ and the concurrency conventions that back the thread-safety annotations.
 Rules (each proven live by a negative fixture under tests/lint_fixtures/,
 exercised by --self-test):
 
-  ffp-contract      every TU that includes kernels_simd_body.inc must be
-                    listed in CMake with -ffp-contract=off in its
-                    COMPILE_OPTIONS -- otherwise the optimizer fuses the
-                    mul/add intrinsics into FMA and breaks bit-identity
-                    with the scalar kernels.
+  ffp-contract      every TU that includes kernels_simd_body.inc, and every
+                    src/ TU that includes <immintrin.h>, must be listed
+                    with -ffp-contract=off in its COMPILE_OPTIONS in BOTH
+                    library builds (CMakeLists.txt and
+                    perfbench/CMakeLists.txt) -- otherwise the optimizer
+                    fuses the mul/add intrinsics into FMA and breaks
+                    bit-identity with the scalar kernels, and a TU the
+                    benchmark build does not list compiles there as its
+                    scalar stub.
   no-fma            no fma()/std::fma/_mm*_fmadd* anywhere in first-party
                     C++ -- fused rounding differs from mul-then-add.
                     Marker: // lint: allow-fma(<reason>)
@@ -214,43 +218,72 @@ def scope_kind(code, open_pos):
 
 # --- rules -------------------------------------------------------------------
 
-def check_ffp_contract(root, cxx_files, cmake_texts):
-    """cmake_texts: list of (path, raw_text)."""
+# The CMake lists that compile the library sources, relative to the scan
+# root: the top-level build and the standalone benchmark build.
+LIBRARY_BUILDS = ("CMakeLists.txt", "perfbench/CMakeLists.txt")
+SIMD_BODY_RE = re.compile(r'^\s*#\s*include\s+"[^"]*kernels_simd_body\.inc"', re.MULTILINE)
+IMMINTRIN_RE = re.compile(r"^\s*#\s*include\s+<immintrin\.h>", re.MULTILINE)
+TU_SUFFIXES = {".cpp", ".cc", ".cxx"}
+
+
+def contract_off_listing(cmake, base):
+    """'flag' when a set_source_files_properties call names `base` with
+    -ffp-contract=off, 'listed' when one names it without, else None."""
+    result = None
+    for block in re.finditer(r"set_source_files_properties\s*\(", cmake):
+        # Match the property call's closing paren.
+        depth, k = 0, block.end() - 1
+        while k < len(cmake):
+            if cmake[k] == "(":
+                depth += 1
+            elif cmake[k] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            k += 1
+        call = cmake[block.start():k + 1]
+        if base in call:
+            if "-ffp-contract=off" in call:
+                return "flag"
+            result = "listed"
+    return result
+
+
+def check_ffp_contract(root, cxx_files):
+    builds = []
+    for rel in LIBRARY_BUILDS:
+        path = root / rel
+        if path.is_file():
+            builds.append((rel, path.read_text(encoding="utf-8", errors="replace")))
     findings = []
     for path, text in cxx_files:
         # Raw text, not strip_code: the include path IS a string literal.
-        m = re.search(r'^\s*#\s*include\s+"[^"]*kernels_simd_body\.inc"',
-                      text, re.MULTILINE)
+        m = SIMD_BODY_RE.search(text)
+        what = "includes kernels_simd_body.inc"
+        if not m and path.suffix in TU_SUFFIXES:
+            try:
+                under_src = path.relative_to(root).parts[0] == "src"
+            except ValueError:
+                under_src = False
+            m = IMMINTRIN_RE.search(text) if under_src else None
+            what = "includes <immintrin.h>"
         if not m:
             continue
         base = path.name
-        covered = False
-        mentioned = False
-        for cmake_path, cmake in cmake_texts:
-            for block in re.finditer(r"set_source_files_properties\s*\(", cmake):
-                # Match the property call's closing paren.
-                depth, k = 0, block.end() - 1
-                while k < len(cmake):
-                    if cmake[k] == "(":
-                        depth += 1
-                    elif cmake[k] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                call = cmake[block.start():k + 1]
-                if base in call:
-                    mentioned = True
-                    if "-ffp-contract=off" in call:
-                        covered = True
-        if not covered:
-            why = ("is listed in set_source_files_properties without -ffp-contract=off"
-                   if mentioned else
-                   "has no set_source_files_properties entry in any CMakeLists.txt")
+        gaps = []
+        for rel, cmake in builds:
+            listing = contract_off_listing(cmake, base)
+            if listing == "listed":
+                gaps.append(f"is listed in {rel} without -ffp-contract=off")
+            elif listing is None:
+                gaps.append(f"has no set_source_files_properties entry in {rel}")
+        if not builds:
+            gaps.append("has no library CMakeLists.txt to list it")
+        for gap in gaps:
             findings.append(Finding(
                 path, line_of(text, m.start()), "ffp-contract",
-                f"{base} includes kernels_simd_body.inc but {why}; the optimizer "
-                "may fuse mul/add into FMA and break scalar/SIMD bit-identity"))
+                f"{base} {what} but {gap}; the optimizer may fuse mul/add "
+                "into FMA and break scalar/SIMD bit-identity"))
     return findings
 
 
@@ -557,9 +590,9 @@ def collect(root, fixture_mode):
     return cxx_files, cmake_texts
 
 
-def run_rules(root, cxx_files, cmake_texts):
+def run_rules(root, cxx_files):
     findings = []
-    findings += check_ffp_contract(root, cxx_files, cmake_texts)
+    findings += check_ffp_contract(root, cxx_files)
     findings += check_no_fma(cxx_files)
     findings += check_unordered_fold(cxx_files)
     findings += check_env_getenv(cxx_files)
@@ -584,7 +617,7 @@ def self_test(repo_root):
     for path, text in cxx_files + cmake_texts:
         for m in expect_re.finditer(text):
             expected.setdefault(path, set()).add(m.group(1))
-    findings = run_rules(fixture_root, cxx_files, cmake_texts)
+    findings = run_rules(fixture_root, cxx_files)
     got = {}
     for f in findings:
         got.setdefault(f.path, set()).add(f.rule)
@@ -628,7 +661,7 @@ def main():
         return self_test(root)
 
     cxx_files, cmake_texts = collect(root, fixture_mode=False)
-    findings = run_rules(root, cxx_files, cmake_texts)
+    findings = run_rules(root, cxx_files)
     for f in findings:
         try:
             f.path = f.path.relative_to(root)
