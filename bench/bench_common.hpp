@@ -6,6 +6,7 @@
 // variable NOISIM_BENCH_LARGE=1 is set. Timeout/memory guards mirror the
 // paper's TO/MO table entries (scaled down with the workload).
 
+#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -35,6 +36,13 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
             << "(reproduces " << paper_ref << "; mode: "
             << (large_mode() ? "LARGE (paper-scale)" : "default (laptop-scale)")
             << ", set NOISIM_BENCH_LARGE=1 for paper-scale rows)\n\n";
+}
+
+/// `v` printed with %.17g: every double round-trips exactly through JSON.
+inline std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 }  // namespace noisim::bench

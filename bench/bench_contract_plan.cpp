@@ -7,7 +7,8 @@
 // replays it per term; batched replay executes a whole chunk of terms in
 // ONE plan traversal (shared-cone steps once per batch, duplicate slices
 // memcpy'd, per-step dispatch amortized). This bench runs the same A(l)
-// sweep through all three paths, checks the values are bit-identical, and
+// sweep through all three paths -- re-planning is the test-side oracle
+// bench::replanned_fidelity -- checks the values are bit-identical, and
 // records per-term throughput plus the plan/flops counters to
 // BENCH_contract_plan.json (or the first non-flag argument).
 //
@@ -31,10 +32,12 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <fstream>
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "bench_support/oracle.hpp"
 #include "core/approx.hpp"
 #include "sim/parallel.hpp"
 #include "tensor/kernels.hpp"
@@ -117,11 +120,10 @@ int main(int argc, char** argv) {
   const std::size_t hw = sim::resolve_threads(0);
   const std::size_t batch_terms = core::ApproxOptions{}.batch_terms;
 
-  auto make_opts = [&](std::size_t level, bool reuse, std::size_t threads, std::size_t batch) {
+  auto make_opts = [&](std::size_t level, std::size_t threads, std::size_t batch) {
     core::ApproxOptions opts;
     opts.level = level;
     opts.threads = threads;
-    opts.reuse_plans = reuse;
     opts.batch_terms = batch;
     opts.eval.backend = core::EvalOptions::Backend::TensorNetwork;
     opts.eval.tn.timeout_seconds = bench::timeout_large();
@@ -141,24 +143,29 @@ int main(int argc, char** argv) {
     // noise-dominated, and interleaving means a slow machine window (CPU
     // steal on shared boxes) hits all paths alike instead of skewing the
     // gated ratios.
-    auto run_once = [&](core::ApproxResult& result, const core::ApproxOptions& opts,
-                        bool first) {
+    auto run_once = [&](core::ApproxResult& result,
+                        const std::function<core::ApproxResult()>& sweep, bool first) {
       return bench::run_guarded_stats([&](tn::ContractStats& stats) {
-        core::ApproxResult attempt = core::approximate_fidelity(nc, 0, 0, opts);
+        core::ApproxResult attempt = sweep();
         if (first || attempt.eval_seconds < result.eval_seconds) result = std::move(attempt);
         stats = result.contract_stats;
         return result.value;
       });
     };
-    const core::ApproxOptions replan_opts = make_opts(level, false, 1, 1);
-    // The PR-2 per-term replay path (plan reuse, no batching): the speedup
+    // The per-term replay path (plan reuse, batches of one): the speedup
     // baseline the batched executor is gated against.
-    const core::ApproxOptions reuse_opts = make_opts(level, true, 1, 1);
-    const core::ApproxOptions batched_opts = make_opts(level, true, 1, batch_terms);
+    const core::ApproxOptions reuse_opts = make_opts(level, 1, 1);
+    const core::ApproxOptions batched_opts = make_opts(level, 1, batch_terms);
+    // The re-planning oracle (bench_support/oracle.hpp) under the same
+    // evaluation options.
+    auto replan = [&] { return bench::replanned_fidelity(nc, 0, 0, level, reuse_opts.eval); };
+    auto sweep = [&](const core::ApproxOptions& opts) {
+      return [&nc, opts] { return core::approximate_fidelity(nc, 0, 0, opts); };
+    };
     for (int round = 0; round < 4; ++round) {
-      run.replan = run_once(run.replan_result, replan_opts, round == 0);
-      run.reuse = run_once(run.reuse_result, reuse_opts, round == 0);
-      run.batched = run_once(run.batched_result, batched_opts, round == 0);
+      run.replan = run_once(run.replan_result, replan, round == 0);
+      run.reuse = run_once(run.reuse_result, sweep(reuse_opts), round == 0);
+      run.batched = run_once(run.batched_result, sweep(batched_opts), round == 0);
       if (!run.replan.ok() || !run.reuse.ok() || !run.batched.ok()) break;
     }
     // Report each path's best single-run wall time, not the repeat total --
@@ -175,7 +182,7 @@ int main(int argc, char** argv) {
     // instead of crashing.
     const bench::RunOutcome threaded = bench::run_guarded([&] {
       run.threaded_result =
-          core::approximate_fidelity(nc, 0, 0, make_opts(level, true, hw, batch_terms));
+          core::approximate_fidelity(nc, 0, 0, make_opts(level, hw, batch_terms));
       return run.threaded_result.value;
     });
 
@@ -202,7 +209,7 @@ int main(int argc, char** argv) {
   core::ApproxResult scalar_result, dispatched_result;
   bench::RunOutcome scalar_run, dispatched_run;
   {
-    const core::ApproxOptions tier_opts = make_opts(tier_level, true, 1, batch_terms);
+    const core::ApproxOptions tier_opts = make_opts(tier_level, 1, batch_terms);
     auto run_tier = [&](tsr::KernelTier tier, core::ApproxResult& result, bool first) {
       const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
       bench::RunOutcome out = bench::run_guarded_stats([&](tn::ContractStats& stats) {

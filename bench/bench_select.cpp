@@ -161,9 +161,10 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     out << "    {\"workload\": \"" << r.name << "\", \"backend\": \"" << r.backend
         << "\", \"level\": " << r.level << ", \"samples\": " << r.samples
-        << ", \"value\": " << r.value << ", \"error_bound\": " << r.error_bound
-        << ", \"budget\": " << r.budget << ", \"seconds\": " << r.seconds
-        << ", \"reference\": " << (r.has_reference ? std::to_string(r.reference) : "null")
+        << ", \"value\": " << bench::g17(r.value)
+        << ", \"error_bound\": " << bench::g17(r.error_bound) << ", \"budget\": " << r.budget
+        << ", \"seconds\": " << r.seconds
+        << ", \"reference\": " << (r.has_reference ? bench::g17(r.reference) : "null")
         << ", \"violation\": " << (r.violation ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

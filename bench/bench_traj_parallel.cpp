@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -36,12 +35,6 @@ double time_seconds(const std::function<void()>& fn) {
   const auto start = Clock::now();
   fn();
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string g17(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 /// The number following the first `"<key>": ` in `text` (false when absent).
@@ -61,7 +54,7 @@ bool same_bits(const std::string& baseline, const std::string& key, double got) 
     return false;
   }
   const bool same = want == got && std::signbit(want) == std::signbit(got);
-  std::cout << "baseline " << key << ": " << g17(want) << " vs " << g17(got)
+  std::cout << "baseline " << key << ": " << bench::g17(want) << " vs " << bench::g17(got)
             << (same ? " (same bits)" : " (DIFFERENT)") << "\n";
   return same;
 }
@@ -186,10 +179,10 @@ int main(int argc, char** argv) {
       << "  \"seed\": " << seed << ",\n"
       << "  \"machine\": " << bench::machine_json() << ",\n"
       << "  \"deterministic_across_threads\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"mean\": " << g17(estimate.mean) << ",\n"
-      << "  \"std_error\": " << g17(estimate.std_error) << ",\n"
-      << "  \"serial_mean\": " << g17(serial_result.mean) << ",\n"
-      << "  \"serial_std_error\": " << g17(serial_result.std_error) << ",\n"
+      << "  \"mean\": " << bench::g17(estimate.mean) << ",\n"
+      << "  \"std_error\": " << bench::g17(estimate.std_error) << ",\n"
+      << "  \"serial_mean\": " << bench::g17(serial_result.mean) << ",\n"
+      << "  \"serial_std_error\": " << bench::g17(serial_result.std_error) << ",\n"
       << "  \"noise_free_ns_per_amp_gate\": " << ns_per_amp_gate << ",\n"
       << "  \"serial_seconds\": " << serial_seconds << ",\n"
       << "  \"serial_seconds_per_sample\": " << serial_seconds / n_samples << ",\n"
@@ -199,7 +192,7 @@ int main(int argc, char** argv) {
     out << "    {\"threads\": " << r.threads << ", \"seconds\": " << r.seconds
         << ", \"seconds_per_sample\": " << r.seconds / n_samples
         << ", \"speedup_vs_serial\": " << serial_seconds / r.seconds
-        << ", \"mean\": " << g17(r.result.mean) << ", \"std_error\": " << g17(r.result.std_error)
+        << ", \"mean\": " << bench::g17(r.result.mean) << ", \"std_error\": " << bench::g17(r.result.std_error)
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

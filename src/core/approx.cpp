@@ -298,12 +298,6 @@ std::shared_ptr<const tn::BatchedPlan> acquire_batched(
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
 
-// Output-batched traversal bounds shared with the PR-4 paths: up to 32
-// outputs per traversal, at most ~256 (term, output) pairs per traversal
-// (the measured batched-arena knee on the Fig. 4-style grids).
-constexpr std::size_t kOutputChunk = 32;
-constexpr std::size_t kMaxPairs = 256;
-
 // One work item evaluates terms [t0, t0 + tcount) at outputs
 // [obegin, obegin + ocount): out[t * ocount + o] = term value at output o.
 // Every value is bit-identical to the single-output reference's value for
@@ -585,24 +579,23 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   tn::ContractStats setup_stats;
   SweepTimer timer(result.plan_seconds, result.eval_seconds);
 
-  const bool tn_path = opts.reuse_plans && uses_tensor_network(eval, n);
+  const bool tn_path = uses_tensor_network(eval, n);
 
   // Output shards (work-queue granularity along the bitstring axis). The
-  // reference paths default to one shard: their per-term evaluation already
-  // covers every output in one evolution / one compiled template, so
-  // chunking would only repeat that per-term setup.
+  // state-vector path defaults to one shard: its per-term evaluation already
+  // covers every output in one evolution, so chunking would only repeat it.
   const std::size_t shard =
       std::min(K, shard_outputs > 0 ? shard_outputs : (tn_path ? kOutputChunk : K));
   const std::size_t num_chunks = (K + shard - 1) / shard;
 
   // Term ranges: batch_terms wide, additionally capped so one batched
-  // traversal holds at most kMaxPairs (term, output) pairs. That width sizes
+  // traversal holds at most kMaxBatchPairs (term, output) pairs. That width sizes
   // the batched plans; when the queue would still hold fewer items than
   // workers (a single output is one chunk), the ranges narrow further so
   // every worker gets one -- a batch below capacity never changes bits.
   const std::size_t out_chunk = std::min(shard, kOutputChunk);
   std::size_t term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms,
-                                     std::max<std::size_t>(kMaxPairs / out_chunk, 1)});
+                                     std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
   const std::size_t capacity = term_batch * out_chunk;
   const std::size_t ranges_wanted =
       (std::max<std::size_t>(opts.threads, 1) + num_chunks - 1) / num_chunks;
@@ -610,7 +603,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     term_batch = (num_terms + ranges_wanted - 1) / ranges_wanted;
   const std::size_t num_ranges = (num_terms + term_batch - 1) / term_batch;
 
-  // --- per-strategy setup (templates, plans, factor tensors) ---------------
+  // --- plan-replay setup (templates, plans, factor tensors) ----------------
   // A cancel that lands during setup (template/batched-plan compilation
   // polls the control) salvages the well-defined "nothing completed yet"
   // result instead of leaking a throw: cancelled = true, every output
@@ -629,7 +622,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   std::shared_ptr<const tn::BatchedPlan> top_bplan, bot_bplan;
   SiteFactors fac;
   std::vector<const tsr::Tensor*> caps_of_output;
-  std::vector<std::size_t> slots, cap_nodes;
+  std::vector<std::size_t> slots;
   std::size_t V = 0;
 
   try {
@@ -655,7 +648,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
     // Combined varying slots: the noise sites keep Algorithm 1's per-term
     // deviation promise (<= level), the output caps flip freely.
-    cap_nodes = top_at.tmpl().output_cap_nodes();
+    const std::vector<std::size_t> cap_nodes = top_at.tmpl().output_cap_nodes();
     slots = fac.node;
     slots.insert(slots.end(), cap_nodes.begin(), cap_nodes.end());
     V = slots.size();
@@ -664,50 +657,40 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
     for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
 
-    // A 1 x 1 item (batch_terms <= 1 at one output) replays the per-term
-    // plan through a Session instead of a capacity-1 batched plan, so
-    // batch_terms = 1 stays the per-term reference path.
-    if (capacity > 1) {
-      try {
-        top_bplan =
-            acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
-        bot_bplan =
-            acquire_batched(bot_at, slots, capacity, counts, level, unconstrained, setup_stats);
-        if (!output_batch_worthwhile(*top_bplan) || !output_batch_worthwhile(*bot_bplan)) {
-          top_bplan.reset();
-          bot_bplan.reset();
-        }
-      } catch (const MemoryOutError&) {
-        // Combined batch exceeds the workspace budget; the per-output plan
-        // replay below fits and is bit-identical.
-        top_bplan.reset();
-        bot_bplan.reset();
-      }
-    }
+    // Both layers batch or neither does: without a batched plan (1 x 1
+    // items, a combined batch beyond the workspace budget, or one that
+    // shares nothing) each term replays the per-term plans, bit-identically.
+    top_bplan = batched_plan_or_null(capacity, [&] {
+      return acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
+    });
+    if (top_bplan)
+      bot_bplan = batched_plan_or_null(capacity, [&] {
+        return acquire_batched(bot_at, slots, capacity, counts, level, unconstrained,
+                               setup_stats);
+      });
+    if (!bot_bplan) top_bplan.reset();
   }
   } catch (const CancelledError&) {
     return salvage_empty();
   }
 
-  // Per-worker evaluator factory for the three (bit-identical) strategies.
+  // Per-worker evaluator factory for the two (bit-identical) paths.
   std::function<WorkerEval(std::size_t)> make_eval;
-  if (tn_path && top_bplan) {
-    // Batched traversals: each item covers (term range x <= out_chunk
-    // outputs) pairs per traversal -- noise slots level-capped, cap slots
+  if (tn_path) {
+    // Plan replay: each item covers (term range x <= out_chunk outputs)
+    // pairs per evaluator call -- noise slots level-capped, cap slots
     // unconstrained.
     make_eval = [&](std::size_t) -> WorkerEval {
-      auto top_session =
-          std::make_shared<AmplitudeTemplate::BatchedSession>(top_at.tmpl(), *top_bplan);
-      auto bot_session =
-          std::make_shared<AmplitudeTemplate::BatchedSession>(bot_at.tmpl(), *bot_bplan);
-      top_session->set_control(control);
-      bot_session->set_control(control);
+      auto top =
+          std::make_shared<ReplayEvaluator>(top_at.tmpl(), slots, top_bplan.get(), control);
+      auto bot =
+          std::make_shared<ReplayEvaluator>(bot_at.tmpl(), slots, bot_bplan.get(), control);
       auto top_ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
       auto bot_ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
       auto top_amp = std::make_shared<std::vector<cplx>>(capacity);
       auto bot_amp = std::make_shared<std::vector<cplx>>(capacity);
       WorkerEval we;
-      we.eval = [&, top_session, bot_session, top_ptrs, bot_ptrs, top_amp, bot_amp](
+      we.eval = [&, top, bot, top_ptrs, bot_ptrs, top_amp, bot_amp](
                     std::size_t t0, std::size_t tcount, std::size_t obegin,
                     std::size_t ocount, std::span<cplx> out, tn::ContractStats&) {
         for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
@@ -735,73 +718,25 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
               }
             }
           }
-          top_session->evaluate(
-              std::span<const tsr::Tensor* const>(*top_ptrs).first(kk * V), kk, *top_amp);
-          bot_session->evaluate(
-              std::span<const tsr::Tensor* const>(*bot_ptrs).first(kk * V), kk, *bot_amp);
+          top->evaluate({}, std::span<const tsr::Tensor* const>(*top_ptrs).first(kk * V), kk,
+                        *top_amp);
+          bot->evaluate({}, std::span<const tsr::Tensor* const>(*bot_ptrs).first(kk * V), kk,
+                        *bot_amp);
           for (std::size_t t = 0; t < tcount; ++t)
             for (std::size_t o = 0; o < oc; ++o)
               out[t * ocount + o0 + o] = (*top_amp)[t * oc + o] * (*bot_amp)[t * oc + o];
         }
       };
-      we.flush = [top_session, bot_session](tn::ContractStats& stats) {
-        stats.merge(top_session->stats());
-        stats.merge(bot_session->stats());
-      };
-      return we;
-    };
-  } else if (tn_path) {
-    // Per-output plan replay: site tensors and the output's caps go in as
-    // per-call session substitutions (MO'd or hopeless batched plan).
-    make_eval = [&](std::size_t) -> WorkerEval {
-      auto top_session = std::make_shared<AmplitudeTemplate::Session>(top_at.tmpl().session());
-      auto bot_session = std::make_shared<AmplitudeTemplate::Session>(bot_at.tmpl().session());
-      top_session->set_control(control);
-      bot_session->set_control(control);
-      auto top_subs =
-          std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites + nn);
-      auto bot_subs =
-          std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites + nn);
-      WorkerEval we;
-      we.eval = [&, top_session, bot_session, top_subs, bot_subs](
-                    std::size_t t0, std::size_t tcount, std::size_t obegin,
-                    std::size_t ocount, std::span<cplx> out, tn::ContractStats&) {
-        for (std::size_t t = 0; t < tcount; ++t) {
-          const Term& term = terms[t0 + t];
-          for (std::size_t s = 0; s < num_sites; ++s) {
-            (*top_subs)[s] = {fac.node[s], &fac.top[s][0]};
-            (*bot_subs)[s] = {fac.node[s], &fac.bot[s][0]};
-          }
-          for (std::size_t c = 0; c < term.sites.size(); ++c) {
-            const std::size_t s = term.sites[c];
-            (*top_subs)[s].second = &fac.top[s][term.term_idx[c]];
-            (*bot_subs)[s].second = &fac.bot[s][term.term_idx[c]];
-          }
-          for (std::size_t o = 0; o < ocount; ++o) {
-            for (std::size_t q = 0; q < nn; ++q) {
-              const AmplitudeTemplate::Substitution cap{cap_nodes[q],
-                                                        caps_of_output[(obegin + o) * nn + q]};
-              (*top_subs)[num_sites + q] = cap;
-              (*bot_subs)[num_sites + q] = cap;
-            }
-            const cplx top_amp = top_session->evaluate(*top_subs);
-            const cplx bot_amp = bot_session->evaluate(*bot_subs);
-            out[t * ocount + o] = top_amp * bot_amp;
-          }
-        }
-      };
-      we.flush = [top_session, bot_session](tn::ContractStats& stats) {
-        stats.merge(top_session->stats());
-        stats.merge(bot_session->stats());
+      we.flush = [top, bot](tn::ContractStats& stats) {
+        stats.merge(top->stats());
+        stats.merge(bot->stats());
       };
       return we;
     };
   } else {
-    // Reference path (state-vector backend, or reuse_plans disabled): each
-    // term materializes its gate lists and evaluates the chunk's outputs
-    // through batch_amplitudes (one evolution / one template per layer per
-    // term per chunk) -- or, at a single output, through amplitude(), which
-    // re-plans every tensor-network contraction from scratch.
+    // State-vector path: each term materializes its gate lists and
+    // evaluates the chunk's outputs through batch_amplitudes (one evolution
+    // per layer per term per chunk).
     make_eval = [&](std::size_t) -> WorkerEval {
       auto top = std::make_shared<std::vector<qc::Gate>>(skeleton);
       auto bottom = std::make_shared<std::vector<qc::Gate>>(skeleton);
@@ -821,14 +756,6 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             // The bottom layer is evaluated with conjugate=true (which
             // conjugates every matrix), so store conj(V) to apply V itself.
             (*bottom)[site_pos[s]].custom = base.sites[s].split.v[ti].conj();
-          }
-          if (ocount == 1) {
-            const cplx top_amp =
-                amplitude(n, *top, psi_bits, chunk_outputs[0], /*conjugate=*/false, eval, &stats);
-            const cplx bot_amp =
-                amplitude(n, *bottom, psi_bits, chunk_outputs[0], /*conjugate=*/true, eval, &stats);
-            out[t] = top_amp * bot_amp;
-            continue;
           }
           const std::vector<cplx> top_amp = batch_amplitudes(
               n, *top, psi_bits, chunk_outputs, /*conjugate=*/false, eval, &stats);

@@ -36,28 +36,21 @@ struct ApproxOptions {
   /// callback therefore needs no synchronization of its own; a slow
   /// callback stalls the workers.
   std::function<void(std::size_t)> progress;
-  /// Compile each layer's contraction plan once and replay it across all
+  /// Terms replayed per batched plan traversal (tensor-network backend).
+  /// Each layer's contraction plan is compiled once and replayed across all
   /// enumerated terms (every term's single-layer network shares one
-  /// topology, differing only in the u inserted noise tensors). Disable to
-  /// re-plan every term -- the reference path the bench_contract_plan
-  /// re-planning baseline and the equivalence tests compare against; both
-  /// paths share one planner and executor, so they produce bit-identical
-  /// values. Only affects the tensor-network backend.
-  bool reuse_plans = true;
-  /// Terms replayed per batched plan traversal (tensor-network backend with
-  /// reuse_plans only). The sweep's work items cover term ranges of this
-  /// width, and each item executes in ONE plan traversal: steps outside the
-  /// noise sites' light cone run once per batch, duplicate slices are
-  /// memcpy'd, and per-step dispatch/permutation work amortizes over the
-  /// batch -- results stay bit-identical to per-term replay at any batch
-  /// size or thread count. <= 1 at a single output replays each term's plan
-  /// through a per-term session: the speedup baseline and equivalence
-  /// reference. The batched workspace grows with the batch size; when
-  /// max_workspace_elems admits the per-term plans but not the batched one,
-  /// the sweep falls back to per-term replay, bit-identically, instead of
-  /// raising MemoryOutError. The per-replay timeout_seconds budget scales
-  /// with the batch (k terms get k replay budgets), so TO behavior does not
-  /// depend on batch size.
+  /// topology, differing only in the u inserted noise tensors). The sweep's
+  /// work items cover term ranges of this width, and each item executes in
+  /// ONE plan traversal: steps outside the noise sites' light cone run once
+  /// per batch, duplicate slices are memcpy'd, and per-step dispatch /
+  /// permutation work amortizes over the batch -- results stay bit-identical
+  /// to per-term replay at any batch size or thread count. <= 1 is a batch
+  /// of one (at a single output, each term replays the per-term plan). The
+  /// batched workspace grows with the batch size; when max_workspace_elems
+  /// admits the per-term plans but not the batched one, the sweep replays
+  /// per term, bit-identically, instead of raising MemoryOutError. The
+  /// per-replay timeout_seconds budget scales with the batch (k terms get k
+  /// replay budgets), so TO behavior does not depend on batch size.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
@@ -70,7 +63,7 @@ struct ApproxOptions {
   /// across concurrent calls (PlanCache is thread-safe). Cache traffic is
   /// reported in ContractStats::plan_cache_hits / plan_cache_misses; calls
   /// served from the cache report plans_compiled == 0. Only consulted on
-  /// the tensor-network reuse_plans path.
+  /// the tensor-network path.
   PlanCache* plan_cache = nullptr;
   /// Cooperative control (core/run_control.hpp): polled by the sweep work
   /// queue at every item claim, by plan compilation, and at step
@@ -108,9 +101,7 @@ struct ApproxResult {
   tn::ContractStats contract_stats;
   /// Wall-clock split of the evaluation: upfront setup (network build +
   /// plan and batched-plan compilation, paid once per sweep) vs the
-  /// per-term evaluation loop. Per-term throughput is terms/eval_seconds;
-  /// the re-planning reference path plans inside the loop, so its
-  /// plan_seconds is ~0.
+  /// per-term evaluation loop. Per-term throughput is terms/eval_seconds.
   double plan_seconds = 0.0;
   double eval_seconds = 0.0;
 };
@@ -136,7 +127,7 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 /// progress callback still counts TERMS, not term x output pairs (a term is
 /// reported once its value has been folded for every output). When the
 /// combined batch exceeds max_workspace_elems the sweep falls back to
-/// per-output plan replay, which is bit-identical too.
+/// per-term plan replay, which is bit-identical too.
 ///
 /// Like approximate_fidelity, this is a thin wrapper over the sweep engine
 /// behind xeb_sweep, at the default shard size: work is scheduled as a 2-D
@@ -156,8 +147,8 @@ struct ApproxBatchResult {
   /// Per-output per-level term sums: term_sums[o][u] = T_u at output o.
   std::vector<std::vector<cplx>> term_sums;
   /// Logical single-layer contractions: 2 per enumerated term per output
-  /// (what the per-output reference path would perform; batching shares
-  /// work across them without changing the count).
+  /// (what per-term replay would perform; batching shares work across them
+  /// without changing the count).
   std::size_t contractions = 0;
   /// Error bounds are output-independent (Theorem 1 bounds the operator
   /// deviation): same meaning as in ApproxResult.
@@ -201,10 +192,10 @@ struct SweepOptions {
   /// range x output chunk) items, so a low-level sweep with few terms and
   /// thousands of bitstrings fills every thread instead of idling on a
   /// term-only partition. 0 picks the default: 32 on the tensor-network
-  /// fast path (the batched-traversal knee), the whole set on the
-  /// state-vector / re-planning reference paths (whose per-term evaluation
-  /// already covers all outputs in one evolution). The shard size never
-  /// changes results, only scheduling granularity and transient memory.
+  /// path (the batched-traversal knee), the whole set on the state-vector
+  /// path (whose per-term evaluation already covers all outputs in one
+  /// evolution). The shard size never changes results, only scheduling
+  /// granularity and transient memory.
   std::size_t shard_outputs = 0;
 };
 

@@ -202,7 +202,8 @@ class TnTrajectoriesBackend final : public Backend {
     }
     // Each trajectory is ONE single-layer amplitude evaluation of the same
     // topology Algorithm 1 contracts, so the cost model's layer figures
-    // apply verbatim (and compiling them pre-warms the shared plan cache).
+    // apply verbatim. The trajectory run compiles its own template and never
+    // reads the plan cache, so nothing compiled here is reused by it.
     const ApproxCostModel model =
         approx_cost_model(nc, psi_bits, tn_approx_options(opts, 0));
     sim::TrajectoryCost cost;

@@ -1,7 +1,5 @@
 #include "core/circuit_network.hpp"
 
-#include <optional>
-
 #include "circuit/simplify.hpp"
 #include "sim/statevector.hpp"
 #include "tensor/contract.hpp"
@@ -266,43 +264,62 @@ std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
   if (stats) stats->merge(tmpl.compile_stats());
   const std::size_t nn = static_cast<std::size_t>(n);
 
-  // Output-batched chunks; per-bitstring plan replay (bit-identical) when
-  // the output-batched arena exceeds the workspace budget.
   constexpr std::size_t kOutputBatch = 64;
   const std::size_t cap = std::min(v_bits.size(), kOutputBatch);
-  std::optional<tn::BatchedPlan> bplan;
-  try {
-    bplan.emplace(tmpl.compile_batched_outputs(cap, stats));
-    if (!output_batch_worthwhile(*bplan)) bplan.reset();
-  } catch (const MemoryOutError&) {
-    // Batch-aware workspace budget exceeded; fall through to replay.
-  }
-  if (bplan) {
-    AmplitudeTemplate::BatchedSession session(tmpl, *bplan);
-    std::vector<const tsr::Tensor*> ptrs(cap * nn);
-    for (std::size_t b = 0; b < v_bits.size(); b += cap) {
-      const std::size_t k = std::min(cap, v_bits.size() - b);
-      for (std::size_t t = 0; t < k; ++t)
-        tmpl.fill_output_caps(v_bits[b + t], std::span(ptrs).subspan(t * nn, nn));
-      session.evaluate(std::span<const tsr::Tensor* const>(ptrs).first(k * nn), k,
+  const auto bplan = batched_plan_or_null(cap, [&] {
+    return std::make_shared<const tn::BatchedPlan>(tmpl.compile_batched_outputs(cap, stats));
+  });
+  const std::vector<std::size_t> slots = tmpl.output_cap_nodes();
+  ReplayEvaluator evaluator(tmpl, slots, bplan.get());
+  std::vector<const tsr::Tensor*> ptrs(cap * nn);
+  for (std::size_t b = 0; b < v_bits.size(); b += cap) {
+    const std::size_t k = std::min(cap, v_bits.size() - b);
+    for (std::size_t t = 0; t < k; ++t)
+      tmpl.fill_output_caps(v_bits[b + t], std::span(ptrs).subspan(t * nn, nn));
+    evaluator.evaluate({}, std::span<const tsr::Tensor* const>(ptrs).first(k * nn), k,
                        std::span<cplx>(out).subspan(b, k));
-    }
-    if (stats) stats->merge(session.stats());
-    return out;
   }
-
-  AmplitudeTemplate::Session session = tmpl.session();
-  std::vector<AmplitudeTemplate::Substitution> subs(nn);
-  std::vector<const tsr::Tensor*> caps(nn);
-  for (std::size_t t = 0; t < v_bits.size(); ++t) {
-    tmpl.fill_output_caps(v_bits[t], caps);
-    for (int q = 0; q < n; ++q)
-      subs[static_cast<std::size_t>(q)] = {tmpl.node_of_output_cap(q),
-                                           caps[static_cast<std::size_t>(q)]};
-    out[t] = session.evaluate(subs);
-  }
-  if (stats) stats->merge(session.stats());
+  if (stats) stats->merge(evaluator.stats());
   return out;
+}
+
+ReplayEvaluator::ReplayEvaluator(const AmplitudeTemplate& tmpl,
+                                 std::span<const std::size_t> slots,
+                                 const tn::BatchedPlan* bplan, const RunControl* control)
+    : slots_(slots) {
+  if (bplan) {
+    batched_.emplace(tmpl, *bplan);
+    batched_->set_control(control);
+  } else {
+    per_term_.emplace(tmpl.session());
+    per_term_->set_control(control);
+  }
+}
+
+void ReplayEvaluator::evaluate(std::span<const AmplitudeTemplate::Substitution> shared,
+                               std::span<const tsr::Tensor* const> ptrs, std::size_t k,
+                               std::span<cplx> out) {
+  const std::size_t V = slots_.size();
+  la::detail::require(ptrs.size() >= k * V && out.size() >= k,
+                      "ReplayEvaluator: pointer or output span too small");
+  if (batched_) {
+    const std::size_t cap = batched_->capacity();
+    for (std::size_t b = 0; b < k; b += cap) {
+      const std::size_t kb = std::min(cap, k - b);
+      batched_->evaluate(shared, ptrs.subspan(b * V, kb * V), kb, out.subspan(b, kb));
+    }
+    return;
+  }
+  subs_.assign(shared.begin(), shared.end());
+  subs_.resize(shared.size() + V);
+  for (std::size_t t = 0; t < k; ++t) {
+    for (std::size_t v = 0; v < V; ++v) subs_[shared.size() + v] = {slots_[v], ptrs[t * V + v]};
+    out[t] = per_term_->evaluate(subs_);
+  }
+}
+
+const tn::ContractStats& ReplayEvaluator::stats() const {
+  return batched_ ? batched_->stats() : per_term_->stats();
 }
 
 }  // namespace noisim::core

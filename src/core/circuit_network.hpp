@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -70,9 +72,9 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 /// tn::BatchedPlan, so steps outside every cap's light cone run once per
 /// batch -- see AmplitudeTemplate::compile_batched_outputs). Element t is
 /// bit-identical to amplitude(n, gates, psi_bits, v_bits[t], ...) with the
-/// same options; if the output-batched workspace exceeds
-/// opts.tn.max_workspace_elems the call falls back to per-bitstring plan
-/// replay, which is bit-identical too.
+/// same options; a single bitstring, or an output-batched workspace beyond
+/// opts.tn.max_workspace_elems, replays the per-bitstring plan instead
+/// (batched_plan_or_null), which is bit-identical too.
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
                                    std::span<const std::uint64_t> v_bits, bool conjugate = false,
@@ -113,12 +115,16 @@ tn::ContractOptions resolved_contract_options(int n, const std::vector<qc::Gate>
 EvalOptions resolved_eval_options(int n, const std::vector<qc::Gate>& gates,
                                   const EvalOptions& opts);
 
-/// Caller policy shared by the output-batching paths (batch_amplitudes,
-/// the Algorithm-1 sweep, trajectories_tn_sweep): a compiled batch
-/// whose schedule is essentially ALL sequential (per-term) work -- the
-/// compile-time variant bounds found no step that terms could share -- can
-/// only add bookkeeping over plain per-bitstring plan replay, so those
-/// callers drop to their (bit-identical) per-bitstring path instead.
+/// Output-batched traversal shape shared by the Algorithm-1 sweep and the
+/// trajectory sweep: up to kOutputChunk outputs per traversal, and at most
+/// kMaxBatchPairs (term or sample, output) pairs per traversal -- the
+/// measured batched-arena knee on the Fig. 4-style grids.
+inline constexpr std::size_t kOutputChunk = 32;
+inline constexpr std::size_t kMaxBatchPairs = 256;
+
+/// A compiled batch whose schedule is essentially ALL sequential (per-term)
+/// work -- the compile-time variant bounds found no step that terms could
+/// share -- can only add bookkeeping over per-term plan replay.
 inline bool output_batch_worthwhile(const tn::BatchedPlan& bp) {
   return bp.sequential_flop_fraction() < 0.999;
 }
@@ -261,6 +267,8 @@ class AmplitudeTemplate {
     void evaluate(std::span<const Substitution> subs,
                   std::span<const tsr::Tensor* const> ptrs, std::size_t k,
                   std::span<cplx> out);
+    /// Terms per traversal (the batched plan's capacity).
+    std::size_t capacity() const { return bplan_->capacity(); }
     /// Cooperative run-time control, polled at step granularity by every
     /// batched replay through this session (see Session::set_control).
     void set_control(const RunControl* control) { ws_.control = control; }
@@ -287,6 +295,58 @@ class AmplitudeTemplate {
   std::size_t num_gates_ = 0;
   // Shared <0| / <1| caps for output-batched evaluation (see output_cap).
   tsr::Tensor cap_zero_, cap_one_;
+};
+
+/// The batched plan a ReplayEvaluator should run for `capacity` terms per
+/// traversal, or null when per-term replay is the right call: capacity <= 1
+/// (a batch of one shares nothing), the batched arena exceeds the workspace
+/// budget (`compile` throws MemoryOutError -- the per-term plan may fit a
+/// budget its batched counterpart exceeds), or the batch shares no work
+/// (!output_batch_worthwhile). `compile()` builds the capacity-wide plan as
+/// a std::shared_ptr<const tn::BatchedPlan> (or fetches it from a plan
+/// cache); any other exception propagates.
+template <class Compile>
+std::shared_ptr<const tn::BatchedPlan> batched_plan_or_null(std::size_t capacity,
+                                                            Compile&& compile) {
+  if (capacity <= 1) return nullptr;
+  try {
+    std::shared_ptr<const tn::BatchedPlan> bplan = compile();
+    if (output_batch_worthwhile(*bplan)) return bplan;
+  } catch (const MemoryOutError&) {
+    // Batch-aware workspace budget exceeded; per-term replay still fits.
+  }
+  return nullptr;
+}
+
+/// Per-worker replay of same-topology amplitudes that differ only at the
+/// template's `slots` nodes -- the ONE evaluation path of every plan-replay
+/// engine (the Algorithm-1 sweep, the TN trajectory samplers,
+/// batch_amplitudes). With a batched plan (compiled over exactly these
+/// slots), up to its capacity terms run per traversal; with none, each term
+/// replays the template's per-term plan. Every amplitude is bit-identical
+/// either way, so the choice only moves time and memory.
+class ReplayEvaluator {
+ public:
+  /// Template, slots and batched plan (may be null) must outlive the
+  /// evaluator.
+  /// `control` (cooperative run-time control, may be null) is polled at step
+  /// granularity by every replay, as in AmplitudeTemplate::Session.
+  ReplayEvaluator(const AmplitudeTemplate& tmpl, std::span<const std::size_t> slots,
+                  const tn::BatchedPlan* bplan, const RunControl* control = nullptr);
+  /// Evaluate k amplitudes: ptrs[t * V + v] stands in at slots[v] for term t
+  /// (V = number of slots), and every term sees the `shared` substitutions
+  /// at non-varying nodes. Writes the k amplitudes to out[0..k). Any k: the
+  /// batched path walks capacity-wide traversals.
+  void evaluate(std::span<const AmplitudeTemplate::Substitution> shared,
+                std::span<const tsr::Tensor* const> ptrs, std::size_t k, std::span<cplx> out);
+  /// Contraction stats accumulated across evaluate calls.
+  const tn::ContractStats& stats() const;
+
+ private:
+  std::span<const std::size_t> slots_;
+  std::optional<AmplitudeTemplate::BatchedSession> batched_;
+  std::optional<AmplitudeTemplate::Session> per_term_;
+  std::vector<AmplitudeTemplate::Substitution> subs_;  // per-term scratch
 };
 
 }  // namespace noisim::core

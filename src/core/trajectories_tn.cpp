@@ -83,102 +83,161 @@ std::size_t sample_index(const std::vector<double>& probs, std::mt19937_64& rng)
   return probs.size() - 1;  // top-of-CDF rounding only
 }
 
-// One trajectory through the per-call-planned path: sample a unitary per
-// site into `gates` (a worker-private copy) and evaluate the resulting
-// noiseless amplitude from scratch.
-double sample_once(const TnSkeleton& sk, std::vector<qc::Gate>& gates, int n,
-                   std::uint64_t psi_bits, std::uint64_t v_bits, std::mt19937_64& rng,
-                   const EvalOptions& eval) {
-  for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
-    const std::size_t k = sample_index(sk.mixtures[site].probs, rng);
-    gates[sk.site_gate_index[site]].custom = sk.mixtures[site].unitaries[k];
-  }
-  return std::norm(amplitude(n, gates, psi_bits, v_bits, false, eval));
-}
-
-// Plan-replay machinery for the tensor-network backend: every sample shares
-// the skeleton's topology, so the contraction plan is compiled once and
-// replayed per trajectory with only the sampled site tensors substituted.
-// When `batch_capacity` > 1 a batched replay is compiled on top, executing
-// up to that many samples per plan traversal (chunk-at-a-time sampling);
-// if the batched arena exceeds the workspace budget the per-sample path
-// fits, the context silently falls back to sample-at-a-time replay, which
-// produces bit-identical estimates.
-struct TnPlanContext {
-  AmplitudeTemplate tmpl;
-  std::vector<std::size_t> site_node;
-  // Tensorized mixture unitaries per (site, mixture index) -- sampling then
-  // allocates nothing per trajectory.
-  std::vector<std::vector<tsr::Tensor>> site_tensors;
-  std::optional<tn::BatchedPlan> bplan;
-
-  TnPlanContext(const ch::NoisyCircuit& nc, const TnSkeleton& sk, std::uint64_t psi_bits,
-                std::uint64_t v_bits, const EvalOptions& eval, std::size_t batch_capacity)
-      : tmpl(nc.num_qubits(), sk.gates, psi_bits, v_bits, /*conjugate=*/false, eval) {
-    site_node.reserve(sk.mixtures.size());
-    site_tensors.reserve(sk.mixtures.size());
-    for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
-      site_node.push_back(tmpl.node_of_gate(sk.site_gate_index[site]));
-      const qc::Gate& g = sk.gates[sk.site_gate_index[site]];
-      std::vector<tsr::Tensor> tensors;
-      tensors.reserve(sk.mixtures[site].unitaries.size());
-      for (const la::Matrix& u : sk.mixtures[site].unitaries)
-        tensors.push_back(gate_matrix_tensor(u, g.num_qubits()));
-      site_tensors.push_back(std::move(tensors));
+// One trajectory sweep's read-only state, shared by every worker: the
+// skeleton and its mixtures, and -- on the plan-replay path -- the compiled
+// template whose noise-site nodes AND output caps are the varying slots
+// (the Algorithm-1 sweep's plan shape), so one traversal scores up to
+// sample_batch sampled trajectories x out_chunk outputs. A traversal of one
+// output (out_chunk 1, e.g. trajectories_tn) holds its caps fixed, so they
+// enter as shared substitutions instead of varying slots.
+class TrajectorySweep {
+ public:
+  // `samples_per_chunk` bounds the samples one sampler call scores (the
+  // engine's chunk size, clamped to the sample count).
+  TrajectorySweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                  std::span<const std::uint64_t> v_bits, const EvalOptions& eval,
+                  std::size_t shard_outputs, std::size_t samples_per_chunk)
+      : sk_(build_skeleton(nc)),
+        n_(nc.num_qubits()),
+        psi_bits_(psi_bits),
+        v_bits_(v_bits),
+        eval_(eval) {
+    const std::size_t K = v_bits.size();
+    // Plan replay needs the contraction backend and a gate list that is
+    // shape-stable per sample (simplify would cancel differently per draw).
+    if (!uses_tensor_network(eval, n_) || eval.simplify) {
+      // One evolution scores a whole shard, so the default shard is all K
+      // (sharding would repeat the evolution per shard; explicit shards
+      // stay bit-identical, just costlier).
+      shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : K);
+      return;
     }
-    if (batch_capacity > 1) {
-      // Each site draws from its fixed unitary mixture, which bounds every
-      // step's distinct rows by the mixture-size product of its cone.
-      std::vector<std::size_t> variant_counts(sk.mixtures.size());
-      for (std::size_t site = 0; site < sk.mixtures.size(); ++site)
-        variant_counts[site] = sk.mixtures[site].unitaries.size();
-      try {
-        bplan.emplace(tmpl.compile_batched(site_node, batch_capacity, nullptr, variant_counts));
-      } catch (const MemoryOutError&) {
-        // Batch-aware workspace budget exceeded; per-sample replay still fits.
+    shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputChunk);
+    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], /*conjugate=*/false, eval);
+    const std::size_t num_sites = sk_.mixtures.size();
+
+    // Tensorized mixture unitaries per (site, mixture index) -- sampling
+    // then allocates nothing per trajectory. Each site draws from its fixed
+    // mixture and each cap is <0| or <1|, which bounds every step's distinct
+    // rows by the variant product of its cone.
+    std::vector<std::size_t> counts;
+    site_tensors_.resize(num_sites);
+    for (std::size_t site = 0; site < num_sites; ++site) {
+      const qc::Gate& g = sk_.gates[sk_.site_gate_index[site]];
+      for (const la::Matrix& u : sk_.mixtures[site].unitaries)
+        site_tensors_[site].push_back(gate_matrix_tensor(u, g.num_qubits()));
+      slots_.push_back(tmpl_->node_of_gate(sk_.site_gate_index[site]));
+      counts.push_back(sk_.mixtures[site].unitaries.size());
+    }
+    // One traversal covers up to the output-batched width times as many
+    // samples as keep it within kMaxBatchPairs pairs; shards wider than it
+    // walk sub-chunks, narrower ones just underfill the plan.
+    out_chunk_ = std::min(shard_, kOutputChunk);
+    if (out_chunk_ > 1) {
+      for (const std::size_t cap : tmpl_->output_cap_nodes()) {
+        slots_.push_back(cap);
+        counts.push_back(2);
       }
     }
+    sample_batch_ = std::min(std::max<std::size_t>(samples_per_chunk, 1),
+                             std::max<std::size_t>(kMaxBatchPairs / out_chunk_, 1));
+    const std::size_t capacity = sample_batch_ * out_chunk_;
+    bplan_ = batched_plan_or_null(capacity, [&] {
+      return std::make_shared<const tn::BatchedPlan>(
+          tmpl_->compile_batched(slots_, capacity, nullptr, counts));
+    });
   }
+  // Samplers and their evaluators point into this object.
+  TrajectorySweep(const TrajectorySweep&) = delete;
+  TrajectorySweep& operator=(const TrajectorySweep&) = delete;
+
+  // Output-shard width of the work queue.
+  std::size_t shard() const { return shard_; }
+
+  // A worker's sampler (sim::ShardChunkSampler contract): owns its scratch,
+  // reads the sweep state shared. One draw set per trajectory, in sample
+  // order, whatever the shard -- the RNG consumption of every entry point.
+  sim::ShardChunkSampler worker_sampler() const {
+    return tmpl_ ? replay_sampler() : evolution_sampler();
+  }
+
+ private:
+  sim::ShardChunkSampler replay_sampler() const {
+    const std::size_t num_sites = sk_.mixtures.size();
+    const std::size_t V = slots_.size();
+    const std::size_t capacity = sample_batch_ * out_chunk_;
+    auto evaluator = std::make_shared<ReplayEvaluator>(*tmpl_, slots_, bplan_.get());
+    auto draws = std::make_shared<std::vector<const tsr::Tensor*>>(sample_batch_ * num_sites);
+    auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
+    auto amps = std::make_shared<std::vector<cplx>>(capacity);
+    auto shared = std::make_shared<std::vector<AmplitudeTemplate::Substitution>>();
+    return [this, num_sites, V, evaluator, draws, ptrs, amps, shared](
+               std::mt19937_64& rng, std::size_t shard_begin, std::size_t shard_count,
+               std::size_t count, std::span<double> out) {
+      for (std::size_t s0 = 0; s0 < count; s0 += sample_batch_) {
+        const std::size_t sb = std::min(sample_batch_, count - s0);
+        for (std::size_t s = 0; s < sb; ++s)
+          for (std::size_t site = 0; site < num_sites; ++site)
+            (*draws)[s * num_sites + site] =
+                &site_tensors_[site][sample_index(sk_.mixtures[site].probs, rng)];
+        for (std::size_t o0 = 0; o0 < shard_count; o0 += out_chunk_) {
+          const std::size_t oc = std::min(out_chunk_, shard_count - o0);
+          for (std::size_t s = 0; s < sb; ++s)
+            for (std::size_t o = 0; o < oc; ++o) {
+              const std::span<const tsr::Tensor*> p =
+                  std::span(*ptrs).subspan((s * oc + o) * V, V);
+              std::ranges::copy(std::span(*draws).subspan(s * num_sites, num_sites), p.begin());
+              if (V > num_sites)
+                tmpl_->fill_output_caps(v_bits_[shard_begin + o0 + o], p.subspan(num_sites));
+            }
+          shared->clear();
+          if (V == num_sites)  // one output per traversal: its caps are shared
+            for (int q = 0; q < n_; ++q)
+              shared->push_back({tmpl_->node_of_output_cap(q),
+                                 &tmpl_->output_cap(basis_bit(v_bits_[shard_begin + o0], n_, q))});
+          const std::size_t k = sb * oc;
+          evaluator->evaluate(*shared, std::span<const tsr::Tensor* const>(*ptrs).first(k * V),
+                              k, *amps);
+          for (std::size_t s = 0; s < sb; ++s)
+            for (std::size_t o = 0; o < oc; ++o)
+              out[(s0 + s) * shard_count + o0 + o] = std::norm((*amps)[s * oc + o]);
+        }
+      }
+    };
+  }
+
+  // Non-replay backends: the sampled unitaries land in a worker-private
+  // gate list, and one batch_amplitudes evolution scores the shard.
+  sim::ShardChunkSampler evolution_sampler() const {
+    auto gates = std::make_shared<std::vector<qc::Gate>>(sk_.gates);
+    return [this, gates](std::mt19937_64& rng, std::size_t shard_begin,
+                         std::size_t shard_count, std::size_t count, std::span<double> out) {
+      for (std::size_t s = 0; s < count; ++s) {
+        for (std::size_t site = 0; site < sk_.mixtures.size(); ++site)
+          (*gates)[sk_.site_gate_index[site]].custom =
+              sk_.mixtures[site].unitaries[sample_index(sk_.mixtures[site].probs, rng)];
+        const std::vector<cplx> amps =
+            batch_amplitudes(n_, *gates, psi_bits_, v_bits_.subspan(shard_begin, shard_count),
+                             /*conjugate=*/false, eval_);
+        for (std::size_t o = 0; o < shard_count; ++o)
+          out[s * shard_count + o] = std::norm(amps[o]);
+      }
+    };
+  }
+
+  TnSkeleton sk_;
+  int n_;
+  std::uint64_t psi_bits_;
+  std::span<const std::uint64_t> v_bits_;
+  EvalOptions eval_;
+  std::size_t shard_ = 0;
+  // Plan-replay path only (tmpl_ engaged).
+  std::optional<AmplitudeTemplate> tmpl_;
+  std::vector<std::size_t> slots_;  // site nodes, then (out_chunk > 1) the caps
+  std::vector<std::vector<tsr::Tensor>> site_tensors_;
+  std::size_t out_chunk_ = 0, sample_batch_ = 0;
+  std::shared_ptr<const tn::BatchedPlan> bplan_;  // null: per-term replay
 };
-
-// One trajectory through the plan-replay path. Draws the same RNG stream in
-// the same order as sample_once, so both paths produce identical estimates.
-double sample_once_plan(const TnSkeleton& sk, const TnPlanContext& ctx,
-                        AmplitudeTemplate::Session& session,
-                        std::vector<AmplitudeTemplate::Substitution>& subs,
-                        std::mt19937_64& rng) {
-  for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
-    const std::size_t k = sample_index(sk.mixtures[site].probs, rng);
-    subs[site] = {ctx.site_node[site], &ctx.site_tensors[site][k]};
-  }
-  return std::norm(session.evaluate(subs));
-}
-
-// A whole chunk of trajectories in one batched plan traversal: the per-site
-// draws happen sample-by-sample in the same RNG order as sample_once_plan,
-// then all sampled networks execute at once (shared gates broadcast,
-// repeated unitary draws deduplicated). Each sample's amplitude is
-// bit-identical to the per-sample replay.
-void sample_chunk_plan(const TnSkeleton& sk, const TnPlanContext& ctx,
-                       AmplitudeTemplate::BatchedSession& session,
-                       std::vector<const tsr::Tensor*>& ptrs, std::vector<cplx>& amps,
-                       std::mt19937_64& rng, std::span<double> out) {
-  const std::size_t num_sites = sk.mixtures.size();
-  const std::size_t k = out.size();
-  for (std::size_t t = 0; t < k; ++t)
-    for (std::size_t site = 0; site < num_sites; ++site) {
-      const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-      ptrs[t * num_sites + site] = &ctx.site_tensors[site][j];
-    }
-  session.evaluate(std::span(ptrs).first(k * num_sites), k, amps);
-  for (std::size_t t = 0; t < k; ++t) out[t] = std::norm(amps[t]);
-}
-
-// Plan reuse applies when the contraction backend runs and the gate list is
-// shape-stable per sample (simplify would cancel differently per draw).
-bool plan_replay_applies(const EvalOptions& eval, int n) {
-  return uses_tensor_network(eval, n) && !eval.simplify;
-}
 
 }  // namespace
 
@@ -202,49 +261,22 @@ bool trajectories_tn_eligible(const ch::NoisyCircuit& nc) {
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::mt19937_64& rng, const EvalOptions& eval) {
-  // Zero samples is a well-defined empty estimate; in particular it must
-  // not reach the plan context below (a capacity-0 batched plan).
+  // Zero samples is a well-defined empty estimate (and no mean to divide).
   if (samples == 0) return {};
-  const int n = nc.num_qubits();
-  TnSkeleton sk = build_skeleton(nc);
-
-  // Batch granularity of the streaming overload; mirrors the parallel
-  // engine's default chunk size.
+  // The threaded runner's sampler, driven in chunks of the engine's default
+  // chunk size off the caller's stream.
   constexpr std::size_t kStreamBatch = 32;
-
-  std::optional<TnPlanContext> ctx;
-  std::optional<AmplitudeTemplate::Session> session;
-  std::vector<AmplitudeTemplate::Substitution> subs(sk.mixtures.size());
-  std::vector<qc::Gate> gates;
-  if (plan_replay_applies(eval, n)) {
-    ctx.emplace(nc, sk, psi_bits, v_bits, eval, std::min(kStreamBatch, samples));
-    if (!ctx->bplan) session.emplace(ctx->tmpl.session());
-  } else {
-    gates = sk.gates;
-  }
-
+  const TrajectorySweep sweep(nc, psi_bits, std::span(&v_bits, 1), eval, 1,
+                              std::min(kStreamBatch, samples));
+  const sim::ShardChunkSampler sample = sweep.worker_sampler();
+  std::vector<double> values(kStreamBatch);
   double sum = 0.0, sum_sq = 0.0;
-  if (ctx && ctx->bplan) {
-    const std::size_t cap = ctx->bplan->capacity();
-    AmplitudeTemplate::BatchedSession batched(ctx->tmpl, *ctx->bplan);
-    std::vector<const tsr::Tensor*> ptrs(cap * sk.mixtures.size());
-    std::vector<cplx> amps(cap);
-    std::vector<double> values(cap);
-    for (std::size_t s = 0; s < samples; s += cap) {
-      const std::size_t k = std::min(cap, samples - s);
-      sample_chunk_plan(sk, *ctx, batched, ptrs, amps, rng,
-                        std::span<double>(values.data(), k));
-      for (std::size_t t = 0; t < k; ++t) {
-        sum += values[t];
-        sum_sq += values[t] * values[t];
-      }
-    }
-  } else {
-    for (std::size_t s = 0; s < samples; ++s) {
-      const double f = ctx ? sample_once_plan(sk, *ctx, *session, subs, rng)
-                           : sample_once(sk, gates, n, psi_bits, v_bits, rng, eval);
-      sum += f;
-      sum_sq += f * f;
+  for (std::size_t s = 0; s < samples; s += kStreamBatch) {
+    const std::size_t k = std::min(kStreamBatch, samples - s);
+    sample(rng, 0, 1, k, std::span<double>(values.data(), k));
+    for (std::size_t t = 0; t < k; ++t) {
+      sum += values[t];
+      sum_sq += values[t] * values[t];
     }
   }
 
@@ -263,53 +295,8 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
                                       const EvalOptions& eval) {
-  // Guard before the plan context: samples == 0 used to compile a
-  // capacity-0 batched plan through std::min(chunk_size, samples).
-  if (samples == 0) return {};
-  const int n = nc.num_qubits();
-  const TnSkeleton sk = build_skeleton(nc);
-
-  if (plan_replay_applies(eval, n)) {
-    // Shared immutable plans; per-worker sessions (workspace + input table)
-    // and substitution buffers, so replays never contend. Whole RNG chunks
-    // evaluate through one batched traversal when the batched plan fits the
-    // workspace budget; either way the estimate is bit-identical.
-    const std::size_t cap = std::min(std::max<std::size_t>(popts.chunk_size, 1), samples);
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits, eval, cap);
-    if (ctx.bplan) {
-      auto make_sampler = [&](std::size_t) -> sim::ShardChunkSampler {
-        auto session =
-            std::make_shared<AmplitudeTemplate::BatchedSession>(ctx.tmpl, *ctx.bplan);
-        auto ptrs =
-            std::make_shared<std::vector<const tsr::Tensor*>>(cap * sk.mixtures.size());
-        auto amps = std::make_shared<std::vector<cplx>>(cap);
-        return [&sk, &ctx, session, ptrs, amps](std::mt19937_64& rng, std::size_t,
-                                                std::size_t, std::size_t,
-                                                std::span<double> out) {
-          sample_chunk_plan(sk, ctx, *session, *ptrs, *amps, rng, out);
-        };
-      };
-      return sim::run_trajectories_sharded(samples, 1, 1, seed, make_sampler, popts)[0];
-    }
-    auto make_sampler = [&](std::size_t) -> sim::Sampler {
-      auto session = std::make_shared<AmplitudeTemplate::Session>(ctx.tmpl.session());
-      auto subs = std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(
-          sk.mixtures.size());
-      return [&sk, &ctx, session, subs](std::mt19937_64& rng) {
-        return sample_once_plan(sk, ctx, *session, *subs, rng);
-      };
-    };
-    return sim::run_trajectories(samples, seed, make_sampler, popts);
-  }
-
-  auto make_sampler = [&](std::size_t) -> sim::Sampler {
-    // Worker-private scratch: the gate list the sampled unitaries land in.
-    auto gates = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-    return [&sk, gates, n, psi_bits, v_bits, eval](std::mt19937_64& rng) {
-      return sample_once(sk, *gates, n, psi_bits, v_bits, rng, eval);
-    };
-  };
-  return sim::run_trajectories(samples, seed, make_sampler, popts);
+  return trajectories_tn_sweep(nc, psi_bits, std::span(&v_bits, 1), samples, seed, popts,
+                               eval)[0];
 }
 
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
@@ -320,114 +307,11 @@ std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
   const std::size_t K = v_bits.size();
   if (K == 0) return {};
   if (samples == 0) return std::vector<sim::TrajectoryResult>(K);
-  const int n = nc.num_qubits();
-  const std::size_t nn = static_cast<std::size_t>(n);
-  const TnSkeleton sk = build_skeleton(nc);
-  const std::size_t num_sites = sk.mixtures.size();
-  constexpr std::size_t kOutputBatch = 32;
-
-  if (plan_replay_applies(eval, n)) {
-    const std::size_t shard = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputBatch);
-    const TnPlanContext ctx(nc, sk, psi_bits, v_bits[0], eval, /*batch_capacity=*/1);
-
-    std::vector<const tsr::Tensor*> caps_of_output(K * nn);
-    for (std::size_t o = 0; o < K; ++o)
-      ctx.tmpl.fill_output_caps(v_bits[o], std::span(caps_of_output).subspan(o * nn, nn));
-
-    // One traversal covers up to the output-batched width; shards wider
-    // than it walk sub-chunks, narrower ones just underfill the plan.
-    const std::size_t ocap = std::min(shard, kOutputBatch);
-    std::optional<tn::BatchedPlan> obplan;
-    try {
-      obplan.emplace(ctx.tmpl.compile_batched_outputs(ocap));
-      if (!output_batch_worthwhile(*obplan)) obplan.reset();
-    } catch (const MemoryOutError&) {
-      // Batch-aware workspace budget exceeded; the per-output session
-      // replay below fits and produces bit-identical estimates.
-    }
-
-    if (obplan) {
-      auto make_sampler = [&](std::size_t) -> sim::ShardChunkSampler {
-        auto session =
-            std::make_shared<AmplitudeTemplate::BatchedSession>(ctx.tmpl, *obplan);
-        auto subs = std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites);
-        auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(ocap * nn);
-        auto amps = std::make_shared<std::vector<cplx>>(ocap);
-        return [&sk, &ctx, &caps_of_output, nn, ocap, num_sites, session, subs, ptrs, amps](
-                   std::mt19937_64& rng, std::size_t shard_begin, std::size_t shard_count,
-                   std::size_t count, std::span<double> out) {
-          for (std::size_t s = 0; s < count; ++s) {
-            // One draw set per trajectory, in sample order -- the same RNG
-            // consumption as every single-output path.
-            for (std::size_t site = 0; site < num_sites; ++site) {
-              const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-              (*subs)[site] = {ctx.site_node[site], &ctx.site_tensors[site][j]};
-            }
-            for (std::size_t o0 = 0; o0 < shard_count; o0 += ocap) {
-              const std::size_t k = std::min(ocap, shard_count - o0);
-              const std::size_t cap0 = (shard_begin + o0) * nn;
-              std::copy(caps_of_output.begin() + static_cast<std::ptrdiff_t>(cap0),
-                        caps_of_output.begin() + static_cast<std::ptrdiff_t>(cap0 + k * nn),
-                        ptrs->begin());
-              session->evaluate(*subs, std::span(*ptrs).first(k * nn), k,
-                                std::span<cplx>(*amps));
-              for (std::size_t t = 0; t < k; ++t)
-                out[s * shard_count + o0 + t] = std::norm((*amps)[t]);
-            }
-          }
-        };
-      };
-      return sim::run_trajectories_sharded(samples, K, shard, seed, make_sampler, popts);
-    }
-
-    auto make_sampler = [&](std::size_t) -> sim::ShardChunkSampler {
-      auto session = std::make_shared<AmplitudeTemplate::Session>(ctx.tmpl.session());
-      auto subs =
-          std::make_shared<std::vector<AmplitudeTemplate::Substitution>>(num_sites + nn);
-      return [&sk, &ctx, &caps_of_output, nn, num_sites, session, subs](
-                 std::mt19937_64& rng, std::size_t shard_begin, std::size_t shard_count,
-                 std::size_t count, std::span<double> out) {
-        for (std::size_t s = 0; s < count; ++s) {
-          for (std::size_t site = 0; site < num_sites; ++site) {
-            const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-            (*subs)[site] = {ctx.site_node[site], &ctx.site_tensors[site][j]};
-          }
-          for (std::size_t o = 0; o < shard_count; ++o) {
-            for (std::size_t q = 0; q < nn; ++q)
-              (*subs)[num_sites + q] = {ctx.tmpl.node_of_output_cap(static_cast<int>(q)),
-                                        caps_of_output[(shard_begin + o) * nn + q]};
-            out[s * shard_count + o] = std::norm(session->evaluate(*subs));
-          }
-        }
-      };
-    };
-    return sim::run_trajectories_sharded(samples, K, shard, seed, make_sampler, popts);
-  }
-
-  // Non-replay backends: one evolution scores a whole shard, so the default
-  // shard is all K (sharding would repeat the evolution per shard; explicit
-  // shards stay bit-identical, just costlier).
-  const std::size_t shard = std::min(K, shard_outputs > 0 ? shard_outputs : K);
-  auto make_sampler = [&](std::size_t) -> sim::ShardChunkSampler {
-    auto gates = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-    return [&sk, gates, n, psi_bits, v_bits, eval](std::mt19937_64& rng,
-                                                   std::size_t shard_begin,
-                                                   std::size_t shard_count,
-                                                   std::size_t count, std::span<double> out) {
-      for (std::size_t s = 0; s < count; ++s) {
-        for (std::size_t site = 0; site < sk.mixtures.size(); ++site) {
-          const std::size_t j = sample_index(sk.mixtures[site].probs, rng);
-          (*gates)[sk.site_gate_index[site]].custom = sk.mixtures[site].unitaries[j];
-        }
-        const std::vector<cplx> amps =
-            batch_amplitudes(n, *gates, psi_bits, v_bits.subspan(shard_begin, shard_count),
-                             /*conjugate=*/false, eval);
-        for (std::size_t o = 0; o < shard_count; ++o)
-          out[s * shard_count + o] = std::norm(amps[o]);
-      }
-    };
-  };
-  return sim::run_trajectories_sharded(samples, K, shard, seed, make_sampler, popts);
+  const TrajectorySweep sweep(nc, psi_bits, v_bits, eval, shard_outputs,
+                              std::min(popts.chunk_size, samples));
+  return sim::run_trajectories_sharded(
+      samples, K, sweep.shard(), seed, [&](std::size_t) { return sweep.worker_sampler(); },
+      popts);
 }
 
 }  // namespace noisim::core

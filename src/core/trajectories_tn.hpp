@@ -20,11 +20,13 @@
 
 namespace noisim::core {
 
-/// Estimate <v|E(|psi><psi|)|v> with `samples` TN trajectories. Throws
-/// LinalgError if any noise channel is not a mixture of unitaries or if a
-/// mixture's probabilities do not sum to 1 beyond roundoff (unnormalized
-/// channels would silently skew the inverse-CDF sampling).
-/// samples == 0 returns the well-defined empty estimate.
+/// Estimate <v|E(|psi><psi|)|v> with `samples` TN trajectories drawn from
+/// the caller's stream: the multithreaded variant's per-worker sampler,
+/// driven serially in chunks of 32 samples (one draw set per trajectory, in
+/// sample order). Throws LinalgError if any noise channel is not a mixture
+/// of unitaries or if a mixture's probabilities do not sum to 1 beyond
+/// roundoff (unnormalized channels would silently skew the inverse-CDF
+/// sampling). samples == 0 returns the well-defined empty estimate.
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::mt19937_64& rng, const EvalOptions& eval = {});
@@ -35,9 +37,9 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 /// the TN-trajectories backend in or out without paying an exception.
 bool trajectories_tn_eligible(const ch::NoisyCircuit& nc);
 
-/// Multithreaded variant on the shared engine (sim/parallel.hpp): each
-/// worker owns a private copy of the sampled gate list, so no shared state
-/// is mutated; reproducible for a fixed `seed` across thread counts.
+/// Multithreaded variant: trajectories_tn_sweep at the one output v_bits,
+/// on the shared engine (sim/parallel.hpp); reproducible for a fixed `seed`
+/// across thread counts.
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
@@ -46,23 +48,23 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 /// Estimate <v_t|E(|psi><psi|)|v_t> for EVERY output bitstring in `v_bits`
 /// from ONE set of sampled trajectories: each trajectory draws its site
 /// unitaries once and scores the bitstrings on the same sampled circuit --
-/// on the tensor-network path through output-batched plan traversals (the
-/// basis caps are the varying slots; the sampled unitaries enter as shared
-/// substitutions). The bitstrings are partitioned into shards of
-/// `shard_outputs` and the (bitstring-shard x sample-chunk) grid forms a
-/// single 2-D work queue (sim::run_trajectories_sharded). Each item draws
-/// its chunk's noise realizations -- the same streams every shard draws,
-/// since the site draws are independent of the scored outputs. Element t is
-/// bit-identical to trajectories_tn(nc, psi_bits, v_bits[t], samples, seed,
-/// popts, eval) at EVERY thread count and shard size; per-worker transient
-/// storage is O(chunk_size x shard). Estimates are correlated across
-/// bitstrings (they share the noise realizations), which is exactly what
-/// sampling / XEB workloads want. shard_outputs 0 picks the default: 32
-/// (the output-batched traversal width) on the plan-replay path, all K on
-/// the other backends (whose per-sample evaluation covers every output in
-/// one evolution, so sharding would repeat it); shard_outputs = K scores
-/// every bitstring of a sample in one item. samples == 0 returns K
-/// well-defined empty estimates.
+/// on the tensor-network path through one core::ReplayEvaluator whose
+/// varying slots are the noise sites and the basis caps (the Algorithm-1
+/// sweep's plan shape): a traversal covers up to (chunk samples x <= 32
+/// outputs) pairs, capped at 256. The bitstrings are partitioned into
+/// shards of `shard_outputs`, and the (bitstring-shard x sample-chunk) grid
+/// forms a single 2-D work queue (sim::run_trajectories_sharded). Each item
+/// draws its chunk's noise realizations -- the same streams every shard
+/// draws, since the site draws are independent of the scored outputs.
+/// Element t is bit-identical to trajectories_tn(nc, psi_bits, v_bits[t],
+/// samples, seed, popts, eval) at EVERY thread count and shard size;
+/// per-worker transient storage is O(chunk_size x shard). Estimates are
+/// correlated across bitstrings (they share the noise realizations), which
+/// is exactly what sampling / XEB workloads want. shard_outputs 0 picks the
+/// default: 32 (the output-batched traversal width) on the plan-replay
+/// path, all K on the other backends (whose per-sample evaluation covers
+/// every output in one evolution, so sharding would repeat it). samples == 0
+/// returns K well-defined empty estimates.
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
     const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
     std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,

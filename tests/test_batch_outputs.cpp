@@ -11,6 +11,7 @@
 
 #include "bench_support/generators.hpp"
 #include "bench_support/harness.hpp"
+#include "bench_support/oracle.hpp"
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/trajectories_tn.hpp"
@@ -279,11 +280,19 @@ TEST(ApproxOutputs, BitIdenticalAcrossThreadCountsAndBatchSizes) {
 TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
   const ch::NoisyCircuit nc = xeb_workload(16, 2, 503);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 4, 41);
-  ApproxOptions replan;
-  replan.level = 1;
-  replan.eval = tn_eval();
-  replan.reuse_plans = false;
-  expect_outputs_match_per_bitstring(nc, vb, replan);
+  // Tensor-network sweep vs the re-planning oracle, bitstring by bitstring.
+  ApproxOptions tn;
+  tn.level = 1;
+  tn.eval = tn_eval();
+  const ApproxBatchResult batch = approximate_fidelity_outputs(nc, 0, vb, tn);
+  for (std::size_t o = 0; o < vb.size(); ++o) {
+    const ApproxResult ref = bench::replanned_fidelity(nc, 0, vb[o], tn.level, tn.eval);
+    EXPECT_EQ(ref.raw.real(), batch.raw[o].real()) << "output " << o;
+    EXPECT_EQ(ref.raw.imag(), batch.raw[o].imag()) << "output " << o;
+    ASSERT_EQ(ref.level_values.size(), batch.level_values[o].size());
+    for (std::size_t u = 0; u < ref.level_values.size(); ++u)
+      EXPECT_EQ(ref.level_values[u], batch.level_values[o][u]) << "output " << o;
+  }
 
   ApproxOptions sv;
   sv.level = 1;
@@ -293,7 +302,7 @@ TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
 
 TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   // Budget = the two layers' per-term arenas: the combined terms x outputs
-  // batch cannot fit, so the sweep must drop to per-output plan replay and
+  // batch cannot fit, so the sweep must drop to per-term plan replay and
   // still reproduce every per-bitstring value bit for bit.
   const ch::NoisyCircuit nc = xeb_workload(16, 3, 505);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 5, 43);
@@ -304,7 +313,7 @@ TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
 
   const ApproxBatchResult full = approximate_fidelity_outputs(nc, 0, vb, opts);
   // Per-term plans of both layers share the skeleton topology; take the
-  // larger arena so the per-output session path fits exactly.
+  // larger arena so per-term replay fits exactly.
   std::size_t arena = 0;
   for (const bool conj : {false, true}) {
     const tn::Network net = amplitude_network(nc.num_qubits(), skeleton_gates(nc), 0, 0, conj);
@@ -401,7 +410,7 @@ TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, eval, vb.size());
 
   // Budget = the skeleton's per-term arena: the output batch reports MO at
-  // compile time and the per-output session path takes over.
+  // compile time and per-term plan replay takes over.
   const tn::Network net = amplitude_network(nc.num_qubits(), skeleton_gates(nc), 0, 0, false);
   EvalOptions budgeted = eval;
   budgeted.tn.max_workspace_elems =

@@ -9,6 +9,7 @@
 
 #include "bench_support/generators.hpp"
 #include "bench_support/harness.hpp"
+#include "bench_support/oracle.hpp"
 #include "core/approx.hpp"
 #include "core/circuit_network.hpp"
 #include "core/trajectories_tn.hpp"
@@ -524,12 +525,10 @@ ch::NoisyCircuit fig4_workload(int n, std::size_t noises) {
   return bench::insert_noises(circuit, noises, bench::realistic_noise(), 500 + noises);
 }
 
-ApproxOptions tn_opts(std::size_t level, bool reuse, std::size_t threads,
-                      std::size_t batch_terms = 1) {
+ApproxOptions tn_opts(std::size_t level, std::size_t threads, std::size_t batch_terms = 1) {
   ApproxOptions opts;
   opts.level = level;
   opts.threads = threads;
-  opts.reuse_plans = reuse;
   opts.batch_terms = batch_terms;
   opts.eval.backend = EvalOptions::Backend::TensorNetwork;
   return opts;
@@ -546,9 +545,11 @@ void expect_same_bits(const ApproxResult& a, const ApproxResult& b) {
 TEST(PlanReplay, ApproxBitIdenticalToPerTermPlanningLevels0To2) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
   for (std::size_t level = 0; level <= 2; ++level) {
-    const ApproxResult replan = approximate_fidelity(nc, 0, 0, tn_opts(level, false, 1));
-    const ApproxResult reuse = approximate_fidelity(nc, 0, 0, tn_opts(level, true, 1));
+    const ApproxOptions opts = tn_opts(level, 1);
+    const ApproxResult replan = bench::replanned_fidelity(nc, 0, 0, level, opts.eval);
+    const ApproxResult reuse = approximate_fidelity(nc, 0, 0, opts);
     expect_same_bits(replan, reuse);
+    EXPECT_EQ(replan.contractions, reuse.contractions);
     if (level >= 1) {
       // 2 plans (top/bottom layer), every contraction past the first pair
       // replays a cached plan.
@@ -561,8 +562,8 @@ TEST(PlanReplay, ApproxBitIdenticalToPerTermPlanningLevels0To2) {
 
 TEST(PlanReplay, ApproxBitIdenticalAcrossThreadCounts) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
-  const ApproxResult serial = approximate_fidelity(nc, 0, 0, tn_opts(2, true, 1));
-  const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, true, 4));
+  const ApproxResult serial = approximate_fidelity(nc, 0, 0, tn_opts(2, 1));
+  const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, 4));
   expect_same_bits(serial, threaded);
   // Per-worker sessions replan nothing: stats are partition-independent.
   EXPECT_EQ(threaded.contract_stats.plans_compiled, 2u);
@@ -597,9 +598,9 @@ TEST(PlanReplay, ApproxAgreesWithStateVectorReference) {
   // TN value must agree to numerical precision (not bitwise -- different
   // arithmetic order).
   const ch::NoisyCircuit nc = fig4_workload(9, 2);
-  ApproxOptions sv = tn_opts(2, true, 1);
+  ApproxOptions sv = tn_opts(2, 1);
   sv.eval.backend = EvalOptions::Backend::StateVector;
-  const ApproxResult tn_result = approximate_fidelity(nc, 0, 0, tn_opts(2, true, 1));
+  const ApproxResult tn_result = approximate_fidelity(nc, 0, 0, tn_opts(2, 1));
   const ApproxResult sv_result = approximate_fidelity(nc, 0, 0, sv);
   EXPECT_NEAR(tn_result.value, sv_result.value, 1e-9);
 }
@@ -629,12 +630,12 @@ std::size_t skeleton_arena_elems(const ch::NoisyCircuit& nc, bool conjugate,
 TEST(BatchedApprox, BitIdenticalAcrossBatchSizesLevels0To2) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
   for (std::size_t level = 0; level <= 2; ++level) {
-    const ApproxResult per_term = approximate_fidelity(nc, 0, 0, tn_opts(level, true, 1, 1));
+    const ApproxResult per_term = approximate_fidelity(nc, 0, 0, tn_opts(level, 1, 1));
     // Batch sizes that exceed, divide, and do NOT divide the term count
     // (level 2 has 37 terms), so tail batches are exercised.
     for (const std::size_t batch : {2, 7, 32}) {
       const ApproxResult batched =
-          approximate_fidelity(nc, 0, 0, tn_opts(level, true, 1, batch));
+          approximate_fidelity(nc, 0, 0, tn_opts(level, 1, batch));
       expect_same_bits(per_term, batched);
       EXPECT_EQ(batched.contractions, per_term.contractions);
     }
@@ -643,14 +644,14 @@ TEST(BatchedApprox, BitIdenticalAcrossBatchSizesLevels0To2) {
 
 TEST(BatchedApprox, BitIdenticalAcrossThreadCounts) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
-  const ApproxResult serial = approximate_fidelity(nc, 0, 0, tn_opts(2, true, 1, 7));
-  const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, true, 4, 7));
+  const ApproxResult serial = approximate_fidelity(nc, 0, 0, tn_opts(2, 1, 7));
+  const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, 4, 7));
   expect_same_bits(serial, threaded);
 }
 
 TEST(BatchedApprox, StatsCountBatchedCompilesAndReplays) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
-  const ApproxResult r = approximate_fidelity(nc, 0, 0, tn_opts(1, true, 1, 32));
+  const ApproxResult r = approximate_fidelity(nc, 0, 0, tn_opts(1, 1, 32));
   // 2 per-term plans (top/bottom) + 2 batched plans compiled on top.
   EXPECT_EQ(r.contract_stats.plans_compiled, 4u);
   EXPECT_EQ(r.contract_stats.plan_executions, r.contractions);

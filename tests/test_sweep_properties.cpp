@@ -4,15 +4,19 @@
 // counts {1, 2, 7}, shard sizes {1, 3, K}, plan-cache cold vs warm vs
 // disabled, and levels 0-2 -- plus the sharded trajectory sweep against its
 // per-bitstring reference and the degenerate (K = 0) inputs of every
-// output-batched API.
+// output-batched API -- and an absolute pin of the TN trajectory engine's
+// estimates.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 
 #include "bench_support/generators.hpp"
+#include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
+#include "tensor/kernels.hpp"
 
 namespace noisim::core {
 namespace {
@@ -63,6 +67,23 @@ std::vector<std::uint64_t> random_bitstrings(int n, std::size_t count, std::mt19
   std::vector<std::uint64_t> out(count);
   for (auto& v : out) v = rng() & mask;
   return out;
+}
+
+/// The noisy circuit's gates with an identity at every noise site: the
+/// topology every plan-replay engine compiles.
+std::vector<qc::Gate> identity_skeleton(const ch::NoisyCircuit& nc) {
+  std::vector<qc::Gate> skeleton;
+  for (const ch::Op& op : nc.ops()) {
+    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
+      skeleton.push_back(*g);
+      continue;
+    }
+    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
+    skeleton.push_back(noise.num_qubits() == 1
+                           ? qc::u1q(noise.qubit, la::Matrix::identity(2))
+                           : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
+  }
+  return skeleton;
 }
 
 void expect_sweep_matches_refs(const ApproxBatchResult& sweep,
@@ -183,7 +204,7 @@ TEST(SweepProperties, ProgressCountsTermsOnceAcrossShards) {
 
 TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
   // A budget that admits the per-term plans but not the combined batch:
-  // the engine must fall back to per-output session replay and keep every
+  // the engine must fall back to per-term plan replay and keep every
   // value bit-identical, at any shard size.
   const ch::NoisyCircuit nc = bench::insert_noises(
       bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 505);
@@ -196,20 +217,9 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
   std::vector<ApproxResult> refs;
   for (const std::uint64_t v : vb) refs.push_back(approximate_fidelity(nc, 0, v, base));
 
-  // Budget = the per-term plan arena of the noise skeleton: per-output
-  // session replay fits exactly, the combined batch does not.
-  std::vector<qc::Gate> skeleton;
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      skeleton.push_back(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    skeleton.push_back(noise.num_qubits() == 1
-                           ? qc::u1q(noise.qubit, la::Matrix::identity(2))
-                           : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
-  }
-  const tn::Network net = amplitude_network(16, skeleton, 0, 0, false);
+  // Budget = the per-term plan arena of the noise skeleton: per-term
+  // replay fits exactly, the combined batch does not.
+  const tn::Network net = amplitude_network(16, identity_skeleton(nc), 0, 0, false);
   ApproxOptions budgeted = base;
   budgeted.eval.tn.max_workspace_elems =
       tn::ContractionPlan::compile(net, base.eval.tn).workspace_elems();
@@ -271,6 +281,106 @@ TEST(SweepProperties, TrajectorySweepBitIdenticalAcrossShardsAndThreads) {
         }
       }
     }
+  }
+}
+
+// --- TN trajectory golden -----------------------------------------------------
+
+/// 3x3 QAOA grid with depolarizing(0.1) after every sixth gate and
+/// two_qubit_depolarizing(0.2) after every fourth 2-qubit gate, so both
+/// mixture sizes (4 and 16 unitaries) are sampled.
+ch::NoisyCircuit tn_golden_circuit() {
+  const qc::Circuit c = bench::qaoa_grid(3, 3, 1, 5);
+  ch::NoisyCircuit nc(c.num_qubits());
+  std::size_t gates = 0, twoq = 0;
+  for (const qc::Gate& g : c.gates()) {
+    nc.add_gate(g);
+    if (++gates % 6 == 0) nc.add_noise(g.qubits[0], ch::depolarizing(0.1));
+    if (g.num_qubits() == 2 && ++twoq % 4 == 0)
+      nc.add_noise_2q(g.qubits[0], g.qubits[1], ch::two_qubit_depolarizing(0.2));
+  }
+  return nc;
+}
+
+std::string hex(double x) {
+  std::ostringstream os;
+  os << std::hexfloat << x;
+  return os.str();
+}
+
+void expect_pinned(const sim::TrajectoryResult& r, double mean, double std_error,
+                   const std::string& where) {
+  EXPECT_EQ(r.mean, mean) << where << ": mean " << hex(r.mean);
+  EXPECT_EQ(r.std_error, std_error) << where << ": std_error " << hex(r.std_error);
+}
+
+// Absolute pin of the TN trajectory estimates (mean/std_error as %a
+// literals): the relative checks elsewhere (sweep vs per-bitstring, threads
+// vs serial) cannot see a change in RNG consumption or fold order that
+// every entry point shares. Every case runs on the plan-replay path, under
+// a workspace budget that admits only the per-term plan (the batched
+// traversals fall back), and on the state-vector path; the first two
+// evaluate the same sampled amplitudes through the same plan, so they share
+// pins.
+TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
+  const ch::NoisyCircuit nc = tn_golden_circuit();
+  const std::vector<std::uint64_t> vb{0, 0x0a5, 0x1ff};
+  constexpr std::size_t kSamples = 70;
+  constexpr std::uint64_t kSeed = 2024;
+
+  EvalOptions tn = tn_eval();
+  tn.tn.greedy_cost_weights = {1.0};
+  EvalOptions budgeted = tn;
+  budgeted.tn.max_workspace_elems =
+      tn::ContractionPlan::compile(amplitude_network(9, identity_skeleton(nc), 0, 0, false), tn.tn)
+          .workspace_elems();
+
+  struct Pins {
+    double serial_mean, serial_std_error;
+    double mean[3], std_error[3];  // per output of vb; vb[0] is the threaded case
+  };
+  // Recorded before the TN samplers moved onto one replay path.
+  const Pins tn_pins{0x1.76c26108e8ac7p-8,
+                     0x1.0cd1175d98cb6p-10,
+                     {0x1.c5a8f40493511p-9, 0x1.9d113c51e10aap-9, 0x1.7cc6049d1554fp-11},
+                     {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982abp-11, 0x1.fe50181881617p-13}};
+  const Pins sv_pins{0x1.76c26108e8ac7p-8,
+                     0x1.0cd1175d98cb6p-10,
+                     {0x1.c5a8f40493512p-9, 0x1.9d113c51e10acp-9, 0x1.7cc6049d1554fp-11},
+                     {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982afp-11, 0x1.fe50181881617p-13}};
+  const struct {
+    const char* name;
+    EvalOptions eval;
+    const Pins& pins;
+  } cases[] = {{"tn", tn, tn_pins}, {"tn budgeted", budgeted, tn_pins}, {"sv", sv_eval(), sv_pins}};
+
+  for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+    const auto tier = static_cast<tsr::KernelTier>(t);
+    if (!tsr::kernel_table(tier)) continue;
+    const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
+    for (const auto& gc : cases) {
+      const std::string where = std::string(gc.name) + " on " + tsr::kernel_tier_name(tier);
+      std::mt19937_64 rng(kSeed);
+      expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, rng, gc.eval), gc.pins.serial_mean,
+                    gc.pins.serial_std_error, where + ", serial");
+      for (const std::size_t threads : {1ul, 4ul}) {
+        sim::ParallelOptions popts;
+        popts.threads = threads;
+        expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, kSeed, popts, gc.eval),
+                      gc.pins.mean[0], gc.pins.std_error[0],
+                      where + ", threads " + std::to_string(threads));
+        for (const std::size_t shard : {1ul, 3ul}) {
+          const auto sweep =
+              trajectories_tn_sweep(nc, 0, vb, kSamples, kSeed, popts, gc.eval, shard);
+          ASSERT_EQ(sweep.size(), vb.size());
+          for (std::size_t o = 0; o < vb.size(); ++o)
+            expect_pinned(sweep[o], gc.pins.mean[o], gc.pins.std_error[o],
+                          where + ", sweep threads " + std::to_string(threads) + " shard " +
+                              std::to_string(shard) + " output " + std::to_string(o));
+        }
+      }
+    }
+    tsr::set_kernel_tier(prev);
   }
 }
 

@@ -49,6 +49,12 @@ exercised by --self-test):
                     read as copts.<field> inside PlanCache::template_key --
                     an unkeyed planner option would let the plan cache serve
                     a plan compiled under different options.
+  replay-evaluator  in src/, AmplitudeTemplate::Session / BatchedSession are
+                    constructed only in core/circuit_network.cpp (behind
+                    core::ReplayEvaluator, the one batched-or-per-term
+                    replay path); tests/ and bench/ are exempt. A hand-
+                    written Session fallback elsewhere would re-grow the
+                    per-engine copies of that choice.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -71,6 +77,7 @@ RULES = (
     "mutex-guards",
     "worker-pool",
     "cache-key-covers-options",
+    "replay-evaluator",
 )
 
 
@@ -504,6 +511,34 @@ def check_worker_pool(root, cxx_files):
     return findings
 
 
+SESSION_RE = re.compile(
+    r"\bBatchedSession\b|\bAmplitudeTemplate\s*::\s*Session\b|(?:\.|->)\s*session\s*\(")
+# The evaluator's home: the header declares the session types, the TU is
+# the one place that constructs them.
+REPLAY_EVALUATOR_FILES = {("src", "core", "circuit_network.hpp"),
+                          ("src", "core", "circuit_network.cpp")}
+
+
+def check_replay_evaluator(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if not rel or rel[0] != "src" or rel in REPLAY_EVALUATOR_FILES:
+            continue
+        code = strip_code(text)
+        for m in SESSION_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "replay-evaluator",
+                f"'{m.group(0).strip()}' outside core/circuit_network.cpp; plan "
+                "replay in src/ goes through core::ReplayEvaluator (with a "
+                "batched plan from batched_plan_or_null, or none for per-term "
+                "replay), never a hand-written Session fallback"))
+    return findings
+
+
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+ContractOptions\s*\{")
 TEMPLATE_KEY_RE = re.compile(r"\bPlanCache\s*::\s*template_key\s*\(")
 # Options that never change what a plan computes, so keys leave them out.
@@ -600,6 +635,7 @@ def run_rules(root, cxx_files):
     findings += check_mutex_guards(cxx_files)
     findings += check_worker_pool(root, cxx_files)
     findings += check_cache_key_covers_options(cxx_files)
+    findings += check_replay_evaluator(root, cxx_files)
     return findings
 
 
