@@ -131,6 +131,10 @@ int main(int argc, char** argv) {
   workloads.push_back({"hf_vqe_12", bench::hf_vqe(12, 3)});
   workloads.push_back({"inst_4x4_12", bench::supremacy_inst(4, 4, 12, 5)});
   workloads.push_back({"inst_4x5_16", bench::supremacy_inst(4, 5, 16, 5)});
+  // The square QAOA grids of the paper's 225-qubit rows, at laptop scale:
+  // the drift gate pins the order Auto picks on grid-shaped networks.
+  workloads.push_back({"qaoa_grid_8x8", bench::qaoa_grid(8, 8, 1, 13)});
+  workloads.push_back({"qaoa_grid_11x11", bench::qaoa_grid(11, 11, 1, 13)});
   if (bench::large_mode()) {
     workloads.push_back({"qaoa_121", bench::qaoa(121, 1, 11)});
     workloads.push_back({"inst_5x5_20", bench::supremacy_inst(5, 5, 20, 5)});

@@ -33,7 +33,6 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
   }
   const std::size_t sites = splits.size();
   level = std::min(level, sites);
-  const core::EvalOptions resolved = core::resolved_eval_options(n, gates, eval);
 
   core::ApproxResult result;
   result.term_sums.assign(level + 1, cplx{0.0, 0.0});
@@ -46,8 +45,8 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
       bottom[pos[s]].custom = splits[s].v[choice[s]].conj();
     }
     result.term_sums[u] +=
-        core::amplitude(n, top, psi_bits, v_bits, false, resolved, &result.contract_stats) *
-        core::amplitude(n, bottom, psi_bits, v_bits, true, resolved, &result.contract_stats);
+        core::amplitude(n, top, psi_bits, v_bits, false, eval, &result.contract_stats) *
+        core::amplitude(n, bottom, psi_bits, v_bits, true, eval, &result.contract_stats);
     result.contractions += 2;
   };
 

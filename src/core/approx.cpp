@@ -111,6 +111,27 @@ std::vector<std::size_t> locate_sites(const std::vector<qc::Gate>& gates,
   return pos;
 }
 
+// The skeleton every Algorithm-1 evaluation runs on: the base gate list,
+// inverse-pair simplified once if eval.simplify asks, the noise sites
+// located in it, and the options its templates compile under (simplify
+// already applied). The sweep and approx_cost_model both build it here, so
+// the template estimation compiles carries the same plan-cache key the run
+// replays.
+struct SweepSkeleton {
+  std::vector<qc::Gate> gates;
+  std::vector<std::size_t> site_pos;
+  EvalOptions eval;
+};
+
+SweepSkeleton sweep_skeleton(std::vector<qc::Gate> gates, std::size_t num_sites,
+                             const EvalOptions& eval) {
+  SweepSkeleton sk{eval.simplify ? qc::cancel_inverse_pairs(std::move(gates)) : std::move(gates),
+                   {}, eval};
+  sk.site_pos = locate_sites(sk.gates, num_sites);
+  sk.eval.simplify = false;
+  return sk;
+}
+
 // One enumerated term: which sites carry which subdominant index.
 struct Term {
   std::size_t level;
@@ -243,9 +264,6 @@ AcquiredTemplate acquire_template(PlanCache* cache, int n,
                                   std::uint64_t psi_bits, std::uint64_t v_bits,
                                   bool conjugate, const EvalOptions& eval,
                                   tn::ContractStats& setup_stats) {
-  // `eval` arrives boundary-resolved (resolved_eval_options ran once where
-  // the sweep fixed its skeleton), so eval.tn is already in plan-cache key
-  // form and the template's own resolution is a pass-through.
   AcquiredTemplate out;
   if (cache) {
     bool hit = false;
@@ -554,22 +572,15 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // (a capacity-0 batched plan must never be requested).
   if (K == 0) return result;
 
-  std::vector<qc::Gate> skeleton = base.gates;
-  if (opts.eval.simplify) skeleton = qc::cancel_inverse_pairs(std::move(skeleton));
-  const std::vector<std::size_t> site_pos = locate_sites(skeleton, num_sites);
+  SweepSkeleton sk = sweep_skeleton(std::move(base.gates), num_sites, opts.eval);
 
-  // Resolve the evaluation options once at the sweep boundary: sequence_for
-  // is materialized against the final skeleton here and never re-run by the
-  // templates, cache keys, or per-term evaluations below.
-  EvalOptions eval = resolved_eval_options(n, skeleton, opts.eval);
-  eval.simplify = false;  // already applied to the skeleton
-
-  // Cooperative control for this sweep. Threading it through eval.tn covers
-  // plan compilation; cached templates null it out of their stored options
-  // (circuit_network.cpp), so a PlanCache hit can never replay a dangling
-  // pointer -- per-execution polling flows through Session::set_control.
+  // Cooperative control for this sweep. Threading it through sk.eval.tn
+  // covers plan compilation; cached templates null it out of their stored
+  // options (circuit_network.cpp), so a PlanCache hit can never replay a
+  // dangling pointer -- per-execution polling flows through
+  // Session::set_control.
   const RunControl* control = opts.control;
-  eval.tn.control = control;
+  sk.eval.tn.control = control;
 
   const std::vector<Term> terms = enumerate_terms(base.sites, level);
   const std::size_t num_terms = terms.size();
@@ -579,7 +590,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   tn::ContractStats setup_stats;
   SweepTimer timer(result.plan_seconds, result.eval_seconds);
 
-  const bool tn_path = uses_tensor_network(eval, n);
+  const bool tn_path = uses_tensor_network(sk.eval, n);
 
   // Output shards (work-queue granularity along the bitstring axis). The
   // state-vector path defaults to one shard: its per-term evaluation already
@@ -631,11 +642,11 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // substituted below), so one cached entry serves EVERY bitstring set
     // over this skeleton -- that is what makes the plan cache hit across
     // XEB batches arriving over time.
-    top_at = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0, /*conjugate=*/false,
-                              eval, setup_stats);
-    bot_at = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0, /*conjugate=*/true,
-                              eval, setup_stats);
-    fac = build_site_factors(base.sites, site_pos, top_at.tmpl());
+    top_at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, /*conjugate=*/false,
+                              sk.eval, setup_stats);
+    bot_at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, /*conjugate=*/true,
+                              sk.eval, setup_stats);
+    fac = build_site_factors(base.sites, sk.site_pos, top_at.tmpl());
 
     // Per-output cap pointer table (the template's shared <0|/<1| objects,
     // so the executor's pointer compaction shares rows across bitstrings).
@@ -738,8 +749,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // evaluates the chunk's outputs through batch_amplitudes (one evolution
     // per layer per term per chunk).
     make_eval = [&](std::size_t) -> WorkerEval {
-      auto top = std::make_shared<std::vector<qc::Gate>>(skeleton);
-      auto bottom = std::make_shared<std::vector<qc::Gate>>(skeleton);
+      auto top = std::make_shared<std::vector<qc::Gate>>(sk.gates);
+      auto bottom = std::make_shared<std::vector<qc::Gate>>(sk.gates);
       WorkerEval we;
       we.eval = [&, top, bottom](std::size_t t0, std::size_t tcount, std::size_t obegin,
                                  std::size_t ocount, std::span<cplx> out,
@@ -752,15 +763,15 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             std::size_t ti = 0;
             for (std::size_t c = 0; c < term.sites.size(); ++c)
               if (term.sites[c] == s) ti = term.term_idx[c];
-            (*top)[site_pos[s]].custom = base.sites[s].split.u[ti];
+            (*top)[sk.site_pos[s]].custom = base.sites[s].split.u[ti];
             // The bottom layer is evaluated with conjugate=true (which
             // conjugates every matrix), so store conj(V) to apply V itself.
-            (*bottom)[site_pos[s]].custom = base.sites[s].split.v[ti].conj();
+            (*bottom)[sk.site_pos[s]].custom = base.sites[s].split.v[ti].conj();
           }
           const std::vector<cplx> top_amp = batch_amplitudes(
-              n, *top, psi_bits, chunk_outputs, /*conjugate=*/false, eval, &stats);
+              n, *top, psi_bits, chunk_outputs, /*conjugate=*/false, sk.eval, &stats);
           const std::vector<cplx> bot_amp = batch_amplitudes(
-              n, *bottom, psi_bits, chunk_outputs, /*conjugate=*/true, eval, &stats);
+              n, *bottom, psi_bits, chunk_outputs, /*conjugate=*/true, sk.eval, &stats);
           for (std::size_t o = 0; o < ocount; ++o) out[t * ocount + o] = top_amp[o] * bot_amp[o];
         }
       };
@@ -927,23 +938,18 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
     if (s.arity != 1) model.all_1q = false;
   }
 
-  // Same skeleton pipeline as the sweeps: simplify once, locate the (guarded)
-  // insertions, resolve the options at the boundary.
-  std::vector<qc::Gate> skeleton = std::move(base.gates);
-  if (opts.eval.simplify) skeleton = qc::cancel_inverse_pairs(std::move(skeleton));
-  locate_sites(skeleton, model.num_sites);
-  EvalOptions eval = resolved_eval_options(n, skeleton, opts.eval);
-  eval.simplify = false;
+  // The sweep's own skeleton, so the template below is the one the run replays.
+  const SweepSkeleton sk = sweep_skeleton(std::move(base.gates), model.num_sites, opts.eval);
 
-  model.tensor_network = uses_tensor_network(eval, n);
+  model.tensor_network = uses_tensor_network(sk.eval, n);
   if (model.tensor_network) {
     // Compile (or fetch) the top-layer template under the sweep's own
     // canonical v = 0 cache key: the plan's flops/arena ARE the per-layer
     // cost (the output caps only change tensor values, never the plan), and
     // a cache miss here is work the run would have paid anyway.
     tn::ContractStats setup_stats;
-    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, skeleton, psi_bits, 0,
-                                                  /*conjugate=*/false, eval, setup_stats);
+    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0,
+                                                  /*conjugate=*/false, sk.eval, setup_stats);
     const tn::ContractionPlan& plan = top.tmpl().plan();
     model.layer_flops = static_cast<double>(plan.total_flops());
     model.peak_elems = plan.workspace_elems();
@@ -952,7 +958,7 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
     // update per amplitude per gate.
     const double dim = std::pow(2.0, std::min(n, 62));
     double flops = 0.0;
-    for (const qc::Gate& g : skeleton) flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim;
+    for (const qc::Gate& g : sk.gates) flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim;
     model.layer_flops = flops;
     model.peak_elems = static_cast<std::size_t>(dim);
   }

@@ -215,10 +215,10 @@ ApproxBatchResult xeb_sweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
 
 /// Plan-time cost/accuracy model of an Algorithm-1 sweep: what the
 /// simulate() front door's TN adapters consult to search the level ladder
-/// WITHOUT contracting anything. Built from the same skeleton, boundary-
-/// resolved options, and canonical (v = 0) plan-cache key the sweep itself
-/// uses, so a template compiled during estimation is exactly the one the
-/// subsequent run replays at any output (estimation pre-warms the cache).
+/// WITHOUT contracting anything. Built from the same skeleton, options,
+/// and canonical (v = 0) plan-cache key the sweep itself uses, so a
+/// template compiled during estimation is exactly the one the subsequent
+/// run replays at any output (estimation pre-warms the cache).
 struct ApproxCostModel {
   std::size_t num_sites = 0;
   /// Every noise site is 1-qubit, i.e. the paper's Theorem 1 applies.

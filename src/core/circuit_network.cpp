@@ -61,32 +61,11 @@ tn::Network amplitude_network(int n, const std::vector<qc::Gate>& gates,
   return net;
 }
 
-tn::ContractOptions resolved_contract_options(int n, const std::vector<qc::Gate>& gates,
-                                              const EvalOptions& opts) {
-  tn::ContractOptions copts = opts.tn;
-  if (opts.sequence_for) {
-    std::vector<std::size_t> seq = opts.sequence_for(n, gates);
-    if (!seq.empty()) {
-      copts.strategy = tn::OrderStrategy::Sequential;
-      copts.custom_sequence = std::move(seq);
-    }
-  }
-  return copts;
-}
-
-EvalOptions resolved_eval_options(int n, const std::vector<qc::Gate>& gates,
-                                  const EvalOptions& opts) {
-  EvalOptions out = opts;
-  out.tn = resolved_contract_options(n, gates, opts);
-  out.sequence_for = nullptr;
-  return out;
-}
-
 AmplitudeTemplate::AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton,
                                      std::uint64_t psi_bits, std::uint64_t v_bits,
                                      bool conjugate, const EvalOptions& opts)
     : net_(amplitude_network(n, skeleton, psi_bits, v_bits, conjugate)),
-      copts_(resolved_contract_options(n, skeleton, opts)),
+      copts_(opts.tn),
       plan_(tn::ContractionPlan::compile(net_, copts_, &compile_stats_)),
       n_(n),
       num_gates_(skeleton.size()),
@@ -219,7 +198,7 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 
   auto contract_tn = [&] {
     return tn::contract_to_scalar(amplitude_network(n, *use, psi_bits, v_bits, conjugate),
-                                  resolved_contract_options(n, *use, opts), stats);
+                                  opts.tn, stats);
   };
 
   switch (opts.backend) {
@@ -228,7 +207,7 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
     case EvalOptions::Backend::TensorNetwork:
       return contract_tn();
     case EvalOptions::Backend::Auto:
-      if (n <= opts.sv_max_qubits) return amplitude_sv(n, *use, psi_bits, v_bits, conjugate);
+      if (n <= kSvMaxQubits) return amplitude_sv(n, *use, psi_bits, v_bits, conjugate);
       return contract_tn();
   }
   la::detail::fail("amplitude: unknown backend");

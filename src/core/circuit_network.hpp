@@ -10,7 +10,6 @@
 // engine can splice in non-unitary 1-qubit insertions (the SVD factors).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -23,22 +22,18 @@
 
 namespace noisim::core {
 
+/// Auto uses the state vector up to this qubit count, TN beyond. For the
+/// paper's shallow benchmark circuits TN contraction beats the 2^n sweep
+/// well before 16 qubits, so the cutoff sits at 12.
+inline constexpr int kSvMaxQubits = 12;
+
 struct EvalOptions {
   enum class Backend { Auto, StateVector, TensorNetwork };
   Backend backend = Backend::Auto;
-  /// Auto uses the state vector up to this qubit count, TN beyond. For the
-  /// paper's shallow benchmark circuits TN contraction beats the 2^n sweep
-  /// well before 16 qubits, so the cutoff sits at 12.
-  int sv_max_qubits = 12;
   tn::ContractOptions tn;
   /// Run inverse-pair cancellation on the gate list before evaluating
   /// (pays off when the list embeds C then C^dagger around insertions).
   bool simplify = false;
-  /// Structure-aware node ordering (e.g. core::make_grid_sweep): called
-  /// with the final (post-simplify) gate list; a non-empty result switches
-  /// the contraction to Sequential with that absorption order. Ignored by
-  /// the state-vector backend.
-  std::function<std::vector<std::size_t>(int, const std::vector<qc::Gate>&)> sequence_for;
 };
 
 /// Bit of qubit q in an n-qubit basis label: qubit 0 is the most significant
@@ -95,25 +90,15 @@ tsr::Tensor gate_matrix_tensor(const la::Matrix& m, int num_qubits);
 /// (explicit TensorNetwork, or Auto past the state-vector cutoff).
 inline bool uses_tensor_network(const EvalOptions& opts, int n) {
   return opts.backend == EvalOptions::Backend::TensorNetwork ||
-         (opts.backend == EvalOptions::Backend::Auto && n > opts.sv_max_qubits);
+         (opts.backend == EvalOptions::Backend::Auto && n > kSvMaxQubits);
 }
 
-/// The tn::ContractOptions an AmplitudeTemplate for this gate list would
-/// compile under: opts.tn with opts.sequence_for (structure-aware ordering)
-/// resolved into a Sequential custom sequence. Plan compilation is a pure
-/// function of (network topology, these options), which is what makes the
-/// resolved options a valid plan-cache key component (core::PlanCache).
-tn::ContractOptions resolved_contract_options(int n, const std::vector<qc::Gate>& gates,
-                                              const EvalOptions& opts);
-
-/// `opts` in boundary-resolved form: tn replaced by resolved_contract_options
-/// and sequence_for cleared. The evaluation engines (Algorithm-1 sweeps,
-/// simulate() adapters) call this ONCE where the gate list is fixed and
-/// thread the result through, so a skeleton-walking sequence function never
-/// runs per template, per layer, or per call. Idempotent: resolving an
-/// already-resolved EvalOptions is a pass-through copy.
-EvalOptions resolved_eval_options(int n, const std::vector<qc::Gate>& gates,
-                                  const EvalOptions& opts);
+/// Returns `opts` unchanged. Kept only because perfbench/src/workloads.cpp
+/// calls it; the library never does.
+inline EvalOptions resolved_eval_options(int, const std::vector<qc::Gate>&,
+                                         const EvalOptions& opts) {
+  return opts;
+}
 
 /// Output-batched traversal shape shared by the Algorithm-1 sweep and the
 /// trajectory sweep: up to kOutputChunk outputs per traversal, and at most
@@ -147,7 +132,6 @@ class AmplitudeTemplate {
  public:
   /// `skeleton` must stay shape-stable under substitution: replacement
   /// tensors carry the same shape as the gate they stand in for.
-  /// `opts.sequence_for` (if set) is resolved once against the skeleton.
   AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
                     std::uint64_t v_bits, bool conjugate, const EvalOptions& opts);
 
@@ -285,8 +269,8 @@ class AmplitudeTemplate {
 
  private:
   // Declaration order matters: compile_stats_ is written while plan_
-  // initializes, and plan_ compiles from net_; copts_ is resolved before
-  // plan_ compiles and kept for compile_batched.
+  // initializes, and plan_ compiles from net_ under copts_, which is kept
+  // for compile_batched.
   tn::Network net_;
   tn::ContractStats compile_stats_;
   tn::ContractOptions copts_;

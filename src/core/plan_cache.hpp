@@ -111,8 +111,7 @@ class PlanCache {
   /// Serialize a template identity into a cache key: every input that
   /// enters AmplitudeTemplate construction, byte for byte (gate kinds,
   /// qubits, parameters, custom matrices, basis labels, conjugation, and
-  /// the RESOLVED contraction options -- pass the gate list through
-  /// resolved_contract_options first so sequence_for is materialized).
+  /// the contraction options).
   static std::string template_key(int n, const std::vector<qc::Gate>& skeleton,
                                   std::uint64_t psi_bits, std::uint64_t v_bits,
                                   bool conjugate, const tn::ContractOptions& copts);

@@ -9,9 +9,7 @@
 //  * Sequential — absorb nodes into an accumulator in insertion order. The
 //                 circuit builders insert gate tensors in time order, which
 //                 makes this equivalent to Schrodinger simulation (optimal
-//                 for few qubits / deep circuits). Builders that tag nodes
-//                 with grid coordinates can pass a custom sequence for
-//                 row-sweep (boundary) contraction instead.
+//                 for few qubits / deep circuits).
 //  * Alternating — two accumulators absorb nodes from the front and the
 //                 back of insertion order alternately, merged at the end
 //                 (the gate-cap-balanced order of ddsim's simulation-path
@@ -82,10 +80,6 @@ struct ContractOptions {
   /// whole planning phase (all strategy attempts of one compile share a
   /// deadline) and, separately, each plan replay.
   double timeout_seconds = 0.0;
-  /// When non-empty: node indices in the order Sequential should absorb
-  /// them. Must be a permutation of all node indices; compile() rejects
-  /// anything else before planning.
-  std::vector<std::size_t> custom_sequence;
   /// Budget for the plan's whole intermediate arena (the liveness-packed
   /// workspace all intermediates live in), in complex elements; exceeding
   /// it raises MemoryOutError at plan time. 0 disables the check --

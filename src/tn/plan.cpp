@@ -452,15 +452,9 @@ struct PlanCompiler {
     }
   }
 
-  void sequential(const std::vector<std::size_t>& sequence) {
-    // compile() has already checked that a custom sequence is a permutation.
-    std::vector<std::size_t> order = sequence;
-    if (order.empty()) {
-      order.resize(num_inputs);
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    }
-    std::size_t acc = order[0];
-    for (std::size_t i = 1; i < order.size(); ++i) acc = merge(acc, order[i]);
+  void sequential() {
+    std::size_t acc = 0;
+    for (std::size_t i = 1; i < num_inputs; ++i) acc = merge(acc, i);
   }
 
   /// Two accumulators absorb nodes from the front and the back of
@@ -531,20 +525,6 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
   fault::poke("plan-mo");
   fault::poke("plan-to");
   if (opts.control) opts.control->poll();
-  // A custom sequence is caller input: reject a non-permutation before any
-  // merge, so it surfaces as a caller error rather than as a memory-out or
-  // a half-reduced network.
-  if (!opts.custom_sequence.empty()) {
-    la::detail::require(opts.custom_sequence.size() == net.num_nodes(),
-                        "sequential contraction: sequence must cover all nodes");
-    std::vector<char> seen(net.num_nodes(), 0);
-    for (const std::size_t i : opts.custom_sequence) {
-      la::detail::require(i < net.num_nodes(),
-                          "sequential contraction: sequence index out of range");
-      la::detail::require(!seen[i], "sequential contraction: sequence repeats a node index");
-      seen[i] = 1;
-    }
-  }
 
   // One deadline across every planning walk below, so timeout_seconds
   // bounds the whole compile (each replay later gets its own budget).
@@ -586,7 +566,7 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
           attempt([&](PlanCompiler& c) { c.greedy(alpha); });
         break;
       case OrderStrategy::Sequential:
-        attempt([&](PlanCompiler& c) { c.sequential(opts.custom_sequence); });
+        attempt([&](PlanCompiler& c) { c.sequential(); });
         break;
       case OrderStrategy::Alternating:
         attempt([&](PlanCompiler& c) { c.alternating(); });

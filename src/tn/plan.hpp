@@ -230,9 +230,7 @@ class ContractionPlan {
   /// the winning order. Throws MemoryOutError when every candidate has an
   /// intermediate above opts.max_tensor_elems (or an arena above
   /// opts.max_workspace_elems) and TimeoutError past opts.timeout_seconds,
-  /// so MO/TO surface at plan time, before any arithmetic runs. Throws
-  /// LinalgError when opts.custom_sequence is non-empty and not a
-  /// permutation of the node indices.
+  /// so MO/TO surface at plan time, before any arithmetic runs.
   static ContractionPlan compile(const Network& net, const ContractOptions& opts = {},
                                  ContractStats* stats = nullptr);
 

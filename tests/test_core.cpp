@@ -217,6 +217,28 @@ TEST(Amplitude, SimplifyPreservesValue) {
   EXPECT_TRUE(approx_equal(a, b, 1e-9));
 }
 
+TEST(Amplitude, AutoCrossoverSitsAtTwelveQubits) {
+  // Auto evaluates on the state vector up to 12 qubits and contracts the
+  // tensor network from 13 on; a forced backend overrides the cutoff at
+  // both sizes. Only the TN path compiles a contraction plan.
+  using Backend = EvalOptions::Backend;
+  ASSERT_EQ(kSvMaxQubits, 12);
+  for (const int n : {12, 13}) {
+    const qc::Circuit c = random_circuit(n, 3 * n, 500 + static_cast<std::uint64_t>(n));
+    auto plans_compiled = [&](Backend backend) {
+      EvalOptions opts;
+      opts.backend = backend;
+      tn::ContractStats stats;
+      amplitude(n, c.gates(), 0, 0, false, opts, &stats);
+      EXPECT_EQ(uses_tensor_network(opts, n), stats.plans_compiled > 0) << "n=" << n;
+      return stats.plans_compiled;
+    };
+    EXPECT_EQ(plans_compiled(Backend::Auto) > 0, n == 13) << "n=" << n;
+    EXPECT_EQ(plans_compiled(Backend::StateVector), 0u) << "n=" << n;
+    EXPECT_GT(plans_compiled(Backend::TensorNetwork), 0u) << "n=" << n;
+  }
+}
+
 // --- doubled diagram ------------------------------------------------------------
 
 class DoubledDiagram : public ::testing::TestWithParam<int> {};

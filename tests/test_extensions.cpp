@@ -1,6 +1,6 @@
 // Tests for the extensions beyond the paper: 2-qubit noise channels in the
-// splitting algorithm, grid-sweep contraction sequences, parallel term
-// evaluation and the generalized (per-site) error bound.
+// splitting algorithm, parallel term evaluation and the generalized
+// (per-site) error bound.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -10,7 +10,6 @@
 #include "core/approx.hpp"
 #include "core/bounds.hpp"
 #include "core/doubled_network.hpp"
-#include "core/grid_order.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "sim/density.hpp"
@@ -146,64 +145,6 @@ TEST(GeneralizedBound, ZeroAtFullLevel) {
 TEST(GeneralizedBound, ValidatesInput) {
   EXPECT_THROW(core::generalized_error_bound({1.0}, {0.1, 0.2}, 1), LinalgError);
   EXPECT_THROW(core::generalized_error_bound({-1.0}, {0.1}, 1), LinalgError);
-}
-
-// --- grid sweep sequence --------------------------------------------------------------
-
-TEST(GridSweep, SequenceIsAPermutationOfAllNodes) {
-  const qc::Circuit c = bench::qaoa_grid(3, 4, 1, 11);
-  const auto seq = core::grid_sweep_sequence(3, 4, c.gates());
-  const std::size_t expect = 12 + c.size() + 12;
-  ASSERT_EQ(seq.size(), expect);
-  std::vector<bool> seen(expect, false);
-  for (std::size_t i : seq) {
-    ASSERT_LT(i, expect);
-    EXPECT_FALSE(seen[i]);
-    seen[i] = true;
-  }
-}
-
-TEST(GridSweep, MatchesGreedyValueOnGridQaoa) {
-  const qc::Circuit c = bench::qaoa_grid(3, 3, 1, 12);
-  core::EvalOptions greedy, sweep;
-  greedy.backend = core::EvalOptions::Backend::TensorNetwork;
-  sweep.backend = core::EvalOptions::Backend::TensorNetwork;
-  sweep.sequence_for = core::make_grid_sweep(3, 3);
-  const cplx a = core::amplitude(9, c.gates(), 0, 0, false, greedy);
-  const cplx b = core::amplitude(9, c.gates(), 0, 0, false, sweep);
-  EXPECT_TRUE(approx_equal(a, b, 1e-10 + 1e-8 * std::abs(a)));
-}
-
-TEST(GridSweep, StaysWithinTightMemoryOnLargerGrid) {
-  const qc::Circuit c = bench::qaoa_grid(5, 5, 1, 13);
-  core::EvalOptions sweep;
-  sweep.backend = core::EvalOptions::Backend::TensorNetwork;
-  sweep.sequence_for = core::make_grid_sweep(5, 5);
-  // The row-sweep frontier carries ~2-3 wire segments per column (the
-  // CZ-RZ-CZ edge triple crosses the row cut twice), so the peak for a
-  // 5-column grid sits near 2^17 elements.
-  sweep.tn.max_tensor_elems = 1 << 18;
-  EXPECT_NO_THROW(core::amplitude(25, c.gates(), 0, 0, false, sweep));
-}
-
-TEST(GridSweep, FallsBackWhenShapeMismatches) {
-  const qc::Circuit c = bench::qaoa_grid(2, 2, 1, 14);
-  core::EvalOptions sweep;
-  sweep.backend = core::EvalOptions::Backend::TensorNetwork;
-  sweep.sequence_for = core::make_grid_sweep(7, 7);  // wrong shape -> empty -> default
-  EXPECT_NO_THROW(core::amplitude(4, c.gates(), 0, 0, false, sweep));
-}
-
-TEST(GridSweep, WorksInsideTheApproximationEngine) {
-  const qc::Circuit c = bench::qaoa_grid(3, 3, 1, 15);
-  const ch::NoisyCircuit nc = bench::insert_noises(c, 3, bench::realistic_noise(1e-2), 16);
-  core::ApproxOptions plain, swept;
-  plain.level = swept.level = 1;
-  plain.eval.backend = swept.eval.backend = core::EvalOptions::Backend::TensorNetwork;
-  swept.eval.sequence_for = core::make_grid_sweep(3, 3);
-  const double a = core::approximate_fidelity(nc, 0, 0, plain).value;
-  const double b = core::approximate_fidelity(nc, 0, 0, swept).value;
-  EXPECT_NEAR(a, b, 1e-9);
 }
 
 // --- parallel term evaluation ------------------------------------------------------------

@@ -1,15 +1,11 @@
 // Tests for the tensor network graph and contraction strategies.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <random>
 
-#include "bench_support/generators.hpp"
-#include "core/circuit_network.hpp"
 #include "linalg/qr.hpp"
 #include "tn/contractor.hpp"
 #include "tn/network.hpp"
-#include "tn/plan.hpp"
 
 namespace noisim::tn {
 namespace {
@@ -160,54 +156,6 @@ TEST(Contractor, StrategiesAgreeOnRandomNetworks) {
     const cplx x = contract_to_scalar(net, greedy);
     const cplx y = contract_to_scalar(net, seq);
     EXPECT_TRUE(approx_equal(x, y, 1e-8 * (1.0 + std::abs(x))));
-  }
-}
-
-TEST(Contractor, CustomSequenceMatchesDefault) {
-  std::mt19937_64 rng(11);
-  Network net;
-  const EdgeId e0 = net.new_edge(), e1 = net.new_edge(), e2 = net.new_edge();
-  net.add_node(random_tensor({2, 2}, rng), {e0, e1});
-  net.add_node(random_tensor({2, 2}, rng), {e1, e2});
-  net.add_node(random_tensor({2, 2}, rng), {e2, e0});
-  ContractOptions def, custom;
-  def.strategy = OrderStrategy::Sequential;
-  custom.strategy = OrderStrategy::Sequential;
-  custom.custom_sequence = {2, 0, 1};
-  EXPECT_TRUE(approx_equal(contract_to_scalar(net, def), contract_to_scalar(net, custom), 1e-9));
-}
-
-TEST(Contractor, CustomSequenceMustBeAPermutation) {
-  // A sequence with a repeated index is a caller error, rejected before any
-  // merge: it must neither half-reduce the network nor pose as a memory-out
-  // (which simulate() would take as a reason to escalate to another
-  // backend) under a budget the valid permutation fits.
-  const qc::Circuit c = bench::qaoa(9, 1, 7);
-  const Network net = core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
-  std::vector<std::size_t> perm(net.num_nodes());
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::vector<std::size_t> repeated_last = perm;
-  repeated_last.back() = 0;
-  std::vector<std::size_t> repeated_early = perm;
-  repeated_early[1] = repeated_early[2];
-  for (const std::size_t budget : {std::size_t{1} << 26, std::size_t{1024}}) {
-    ContractOptions opts;
-    opts.strategy = OrderStrategy::Sequential;
-    opts.max_tensor_elems = budget;
-    opts.custom_sequence = perm;
-    EXPECT_NO_THROW(ContractionPlan::compile(net, opts)) << budget;
-    for (const auto& bad : {repeated_last, repeated_early}) {
-      opts.custom_sequence = bad;
-      try {
-        ContractionPlan::compile(net, opts);
-        ADD_FAILURE() << "accepted a repeated index under budget " << budget;
-      } catch (const LinalgError& e) {
-        EXPECT_NE(std::string(e.what()).find("repeats a node index"), std::string::npos)
-            << e.what();
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "budget " << budget << ": " << e.what();
-      }
-    }
   }
 }
 
