@@ -4,10 +4,11 @@
 // counts {1, 2, 7}, shard sizes {1, 3, K}, plan-cache cold vs warm vs
 // disabled, and levels 0-2 -- plus the sharded trajectory sweep against its
 // per-bitstring reference and the degenerate (K = 0) inputs of every
-// output-batched API -- and an absolute pin of the TN trajectory engine's
-// estimates.
+// output-batched API -- and absolute pins of the TN trajectory engine's
+// estimates and of Algorithm-1 values.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <sstream>
 
@@ -377,6 +378,139 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
             expect_pinned(sweep[o], gc.pins.mean[o], gc.pins.std_error[o],
                           where + ", sweep threads " + std::to_string(threads) + " shard " +
                               std::to_string(shard) + " output " + std::to_string(o));
+        }
+      }
+    }
+    tsr::set_kernel_tier(prev);
+  }
+}
+
+// --- Algorithm-1 golden pins ------------------------------------------------------
+
+/// qaoa_16 + 3 realistic (thermal-relaxation) noises: the Fig. 4 shape at
+/// test size, on the plan-replay path.
+ch::NoisyCircuit approx_golden_tn() {
+  return bench::insert_noises(bench::qaoa(16, 1, 2), 3, bench::realistic_noise(), 11);
+}
+
+/// hf_8 with amplitude damping between two 2-qubit depolarizing sites. The
+/// circuit conserves particle number, so every term carrying a subdominant
+/// damping factor vanishes at the 4-particle outputs; the second
+/// depolarizing site keeps T_2 nonzero.
+ch::NoisyCircuit approx_golden_sv() {
+  const qc::Circuit c = bench::hf_vqe(8, 3);
+  ch::NoisyCircuit nc(c.num_qubits());
+  std::size_t twoq = 0;
+  for (const qc::Gate& g : c.gates()) {
+    nc.add_gate(g);
+    if (g.num_qubits() != 2) continue;
+    ++twoq;
+    if (twoq == 6 || twoq == 16)
+      nc.add_noise_2q(g.qubits[0], g.qubits[1], ch::two_qubit_depolarizing(0.05));
+    if (twoq == 11) nc.add_noise(g.qubits[1], ch::amplitude_damping(0.1));
+  }
+  return nc;
+}
+
+/// raw (real, imag) of A(0), A(1), A(2) at one output.
+using LevelPins = std::array<std::array<double, 2>, 3>;
+
+void expect_level_pins(const cplx& raw, const std::vector<double>& level_values,
+                       std::size_t level, const LevelPins& pins, const std::string& where) {
+  EXPECT_EQ(raw.real(), pins[level][0]) << where << ": raw.real " << hex(raw.real());
+  EXPECT_EQ(raw.imag(), pins[level][1]) << where << ": raw.imag " << hex(raw.imag());
+  // level_values[u] folds the same term sums in the same order as the
+  // level-u call's raw, so it carries that call's real-part pin.
+  ASSERT_EQ(level_values.size(), level + 1) << where;
+  for (std::size_t u = 0; u <= level; ++u)
+    EXPECT_EQ(level_values[u], pins[u][0])
+        << where << ": level_values[" << u << "] " << hex(level_values[u]);
+}
+
+// Absolute pin of Algorithm-1 values (%a literals) across commits. The
+// relative suites compare the sweep against a reference that shares its
+// evaluator, so a change both see alike -- how the layers are planned,
+// conjugated or folded -- passes them; these pins do not move. Outputs are
+// the noise-free circuit's most likely bitstrings, so every value is well
+// away from zero.
+TEST(ApproxGolden, ValuesMatchPinnedBits) {
+  const struct {
+    const char* name;
+    ch::NoisyCircuit nc;
+    EvalOptions eval;
+    std::vector<std::uint64_t> vb;
+    std::vector<LevelPins> pins;  // per output
+  } cases[] = {
+      {"tn qaoa_16",
+       approx_golden_tn(),
+       tn_eval(),
+       {0x5e7, 0x927, 0x8de7, 0x9e7, 0x92b},
+       {{{{0x1.f92366ab0ff34p-8, -0x1p-64},
+          {0x1.fa9c903abfff5p-8, -0x1.a894p-65},
+          {0x1.fa9efc84482b9p-8, -0x1.a96f478p-65}}},
+        {{{0x1.e77f62cb4f99bp-8, -0x1.8p-64},
+          {0x1.e9357764ddf96p-8, -0x1.944p-64},
+          {0x1.e938d8a2c2abdp-8, -0x1.93ab3a6p-64}}},
+        {{{0x1.c854646f57171p-8, -0x1.8p-65},
+          {0x1.c9b45157168d6p-8, -0x1.3b61p-65},
+          {0x1.c9b684dcc2422p-8, -0x1.3c3bf24p-65}}},
+        {{{0x1.c36e7db5b3a79p-8, -0x1.3p-61},
+          {0x1.c51c52871c935p-8, -0x1.2dea8p-61},
+          {0x1.c51f5b7801f28p-8, -0x1.2dfac55p-61}}},
+        {{{0x1.98b451d659063p-8, -0x1.18p-61},
+          {0x1.9a1a545146cd8p-8, -0x1.1a1ba8p-61},
+          {0x1.9a1d09cea3e3ep-8, -0x1.1a0ab93p-61}}}}},
+      {"sv hf_8",
+       approx_golden_sv(),
+       sv_eval(),
+       {0xc6, 0xa6, 0xb4, 0xd4, 0xc5},
+       {{{{0x1.a40b0f033d425p-4, 0x1.4p-55},
+          {0x1.ae1610da60de9p-4, 0x1.48708p-55},
+          {0x1.ae2f34096a895p-4, 0x1.48775068p-55}}},
+        {{{0x1.8d589208c5e69p-4, -0x1.cp-55},
+          {0x1.95d0ae14a1796p-4, -0x1.c2e7p-55},
+          {0x1.95e68f4e1e186p-4, -0x1.c2e6a9cp-55}}},
+        {{{0x1.5c8e55c84b0f5p-4, 0x0p+0},
+          {0x1.65156bd1c959ep-4, -0x1.3fp-62},
+          {0x1.652c46f5546a3p-4, -0x1.41f23dp-62}}},
+        {{{0x1.2e6146bab05d5p-4, 0x0p+0},
+          {0x1.37fadb56fe2b9p-4, 0x1.6bp-61},
+          {0x1.38130f9c6dba1p-4, 0x1.6e45p-61}}},
+        {{{0x1.26dc3e19eaa19p-4, 0x1.8p-56},
+          {0x1.2ef39a3c72127p-4, 0x1.8974p-56},
+          {0x1.2f0ae2029d898p-4, 0x1.8974abe8p-56}}}}},
+  };
+
+  for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+    const auto tier = static_cast<tsr::KernelTier>(t);
+    if (!tsr::kernel_table(tier)) continue;
+    const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
+    for (const auto& gc : cases) {
+      for (const std::size_t threads : {1ul, 4ul}) {
+        for (std::size_t level = 0; level <= 2; ++level) {
+          const std::string where = std::string(gc.name) + " on " +
+                                    tsr::kernel_tier_name(tier) + ", threads " +
+                                    std::to_string(threads) + ", level " + std::to_string(level);
+          ApproxOptions opts;
+          opts.level = level;
+          opts.eval = gc.eval;
+          opts.threads = threads;
+          for (std::size_t o = 0; o < gc.vb.size(); ++o) {
+            const ApproxResult r = approximate_fidelity(gc.nc, 0, gc.vb[o], opts);
+            expect_level_pins(r.raw, r.level_values, level, gc.pins[o],
+                              where + ", output " + std::to_string(o));
+          }
+          for (const std::size_t shard : {1ul, 3ul}) {
+            SweepOptions sopts;
+            sopts.approx = opts;
+            sopts.shard_outputs = shard;
+            const ApproxBatchResult r = xeb_sweep(gc.nc, 0, gc.vb, sopts);
+            ASSERT_EQ(r.raw.size(), gc.vb.size()) << where;
+            for (std::size_t o = 0; o < gc.vb.size(); ++o)
+              expect_level_pins(r.raw[o], r.level_values[o], level, gc.pins[o],
+                                where + ", xeb shard " + std::to_string(shard) + " output " +
+                                    std::to_string(o));
+          }
         }
       }
     }
