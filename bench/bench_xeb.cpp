@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
 
   // One template serves every K: the reference path replays its plan per
   // bitstring, the batched path compiles an output-batched plan on top.
-  const core::AmplitudeTemplate tmpl(n, circuit.gates(), 0, 0, /*conjugate=*/false, eval);
+  const core::AmplitudeTemplate tmpl(n, circuit.gates(), 0, 0, eval);
   const std::size_t nn = static_cast<std::size_t>(n);
 
   std::mt19937_64 sample_rng(2024);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   eval.backend = core::EvalOptions::Backend::TensorNetwork;
 
   // Ideal probabilities p(x) = |<x|C|0>|^2, one batched traversal.
-  const std::vector<cplx> amps = core::batch_amplitudes(n, circuit.gates(), 0, xs,
-                                                        /*conjugate=*/false, eval);
+  const std::vector<cplx> amps = core::batch_amplitudes(n, circuit.gates(), 0, xs, eval);
 
   // Noisy probabilities A(1) ~ <x|E(rho)|x>, every Algorithm-1 term
   // evaluated for all K outputs in one sweep.

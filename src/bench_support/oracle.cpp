@@ -34,19 +34,25 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
   const std::size_t sites = splits.size();
   level = std::min(level, sites);
 
+  // The literal bottom layer <v|conj(G_d)...V...|psi>: every gate replaced
+  // by its entry-wise conjugate, V itself at the sites.
+  std::vector<qc::Gate> bottom;
+  for (const qc::Gate& g : gates)
+    bottom.push_back(g.num_qubits() == 1 ? qc::u1q(g.qubits[0], g.matrix().conj())
+                                         : qc::u2q(g.qubits[0], g.qubits[1], g.matrix().conj()));
+
   core::ApproxResult result;
   result.term_sums.assign(level + 1, cplx{0.0, 0.0});
-  std::vector<qc::Gate> top = gates, bottom = gates;
+  std::vector<qc::Gate> top = gates;
   std::vector<std::size_t> choice(sites, 0);  // split term per site
   auto add_term = [&](std::size_t u) {
     for (std::size_t s = 0; s < sites; ++s) {
       top[pos[s]].custom = splits[s].u[choice[s]];
-      // The bottom layer conjugates every matrix, so conj(V) applies V.
-      bottom[pos[s]].custom = splits[s].v[choice[s]].conj();
+      bottom[pos[s]].custom = splits[s].v[choice[s]];
     }
     result.term_sums[u] +=
-        core::amplitude(n, top, psi_bits, v_bits, false, eval, &result.contract_stats) *
-        core::amplitude(n, bottom, psi_bits, v_bits, true, eval, &result.contract_stats);
+        core::amplitude(n, top, psi_bits, v_bits, eval, &result.contract_stats) *
+        core::amplitude(n, bottom, psi_bits, v_bits, eval, &result.contract_stats);
     result.contractions += 2;
   };
 

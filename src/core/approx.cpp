@@ -205,13 +205,12 @@ class SweepTimer {
 };
 
 // Tensorized SVD factors per (site, term index) and the network node each
-// site substitutes. The bottom template is built
-// with conjugate=true, which conjugates whatever matrix the site gate
-// carries; the seed path stored conj(V) there to apply V itself, and
-// conj(conj(V)) == V bitwise, so V enters the substitution directly.
+// site substitutes. Both layers replay the one template: the bottom layer
+// <v|conj(G)...V...|psi> is the conjugate of the top network fed conj(V),
+// so `bot` holds conj(V) and the fold conjugates its amplitude back.
 struct SiteFactors {
   std::vector<std::size_t> node;                   // network node per site
-  std::vector<std::vector<tsr::Tensor>> top, bot;  // U / V factor tensors
+  std::vector<std::vector<tsr::Tensor>> top, bot;  // U / conj(V) factor tensors
 };
 SiteFactors build_site_factors(const std::vector<Site>& sites,
                                const std::vector<std::size_t>& site_pos,
@@ -226,7 +225,8 @@ SiteFactors build_site_factors(const std::vector<Site>& sites,
     const Site& site = sites[s];
     for (std::size_t t = 0; t < site.split.terms(); ++t) {
       f.top[s].push_back(gate_matrix_tensor(site.split.u[t], static_cast<int>(site.arity)));
-      f.bot[s].push_back(gate_matrix_tensor(site.split.v[t], static_cast<int>(site.arity)));
+      f.bot[s].push_back(
+          gate_matrix_tensor(site.split.v[t].conj(), static_cast<int>(site.arity)));
     }
   }
   return f;
@@ -262,17 +262,13 @@ struct AcquiredTemplate {
 AcquiredTemplate acquire_template(PlanCache* cache, int n,
                                   const std::vector<qc::Gate>& skeleton,
                                   std::uint64_t psi_bits, std::uint64_t v_bits,
-                                  bool conjugate, const EvalOptions& eval,
-                                  tn::ContractStats& setup_stats) {
+                                  const EvalOptions& eval, tn::ContractStats& setup_stats) {
   AcquiredTemplate out;
   if (cache) {
     bool hit = false;
     out.entry = cache->entry(
-        PlanCache::template_key(n, skeleton, psi_bits, v_bits, conjugate, eval.tn),
-        [&] {
-          return AmplitudeTemplate(n, skeleton, psi_bits, v_bits, conjugate, eval);
-        },
-        &hit);
+        PlanCache::template_key(n, skeleton, psi_bits, v_bits, eval.tn),
+        [&] { return AmplitudeTemplate(n, skeleton, psi_bits, v_bits, eval); }, &hit);
     if (hit) {
       ++setup_stats.plan_cache_hits;
     } else {
@@ -280,8 +276,7 @@ AcquiredTemplate acquire_template(PlanCache* cache, int n,
       setup_stats.merge(out.entry->tmpl().compile_stats());
     }
   } else {
-    out.owned =
-        std::make_shared<const AmplitudeTemplate>(n, skeleton, psi_bits, v_bits, conjugate, eval);
+    out.owned = std::make_shared<const AmplitudeTemplate>(n, skeleton, psi_bits, v_bits, eval);
     setup_stats.merge(out.owned->compile_stats());
   }
   return out;
@@ -561,6 +556,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
                                 const ApproxOptions& opts, std::size_t shard_outputs) {
   const int n = nc.num_qubits();
   const std::size_t K = v_bits.size();
+  require_basis_label(psi_bits, n, "approximate_fidelity");
+  for (const std::uint64_t v : v_bits) require_basis_label(v, n, "approximate_fidelity");
   BaseLists base = build_base(nc);
   const std::size_t num_sites = base.sites.size();
   const std::size_t level = std::min(opts.level, num_sites);
@@ -629,8 +626,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     return result;
   };
 
-  AcquiredTemplate top_at, bot_at;
-  std::shared_ptr<const tn::BatchedPlan> top_bplan, bot_bplan;
+  AcquiredTemplate at;
+  std::shared_ptr<const tn::BatchedPlan> bplan;
   SiteFactors fac;
   std::vector<const tsr::Tensor*> caps_of_output;
   std::vector<std::size_t> slots;
@@ -638,28 +635,23 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
   try {
   if (tn_path) {
-    // Canonical v = 0 templates: the output caps are placeholders (always
-    // substituted below), so one cached entry serves EVERY bitstring set
-    // over this skeleton -- that is what makes the plan cache hit across
-    // XEB batches arriving over time.
-    top_at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, /*conjugate=*/false,
-                              sk.eval, setup_stats);
-    bot_at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, /*conjugate=*/true,
-                              sk.eval, setup_stats);
-    fac = build_site_factors(base.sites, sk.site_pos, top_at.tmpl());
+    // One canonical v = 0 template serves both layers: the output caps are
+    // placeholders (always substituted below), so one cached entry serves
+    // EVERY bitstring set over this skeleton -- that is what makes the plan
+    // cache hit across XEB batches arriving over time.
+    at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
+    fac = build_site_factors(base.sites, sk.site_pos, at.tmpl());
 
     // Per-output cap pointer table (the template's shared <0|/<1| objects,
     // so the executor's pointer compaction shares rows across bitstrings).
-    // Basis caps are real, so the same tensors serve the conjugated bottom
-    // layer.
+    // Basis caps are real, so the same tensors serve the bottom layer.
     caps_of_output.resize(K * nn);
     for (std::size_t o = 0; o < K; ++o)
-      top_at.tmpl().fill_output_caps(v_bits[o],
-                                     std::span(caps_of_output).subspan(o * nn, nn));
+      at.tmpl().fill_output_caps(v_bits[o], std::span(caps_of_output).subspan(o * nn, nn));
 
     // Combined varying slots: the noise sites keep Algorithm 1's per-term
     // deviation promise (<= level), the output caps flip freely.
-    const std::vector<std::size_t> cap_nodes = top_at.tmpl().output_cap_nodes();
+    const std::vector<std::size_t> cap_nodes = at.tmpl().output_cap_nodes();
     slots = fac.node;
     slots.insert(slots.end(), cap_nodes.begin(), cap_nodes.end());
     V = slots.size();
@@ -668,18 +660,12 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
     for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
 
-    // Both layers batch or neither does: without a batched plan (1 x 1
-    // items, a combined batch beyond the workspace budget, or one that
-    // shares nothing) each term replays the per-term plans, bit-identically.
-    top_bplan = batched_plan_or_null(capacity, [&] {
-      return acquire_batched(top_at, slots, capacity, counts, level, unconstrained, setup_stats);
+    // Without a batched plan (1 x 1 items, a combined batch beyond the
+    // workspace budget, or one that shares nothing) each term replays the
+    // per-term plan, bit-identically.
+    bplan = batched_plan_or_null(capacity, [&] {
+      return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
     });
-    if (top_bplan)
-      bot_bplan = batched_plan_or_null(capacity, [&] {
-        return acquire_batched(bot_at, slots, capacity, counts, level, unconstrained,
-                               setup_stats);
-      });
-    if (!bot_bplan) top_bplan.reset();
   }
   } catch (const CancelledError&) {
     return salvage_empty();
@@ -690,64 +676,52 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   if (tn_path) {
     // Plan replay: each item covers (term range x <= out_chunk outputs)
     // pairs per evaluator call -- noise slots level-capped, cap slots
-    // unconstrained.
+    // unconstrained. One evaluator runs each chunk twice: on the U factors
+    // (top layer) and on the conj(V) factors (conjugated bottom layer).
     make_eval = [&](std::size_t) -> WorkerEval {
-      auto top =
-          std::make_shared<ReplayEvaluator>(top_at.tmpl(), slots, top_bplan.get(), control);
-      auto bot =
-          std::make_shared<ReplayEvaluator>(bot_at.tmpl(), slots, bot_bplan.get(), control);
-      auto top_ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
-      auto bot_ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
+      auto eval = std::make_shared<ReplayEvaluator>(at.tmpl(), slots, bplan.get(), control);
+      auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
       auto top_amp = std::make_shared<std::vector<cplx>>(capacity);
       auto bot_amp = std::make_shared<std::vector<cplx>>(capacity);
       WorkerEval we;
-      we.eval = [&, top, bot, top_ptrs, bot_ptrs, top_amp, bot_amp](
-                    std::size_t t0, std::size_t tcount, std::size_t obegin,
-                    std::size_t ocount, std::span<cplx> out, tn::ContractStats&) {
+      we.eval = [&, eval, ptrs, top_amp, bot_amp](std::size_t t0, std::size_t tcount,
+                                                  std::size_t obegin, std::size_t ocount,
+                                                  std::span<cplx> out, tn::ContractStats&) {
         for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
           const std::size_t oc = std::min(out_chunk, ocount - o0);
           const std::size_t kk = tcount * oc;
-          for (std::size_t t = 0; t < tcount; ++t) {
-            const Term& term = terms[t0 + t];
-            for (std::size_t o = 0; o < oc; ++o) {
-              const std::size_t p = (t * oc + o) * V;
-              // Dominant factor everywhere, subdominant at the chosen
-              // sites; the output chunk's caps in the trailing slots.
-              for (std::size_t s = 0; s < num_sites; ++s) {
-                (*top_ptrs)[p + s] = &fac.top[s][0];
-                (*bot_ptrs)[p + s] = &fac.bot[s][0];
-              }
-              for (std::size_t c = 0; c < term.sites.size(); ++c) {
-                const std::size_t s = term.sites[c];
-                (*top_ptrs)[p + s] = &fac.top[s][term.term_idx[c]];
-                (*bot_ptrs)[p + s] = &fac.bot[s][term.term_idx[c]];
-              }
-              for (std::size_t q = 0; q < nn; ++q) {
-                const tsr::Tensor* cap = caps_of_output[(obegin + o0 + o) * nn + q];
-                (*top_ptrs)[p + num_sites + q] = cap;
-                (*bot_ptrs)[p + num_sites + q] = cap;
+          // Dominant factor everywhere, subdominant at the term's chosen
+          // sites; the output chunk's caps in the trailing slots.
+          auto fill = [&](const std::vector<std::vector<tsr::Tensor>>& factors) {
+            for (std::size_t t = 0; t < tcount; ++t) {
+              const Term& term = terms[t0 + t];
+              for (std::size_t o = 0; o < oc; ++o) {
+                const std::size_t p = (t * oc + o) * V;
+                for (std::size_t s = 0; s < num_sites; ++s) (*ptrs)[p + s] = &factors[s][0];
+                for (std::size_t c = 0; c < term.sites.size(); ++c)
+                  (*ptrs)[p + term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
+                for (std::size_t q = 0; q < nn; ++q)
+                  (*ptrs)[p + num_sites + q] = caps_of_output[(obegin + o0 + o) * nn + q];
               }
             }
-          }
-          top->evaluate({}, std::span<const tsr::Tensor* const>(*top_ptrs).first(kk * V), kk,
-                        *top_amp);
-          bot->evaluate({}, std::span<const tsr::Tensor* const>(*bot_ptrs).first(kk * V), kk,
-                        *bot_amp);
+            return std::span<const tsr::Tensor* const>(*ptrs).first(kk * V);
+          };
+          eval->evaluate({}, fill(fac.top), kk, *top_amp);
+          eval->evaluate({}, fill(fac.bot), kk, *bot_amp);
           for (std::size_t t = 0; t < tcount; ++t)
             for (std::size_t o = 0; o < oc; ++o)
-              out[t * ocount + o0 + o] = (*top_amp)[t * oc + o] * (*bot_amp)[t * oc + o];
+              out[t * ocount + o0 + o] =
+                  (*top_amp)[t * oc + o] * std::conj((*bot_amp)[t * oc + o]);
         }
       };
-      we.flush = [top, bot](tn::ContractStats& stats) {
-        stats.merge(top->stats());
-        stats.merge(bot->stats());
-      };
+      we.flush = [eval](tn::ContractStats& stats) { stats.merge(eval->stats()); };
       return we;
     };
   } else {
     // State-vector path: each term materializes its gate lists and
     // evaluates the chunk's outputs through batch_amplitudes (one evolution
-    // per layer per term per chunk).
+    // per layer per term per chunk). The bottom list carries conj(V), so its
+    // amplitudes are the conjugated bottom layer, as on the replay path.
     make_eval = [&](std::size_t) -> WorkerEval {
       auto top = std::make_shared<std::vector<qc::Gate>>(sk.gates);
       auto bottom = std::make_shared<std::vector<qc::Gate>>(sk.gates);
@@ -764,15 +738,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             for (std::size_t c = 0; c < term.sites.size(); ++c)
               if (term.sites[c] == s) ti = term.term_idx[c];
             (*top)[sk.site_pos[s]].custom = base.sites[s].split.u[ti];
-            // The bottom layer is evaluated with conjugate=true (which
-            // conjugates every matrix), so store conj(V) to apply V itself.
             (*bottom)[sk.site_pos[s]].custom = base.sites[s].split.v[ti].conj();
           }
-          const std::vector<cplx> top_amp = batch_amplitudes(
-              n, *top, psi_bits, chunk_outputs, /*conjugate=*/false, sk.eval, &stats);
-          const std::vector<cplx> bot_amp = batch_amplitudes(
-              n, *bottom, psi_bits, chunk_outputs, /*conjugate=*/true, sk.eval, &stats);
-          for (std::size_t o = 0; o < ocount; ++o) out[t * ocount + o] = top_amp[o] * bot_amp[o];
+          const std::vector<cplx> top_amp =
+              batch_amplitudes(n, *top, psi_bits, chunk_outputs, sk.eval, &stats);
+          const std::vector<cplx> bot_amp =
+              batch_amplitudes(n, *bottom, psi_bits, chunk_outputs, sk.eval, &stats);
+          for (std::size_t o = 0; o < ocount; ++o)
+            out[t * ocount + o] = top_amp[o] * std::conj(bot_amp[o]);
         }
       };
       we.flush = [](tn::ContractStats&) {};
@@ -943,14 +916,14 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
 
   model.tensor_network = uses_tensor_network(sk.eval, n);
   if (model.tensor_network) {
-    // Compile (or fetch) the top-layer template under the sweep's own
-    // canonical v = 0 cache key: the plan's flops/arena ARE the per-layer
+    // Compile (or fetch) the sweep's one template under its own canonical
+    // v = 0 cache key: the plan's flops/arena ARE the per-layer
     // cost (the output caps only change tensor values, never the plan), and
     // a cache miss here is work the run would have paid anyway.
     tn::ContractStats setup_stats;
-    const AcquiredTemplate top = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0,
-                                                  /*conjugate=*/false, sk.eval, setup_stats);
-    const tn::ContractionPlan& plan = top.tmpl().plan();
+    const AcquiredTemplate at =
+        acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
+    const tn::ContractionPlan& plan = at.tmpl().plan();
     model.layer_flops = static_cast<double>(plan.total_flops());
     model.peak_elems = plan.workspace_elems();
   } else {

@@ -7,7 +7,12 @@
 // terms at the chosen u sites. Every substitution splits the doubled
 // diagram into two *independent* single-layer networks (top: U insertions;
 // bottom: V insertions), each contracted on its own -- this is what gives
-// the method its scalability (Fig. 4).
+// the method its scalability (Fig. 4). The bottom network is the top one
+// with every tensor conjugated, so the sweep compiles one plan and
+// evaluates the bottom layer as conj(top network fed conj(V)); the term is
+// top * conj(that). Complex products and sums are sign-symmetric under
+// conjugation without FMA contraction, so this equals contracting the
+// conjugated network bit for bit (up to the sign of an exact zero).
 
 #include <cstdint>
 #include <functional>
@@ -255,7 +260,7 @@ struct ApproxCostModel {
 
 /// Build the cost model for approximate_fidelity(nc, psi_bits, v, opts) at
 /// any output v (the model does not depend on it). On the tensor-network
-/// path this compiles (or fetches from opts.plan_cache) the top-layer
+/// path this compiles (or fetches from opts.plan_cache) the sweep's one
 /// AmplitudeTemplate under the sweep's own cache key, so MemoryOutError /
 /// TimeoutError surface here exactly as they would at the start of the run.
 /// opts.level is ignored -- the model answers for every level through

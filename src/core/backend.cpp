@@ -327,6 +327,8 @@ void validate_simulate_options(const SimulateOptions& opts) {
 SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
                    const SimulateOptions& opts) {
   validate_simulate_options(opts);
+  require_basis_label(psi_bits, nc.num_qubits(), "simulate");
+  require_basis_label(v_bits, nc.num_qubits(), "simulate");
   // A pre-cancelled or pre-expired control fails fast, before any backend
   // bids (estimation can compile plans, which is real work).
   if (opts.control) opts.control->poll();

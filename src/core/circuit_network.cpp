@@ -63,8 +63,8 @@ tn::Network amplitude_network(int n, const std::vector<qc::Gate>& gates,
 
 AmplitudeTemplate::AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton,
                                      std::uint64_t psi_bits, std::uint64_t v_bits,
-                                     bool conjugate, const EvalOptions& opts)
-    : net_(amplitude_network(n, skeleton, psi_bits, v_bits, conjugate)),
+                                     const EvalOptions& opts)
+    : net_(amplitude_network(n, skeleton, psi_bits, v_bits)),
       copts_(opts.tn),
       plan_(tn::ContractionPlan::compile(net_, copts_, &compile_stats_)),
       n_(n),
@@ -165,30 +165,28 @@ cplx AmplitudeTemplate::Session::evaluate(std::span<const Substitution> subs) {
 
 namespace {
 
-sim::Statevector evolve_sv(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits,
-                           bool conjugate) {
+sim::Statevector evolve_sv(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits) {
   sim::Statevector sv = sim::Statevector::basis(n, psi_bits);
   for (const qc::Gate& g : gates) {
-    la::Matrix m = g.matrix();
-    if (conjugate) m = m.conj();
     if (g.num_qubits() == 1)
-      sv.apply_matrix1(m, g.qubits[0]);
+      sv.apply_matrix1(g.matrix(), g.qubits[0]);
     else
-      sv.apply_matrix2(m, g.qubits[0], g.qubits[1]);
+      sv.apply_matrix2(g.matrix(), g.qubits[0], g.qubits[1]);
   }
   return sv;
 }
 
 cplx amplitude_sv(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits,
-                  std::uint64_t v_bits, bool conjugate) {
-  return evolve_sv(n, gates, psi_bits, conjugate).amplitude(v_bits);
+                  std::uint64_t v_bits) {
+  return evolve_sv(n, gates, psi_bits).amplitude(v_bits);
 }
 
 }  // namespace
 
 cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits,
-               std::uint64_t v_bits, bool conjugate, const EvalOptions& opts,
-               tn::ContractStats* stats) {
+               std::uint64_t v_bits, const EvalOptions& opts, tn::ContractStats* stats) {
+  require_basis_label(psi_bits, n, "amplitude");
+  require_basis_label(v_bits, n, "amplitude");
   const std::vector<qc::Gate>* use = &gates;
   std::vector<qc::Gate> reduced;
   if (opts.simplify) {
@@ -197,17 +195,16 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
   }
 
   auto contract_tn = [&] {
-    return tn::contract_to_scalar(amplitude_network(n, *use, psi_bits, v_bits, conjugate),
-                                  opts.tn, stats);
+    return tn::contract_to_scalar(amplitude_network(n, *use, psi_bits, v_bits), opts.tn, stats);
   };
 
   switch (opts.backend) {
     case EvalOptions::Backend::StateVector:
-      return amplitude_sv(n, *use, psi_bits, v_bits, conjugate);
+      return amplitude_sv(n, *use, psi_bits, v_bits);
     case EvalOptions::Backend::TensorNetwork:
       return contract_tn();
     case EvalOptions::Backend::Auto:
-      if (n <= kSvMaxQubits) return amplitude_sv(n, *use, psi_bits, v_bits, conjugate);
+      if (n <= kSvMaxQubits) return amplitude_sv(n, *use, psi_bits, v_bits);
       return contract_tn();
   }
   la::detail::fail("amplitude: unknown backend");
@@ -215,8 +212,10 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
-                                   std::span<const std::uint64_t> v_bits, bool conjugate,
+                                   std::span<const std::uint64_t> v_bits,
                                    const EvalOptions& opts, tn::ContractStats* stats) {
+  require_basis_label(psi_bits, n, "batch_amplitudes");
+  for (const std::uint64_t v : v_bits) require_basis_label(v, n, "batch_amplitudes");
   std::vector<cplx> out(v_bits.size());
   if (v_bits.empty()) return out;
 
@@ -232,14 +231,14 @@ std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
   if (!uses_tensor_network(eval, n)) {
     // One forward evolution; every amplitude read off the same final state
     // is bit-identical to its standalone amplitude() evaluation.
-    const sim::Statevector sv = evolve_sv(n, *use, psi_bits, conjugate);
+    const sim::Statevector sv = evolve_sv(n, *use, psi_bits);
     for (std::size_t t = 0; t < v_bits.size(); ++t) out[t] = sv.amplitude(v_bits[t]);
     return out;
   }
 
   // One compiled skeleton for every bitstring; the template's own caps are
   // placeholders (the varying slots always substitute them).
-  const AmplitudeTemplate tmpl(n, *use, psi_bits, v_bits[0], conjugate, eval);
+  const AmplitudeTemplate tmpl(n, *use, psi_bits, v_bits[0], eval);
   if (stats) stats->merge(tmpl.compile_stats());
   const std::size_t nn = static_cast<std::size_t>(n);
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,18 +46,31 @@ inline bool basis_bit(std::uint64_t bits, int n, int q) {
   return shift < 64 && ((bits >> shift) & 1);
 }
 
+/// Throws LinalgError when basis label `bits` sets a bit at or above
+/// position n, which basis_bit would silently ignore. A no-op for n >= 64,
+/// where every label is in range.
+inline void require_basis_label(std::uint64_t bits, int n, const char* what) {
+  if (n >= 0 && n < 64 && (bits >> n) != 0)
+    la::detail::fail(std::string(what) + ": basis label out of range for " + std::to_string(n) +
+                     " qubits");
+}
+
 /// Build the tensor network of <v| gates |psi> over n qubits with
 /// computational-basis product states |psi_bits>, |v_bits>.
-/// If `conjugate` is set every tensor entry is conjugated, which evaluates
-/// <v| conj(G_d) ... conj(G_1) |psi> (the bottom layer of the doubled
-/// diagram; basis states are real so they are unaffected).
+/// `conjugate` conjugates every tensor entry. The library never sets it:
+/// the bottom layer of Algorithm 1 is evaluated as the conjugate of the
+/// top layer's network. It stays only because perfbench/src/workloads.cpp
+/// passes it.
 tn::Network amplitude_network(int n, const std::vector<qc::Gate>& gates,
                               std::uint64_t psi_bits, std::uint64_t v_bits,
                               bool conjugate = false);
 
-/// Evaluate <v| gates |psi> (or its conjugated-gates variant).
+/// Evaluate <v| gates |psi>. Entry-wise conjugating every gate matrix
+/// conjugates the result bit for bit (up to the sign of an exact zero):
+/// complex products and sums are sign-symmetric under round-to-nearest
+/// without FMA contraction.
 cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits,
-               std::uint64_t v_bits, bool conjugate = false, const EvalOptions& opts = {},
+               std::uint64_t v_bits, const EvalOptions& opts = {},
                tn::ContractStats* stats = nullptr);
 
 /// Evaluate <v_t| gates |psi> for EVERY output bitstring v_t in `v_bits`
@@ -72,7 +86,7 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 /// (batched_plan_or_null), which is bit-identical too.
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
-                                   std::span<const std::uint64_t> v_bits, bool conjugate = false,
+                                   std::span<const std::uint64_t> v_bits,
                                    const EvalOptions& opts = {},
                                    tn::ContractStats* stats = nullptr);
 
@@ -133,7 +147,7 @@ class AmplitudeTemplate {
   /// `skeleton` must stay shape-stable under substitution: replacement
   /// tensors carry the same shape as the gate they stand in for.
   AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
-                    std::uint64_t v_bits, bool conjugate, const EvalOptions& opts);
+                    std::uint64_t v_bits, const EvalOptions& opts);
 
   /// Network node carrying skeleton gate `gate_index` (for substitutions).
   std::size_t node_of_gate(std::size_t gate_index) const {

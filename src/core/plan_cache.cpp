@@ -121,14 +121,13 @@ void PlanCache::note(bool hit) {
 
 std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton,
                                     std::uint64_t psi_bits, std::uint64_t v_bits,
-                                    bool conjugate, const tn::ContractOptions& copts) {
+                                    const tn::ContractOptions& copts) {
   std::string key;
   key.reserve(64 + skeleton.size() * 48);
-  put_u64(key, 4);  // key-format version (4: node-order field removed)
+  put_u64(key, 5);  // key-format version (5: conjugation field removed)
   put_u64(key, static_cast<std::uint64_t>(n));
   put_u64(key, psi_bits);
   put_u64(key, v_bits);
-  put_u64(key, conjugate ? 1 : 0);
   put_u64(key, static_cast<std::uint64_t>(copts.strategy));
   put_u64(key, copts.max_tensor_elems);
   put_f64(key, copts.timeout_seconds);

@@ -6,11 +6,14 @@
 // batches arriving over time) recompile identical AmplitudeTemplates and
 // batched plans on every call: the plan is a pure function of the network
 // topology and the contraction options, so all of that work is cacheable.
-// A PlanCache memoizes both layers:
+// A sweep evaluates both layers of the doubled diagram through one template
+// (the bottom layer is the conjugate of the top one's network fed
+// conjugated factors), so a skeleton occupies one entry. A PlanCache
+// memoizes two levels:
 //
 //  * template entries -- one compiled AmplitudeTemplate per distinct
-//    (qubit count, skeleton gate list, |psi>/<v| basis labels, conjugation,
-//    resolved tn::ContractOptions) key; the key serializes every input that
+//    (qubit count, skeleton gate list, |psi>/<v| basis labels,
+//    tn::ContractOptions) key; the key serializes every input that
 //    enters plan compilation byte for byte (gate matrices included), so two
 //    keys compare equal exactly when the compiled plans would be identical
 //    -- there is no hash-collision failure mode, lookups compare full keys;
@@ -110,11 +113,11 @@ class PlanCache {
 
   /// Serialize a template identity into a cache key: every input that
   /// enters AmplitudeTemplate construction, byte for byte (gate kinds,
-  /// qubits, parameters, custom matrices, basis labels, conjugation, and
-  /// the contraction options).
+  /// qubits, parameters, custom matrices, basis labels, and the
+  /// contraction options).
   static std::string template_key(int n, const std::vector<qc::Gate>& skeleton,
                                   std::uint64_t psi_bits, std::uint64_t v_bits,
-                                  bool conjugate, const tn::ContractOptions& copts);
+                                  const tn::ContractOptions& copts);
 
   /// Serialize a compile_batched parameter set into an Entry::batched key.
   static std::string batched_key(std::span<const std::size_t> varying_slots,

@@ -102,6 +102,8 @@ class TrajectorySweep {
         psi_bits_(psi_bits),
         v_bits_(v_bits),
         eval_(eval) {
+    require_basis_label(psi_bits, n_, "trajectories_tn");
+    for (const std::uint64_t v : v_bits) require_basis_label(v, n_, "trajectories_tn");
     const std::size_t K = v_bits.size();
     // Plan replay needs the contraction backend and a gate list that is
     // shape-stable per sample (simplify would cancel differently per draw).
@@ -113,7 +115,7 @@ class TrajectorySweep {
       return;
     }
     shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputChunk);
-    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], /*conjugate=*/false, eval);
+    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], eval);
     const std::size_t num_sites = sk_.mixtures.size();
 
     // Tensorized mixture unitaries per (site, mixture index) -- sampling
@@ -218,7 +220,7 @@ class TrajectorySweep {
               sk_.mixtures[site].unitaries[sample_index(sk_.mixtures[site].probs, rng)];
         const std::vector<cplx> amps =
             batch_amplitudes(n_, *gates, psi_bits_, v_bits_.subspan(shard_begin, shard_count),
-                             /*conjugate=*/false, eval_);
+                             eval_);
         for (std::size_t o = 0; o < shard_count; ++o)
           out[s * shard_count + o] = std::norm(amps[o]);
       }

@@ -63,10 +63,10 @@ std::vector<std::uint64_t> sampled_bitstrings(int n, std::size_t count, std::uin
 void expect_batch_matches_amplitude(int n, const std::vector<qc::Gate>& gates,
                                     std::span<const std::uint64_t> vb,
                                     const EvalOptions& eval) {
-  const std::vector<cplx> batch = batch_amplitudes(n, gates, 0, vb, false, eval);
+  const std::vector<cplx> batch = batch_amplitudes(n, gates, 0, vb, eval);
   ASSERT_EQ(batch.size(), vb.size());
   for (std::size_t t = 0; t < vb.size(); ++t) {
-    const cplx ref = amplitude(n, gates, 0, vb[t], false, eval);
+    const cplx ref = amplitude(n, gates, 0, vb[t], eval);
     EXPECT_EQ(ref.real(), batch[t].real()) << "bitstring " << t;
     EXPECT_EQ(ref.imag(), batch[t].imag()) << "bitstring " << t;
   }
@@ -107,13 +107,13 @@ TEST(BatchAmplitudes, ChunksLargerThanInternalCapacity) {
 
 TEST(BatchAmplitudes, EmptyRequestYieldsEmptyResult) {
   const qc::Circuit c = bench::qaoa(16, 1, 7);
-  EXPECT_TRUE(batch_amplitudes(16, c.gates(), 0, {}, false, tn_eval()).empty());
+  EXPECT_TRUE(batch_amplitudes(16, c.gates(), 0, {}, tn_eval()).empty());
 }
 
 TEST(BatchedOutputs, PartialBatchesThroughTemplateApi) {
   // k < capacity and k not dividing capacity, straight on the template API.
   const qc::Circuit c = bench::qaoa(16, 1, 13);
-  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, false, tn_eval());
+  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
   const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(8);
   AmplitudeTemplate::BatchedSession session(tmpl, bplan);
   AmplitudeTemplate::Session ref_session = tmpl.session();
@@ -141,10 +141,10 @@ TEST(BatchedOutputs, WorkspaceBudgetTripsOnlyTheOutputBatch) {
   const qc::Circuit c = bench::qaoa(16, 1, 19);
   EvalOptions eval = tn_eval();
   eval.tn.greedy_cost_weights = {1.0};
-  const AmplitudeTemplate probe(16, c.gates(), 0, 0, false, eval);
+  const AmplitudeTemplate probe(16, c.gates(), 0, 0, eval);
   eval.tn.max_workspace_elems = probe.plan().workspace_elems();
 
-  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, false, eval);
+  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, eval);
   (void)tmpl.compile_batched_outputs(1);  // capacity 1 matches the per-term arena
   EXPECT_THROW(tmpl.compile_batched_outputs(16), MemoryOutError);
   const bench::RunOutcome out = bench::run_guarded([&] {
@@ -157,10 +157,10 @@ TEST(BatchedOutputs, WorkspaceBudgetTripsOnlyTheOutputBatch) {
   // The convenience API degrades to per-bitstring replay instead of
   // failing, and stays bitwise-equal to the unbudgeted path.
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 12, 23);
-  const std::vector<cplx> budgeted = batch_amplitudes(16, c.gates(), 0, vb, false, eval);
+  const std::vector<cplx> budgeted = batch_amplitudes(16, c.gates(), 0, vb, eval);
   EvalOptions unbudgeted = eval;
   unbudgeted.tn.max_workspace_elems = 0;
-  const std::vector<cplx> full = batch_amplitudes(16, c.gates(), 0, vb, false, unbudgeted);
+  const std::vector<cplx> full = batch_amplitudes(16, c.gates(), 0, vb, unbudgeted);
   for (std::size_t t = 0; t < vb.size(); ++t) EXPECT_EQ(budgeted[t], full[t]);
 }
 
@@ -175,7 +175,7 @@ TEST(BatchedOutputs, WorkspaceBudgetTripsOnlyTheOutputBatch) {
 
 TEST(FlopFraction, JustBelowThresholdKeepsTheBatchedPath) {
   const qc::Circuit c = bench::supremacy_inst(4, 4, 16, 5);
-  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, false, tn_eval());
+  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
   const tn::BatchedPlan bp = tmpl.compile_batched_outputs(2);
   EXPECT_GT(bp.sequential_flop_fraction(), 0.99);
   EXPECT_LT(bp.sequential_flop_fraction(), 0.999);
@@ -188,7 +188,7 @@ TEST(FlopFraction, JustBelowThresholdKeepsTheBatchedPath) {
 
 TEST(FlopFraction, AtOrAboveThresholdFallsBackToPerBitstringReplay) {
   const qc::Circuit c = bench::supremacy_inst(4, 4, 24, 5);
-  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, false, tn_eval());
+  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
   const tn::BatchedPlan bp = tmpl.compile_batched_outputs(2);
   EXPECT_GE(bp.sequential_flop_fraction(), 0.999);
   EXPECT_LE(bp.sequential_flop_fraction(), 1.0);

@@ -6,6 +6,7 @@
 
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
+#include "core/backend.hpp"
 #include "core/bounds.hpp"
 #include "core/circuit_network.hpp"
 #include "core/doubled_network.hpp"
@@ -14,6 +15,7 @@
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "sim/density.hpp"
+#include "tensor/kernels.hpp"
 
 namespace noisim::core {
 namespace {
@@ -181,22 +183,68 @@ TEST_P(AmplitudeBackends, TnMatchesStatevector) {
   sv.backend = EvalOptions::Backend::StateVector;
   tn.backend = EvalOptions::Backend::TensorNetwork;
   for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{15}}) {
-    const cplx a = amplitude(n, c.gates(), 3, v, false, sv);
-    const cplx b = amplitude(n, c.gates(), 3, v, false, tn);
+    const cplx a = amplitude(n, c.gates(), 3, v, sv);
+    const cplx b = amplitude(n, c.gates(), 3, v, tn);
     EXPECT_TRUE(approx_equal(a, b, 1e-9)) << "v=" << v;
   }
 }
 
-TEST_P(AmplitudeBackends, ConjugateAmplitudeIsConjugate) {
+/// Entry-wise complex matrix with seeded random entries (a generic
+/// non-unitary factor, like the SVD factors Algorithm 1 inserts).
+la::Matrix random_complex_matrix(std::size_t dim, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> x(-1.0, 1.0);
+  la::Matrix m(dim, dim);
+  for (std::size_t i = 0; i < dim; ++i)
+    for (std::size_t j = 0; j < dim; ++j) m(i, j) = cplx{x(rng), x(rng)};
+  return m;
+}
+
+// The Algorithm-1 sweep evaluates its bottom layer as the conjugate of the
+// top layer's network fed conjugated factors. That needs conjugating every
+// gate matrix to conjugate the amplitude bit for bit -- on the state
+// vector, on per-term and on output-batched plan replay, on every tier.
+TEST_P(AmplitudeBackends, ConjugatedGatesGiveBitwiseConjugate) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) + 40;
-  const int n = 3;
-  const qc::Circuit c = random_circuit(n, 15, seed);
-  for (auto backend : {EvalOptions::Backend::StateVector, EvalOptions::Backend::TensorNetwork}) {
-    EvalOptions opts;
-    opts.backend = backend;
-    const cplx normal = amplitude(n, c.gates(), 1, 6, false, opts);
-    const cplx conj = amplitude(n, c.gates(), 1, 6, true, opts);
-    EXPECT_TRUE(approx_equal(conj, std::conj(normal), 1e-10));
+  const int n = 5;
+  std::vector<qc::Gate> gates = random_circuit(n, 30, seed).gates();
+  std::mt19937_64 rng(seed);
+  gates.insert(gates.begin() + 10, qc::u1q(2, random_complex_matrix(2, rng)));
+  gates.insert(gates.begin() + 20, qc::u2q(3, 1, random_complex_matrix(4, rng)));
+  std::vector<qc::Gate> conjugated;
+  for (const qc::Gate& g : gates)
+    conjugated.push_back(g.num_qubits() == 1
+                             ? qc::u1q(g.qubits[0], g.matrix().conj())
+                             : qc::u2q(g.qubits[0], g.qubits[1], g.matrix().conj()));
+  const std::vector<std::uint64_t> vb{0, 9, 22, 31};
+
+  for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+    const auto tier = static_cast<tsr::KernelTier>(t);
+    if (!tsr::kernel_table(tier)) continue;
+    const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
+    for (auto backend : {EvalOptions::Backend::StateVector, EvalOptions::Backend::TensorNetwork}) {
+      EvalOptions opts;
+      opts.backend = backend;
+      const std::string where = std::string(tsr::kernel_tier_name(tier)) +
+                                (backend == EvalOptions::Backend::StateVector ? " sv" : " tn");
+      auto expect_conjugate = [&](cplx a, cplx conj_a, const std::string& what) {
+        EXPECT_EQ(conj_a.real(), a.real()) << where << ", " << what;
+        EXPECT_EQ(conj_a.imag(), -a.imag()) << where << ", " << what;
+      };
+      for (const std::uint64_t v : vb)
+        expect_conjugate(amplitude(n, gates, 1, v, opts), amplitude(n, conjugated, 1, v, opts),
+                         "amplitude v=" + std::to_string(v));
+      // K = 1 replays the per-term plan; K = 4 the output-batched plan.
+      for (const std::size_t k : {1ul, vb.size()}) {
+        const std::span<const std::uint64_t> outs(vb.data(), k);
+        const std::vector<cplx> a = batch_amplitudes(n, gates, 1, outs, opts);
+        const std::vector<cplx> conj_a = batch_amplitudes(n, conjugated, 1, outs, opts);
+        for (std::size_t o = 0; o < k; ++o)
+          expect_conjugate(a[o], conj_a[o],
+                           "batch_amplitudes K=" + std::to_string(k) + " output " +
+                               std::to_string(o));
+      }
+    }
+    tsr::set_kernel_tier(prev);
   }
 }
 
@@ -212,9 +260,47 @@ TEST(Amplitude, SimplifyPreservesValue) {
 
   EvalOptions plain, simplified;
   simplified.simplify = true;
-  const cplx a = amplitude(n, gates, 0, 0, false, plain);
-  const cplx b = amplitude(n, gates, 0, 0, false, simplified);
+  const cplx a = amplitude(n, gates, 0, 0, plain);
+  const cplx b = amplitude(n, gates, 0, 0, simplified);
   EXPECT_TRUE(approx_equal(a, b, 1e-9));
+}
+
+// A basis label with a bit at or above the qubit count is rejected on every
+// path. The tensor-network builder reads only the low n bits, so before the
+// check approximate_fidelity(nc, 0, 2^16 + 5) on 16 qubits silently
+// returned the value at v = 5.
+TEST(Amplitude, OutOfRangeBasisLabelsThrowOnEveryPath) {
+  const int n = 16;
+  const std::vector<qc::Gate> gates = random_circuit(n, 40, 71).gates();
+  ch::NoisyCircuit nc(n);  // depolarizing only, so the TN samplers accept it
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    nc.add_gate(gates[i]);
+    if (i % 15 == 7) nc.add_noise(gates[i].qubits[0], ch::depolarizing(0.05));
+  }
+  constexpr std::uint64_t kBad = (std::uint64_t{1} << n) + 5;
+  const std::vector<std::uint64_t> bad_outputs{5, kBad};
+  EvalOptions tn, sv;
+  tn.backend = EvalOptions::Backend::TensorNetwork;
+  sv.backend = EvalOptions::Backend::StateVector;
+  ApproxOptions approx;
+  approx.eval = tn;
+  sim::ParallelOptions popts;
+  const std::pair<std::uint64_t, std::uint64_t> bad_pairs[] = {{kBad, 5}, {0, kBad}};
+  for (const auto& [psi, v] : bad_pairs) {
+    EXPECT_THROW(amplitude(n, gates, psi, v, tn), LinalgError);
+    EXPECT_THROW(amplitude(n, gates, psi, v, sv), LinalgError);
+    EXPECT_THROW(approximate_fidelity(nc, psi, v, approx), LinalgError);
+    EXPECT_THROW(simulate(nc, psi, v), LinalgError);
+    EXPECT_THROW(trajectories_tn(nc, psi, v, 4, 7, popts, tn), LinalgError);
+  }
+  EXPECT_THROW(batch_amplitudes(n, gates, 0, bad_outputs, tn), LinalgError);
+  EXPECT_THROW(approximate_fidelity_outputs(nc, 0, bad_outputs, approx), LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(nc, 0, bad_outputs, 4, 7, popts, tn), LinalgError);
+
+  // Every bit of a 64-bit label addresses a qubit once n >= 64.
+  EXPECT_NO_THROW(require_basis_label(~std::uint64_t{0}, 64, "test"));
+  EXPECT_NO_THROW(require_basis_label(~std::uint64_t{0}, 70, "test"));
+  EXPECT_THROW(require_basis_label(std::uint64_t{1} << 63, 63, "test"), LinalgError);
 }
 
 TEST(Amplitude, AutoCrossoverSitsAtTwelveQubits) {
@@ -229,7 +315,7 @@ TEST(Amplitude, AutoCrossoverSitsAtTwelveQubits) {
       EvalOptions opts;
       opts.backend = backend;
       tn::ContractStats stats;
-      amplitude(n, c.gates(), 0, 0, false, opts, &stats);
+      amplitude(n, c.gates(), 0, 0, opts, &stats);
       EXPECT_EQ(uses_tensor_network(opts, n), stats.plans_compiled > 0) << "n=" << n;
       return stats.plans_compiled;
     };

@@ -551,11 +551,11 @@ TEST(PlanReplay, ApproxBitIdenticalToPerTermPlanningLevels0To2) {
     expect_same_bits(replan, reuse);
     EXPECT_EQ(replan.contractions, reuse.contractions);
     if (level >= 1) {
-      // 2 plans (top/bottom layer), every contraction past the first pair
-      // replays a cached plan.
-      EXPECT_EQ(reuse.contract_stats.plans_compiled, 2u);
+      // 1 plan serves both layers; every contraction past the first
+      // replays it.
+      EXPECT_EQ(reuse.contract_stats.plans_compiled, 1u);
       EXPECT_EQ(reuse.contract_stats.plan_executions, reuse.contractions);
-      EXPECT_EQ(reuse.contract_stats.plan_reuse_hits, reuse.contractions - 2);
+      EXPECT_EQ(reuse.contract_stats.plan_reuse_hits, reuse.contractions - 1);
     }
   }
 }
@@ -566,7 +566,7 @@ TEST(PlanReplay, ApproxBitIdenticalAcrossThreadCounts) {
   const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, 4));
   expect_same_bits(serial, threaded);
   // Per-worker sessions replan nothing: stats are partition-independent.
-  EXPECT_EQ(threaded.contract_stats.plans_compiled, 2u);
+  EXPECT_EQ(threaded.contract_stats.plans_compiled, 1u);
   EXPECT_EQ(threaded.contract_stats.plan_executions, serial.contract_stats.plan_executions);
 }
 
@@ -652,10 +652,10 @@ TEST(BatchedApprox, BitIdenticalAcrossThreadCounts) {
 TEST(BatchedApprox, StatsCountBatchedCompilesAndReplays) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
   const ApproxResult r = approximate_fidelity(nc, 0, 0, tn_opts(1, 1, 32));
-  // 2 per-term plans (top/bottom) + 2 batched plans compiled on top.
-  EXPECT_EQ(r.contract_stats.plans_compiled, 4u);
+  // 1 per-term plan + 1 batched plan compiled on top, both layers each.
+  EXPECT_EQ(r.contract_stats.plans_compiled, 2u);
   EXPECT_EQ(r.contract_stats.plan_executions, r.contractions);
-  EXPECT_EQ(r.contract_stats.plan_reuse_hits, r.contractions - 2);
+  EXPECT_EQ(r.contract_stats.plan_reuse_hits, r.contractions - 1);
   EXPECT_GT(r.contract_stats.flops, 0u);
   EXPECT_GT(r.contract_stats.bytes_moved, 0u);
   EXPECT_GE(r.eval_seconds, 0.0);

@@ -44,18 +44,18 @@ TEST(PlanCache, RepeatedCallsHitAndSkipRecompilation) {
 
   const ApproxBatchResult first = approximate_fidelity_outputs(nc, 0, vb, opts);
   EXPECT_EQ(first.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(first.contract_stats.plan_cache_misses, 4u);  // 2 templates + 2 batched
+  EXPECT_EQ(first.contract_stats.plan_cache_misses, 2u);  // 1 template + 1 batched
   EXPECT_GT(first.contract_stats.plans_compiled, 0u);
 
   // A DIFFERENT bitstring set over the same skeleton: templates and batched
   // plans are topology-keyed, so everything hits and nothing recompiles.
   const std::vector<std::uint64_t> vb2 = bitstrings(16, 6, 2);
   const ApproxBatchResult second = approximate_fidelity_outputs(nc, 0, vb2, opts);
-  EXPECT_EQ(second.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(second.contract_stats.plan_cache_hits, 2u);
   EXPECT_EQ(second.contract_stats.plan_cache_misses, 0u);
   EXPECT_EQ(second.contract_stats.plans_compiled, 0u);
-  EXPECT_EQ(cache.hits(), 4u);
-  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
 
   // Cached results are bit-identical to cache-free results.
   ApproxOptions no_cache = opts;
@@ -80,16 +80,16 @@ TEST(PlanCache, SingleOutputSweepSharesTheCache) {
 
   const ApproxResult first = approximate_fidelity(nc, 0, 5, opts);
   const ApproxResult again = approximate_fidelity(nc, 0, 5, opts);
-  EXPECT_EQ(again.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(again.contract_stats.plan_cache_hits, 2u);
   EXPECT_EQ(again.contract_stats.plans_compiled, 0u);
   EXPECT_EQ(first.raw, again.raw);
   EXPECT_EQ(first.level_values, again.level_values);
 
-  // A single output is a one-output sweep: its templates sit under the
+  // A single output is a one-output sweep: its template sits under the
   // canonical v = 0 key with the caps substituted per output, so a
   // different bitstring hits every entry and compiles nothing.
   const ApproxResult other = approximate_fidelity(nc, 0, 6, opts);
-  EXPECT_EQ(other.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(other.contract_stats.plan_cache_hits, 2u);
   EXPECT_EQ(other.contract_stats.plan_cache_misses, 0u);
   EXPECT_EQ(other.contract_stats.plans_compiled, 0u);
 
@@ -116,8 +116,8 @@ TEST(PlanCache, DifferentContractOptionsMiss) {
   other.eval.tn.greedy_cost_weights = {1.0};
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, other);
   EXPECT_EQ(r.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(cache.misses(), misses_after_first + 4);
-  EXPECT_EQ(cache.size(), 4u);  // two template entries per option set
+  EXPECT_EQ(cache.misses(), misses_after_first + 2);
+  EXPECT_EQ(cache.size(), 2u);  // one template entry per option set
 }
 
 TEST(PlanCache, PortfolioKnobsChangeTheTemplateKey) {
@@ -138,12 +138,12 @@ TEST(PlanCache, PortfolioKnobsChangeTheTemplateKey) {
   ladder.eval.tn.greedy_cost_weights = {1.0, 4.0, 16.0};
   const ApproxBatchResult r_ladder = approximate_fidelity_outputs(nc, 0, vb, ladder);
   EXPECT_EQ(r_ladder.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(r_ladder.contract_stats.plan_cache_misses, 4u);
+  EXPECT_EQ(r_ladder.contract_stats.plan_cache_misses, 2u);
 
   // A warm repeat of the original options still hits everything and stays
   // bitwise-equal to a cache-free run.
   const ApproxBatchResult warm = approximate_fidelity_outputs(nc, 0, vb, opts);
-  EXPECT_EQ(warm.contract_stats.plan_cache_hits, 4u);
+  EXPECT_EQ(warm.contract_stats.plan_cache_hits, 2u);
   EXPECT_EQ(warm.contract_stats.plans_compiled, 0u);
   ApproxOptions no_cache = opts;
   no_cache.plan_cache = nullptr;
@@ -164,34 +164,34 @@ TEST(PlanCache, DifferentSlotLayoutsMissOnBatchedPlansOnly) {
   opts.plan_cache = &cache;
   (void)approximate_fidelity_outputs(nc, 0, vb, opts);
 
-  // A level-2 ladder step over the same skeleton: the templates hit (the
-  // topology is unchanged) but the batched plans carry a different
-  // deviation bound / capacity, so they miss and compile fresh.
+  // A level-2 ladder step over the same skeleton: the template hits (the
+  // topology is unchanged) but the batched plan carries a different
+  // deviation bound / capacity, so it misses and compiles fresh.
   ApproxOptions ladder = opts;
   ladder.level = 2;
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, ladder);
-  EXPECT_EQ(r.contract_stats.plan_cache_hits, 2u);    // both templates
-  EXPECT_EQ(r.contract_stats.plan_cache_misses, 2u);  // both batched plans
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(r.contract_stats.plan_cache_hits, 1u);    // the template
+  EXPECT_EQ(r.contract_stats.plan_cache_misses, 1u);  // the batched plan
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(PlanCache, LruEvictionPastMaxEntries) {
   const ch::NoisyCircuit a = workload(609);
   const ch::NoisyCircuit b = workload(611, 2);
   const std::vector<std::uint64_t> vb = bitstrings(16, 3, 5);
-  PlanCache cache(2);  // exactly one circuit's top+bottom templates
+  PlanCache cache(1);  // exactly one circuit's template
   ApproxOptions opts;
   opts.level = 1;
   opts.eval = tn_eval();
   opts.plan_cache = &cache;
 
   const ApproxBatchResult a1 = approximate_fidelity_outputs(a, 0, vb, opts);
-  EXPECT_EQ(cache.size(), 2u);
-  (void)approximate_fidelity_outputs(b, 0, vb, opts);  // evicts a's entries
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  (void)approximate_fidelity_outputs(b, 0, vb, opts);  // evicts a's entry
+  EXPECT_EQ(cache.size(), 1u);
   const ApproxBatchResult a2 = approximate_fidelity_outputs(a, 0, vb, opts);
   EXPECT_EQ(a2.contract_stats.plan_cache_hits, 0u);  // recompiled after eviction
-  EXPECT_EQ(a2.contract_stats.plan_cache_misses, 4u);
+  EXPECT_EQ(a2.contract_stats.plan_cache_misses, 2u);
   for (std::size_t o = 0; o < vb.size(); ++o) {
     EXPECT_EQ(a1.raw[o].real(), a2.raw[o].real());
     EXPECT_EQ(a1.raw[o].imag(), a2.raw[o].imag());
@@ -230,9 +230,9 @@ TEST(PlanCache, ConcurrentSweepsShareOneCacheRaceFree) {
       EXPECT_EQ(ref.raw[o].imag(), results[t].raw[o].imag()) << "thread " << t;
     }
   // Racing misses may both compile (by design), but the cache must end up
-  // with exactly the two template entries and every call fully served.
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_GE(cache.hits() + cache.misses(), 4u * kThreads);
+  // with exactly the one template entry and every call fully served.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_GE(cache.hits() + cache.misses(), 2u * kThreads);
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST_P(RandomCircuits, MpsAndStatevectorAndTnAgree) {
   for (std::uint64_t b : {0ull, 5ull, 11ull, 15ull}) {
     const cplx ref = sv.amplitude(b);
     EXPECT_TRUE(approx_equal(m.amplitude(b), ref, 1e-9));
-    EXPECT_TRUE(approx_equal(core::amplitude(n, c.gates(), 0, b, false, tn), ref, 1e-9));
+    EXPECT_TRUE(approx_equal(core::amplitude(n, c.gates(), 0, b, tn), ref, 1e-9));
   }
 }
 

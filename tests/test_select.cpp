@@ -243,9 +243,9 @@ TEST(BackendSelection, EstimationPrewarmsThePlanCacheForTheRun) {
   opts.plan_cache = &cache;
   const SimResult r = simulate(nc, 0, 0, opts);
   EXPECT_EQ(r.backend, BackendKind::TnApprox);
-  // The run fetched the top-layer template estimation compiled (the bottom
-  // conjugate layer and batched plans are still compiled at run time), so
-  // it plans strictly less than a cold direct invocation.
+  // The run fetched the template estimation compiled, which serves both
+  // layers (only the batched plan is still compiled at run time), so it
+  // plans strictly less than a cold direct invocation.
   EXPECT_GT(cache.hits(), 0u);
   SimulateOptions uncached = opts;
   uncached.plan_cache = nullptr;

@@ -527,7 +527,7 @@ TEST(SweepProperties, EmptyBitstringSpansAreWellDefinedEverywhere) {
   for (const EvalOptions& eval : {tn_eval(), sv_eval()}) {
     // batch_amplitudes: empty result, no compiled capacity-0 plan.
     EXPECT_TRUE(
-        batch_amplitudes(16, nc.gates_only().gates(), 0, {}, false, eval).empty());
+        batch_amplitudes(16, nc.gates_only().gates(), 0, {}, eval).empty());
 
     // approximate_fidelity_outputs / xeb_sweep: bounds only.
     ApproxOptions aopts;
