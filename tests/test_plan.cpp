@@ -607,11 +607,8 @@ TEST(PlanReplay, ApproxAgreesWithStateVectorReference) {
 
 /// The skeleton approximate_fidelity / trajectories_tn contract has the
 /// same topology as the circuit with identity placeholders at the noise
-/// sites, so its per-term plan arena can be computed independently -- used
-/// by the workspace-budget tests below to pick budgets the per-term path
-/// fits exactly.
-std::size_t skeleton_arena_elems(const ch::NoisyCircuit& nc, bool conjugate,
-                                 const EvalOptions& eval) {
+/// sites, so its layer network can be built independently.
+tn::Network skeleton_network(const ch::NoisyCircuit& nc, bool conjugate = false) {
   std::vector<qc::Gate> gates;
   for (const ch::Op& op : nc.ops()) {
     if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
@@ -623,8 +620,78 @@ std::size_t skeleton_arena_elems(const ch::NoisyCircuit& nc, bool conjugate,
                         ? qc::u1q(noise.qubit, la::Matrix::identity(2))
                         : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
   }
-  const tn::Network net = amplitude_network(nc.num_qubits(), gates, 0, 0, conjugate);
-  return tn::ContractionPlan::compile(net, eval.tn).workspace_elems();
+  return amplitude_network(nc.num_qubits(), gates, 0, 0, conjugate);
+}
+
+/// The skeleton's per-term plan arena -- used by the workspace-budget tests
+/// below to pick budgets the per-term path fits exactly.
+std::size_t skeleton_arena_elems(const ch::NoisyCircuit& nc, bool conjugate,
+                                 const EvalOptions& eval) {
+  return tn::ContractionPlan::compile(skeleton_network(nc, conjugate), eval.tn).workspace_elems();
+}
+
+// --- Plan selection pins ------------------------------------------------------
+
+/// The networks whose Auto selection is pinned: the Fig. 4 layer (qaoa_64
+/// + 8 realistic noises) at 8 seeded placements under default options, and
+/// a noise-free qaoa_16 layer whose workspace budget is one element below
+/// the cheapest candidate's arena, so candidates memory-out mid-walk.
+struct SelectionCase {
+  tn::Network net;
+  tn::ContractOptions opts;
+};
+
+std::vector<SelectionCase> selection_cases() {
+  std::vector<SelectionCase> cases;
+  const qc::Circuit fig4 = bench::qaoa(64, 1, 77);
+  for (std::uint64_t p = 0; p < 8; ++p)
+    cases.push_back({skeleton_network(bench::insert_noises(fig4, 8, bench::realistic_noise(),
+                                                           2024 + 7919 * p)),
+                     {}});
+  const qc::Circuit small = bench::qaoa(16, 1, 7);
+  tn::Network net = amplitude_network(small.num_qubits(), small.gates(), 0, 0);
+  tn::ContractOptions opts;
+  opts.max_workspace_elems = tn::ContractionPlan::compile(net).workspace_elems() - 1;
+  cases.push_back({std::move(net), opts});
+  return cases;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  for (const unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+TEST(PlanSelection, AutoFingerprintsMatchPinnedDigest) {
+  // Plan selection is pinned: any planner change that moves one Auto pair
+  // (or one arena offset) on these networks changes the digest.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const SelectionCase& c : selection_cases()) {
+    const tn::ContractionPlan plan = tn::ContractionPlan::compile(c.net, c.opts);
+    h = fnv1a(h, tn::order_strategy_name(plan.chosen_strategy()));
+    h = fnv1a(h, plan.fingerprint());
+  }
+  EXPECT_EQ(h, 0xd9284cbc218bfe3bULL);
+}
+
+TEST(PlanSelection, AutoStrategyFlopsMatchDirectCompiles) {
+  // Auto records each strategy's best candidate cost: exactly what a
+  // direct compile of that strategy keeps, or 0 where it memory-outs.
+  for (const SelectionCase& c : selection_cases()) {
+    tn::ContractStats stats;
+    (void)tn::ContractionPlan::compile(c.net, c.opts, &stats);
+    for (const tn::OrderStrategy s : {tn::OrderStrategy::Greedy, tn::OrderStrategy::Alternating,
+                                      tn::OrderStrategy::RandomGreedy}) {
+      tn::ContractOptions direct = c.opts;
+      direct.strategy = s;
+      std::size_t expect = 0;
+      try {
+        expect = tn::ContractionPlan::compile(c.net, direct).total_flops();
+      } catch (const MemoryOutError&) {
+      }
+      EXPECT_EQ(stats.strategy_flops[static_cast<std::size_t>(s)], expect)
+          << tn::order_strategy_name(s);
+    }
+  }
 }
 
 TEST(BatchedApprox, BitIdenticalAcrossBatchSizesLevels0To2) {
