@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <optional>
-#include <queue>
 #include <sstream>
-#include <unordered_map>
 
 #include "tensor/contract.hpp"
 
@@ -55,6 +55,11 @@ class ArenaLayout {
 
   std::size_t high_water() const { return end_; }
 
+  void clear() {
+    free_.clear();
+    end_ = 0;
+  }
+
  private:
   struct Region {
     std::size_t offset, elems;
@@ -66,7 +71,7 @@ class ArenaLayout {
 struct Candidate {
   double score;
   std::size_t result;
-  std::size_t u, v;
+  std::uint32_t u, v;
   bool operator>(const Candidate& o) const {
     if (score != o.score) return score > o.score;
     return result > o.result;
@@ -146,8 +151,8 @@ struct ScoredOrder {
 /// kept one only when strictly cheaper, so the EARLIER candidate wins full
 /// ties and every ladder and the Auto search break ties in enumeration
 /// order.
-bool cheaper(const ScoredOrder& a, const ScoredOrder& b) {
-  return a.flops < b.flops || (a.flops == b.flops && a.peak < b.peak);
+bool cheaper(std::size_t flops, std::size_t peak, const ScoredOrder& kept) {
+  return flops < kept.flops || (flops == kept.flops && peak < kept.peak);
 }
 
 /// RandomGreedy restart count: each restart reseeds the score jitter and
@@ -155,66 +160,113 @@ bool cheaper(const ScoredOrder& a, const ScoredOrder& b) {
 /// topology hash and the restart index alone.
 constexpr std::size_t kRandomGreedyRestarts = 4;
 
+constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
 
 /// Shape-and-edge-only replica of the contractor's working state. Every
 /// candidate order is a scored walk: merge() tracks edges, dims, the
-/// per-intermediate and arena budgets, flops and peak, and records the
-/// pair it merged. Only a `materialize` compiler also emits the PlanSteps
-/// (permutation stride tables, traffic model) that finalize() turns into a
-/// ContractionPlan; compile() runs one, replaying the winning candidate's
-/// pairs through the same merge(). The pairwise order, tie-breaking, and
-/// budget checks mirror the eager contractor exactly, so a compiled plan
-/// replays to bit-identical results.
+/// per-intermediate (and, when set, arena) budgets, flops and peak, and
+/// records the pair it merged. A materializing walk also lays out the
+/// arena and emits the PlanSteps (permutation stride tables, traffic model)
+/// that finalize() turns into a ContractionPlan; compile() runs one,
+/// replaying the winning candidate's pairs through the same merge(). The
+/// pairwise order, tie-breaking, and budget checks mirror the eager
+/// contractor exactly, so a compiled plan replays to bit-identical results.
+///
+/// compile() builds ONE compiler and reset()s it between walks. State is
+/// flat: each node is an (offset, rank, elems) record into shared edge and
+/// dim pools (the inputs' prefix survives a reset), and each edge id owns
+/// two endpoint slots -- a tn::Network edge has at most two -- so merges
+/// and neighbour scans run in reused buffers and allocate nothing per step.
 struct PlanCompiler {
-  struct MetaNode {
-    std::vector<EdgeId> edges;
-    std::vector<std::size_t> dims;
+  static constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
+
+  struct NodeRec {
+    std::uint32_t offset = 0;  // first axis in edge_pool / dim_pool
+    std::uint32_t rank = 0;
     std::size_t elems = 1;
   };
 
+  const Network& net;
   const ContractOptions& opts;
-  const bool materialize;
-  std::vector<MetaNode> nodes;  // indexed by slot
-  std::vector<bool> alive;
-  std::unordered_map<EdgeId, std::vector<std::size_t>> edge_nodes;
-  std::size_t num_inputs = 0;
+  const std::size_t num_inputs;
+  const Clock::time_point deadline;
+  const bool has_deadline;
 
+  // Slots 0..num_inputs-1 are the network's nodes, slot num_inputs + s the
+  // output of merge s.
+  std::vector<NodeRec> nodes;
+  std::vector<char> alive;
+  std::vector<EdgeId> edge_pool;
+  std::vector<std::size_t> dim_pool;
+  std::size_t input_axes = 0;  // pool prefix holding the inputs' axes
+  // owners[2e], owners[2e+1]: the slots holding edge e (kNoNode when
+  // empty; slot 0 fills first). input_owners is the reset state.
+  std::vector<std::uint32_t> owners, input_owners;
+
+  // Per-walk state, cleared by reset().
+  bool materialize = false;
+  bool track_arena = false;
+  std::size_t flop_bound = kNoBound;
   std::vector<std::pair<std::size_t, std::size_t>> pairs;  // merge order
   std::vector<PlanStep> steps;                              // materialize only
   ArenaLayout arena;
-  std::vector<std::size_t> slot_offset;  // arena offset (intermediates only)
+  std::vector<std::size_t> slot_offset;  // arena offset (track_arena only)
   std::size_t peak = 0;
   std::size_t flops = 0;  // sum of m*k*n over all steps (schedule cost)
   std::size_t bytes = 0;  // modeled memory traffic of one replay
   std::size_t scratch_a = 0, scratch_b = 0;
   std::size_t max_rank = 0;
 
-  Clock::time_point deadline{};
-  bool has_deadline = false;
+  // Reused scratch.
+  std::vector<Candidate> heap;
+  std::vector<std::size_t> nbrs, rest, axes_u, axes_v, free_a, free_b;
 
   // `deadline` is shared by every walk of one compile() call (all
   // candidates plus the materialization), so timeout_seconds bounds total
   // planning time, not each attempt.
-  PlanCompiler(const Network& net, const ContractOptions& o, Clock::time_point shared_deadline,
-               bool deadline_set, bool materialize_steps)
-      : opts(o), materialize(materialize_steps), deadline(shared_deadline),
+  PlanCompiler(const Network& n, const ContractOptions& o, Clock::time_point shared_deadline,
+               bool deadline_set)
+      : net(n), opts(o), num_inputs(n.num_nodes()), deadline(shared_deadline),
         has_deadline(deadline_set) {
-    num_inputs = net.num_nodes();
-    nodes.reserve(num_inputs);
+    std::size_t num_edges = 0;
+    for (const Node& node : net.nodes())
+      for (const EdgeId e : node.edges) num_edges = std::max(num_edges, e + 1);
+    input_owners.assign(2 * num_edges, kNoNode);
+    nodes.reserve(2 * num_inputs);
     for (std::size_t i = 0; i < num_inputs; ++i) {
-      MetaNode mn;
-      mn.edges = net.node(i).edges;
-      mn.dims.assign(net.node(i).tensor.shape().begin(), net.node(i).tensor.shape().end());
-      mn.elems = net.node(i).tensor.size();
-      for (EdgeId e : mn.edges) edge_nodes[e].push_back(i);
-      nodes.push_back(std::move(mn));
-      alive.push_back(true);
-      slot_offset.push_back(0);
+      const Node& node = net.node(i);
+      nodes.push_back(NodeRec{static_cast<std::uint32_t>(edge_pool.size()),
+                              static_cast<std::uint32_t>(node.edges.size()), node.tensor.size()});
+      for (std::size_t ax = 0; ax < node.edges.size(); ++ax) {
+        const EdgeId e = node.edges[ax];
+        edge_pool.push_back(e);
+        dim_pool.push_back(node.tensor.dim(ax));
+        input_owners[2 * e + (input_owners[2 * e] == kNoNode ? 0 : 1)] =
+            static_cast<std::uint32_t>(i);
+      }
     }
+    input_axes = edge_pool.size();
   }
 
-  ScoredOrder scored() && { return ScoredOrder{std::move(pairs), flops, peak}; }
+  /// Back to the unmerged network for a new walk. A walk whose running
+  /// flops exceed `bound` stops early (see greedy()).
+  void reset(bool materialize_steps, std::size_t bound) {
+    nodes.resize(num_inputs);
+    alive.assign(num_inputs, 1);
+    edge_pool.resize(input_axes);
+    dim_pool.resize(input_axes);
+    owners = input_owners;
+    materialize = materialize_steps;
+    track_arena = materialize_steps || opts.max_workspace_elems > 0;
+    flop_bound = bound;
+    pairs.clear();
+    steps.clear();
+    arena.clear();
+    slot_offset.assign(num_inputs, 0);
+    peak = flops = bytes = scratch_a = scratch_b = max_rank = 0;
+  }
 
   void check_deadline() const {
     if (opts.control) opts.control->poll();
@@ -222,23 +274,26 @@ struct PlanCompiler {
       throw TimeoutError("tensor network contraction exceeded deadline");
   }
 
+  /// The slot across edge e from `self` (kNoNode for an open edge).
+  std::uint32_t other_owner(EdgeId e, std::size_t self) const {
+    return owners[2 * e] == self ? owners[2 * e + 1] : owners[2 * e];
+  }
+
+  EdgeId edge(std::size_t slot, std::size_t ax) const { return edge_pool[nodes[slot].offset + ax]; }
+  std::size_t dim(std::size_t slot, std::size_t ax) const { return dim_pool[nodes[slot].offset + ax]; }
+
   bool connected(std::size_t u, std::size_t v) const {
-    for (EdgeId e : nodes[u].edges)
-      if (std::find(nodes[v].edges.begin(), nodes[v].edges.end(), e) != nodes[v].edges.end())
-        return true;
+    for (std::size_t ax = 0; ax < nodes[u].rank; ++ax)
+      if (other_owner(edge(u, ax), u) == v) return true;
     return false;
   }
 
-  /// Product of the dims shared between u and v (edge lists are tiny, so a
-  /// linear scan beats hashing; this is the memoization-friendly scorer --
-  /// only pairs adjacent to a merge are ever (re)scored).
+  /// Product of the dims shared between u and v (only pairs adjacent to a
+  /// merge are ever (re)scored).
   std::size_t shared_dims(std::size_t u, std::size_t v) const {
     std::size_t prod = 1;
-    for (std::size_t ax = 0; ax < nodes[u].edges.size(); ++ax) {
-      const EdgeId e = nodes[u].edges[ax];
-      if (std::find(nodes[v].edges.begin(), nodes[v].edges.end(), e) != nodes[v].edges.end())
-        prod *= nodes[u].dims[ax];
-    }
+    for (std::size_t ax = 0; ax < nodes[u].rank; ++ax)
+      if (other_owner(edge(u, ax), u) == v) prod *= dim(u, ax);
     return prod;
   }
 
@@ -247,86 +302,104 @@ struct PlanCompiler {
     return (nodes[u].elems / shared) * (nodes[v].elems / shared);
   }
 
-  std::vector<std::size_t> neighbors(std::size_t i) const {
-    std::vector<std::size_t> out;
-    for (EdgeId e : nodes[i].edges) {
-      const auto it = edge_nodes.find(e);
-      if (it == edge_nodes.end()) continue;
-      for (std::size_t n : it->second)
-        if (n != i && alive[n]) out.push_back(n);
+  /// Slot i's neighbours, ascending and unique, into `nbrs`.
+  void neighbors(std::size_t i) {
+    nbrs.clear();
+    for (std::size_t ax = 0; ax < nodes[i].rank; ++ax) {
+      const std::uint32_t n = other_owner(edge(i, ax), i);
+      if (n != kNoNode) nbrs.push_back(n);
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    std::sort(nbrs.begin(), nbrs.end());
+    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
   }
 
-  std::vector<std::size_t> alive_nodes() const {
-    std::vector<std::size_t> out;
+  /// Alive slots, ascending, into `rest`.
+  void alive_nodes() {
+    rest.clear();
     for (std::size_t i = 0; i < alive.size(); ++i)
-      if (alive[i]) out.push_back(i);
-    return out;
+      if (alive[i]) rest.push_back(i);
+  }
+
+  /// Operand permutation `perm` of slot s: identity, or the permuted shape
+  /// and source strides of its stride walk.
+  void permutation(std::size_t s, std::span<const std::size_t> perm, bool& identity,
+                   std::vector<std::size_t>& shape, std::vector<std::size_t>& stride,
+                   std::size_t& scratch) {
+    identity = tsr::is_identity_permutation(perm);
+    if (identity) return;
+    const std::vector<std::size_t> strides = tsr::row_major_strides(std::vector<std::size_t>(
+        dim_pool.begin() + nodes[s].offset, dim_pool.begin() + nodes[s].offset + nodes[s].rank));
+    for (std::size_t p : perm) {
+      shape.push_back(dim(s, p));
+      stride.push_back(strides[p]);
+    }
+    scratch = std::max(scratch, nodes[s].elems);
+    max_rank = std::max(max_rank, perm.size());
   }
 
   /// Plan the contraction of slots u and v; returns the new slot index.
   std::size_t merge(std::size_t u, std::size_t v) {
     check_deadline();
-    const MetaNode& nu = nodes[u];
-    const MetaNode& nv = nodes[v];
+    const NodeRec nu = nodes[u];
+    const NodeRec nv = nodes[v];
 
     // Shared edges in u-axis order; v axes located per shared edge -- the
     // same pairing the eager contractor fed to tsr::contract.
-    std::vector<std::size_t> axes_u, axes_v, free_a, free_b;
-    for (std::size_t ax = 0; ax < nu.edges.size(); ++ax) {
-      const auto it = std::find(nv.edges.begin(), nv.edges.end(), nu.edges[ax]);
-      if (it != nv.edges.end()) {
+    axes_u.clear();
+    axes_v.clear();
+    free_a.clear();
+    free_b.clear();
+    const EdgeId* ev = edge_pool.data() + nv.offset;
+    for (std::size_t ax = 0; ax < nu.rank; ++ax) {
+      const EdgeId e = edge(u, ax);
+      if (other_owner(e, u) == v) {
         axes_u.push_back(ax);
-        axes_v.push_back(static_cast<std::size_t>(it - nv.edges.begin()));
+        axes_v.push_back(static_cast<std::size_t>(std::find(ev, ev + nv.rank, e) - ev));
       } else {
         free_a.push_back(ax);
       }
     }
-    for (std::size_t ax = 0; ax < nv.edges.size(); ++ax)
-      if (std::find(axes_v.begin(), axes_v.end(), ax) == axes_v.end()) free_b.push_back(ax);
+    for (std::size_t ax = 0; ax < nv.rank; ++ax)
+      if (other_owner(ev[ax], v) != u) free_b.push_back(ax);
 
-    PlanStep step;
-    step.lhs = u;
-    step.rhs = v;
-    step.a_elems = nu.elems;
-    step.b_elems = nv.elems;
+    std::size_t m = 1, k = 1, n = 1;
+    for (std::size_t ax : free_a) m *= dim(u, ax);
+    for (std::size_t ax : axes_u) k *= dim(u, ax);
+    for (std::size_t ax : free_b) n *= dim(v, ax);
+    const std::size_t out_elems = m * n;
 
-    MetaNode merged;
-    for (std::size_t ax : free_a) {
-      step.m *= nu.dims[ax];
-      merged.edges.push_back(nu.edges[ax]);
-      merged.dims.push_back(nu.dims[ax]);
-    }
-    for (std::size_t ax : axes_u) step.k *= nu.dims[ax];
-    for (std::size_t ax : free_b) {
-      step.n *= nv.dims[ax];
-      merged.edges.push_back(nv.edges[ax]);
-      merged.dims.push_back(nv.dims[ax]);
-    }
-    merged.elems = step.m * step.n;
-    step.out_elems = merged.elems;
-
-    if (step.out_elems > opts.max_tensor_elems)
+    if (out_elems > opts.max_tensor_elems)
       throw MemoryOutError("tensor network contraction exceeded memory budget (intermediate of " +
-                           std::to_string(step.out_elems) + " elements)");
+                           std::to_string(out_elems) + " elements)");
 
     // Arena: the output region is claimed while both operands are still
     // live (no overlap), then consumed operand regions are recycled.
-    step.out_offset = arena.alloc(step.out_elems);
-    if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
-      throw MemoryOutError("contraction plan workspace exceeded budget (arena of " +
-                           std::to_string(arena.high_water()) + " elements)");
-    if (u >= num_inputs) arena.release(slot_offset[u], nodes[u].elems);
-    if (v >= num_inputs) arena.release(slot_offset[v], nodes[v].elems);
+    // Scoring walks skip it unless a workspace budget needs checking.
+    std::size_t out_offset = 0;
+    if (track_arena) {
+      out_offset = arena.alloc(out_elems);
+      if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
+        throw MemoryOutError("contraction plan workspace exceeded budget (arena of " +
+                             std::to_string(arena.high_water()) + " elements)");
+      if (u >= num_inputs) arena.release(slot_offset[u], nu.elems);
+      if (v >= num_inputs) arena.release(slot_offset[v], nv.elems);
+    }
 
-    peak = std::max(peak, step.out_elems);
-    flops += step.m * step.k * step.n;
+    peak = std::max(peak, out_elems);
+    flops += m * k * n;
     pairs.emplace_back(u, v);
 
     if (materialize) {
+      PlanStep step;
+      step.lhs = u;
+      step.rhs = v;
+      step.a_elems = nu.elems;
+      step.b_elems = nv.elems;
+      step.m = m;
+      step.k = k;
+      step.n = n;
+      step.out_offset = out_offset;
+      step.out_elems = out_elems;
       // Operand permutations: lhs to [free..., contracted...], rhs to
       // [contracted..., free...]. Identity permutations are recorded as
       // in-place reads (no scratch, no copy at execution).
@@ -334,48 +407,40 @@ struct PlanCompiler {
       perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
       std::vector<std::size_t> perm_b = axes_v;
       perm_b.insert(perm_b.end(), free_b.begin(), free_b.end());
-
-      step.identity_a = tsr::is_identity_permutation(perm_a);
-      if (!step.identity_a) {
-        const std::vector<std::size_t> strides = tsr::row_major_strides(nu.dims);
-        for (std::size_t p : perm_a) {
-          step.a_perm_shape.push_back(nu.dims[p]);
-          step.a_src_stride.push_back(strides[p]);
-        }
-        scratch_a = std::max(scratch_a, nu.elems);
-        max_rank = std::max(max_rank, perm_a.size());
-      }
-      step.identity_b = tsr::is_identity_permutation(perm_b);
-      if (!step.identity_b) {
-        const std::vector<std::size_t> strides = tsr::row_major_strides(nv.dims);
-        for (std::size_t p : perm_b) {
-          step.b_perm_shape.push_back(nv.dims[p]);
-          step.b_src_stride.push_back(strides[p]);
-        }
-        scratch_b = std::max(scratch_b, nv.elems);
-        max_rank = std::max(max_rank, perm_b.size());
-      }
+      permutation(u, perm_a, step.identity_a, step.a_perm_shape, step.a_src_stride, scratch_a);
+      permutation(v, perm_b, step.identity_b, step.b_perm_shape, step.b_src_stride, scratch_b);
       // Traffic model: operand reads (plus a read+write permutation copy
       // when not identity), output zero-fill + accumulate write.
       bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
                                step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+      steps.push_back(std::move(step));
     }
 
-    alive[u] = alive[v] = false;
+    // The merged node: u's free axes, then v's. Its free edges change
+    // owner from u or v to the new slot; contracted edges vanish.
     const std::size_t idx = nodes.size();
-    for (EdgeId e : merged.edges) {
-      auto& owners = edge_nodes[e];
-      owners.erase(std::remove_if(owners.begin(), owners.end(),
-                                  [&](std::size_t n) { return n == u || n == v; }),
-                   owners.end());
-      owners.push_back(idx);
+    const std::size_t offset = edge_pool.size();
+    for (std::size_t ax : free_a) {
+      edge_pool.push_back(edge_pool[nu.offset + ax]);
+      dim_pool.push_back(dim_pool[nu.offset + ax]);
     }
-    for (std::size_t ax : axes_u) edge_nodes.erase(nu.edges[ax]);
-
-    slot_offset.push_back(step.out_offset);
-    nodes.push_back(std::move(merged));
-    alive.push_back(true);
-    if (materialize) steps.push_back(std::move(step));
+    for (std::size_t ax : free_b) {
+      edge_pool.push_back(edge_pool[nv.offset + ax]);
+      dim_pool.push_back(dim_pool[nv.offset + ax]);
+    }
+    for (std::size_t i = offset; i < edge_pool.size(); ++i) {
+      std::uint32_t* slot = &owners[2 * edge_pool[i]];
+      slot[slot[0] == u || slot[0] == v ? 0 : 1] = static_cast<std::uint32_t>(idx);
+    }
+    for (std::size_t ax : axes_u) {
+      const EdgeId e = edge_pool[nu.offset + ax];
+      owners[2 * e] = owners[2 * e + 1] = kNoNode;
+    }
+    alive[u] = alive[v] = 0;
+    nodes.push_back(NodeRec{static_cast<std::uint32_t>(offset),
+                            static_cast<std::uint32_t>(edge_pool.size() - offset), out_elems});
+    alive.push_back(1);
+    slot_offset.push_back(out_offset);
     return idx;
   }
 
@@ -391,9 +456,17 @@ struct PlanCompiler {
   /// CoTenGra-style perturbation that lets restarts escape the
   /// deterministic heuristic's local choices. Draws happen in push order,
   /// which is itself deterministic, so a fixed seed fixes the schedule.
+  ///
+  /// The candidate heap is std::priority_queue's algorithm (push_heap /
+  /// pop_heap under std::greater) on a reused vector, so tied candidates
+  /// pop in the same order. Stale entries stay in the heap and are skipped
+  /// when popped; dropping them early would change the heap layout, and
+  /// with it which tied candidate wins.
+  ///
+  /// Once the running flops pass `flop_bound` the walk returns unfinished:
+  /// its total can only grow, so it can no longer replace the kept order.
   void greedy(double alpha, SplitMix64* rng = nullptr, double jitter = 0.0) {
-    std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
-
+    heap.clear();
     auto push_pair = [&](std::size_t u, std::size_t v) {
       if (u > v) std::swap(u, v);
       const std::size_t rs = result_size(u, v);
@@ -402,13 +475,16 @@ struct PlanCompiler {
       const double score = static_cast<double>(rs) -
                            weight * (static_cast<double>(nodes[u].elems) +
                                      static_cast<double>(nodes[v].elems));
-      heap.push(Candidate{score, rs, u, v});
+      heap.push_back(
+          Candidate{score, rs, static_cast<std::uint32_t>(u), static_cast<std::uint32_t>(v)});
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     };
 
     for (std::size_t i = 0; i < num_inputs; ++i)
       if (alive[i]) {
         check_deadline();
-        for (std::size_t nb : neighbors(i))
+        neighbors(i);
+        for (std::size_t nb : nbrs)
           if (nb > i) push_pair(i, nb);
       }
 
@@ -419,21 +495,24 @@ struct PlanCompiler {
       // deadline contract is bounded-latency abandonment of the whole
       // compile (all strategies share one deadline).
       check_deadline();
-      const Candidate c = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const Candidate c = heap.back();
+      heap.pop_back();
       if (!alive[c.u] || !alive[c.v]) continue;
       if (c.result > opts.max_tensor_elems) {
         saw_over_budget = true;
         continue;
       }
       const std::size_t merged = merge(c.u, c.v);
-      for (std::size_t nb : neighbors(merged)) push_pair(merged, nb);
+      if (flops > flop_bound) return;
+      neighbors(merged);
+      for (std::size_t nb : nbrs) push_pair(merged, nb);
     }
 
     // Remaining alive nodes are mutually disconnected. If that is only
     // because every connected pair was over budget, report MO rather than
     // planning a wrong outer product.
-    std::vector<std::size_t> rest = alive_nodes();
+    alive_nodes();
     for (std::size_t i = 0; i < rest.size(); ++i)
       for (std::size_t j = i + 1; j < rest.size(); ++j)
         if (connected(rest[i], rest[j])) {
@@ -444,7 +523,7 @@ struct PlanCompiler {
 
     // Fold disconnected components smallest-first (outer products).
     while (true) {
-      rest = alive_nodes();
+      alive_nodes();
       if (rest.size() <= 1) break;
       std::sort(rest.begin(), rest.end(),
                 [&](std::size_t a, std::size_t b) { return nodes[a].elems < nodes[b].elems; });
@@ -477,10 +556,14 @@ struct PlanCompiler {
     merge(facc, bacc);
   }
 
-  ContractionPlan finalize(const Network& net) {
-    const std::vector<std::size_t> rest = alive_nodes();
+  ContractionPlan finalize() {
+    alive_nodes();
     la::detail::require(rest.size() == 1, "contract plan: network did not reduce to one node");
-    const MetaNode& result = nodes[rest[0]];
+    const std::size_t result = rest[0];
+    const std::size_t rank = nodes[result].rank;
+    const EdgeId* result_edges = edge_pool.data() + nodes[result].offset;
+    const std::vector<std::size_t> result_dims(dim_pool.begin() + nodes[result].offset,
+                                               dim_pool.begin() + nodes[result].offset + rank);
 
     ContractionPlan plan;
     plan.steps_ = std::move(steps);
@@ -492,25 +575,24 @@ struct PlanCompiler {
     plan.peak_elems_ = peak;
     plan.total_flops_ = flops;
     std::size_t out_total = 1;
-    for (std::size_t d : result.dims) out_total *= d;
+    for (std::size_t d : result_dims) out_total *= d;
     plan.total_bytes_ = bytes + sizeof(cplx) * 2 * out_total;  // final materialization
     plan.timeout_seconds_ = opts.timeout_seconds;
     plan.executions_ = std::make_shared<std::atomic<std::size_t>>(0);
 
     // Deterministic output: axes in ascending open-edge order.
     const std::vector<EdgeId> open = net.open_edges();
-    la::detail::require(open.size() == result.edges.size(),
-                        "contract plan: open edge bookkeeping mismatch");
+    la::detail::require(open.size() == rank, "contract plan: open edge bookkeeping mismatch");
     std::vector<std::size_t> perm(open.size());
     for (std::size_t i = 0; i < open.size(); ++i) {
-      const auto it = std::find(result.edges.begin(), result.edges.end(), open[i]);
-      la::detail::require(it != result.edges.end(), "contract plan: open edge missing");
-      perm[i] = static_cast<std::size_t>(it - result.edges.begin());
+      const EdgeId* it = std::find(result_edges, result_edges + rank, open[i]);
+      la::detail::require(it != result_edges + rank, "contract plan: open edge missing");
+      perm[i] = static_cast<std::size_t>(it - result_edges);
     }
     plan.output_identity_ = tsr::is_identity_permutation(perm);
-    const std::vector<std::size_t> strides = tsr::row_major_strides(result.dims);
+    const std::vector<std::size_t> strides = tsr::row_major_strides(result_dims);
     for (std::size_t p : perm) {
-      plan.output_shape_.push_back(result.dims[p]);
+      plan.output_shape_.push_back(result_dims[p]);
       if (!plan.output_identity_) plan.output_src_stride_.push_back(strides[p]);
     }
     if (!plan.output_identity_) max_rank = std::max(max_rank, perm.size());
@@ -534,22 +616,29 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
     deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                   std::chrono::duration<double>(opts.timeout_seconds));
 
+  // One compiler serves every walk of this call; each walk starts from a
+  // reset.
+  PlanCompiler compiler(net, opts, deadline, has_deadline);
+
   // The cheapest candidate order of strategy `s`, scored without
   // materializing anything. A candidate that exceeds a memory budget is
   // skipped -- other ladder entries may still fit -- and MemoryOutError
-  // surfaces only when none does. TimeoutError always propagates:
-  // returning a best-so-far at the deadline would make plan selection
-  // depend on wall clock, breaking the purity contract PlanCache and
-  // bit-identical replay rest on.
+  // surfaces only when none does. Within the strategy, each walk is
+  // bounded by the best flops so far: a walk that passes them stops, since
+  // it could not replace the kept order (ties still go to the earlier
+  // candidate, and the strategy's recorded best is exact). TimeoutError
+  // always propagates: returning a best-so-far at the deadline would make
+  // plan selection depend on wall clock, breaking the purity contract
+  // PlanCache and bit-identical replay rest on.
   auto search = [&](OrderStrategy s) -> ScoredOrder {
     std::optional<ScoredOrder> best;
     std::string memory_out;  // the last candidate's memory-out message
     auto attempt = [&](auto&& walk) {
       try {
-        PlanCompiler compiler(net, opts, deadline, has_deadline, /*materialize=*/false);
+        compiler.reset(/*materialize_steps=*/false, best ? best->flops : kNoBound);
         walk(compiler);
-        ScoredOrder cand = std::move(compiler).scored();
-        if (!best || cheaper(cand, *best)) best = std::move(cand);
+        if (!best || cheaper(compiler.flops, compiler.peak, *best))
+          best = ScoredOrder{compiler.pairs, compiler.flops, compiler.peak};
       } catch (const MemoryOutError& e) {
         memory_out = e.what();
       }
@@ -605,7 +694,7 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
          {OrderStrategy::Greedy, OrderStrategy::Alternating, OrderStrategy::RandomGreedy}) {
       try {
         ScoredOrder cand = search(s);
-        if (!order || cheaper(cand, *order)) {
+        if (!order || cheaper(cand.flops, cand.peak, *order)) {
           order = std::move(cand);
           chosen = s;
         }
@@ -620,9 +709,9 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
   // Materialize the winner only: replaying its pairs through the same
   // merge() rebuilds the scored walk step for step, so every budget check
   // already passed.
-  PlanCompiler compiler(net, opts, deadline, has_deadline, /*materialize=*/true);
+  compiler.reset(/*materialize_steps=*/true, kNoBound);
   for (const auto& [u, v] : order->pairs) compiler.merge(u, v);
-  ContractionPlan plan = compiler.finalize(net);
+  ContractionPlan plan = compiler.finalize();
   plan.chosen_strategy_ = chosen;
   if (stats) {
     ++stats->plans_compiled;
