@@ -113,6 +113,21 @@ class TddBackend final : public Backend {
   CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                         std::uint64_t v_bits, const SimulateOptions& opts) const override {
     CostEstimate est;
+    // doubled_network adds the 2n input caps first, none sharing an edge,
+    // so the proxy's peak is at least 2^min(2n, kProxyMaxRank) -- and is
+    // exactly that clamp once 2n reaches it. When the clamp already breaks
+    // memory_budget the bid is priced without building the network:
+    // peak_elems and reason are the full proxy's, and flops holds only the
+    // caps' share of the proxy (a lower bound).
+    const std::size_t caps = 2 * static_cast<std::size_t>(nc.num_qubits());
+    if (caps >= tdd::kProxyMaxRank &&
+        (std::size_t{1} << tdd::kProxyMaxRank) > opts.memory_budget) {
+      est.peak_elems = std::size_t{1} << tdd::kProxyMaxRank;
+      for (std::size_t i = 1; i <= caps; ++i)
+        est.flops += std::ldexp(1.0, static_cast<int>(std::min(i, tdd::kProxyMaxRank)));
+      check_budgets(est, opts);
+      return est;
+    }
     const tdd::TddCostProxy proxy =
         tdd::sequential_cost_proxy(doubled_network(nc, psi_bits, v_bits));
     est.flops = proxy.flops;

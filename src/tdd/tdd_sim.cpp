@@ -80,13 +80,11 @@ TddCostProxy sequential_cost_proxy(const tn::Network& net) {
       }
     }
     // Union of accumulator + node indices has open-after + summed edges
-    // (= a + b - s), clamped to 60 so the pow stays finite; networks that
-    // large fail any realistic budget regardless.
-    const std::size_t rank_sum = std::min<std::size_t>(open.size() + summed, 60);
+    // (= a + b - s), clamped to kProxyMaxRank.
+    const std::size_t rank_sum = std::min(open.size() + summed, kProxyMaxRank);
     out.flops += std::pow(2.0, static_cast<double>(rank_sum));
-    out.peak_elems =
-        std::max(out.peak_elems, std::pow(2.0, static_cast<double>(std::min<std::size_t>(
-                                                   open.size(), 60))));
+    out.peak_elems = std::max(
+        out.peak_elems, std::pow(2.0, static_cast<double>(std::min(open.size(), kProxyMaxRank))));
   }
   return out;
 }

@@ -15,6 +15,7 @@
 #include "channels/catalog.hpp"
 #include "core/atpg.hpp"
 #include "core/backend.hpp"
+#include "core/doubled_network.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
 #include "mps/mps_trajectories.hpp"
@@ -268,6 +269,36 @@ TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {
     for (const Backend* b : default_backends())
       EXPECT_NE(what.find(backend_name(b->kind())), std::string::npos) << what;
   }
+}
+
+TEST(BackendSelection, WideCircuitTddBidSkipsTheDoubledNetwork) {
+  // The committed Fig. 4 circuit (qaoa_64 + 8 realistic noises): 128 input
+  // caps already put the TDD proxy's peak at its 2^60 clamp, so the bid is
+  // ruled out from that bound alone. The ruling, the winner and every
+  // value bit are pinned to what the full proxy produced.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 508);
+  SimulateOptions opts;
+  opts.error_budget = 1e-2;
+  opts.threads = 1;
+  const SimResult r = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(r.backend, BackendKind::TnApprox);
+  EXPECT_EQ(r.config.level, 1u);
+  EXPECT_EQ(r.value, 0x1.de7bc4ba59629p-63);
+  EXPECT_EQ(r.error_bound, 0x1.44f5e07a4c8p-10);
+  const CostEstimate* tdd_bid = nullptr;
+  for (const BackendChoice& c : r.considered)
+    if (c.kind == BackendKind::Tdd) tdd_bid = &c.estimate;
+  ASSERT_NE(tdd_bid, nullptr);
+  EXPECT_FALSE(tdd_bid->feasible);
+  EXPECT_EQ(tdd_bid->reason,
+            "modeled peak 1152921504606846976 elems exceeds memory_budget 67108864");
+
+  // The shortcut's peak is the full proxy's, and its flops never exceed it.
+  const tdd::TddCostProxy proxy = tdd::sequential_cost_proxy(doubled_network(nc, 0, 0));
+  EXPECT_EQ(static_cast<double>(tdd_bid->peak_elems), proxy.peak_elems);
+  EXPECT_LE(tdd_bid->flops, proxy.flops);
+  EXPECT_GT(tdd_bid->flops, 0.0);
 }
 
 TEST(Atpg, SimulateOverloadsMatchTheApproxPathSemantics) {
