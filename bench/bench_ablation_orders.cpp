@@ -22,9 +22,11 @@
 //
 // Plans are pure functions of topology + options, so the recorded flop
 // counts are machine-independent; --baseline <json> additionally gates
-// them for EXACT equality against the committed BENCH_orders.json (a
-// mismatch means plan selection drifted -- a determinism bug or an
-// unbaselined planner change). Plan wall times are reported and compared
+// them for EXACT equality against the committed BENCH_orders.json: greedy
+// and Auto flops, and Auto's per-strategy wins and best-candidate flops
+// (a mismatch means plan selection drifted -- a determinism bug, an
+// unbaselined planner change, or search pruning that leaked into what a
+// strategy records). Plan wall times are reported and compared
 // informationally (same-CPU only), never gated: these are millisecond
 // compiles where timer noise dominates.
 //
@@ -73,29 +75,66 @@ struct OrderRun {
   bool value_agrees = true;
 };
 
-/// The number following `"<key>": ` inside the object for
-/// `"name": "<name>"` in `path`. Returns false when absent.
-bool baseline_field(const std::string& path, const std::string& name, const std::string& key,
-                    double* out) {
+std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return false;
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::size_t at = text.find("\"name\": \"" + name + "\"");
-  if (at == std::string::npos) return false;
-  const std::string key_tag = "\"" + key + "\": ";
-  at = text.find(key_tag, at);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + key_tag.size(), nullptr);
-  return true;
+  return buf.str();
 }
 
-std::string baseline_cpu_model(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+/// The text of the baseline row for workload `name`: from its
+/// `{"name": "<name>"` up to the next row ("" when absent).
+std::string baseline_row(const std::string& text, const std::string& name) {
+  const std::size_t at = text.find("{\"name\": \"" + name + "\"");
+  if (at == std::string::npos) return "";
+  const std::size_t end = text.find("{\"name\": ", at + 1);
+  return text.substr(at, end == std::string::npos ? std::string::npos : end - at);
+}
+
+/// The number following the first `"<key>": ` in `text`, or `fallback`
+/// when the key is absent.
+double number_field(const std::string& text, const std::string& key, double fallback) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  return at == std::string::npos ? fallback : std::strtod(text.c_str() + at + tag.size(), nullptr);
+}
+
+/// The `{...}` object following `"<key>": ` in `text` ("" when absent).
+/// Only flat objects (the stats_json strategy maps) are supported.
+std::string object_field(const std::string& text, const std::string& key) {
+  const std::string tag = "\"" + key + "\": {";
+  const std::size_t at = text.find(tag);
+  if (at == std::string::npos) return "";
+  const std::size_t end = text.find('}', at);
+  return text.substr(at + tag.size() - 1, end - (at + tag.size() - 1) + 1);
+}
+
+/// Compare a run against its committed row: greedy and Auto flops, and
+/// Auto's per-strategy wins and best-candidate flops (strategies the
+/// baseline omits count as 0). Prints one line per mismatch.
+bool matches_baseline(const OrderRun& r, const std::string& row) {
+  bool ok = true;
+  auto expect = [&](const std::string& what, std::size_t got, double committed) {
+    if (static_cast<double>(got) == committed) return;
+    std::cout << "baseline " << r.name << ": " << what << " " << got << " vs committed "
+              << static_cast<std::size_t>(committed) << "  DRIFT (plan selection changed)\n";
+    ok = false;
+  };
+  expect("greedy flops", r.greedy_flops, number_field(row, "greedy_flops", -1.0));
+  expect("portfolio flops", r.portfolio_flops, number_field(row, "portfolio_flops", -1.0));
+  const std::string chosen = object_field(row, "strategy_chosen");
+  const std::string flops = object_field(row, "strategy_flops");
+  for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
+    const std::string name = tn::order_strategy_name(static_cast<tn::OrderStrategy>(s));
+    expect("strategy_chosen." + name, r.portfolio_stats.strategy_chosen[s],
+           number_field(chosen, name, 0.0));
+    expect("strategy_flops." + name, r.portfolio_stats.strategy_flops[s],
+           number_field(flops, name, 0.0));
+  }
+  return ok;
+}
+
+std::string baseline_cpu_model(const std::string& text) {
   const std::string tag = "\"cpu_model\": \"";
   const std::size_t at = text.find(tag);
   if (at == std::string::npos) return "";
@@ -250,30 +289,28 @@ int main(int argc, char** argv) {
             << "grid the portfolio still compiles where pure greedy memory-outs.\n";
 
   // Baseline gate (CI): plan selection is a pure function of topology +
-  // options, so the flop counts must match the committed baseline EXACTLY
-  // on any machine. Plan times are informational (same-CPU note only).
+  // options, so the flop counts -- greedy, Auto, and every strategy's best
+  // candidate in Auto's stats -- and the winning strategy must match the
+  // committed baseline EXACTLY on any machine. Plan times are
+  // informational (same-CPU note only).
   bool baseline_ok = true;
   bool values_ok = true;
   if (!baseline_path.empty()) {
-    const std::string base_cpu = baseline_cpu_model(baseline_path);
+    const std::string text = read_file(baseline_path);
+    const std::string base_cpu = baseline_cpu_model(text);
     const bool same_machine = base_cpu == bench::cpu_model();
     if (!same_machine)
       std::cout << "baseline recorded on \"" << base_cpu
                 << "\" (different CPU) -- plan-time comparison informational only\n";
     for (const OrderRun& r : runs) {
-      double base_flops = 0.0;
-      if (!r.portfolio_ok || !baseline_field(baseline_path, r.name, "portfolio_flops", &base_flops))
-        continue;
-      const bool drifted =
-          static_cast<double>(r.portfolio_flops) != base_flops;
+      const std::string row = baseline_row(text, r.name);
+      if (!r.portfolio_ok || row.empty()) continue;
+      const bool ok = matches_baseline(r, row);
       std::cout << "baseline " << r.name << ": portfolio flops " << r.portfolio_flops
-                << " vs committed " << static_cast<std::size_t>(base_flops)
-                << (drifted ? "  DRIFT (plan selection changed)" : "  ok") << "\n";
-      baseline_ok = baseline_ok && !drifted;
-      double base_seconds = 0.0;
-      if (same_machine &&
-          baseline_field(baseline_path, r.name, "portfolio_plan_seconds", &base_seconds) &&
-          base_seconds > 0.0)
+                << (ok ? "  ok" : "  DRIFT") << "\n";
+      baseline_ok = baseline_ok && ok;
+      const double base_seconds = number_field(row, "portfolio_plan_seconds", 0.0);
+      if (same_machine && base_seconds > 0.0)
         std::cout << "         " << r.name << ": portfolio plan time "
                   << bench::sci(r.portfolio_plan_seconds) << "s vs committed "
                   << bench::sci(base_seconds) << "s (informational)\n";
@@ -313,6 +350,6 @@ int main(int argc, char** argv) {
                  "      greedy MO was expected on at least one workload)\n";
   if (!values_ok) std::cout << "FAIL: greedy and portfolio plans disagree on an amplitude\n";
   if (!baseline_ok)
-    std::cout << "FAIL: portfolio flop counts drifted from the committed baseline\n";
+    std::cout << "FAIL: plan selection drifted from the committed baseline\n";
   return cheapest_ok && strict_win && values_ok && baseline_ok ? 0 : 1;
 }
