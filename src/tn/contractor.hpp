@@ -25,8 +25,11 @@
 //                 (ties: smaller peak intermediate, then the earlier
 //                 candidate); Sequential is the last resort when every
 //                 candidate exceeds the memory budget. Candidates are
-//                 scored by a shape-only walk; only the winning order is
-//                 materialized into a plan.
+//                 scored by a shape-only walk over flat node and edge
+//                 arrays that one compiler resets between candidates; a
+//                 walk stops early once its running flops exceed the best
+//                 so far of its own strategy, since it can no longer win.
+//                 Only the winning order is materialized into a plan.
 //
 // Guard rails: the contractor enforces a tensor-size budget and a wall-clock
 // deadline, throwing MemoryOutError / TimeoutError; the benchmark harness

@@ -183,8 +183,8 @@ struct PlanCompiler {
   static constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
   struct NodeRec {
-    std::uint32_t offset = 0;  // first axis in edge_pool / dim_pool
-    std::uint32_t rank = 0;
+    std::size_t offset = 0;  // first axis in edge_pool / dim_pool
+    std::size_t rank = 0;
     std::size_t elems = 1;
   };
 
@@ -212,7 +212,7 @@ struct PlanCompiler {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;  // merge order
   std::vector<PlanStep> steps;                              // materialize only
   ArenaLayout arena;
-  std::vector<std::size_t> slot_offset;  // arena offset (track_arena only)
+  std::vector<std::size_t> slot_offset;  // arena offset (0 unless track_arena)
   std::size_t peak = 0;
   std::size_t flops = 0;  // sum of m*k*n over all steps (schedule cost)
   std::size_t bytes = 0;  // modeled memory traffic of one replay
@@ -230,6 +230,9 @@ struct PlanCompiler {
                bool deadline_set)
       : net(n), opts(o), num_inputs(n.num_nodes()), deadline(shared_deadline),
         has_deadline(deadline_set) {
+    // Slots are stored as uint32 with kNoNode reserved: a compile creates
+    // 2 * num_inputs - 1 of them.
+    la::detail::require(num_inputs < kNoNode / 2, "ContractionPlan: network too large");
     std::size_t num_edges = 0;
     for (const Node& node : net.nodes())
       for (const EdgeId e : node.edges) num_edges = std::max(num_edges, e + 1);
@@ -237,8 +240,7 @@ struct PlanCompiler {
     nodes.reserve(2 * num_inputs);
     for (std::size_t i = 0; i < num_inputs; ++i) {
       const Node& node = net.node(i);
-      nodes.push_back(NodeRec{static_cast<std::uint32_t>(edge_pool.size()),
-                              static_cast<std::uint32_t>(node.edges.size()), node.tensor.size()});
+      nodes.push_back(NodeRec{edge_pool.size(), node.edges.size(), node.tensor.size()});
       for (std::size_t ax = 0; ax < node.edges.size(); ++ax) {
         const EdgeId e = node.edges[ax];
         edge_pool.push_back(e);
@@ -437,8 +439,7 @@ struct PlanCompiler {
       owners[2 * e] = owners[2 * e + 1] = kNoNode;
     }
     alive[u] = alive[v] = 0;
-    nodes.push_back(NodeRec{static_cast<std::uint32_t>(offset),
-                            static_cast<std::uint32_t>(edge_pool.size() - offset), out_elems});
+    nodes.push_back(NodeRec{offset, edge_pool.size() - offset, out_elems});
     alive.push_back(1);
     slot_offset.push_back(out_offset);
     return idx;

@@ -226,11 +226,16 @@ class ContractionPlan {
   /// Compile a plan for the network's topology. Ordering follows
   /// opts.strategy exactly as contract_network does (Auto = the fixed
   /// search of tn/contractor.hpp, keeping the min-total-flop order).
-  /// Candidate orders are only scored; the plan is materialized once, for
-  /// the winning order. Throws MemoryOutError when every candidate has an
-  /// intermediate above opts.max_tensor_elems (or an arena above
-  /// opts.max_workspace_elems) and TimeoutError past opts.timeout_seconds,
-  /// so MO/TO surface at plan time, before any arithmetic runs.
+  /// Candidate orders are only scored, by shape-only walks of one reused
+  /// compiler that is reset between candidates; the plan is materialized
+  /// once, for the winning order. Within a strategy a walk stops once its
+  /// running flops exceed that strategy's best so far, which cannot change
+  /// the kept order (ties still go to the earlier candidate) or the flops
+  /// ContractStats records per strategy. Throws MemoryOutError when every
+  /// candidate has an intermediate above opts.max_tensor_elems (or an
+  /// arena above opts.max_workspace_elems) and TimeoutError past
+  /// opts.timeout_seconds, so MO/TO surface at plan time, before any
+  /// arithmetic runs.
   static ContractionPlan compile(const Network& net, const ContractOptions& opts = {},
                                  ContractStats* stats = nullptr);
 
