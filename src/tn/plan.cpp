@@ -709,7 +709,9 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
 
   // Materialize the winner only: replaying its pairs through the same
   // merge() rebuilds the scored walk step for step, so every budget check
-  // already passed.
+  // already passed. The candidate heap is freed first, so the plan's steps
+  // do not add to the scoring walks' peak memory.
+  std::vector<Candidate>().swap(compiler.heap);
   compiler.reset(/*materialize_steps=*/true, kNoBound);
   for (const auto& [u, v] : order->pairs) compiler.merge(u, v);
   ContractionPlan plan = compiler.finalize();
