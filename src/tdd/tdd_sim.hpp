@@ -50,8 +50,8 @@ struct TddCostProxy {
   double flops = 0.0;
   double peak_elems = 0.0;
 };
-/// Ranks the proxy charges are clamped here, so 2^rank stays finite;
-/// networks that large fail any realistic budget regardless.
+/// The proxy clamps every rank it charges at this value, so 2^rank stays
+/// finite; networks that large fail any realistic budget regardless.
 inline constexpr std::size_t kProxyMaxRank = 60;
 TddCostProxy sequential_cost_proxy(const tn::Network& net);
 
