@@ -678,6 +678,10 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // pairs per evaluator call -- noise slots level-capped, cap slots
     // unconstrained. One evaluator runs each chunk twice: on the U factors
     // (top layer) and on the conj(V) factors (conjugated bottom layer).
+    // Pairs are laid out output-major (pair o * tcount + t): neighbouring
+    // pairs share their output caps and differ only at one term's noise
+    // sites, so the batched plan's per-pair root pass reuses every step
+    // outside the changed sites' cones (see BatchedPlan).
     make_eval = [&](std::size_t) -> WorkerEval {
       auto eval = std::make_shared<ReplayEvaluator>(at.tmpl(), slots, bplan.get(), control);
       auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
@@ -693,15 +697,15 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
           // Dominant factor everywhere, subdominant at the term's chosen
           // sites; the output chunk's caps in the trailing slots.
           auto fill = [&](const std::vector<std::vector<tsr::Tensor>>& factors) {
-            for (std::size_t t = 0; t < tcount; ++t) {
-              const Term& term = terms[t0 + t];
-              for (std::size_t o = 0; o < oc; ++o) {
-                const std::size_t p = (t * oc + o) * V;
+            for (std::size_t o = 0; o < oc; ++o) {
+              const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
+              for (std::size_t t = 0; t < tcount; ++t) {
+                const Term& term = terms[t0 + t];
+                const std::size_t p = (o * tcount + t) * V;
                 for (std::size_t s = 0; s < num_sites; ++s) (*ptrs)[p + s] = &factors[s][0];
                 for (std::size_t c = 0; c < term.sites.size(); ++c)
                   (*ptrs)[p + term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
-                for (std::size_t q = 0; q < nn; ++q)
-                  (*ptrs)[p + num_sites + q] = caps_of_output[(obegin + o0 + o) * nn + q];
+                std::ranges::copy(caps, ptrs->begin() + static_cast<std::ptrdiff_t>(p + num_sites));
               }
             }
             return std::span<const tsr::Tensor* const>(*ptrs).first(kk * V);
@@ -711,7 +715,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
           for (std::size_t t = 0; t < tcount; ++t)
             for (std::size_t o = 0; o < oc; ++o)
               out[t * ocount + o0 + o] =
-                  (*top_amp)[t * oc + o] * std::conj((*bot_amp)[t * oc + o]);
+                  (*top_amp)[o * tcount + t] * std::conj((*bot_amp)[o * tcount + t]);
         }
       };
       we.flush = [eval](tn::ContractStats& stats) { stats.merge(eval->stats()); };

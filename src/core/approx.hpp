@@ -126,7 +126,10 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 ///    sites as varying slots of the batched plan, so each chunk of
 ///    batch_terms terms x (up to 32) outputs executes in ONE traversal --
 ///    steps outside every cone run once per chunk, noise-cone rows are
-///    shared across outputs, cap-cone rows across terms.
+///    shared across outputs, cap-cone rows across terms. The (term,
+///    output) pairs run output-major, so the plan's per-pair root region
+///    reuses every step outside the cones of the sites where neighbouring
+///    terms differ.
 /// outputs[o] is bit-identical to approximate_fidelity(nc, psi_bits,
 /// v_bits[o], opts) (same enumeration-order reduction per output); the
 /// progress callback still counts TERMS, not term x output pairs (a term is

@@ -174,7 +174,7 @@ class AmplitudeTemplate {
   /// Write the n cap-tensor pointers for output bitstring `v_bits` to
   /// ptrs[0..n): ptrs[q] = &output_cap(bit q of v_bits). The span must
   /// hold at least n entries; extra entries are left untouched (callers
-  /// batching terms fill term-major blocks of a larger table).
+  /// fill per-output or per-pair blocks of a larger table).
   void fill_output_caps(std::uint64_t v_bits, std::span<const tsr::Tensor*> ptrs) const;
 
   const tn::ContractionPlan& plan() const { return plan_; }
@@ -334,7 +334,10 @@ class ReplayEvaluator {
   /// Evaluate k amplitudes: ptrs[t * V + v] stands in at slots[v] for term t
   /// (V = number of slots), and every term sees the `shared` substitutions
   /// at non-varying nodes. Writes the k amplitudes to out[0..k). Any k: the
-  /// batched path walks capacity-wide traversals.
+  /// batched path walks capacity-wide traversals. Order matters for cost,
+  /// not bits: the batched plan's per-term root pass reuses a step when
+  /// consecutive terms agree on its operands, so put the terms that share
+  /// the most inputs next to each other.
   void evaluate(std::span<const AmplitudeTemplate::Substitution> shared,
                 std::span<const tsr::Tensor* const> ptrs, std::size_t k, std::span<cplx> out);
   /// Contraction stats accumulated across evaluate calls.

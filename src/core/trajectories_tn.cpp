@@ -184,10 +184,12 @@ class TrajectorySweep {
                 &site_tensors_[site][sample_index(sk_.mixtures[site].probs, rng)];
         for (std::size_t o0 = 0; o0 < shard_count; o0 += out_chunk_) {
           const std::size_t oc = std::min(out_chunk_, shard_count - o0);
-          for (std::size_t s = 0; s < sb; ++s)
-            for (std::size_t o = 0; o < oc; ++o) {
+          // Output-major pairs (o * sb + s): neighbours share their caps,
+          // so the batched plan's per-pair root pass can reuse steps.
+          for (std::size_t o = 0; o < oc; ++o)
+            for (std::size_t s = 0; s < sb; ++s) {
               const std::span<const tsr::Tensor*> p =
-                  std::span(*ptrs).subspan((s * oc + o) * V, V);
+                  std::span(*ptrs).subspan((o * sb + s) * V, V);
               std::ranges::copy(std::span(*draws).subspan(s * num_sites, num_sites), p.begin());
               if (V > num_sites)
                 tmpl_->fill_output_caps(v_bits_[shard_begin + o0 + o], p.subspan(num_sites));
@@ -202,7 +204,7 @@ class TrajectorySweep {
                               k, *amps);
           for (std::size_t s = 0; s < sb; ++s)
             for (std::size_t o = 0; o < oc; ++o)
-              out[(s0 + s) * shard_count + o0 + o] = std::norm((*amps)[s * oc + o]);
+              out[(s0 + s) * shard_count + o0 + o] = std::norm((*amps)[o * sb + s]);
         }
       }
     };

@@ -163,7 +163,11 @@ struct BatchedStep {
 ///    term is distinct, so batching would only stream single-use rows
 ///    through memory -- replays per term through a small reused arena
 ///    segment that stays cache-hot, with whole per-term passes skipped
-///    when a term's boundary signature matches an earlier term's.
+///    when a term's boundary signature matches an earlier term's. This
+///    pass reuses a step's buffer when consecutive terms agree on its
+///    operands, so callers should put the terms that share the most inputs
+///    next to each other (e.g. all terms of one output bitstring together,
+///    not all outputs of one term).
 ///
 /// Every term reproduces the per-term replay bit for bit: broadcast and
 /// row-shared slices are the same deterministic arithmetic computed once,

@@ -342,6 +342,29 @@ TEST(ApproxOutputs, ConeTrackingPastSixtyFourVaryingSlots) {
   expect_outputs_match_per_bitstring(nc, vb, opts);
 }
 
+TEST(ApproxOutputs, BatchingCostsNoMoreFlopsThanPerOutputSweeps) {
+  // 8 outputs x 19 level-1 terms fit one traversal. Its per-pair root pass
+  // reuses a step only when neighbouring pairs agree on the step's
+  // operands, so the pair layout decides the cost: term-major pairs differ
+  // in output at every neighbour and spent ~1.5x the MACs of evaluating
+  // each output alone. Output-major pairs must cost no more than that.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(36, 1, 77), 6, bench::realistic_noise(), 506);
+  const std::vector<std::uint64_t> vb = sampled_bitstrings(36, 8, 71);
+  ApproxOptions opts;
+  opts.level = 1;
+  opts.eval = tn_eval();
+  const ApproxBatchResult batch = approximate_fidelity_outputs(nc, 0, vb, opts);
+  std::size_t per_output_flops = 0;
+  for (std::size_t o = 0; o < vb.size(); ++o) {
+    const ApproxResult ref = approximate_fidelity(nc, 0, vb[o], opts);
+    per_output_flops += ref.contract_stats.flops;
+    EXPECT_EQ(ref.raw.real(), batch.raw[o].real()) << "output " << o;
+    EXPECT_EQ(ref.raw.imag(), batch.raw[o].imag()) << "output " << o;
+  }
+  EXPECT_LE(batch.contract_stats.flops, per_output_flops);
+}
+
 TEST(ApproxOutputs, EmptyOutputsReturnBoundsOnly) {
   const ch::NoisyCircuit nc = xeb_workload(16, 2, 507);
   ApproxOptions opts;
