@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "core/superop.hpp"
@@ -84,6 +86,33 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
   result.eval_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   return result;
+}
+
+std::string replay_mismatch(cplx raw, std::span<const cplx> term_sums,
+                            std::span<const double> level_values,
+                            const core::ApproxResult& replay) {
+  const std::size_t levels = replay.term_sums.size();
+  if (term_sums.size() != levels || level_values.size() != levels)
+    return "level count " + std::to_string(term_sums.size()) + " vs " + std::to_string(levels);
+  const double tol =
+      levels > 1 ? kEnvReplayRtol * std::abs(replay.term_sums[0] + replay.term_sums[1]) : 0.0;
+  auto close = [&](cplx a, cplx b, bool exact) {
+    return exact ? a == b : std::abs(a - b) <= tol;
+  };
+  auto describe = [](const std::string& what, cplx a, cplx b) {
+    std::ostringstream os;
+    os << std::hexfloat << what << ": " << a << " vs replay " << b;
+    return os.str();
+  };
+  for (std::size_t u = 0; u < levels; ++u)
+    if (!close(term_sums[u], replay.term_sums[u], u != 1))
+      return describe("term_sums[" + std::to_string(u) + "]", term_sums[u], replay.term_sums[u]);
+  for (std::size_t u = 0; u < levels; ++u)
+    if (!close(level_values[u], replay.level_values[u], u == 0))
+      return describe("level_values[" + std::to_string(u) + "]", level_values[u],
+                      replay.level_values[u]);
+  if (!close(raw, replay.raw, levels == 1)) return describe("raw", raw, replay.raw);
+  return "";
 }
 
 }  // namespace noisim::bench

@@ -9,10 +9,15 @@
 // evaluated literally, as its own gate list of conjugated gates with V at
 // the sites, not as the conjugate of the top layer the sweep replays. Both
 // paths run one planner and one executor and fold the term values in the
-// same enumeration order, so approximate_fidelity must match it bit for
-// bit.
+// same enumeration order. The sweep takes its level-0 and level-1 terms
+// from one environment pass per layer (core::EnvEvaluator), which sums a
+// level-1 term in another order than contracting its network, so
+// approximate_fidelity matches the oracle as replay_mismatch states: bit
+// for bit except at level 1, and there at roundoff.
 
 #include <cstdint>
+#include <span>
+#include <string>
 
 #include "channels/noisy_circuit.hpp"
 #include "core/approx.hpp"
@@ -33,5 +38,26 @@ namespace noisim::bench {
 core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t level,
                                       const core::EvalOptions& eval = {});
+
+/// Relative tolerance of a level-1 term sum against per-term replay.
+inline constexpr double kEnvReplayRtol = 1e-12;
+
+/// How an Algorithm-1 result (raw, per-level term sums and level values)
+/// must match a per-term replay of the same terms -- replanned_fidelity, or
+/// the sweep's own replay fallback: term_sums[0] and term_sums[u >= 2] bit
+/// for bit; term_sums[1], raw and level_values[u >= 1] within
+/// kEnvReplayRtol * |A(1)| of the replay (A(1) = the replay's T0 + T1), and
+/// level_values[0] bit for bit. Returns "" on a match, else the first
+/// mismatch.
+std::string replay_mismatch(cplx raw, std::span<const cplx> term_sums,
+                            std::span<const double> level_values,
+                            const core::ApproxResult& replay);
+inline std::string replay_mismatch(const core::ApproxResult& r, const core::ApproxResult& replay) {
+  return replay_mismatch(r.raw, r.term_sums, r.level_values, replay);
+}
+inline std::string replay_mismatch(const core::ApproxBatchResult& r, std::size_t o,
+                                   const core::ApproxResult& replay) {
+  return replay_mismatch(r.raw[o], r.term_sums[o], r.level_values[o], replay);
+}
 
 }  // namespace noisim::bench

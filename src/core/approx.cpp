@@ -7,6 +7,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "circuit/simplify.hpp"
@@ -282,31 +283,60 @@ AcquiredTemplate acquire_template(PlanCache* cache, int n,
   return out;
 }
 
+// A plan derived from the template: memoized in the template's cache entry
+// when there is one (the lookup counts as a hit or a miss), compiled for
+// this call otherwise. `memo(entry, compile, hit)` is the entry's lookup;
+// `compile(stats)` builds the plan.
+template <class Plan, class Memo, class Compile>
+std::shared_ptr<const Plan> acquire_derived(const AcquiredTemplate& at, Memo&& memo,
+                                            Compile&& compile, tn::ContractStats& setup_stats) {
+  if (!at.entry) return std::make_shared<const Plan>(compile(&setup_stats));
+  bool hit = false;
+  tn::ContractStats compile_stats;
+  auto plan = memo(*at.entry, [&] { return compile(&compile_stats); }, &hit);
+  if (hit) {
+    ++setup_stats.plan_cache_hits;
+  } else {
+    ++setup_stats.plan_cache_misses;
+    setup_stats.merge(compile_stats);
+  }
+  return plan;
+}
+
 std::shared_ptr<const tn::BatchedPlan> acquire_batched(
     const AcquiredTemplate& at, std::span<const std::size_t> slots, std::size_t capacity,
     std::span<const std::size_t> variant_counts, std::size_t max_varied_per_term,
     std::span<const char> unconstrained, tn::ContractStats& setup_stats) {
-  if (at.entry) {
-    bool hit = false;
-    tn::ContractStats compile_stats;
-    auto plan = at.entry->batched(
-        PlanCache::batched_key(slots, capacity, variant_counts, max_varied_per_term,
-                               unconstrained),
-        [&] {
-          return at.tmpl().compile_batched(slots, capacity, &compile_stats, variant_counts,
-                                           max_varied_per_term, unconstrained);
-        },
-        &hit);
-    if (hit) {
-      ++setup_stats.plan_cache_hits;
-    } else {
-      ++setup_stats.plan_cache_misses;
-      setup_stats.merge(compile_stats);
-    }
-    return plan;
+  return acquire_derived<tn::BatchedPlan>(
+      at,
+      [&](const PlanCache::Entry& e, const std::function<tn::BatchedPlan()>& compile, bool* hit) {
+        return e.batched(PlanCache::batched_key(slots, capacity, variant_counts,
+                                                max_varied_per_term, unconstrained),
+                         compile, hit);
+      },
+      [&](tn::ContractStats* stats) {
+        return at.tmpl().compile_batched(slots, capacity, stats, variant_counts,
+                                         max_varied_per_term, unconstrained);
+      },
+      setup_stats);
+}
+
+// The environment schedule toward every noise site, or null when its arena
+// exceeds the workspace budget: those terms then replay the plan, as terms
+// do when a batched plan is over budget.
+std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
+                                                   std::span<const std::size_t> sites,
+                                                   tn::ContractStats& setup_stats) {
+  try {
+    return acquire_derived<tn::EnvSchedule>(
+        at,
+        [&](const PlanCache::Entry& e, const std::function<tn::EnvSchedule()>& compile,
+            bool* hit) { return e.env_schedule(PlanCache::env_key(sites), compile, hit); },
+        [&](tn::ContractStats* stats) { return at.tmpl().compile_env(sites, stats); },
+        setup_stats);
+  } catch (const MemoryOutError&) {
+    return nullptr;
   }
-  return std::make_shared<const tn::BatchedPlan>(at.tmpl().compile_batched(
-      slots, capacity, &setup_stats, variant_counts, max_varied_per_term, unconstrained));
 }
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
@@ -348,16 +378,15 @@ struct ChunkFold {
 // moves the fold results out by value via take_folds().
 class SweepQueue {
  public:
+  /// Term range r is [range_start[r], range_start[r + 1]).
   SweepQueue(const std::vector<Term>& terms, std::size_t K, std::size_t shard,
-             std::size_t level, std::size_t term_batch, std::size_t num_ranges,
+             std::size_t level, const std::vector<std::size_t>& range_start,
              std::size_t num_chunks, std::size_t pool_size, const RunControl* control)
       : terms_(terms),
-        num_terms_(terms.size()),
+        range_start_(range_start),
         num_chunks_(num_chunks),
-        num_ranges_(num_ranges),
-        num_items_(num_ranges * num_chunks),
+        num_items_((range_start.size() - 1) * num_chunks),
         level_(level),
-        term_batch_(term_batch),
         pool_size_(pool_size),
         control_(control) {
     folds_.resize(num_chunks_);
@@ -368,7 +397,7 @@ class SweepQueue {
     }
     // Outstanding chunk folds per term, for the TERM-counting progress
     // contract: a term is reported once every chunk has folded it.
-    term_pending_.assign(num_terms_, num_chunks_);
+    term_pending_.assign(terms_.size(), num_chunks_);
     free_bufs_.resize(pool_size_);
     for (std::size_t b = 0; b < pool_size_; ++b) free_bufs_[b] = b;
   }
@@ -454,8 +483,8 @@ class SweepQueue {
     for (auto it = cf.stash.find(cf.cursor); it != cf.stash.end();
          it = cf.stash.find(cf.cursor)) {
       const std::size_t fbuf = it->second;
-      const std::size_t f0 = cf.cursor * term_batch_;
-      const std::size_t fcount = std::min(term_batch_, num_terms_ - f0);
+      const std::size_t f0 = range_start_[cf.cursor];
+      const std::size_t fcount = range_start_[cf.cursor + 1] - f0;
       const std::vector<cplx>& fv = buffers[fbuf];
       for (std::size_t t = 0; t < fcount; ++t) {
         const std::size_t u = terms_[f0 + t].level;
@@ -514,12 +543,10 @@ class SweepQueue {
   }
 
   const std::vector<Term>& terms_;  // immutable enumeration-order term list
-  const std::size_t num_terms_;
+  const std::vector<std::size_t>& range_start_;  // immutable term-range table
   const std::size_t num_chunks_;
-  const std::size_t num_ranges_;
   const std::size_t num_items_;
   const std::size_t level_;
-  const std::size_t term_batch_;
   const std::size_t pool_size_;
   const RunControl* const control_;  // polled, never written
 
@@ -595,21 +622,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t shard =
       std::min(K, shard_outputs > 0 ? shard_outputs : (tn_path ? kOutputChunk : K));
   const std::size_t num_chunks = (K + shard - 1) / shard;
-
-  // Term ranges: batch_terms wide, additionally capped so one batched
-  // traversal holds at most kMaxBatchPairs (term, output) pairs. That width sizes
-  // the batched plans; when the queue would still hold fewer items than
-  // workers (a single output is one chunk), the ranges narrow further so
-  // every worker gets one -- a batch below capacity never changes bits.
   const std::size_t out_chunk = std::min(shard, kOutputChunk);
-  std::size_t term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms,
-                                     std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
-  const std::size_t capacity = term_batch * out_chunk;
-  const std::size_t ranges_wanted =
-      (std::max<std::size_t>(opts.threads, 1) + num_chunks - 1) / num_chunks;
-  if ((num_terms + term_batch - 1) / term_batch < ranges_wanted)
-    term_batch = (num_terms + ranges_wanted - 1) / ranges_wanted;
-  const std::size_t num_ranges = (num_terms + term_batch - 1) / term_batch;
 
   // --- plan-replay setup (templates, plans, factor tensors) ----------------
   // A cancel that lands during setup (template/batched-plan compilation
@@ -627,11 +640,23 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   };
 
   AcquiredTemplate at;
+  std::shared_ptr<const tn::EnvSchedule> env;
   std::shared_ptr<const tn::BatchedPlan> bplan;
   SiteFactors fac;
   std::vector<const tsr::Tensor*> caps_of_output;
   std::vector<std::size_t> slots;
   std::size_t V = 0;
+  // Terms [0, env_terms) -- the u <= 1 block -- come from environment
+  // passes; the rest replay the plan, up to `capacity` (term, output) pairs
+  // per batched traversal. Replay ranges are term_batch wide, capped so one
+  // traversal holds at most kMaxBatchPairs pairs.
+  std::size_t env_terms = 0;
+  std::size_t term_batch = 0, capacity = 0;
+  auto size_replay = [&] {
+    term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms - env_terms,
+                           std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
+    capacity = term_batch * out_chunk;
+  };
 
   try {
   if (tn_path) {
@@ -655,70 +680,164 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     slots = fac.node;
     slots.insert(slots.end(), cap_nodes.begin(), cap_nodes.end());
     V = slots.size();
-    std::vector<std::size_t> counts(V, 2);
-    std::vector<char> unconstrained(V, 0);
-    for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
-    for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
+
+    env = acquire_env(at, fac.node, setup_stats);
+    if (env)
+      while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
+    size_replay();
 
     // Without a batched plan (1 x 1 items, a combined batch beyond the
     // workspace budget, or one that shares nothing) each term replays the
     // per-term plan, bit-identically.
-    bplan = batched_plan_or_null(capacity, [&] {
-      return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
-    });
+    if (env_terms < num_terms) {
+      std::vector<std::size_t> counts(V, 2);
+      std::vector<char> unconstrained(V, 0);
+      for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
+      for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
+      bplan = batched_plan_or_null(capacity, [&] {
+        return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
+      });
+    }
+  } else {
+    size_replay();
   }
   } catch (const CancelledError&) {
     return salvage_empty();
   }
 
-  // Per-worker evaluator factory for the two (bit-identical) paths.
+  // Term ranges: the u <= 1 block in ranges min(batch_terms, block) wide
+  // (an environment pass has no batched arena to size), the rest term_batch
+  // wide. When the queue would still hold fewer items than workers (a
+  // single output is one chunk), a block's ranges narrow further so every
+  // worker gets one -- the split never changes bits.
+  const std::size_t ranges_wanted =
+      (std::max<std::size_t>(opts.threads, 1) + num_chunks - 1) / num_chunks;
+  std::vector<std::size_t> range_start;
+  auto cut = [&](std::size_t begin, std::size_t end, std::size_t width) {
+    const std::size_t count = end - begin;
+    if (count == 0) return;
+    if ((count + width - 1) / width < ranges_wanted)
+      width = (count + ranges_wanted - 1) / ranges_wanted;
+    for (std::size_t t = begin; t < end; t += width) range_start.push_back(t);
+  };
+  cut(0, env_terms, std::min(std::max<std::size_t>(opts.batch_terms, 1), env_terms));
+  cut(env_terms, num_terms, term_batch);
+  range_start.push_back(num_terms);
+  const std::size_t num_ranges = range_start.size() - 1;
+
+  // Per-worker evaluator factory.
   std::function<WorkerEval(std::size_t)> make_eval;
   if (tn_path) {
-    // Plan replay: each item covers (term range x <= out_chunk outputs)
-    // pairs per evaluator call -- noise slots level-capped, cap slots
-    // unconstrained. One evaluator runs each chunk twice: on the U factors
-    // (top layer) and on the conj(V) factors (conjugated bottom layer).
-    // Pairs are laid out output-major (pair o * tcount + t): neighbouring
-    // pairs share their output caps and differ only at one term's noise
-    // sites, so the batched plan's per-pair root pass reuses every step
-    // outside the changed sites' cones (see BatchedPlan).
-    make_eval = [&](std::size_t) -> WorkerEval {
-      auto eval = std::make_shared<ReplayEvaluator>(at.tmpl(), slots, bplan.get(), control);
-      auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
-      auto top_amp = std::make_shared<std::vector<cplx>>(capacity);
-      auto bot_amp = std::make_shared<std::vector<cplx>>(capacity);
-      WorkerEval we;
-      we.eval = [&, eval, ptrs, top_amp, bot_amp](std::size_t t0, std::size_t tcount,
-                                                  std::size_t obegin, std::size_t ocount,
-                                                  std::span<cplx> out, tn::ContractStats&) {
-        for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
-          const std::size_t oc = std::min(out_chunk, ocount - o0);
-          const std::size_t kk = tcount * oc;
-          // Dominant factor everywhere, subdominant at the term's chosen
-          // sites; the output chunk's caps in the trailing slots.
-          auto fill = [&](const std::vector<std::vector<tsr::Tensor>>& factors) {
-            for (std::size_t o = 0; o < oc; ++o) {
-              const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
-              for (std::size_t t = 0; t < tcount; ++t) {
-                const Term& term = terms[t0 + t];
-                const std::size_t p = (o * tcount + t) * V;
-                for (std::size_t s = 0; s < num_sites; ++s) (*ptrs)[p + s] = &factors[s][0];
-                for (std::size_t c = 0; c < term.sites.size(); ++c)
-                  (*ptrs)[p + term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
-                std::ranges::copy(caps, ptrs->begin() + static_cast<std::ptrdiff_t>(p + num_sites));
-              }
-            }
-            return std::span<const tsr::Tensor* const>(*ptrs).first(kk * V);
-          };
-          eval->evaluate({}, fill(fac.top), kk, *top_amp);
-          eval->evaluate({}, fill(fac.bot), kk, *bot_amp);
-          for (std::size_t t = 0; t < tcount; ++t)
-            for (std::size_t o = 0; o < oc; ++o)
-              out[t * ocount + o0 + o] =
-                  (*top_amp)[o * tcount + t] * std::conj((*bot_amp)[o * tcount + t]);
+    // Per-worker TN state: the environment evaluator for u <= 1 items, the
+    // replay evaluator for the rest, and their scratch.
+    struct TnWorker {
+      std::optional<EnvEvaluator> env;
+      std::optional<ReplayEvaluator> replay;
+      std::vector<AmplitudeTemplate::Substitution> subs;  // sites, then caps
+      std::vector<char> want;                             // per site
+      std::vector<const tsr::Tensor*> ptrs;               // replay pairs x slots
+      std::vector<cplx> top_amp, bot_amp;
+    };
+
+    // Environment items: per output, one pass per layer with the dominant
+    // factor at every site. T0 is the pass's value; a level-1 term (s, i)
+    // is <E_s, factor_i(s)>, and the backward runs only toward the sites
+    // this item's level-1 terms use.
+    auto env_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
+                        std::size_t ocount, std::span<cplx> out) {
+      std::ranges::fill(w.want, 0);
+      for (std::size_t t = t0; t < t0 + tcount; ++t)
+        if (terms[t].level == 1) w.want[terms[t].sites[0]] = 1;
+      auto layer = [&](const std::vector<std::vector<tsr::Tensor>>& factors,
+                       std::vector<cplx>& amp) {
+        for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &factors[s][0];
+        const cplx value = w.env->evaluate(w.subs, w.want, tcount);
+        for (std::size_t t = 0; t < tcount; ++t) {
+          const Term& term = terms[t0 + t];
+          amp[t] = term.level == 0
+                       ? value
+                       : w.env->overlap(term.sites[0], factors[term.sites[0]][term.term_idx[0]]);
         }
       };
-      we.flush = [eval](tn::ContractStats& stats) { stats.merge(eval->stats()); };
+      for (std::size_t o = 0; o < ocount; ++o) {
+        const auto caps = std::span(caps_of_output).subspan((obegin + o) * nn, nn);
+        for (std::size_t q = 0; q < nn; ++q) w.subs[num_sites + q].second = caps[q];
+        layer(fac.top, w.top_amp);
+        layer(fac.bot, w.bot_amp);
+        for (std::size_t t = 0; t < tcount; ++t)
+          out[t * ocount + o] = w.top_amp[t] * std::conj(w.bot_amp[t]);
+      }
+    };
+
+    // Replay items cover (term range x <= out_chunk outputs) pairs per
+    // evaluator call -- noise slots level-capped, cap slots unconstrained.
+    // Each chunk runs twice: on the U factors (top layer) and on the
+    // conj(V) factors (conjugated bottom layer). Pairs are laid out
+    // output-major (pair o * tcount + t): neighbouring pairs share their
+    // output caps and differ only at one term's noise sites, so the batched
+    // plan's per-pair root pass reuses every step outside the changed
+    // sites' cones (see BatchedPlan).
+    auto replay_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
+                           std::size_t ocount, std::span<cplx> out) {
+      for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
+        const std::size_t oc = std::min(out_chunk, ocount - o0);
+        const std::size_t kk = tcount * oc;
+        // Dominant factor everywhere, subdominant at the term's chosen
+        // sites; the output chunk's caps in the trailing slots.
+        auto fill = [&](const std::vector<std::vector<tsr::Tensor>>& factors) {
+          for (std::size_t o = 0; o < oc; ++o) {
+            const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
+            for (std::size_t t = 0; t < tcount; ++t) {
+              const Term& term = terms[t0 + t];
+              const std::size_t p = (o * tcount + t) * V;
+              for (std::size_t s = 0; s < num_sites; ++s) w.ptrs[p + s] = &factors[s][0];
+              for (std::size_t c = 0; c < term.sites.size(); ++c)
+                w.ptrs[p + term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
+              std::ranges::copy(caps, w.ptrs.begin() + static_cast<std::ptrdiff_t>(p + num_sites));
+            }
+          }
+          return std::span<const tsr::Tensor* const>(w.ptrs).first(kk * V);
+        };
+        w.replay->evaluate({}, fill(fac.top), kk, w.top_amp);
+        w.replay->evaluate({}, fill(fac.bot), kk, w.bot_amp);
+        for (std::size_t t = 0; t < tcount; ++t)
+          for (std::size_t o = 0; o < oc; ++o)
+            out[t * ocount + o0 + o] =
+                w.top_amp[o * tcount + t] * std::conj(w.bot_amp[o * tcount + t]);
+      }
+    };
+
+    // The item lambdas are copied in: they go out of scope before the
+    // workers call make_eval.
+    make_eval = [&, env_item, replay_item](std::size_t) -> WorkerEval {
+      auto w = std::make_shared<TnWorker>();
+      std::size_t amps = 0;
+      if (env_terms > 0) {
+        w->env.emplace(at.tmpl(), *env, control);
+        for (std::size_t v = 0; v < V; ++v) w->subs.emplace_back(slots[v], nullptr);
+        w->want.resize(num_sites);
+        amps = env_terms;
+      }
+      if (env_terms < num_terms) {
+        w->replay.emplace(at.tmpl(), slots, bplan.get(), control);
+        w->ptrs.resize(capacity * V);
+        amps = std::max(amps, capacity);
+      }
+      w->top_amp.resize(amps);
+      w->bot_amp.resize(amps);
+      WorkerEval we;
+      we.eval = [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
+                                              std::size_t obegin, std::size_t ocount,
+                                              std::span<cplx> out, tn::ContractStats&) {
+        if (t0 < env_terms)
+          env_item(*w, t0, tcount, obegin, ocount, out);
+        else
+          replay_item(*w, t0, tcount, obegin, ocount, out);
+      };
+      we.flush = [w](tn::ContractStats& stats) {
+        if (w->env) stats.merge(w->env->stats());
+        if (w->replay) stats.merge(w->replay->stats());
+      };
       return we;
     };
   } else {
@@ -772,8 +891,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t pool_size = std::min(num_items, threads + 2);
   std::vector<std::vector<cplx>> buffers(pool_size);
 
-  SweepQueue queue(terms, K, shard, level, term_batch, num_ranges, num_chunks,
-                   pool_size, control);
+  SweepQueue queue(terms, K, shard, level, range_start, num_chunks, pool_size, control);
 
   timer.eval_started();
   auto worker = [&](std::size_t w) {
@@ -787,8 +905,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     while (true) {
       std::size_t r = 0, c = 0, buf = 0;
       if (!queue.claim(&r, &c, &buf)) break;
-      const std::size_t t0 = r * term_batch;
-      const std::size_t tcount = std::min(term_batch, num_terms - t0);
+      const std::size_t t0 = range_start[r];
+      const std::size_t tcount = range_start[r + 1] - t0;
       const std::size_t obegin = c * shard;
       const std::size_t ocount = std::min(shard, K - obegin);
       std::vector<cplx>& vbuf = buffers[buf];

@@ -300,4 +300,42 @@ const tn::ContractStats& ReplayEvaluator::stats() const {
   return batched_ ? batched_->stats() : per_term_->stats();
 }
 
+EnvEvaluator::EnvEvaluator(const AmplitudeTemplate& tmpl, const tn::EnvSchedule& sched,
+                           const RunControl* control)
+    : tmpl_(&tmpl), sched_(&sched) {
+  ws_.control = control;
+  inputs_.reserve(tmpl.net_.num_nodes());
+  for (std::size_t i = 0; i < tmpl.net_.num_nodes(); ++i)
+    inputs_.push_back(&tmpl.net_.node(i).tensor);
+}
+
+cplx EnvEvaluator::evaluate(std::span<const AmplitudeTemplate::Substitution> subs,
+                            std::span<const char> want, std::size_t terms) {
+  // Validate every index BEFORE applying anything (see Session::evaluate).
+  for (const AmplitudeTemplate::Substitution& s : subs)
+    la::detail::require(s.first < inputs_.size(), "EnvEvaluator: substitution out of range");
+  for (const AmplitudeTemplate::Substitution& s : subs) inputs_[s.first] = s.second;
+  auto restore = [&] {
+    for (const AmplitudeTemplate::Substitution& s : subs)
+      inputs_[s.first] = &tmpl_->net_.node(s.first).tensor;
+  };
+  cplx value;
+  try {
+    value = sched_->execute(inputs_, want, ws_, &stats_, terms);
+  } catch (...) {
+    restore();
+    throw;
+  }
+  restore();
+  return value;
+}
+
+cplx EnvEvaluator::overlap(std::size_t t, const tsr::Tensor& k) const {
+  const std::span<const cplx> env = sched_->env(t, ws_);
+  la::detail::require(k.size() == env.size(), "EnvEvaluator: factor size mismatch");
+  cplx sum{0.0, 0.0};
+  for (std::size_t j = 0; j < env.size(); ++j) sum += env[j] * k[j];
+  return sum;
+}
+
 }  // namespace noisim::core

@@ -199,6 +199,14 @@ class AmplitudeTemplate {
                                  max_varied_per_term, unconstrained);
   }
 
+  /// Compile the plan's environment schedule toward the given (network
+  /// node) input slots (see tn::EnvSchedule). Throws MemoryOutError when
+  /// its arena exceeds the template's max_workspace_elems budget.
+  tn::EnvSchedule compile_env(std::span<const std::size_t> nodes,
+                              tn::ContractStats* stats = nullptr) const {
+    return plan_.compile_env(nodes, copts_, stats);
+  }
+
   /// Batched replay across OUTPUT BITSTRINGS: the n output-cap nodes become
   /// the varying slots (2 variants each -- <0| and <1| -- exempt from any
   /// per-term deviation promise, since a bitstring flips caps freely), so
@@ -282,6 +290,7 @@ class AmplitudeTemplate {
   };
 
  private:
+  friend class EnvEvaluator;
   // Declaration order matters: compile_stats_ is written while plan_
   // initializes, and plan_ compiles from net_ under copts_, which is kept
   // for compile_batched.
@@ -317,9 +326,10 @@ std::shared_ptr<const tn::BatchedPlan> batched_plan_or_null(std::size_t capacity
 }
 
 /// Per-worker replay of same-topology amplitudes that differ only at the
-/// template's `slots` nodes -- the ONE evaluation path of every plan-replay
-/// engine (the Algorithm-1 sweep, the TN trajectory samplers,
-/// batch_amplitudes). With a batched plan (compiled over exactly these
+/// template's `slots` nodes -- the evaluation path of every plan-replay
+/// engine (the TN trajectory samplers, batch_amplitudes, and the
+/// Algorithm-1 terms an EnvEvaluator does not cover). With a batched plan
+/// (compiled over exactly these
 /// slots), up to its capacity terms run per traversal; with none, each term
 /// replays the template's per-term plan. Every amplitude is bit-identical
 /// either way, so the choice only moves time and memory.
@@ -348,6 +358,40 @@ class ReplayEvaluator {
   std::optional<AmplitudeTemplate::BatchedSession> batched_;
   std::optional<AmplitudeTemplate::Session> per_term_;
   std::vector<AmplitudeTemplate::Substitution> subs_;  // per-term scratch
+};
+
+/// Per-worker environment passes over a template's tn::EnvSchedule: one
+/// forward + backward yields the amplitude and the environment of every
+/// wanted target node, after which any tensor K at target t gives the
+/// amplitude with K substituted there as overlap(t, K) -- a dot product
+/// instead of a replay. This is how the Algorithm-1 sweep evaluates its
+/// level-0 and level-1 terms. The amplitude is bit-identical to replaying
+/// the plan; an overlap differs from replaying the substituted network at
+/// roundoff only (a different summation order), and depends only on the
+/// inputs -- never on which other targets a pass wanted.
+class EnvEvaluator {
+ public:
+  /// Template and schedule (compiled from the template's plan) must outlive
+  /// the evaluator. `control` (may be null) is polled at step granularity.
+  EnvEvaluator(const AmplitudeTemplate& tmpl, const tn::EnvSchedule& sched,
+               const RunControl* control = nullptr);
+  /// Run one pass with `subs` substituted (undone before returning) and
+  /// the backward toward every target t with want[t] != 0. `terms` is the
+  /// number of single-layer evaluations the pass stands in for (stats).
+  cplx evaluate(std::span<const AmplitudeTemplate::Substitution> subs, std::span<const char> want,
+                std::size_t terms);
+  /// <E_t, K> = sum_j E_t[j] * K[j] in ascending flat order, for target t
+  /// wanted by the last evaluate(); K has the shape of the node it replaces.
+  cplx overlap(std::size_t t, const tsr::Tensor& k) const;
+  /// Contraction stats accumulated across evaluate calls.
+  const tn::ContractStats& stats() const { return stats_; }
+
+ private:
+  const AmplitudeTemplate* tmpl_;
+  const tn::EnvSchedule* sched_;
+  tn::PlanWorkspace ws_;
+  std::vector<const tsr::Tensor*> inputs_;
+  tn::ContractStats stats_;
 };
 
 }  // namespace noisim::core

@@ -37,6 +37,20 @@ PlanCache::PlanCache(std::size_t max_entries) : max_entries_(max_entries) {
 std::shared_ptr<const tn::BatchedPlan> PlanCache::Entry::batched(
     const std::string& key, const std::function<tn::BatchedPlan()>& compile,
     bool* hit) const {
+  return std::static_pointer_cast<const tn::BatchedPlan>(memo(
+      "b" + key, [&] { return std::make_shared<const tn::BatchedPlan>(compile()); }, hit));
+}
+
+std::shared_ptr<const tn::EnvSchedule> PlanCache::Entry::env_schedule(
+    const std::string& key, const std::function<tn::EnvSchedule()>& compile,
+    bool* hit) const {
+  return std::static_pointer_cast<const tn::EnvSchedule>(memo(
+      "e" + key, [&] { return std::make_shared<const tn::EnvSchedule>(compile()); }, hit));
+}
+
+std::shared_ptr<const void> PlanCache::Entry::memo(
+    const std::string& key, const std::function<std::shared_ptr<const void>()>& compile,
+    bool* hit) const {
   {
     const support::MutexLock lock(mutex_);
     const auto it = plans_.find(key);
@@ -49,7 +63,7 @@ std::shared_ptr<const tn::BatchedPlan> PlanCache::Entry::batched(
   // Compile outside the lock (batched compiles can be expensive); a racing
   // thread may compile the same plan -- equal topologies compile to equal
   // plans, so whichever insert wins is interchangeable.
-  auto plan = std::make_shared<const tn::BatchedPlan>(compile());
+  std::shared_ptr<const void> plan = compile();
   const support::MutexLock lock(mutex_);
   if (plans_.size() >= kMaxBatchedPlans && !plans_.count(key)) plans_.clear();
   const auto [it, inserted] = plans_.emplace(key, plan);
@@ -161,6 +175,14 @@ std::string PlanCache::batched_key(std::span<const std::size_t> varying_slots,
   for (const std::size_t c : variant_counts) put_u64(key, c);
   put_u64(key, unconstrained.size());
   if (!unconstrained.empty()) put_bytes(key, unconstrained.data(), unconstrained.size());
+  return key;
+}
+
+std::string PlanCache::env_key(std::span<const std::size_t> targets) {
+  std::string key;
+  key.reserve(8 + targets.size() * 8);
+  put_u64(key, targets.size());
+  for (const std::size_t t : targets) put_u64(key, t);
   return key;
 }
 

@@ -17,11 +17,13 @@
 //    enters plan compilation byte for byte (gate matrices included), so two
 //    keys compare equal exactly when the compiled plans would be identical
 //    -- there is no hash-collision failure mode, lookups compare full keys;
-//  * batched plans -- compiled from a cached template's plan and memoized
-//    inside its entry, keyed on the varying-slot layout, batch capacity,
-//    variant counts, per-term deviation bound, and unconstrained flags.
-//    A different slot layout or capacity (e.g. another approximation level
-//    or batch_terms) misses and compiles its own plan.
+//  * batched plans and environment schedules -- compiled from a cached
+//    template's plan and memoized inside its entry. Batched plans are keyed
+//    on the varying-slot layout, batch capacity, variant counts, per-term
+//    deviation bound, and unconstrained flags; a different slot layout or
+//    capacity (e.g. another approximation level or batch_terms) misses and
+//    compiles its own plan. Environment schedules are keyed on their target
+//    slots.
 //
 // Replaying a cached plan is bit-identical to compiling it fresh (plan
 // determinism: equal topologies compile to equal fingerprints), so results
@@ -29,7 +31,7 @@
 //
 // Thread safety: all PlanCache methods are safe to call concurrently; the
 // index is mutex-protected and entries are immutable-after-build except for
-// their internal batched-plan memo (itself mutex-protected). Misses compile
+// their internal plan memo (itself mutex-protected). Misses compile
 // OUTSIDE the cache lock, so two threads racing on the same key may both
 // compile; the first insert wins and the loser adopts the winner's entry
 // (wasted work, never wrong). Eviction is LRU over template entries; an
@@ -52,12 +54,12 @@ namespace noisim::core {
 class PlanCache {
  public:
   /// `max_entries` bounds the number of RESIDENT template entries (each
-  /// with its batched-plan memo); least-recently-used entries are evicted
+  /// with its plan memo); least-recently-used entries are evicted
   /// past the bound. Must be >= 1.
   explicit PlanCache(std::size_t max_entries = 64);
 
-  /// One cached unit: a compiled template plus the batched plans compiled
-  /// from its plan. Handed out as shared_ptr<const Entry>; the template is
+  /// One cached unit: a compiled template plus the batched plans and
+  /// environment schedules compiled from its plan. Handed out as shared_ptr<const Entry>; the template is
   /// immutable and the batched memo is internally synchronized, so an entry
   /// may be used from many threads at once.
   class Entry {
@@ -77,8 +79,15 @@ class PlanCache {
         const std::string& key, const std::function<tn::BatchedPlan()>& compile,
         bool* hit = nullptr) const EXCLUDES(mutex_);
 
-    /// Bound on memoized batched plans per entry (a level ladder or a
-    /// handful of K/batch_terms shapes fit comfortably; see batched()).
+    /// Memoized compile_env under `key` (PlanCache::env_key), with the same
+    /// hit/miss accounting, failure and bound behaviour as batched().
+    std::shared_ptr<const tn::EnvSchedule> env_schedule(
+        const std::string& key, const std::function<tn::EnvSchedule()>& compile,
+        bool* hit = nullptr) const EXCLUDES(mutex_);
+
+    /// Bound on memoized plans (batched plans and environment schedules
+    /// together) per entry (a level ladder or a handful of K/batch_terms
+    /// shapes fit comfortably; see batched()).
     static constexpr std::size_t kMaxBatchedPlans = 16;
 
    private:
@@ -86,10 +95,16 @@ class PlanCache {
     Entry(PlanCache* owner, AmplitudeTemplate tmpl)
         : owner_(owner), tmpl_(std::move(tmpl)) {}
 
+    /// The memo behind batched() and env_schedule(): `key` carries a kind
+    /// prefix, so the two key spaces never meet.
+    std::shared_ptr<const void> memo(const std::string& key,
+                                     const std::function<std::shared_ptr<const void>()>& compile,
+                                     bool* hit) const EXCLUDES(mutex_);
+
     PlanCache* const owner_;       // immutable back-pointer (counters only)
     const AmplitudeTemplate tmpl_;  // immutable after construction
     mutable support::Mutex mutex_;
-    mutable std::unordered_map<std::string, std::shared_ptr<const tn::BatchedPlan>> plans_
+    mutable std::unordered_map<std::string, std::shared_ptr<const void>> plans_
         GUARDED_BY(mutex_);
   };
 
@@ -101,7 +116,8 @@ class PlanCache {
                                      const std::function<AmplitudeTemplate()>& build,
                                      bool* hit = nullptr) EXCLUDES(mutex_);
 
-  /// Cumulative lookup counters across template AND batched-plan lookups.
+  /// Cumulative lookup counters across template, batched-plan and
+  /// environment-schedule lookups.
   std::size_t hits() const EXCLUDES(mutex_);
   std::size_t misses() const EXCLUDES(mutex_);
   /// Resident template entries / the eviction bound.
@@ -125,6 +141,9 @@ class PlanCache {
                                  std::span<const std::size_t> variant_counts,
                                  std::size_t max_varied_per_term,
                                  std::span<const char> unconstrained);
+
+  /// Serialize a compile_env target list into an Entry::env_schedule key.
+  static std::string env_key(std::span<const std::size_t> targets);
 
  private:
   void note(bool hit) EXCLUDES(mutex_);

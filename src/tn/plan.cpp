@@ -740,6 +740,79 @@ void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count
   }
 }
 
+/// One forward step of a plan: operands permuted into scratch where
+/// needed, output zero-filled, then accumulated. ContractionPlan::execute
+/// and EnvSchedule::execute share it, so their values agree bit for bit.
+void run_step(const PlanStep& step, const cplx* pa, const cplx* pb, cplx* out,
+              PlanWorkspace& ws, const tsr::KernelTable& kt) {
+  if (!step.identity_a) {
+    tsr::permute_walk(pa, step.a_perm_shape, step.a_src_stride, ws.scratch_a.data(),
+                      step.a_elems, ws.idx.data());
+    pa = ws.scratch_a.data();
+  }
+  if (!step.identity_b) {
+    tsr::permute_walk(pb, step.b_perm_shape, step.b_src_stride, ws.scratch_b.data(),
+                      step.b_elems, ws.idx.data());
+    pb = ws.scratch_b.data();
+  }
+  std::fill(out, out + step.out_elems, cplx{0.0, 0.0});
+  kt.matmul(pa, pb, out, step.m, step.k, step.n);
+}
+
+/// The inverse of tsr::permute_walk: src is read in row-major order of
+/// `shape` and written to dst at the per-axis strides `dst_stride`.
+void scatter_walk(const cplx* src, std::span<const std::size_t> shape,
+                  std::span<const std::size_t> dst_stride, cplx* dst, std::size_t total,
+                  std::size_t* idx) {
+  const std::size_t rank = shape.size();
+  std::fill(idx, idx + rank, 0);
+  std::size_t at = 0;
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    dst[at] = src[flat];
+    for (std::size_t ax = rank; ax-- > 0;) {
+      if (++idx[ax] < shape[ax]) {
+        at += dst_stride[ax];
+        break;
+      }
+      at -= dst_stride[ax] * (shape[ax] - 1);
+      idx[ax] = 0;
+    }
+  }
+}
+
+/// The walk reading an operand as the transpose of its permuted matrix
+/// form. The operand's walk (shape, stride) -- or, for an identity
+/// permutation, [rows, cols] at strides [cols, 1] -- reads it as a
+/// rows x cols matrix; its axes split into a leading group of product
+/// `rows` and the rest, and swapping the groups reads the transpose.
+/// Returns false (leaving the lists empty) when the result is a contiguous
+/// read, so the operand can be used in place.
+bool transposed_walk(bool identity, std::span<const std::size_t> shape,
+                     std::span<const std::size_t> stride, std::size_t rows, std::size_t cols,
+                     std::vector<std::size_t>& out_shape, std::vector<std::size_t>& out_stride) {
+  std::vector<std::size_t> sh(shape.begin(), shape.end()), st(stride.begin(), stride.end());
+  if (identity) {
+    sh = {rows, cols};
+    st = {cols, 1};
+  }
+  std::size_t split = 0;
+  for (std::size_t prod = 1; prod != rows; prod *= sh[split++])
+    la::detail::require(split < sh.size(), "compile_env: operand does not split at its rows");
+  std::rotate(sh.begin(), sh.begin() + static_cast<std::ptrdiff_t>(split), sh.end());
+  std::rotate(st.begin(), st.begin() + static_cast<std::ptrdiff_t>(split), st.end());
+  std::size_t expect = 1;
+  bool contiguous = true;
+  for (std::size_t ax = sh.size(); ax-- > 0;) {
+    if (sh[ax] == 1) continue;
+    contiguous = contiguous && st[ax] == expect;
+    expect *= sh[ax];
+  }
+  if (contiguous) return false;
+  out_shape = std::move(sh);
+  out_stride = std::move(st);
+  return true;
+}
+
 }  // namespace
 
 const cplx* ContractionPlan::slot_data(std::size_t slot,
@@ -781,21 +854,8 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
     if (ws.control) ws.control->poll();
     if (has_deadline && Clock::now() > deadline)
       throw TimeoutError("tensor network contraction exceeded deadline");
-    const cplx* pa = slot_data(step.lhs, inputs, ws);
-    if (!step.identity_a) {
-      tsr::permute_walk(pa, step.a_perm_shape, step.a_src_stride, ws.scratch_a.data(),
-                        step.a_elems, ws.idx.data());
-      pa = ws.scratch_a.data();
-    }
-    const cplx* pb = slot_data(step.rhs, inputs, ws);
-    if (!step.identity_b) {
-      tsr::permute_walk(pb, step.b_perm_shape, step.b_src_stride, ws.scratch_b.data(),
-                        step.b_elems, ws.idx.data());
-      pb = ws.scratch_b.data();
-    }
-    cplx* out = ws.arena.data() + step.out_offset;
-    std::fill(out, out + step.out_elems, cplx{0.0, 0.0});
-    kt.matmul(pa, pb, out, step.m, step.k, step.n);
+    run_step(step, slot_data(step.lhs, inputs, ws), slot_data(step.rhs, inputs, ws),
+             ws.arena.data() + step.out_offset, ws, kt);
   }
 
   // Materialize the result with axes in ascending open-edge order.
@@ -1397,6 +1457,243 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started).count();
   }
   return result;
+}
+
+EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
+                                         const ContractOptions& opts,
+                                         ContractStats* stats) const {
+  fault::poke("plan-mo");
+  fault::poke("plan-to");
+  if (opts.control) opts.control->poll();
+  const std::size_t num_in = input_elems_.size();
+  const std::size_t num_steps = steps_.size();
+  la::detail::require(num_steps > 0 && steps_.back().out_elems == 1,
+                      "compile_env: the plan's result must be a scalar of a contraction");
+  const std::size_t root = num_in + num_steps - 1;
+  auto elems = [&](std::size_t slot) {
+    return slot < num_in ? input_elems_[slot] : steps_[slot - num_in].out_elems;
+  };
+
+  // consumer[slot]: the step reading it (every slot but the root has one).
+  std::vector<std::size_t> consumer(root, 0);
+  for (std::size_t s = 0; s < num_steps; ++s) {
+    consumer[steps_[s].lhs] = s;
+    consumer[steps_[s].rhs] = s;
+  }
+  // Slots whose environment the backward computes: the targets and every
+  // intermediate on a path from one of them to the root.
+  std::vector<char> needs_env(root + 1, 0);
+  needs_env[root] = 1;
+  for (const std::size_t t : targets) {
+    la::detail::require(t < num_in, "compile_env: target is not an input slot");
+    la::detail::require(!needs_env[t], "compile_env: repeated target");
+    for (std::size_t slot = t; !needs_env[slot]; slot = num_in + consumer[slot])
+      needs_env[slot] = 1;
+  }
+  // Forward values the backward reads (siblings of on-path operands) stay
+  // live until their last backward step instead of their forward consumer.
+  std::vector<char> retained(root + 1, 0);
+  for (std::size_t s = 0; s < num_steps; ++s) {
+    if (!needs_env[num_in + s]) continue;
+    if (needs_env[steps_[s].lhs]) retained[steps_[s].rhs] = 1;
+    if (needs_env[steps_[s].rhs]) retained[steps_[s].lhs] = 1;
+  }
+
+  EnvSchedule es;
+  es.fwd_ = steps_;
+  es.input_elems_ = input_elems_;
+  es.targets_.assign(targets.begin(), targets.end());
+  es.timeout_seconds_ = timeout_seconds_;
+  es.max_rank_ = max_rank_;
+  es.peak_elems_ = peak_elems_;
+  es.scratch_a_elems_ = scratch_a_elems_;
+  es.scratch_b_elems_ = scratch_b_elems_;
+  es.fwd_flops_ = total_flops_;
+  es.executions_ = executions_;
+
+  ArenaLayout arena;
+  auto check_budget = [&] {
+    if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
+      throw MemoryOutError("environment schedule workspace exceeded budget (arena of " +
+                           std::to_string(arena.high_water()) + " elements)");
+  };
+  // Forward: the plan's liveness packing, except that retained values are
+  // not recycled by their forward consumer.
+  for (PlanStep& step : es.fwd_) {
+    step.out_offset = arena.alloc(step.out_elems);
+    for (const std::size_t op : {step.lhs, step.rhs})
+      if (op >= num_in && !retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
+    check_budget();
+    es.fwd_bytes_ += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
+                                     step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+  }
+
+  // Backward, in reverse forward order: each on-path step's operand
+  // environments are claimed while E_out and the siblings are live, which
+  // are recycled once both operands are done. Target environments are
+  // never recycled: they are read after the pass.
+  std::vector<std::size_t> env_offset(root + 1, 0);
+  std::vector<std::size_t> writer(root + 1, EnvStep::kNoParent);
+  env_offset[root] = es.root_env_offset_ = arena.alloc(1);
+  for (std::size_t s = num_steps; s-- > 0;) {
+    const std::size_t out = num_in + s;
+    if (!needs_env[out]) continue;
+    const PlanStep& step = steps_[s];
+    for (const bool lhs : {true, false}) {
+      const std::size_t slot = lhs ? step.lhs : step.rhs;
+      if (!needs_env[slot]) continue;
+      EnvStep e;
+      e.step = s;
+      e.lhs = lhs;
+      e.slot = slot;
+      e.sibling = lhs ? step.rhs : step.lhs;
+      e.parent = writer[out];
+      e.sib_elems = elems(e.sibling);
+      bool walked = false;
+      if (lhs) {
+        // E_A' [m x k] = E_out [m x n] . B'^T [n x k]
+        e.m = step.m;
+        e.k = step.n;
+        e.n = step.k;
+        walked = transposed_walk(step.identity_b, step.b_perm_shape, step.b_src_stride, step.k,
+                                 step.n, e.sib_shape, e.sib_stride);
+        if (!step.identity_a) {
+          e.scatter_shape = step.a_perm_shape;
+          e.scatter_stride = step.a_src_stride;
+        }
+      } else {
+        // E_B' [k x n] = A'^T [k x m] . E_out [m x n]
+        e.m = step.k;
+        e.k = step.m;
+        e.n = step.n;
+        walked = transposed_walk(step.identity_a, step.a_perm_shape, step.a_src_stride, step.m,
+                                 step.k, e.sib_shape, e.sib_stride);
+        if (!step.identity_b) {
+          e.scatter_shape = step.b_perm_shape;
+          e.scatter_stride = step.b_src_stride;
+        }
+      }
+      e.env_elems = elems(slot);
+      e.env_offset = env_offset[slot] = arena.alloc(e.env_elems);
+      e.out_env_offset = env_offset[out];
+      const bool scattered = !e.scatter_shape.empty();
+      if (walked) es.scratch_a_elems_ = std::max(es.scratch_a_elems_, e.sib_elems);
+      if (scattered) es.scratch_b_elems_ = std::max(es.scratch_b_elems_, e.env_elems);
+      es.max_rank_ = std::max({es.max_rank_, e.sib_shape.size(), e.scatter_shape.size()});
+      e.bytes = sizeof(cplx) * (e.sib_elems * (walked ? 3 : 1) + step.out_elems +
+                                e.env_elems * (scattered ? 4 : 2));
+      es.bwd_flops_ += e.m * e.k * e.n;
+      writer[slot] = es.bwd_.size();
+      es.bwd_.push_back(std::move(e));
+    }
+    arena.release(env_offset[out], step.out_elems);
+    for (const std::size_t op : {step.lhs, step.rhs})
+      if (op >= num_in && retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
+    check_budget();
+  }
+  for (const std::size_t t : targets) es.target_step_.push_back(writer[t]);
+  es.arena_elems_ = arena.high_water();
+  if (stats) ++stats->plans_compiled;
+  return es;
+}
+
+cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<const char> want,
+                          PlanWorkspace& ws, ContractStats* stats, std::size_t terms) const {
+  const std::size_t num_in = input_elems_.size();
+  la::detail::require(inputs.size() == num_in, "EnvSchedule::execute: input count mismatch");
+  for (std::size_t i = 0; i < num_in; ++i)
+    la::detail::require(inputs[i]->size() == input_elems_[i],
+                        "EnvSchedule::execute: input tensor size mismatch");
+  la::detail::require(want.size() == targets_.size(),
+                      "EnvSchedule::execute: one want flag per target");
+  la::detail::require(terms >= 1, "EnvSchedule::execute: a pass stands in for at least one term");
+
+  const auto started = Clock::now();
+  Clock::time_point deadline{};
+  const bool has_deadline = timeout_seconds_ > 0.0;
+  if (has_deadline)
+    // Like a batched traversal: a pass standing in for `terms` replays gets
+    // that many replay budgets.
+    deadline = started + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(timeout_seconds_ *
+                                                           static_cast<double>(terms)));
+  auto step_checks = [&] {
+    fault::poke("exec-step-mo");
+    fault::poke("exec-step-to");
+    if (ws.control) ws.control->poll();
+    if (has_deadline && Clock::now() > deadline)
+      throw TimeoutError("environment pass exceeded deadline");
+  };
+
+  if (ws.control) ws.control->check_memory(arena_elems_, "environment arena");
+  ws.env_arena.ensure(arena_elems_);
+  ws.scratch_a.resize(scratch_a_elems_);
+  ws.scratch_b.resize(scratch_b_elems_);
+  ws.idx.resize(max_rank_);
+  const tsr::KernelTable& kt = ws.kernels ? *ws.kernels : tsr::active_kernels();
+  cplx* arena = ws.env_arena.data();
+  auto value = [&](std::size_t slot) -> const cplx* {
+    return slot < num_in ? inputs[slot]->data() : arena + fwd_[slot - num_in].out_offset;
+  };
+
+  for (const PlanStep& step : fwd_) {
+    step_checks();
+    run_step(step, value(step.lhs), value(step.rhs), arena + step.out_offset, ws, kt);
+  }
+  const cplx result = arena[fwd_.back().out_offset];
+
+  // Backward steps on the paths from the wanted targets to the root.
+  ws.env_run.assign(bwd_.size(), 0);
+  for (std::size_t t = 0; t < targets_.size(); ++t)
+    if (want[t])
+      for (std::size_t e = target_step_[t]; e != EnvStep::kNoParent && !ws.env_run[e];
+           e = bwd_[e].parent)
+        ws.env_run[e] = 1;
+  arena[root_env_offset_] = cplx{1.0, 0.0};
+  std::size_t kernels = fwd_.size(), flops = fwd_flops_, bytes = fwd_bytes_;
+  for (std::size_t e = 0; e < bwd_.size(); ++e) {
+    if (!ws.env_run[e]) continue;
+    step_checks();
+    const EnvStep& st = bwd_[e];
+    const cplx* sib = value(st.sibling);
+    if (!st.sib_shape.empty()) {
+      tsr::permute_walk(sib, st.sib_shape, st.sib_stride, ws.scratch_a.data(), st.sib_elems,
+                        ws.idx.data());
+      sib = ws.scratch_a.data();
+    }
+    const cplx* env_out = arena + st.out_env_offset;
+    cplx* dst = st.scatter_shape.empty() ? arena + st.env_offset : ws.scratch_b.data();
+    std::fill(dst, dst + st.env_elems, cplx{0.0, 0.0});
+    if (st.lhs)
+      kt.matmul(env_out, sib, dst, st.m, st.k, st.n);
+    else
+      kt.matmul(sib, env_out, dst, st.m, st.k, st.n);
+    if (!st.scatter_shape.empty())
+      scatter_walk(dst, st.scatter_shape, st.scatter_stride, arena + st.env_offset, st.env_elems,
+                   ws.idx.data());
+    ++kernels;
+    flops += st.m * st.k * st.n;
+    bytes += st.bytes;
+  }
+
+  const std::size_t prior = executions_->fetch_add(terms, std::memory_order_relaxed);
+  if (stats) {
+    stats->num_pairwise += kernels;
+    tally_kernels(*stats, kt.tier, kernels);
+    stats->peak_elems = std::max(stats->peak_elems, peak_elems_);
+    stats->plan_executions += terms;
+    stats->plan_reuse_hits += prior > 0 ? terms : terms - 1;
+    stats->flops += flops;
+    stats->bytes_moved += bytes;
+    stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started).count();
+  }
+  return result;
+}
+
+std::span<const cplx> EnvSchedule::env(std::size_t t, const PlanWorkspace& ws) const {
+  la::detail::require(t < targets_.size(), "EnvSchedule::env: target out of range");
+  const EnvStep& st = bwd_[target_step_[t]];
+  return {ws.env_arena.data() + st.env_offset, st.env_elems};
 }
 
 std::string ContractionPlan::fingerprint() const {

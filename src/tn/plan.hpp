@@ -16,6 +16,10 @@
 // and the pairwise kernel is the cache-blocked matmul of tensor/contract.hpp.
 // Replaying a plan is bit-identical to contracting the network from scratch
 // with the same options.
+//
+// An EnvSchedule derived from a plan adds one backward pass that yields
+// the environment of chosen input slots, so every substitution at one of
+// them costs a dot product instead of a replay (see EnvSchedule).
 
 #include <atomic>
 #include <cstdint>
@@ -97,6 +101,8 @@ struct PlanWorkspace {
   const core::RunControl* control = nullptr;
   tsr::aligned_vector<cplx> arena;
   ArenaBuffer batch_arena;  // batched replays only
+  ArenaBuffer env_arena;    // environment passes only (EnvSchedule)
+  std::vector<char> env_run;  // backward steps an environment pass runs
   tsr::aligned_vector<cplx> scratch_a, scratch_b;
   std::vector<tsr::detail::MatmulFn> step_kernels;  // per-traversal dispatch
   std::vector<std::size_t> idx;                // odometer scratch
@@ -225,6 +231,111 @@ class BatchedPlan {
   std::shared_ptr<std::atomic<std::size_t>> executions_;
 };
 
+/// One backward step of an EnvSchedule: the environment of one operand of
+/// forward step `step`, computed from the environment of that step's
+/// output. For the forward product out[m x n] = A'[m x k] . B'[k x n]
+/// (A', B' the operands after the step's permutations), the lhs step
+/// computes E_A' = E_out . B'^T and the rhs step E_B' = A'^T . E_out.
+struct EnvStep {
+  std::size_t step = 0;        // forward step this differentiates
+  bool lhs = true;             // which operand's environment it writes
+  std::size_t slot = 0;        // that operand's slot
+  std::size_t sibling = 0;     // the other operand's slot (forward value read)
+  std::size_t parent = 0;      // backward step writing E_out; kNoParent at the root
+  std::size_t m = 1, k = 1, n = 1;  // this kernel call's dims (not the forward step's)
+  // Stride walk reading the sibling's native buffer as B'^T [n x k] (lhs)
+  // or A'^T [k x m] (rhs); empty when that walk is contiguous and the
+  // sibling is read in place.
+  std::vector<std::size_t> sib_shape, sib_stride;
+  std::size_t sib_elems = 1;
+  // The operand's permutation walk (PlanStep::a_/b_perm_shape and
+  // src_stride): the kernel writes the environment in the permuted layout
+  // and this walk scatters it back into the operand's native layout. Empty
+  // when the permutation is the identity (the kernel writes in place).
+  std::vector<std::size_t> scatter_shape, scatter_stride;
+  std::size_t env_offset = 0;  // environment of `slot` in the env arena
+  std::size_t env_elems = 1;
+  std::size_t out_env_offset = 0;  // environment of the step's output
+  std::size_t bytes = 0;           // modeled traffic (see ContractStats::bytes_moved)
+
+  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+};
+
+/// Environment (adjoint) schedule of a compiled ContractionPlan whose
+/// result is a scalar: one forward pass, then one backward pass that yields
+/// the environment E_t of every requested target input slot t -- the
+/// tensor such that the network's value is sum_j E_t[j] * x[j] for any
+/// tensor x substituted at t, all other inputs fixed (reverse-mode
+/// contraction, Liao et al., arXiv:1903.09650). Algorithm 1's level-1
+/// terms differ from the all-dominant network at one noise site only, so
+/// one pass serves every one of them at roughly twice one forward's cost.
+///
+///  * Forward: the plan's own steps -- same (m, k, n), operand
+///    permutations and kernel table -- so the returned value is
+///    bit-identical to ContractionPlan::execute on the same inputs. Only
+///    the arena offsets differ: forward values the backward reads stay live
+///    until then.
+///  * Backward: for each forward step on a root-to-target path, in reverse
+///    order, the EnvSteps above. They are ordinary matmuls on the active
+///    kernel tier; each environment is scattered back into its operand's
+///    native layout through the step's permutation walk, so a target's
+///    environment has the layout of the tensor it stands against.
+///  * Which targets: execute() runs the backward only toward the targets a
+///    caller asks for. Each environment value depends only on the inputs,
+///    never on which other targets were requested.
+///
+/// Built in O(steps) walks with no per-element tables. Forward values,
+/// environments and transposition/scatter scratch share one
+/// liveness-packed arena (workspace_elems), checked against
+/// opts.max_workspace_elems at build. Thread-safe like ContractionPlan:
+/// concurrent passes need distinct workspaces.
+class EnvSchedule {
+ public:
+  /// Target input slots, in the order targets were requested.
+  const std::vector<std::size_t>& targets() const { return targets_; }
+  const std::vector<EnvStep>& backward_steps() const { return bwd_; }
+  /// Arena high-water mark (elements) of a pass toward every target.
+  std::size_t workspace_elems() const { return arena_elems_; }
+  /// Modeled MACs of the forward pass (the plan's total_flops()) and of a
+  /// backward pass toward every target.
+  std::size_t forward_flops() const { return fwd_flops_; }
+  std::size_t backward_flops() const { return bwd_flops_; }
+
+  /// Forward pass over `inputs` (inputs[i] stands in for node i), then the
+  /// backward toward every target t with want[t] != 0 (want is aligned
+  /// with targets()). Returns the network's value; env() then reads each
+  /// wanted target's environment until the workspace runs another pass.
+  /// `terms` is the number of logical single-layer evaluations the pass
+  /// stands in for: stats count that many plan executions, and the
+  /// per-replay timeout_seconds budget scales with it. Polls ws.control and
+  /// pokes the exec-step fault sites once per forward and backward step.
+  cplx execute(std::span<const tsr::Tensor* const> inputs, std::span<const char> want,
+               PlanWorkspace& ws, ContractStats* stats = nullptr, std::size_t terms = 1) const;
+
+  /// Environment of target t after an execute() that wanted it, in the
+  /// native layout of input slot targets()[t].
+  std::span<const cplx> env(std::size_t t, const PlanWorkspace& ws) const;
+
+ private:
+  friend class ContractionPlan;
+  EnvSchedule() = default;
+
+  std::vector<PlanStep> fwd_;  // the plan's steps, out_offset into the env arena
+  std::vector<EnvStep> bwd_;
+  std::vector<std::size_t> input_elems_;
+  std::vector<std::size_t> targets_;
+  std::vector<std::size_t> target_step_;  // backward step writing each target
+  std::size_t root_env_offset_ = 0;
+  std::size_t arena_elems_ = 0;
+  std::size_t scratch_a_elems_ = 0, scratch_b_elems_ = 0;
+  std::size_t max_rank_ = 0;
+  std::size_t peak_elems_ = 0;
+  std::size_t fwd_flops_ = 0, fwd_bytes_ = 0, bwd_flops_ = 0;
+  double timeout_seconds_ = 0.0;
+  // The plan's replay counter: a pass counts as replays of its plan.
+  std::shared_ptr<std::atomic<std::size_t>> executions_;
+};
+
 class ContractionPlan {
  public:
   /// Compile a plan for the network's topology. Ordering follows
@@ -279,6 +390,14 @@ class ContractionPlan {
                               std::span<const std::size_t> variant_counts = {},
                               std::size_t max_varied_per_term = static_cast<std::size_t>(-1),
                               std::span<const char> unconstrained = {}) const;
+
+  /// Compile the environment schedule of this plan toward the given input
+  /// slots (distinct; see EnvSchedule). The plan's result must be a scalar.
+  /// Throws MemoryOutError when the schedule's arena exceeds
+  /// opts.max_workspace_elems -- the plan itself may fit a budget its
+  /// schedule exceeds. Counts one plans_compiled.
+  EnvSchedule compile_env(std::span<const std::size_t> targets, const ContractOptions& opts = {},
+                          ContractStats* stats = nullptr) const;
 
   const std::vector<PlanStep>& steps() const { return steps_; }
   std::size_t num_inputs() const { return input_elems_.size(); }

@@ -287,11 +287,7 @@ TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
   const ApproxBatchResult batch = approximate_fidelity_outputs(nc, 0, vb, tn);
   for (std::size_t o = 0; o < vb.size(); ++o) {
     const ApproxResult ref = bench::replanned_fidelity(nc, 0, vb[o], tn.level, tn.eval);
-    EXPECT_EQ(ref.raw.real(), batch.raw[o].real()) << "output " << o;
-    EXPECT_EQ(ref.raw.imag(), batch.raw[o].imag()) << "output " << o;
-    ASSERT_EQ(ref.level_values.size(), batch.level_values[o].size());
-    for (std::size_t u = 0; u < ref.level_values.size(); ++u)
-      EXPECT_EQ(ref.level_values[u], batch.level_values[o][u]) << "output " << o;
+    EXPECT_EQ(bench::replay_mismatch(batch, o, ref), "") << "output " << o;
   }
 
   ApproxOptions sv;
@@ -301,9 +297,11 @@ TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
 }
 
 TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
-  // Budget = the two layers' per-term arenas: the combined terms x outputs
-  // batch cannot fit, so the sweep must drop to per-term plan replay and
-  // still reproduce every per-bitstring value bit for bit.
+  // Budget = the two layers' per-term arenas: neither the combined terms x
+  // outputs batch nor the environment schedule fits, so the sweep must drop
+  // to per-term plan replay. Against the unbudgeted sweep (whose level-1
+  // terms come from environment passes) every value matches as
+  // replay_mismatch states.
   const ch::NoisyCircuit nc = xeb_workload(16, 3, 505);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 5, 43);
   ApproxOptions opts;
@@ -324,8 +322,11 @@ TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   budgeted.eval.tn.max_workspace_elems = arena;
   const ApproxBatchResult fallback = approximate_fidelity_outputs(nc, 0, vb, budgeted);
   for (std::size_t o = 0; o < vb.size(); ++o) {
-    EXPECT_EQ(full.raw[o].real(), fallback.raw[o].real());
-    EXPECT_EQ(full.raw[o].imag(), fallback.raw[o].imag());
+    ApproxResult replay;
+    replay.raw = fallback.raw[o];
+    replay.term_sums = fallback.term_sums[o];
+    replay.level_values = fallback.level_values[o];
+    EXPECT_EQ(bench::replay_mismatch(full, o, replay), "") << "output " << o;
   }
 }
 

@@ -548,12 +548,14 @@ TEST(PlanReplay, ApproxBitIdenticalToPerTermPlanningLevels0To2) {
     const ApproxOptions opts = tn_opts(level, 1);
     const ApproxResult replan = bench::replanned_fidelity(nc, 0, 0, level, opts.eval);
     const ApproxResult reuse = approximate_fidelity(nc, 0, 0, opts);
-    expect_same_bits(replan, reuse);
+    // Level-1 terms come from environment passes: roundoff-close to
+    // per-term replay, every other term sum bit-identical.
+    EXPECT_EQ(bench::replay_mismatch(reuse, replan), "") << "level " << level;
     EXPECT_EQ(replan.contractions, reuse.contractions);
     if (level >= 1) {
-      // 1 plan serves both layers; every contraction past the first
-      // replays it.
-      EXPECT_EQ(reuse.contract_stats.plans_compiled, 1u);
+      // 1 plan serves both layers, plus its environment schedule; every
+      // logical contraction past the first replays the plan.
+      EXPECT_EQ(reuse.contract_stats.plans_compiled, 2u);
       EXPECT_EQ(reuse.contract_stats.plan_executions, reuse.contractions);
       EXPECT_EQ(reuse.contract_stats.plan_reuse_hits, reuse.contractions - 1);
     }
@@ -566,7 +568,8 @@ TEST(PlanReplay, ApproxBitIdenticalAcrossThreadCounts) {
   const ApproxResult threaded = approximate_fidelity(nc, 0, 0, tn_opts(2, 4));
   expect_same_bits(serial, threaded);
   // Per-worker sessions replan nothing: stats are partition-independent.
-  EXPECT_EQ(threaded.contract_stats.plans_compiled, 1u);
+  // The plan and its environment schedule are the only compiles.
+  EXPECT_EQ(threaded.contract_stats.plans_compiled, 2u);
   EXPECT_EQ(threaded.contract_stats.plan_executions, serial.contract_stats.plan_executions);
 }
 

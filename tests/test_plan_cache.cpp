@@ -44,7 +44,7 @@ TEST(PlanCache, RepeatedCallsHitAndSkipRecompilation) {
 
   const ApproxBatchResult first = approximate_fidelity_outputs(nc, 0, vb, opts);
   EXPECT_EQ(first.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(first.contract_stats.plan_cache_misses, 2u);  // 1 template + 1 batched
+  EXPECT_EQ(first.contract_stats.plan_cache_misses, 2u);  // 1 template + 1 env schedule
   EXPECT_GT(first.contract_stats.plans_compiled, 0u);
 
   // A DIFFERENT bitstring set over the same skeleton: templates and batched
@@ -164,13 +164,14 @@ TEST(PlanCache, DifferentSlotLayoutsMissOnBatchedPlansOnly) {
   opts.plan_cache = &cache;
   (void)approximate_fidelity_outputs(nc, 0, vb, opts);
 
-  // A level-2 ladder step over the same skeleton: the template hits (the
-  // topology is unchanged) but the batched plan carries a different
-  // deviation bound / capacity, so it misses and compiles fresh.
+  // A level-2 ladder step over the same skeleton: the template and its
+  // environment schedule hit (the topology and noise sites are unchanged),
+  // but the level-2 terms need a batched plan, which the level-1 sweep
+  // never compiled, so it misses and compiles fresh.
   ApproxOptions ladder = opts;
   ladder.level = 2;
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, ladder);
-  EXPECT_EQ(r.contract_stats.plan_cache_hits, 1u);    // the template
+  EXPECT_EQ(r.contract_stats.plan_cache_hits, 2u);    // the template + schedule
   EXPECT_EQ(r.contract_stats.plan_cache_misses, 1u);  // the batched plan
   EXPECT_EQ(cache.size(), 1u);
 }

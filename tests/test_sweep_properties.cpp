@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "bench_support/generators.hpp"
+#include "bench_support/oracle.hpp"
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/plan_cache.hpp"
@@ -204,9 +205,10 @@ TEST(SweepProperties, ProgressCountsTermsOnceAcrossShards) {
 }
 
 TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
-  // A budget that admits the per-term plans but not the combined batch:
-  // the engine must fall back to per-term plan replay and keep every
-  // value bit-identical, at any shard size.
+  // A budget that admits the per-term plans but neither the combined batch
+  // nor the environment schedule: the engine must fall back to per-term
+  // plan replay, at any shard size, and match the unbudgeted sweep (whose
+  // level-1 terms come from environment passes) as replay_mismatch states.
   const ch::NoisyCircuit nc = bench::insert_noises(
       bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 505);
   std::mt19937_64 rng(79);
@@ -232,20 +234,22 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
     sopts.shard_outputs = shard;
     const ApproxBatchResult sweep = xeb_sweep(nc, 0, vb, sopts);
     for (std::size_t o = 0; o < vb.size(); ++o) {
-      EXPECT_EQ(refs[o].raw.real(), sweep.raw[o].real()) << "shard " << shard;
-      EXPECT_EQ(refs[o].raw.imag(), sweep.raw[o].imag()) << "shard " << shard;
+      ApproxResult replay;
+      replay.raw = sweep.raw[o];
+      replay.term_sums = sweep.term_sums[o];
+      replay.level_values = sweep.level_values[o];
+      EXPECT_EQ(bench::replay_mismatch(refs[o], replay), "") << "shard " << shard;
     }
   }
 
   // approximate_fidelity is the one-output sweep: under the same budget its
   // term batch no longer fits either, and it falls back to per-term replay
-  // (bit-identical) instead of raising MemoryOutError.
+  // instead of raising MemoryOutError.
   ApproxOptions single = budgeted;
   single.threads = 2;
   for (std::size_t o = 0; o < vb.size(); ++o) {
     const ApproxResult r = approximate_fidelity(nc, 0, vb[o], single);
-    EXPECT_EQ(refs[o].raw.real(), r.raw.real()) << "single output " << o;
-    EXPECT_EQ(refs[o].raw.imag(), r.raw.imag()) << "single output " << o;
+    EXPECT_EQ(bench::replay_mismatch(refs[o], r), "") << "single output " << o;
   }
 }
 
@@ -432,7 +436,9 @@ void expect_level_pins(const cplx& raw, const std::vector<double>& level_values,
 // evaluator, so a change both see alike -- how the layers are planned,
 // conjugated or folded -- passes them; these pins do not move. Outputs are
 // the noise-free circuit's most likely bitstrings, so every value is well
-// away from zero.
+// away from zero. The TN level-1 and level-2 pins were re-recorded once
+// when level-1 terms moved to environment passes (imaginary parts moved by
+// <= 5.5e-19 of |raw|; every real part and every level-0 pin held).
 TEST(ApproxGolden, ValuesMatchPinnedBits) {
   const struct {
     const char* name;
@@ -446,20 +452,20 @@ TEST(ApproxGolden, ValuesMatchPinnedBits) {
        tn_eval(),
        {0x5e7, 0x927, 0x8de7, 0x9e7, 0x92b},
        {{{{0x1.f92366ab0ff34p-8, -0x1p-64},
-          {0x1.fa9c903abfff5p-8, -0x1.a894p-65},
-          {0x1.fa9efc84482b9p-8, -0x1.a96f478p-65}}},
+          {0x1.fa9c903abfff5p-8, -0x1.b62p-65},
+          {0x1.fa9efc84482b9p-8, -0x1.b6fb478p-65}}},
         {{{0x1.e77f62cb4f99bp-8, -0x1.8p-64},
-          {0x1.e9357764ddf96p-8, -0x1.944p-64},
-          {0x1.e938d8a2c2abdp-8, -0x1.93ab3a6p-64}}},
+          {0x1.e9357764ddf96p-8, -0x1.90008p-64},
+          {0x1.e938d8a2c2abdp-8, -0x1.8f6bba6p-64}}},
         {{{0x1.c854646f57171p-8, -0x1.8p-65},
-          {0x1.c9b45157168d6p-8, -0x1.3b61p-65},
-          {0x1.c9b684dcc2422p-8, -0x1.3c3bf24p-65}}},
+          {0x1.c9b45157168d6p-8, -0x1.175ap-65},
+          {0x1.c9b684dcc2422p-8, -0x1.1834f24p-65}}},
         {{{0x1.c36e7db5b3a79p-8, -0x1.3p-61},
-          {0x1.c51c52871c935p-8, -0x1.2dea8p-61},
-          {0x1.c51f5b7801f28p-8, -0x1.2dfac55p-61}}},
+          {0x1.c51c52871c935p-8, -0x1.2d7dp-61},
+          {0x1.c51f5b7801f28p-8, -0x1.2d8d455p-61}}},
         {{{0x1.98b451d659063p-8, -0x1.18p-61},
-          {0x1.9a1a545146cd8p-8, -0x1.1a1ba8p-61},
-          {0x1.9a1d09cea3e3ep-8, -0x1.1a0ab93p-61}}}}},
+          {0x1.9a1a545146cd8p-8, -0x1.1a2a8p-61},
+          {0x1.9a1d09cea3e3ep-8, -0x1.1a19913p-61}}}}},
       {"sv hf_8",
        approx_golden_sv(),
        sv_eval(),
