@@ -8,7 +8,10 @@
 // ONE plan traversal (shared-cone steps once per batch, duplicate slices
 // memcpy'd, per-step dispatch amortized). This bench runs the same A(l)
 // sweep through all three paths -- re-planning is the test-side oracle
-// bench::replanned_fidelity -- checks the values are bit-identical, and
+// bench::replanned_fidelity -- checks the two replay paths are
+// bit-identical to each other and match the oracle as
+// bench::replay_mismatch states (the sweep's level-1 terms come from
+// environment passes, which differ from re-planning at roundoff), and
 // records per-term throughput plus the plan/flops counters to
 // BENCH_contract_plan.json (or the first non-flag argument).
 //
@@ -24,7 +27,7 @@
 // better (on scalar-only hosts the tiers are the same table, so the gate
 // passes trivially).
 //
-// Exit status is non-zero when any path disagrees bitwise, when the
+// Exit status is non-zero when any path disagrees (as above), when the
 // level-1 batched path fails the >= 2x per-term eval-throughput gate over
 // the per-term replay path, when the dispatched kernel tier misses its
 // speedup gate, or when --baseline <json> shows a > 20% batched per-term
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
     run.contractions = run.reuse_result.contractions;
     run.terms = run.contractions / 2;
     run.bit_identical = run.replan.ok() && run.reuse.ok() && run.batched.ok() &&
-                        same_bits(run.replan_result, run.reuse_result) &&
+                        bench::replay_mismatch(run.reuse_result, run.replan_result).empty() &&
                         same_bits(run.reuse_result, run.batched_result);
     run.threaded_identical = threaded.ok() && same_bits(run.batched_result, run.threaded_result);
     all_identical = all_identical && run.bit_identical && run.threaded_identical;
@@ -363,7 +366,8 @@ int main(int argc, char** argv) {
   out << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
-  if (!all_identical) std::cout << "FAIL: batched / per-term results not bit-identical\n";
+  if (!all_identical)
+    std::cout << "FAIL: batched / per-term results not bit-identical, or off the re-planning oracle\n";
   if (!speedup_gate_ok)
     std::cout << "FAIL: batched replay below the 2x per-term eval-throughput gate at level >= 1\n";
   if (!tier_gate_ok)

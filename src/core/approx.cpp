@@ -625,8 +625,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t out_chunk = std::min(shard, kOutputChunk);
 
   // --- plan-replay setup (templates, plans, factor tensors) ----------------
-  // A cancel that lands during setup (template/batched-plan compilation
-  // polls the control) salvages the well-defined "nothing completed yet"
+  // A cancel that lands during setup (template, schedule and batched-plan
+  // compilation poll the control) salvages the well-defined "nothing completed yet"
   // result instead of leaking a throw: cancelled = true, every output
   // invalid. Deadlines and real errors still throw from here.
   auto salvage_empty = [&]() -> ApproxBatchResult {
@@ -652,11 +652,6 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // traversal holds at most kMaxBatchPairs pairs.
   std::size_t env_terms = 0;
   std::size_t term_batch = 0, capacity = 0;
-  auto size_replay = [&] {
-    term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms - env_terms,
-                           std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
-    capacity = term_batch * out_chunk;
-  };
 
   try {
   if (tn_path) {
@@ -684,22 +679,21 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     env = acquire_env(at, fac.node, setup_stats);
     if (env)
       while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
-    size_replay();
-
+  }
+  term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms - env_terms,
+                         std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
+  capacity = term_batch * out_chunk;
+  if (tn_path && env_terms < num_terms) {
     // Without a batched plan (1 x 1 items, a combined batch beyond the
     // workspace budget, or one that shares nothing) each term replays the
     // per-term plan, bit-identically.
-    if (env_terms < num_terms) {
-      std::vector<std::size_t> counts(V, 2);
-      std::vector<char> unconstrained(V, 0);
-      for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
-      for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
-      bplan = batched_plan_or_null(capacity, [&] {
-        return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
-      });
-    }
-  } else {
-    size_replay();
+    std::vector<std::size_t> counts(V, 2);
+    std::vector<char> unconstrained(V, 0);
+    for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
+    for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
+    bplan = batched_plan_or_null(capacity, [&] {
+      return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
+    });
   }
   } catch (const CancelledError&) {
     return salvage_empty();

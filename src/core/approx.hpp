@@ -13,6 +13,17 @@
 // top * conj(that). Complex products and sums are sign-symmetric under
 // conjugation without FMA contraction, so this equals contracting the
 // conjugated network bit for bit (up to the sign of an exact zero).
+//
+// On the tensor-network path a level-1 term differs from the all-dominant
+// network at one site s only, so its layer value is <E_s, K>: the
+// environment of site s against the substituted factor K. One environment
+// pass per layer (tn::EnvSchedule: a forward contraction plus one backward
+// pass) yields T0 and every E_s, so the u <= 1 terms cost about two
+// forwards per layer per output instead of two contractions per term.
+// T0 is the forward value, bit-identical to replaying the plan; a level-1
+// term sums in a different order than contracting its network, so T1
+// differs from per-term replay at roundoff. Terms with u >= 2 replay the
+// plan (batched across terms and outputs).
 
 #include <cstdint>
 #include <functional>
@@ -41,21 +52,24 @@ struct ApproxOptions {
   /// callback therefore needs no synchronization of its own; a slow
   /// callback stalls the workers.
   std::function<void(std::size_t)> progress;
-  /// Terms replayed per batched plan traversal (tensor-network backend).
-  /// Each layer's contraction plan is compiled once and replayed across all
-  /// enumerated terms (every term's single-layer network shares one
-  /// topology, differing only in the u inserted noise tensors). The sweep's
-  /// work items cover term ranges of this width, and each item executes in
-  /// ONE plan traversal: steps outside the noise sites' light cone run once
-  /// per batch, duplicate slices are memcpy'd, and per-step dispatch /
-  /// permutation work amortizes over the batch -- results stay bit-identical
-  /// to per-term replay at any batch size or thread count. <= 1 is a batch
-  /// of one (at a single output, each term replays the per-term plan). The
-  /// batched workspace grows with the batch size; when max_workspace_elems
-  /// admits the per-term plans but not the batched one, the sweep replays
-  /// per term, bit-identically, instead of raising MemoryOutError. The
-  /// per-replay timeout_seconds budget scales with the batch (k terms get k
-  /// replay budgets), so TO behavior does not depend on batch size.
+  /// Width of the sweep's term ranges (tensor-network backend); results
+  /// are bit-identical at any width or thread count. The u <= 1 terms
+  /// (levels 0 and 1) are cut into ranges of this width, and each range's
+  /// item runs one environment pass per layer per output, with the backward
+  /// only toward its own terms' sites -- so a width covering all of them
+  /// runs one pass per layer per output. The u >= 2 terms are replayed:
+  /// each layer's contraction plan is compiled once and an item of this
+  /// many terms (at most 256 (term, output) pairs) executes in ONE batched
+  /// traversal -- steps outside the noise sites' light cone run once per
+  /// batch, duplicate slices are memcpy'd, and per-step dispatch /
+  /// permutation work amortizes over the batch, bit-identically to per-term
+  /// replay. <= 1 is a range of one term. The batched and environment
+  /// workspaces are checked against max_workspace_elems; when the per-term
+  /// plan fits but one of them does not, its terms replay per term instead
+  /// of raising MemoryOutError (bit-identical for replayed terms, roundoff
+  /// for level-1 terms). The per-replay timeout_seconds budget scales with
+  /// the terms a traversal or pass stands in for, so TO behavior does not
+  /// depend on the width.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
@@ -122,8 +136,9 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 /// (sampling / cross-entropy workloads: the same circuit skeleton probed at
 /// every sampled bitstring). Output-independent work is shared:
 ///  * the term enumeration, SVD splits, templates, and plans are built once;
-///  * on the tensor-network fast path the output-basis caps join the noise
-///    sites as varying slots of the batched plan, so each chunk of
+///  * on the tensor-network path the u <= 1 terms come from one environment
+///    pass per layer per output; for u >= 2 the output-basis caps join the
+///    noise sites as varying slots of the batched plan, so each chunk of
 ///    batch_terms terms x (up to 32) outputs executes in ONE traversal --
 ///    steps outside every cone run once per chunk, noise-cone rows are
 ///    shared across outputs, cap-cone rows across terms. The (term,
@@ -131,11 +146,12 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 ///    reuses every step outside the cones of the sites where neighbouring
 ///    terms differ.
 /// outputs[o] is bit-identical to approximate_fidelity(nc, psi_bits,
-/// v_bits[o], opts) (same enumeration-order reduction per output); the
-/// progress callback still counts TERMS, not term x output pairs (a term is
+/// v_bits[o], opts) (same evaluators, same enumeration-order reduction per
+/// output); T1 differs from per-term replay at roundoff. The progress
+/// callback still counts TERMS, not term x output pairs (a term is
 /// reported once its value has been folded for every output). When the
-/// combined batch exceeds max_workspace_elems the sweep falls back to
-/// per-term plan replay, which is bit-identical too.
+/// combined batch or the environment schedule exceeds max_workspace_elems
+/// the sweep falls back to per-term plan replay for those terms.
 ///
 /// Like approximate_fidelity, this is a thin wrapper over the sweep engine
 /// behind xeb_sweep, at the default shard size: work is scheduled as a 2-D
@@ -210,7 +226,10 @@ struct SweepOptions {
 /// Evaluate A(l) at every bitstring of `v_bits` over the 2-D (term-range x
 /// output-chunk) work queue described by `opts`. result[o] is bit-identical
 /// to approximate_fidelity(nc, psi_bits, v_bits[o], opts.approx) at EVERY
-/// thread count, shard size, and plan-cache state: each chunk folds its
+/// thread count, shard size, batch width, and plan-cache state (the two are
+/// bit-identical to each other; T1 differs from per-term replay at
+/// roundoff, see the header): every term value depends only on the plan,
+/// the output and the factors, and each chunk folds its
 /// term values in global term-enumeration order (out-of-order item
 /// completions are stash-buffered through a bounded pool and folded in
 /// order), so every output reproduces the reference reduction arithmetic
