@@ -1543,9 +1543,7 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
       const std::size_t slot = lhs ? step.lhs : step.rhs;
       if (!needs_env[slot]) continue;
       EnvStep e;
-      e.step = s;
       e.lhs = lhs;
-      e.slot = slot;
       e.sibling = lhs ? step.rhs : step.lhs;
       e.parent = writer[out];
       e.sib_elems = elems(e.sibling);

@@ -94,9 +94,9 @@ struct PlanWorkspace {
   /// the dispatched CPU tier.
   const tsr::KernelTable* kernels = nullptr;
   /// Cooperative run-time control (core/run_control.hpp), polled once per
-  /// contraction step by ContractionPlan::execute and both BatchedPlan
-  /// passes, so a cancel or expired deadline stops a replay within one
-  /// step. Lives on the workspace -- per-execution state -- rather than on
+  /// contraction step by ContractionPlan::execute, both BatchedPlan passes
+  /// and both EnvSchedule passes, so a cancel or expired deadline stops a
+  /// replay within one step. Lives on the workspace -- per-execution state -- rather than on
   /// the (cached, shared) plan or its compile options. Null disables.
   const core::RunControl* control = nullptr;
   tsr::aligned_vector<cplx> arena;
@@ -232,14 +232,11 @@ class BatchedPlan {
 };
 
 /// One backward step of an EnvSchedule: the environment of one operand of
-/// forward step `step`, computed from the environment of that step's
-/// output. For the forward product out[m x n] = A'[m x k] . B'[k x n]
+/// a forward step, computed from the environment of that step's output. For the forward product out[m x n] = A'[m x k] . B'[k x n]
 /// (A', B' the operands after the step's permutations), the lhs step
 /// computes E_A' = E_out . B'^T and the rhs step E_B' = A'^T . E_out.
 struct EnvStep {
-  std::size_t step = 0;        // forward step this differentiates
   bool lhs = true;             // which operand's environment it writes
-  std::size_t slot = 0;        // that operand's slot
   std::size_t sibling = 0;     // the other operand's slot (forward value read)
   std::size_t parent = 0;      // backward step writing E_out; kNoParent at the root
   std::size_t m = 1, k = 1, n = 1;  // this kernel call's dims (not the forward step's)
@@ -253,7 +250,7 @@ struct EnvStep {
   // and this walk scatters it back into the operand's native layout. Empty
   // when the permutation is the identity (the kernel writes in place).
   std::vector<std::size_t> scatter_shape, scatter_stride;
-  std::size_t env_offset = 0;  // environment of `slot` in the env arena
+  std::size_t env_offset = 0;  // the operand's environment in the env arena
   std::size_t env_elems = 1;
   std::size_t out_env_offset = 0;  // environment of the step's output
   std::size_t bytes = 0;           // modeled traffic (see ContractStats::bytes_moved)
