@@ -367,7 +367,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << "\n";
 
   if (!all_identical)
-    std::cout << "FAIL: batched / per-term results not bit-identical, or off the re-planning oracle\n";
+    std::cout << "FAIL: batched / per-term results not bit-identical, or per-term replay off "
+                 "the re-planning oracle\n";
   if (!speedup_gate_ok)
     std::cout << "FAIL: batched replay below the 2x per-term eval-throughput gate at level >= 1\n";
   if (!tier_gate_ok)

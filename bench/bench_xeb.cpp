@@ -309,10 +309,10 @@ int main(int argc, char** argv) {
             << "baseline); the bench's contract is the bitwise equality of every batched\n"
             << "value against its per-bitstring reference and the >= 2x amplitude\n"
             << "eval-throughput gate at K >= 16. The approx sweep's eval phase beats its\n"
-            << "per-bitstring reference (which already batches along the term axis) by\n"
-            << "~1.4x at K = 16 and ~1.6-2.0x at K = 32 on a 4-vCPU AVX-512 Xeon, and\n"
-            << "wins further on total time by planning once instead of once per\n"
-            << "bitstring.\n";
+            << "per-bitstring reference by ~1.2-1.5x at K = 16 and 32 on a 4-vCPU\n"
+            << "AVX-512 Xeon -- both take their level-1 terms from one environment pass\n"
+            << "per output, so little is left to share across outputs -- and wins\n"
+            << "further on total time by planning once instead of once per bitstring.\n";
 
   // --- sharded sweep + plan-cache ladder (--sweep) ----------------------------
   struct SweepRun {

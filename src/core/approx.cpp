@@ -626,9 +626,9 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
   // --- plan-replay setup (templates, plans, factor tensors) ----------------
   // A cancel that lands during setup (template, schedule and batched-plan
-  // compilation poll the control) salvages the well-defined "nothing completed yet"
-  // result instead of leaking a throw: cancelled = true, every output
-  // invalid. Deadlines and real errors still throw from here.
+  // compilation poll the control) salvages the well-defined "nothing
+  // completed yet" result instead of leaking a throw: cancelled = true,
+  // every output invalid. Deadlines and real errors still throw from here.
   auto salvage_empty = [&]() -> ApproxBatchResult {
     result.cancelled = true;
     result.valid.assign(K, 0);

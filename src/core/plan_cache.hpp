@@ -59,9 +59,10 @@ class PlanCache {
   explicit PlanCache(std::size_t max_entries = 64);
 
   /// One cached unit: a compiled template plus the batched plans and
-  /// environment schedules compiled from its plan. Handed out as shared_ptr<const Entry>; the template is
-  /// immutable and the batched memo is internally synchronized, so an entry
-  /// may be used from many threads at once.
+  /// environment schedules compiled from its plan. Handed out as
+  /// shared_ptr<const Entry>; the template is immutable and the plan memo
+  /// is internally synchronized, so an entry may be used from many threads
+  /// at once.
   class Entry {
    public:
     const AmplitudeTemplate& tmpl() const { return tmpl_; }

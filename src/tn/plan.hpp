@@ -232,9 +232,10 @@ class BatchedPlan {
 };
 
 /// One backward step of an EnvSchedule: the environment of one operand of
-/// a forward step, computed from the environment of that step's output. For the forward product out[m x n] = A'[m x k] . B'[k x n]
-/// (A', B' the operands after the step's permutations), the lhs step
-/// computes E_A' = E_out . B'^T and the rhs step E_B' = A'^T . E_out.
+/// a forward step, computed from the environment of that step's output.
+/// For the forward product out[m x n] = A'[m x k] . B'[k x n] (A', B' the
+/// operands after the step's permutations), the lhs step computes
+/// E_A' = E_out . B'^T and the rhs step E_B' = A'^T . E_out.
 struct EnvStep {
   bool lhs = true;             // which operand's environment it writes
   std::size_t sibling = 0;     // the other operand's slot (forward value read)
