@@ -329,9 +329,8 @@ std::shared_ptr<const tn::BatchedPlan> batched_plan_or_null(std::size_t capacity
 /// template's `slots` nodes -- the evaluation path of every plan-replay
 /// engine (the TN trajectory samplers, batch_amplitudes, and the
 /// Algorithm-1 terms an EnvEvaluator does not cover). With a batched plan
-/// (compiled over exactly these
-/// slots), up to its capacity terms run per traversal; with none, each term
-/// replays the template's per-term plan. Every amplitude is bit-identical
+/// (compiled over exactly these slots), up to its capacity terms run per
+/// traversal; with none, each term replays the template's per-term plan. Every amplitude is bit-identical
 /// either way, so the choice only moves time and memory.
 class ReplayEvaluator {
  public:
