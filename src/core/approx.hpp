@@ -73,8 +73,8 @@ struct ApproxOptions {
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
-  /// xeb_sweep look their compiled AmplitudeTemplates and batched plans up
-  /// by topology key instead of recompiling them, so repeated calls over
+  /// xeb_sweep look their compiled AmplitudeTemplates, batched plans and
+  /// environment schedules up by topology key instead of recompiling them, so repeated calls over
   /// the same skeleton (level ladders, accuracy sweeps, XEB batches
   /// arriving over time) pay the planning cost once. Results are
   /// bit-identical with or without a cache (plan compilation is
