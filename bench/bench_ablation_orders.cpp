@@ -3,8 +3,9 @@
 // DESIGN.md calls the contraction order out as a load-bearing design
 // choice: the TN-based methods' feasibility in Table II depends on it.
 // Auto planning is one fixed search (greedy ladder, alternating, seeded
-// randomized greedy) under one shared planning deadline, keeping the
-// minimum-total-flops order and materializing only that one. This bench
+// randomized greedy) polling one caller's RunControl, so a cancel or
+// deadline abandons the whole search; it keeps the minimum-total-flops order
+// and materializes only that one. This bench
 // compiles forced-Greedy and Auto plans for representative amplitude
 // networks and gates the kept-cheapest contract:
 //

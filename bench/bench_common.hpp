@@ -12,6 +12,7 @@
 
 #include "bench_support/generators.hpp"
 #include "bench_support/harness.hpp"
+#include "core/run_control.hpp"
 #include "support/env.hpp"
 
 namespace noisim::bench {
@@ -25,6 +26,13 @@ inline bool large_mode() {
 inline double timeout_small() { return large_mode() ? 600.0 : 15.0; }
 /// Timeout for the heavier #Noise = 20 runs (paper: 36000 s).
 inline double timeout_large() { return large_mode() ? 3600.0 : 60.0; }
+
+/// One wall-clock budget per guarded run, the paper's "TO": a run control
+/// whose deadline expires `seconds` after construction. Build it inside the
+/// run it guards, so every compile and replay of that run shares the clock.
+struct Deadline : core::RunControl {
+  explicit Deadline(double seconds) { set_deadline_after(seconds); }
+};
 
 /// Memory budget for a single tensor intermediate (elements).
 inline std::size_t memory_budget() {

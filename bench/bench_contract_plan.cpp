@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
     opts.threads = threads;
     opts.batch_terms = batch;
     opts.eval.backend = core::EvalOptions::Backend::TensorNetwork;
-    opts.eval.tn.timeout_seconds = bench::timeout_large();
     opts.eval.tn.max_tensor_elems = bench::memory_budget();
     return opts;
   };
@@ -146,10 +145,13 @@ int main(int argc, char** argv) {
     // noise-dominated, and interleaving means a slow machine window (CPU
     // steal on shared boxes) hits all paths alike instead of skewing the
     // gated ratios.
+    // Each guarded run gets its own wall-clock budget.
     auto run_once = [&](core::ApproxResult& result,
-                        const std::function<core::ApproxResult()>& sweep, bool first) {
+                        const std::function<core::ApproxResult(const core::RunControl*)>& sweep,
+                        bool first) {
       return bench::run_guarded_stats([&](tn::ContractStats& stats) {
-        core::ApproxResult attempt = sweep();
+        const bench::Deadline budget(bench::timeout_large());
+        core::ApproxResult attempt = sweep(&budget);
         if (first || attempt.eval_seconds < result.eval_seconds) result = std::move(attempt);
         stats = result.contract_stats;
         return result.value;
@@ -161,9 +163,17 @@ int main(int argc, char** argv) {
     const core::ApproxOptions batched_opts = make_opts(level, 1, batch_terms);
     // The re-planning oracle (bench_support/oracle.hpp) under the same
     // evaluation options.
-    auto replan = [&] { return bench::replanned_fidelity(nc, 0, 0, level, reuse_opts.eval); };
+    auto replan = [&](const core::RunControl* budget) {
+      core::EvalOptions eval = reuse_opts.eval;
+      eval.tn.control = budget;
+      return bench::replanned_fidelity(nc, 0, 0, level, eval);
+    };
     auto sweep = [&](const core::ApproxOptions& opts) {
-      return [&nc, opts] { return core::approximate_fidelity(nc, 0, 0, opts); };
+      return [&nc, opts](const core::RunControl* budget) {
+        core::ApproxOptions guarded = opts;
+        guarded.control = budget;
+        return core::approximate_fidelity(nc, 0, 0, guarded);
+      };
     };
     for (int round = 0; round < 4; ++round) {
       run.replan = run_once(run.replan_result, replan, round == 0);
@@ -184,8 +194,10 @@ int main(int argc, char** argv) {
     // budget-constrained box still emits its MO/TO rows and the JSON
     // instead of crashing.
     const bench::RunOutcome threaded = bench::run_guarded([&] {
-      run.threaded_result =
-          core::approximate_fidelity(nc, 0, 0, make_opts(level, hw, batch_terms));
+      const bench::Deadline budget(bench::timeout_large());
+      core::ApproxOptions opts = make_opts(level, hw, batch_terms);
+      opts.control = &budget;
+      run.threaded_result = core::approximate_fidelity(nc, 0, 0, opts);
       return run.threaded_result.value;
     });
 
@@ -216,7 +228,10 @@ int main(int argc, char** argv) {
     auto run_tier = [&](tsr::KernelTier tier, core::ApproxResult& result, bool first) {
       const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
       bench::RunOutcome out = bench::run_guarded_stats([&](tn::ContractStats& stats) {
-        core::ApproxResult attempt = core::approximate_fidelity(nc, 0, 0, tier_opts);
+        const bench::Deadline budget(bench::timeout_large());
+        core::ApproxOptions opts = tier_opts;
+        opts.control = &budget;
+        core::ApproxResult attempt = core::approximate_fidelity(nc, 0, 0, opts);
         if (first || attempt.eval_seconds < result.eval_seconds) result = std::move(attempt);
         stats = result.contract_stats;
         return result.value;

@@ -46,16 +46,18 @@ int main(int argc, char** argv) {
     Row row;
     row.noises = count;
     row.tn_run = bench::run_guarded_stats([&](tn::ContractStats& stats) {
+      const bench::Deadline budget(bench::timeout_large());
       tn::ContractOptions opts;
-      opts.timeout_seconds = bench::timeout_large();
+      opts.control = &budget;
       opts.max_tensor_elems = bench::memory_budget();
       return core::exact_fidelity_tn(nc, 0, 0, opts, &stats);
     });
 
     row.ours_run = bench::run_guarded_stats([&](tn::ContractStats& stats) {
+      const bench::Deadline budget(bench::timeout_large());
       core::ApproxOptions opts;
       opts.level = 1;
-      opts.eval.tn.timeout_seconds = bench::timeout_large();
+      opts.control = &budget;
       opts.eval.tn.max_tensor_elems = bench::memory_budget();
       const core::ApproxResult r = core::approximate_fidelity(nc, 0, 0, opts);
       row.contractions = r.contractions;

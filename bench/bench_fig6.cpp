@@ -29,19 +29,22 @@ void sweep(const std::string& label, const qc::Circuit& circuit, std::size_t noi
     const ch::NoisyCircuit nc = core::with_ideal_output_projector(
         bench::insert_noises(circuit, noises, model, 600));
 
-    tn::ContractOptions exact_opts;
-    exact_opts.timeout_seconds = bench::timeout_large();
-    exact_opts.max_tensor_elems = bench::memory_budget();
-    const auto exact =
-        bench::run_guarded([&] { return core::exact_fidelity_tn(nc, 0, 0, exact_opts); });
+    const auto exact = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
+      tn::ContractOptions exact_opts;
+      exact_opts.control = &budget;
+      exact_opts.max_tensor_elems = bench::memory_budget();
+      return core::exact_fidelity_tn(nc, 0, 0, exact_opts);
+    });
 
-    core::ApproxOptions opts;
-    opts.level = 1;
-    opts.eval.simplify = true;
-    opts.eval.tn.timeout_seconds = bench::timeout_large();
-    opts.eval.tn.max_tensor_elems = bench::memory_budget();
     double bound = 0.0;
     const auto ours = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
+      core::ApproxOptions opts;
+      opts.level = 1;
+      opts.eval.simplify = true;
+      opts.eval.tn.max_tensor_elems = bench::memory_budget();
+      opts.control = &budget;
       const core::ApproxResult r = core::approximate_fidelity(nc, 0, 0, opts);
       bound = r.error_bound;
       return r.value;

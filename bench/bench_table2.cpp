@@ -34,8 +34,9 @@ bench::RunOutcome run_mm(const ch::NoisyCircuit& nc) {
 
 bench::RunOutcome run_tdd(const ch::NoisyCircuit& nc, double timeout) {
   return bench::run_guarded([&] {
+    const bench::Deadline budget(timeout);
     tdd::TddSimOptions opts;
-    opts.timeout_seconds = timeout;
+    opts.control = &budget;
     opts.max_nodes = bench::large_mode() ? (std::size_t{1} << 24) : (std::size_t{1} << 21);
     return tdd::exact_fidelity_tdd(nc, 0, 0, opts);
   });
@@ -43,8 +44,9 @@ bench::RunOutcome run_tdd(const ch::NoisyCircuit& nc, double timeout) {
 
 bench::RunOutcome run_tn(const ch::NoisyCircuit& nc, double timeout) {
   return bench::run_guarded([&] {
+    const bench::Deadline budget(timeout);
     tn::ContractOptions opts;
-    opts.timeout_seconds = timeout;
+    opts.control = &budget;
     opts.max_tensor_elems = bench::memory_budget();
     return core::exact_fidelity_tn(nc, 0, 0, opts);
   });
@@ -52,9 +54,10 @@ bench::RunOutcome run_tn(const ch::NoisyCircuit& nc, double timeout) {
 
 bench::RunOutcome run_ours(const ch::NoisyCircuit& nc, double timeout) {
   return bench::run_guarded([&] {
+    const bench::Deadline budget(timeout);
     core::ApproxOptions opts;
     opts.level = 1;
-    opts.eval.tn.timeout_seconds = timeout;
+    opts.control = &budget;
     opts.eval.tn.max_tensor_elems = bench::memory_budget();
     return core::approximate_fidelity(nc, 0, 0, opts).value;
   });

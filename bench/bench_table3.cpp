@@ -43,16 +43,20 @@ int main() {
         bench::insert_noises(row.circuit, noises, bench::depolarizing_noise(p), 201);
 
     // Reference: exact TN fidelity.
-    tn::ContractOptions exact_opts;
-    exact_opts.timeout_seconds = bench::timeout_large();
-    exact_opts.max_tensor_elems = bench::memory_budget();
-    const auto exact = bench::run_guarded([&] { return core::exact_fidelity_tn(nc, 0, 0, exact_opts); });
+    const auto exact = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
+      tn::ContractOptions exact_opts;
+      exact_opts.control = &budget;
+      exact_opts.max_tensor_elems = bench::memory_budget();
+      return core::exact_fidelity_tn(nc, 0, 0, exact_opts);
+    });
 
     // Ours, level 1.
     const auto ours = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
       core::ApproxOptions opts;
       opts.level = 1;
-      opts.eval.tn.timeout_seconds = bench::timeout_large();
+      opts.control = &budget;
       opts.eval.tn.max_tensor_elems = bench::memory_budget();
       return core::approximate_fidelity(nc, 0, 0, opts).value;
     });
@@ -67,8 +71,9 @@ int main() {
       return sim::trajectories_sv(nc, 0, 0, samples, rng_mm).mean;
     });
     const auto traj_tn = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
       core::EvalOptions eval;
-      eval.tn.timeout_seconds = bench::timeout_large();
+      eval.tn.control = &budget;
       eval.tn.max_tensor_elems = bench::memory_budget();
       return core::trajectories_tn(nc, 0, 0, samples, rng_tn, eval).mean;
     });

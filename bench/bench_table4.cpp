@@ -26,11 +26,13 @@ int main() {
 
   // Reference: exact contraction of the doubled diagram. v = U|0> keeps the
   // fidelity near 1 (this is why the paper's Table IV results sit at ~0.958).
-  tn::ContractOptions exact_opts;
-  exact_opts.timeout_seconds = bench::timeout_large();
-  exact_opts.max_tensor_elems = bench::memory_budget();
-  const auto exact =
-      bench::run_guarded([&] { return core::exact_fidelity_tn(projected, 0, 0, exact_opts); });
+  const auto exact = bench::run_guarded([&] {
+    const bench::Deadline budget(bench::timeout_large());
+    tn::ContractOptions exact_opts;
+    exact_opts.control = &budget;
+    exact_opts.max_tensor_elems = bench::memory_budget();
+    return core::exact_fidelity_tn(projected, 0, 0, exact_opts);
+  });
   std::cout << "circuit qaoa_" << n << ", " << noises << " noises, exact fidelity = "
             << (exact.ok() ? bench::sci(exact.value) : "unavailable") << " ("
             << bench::fixed(exact.seconds) << " s)\n\n";
@@ -39,17 +41,19 @@ int main() {
   core::ApproxOptions opts;
   opts.level = max_level;
   opts.eval.simplify = true;  // light-cone reduction
-  opts.eval.tn.timeout_seconds = bench::timeout_large();
   opts.eval.tn.max_tensor_elems = bench::memory_budget();
 
   // One engine run evaluates all partial sums A(0..3); per-level timing is
   // reconstructed from cumulative contraction counts on separate runs.
   bench::Table table({"level", "time(s)", "result", "error"});
   for (std::size_t level = 0; level <= max_level; ++level) {
-    core::ApproxOptions lopts = opts;
-    lopts.level = level;
-    const auto run = bench::run_guarded(
-        [&] { return core::approximate_fidelity(projected, 0, 0, lopts).value; });
+    const auto run = bench::run_guarded([&] {
+      const bench::Deadline budget(bench::timeout_large());
+      core::ApproxOptions lopts = opts;
+      lopts.level = level;
+      lopts.control = &budget;
+      return core::approximate_fidelity(projected, 0, 0, lopts).value;
+    });
     std::string error = "-";
     if (run.ok() && exact.ok()) error = bench::sci(std::abs(run.value - exact.value));
     table.add_row({std::to_string(level), bench::format_time(run),

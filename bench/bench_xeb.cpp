@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
 
   core::EvalOptions eval;
   eval.backend = core::EvalOptions::Backend::TensorNetwork;
-  eval.tn.timeout_seconds = bench::timeout_large();
   eval.tn.max_tensor_elems = bench::memory_budget();
 
   core::ApproxOptions aopts;
@@ -192,21 +191,30 @@ int main(int argc, char** argv) {
   for (const std::size_t K : ks) {
     KRun run;
     run.k = K;
+    // One wall-clock budget for the whole row: every path below polls it.
+    const bench::Deadline budget(bench::timeout_large());
+    aopts.control = &budget;
+    popts.control = &budget;
     std::vector<std::uint64_t> vb(K);
     for (auto& v : vb) v = sample_rng() & mask;
 
     // --- ideal amplitudes: per-bitstring replay vs one batched traversal.
     // Interleaved best-of rounds (deterministic repeats), like
     // bench_contract_plan, so a slow machine window hits both paths alike.
+    // A batched traversal takes well under a millisecond, so it takes many
+    // rounds before the best one is clear of host noise; the --baseline
+    // gate reads it.
     core::AmplitudeTemplate::Session session = tmpl.session();
+    session.set_control(&budget);
     std::vector<core::AmplitudeTemplate::Substitution> subs(nn);
     std::vector<const tsr::Tensor*> caps(nn);
     const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(K);
     core::AmplitudeTemplate::BatchedSession batched(tmpl, bplan);
+    batched.set_control(&budget);
     std::vector<const tsr::Tensor*> ptrs(K * nn);
     std::vector<cplx> ref_amp(K), bat_amp(K);
     run.ref_eval_seconds = run.batched_eval_seconds = 1e300;
-    for (int round = 0; round < 4; ++round) {
+    for (int round = 0; round < 32; ++round) {
       auto t0 = Clock::now();
       for (std::size_t o = 0; o < K; ++o) {
         tmpl.fill_output_caps(vb[o], caps);
@@ -337,9 +345,11 @@ int main(int argc, char** argv) {
     const qc::Circuit scirc = bench::qaoa(sn, 1, 177);
     const ch::NoisyCircuit snc =
         bench::insert_noises(scirc, 2, bench::depolarizing_noise(0.008), 911);
+    const bench::Deadline budget(bench::timeout_large());
     core::ApproxOptions sopts;
     sopts.level = 1;
     sopts.eval = eval;
+    sopts.control = &budget;
     const std::uint64_t smask = (std::uint64_t{1} << sn) - 1;
     constexpr std::size_t kLadderK = 3;
     std::vector<std::vector<std::uint64_t>> sets(3, std::vector<std::uint64_t>(kLadderK));

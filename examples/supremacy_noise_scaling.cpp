@@ -33,9 +33,13 @@ int main() {
 
     tn::ContractOptions topts;
     topts.max_tensor_elems = std::size_t{1} << 24;
-    topts.timeout_seconds = 60.0;
-    const auto exact =
-        bench::run_guarded([&] { return core::exact_fidelity_tn(nc, 0, 0, topts); });
+    const auto exact = bench::run_guarded([&] {
+      core::RunControl budget;  // one 60 s budget for the whole run
+      budget.set_deadline_after(60.0);
+      tn::ContractOptions guarded = topts;
+      guarded.control = &budget;
+      return core::exact_fidelity_tn(nc, 0, 0, guarded);
+    });
 
     // The front door: no backend hints -- at 16 qubits it arbitrates the
     // density matrix against the Algorithm-1 ladder and the samplers on

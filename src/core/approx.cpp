@@ -1027,8 +1027,10 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
     if (s.arity != 1) model.all_1q = false;
   }
 
-  // The sweep's own skeleton, so the template below is the one the run replays.
-  const SweepSkeleton sk = sweep_skeleton(std::move(base.gates), model.num_sites, opts.eval);
+  // The sweep's own skeleton, so the template below is the one the run
+  // replays; the compile polls the caller's control like the sweep's own.
+  SweepSkeleton sk = sweep_skeleton(std::move(base.gates), model.num_sites, opts.eval);
+  sk.eval.tn.control = opts.control;
 
   model.tensor_network = uses_tensor_network(sk.eval, n);
   if (model.tensor_network) {

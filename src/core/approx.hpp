@@ -67,9 +67,8 @@ struct ApproxOptions {
   /// workspaces are checked against max_workspace_elems; when the per-term
   /// plan fits but one of them does not, its terms replay per term instead
   /// of raising MemoryOutError (bit-identical for replayed terms, roundoff
-  /// for level-1 terms). The per-replay timeout_seconds budget scales with
-  /// the terms a traversal or pass stands in for, so TO behavior does not
-  /// depend on the width.
+  /// for level-1 terms). A deadline is the `control`'s, one clock for the
+  /// whole call, so TO behavior does not depend on the width.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
@@ -283,8 +282,9 @@ struct ApproxCostModel {
 /// Build the cost model for approximate_fidelity(nc, psi_bits, v, opts) at
 /// any output v (the model does not depend on it). On the tensor-network
 /// path this compiles (or fetches from opts.plan_cache) the sweep's one
-/// AmplitudeTemplate under the sweep's own cache key, so MemoryOutError /
-/// TimeoutError surface here exactly as they would at the start of the run.
+/// AmplitudeTemplate under the sweep's own cache key, so MemoryOutError
+/// surfaces here exactly as it would at the start of the run; the compile
+/// polls opts.control, so a cancel or expired deadline stops it too.
 /// opts.level is ignored -- the model answers for every level through
 /// error_bound/term_count/sweep_flops.
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,

@@ -142,7 +142,7 @@ class TddBackend final : public Backend {
   void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
            const SimulateOptions& opts, const CostEstimate&, SimResult& out) const override {
     tdd::TddSimOptions topts;
-    topts.timeout_seconds = opts.deadline;
+    topts.control = opts.control;
     out.value = tdd::exact_fidelity_tdd(nc, psi_bits, v_bits, topts);
     out.error_bound = 0.0;
   }
@@ -316,11 +316,6 @@ ApproxOptions tn_approx_options(const SimulateOptions& opts, std::size_t level) 
   ApproxOptions a;
   a.level = level;
   a.eval = opts.eval;
-  // Thread the wall-clock budget into the TN engine's own deadline unless
-  // the caller already set one. Part of the plan-cache key, so estimate and
-  // run MUST derive eval through this same helper.
-  if (opts.deadline > 0.0 && a.eval.tn.timeout_seconds == 0.0)
-    a.eval.tn.timeout_seconds = opts.deadline;
   a.threads = opts.threads;
   a.plan_cache = opts.plan_cache;
   a.control = opts.control;
@@ -354,6 +349,14 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
   SimulateOptions ropts = opts;
   PlanCache local_cache(8);
   if (!ropts.plan_cache) ropts.plan_cache = &local_cache;
+  // The wall-clock budget is one deadline for the whole call: every bid's
+  // estimation and every run, escalations included, spend the same clock.
+  // Chained to the caller's control so its cancel and ceiling still apply.
+  RunControl call_control(opts.control);
+  if (opts.deadline > 0.0) {
+    call_control.set_deadline_after(opts.deadline);
+    ropts.control = &call_control;
+  }
 
   std::vector<const Backend*> pool;
   for (const Backend* b : default_backends())
@@ -364,6 +367,8 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
     bids[i].kind = pool[i]->kind();
     try {
       bids[i].estimate = pool[i]->estimate(nc, psi_bits, v_bits, ropts);
+    } catch (const CancelledError&) {
+      throw;  // a caller decision, never a reason to try another backend
     } catch (const std::exception& e) {
       // Plan-time MO/TO (or an engine precondition) rules the backend out;
       // selection proceeds with the others.

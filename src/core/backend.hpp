@@ -65,9 +65,11 @@ struct SimulateOptions {
   /// Transient memory budget in complex elements (2^26 = 1 GiB). A backend
   /// whose modeled peak exceeds it is not considered. Must be nonzero.
   std::size_t memory_budget = std::size_t{1} << 26;
-  /// Wall-clock budget in seconds; 0 disables. Rules out configurations
-  /// whose modeled flops cannot finish in time and is threaded into the
-  /// engines' own deadline checks (TN replay timeouts, TDD deadline).
+  /// Wall-clock budget of the whole call in seconds; 0 disables. Rules out
+  /// configurations whose modeled flops cannot finish in time, and arms one
+  /// call-scoped RunControl deadline (chained to `control`) that every
+  /// estimate, run and escalation of this call shares -- a backend that
+  /// times out hands the next bid only what is left of the budget.
   double deadline = 0.0;
   /// Confidence parameter of the trajectory backends' Hoeffding sizing:
   /// the returned half-width holds with probability 1 - failure_prob.
@@ -100,13 +102,16 @@ struct SimulateOptions {
   /// raise max_bond to let it bid on wider circuits.
   mps::MpsOptions mps;
   /// Cooperative cancellation / deadline control (core/run_control.hpp),
-  /// threaded into every engine simulate() runs: the TN plan executors poll
-  /// it per step, the sweep queue per claimed item, and the trajectory
-  /// runners per chunk. An expired deadline raises TimeoutError (which the
-  /// escalation ladder treats like any run-time timeout); a cancel raises
+  /// threaded into every engine simulate() estimates or runs: the planner
+  /// polls it per merge, the TN plan executors per step, the TDD engine per
+  /// node, the sweep queue per claimed item, and the trajectory runners per
+  /// chunk. An expired deadline raises TimeoutError (which the escalation
+  /// ladder treats like any run-time timeout); a cancel raises
   /// CancelledError, which simulate() never absorbs -- it propagates to the
-  /// caller. Null disables; a control that never fires leaves results
-  /// bit-identical. Caller-owned, must outlive the call.
+  /// caller. With `deadline` > 0 the engines see a child of this control
+  /// carrying the call's deadline; this control's own conditions still
+  /// apply through it. Null disables; a control that never fires leaves
+  /// results bit-identical. Caller-owned, must outlive the call.
   const RunControl* control = nullptr;
 };
 

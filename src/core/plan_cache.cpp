@@ -138,13 +138,12 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
                                     const tn::ContractOptions& copts) {
   std::string key;
   key.reserve(64 + skeleton.size() * 48);
-  put_u64(key, 5);  // key-format version (5: conjugation field removed)
+  put_u64(key, 6);  // key-format version (6: the plan-time deadline removed)
   put_u64(key, static_cast<std::uint64_t>(n));
   put_u64(key, psi_bits);
   put_u64(key, v_bits);
   put_u64(key, static_cast<std::uint64_t>(copts.strategy));
   put_u64(key, copts.max_tensor_elems);
-  put_f64(key, copts.timeout_seconds);
   put_u64(key, copts.max_workspace_elems);
   put_u64(key, copts.greedy_cost_weights.size());
   for (const double w : copts.greedy_cost_weights) put_f64(key, w);

@@ -93,15 +93,18 @@ std::size_t sample_index(const std::vector<double>& probs, std::mt19937_64& rng)
 class TrajectorySweep {
  public:
   // `samples_per_chunk` bounds the samples one sampler call scores (the
-  // engine's chunk size, clamped to the sample count).
+  // engine's chunk size, clamped to the sample count). `control` is the
+  // sweep's run control: the template compile and every replay poll it.
   TrajectorySweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                   std::span<const std::uint64_t> v_bits, const EvalOptions& eval,
-                  std::size_t shard_outputs, std::size_t samples_per_chunk)
+                  std::size_t shard_outputs, std::size_t samples_per_chunk,
+                  const RunControl* control)
       : sk_(build_skeleton(nc)),
         n_(nc.num_qubits()),
         psi_bits_(psi_bits),
         v_bits_(v_bits),
         eval_(eval) {
+    eval_.tn.control = control;
     require_basis_label(psi_bits, n_, "trajectories_tn");
     for (const std::uint64_t v : v_bits) require_basis_label(v, n_, "trajectories_tn");
     const std::size_t K = v_bits.size();
@@ -115,7 +118,7 @@ class TrajectorySweep {
       return;
     }
     shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputChunk);
-    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], eval);
+    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], eval_);
     const std::size_t num_sites = sk_.mixtures.size();
 
     // Tensorized mixture unitaries per (site, mixture index) -- sampling
@@ -168,7 +171,8 @@ class TrajectorySweep {
     const std::size_t num_sites = sk_.mixtures.size();
     const std::size_t V = slots_.size();
     const std::size_t capacity = sample_batch_ * out_chunk_;
-    auto evaluator = std::make_shared<ReplayEvaluator>(*tmpl_, slots_, bplan_.get());
+    auto evaluator =
+        std::make_shared<ReplayEvaluator>(*tmpl_, slots_, bplan_.get(), eval_.tn.control);
     auto draws = std::make_shared<std::vector<const tsr::Tensor*>>(sample_batch_ * num_sites);
     auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
     auto amps = std::make_shared<std::vector<cplx>>(capacity);
@@ -271,7 +275,7 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
   // chunk size off the caller's stream.
   constexpr std::size_t kStreamBatch = 32;
   const TrajectorySweep sweep(nc, psi_bits, std::span(&v_bits, 1), eval, 1,
-                              std::min(kStreamBatch, samples));
+                              std::min(kStreamBatch, samples), eval.tn.control);
   const sim::ShardChunkSampler sample = sweep.worker_sampler();
   std::vector<double> values(kStreamBatch);
   double sum = 0.0, sum_sq = 0.0;
@@ -312,7 +316,7 @@ std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
   if (K == 0) return {};
   if (samples == 0) return std::vector<sim::TrajectoryResult>(K);
   const TrajectorySweep sweep(nc, psi_bits, v_bits, eval, shard_outputs,
-                              std::min(popts.chunk_size, samples));
+                              std::min(popts.chunk_size, samples), popts.control);
   return sim::run_trajectories_sharded(
       samples, K, sweep.shard(), seed, [&](std::size_t) { return sweep.worker_sampler(); },
       popts);

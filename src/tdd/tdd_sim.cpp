@@ -15,9 +15,6 @@ cplx tdd_contract_network(const tn::Network& net, const TddSimOptions& opts, Tdd
 
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  const bool has_deadline = opts.timeout_seconds > 0.0;
-  const auto deadline = start + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(opts.timeout_seconds));
 
   Manager mgr(opts.max_nodes);
 
@@ -26,8 +23,7 @@ cplx tdd_contract_network(const tn::Network& net, const TddSimOptions& opts, Tdd
   Edge acc = mgr.terminal(cplx{1.0, 0.0});
 
   for (std::size_t i = 0; i < net.num_nodes(); ++i) {
-    if (has_deadline && Clock::now() > deadline)
-      throw TimeoutError("TDD contraction exceeded deadline");
+    if (opts.control) opts.control->poll();
 
     const tn::Node& node = net.node(i);
     std::vector<Var> vars(node.edges.begin(), node.edges.end());

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "channels/noisy_circuit.hpp"
+#include "core/run_control.hpp"
 #include "tdd/tdd.hpp"
 #include "tn/network.hpp"
 
@@ -18,8 +19,9 @@ namespace noisim::tdd {
 struct TddSimOptions {
   /// Node budget; exceeding it throws MemoryOutError ("MO" in benchmarks).
   std::size_t max_nodes = std::size_t{1} << 22;
-  /// Wall-clock budget in seconds; 0 disables ("TO" in benchmarks).
-  double timeout_seconds = 0.0;
+  /// Cooperative control (cancel / deadline, "TO" in benchmarks), polled
+  /// once per absorbed node; caller-owned, may be null.
+  const core::RunControl* control = nullptr;
 };
 
 struct TddStats {

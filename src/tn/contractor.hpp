@@ -31,9 +31,11 @@
 //                 so far of its own strategy, since it can no longer win.
 //                 Only the winning order is materialized into a plan.
 //
-// Guard rails: the contractor enforces a tensor-size budget and a wall-clock
-// deadline, throwing MemoryOutError / TimeoutError; the benchmark harness
-// maps these to the paper's "MO" / "TO" table entries.
+// Guard rails: the contractor enforces a tensor-size budget, throwing
+// MemoryOutError; a wall-clock budget is a core::RunControl deadline
+// (ContractOptions::control while planning, PlanWorkspace::control while
+// replaying), raising TimeoutError. The benchmark harness maps these to the
+// paper's "MO" / "TO" table entries.
 //
 // Since the plan/execute split, contract_network is a thin wrapper: it
 // compiles a ContractionPlan (tn/plan.hpp) for the network's topology and
@@ -79,10 +81,6 @@ struct ContractOptions {
   /// Maximum number of complex elements a single intermediate may hold.
   /// 2^26 elements = 1 GiB of complex<double>.
   std::size_t max_tensor_elems = std::size_t{1} << 26;
-  /// Wall-clock budget in seconds; 0 disables the deadline. Bounds the
-  /// whole planning phase (all strategy attempts of one compile share a
-  /// deadline) and, separately, each plan replay.
-  double timeout_seconds = 0.0;
   /// Budget for the plan's whole intermediate arena (the liveness-packed
   /// workspace all intermediates live in), in complex elements; exceeding
   /// it raises MemoryOutError at plan time. 0 disables the check --

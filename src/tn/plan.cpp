@@ -191,8 +191,6 @@ struct PlanCompiler {
   const Network& net;
   const ContractOptions& opts;
   const std::size_t num_inputs;
-  const Clock::time_point deadline;
-  const bool has_deadline;
 
   // Slots 0..num_inputs-1 are the network's nodes, slot num_inputs + s the
   // output of merge s.
@@ -223,13 +221,8 @@ struct PlanCompiler {
   std::vector<Candidate> heap;
   std::vector<std::size_t> nbrs, rest, axes_u, axes_v, free_a, free_b;
 
-  // `deadline` is shared by every walk of one compile() call (all
-  // candidates plus the materialization), so timeout_seconds bounds total
-  // planning time, not each attempt.
-  PlanCompiler(const Network& n, const ContractOptions& o, Clock::time_point shared_deadline,
-               bool deadline_set)
-      : net(n), opts(o), num_inputs(n.num_nodes()), deadline(shared_deadline),
-        has_deadline(deadline_set) {
+  PlanCompiler(const Network& n, const ContractOptions& o)
+      : net(n), opts(o), num_inputs(n.num_nodes()) {
     // Slots are stored as uint32 with kNoNode reserved: a compile creates
     // 2 * num_inputs - 1 of them.
     la::detail::require(num_inputs < kNoNode / 2, "ContractionPlan: network too large");
@@ -270,10 +263,8 @@ struct PlanCompiler {
     peak = flops = bytes = scratch_a = scratch_b = max_rank = 0;
   }
 
-  void check_deadline() const {
+  void poll_control() const {
     if (opts.control) opts.control->poll();
-    if (has_deadline && Clock::now() > deadline)
-      throw TimeoutError("tensor network contraction exceeded deadline");
   }
 
   /// The slot across edge e from `self` (kNoNode for an open edge).
@@ -341,7 +332,7 @@ struct PlanCompiler {
 
   /// Plan the contraction of slots u and v; returns the new slot index.
   std::size_t merge(std::size_t u, std::size_t v) {
-    check_deadline();
+    poll_control();
     const NodeRec nu = nodes[u];
     const NodeRec nv = nodes[v];
 
@@ -483,7 +474,7 @@ struct PlanCompiler {
 
     for (std::size_t i = 0; i < num_inputs; ++i)
       if (alive[i]) {
-        check_deadline();
+        poll_control();
         neighbors(i);
         for (std::size_t nb : nbrs)
           if (nb > i) push_pair(i, nb);
@@ -492,10 +483,9 @@ struct PlanCompiler {
     bool saw_over_budget = false;
     while (!heap.empty()) {
       // Polled per candidate, not just per merge: stale/over-budget
-      // candidates can dominate the drain on dense networks, and the
-      // deadline contract is bounded-latency abandonment of the whole
-      // compile (all strategies share one deadline).
-      check_deadline();
+      // candidates can dominate the drain on dense networks, and a fired
+      // control must abandon the whole compile within bounded latency.
+      poll_control();
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
       const Candidate c = heap.back();
       heap.pop_back();
@@ -578,7 +568,6 @@ struct PlanCompiler {
     std::size_t out_total = 1;
     for (std::size_t d : result_dims) out_total *= d;
     plan.total_bytes_ = bytes + sizeof(cplx) * 2 * out_total;  // final materialization
-    plan.timeout_seconds_ = opts.timeout_seconds;
     plan.executions_ = std::make_shared<std::atomic<std::size_t>>(0);
 
     // Deterministic output: axes in ascending open-edge order.
@@ -609,17 +598,9 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
   fault::poke("plan-to");
   if (opts.control) opts.control->poll();
 
-  // One deadline across every planning walk below, so timeout_seconds
-  // bounds the whole compile (each replay later gets its own budget).
-  Clock::time_point deadline{};
-  const bool has_deadline = opts.timeout_seconds > 0.0;
-  if (has_deadline)
-    deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(opts.timeout_seconds));
-
   // One compiler serves every walk of this call; each walk starts from a
   // reset.
-  PlanCompiler compiler(net, opts, deadline, has_deadline);
+  PlanCompiler compiler(net, opts);
 
   // The cheapest candidate order of strategy `s`, scored without
   // materializing anything. A candidate that exceeds a memory budget is
@@ -831,12 +812,6 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
                         "ContractionPlan::execute: input tensor size mismatch");
 
   const auto started = Clock::now();
-  Clock::time_point deadline{};
-  const bool has_deadline = timeout_seconds_ > 0.0;
-  if (has_deadline)
-    deadline = started + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(timeout_seconds_));
-
   if (ws.control) ws.control->check_memory(arena_elems_, "contraction arena");
   ws.arena.resize(arena_elems_);
   ws.scratch_a.resize(scratch_a_elems_);
@@ -852,8 +827,6 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
     fault::poke("exec-step-mo");
     fault::poke("exec-step-to");
     if (ws.control) ws.control->poll();
-    if (has_deadline && Clock::now() > deadline)
-      throw TimeoutError("tensor network contraction exceeded deadline");
     run_step(step, slot_data(step.lhs, inputs, ws), slot_data(step.rhs, inputs, ws),
              ws.arena.data() + step.out_offset, ws, kt);
   }
@@ -911,7 +884,6 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   BatchedPlan bp;
   bp.capacity_ = capacity;
   bp.input_elems_ = input_elems_;
-  bp.timeout_seconds_ = timeout_seconds_;
   bp.scratch_a_elems_ = scratch_a_elems_;
   bp.scratch_b_elems_ = scratch_b_elems_;
   bp.max_rank_ = max_rank_;
@@ -1116,16 +1088,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
                           "BatchedPlan::execute: varying input size mismatch");
 
   const auto started = Clock::now();
-  Clock::time_point deadline{};
-  const bool has_deadline = timeout_seconds_ > 0.0;
-  if (has_deadline)
-    // A batched traversal stands in for k replays, so it gets k replay
-    // budgets -- a timeout every term individually meets cannot start
-    // failing just because terms were batched.
-    deadline = started + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 timeout_seconds_ * static_cast<double>(k)));
-
   if (ws.control) ws.control->check_memory(arena_elems_, "batched contraction arena");
   ws.batch_arena.ensure(arena_elems_);
   ws.scratch_a.resize(scratch_a_elems_);
@@ -1199,8 +1161,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     fault::poke("exec-step-mo");
     fault::poke("exec-step-to");
     if (ws.control) ws.control->poll();
-    if (has_deadline && Clock::now() > deadline)
-      throw TimeoutError("batched tensor network contraction exceeded deadline");
     const BatchedStep& st = steps_[s];
     if (st.sequential) continue;
     cplx* out0 = ws.batch_arena.data() + st.out_offset;
@@ -1379,8 +1339,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
       fault::poke("exec-step-mo");
       fault::poke("exec-step-to");
       if (ws.control) ws.control->poll();
-      if (has_deadline && Clock::now() > deadline)
-        throw TimeoutError("batched tensor network contraction exceeded deadline");
       if (ws.term_rep[t] != t) {
         std::copy(result.data() + ws.term_rep[t] * out_elems,
                   result.data() + (ws.term_rep[t] + 1) * out_elems,
@@ -1503,7 +1461,6 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
   es.fwd_ = steps_;
   es.input_elems_ = input_elems_;
   es.targets_.assign(targets.begin(), targets.end());
-  es.timeout_seconds_ = timeout_seconds_;
   es.max_rank_ = max_rank_;
   es.peak_elems_ = peak_elems_;
   es.scratch_a_elems_ = scratch_a_elems_;
@@ -1607,20 +1564,10 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
   la::detail::require(terms >= 1, "EnvSchedule::execute: a pass stands in for at least one term");
 
   const auto started = Clock::now();
-  Clock::time_point deadline{};
-  const bool has_deadline = timeout_seconds_ > 0.0;
-  if (has_deadline)
-    // Like a batched traversal: a pass standing in for `terms` replays gets
-    // that many replay budgets.
-    deadline = started + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(timeout_seconds_ *
-                                                           static_cast<double>(terms)));
   auto step_checks = [&] {
     fault::poke("exec-step-mo");
     fault::poke("exec-step-to");
     if (ws.control) ws.control->poll();
-    if (has_deadline && Clock::now() > deadline)
-      throw TimeoutError("environment pass exceeded deadline");
   };
 
   if (ws.control) ws.control->check_memory(arena_elems_, "environment arena");

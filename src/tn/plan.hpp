@@ -227,7 +227,6 @@ class BatchedPlan {
   std::vector<std::size_t> output_shape_;
   std::vector<std::size_t> output_src_stride_;
   std::vector<std::uint32_t> output_gather_;
-  double timeout_seconds_ = 0.0;
   std::shared_ptr<std::atomic<std::size_t>> executions_;
 };
 
@@ -304,9 +303,9 @@ class EnvSchedule {
   /// with targets()). Returns the network's value; env() then reads each
   /// wanted target's environment until the workspace runs another pass.
   /// `terms` is the number of logical single-layer evaluations the pass
-  /// stands in for: stats count that many plan executions, and the
-  /// per-replay timeout_seconds budget scales with it. Polls ws.control and
-  /// pokes the exec-step fault sites once per forward and backward step.
+  /// stands in for: stats count that many plan executions. Polls
+  /// ws.control and pokes the exec-step fault sites once per forward and
+  /// backward step.
   cplx execute(std::span<const tsr::Tensor* const> inputs, std::span<const char> want,
                PlanWorkspace& ws, ContractStats* stats = nullptr, std::size_t terms = 1) const;
 
@@ -329,7 +328,6 @@ class EnvSchedule {
   std::size_t max_rank_ = 0;
   std::size_t peak_elems_ = 0;
   std::size_t fwd_flops_ = 0, fwd_bytes_ = 0, bwd_flops_ = 0;
-  double timeout_seconds_ = 0.0;
   // The plan's replay counter: a pass counts as replays of its plan.
   std::shared_ptr<std::atomic<std::size_t>> executions_;
 };
@@ -346,9 +344,10 @@ class ContractionPlan {
   /// the kept order (ties still go to the earlier candidate) or the flops
   /// ContractStats records per strategy. Throws MemoryOutError when every
   /// candidate has an intermediate above opts.max_tensor_elems (or an
-  /// arena above opts.max_workspace_elems) and TimeoutError past
-  /// opts.timeout_seconds, so MO/TO surface at plan time, before any
-  /// arithmetic runs.
+  /// arena above opts.max_workspace_elems), so MO surfaces at plan time,
+  /// before any arithmetic runs; opts.control is polled per merge and per
+  /// greedy candidate, so a cancel or expired deadline abandons the whole
+  /// compile.
   static ContractionPlan compile(const Network& net, const ContractOptions& opts = {},
                                  ContractStats* stats = nullptr);
 
@@ -437,7 +436,6 @@ class ContractionPlan {
   bool output_identity_ = true;
   std::vector<std::size_t> output_shape_;
   std::vector<std::size_t> output_src_stride_;
-  double timeout_seconds_ = 0.0;
   OrderStrategy chosen_strategy_ = OrderStrategy::Greedy;
   // Replay counter for plan-reuse accounting; shared so plans stay movable.
   std::shared_ptr<std::atomic<std::size_t>> executions_;

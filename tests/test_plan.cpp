@@ -179,8 +179,10 @@ TEST(Plan, PlanTimeMemoryOutMapsToMO) {
 
 TEST(Plan, PlanTimeTimeoutMapsToTO) {
   const Network net = ladder_network(11);
+  core::RunControl expired;
+  expired.set_deadline_after(1e-12);
   ContractOptions opts;
-  opts.timeout_seconds = 1e-12;
+  opts.control = &expired;
   EXPECT_THROW(ContractionPlan::compile(net, opts), TimeoutError);
   const bench::RunOutcome out = bench::run_guarded([&] {
     ContractionPlan::compile(net, opts);
@@ -329,13 +331,15 @@ TEST(Portfolio, StatsRecordChosenStrategyAndCandidateFlops) {
 }
 
 TEST(Portfolio, TinyDeadlineRaisesTimeoutWithinBoundedLatency) {
-  // The planning deadline is polled inside every strategy's inner loop, so
+  // The planning control is polled inside every strategy's inner loop, so
   // an already-expired deadline must surface promptly even on a network
   // where a full Auto compile does real work -- not after the current
   // strategy (or the whole search) finishes.
   const Network net = qaoa_amplitude_network();
+  core::RunControl expired;
+  expired.set_deadline_after(1e-9);
   ContractOptions opts;
-  opts.timeout_seconds = 1e-9;
+  opts.control = &expired;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(ContractionPlan::compile(net, opts), TimeoutError);
   const double elapsed =

@@ -57,6 +57,51 @@ TEST(RunControl, ExpiredDeadlineRaisesTimeoutError) {
   EXPECT_FALSE(c.deadline_expired());
 }
 
+TEST(RunControl, DeadlineBeyondTheClockRangeSaturatesToNever) {
+  // seconds * 1e9 past int64 nanoseconds must not wrap into the past.
+  for (const double seconds : {1e9, 1e10, 1e12, 1e300}) {
+    RunControl c;
+    c.set_deadline_after(seconds);
+    EXPECT_FALSE(c.deadline_expired()) << seconds;
+    EXPECT_NO_THROW(c.poll()) << seconds;
+  }
+}
+
+TEST(RunControl, ChildSeesItsParentsCancelDeadlineAndCeiling) {
+  RunControl parent;
+  RunControl child(&parent);
+  EXPECT_NO_THROW(child.poll());
+
+  parent.request_cancel();
+  EXPECT_TRUE(child.cancel_requested());
+  EXPECT_THROW(child.poll(), CancelledError);
+  child.reset();  // the child's reset leaves the parent armed
+  EXPECT_THROW(child.poll(), CancelledError);
+  // Cancel anywhere in the chain wins over an expired deadline anywhere.
+  child.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_THROW(child.poll(), CancelledError);
+  child.reset();
+  parent.reset();
+
+  parent.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_TRUE(child.deadline_expired());
+  EXPECT_THROW(child.poll(), TimeoutError);
+  parent.reset();
+
+  parent.set_memory_ceiling_elems(100);
+  EXPECT_NO_THROW(child.check_memory(100, "arena"));
+  EXPECT_THROW(child.check_memory(101, "arena"), MemoryOutError);
+  child.set_memory_ceiling_elems(10);  // the tighter of the two applies
+  EXPECT_THROW(child.check_memory(11, "arena"), MemoryOutError);
+  parent.reset();
+
+  // Nothing flows upward: a fired child leaves its parent untouched.
+  child.request_cancel();
+  child.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_NO_THROW(parent.poll());
+  EXPECT_NO_THROW(parent.check_memory(std::size_t{1} << 40, "arena"));
+}
+
 TEST(RunControl, CancelWinsOverExpiredDeadline) {
   RunControl c;
   c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
@@ -102,8 +147,8 @@ tn::Network small_network(std::uint64_t seed) {
 }
 
 TEST(RunControl, RunTimeDeadlineThrowsFromExecuteNotCompile) {
-  // Compile with NO plan-time timeout: the deadline is pure run-time state,
-  // enforced by the executor's per-step poll through the workspace.
+  // Compile with no control: the deadline is pure run-time state, enforced
+  // by the executor's per-step poll through the workspace.
   const tn::Network net = small_network(7);
   const tn::ContractionPlan plan = tn::ContractionPlan::compile(net);
 
@@ -204,6 +249,20 @@ TEST(RunControl, ApproximateFidelityRaisesOnCancelAndIsBitIdenticalOtherwise) {
   c.reset();
   c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
   EXPECT_THROW(approximate_fidelity(nc, 0, 0, opts), TimeoutError);
+}
+
+TEST(RunControl, CostModelCompilePollsTheCallersControl) {
+  // approx_cost_model compiles the sweep's template on a cold cache -- real
+  // work simulate()'s TnApprox and TnTrajectories bids do before any run.
+  const ch::NoisyCircuit nc = sweep_circuit();
+  RunControl c;
+  c.request_cancel();
+  ApproxOptions opts;
+  opts.control = &c;
+  EXPECT_THROW(approx_cost_model(nc, 0, opts), CancelledError);
+  c.reset();
+  c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_THROW(approx_cost_model(nc, 0, opts), TimeoutError);
 }
 
 TEST(RunControl, ApproximateFidelityOutputsRaisesCancelledError) {

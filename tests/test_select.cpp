@@ -172,7 +172,7 @@ double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uin
       return sim::exact_fidelity_mm(nc, psi, v);
     case BackendKind::Tdd: {
       tdd::TddSimOptions topts;
-      topts.timeout_seconds = opts.deadline;
+      topts.control = opts.control;
       return tdd::exact_fidelity_tdd(nc, psi, v, topts);
     }
     case BackendKind::TnApprox:
@@ -254,6 +254,49 @@ TEST(BackendSelection, EstimationPrewarmsThePlanCacheForTheRun) {
       approximate_fidelity(nc, 0, 0, tn_approx_options(uncached, r.config.level));
   EXPECT_LT(r.stats.plans_compiled, cold.contract_stats.plans_compiled);
   EXPECT_EQ(r.value, cold.value);
+}
+
+TEST(BackendSelection, DeadlineValuesShareOnePlanCacheEntry) {
+  // The deadline is run-time state, never part of a plan-cache key: a
+  // second call under a different deadline compiles nothing new.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 601);
+  PlanCache cache;
+  SimulateOptions opts;
+  opts.error_budget = 2e-2;
+  opts.plan_cache = &cache;
+  opts.force_backend = BackendKind::TnApprox;
+  opts.deadline = 5.0;
+  const SimResult first = simulate(nc, 0, 0, opts);
+  const std::size_t misses = cache.misses();
+  const std::size_t entries = cache.size();
+  opts.deadline = 6.0;
+  const SimResult second = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.size(), entries);
+  EXPECT_EQ(second.value, first.value);
+}
+
+TEST(BackendSelection, CallDeadlineKeepsTheCallersMemoryCeiling) {
+  // With a deadline the engines poll a call-scoped child control; the
+  // caller's ceiling must still reach every arena check through it.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 601);
+  RunControl caller;
+  caller.set_memory_ceiling_elems(1);
+  SimulateOptions opts;
+  opts.error_budget = 2e-2;
+  opts.force_backend = BackendKind::TnApprox;
+  opts.deadline = 60.0;
+  opts.control = &caller;
+  try {
+    simulate(nc, 0, 0, opts);
+    FAIL() << "expected the forced run to escalate on the memory ceiling";
+  } catch (const LinalgError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("run escalated"), std::string::npos) << what;
+    EXPECT_NE(what.find("memory ceiling"), std::string::npos) << what;
+  }
 }
 
 TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {

@@ -239,8 +239,10 @@ TEST(TddSim, TimeoutThrows) {
       c.add(qc::ry(i, 0.3 * (r + 1) + i));
       c.add(qc::cz(i, (i + 1) % 6));
     }
+  core::RunControl expired;
+  expired.set_deadline_after(1e-9);
   TddSimOptions opts;
-  opts.timeout_seconds = 1e-9;
+  opts.control = &expired;
   EXPECT_THROW(tdd_contract_network(core::amplitude_network(6, c.gates(), 0, 0), opts),
                TimeoutError);
 }

@@ -195,8 +195,10 @@ TEST(Contractor, DeadlineThrowsTimeout) {
     prev = mid;
   }
   net.add_node(random_tensor({2}, rng), {prev});
+  core::RunControl expired;
+  expired.set_deadline_after(1e-9);
   ContractOptions opts;
-  opts.timeout_seconds = 1e-9;
+  opts.control = &expired;
   EXPECT_THROW(contract_network(net, opts), TimeoutError);
 }
 

@@ -55,6 +55,12 @@ exercised by --self-test):
                     replay path); tests/ and bench/ are exempt. A hand-
                     written Session fallback elsewhere would re-grow the
                     per-engine copies of that choice.
+  one-deadline      in src/, `throw TimeoutError` appears only in
+                    core/run_control.hpp (RunControl::poll) and
+                    fault/fault.cpp (the injection sites). A wall-clock
+                    budget is a RunControl deadline; an engine keeping its
+                    own clock would give each compile or replay a fresh
+                    budget instead of one per call.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -78,6 +84,7 @@ RULES = (
     "worker-pool",
     "cache-key-covers-options",
     "replay-evaluator",
+    "one-deadline",
 )
 
 
@@ -539,6 +546,32 @@ def check_replay_evaluator(root, cxx_files):
     return findings
 
 
+THROW_TIMEOUT_RE = re.compile(r"\bthrow\s+(?:[\w:]*::)?TimeoutError\b")
+# RunControl::poll, and the fault-injection sites that stand in for it.
+ONE_DEADLINE_FILES = {("src", "core", "run_control.hpp"),
+                      ("src", "fault", "fault.cpp")}
+
+
+def check_one_deadline(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if not rel or rel[0] != "src" or rel in ONE_DEADLINE_FILES:
+            continue
+        code = strip_code(text)
+        for m in THROW_TIMEOUT_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "one-deadline",
+                "TimeoutError thrown outside core/run_control.hpp and "
+                "fault/fault.cpp; src/ has one wall-clock budget, a "
+                "core::RunControl deadline -- poll the control instead of "
+                "keeping a clock"))
+    return findings
+
+
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+ContractOptions\s*\{")
 TEMPLATE_KEY_RE = re.compile(r"\bPlanCache\s*::\s*template_key\s*\(")
 # Options that never change what a plan computes, so keys leave them out.
@@ -636,6 +669,7 @@ def run_rules(root, cxx_files):
     findings += check_worker_pool(root, cxx_files)
     findings += check_cache_key_covers_options(cxx_files)
     findings += check_replay_evaluator(root, cxx_files)
+    findings += check_one_deadline(root, cxx_files)
     return findings
 
 
