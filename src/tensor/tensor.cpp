@@ -17,6 +17,41 @@ std::size_t shape_size(const std::vector<std::size_t>& shape) {
   return n;
 }
 
+/// Bound on a compiled walk's outer axes (each has extent >= 2).
+constexpr std::size_t kMaxWalkAxes = 64;
+
+/// Call run(source offset, flat destination offset) once per inner run of
+/// the walk, in row-major order: the last outer axis is a plain loop, the
+/// ones before it an odometer that carries once per pass over that axis.
+template <class Run>
+void for_each_run(const PermuteWalk& walk, Run&& run) {
+  const std::size_t rank = walk.outer.size();
+  if (rank == 0) {
+    run(std::size_t{0}, std::size_t{0});
+    return;
+  }
+  const PermuteWalk::Axis* axes = walk.outer.data();
+  const std::size_t last_len = axes[rank - 1].extent, last_stride = axes[rank - 1].stride;
+  const std::size_t run_len = walk.inner_len;
+  std::size_t idx[kMaxWalkAxes];
+  std::fill_n(idx, rank, 0);
+  std::size_t at = 0, flat = 0;
+  for (;;) {
+    for (std::size_t j = 0, a = at; j < last_len; ++j, a += last_stride, flat += run_len)
+      run(a, flat);
+    std::size_t ax = rank - 1;
+    for (;;) {
+      if (ax-- == 0) return;
+      if (++idx[ax] < axes[ax].extent) {
+        at += axes[ax].stride;
+        break;
+      }
+      at -= axes[ax].stride * (axes[ax].extent - 1);
+      idx[ax] = 0;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::size_t> row_major_strides(const std::vector<std::size_t>& shape) {
@@ -35,49 +70,71 @@ bool is_identity_permutation(std::span<const std::size_t> perm) {
   return true;
 }
 
-void permute_walk(const cplx* src, std::span<const std::size_t> out_shape,
-                  std::span<const std::size_t> src_stride, cplx* dst, std::size_t total,
-                  std::size_t* idx) {
-  const std::size_t rank = out_shape.size();
-  if (rank == 0) {
-    if (total > 0) dst[0] = src[0];
-    return;
+PermuteWalk compile_walk(std::span<const std::size_t> out_shape,
+                         std::span<const std::size_t> src_stride) {
+  la::detail::require(out_shape.size() == src_stride.size(), "compile_walk: rank mismatch");
+  // Runs, outermost first: size-1 axes dropped, and an axis folded into the
+  // run before it when the two are adjacent in the source too (outer stride
+  // = inner stride x inner extent).
+  std::vector<PermuteWalk::Axis> runs;
+  for (std::size_t ax = 0; ax < out_shape.size(); ++ax) {
+    const std::size_t d = out_shape[ax], st = src_stride[ax];
+    if (d == 0) return PermuteWalk{0, 1, {}};  // nothing to visit
+    if (d == 1) continue;
+    if (!runs.empty() && runs.back().stride == st * d)
+      runs.back() = {runs.back().extent * d, st};
+    else
+      runs.push_back({d, st});
   }
-  std::fill(idx, idx + rank, 0);
-  std::size_t at = 0;
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    dst[flat] = src[at];
-    for (std::size_t ax = rank; ax-- > 0;) {
-      if (++idx[ax] < out_shape[ax]) {
-        at += src_stride[ax];
-        break;
-      }
-      at -= src_stride[ax] * (out_shape[ax] - 1);
-      idx[ax] = 0;
-    }
-  }
+  PermuteWalk w;
+  if (runs.empty()) return w;
+  w.inner_len = runs.back().extent;
+  w.inner_stride = runs.back().stride;
+  runs.pop_back();
+  // Every extent is >= 2 and the product fits in size_t, so the outer
+  // odometer has fewer than kMaxWalkAxes axes.
+  la::detail::require(runs.size() < kMaxWalkAxes, "compile_walk: too many axes");
+  w.outer.assign(runs.begin(), runs.end());
+  return w;
+}
+
+void permute_walk(const cplx* src, const PermuteWalk& walk, cplx* dst) {
+  const std::size_t len = walk.inner_len, stride = walk.inner_stride;
+  if (stride == 1)
+    for_each_run(walk, [&](std::size_t at, std::size_t flat) {
+      std::copy_n(src + at, len, dst + flat);
+    });
+  else
+    for_each_run(walk, [&](std::size_t at, std::size_t flat) {
+      const cplx* s = src + at;
+      cplx* d = dst + flat;
+      for (std::size_t j = 0; j < len; ++j) d[j] = s[j * stride];
+    });
+}
+
+void scatter_walk(const cplx* src, const PermuteWalk& walk, cplx* dst) {
+  const std::size_t len = walk.inner_len, stride = walk.inner_stride;
+  if (stride == 1)
+    for_each_run(walk, [&](std::size_t at, std::size_t flat) {
+      std::copy_n(src + flat, len, dst + at);
+    });
+  else
+    for_each_run(walk, [&](std::size_t at, std::size_t flat) {
+      const cplx* s = src + flat;
+      cplx* d = dst + at;
+      for (std::size_t j = 0; j < len; ++j) d[j * stride] = s[j];
+    });
 }
 
 std::vector<std::uint32_t> permute_gather(std::span<const std::size_t> out_shape,
                                           std::span<const std::size_t> src_stride) {
-  const std::size_t rank = out_shape.size();
-  std::size_t total = 1;
-  for (std::size_t d : out_shape) total *= d;
-  la::detail::require(permute_gather_applies(total), "permute_gather: table too large");
-  std::vector<std::uint32_t> gather(rank == 0 ? 1 : total);
-  std::vector<std::size_t> idx(rank, 0);
-  std::size_t at = 0;
-  for (std::size_t flat = 0; flat < gather.size(); ++flat) {
-    gather[flat] = static_cast<std::uint32_t>(at);
-    for (std::size_t ax = rank; ax-- > 0;) {
-      if (++idx[ax] < out_shape[ax]) {
-        at += src_stride[ax];
-        break;
-      }
-      at -= src_stride[ax] * (out_shape[ax] - 1);
-      idx[ax] = 0;
-    }
-  }
+  const PermuteWalk walk = compile_walk(out_shape, src_stride);
+  la::detail::require(permute_gather_applies(walk.elems()), "permute_gather: table too large");
+  std::vector<std::uint32_t> gather(walk.elems());
+  for_each_run(walk, [&](std::size_t at, std::size_t flat) {
+    for (std::size_t j = 0; j < walk.inner_len; ++j)
+      gather[flat + j] = static_cast<std::uint32_t>(at + j * walk.inner_stride);
+  });
   return gather;
 }
 
@@ -87,14 +144,12 @@ void permute_into(const cplx* src, std::span<const std::size_t> shape,
   la::detail::require(perm.size() == rank, "permute_into: rank mismatch");
   const std::vector<std::size_t> strides =
       row_major_strides(std::vector<std::size_t>(shape.begin(), shape.end()));
-  std::vector<std::size_t> out_shape(rank), src_stride(rank), idx(rank);
-  std::size_t total = 1;
+  std::vector<std::size_t> out_shape(rank), src_stride(rank);
   for (std::size_t i = 0; i < rank; ++i) {
     out_shape[i] = shape[perm[i]];
     src_stride[i] = strides[perm[i]];
-    total *= out_shape[i];
   }
-  permute_walk(src, out_shape, src_stride, dst, rank == 0 ? 1 : total, idx.data());
+  permute_walk(src, compile_walk(out_shape, src_stride), dst);
 }
 
 Tensor::Tensor(std::vector<std::size_t> shape) : shape_(std::move(shape)) {

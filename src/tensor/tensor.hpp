@@ -109,20 +109,50 @@ std::vector<std::size_t> row_major_strides(const std::vector<std::size_t>& shape
 void permute_into(const cplx* src, std::span<const std::size_t> shape,
                   std::span<const std::size_t> perm, cplx* dst);
 
-/// Odometer walk used by permute_into / the plan executor: copy `total`
-/// elements into `dst` in row-major order of `out_shape`, reading `src` at
-/// the precomputed per-axis source strides. `idx` is caller-provided scratch
-/// of out_shape.size() entries (zeroed on entry by this function).
-void permute_walk(const cplx* src, std::span<const std::size_t> out_shape,
-                  std::span<const std::size_t> src_stride, cplx* dst, std::size_t total,
-                  std::size_t* idx);
+/// A permutation walk compiled for replay: the walk visiting the elements
+/// of a source buffer in row-major order of `out_shape`, reading axis i at
+/// source stride src_stride[i]. compile_walk drops size-1 axes and merges
+/// axes that are adjacent in both the source and the row-major
+/// destination, so a rank-14 all-2 operand typically becomes two to four
+/// runs. The innermost run executes as one strided loop (a plain copy at
+/// stride 1); only the outer axes step an odometer, once per run instead
+/// of once per element. Compile once (the plan compiler stores one per
+/// operand permutation) and replay through permute_walk or scatter_walk.
+struct PermuteWalk {
+  struct Axis {
+    std::size_t extent, stride;  // stride: in the source
+  };
+  std::size_t inner_len = 1;     // elements per run
+  std::size_t inner_stride = 1;  // source stride within a run
+  std::vector<Axis> outer;       // outer axes, outermost first
+
+  std::size_t elems() const {
+    std::size_t n = inner_len;
+    for (const Axis& a : outer) n *= a.extent;
+    return n;
+  }
+  /// True when the walk reads the source in order (a plain copy).
+  bool contiguous() const { return outer.empty() && inner_stride == 1; }
+};
+
+/// Compile the walk of `out_shape` read at `src_stride` (one stride per axis).
+PermuteWalk compile_walk(std::span<const std::size_t> out_shape,
+                         std::span<const std::size_t> src_stride);
+
+/// Gather along a compiled walk: dst[f] = src[offset of f], dst written in
+/// row-major order. `dst` must not alias `src`.
+void permute_walk(const cplx* src, const PermuteWalk& walk, cplx* dst);
+
+/// The dual scatter: src read in row-major order, dst[offset of f] = src[f].
+/// `dst` must not alias `src`.
+void scatter_walk(const cplx* src, const PermuteWalk& walk, cplx* dst);
 
 /// Materialized permutation walk: gather[f] is the source offset the walk
 /// reads for flat output position f, so applying the permutation becomes
 /// dst[f] = src[gather[f]] with no per-element index arithmetic. The
 /// batched plan executor builds these once per plan step and replays them
 /// per term/slice. Offsets are 32-bit; callers gate on element count
-/// (permute_gather_applies) and fall back to the odometer walk beyond it.
+/// (permute_gather_applies) and fall back to the compiled walk beyond it.
 std::vector<std::uint32_t> permute_gather(std::span<const std::size_t> out_shape,
                                           std::span<const std::size_t> src_stride);
 

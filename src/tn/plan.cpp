@@ -215,7 +215,6 @@ struct PlanCompiler {
   std::size_t flops = 0;  // sum of m*k*n over all steps (schedule cost)
   std::size_t bytes = 0;  // modeled memory traffic of one replay
   std::size_t scratch_a = 0, scratch_b = 0;
-  std::size_t max_rank = 0;
 
   // Reused scratch.
   std::vector<Candidate> heap;
@@ -260,7 +259,7 @@ struct PlanCompiler {
     steps.clear();
     arena.clear();
     slot_offset.assign(num_inputs, 0);
-    peak = flops = bytes = scratch_a = scratch_b = max_rank = 0;
+    peak = flops = bytes = scratch_a = scratch_b = 0;
   }
 
   void poll_control() const {
@@ -314,10 +313,10 @@ struct PlanCompiler {
   }
 
   /// Operand permutation `perm` of slot s: identity, or the permuted shape
-  /// and source strides of its stride walk.
+  /// and source strides of its walk and the walk compiled from them.
   void permutation(std::size_t s, std::span<const std::size_t> perm, bool& identity,
                    std::vector<std::size_t>& shape, std::vector<std::size_t>& stride,
-                   std::size_t& scratch) {
+                   tsr::PermuteWalk& walk, std::size_t& scratch) {
     identity = tsr::is_identity_permutation(perm);
     if (identity) return;
     const std::vector<std::size_t> strides = tsr::row_major_strides(std::vector<std::size_t>(
@@ -326,8 +325,8 @@ struct PlanCompiler {
       shape.push_back(dim(s, p));
       stride.push_back(strides[p]);
     }
+    walk = tsr::compile_walk(shape, stride);
     scratch = std::max(scratch, nodes[s].elems);
-    max_rank = std::max(max_rank, perm.size());
   }
 
   /// Plan the contraction of slots u and v; returns the new slot index.
@@ -400,8 +399,10 @@ struct PlanCompiler {
       perm_a.insert(perm_a.end(), axes_u.begin(), axes_u.end());
       std::vector<std::size_t> perm_b = axes_v;
       perm_b.insert(perm_b.end(), free_b.begin(), free_b.end());
-      permutation(u, perm_a, step.identity_a, step.a_perm_shape, step.a_src_stride, scratch_a);
-      permutation(v, perm_b, step.identity_b, step.b_perm_shape, step.b_src_stride, scratch_b);
+      permutation(u, perm_a, step.identity_a, step.a_perm_shape, step.a_src_stride, step.a_walk,
+                  scratch_a);
+      permutation(v, perm_b, step.identity_b, step.b_perm_shape, step.b_src_stride, step.b_walk,
+                  scratch_b);
       // Traffic model: operand reads (plus a read+write permutation copy
       // when not identity), output zero-fill + accumulate write.
       bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
@@ -585,8 +586,8 @@ struct PlanCompiler {
       plan.output_shape_.push_back(result_dims[p]);
       if (!plan.output_identity_) plan.output_src_stride_.push_back(strides[p]);
     }
-    if (!plan.output_identity_) max_rank = std::max(max_rank, perm.size());
-    plan.max_rank_ = max_rank;
+    if (!plan.output_identity_)
+      plan.output_walk_ = tsr::compile_walk(plan.output_shape_, plan.output_src_stride_);
     return plan;
   }
 };
@@ -727,38 +728,15 @@ void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count
 void run_step(const PlanStep& step, const cplx* pa, const cplx* pb, cplx* out,
               PlanWorkspace& ws, const tsr::KernelTable& kt) {
   if (!step.identity_a) {
-    tsr::permute_walk(pa, step.a_perm_shape, step.a_src_stride, ws.scratch_a.data(),
-                      step.a_elems, ws.idx.data());
+    tsr::permute_walk(pa, step.a_walk, ws.scratch_a.data());
     pa = ws.scratch_a.data();
   }
   if (!step.identity_b) {
-    tsr::permute_walk(pb, step.b_perm_shape, step.b_src_stride, ws.scratch_b.data(),
-                      step.b_elems, ws.idx.data());
+    tsr::permute_walk(pb, step.b_walk, ws.scratch_b.data());
     pb = ws.scratch_b.data();
   }
   std::fill(out, out + step.out_elems, cplx{0.0, 0.0});
   kt.matmul(pa, pb, out, step.m, step.k, step.n);
-}
-
-/// The inverse of tsr::permute_walk: src is read in row-major order of
-/// `shape` and written to dst at the per-axis strides `dst_stride`.
-void scatter_walk(const cplx* src, std::span<const std::size_t> shape,
-                  std::span<const std::size_t> dst_stride, cplx* dst, std::size_t total,
-                  std::size_t* idx) {
-  const std::size_t rank = shape.size();
-  std::fill(idx, idx + rank, 0);
-  std::size_t at = 0;
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    dst[at] = src[flat];
-    for (std::size_t ax = rank; ax-- > 0;) {
-      if (++idx[ax] < shape[ax]) {
-        at += dst_stride[ax];
-        break;
-      }
-      at -= dst_stride[ax] * (shape[ax] - 1);
-      idx[ax] = 0;
-    }
-  }
 }
 
 /// The walk reading an operand as the transpose of its permuted matrix
@@ -766,11 +744,11 @@ void scatter_walk(const cplx* src, std::span<const std::size_t> shape,
 /// permutation, [rows, cols] at strides [cols, 1] -- reads it as a
 /// rows x cols matrix; its axes split into a leading group of product
 /// `rows` and the rest, and swapping the groups reads the transpose.
-/// Returns false (leaving the lists empty) when the result is a contiguous
-/// read, so the operand can be used in place.
-bool transposed_walk(bool identity, std::span<const std::size_t> shape,
-                     std::span<const std::size_t> stride, std::size_t rows, std::size_t cols,
-                     std::vector<std::size_t>& out_shape, std::vector<std::size_t>& out_stride) {
+/// Returns the compiled walk, or nothing when it is a contiguous read, so
+/// the operand can be used in place.
+std::optional<tsr::PermuteWalk> transposed_walk(bool identity, std::span<const std::size_t> shape,
+                                                std::span<const std::size_t> stride,
+                                                std::size_t rows, std::size_t cols) {
   std::vector<std::size_t> sh(shape.begin(), shape.end()), st(stride.begin(), stride.end());
   if (identity) {
     sh = {rows, cols};
@@ -781,17 +759,9 @@ bool transposed_walk(bool identity, std::span<const std::size_t> shape,
     la::detail::require(split < sh.size(), "compile_env: operand does not split at its rows");
   std::rotate(sh.begin(), sh.begin() + static_cast<std::ptrdiff_t>(split), sh.end());
   std::rotate(st.begin(), st.begin() + static_cast<std::ptrdiff_t>(split), st.end());
-  std::size_t expect = 1;
-  bool contiguous = true;
-  for (std::size_t ax = sh.size(); ax-- > 0;) {
-    if (sh[ax] == 1) continue;
-    contiguous = contiguous && st[ax] == expect;
-    expect *= sh[ax];
-  }
-  if (contiguous) return false;
-  out_shape = std::move(sh);
-  out_stride = std::move(st);
-  return true;
+  tsr::PermuteWalk walk = tsr::compile_walk(sh, st);
+  if (walk.contiguous()) return std::nullopt;
+  return walk;
 }
 
 }  // namespace
@@ -816,7 +786,6 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
   ws.arena.resize(arena_elems_);
   ws.scratch_a.resize(scratch_a_elems_);
   ws.scratch_b.resize(scratch_b_elems_);
-  ws.idx.resize(max_rank_);
 
   // Executor seam: an injected table (ws.kernels) wins, otherwise the
   // process-wide dispatched tier. Resolved per replay, never baked into the
@@ -838,8 +807,7 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
   if (output_identity_)
     std::copy(src, src + result.size(), result.data());
   else
-    tsr::permute_walk(src, output_shape_, output_src_stride_, result.data(), result.size(),
-                      ws.idx.data());
+    tsr::permute_walk(src, output_walk_, result.data());
 
   const std::size_t prior = executions_->fetch_add(1, std::memory_order_relaxed);
   if (stats) {
@@ -886,10 +854,9 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   bp.input_elems_ = input_elems_;
   bp.scratch_a_elems_ = scratch_a_elems_;
   bp.scratch_b_elems_ = scratch_b_elems_;
-  bp.max_rank_ = max_rank_;
   bp.output_identity_ = output_identity_;
   bp.output_shape_ = output_shape_;
-  bp.output_src_stride_ = output_src_stride_;
+  bp.output_walk_ = output_walk_;
   bp.varying_index_of_input_.assign(num_in, -1);
   for (std::size_t v = 0; v < varying_slots.size(); ++v) {
     const std::size_t slot = varying_slots[v];
@@ -987,10 +954,8 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
     bs.varying_out = bs.varying_a || bs.varying_b;
     bs.identity_a = step.identity_a;
     bs.identity_b = step.identity_b;
-    bs.a_perm_shape = step.a_perm_shape;
-    bs.a_src_stride = step.a_src_stride;
-    bs.b_perm_shape = step.b_perm_shape;
-    bs.b_src_stride = step.b_src_stride;
+    bs.a_walk = step.a_walk;
+    bs.b_walk = step.b_walk;
     bs.a_elems = step.a_elems;
     bs.b_elems = step.b_elems;
     bs.m = step.m;
@@ -1092,7 +1057,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
   ws.batch_arena.ensure(arena_elems_);
   ws.scratch_a.resize(scratch_a_elems_);
   ws.scratch_b.resize(scratch_b_elems_);
-  ws.idx.resize(max_rank_);
   // Executor seam: resolve the kernel table and the per-step shape-
   // specialized kernels once per traversal (not at compile_batched time --
   // PlanCache entries outlive NOISIM_KERNELS / set_kernel_tier changes).
@@ -1236,8 +1200,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
           if (!st.a_gather.empty())
             tsr::gather_walk(pa, st.a_gather, ws.scratch_a.data());
           else
-            tsr::permute_walk(pa, st.a_perm_shape, st.a_src_stride, ws.scratch_a.data(),
-                              st.a_elems, ws.idx.data());
+            tsr::permute_walk(pa, st.a_walk, ws.scratch_a.data());
           bytes += sizeof(cplx) * 2 * st.a_elems;
           last_a = cur;
         }
@@ -1250,8 +1213,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
           if (!st.b_gather.empty())
             tsr::gather_walk(pb, st.b_gather, ws.scratch_b.data());
           else
-            tsr::permute_walk(pb, st.b_perm_shape, st.b_src_stride, ws.scratch_b.data(),
-                              st.b_elems, ws.idx.data());
+            tsr::permute_walk(pb, st.b_walk, ws.scratch_b.data());
           bytes += sizeof(cplx) * 2 * st.b_elems;
           last_b = cur;
         }
@@ -1278,7 +1240,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     else if (!output_gather_.empty())
       tsr::gather_walk(src, output_gather_, dst);
     else
-      tsr::permute_walk(src, output_shape_, output_src_stride_, dst, out_elems, ws.idx.data());
+      tsr::permute_walk(src, output_walk_, dst);
   };
 
   // PASS 2: the sequential (root) region, term by term through the reused
@@ -1364,8 +1326,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
           if (!st.a_gather.empty()) {
             a_idx = st.a_gather.data();
           } else {
-            tsr::permute_walk(pa, st.a_perm_shape, st.a_src_stride, ws.scratch_a.data(),
-                              st.a_elems, ws.idx.data());
+            tsr::permute_walk(pa, st.a_walk, ws.scratch_a.data());
             bytes += sizeof(cplx) * 2 * st.a_elems;
             pa = ws.scratch_a.data();
           }
@@ -1376,8 +1337,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
           if (!st.b_gather.empty()) {
             b_idx = st.b_gather.data();
           } else {
-            tsr::permute_walk(pb, st.b_perm_shape, st.b_src_stride, ws.scratch_b.data(),
-                              st.b_elems, ws.idx.data());
+            tsr::permute_walk(pb, st.b_walk, ws.scratch_b.data());
             bytes += sizeof(cplx) * 2 * st.b_elems;
             pb = ws.scratch_b.data();
           }
@@ -1461,7 +1421,6 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
   es.fwd_ = steps_;
   es.input_elems_ = input_elems_;
   es.targets_.assign(targets.begin(), targets.end());
-  es.max_rank_ = max_rank_;
   es.peak_elems_ = peak_elems_;
   es.scratch_a_elems_ = scratch_a_elems_;
   es.scratch_b_elems_ = scratch_b_elems_;
@@ -1504,37 +1463,29 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
       e.sibling = lhs ? step.rhs : step.lhs;
       e.parent = writer[out];
       e.sib_elems = elems(e.sibling);
-      bool walked = false;
       if (lhs) {
         // E_A' [m x k] = E_out [m x n] . B'^T [n x k]
         e.m = step.m;
         e.k = step.n;
         e.n = step.k;
-        walked = transposed_walk(step.identity_b, step.b_perm_shape, step.b_src_stride, step.k,
-                                 step.n, e.sib_shape, e.sib_stride);
-        if (!step.identity_a) {
-          e.scatter_shape = step.a_perm_shape;
-          e.scatter_stride = step.a_src_stride;
-        }
+        e.sib_walk = transposed_walk(step.identity_b, step.b_perm_shape, step.b_src_stride,
+                                     step.k, step.n);
+        if (!step.identity_a) e.scatter = step.a_walk;
       } else {
         // E_B' [k x n] = A'^T [k x m] . E_out [m x n]
         e.m = step.k;
         e.k = step.m;
         e.n = step.n;
-        walked = transposed_walk(step.identity_a, step.a_perm_shape, step.a_src_stride, step.m,
-                                 step.k, e.sib_shape, e.sib_stride);
-        if (!step.identity_b) {
-          e.scatter_shape = step.b_perm_shape;
-          e.scatter_stride = step.b_src_stride;
-        }
+        e.sib_walk = transposed_walk(step.identity_a, step.a_perm_shape, step.a_src_stride,
+                                     step.m, step.k);
+        if (!step.identity_b) e.scatter = step.b_walk;
       }
       e.env_elems = elems(slot);
       e.env_offset = env_offset[slot] = arena.alloc(e.env_elems);
       e.out_env_offset = env_offset[out];
-      const bool scattered = !e.scatter_shape.empty();
+      const bool walked = e.sib_walk.has_value(), scattered = e.scatter.has_value();
       if (walked) es.scratch_a_elems_ = std::max(es.scratch_a_elems_, e.sib_elems);
       if (scattered) es.scratch_b_elems_ = std::max(es.scratch_b_elems_, e.env_elems);
-      es.max_rank_ = std::max({es.max_rank_, e.sib_shape.size(), e.scatter_shape.size()});
       e.bytes = sizeof(cplx) * (e.sib_elems * (walked ? 3 : 1) + step.out_elems +
                                 e.env_elems * (scattered ? 4 : 2));
       es.bwd_flops_ += e.m * e.k * e.n;
@@ -1574,7 +1525,6 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
   ws.env_arena.ensure(arena_elems_);
   ws.scratch_a.resize(scratch_a_elems_);
   ws.scratch_b.resize(scratch_b_elems_);
-  ws.idx.resize(max_rank_);
   const tsr::KernelTable& kt = ws.kernels ? *ws.kernels : tsr::active_kernels();
   cplx* arena = ws.env_arena.data();
   auto value = [&](std::size_t slot) -> const cplx* {
@@ -1601,21 +1551,18 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
     step_checks();
     const EnvStep& st = bwd_[e];
     const cplx* sib = value(st.sibling);
-    if (!st.sib_shape.empty()) {
-      tsr::permute_walk(sib, st.sib_shape, st.sib_stride, ws.scratch_a.data(), st.sib_elems,
-                        ws.idx.data());
+    if (st.sib_walk) {
+      tsr::permute_walk(sib, *st.sib_walk, ws.scratch_a.data());
       sib = ws.scratch_a.data();
     }
     const cplx* env_out = arena + st.out_env_offset;
-    cplx* dst = st.scatter_shape.empty() ? arena + st.env_offset : ws.scratch_b.data();
+    cplx* dst = st.scatter ? ws.scratch_b.data() : arena + st.env_offset;
     std::fill(dst, dst + st.env_elems, cplx{0.0, 0.0});
     if (st.lhs)
       kt.matmul(env_out, sib, dst, st.m, st.k, st.n);
     else
       kt.matmul(sib, env_out, dst, st.m, st.k, st.n);
-    if (!st.scatter_shape.empty())
-      scatter_walk(dst, st.scatter_shape, st.scatter_stride, arena + st.env_offset, st.env_elems,
-                   ws.idx.data());
+    if (st.scatter) tsr::scatter_walk(dst, *st.scatter, arena + st.env_offset);
     ++kernels;
     flops += st.m * st.k * st.n;
     bytes += st.bytes;

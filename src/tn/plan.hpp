@@ -11,9 +11,11 @@
 //
 // Execution is allocation-free in steady state: all intermediates live in a
 // liveness-packed arena inside a caller-owned PlanWorkspace (one per
-// thread), operand permutations are precomputed stride walks into reused
-// scratch buffers (skipped entirely when the permutation is the identity),
-// and the pairwise kernel is the cache-blocked matmul of tensor/contract.hpp.
+// thread), operand permutations are walks compiled at plan time
+// (tsr::PermuteWalk: size-1 axes dropped, co-adjacent axes merged, the
+// innermost run a strided loop) into reused scratch buffers, skipped
+// entirely when the permutation is the identity, and the pairwise kernel
+// is the cache-blocked matmul of tensor/contract.hpp.
 // Replaying a plan is bit-identical to contracting the network from scratch
 // with the same options.
 //
@@ -24,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,12 +43,15 @@ namespace noisim::tn {
 /// output of step s.
 struct PlanStep {
   std::size_t lhs = 0, rhs = 0;  // operand slots
-  // Precomputed permutation walks bringing lhs to [free..., contracted...]
-  // and rhs to [contracted..., free...]; empty when the permutation is the
-  // identity (the operand is used in place, no copy).
+  // Permutations bringing lhs to [free..., contracted...] and rhs to
+  // [contracted..., free...]: the permuted shape and source strides (the
+  // fingerprint's record) and the walk compiled from them (what executes).
+  // Empty when the permutation is the identity (the operand is used in
+  // place, no copy).
   bool identity_a = true, identity_b = true;
   std::vector<std::size_t> a_perm_shape, a_src_stride;
   std::vector<std::size_t> b_perm_shape, b_src_stride;
+  tsr::PermuteWalk a_walk, b_walk;
   std::size_t a_elems = 1, b_elems = 1;  // operand sizes (scratch sizing)
   std::size_t m = 1, k = 1, n = 1;       // matrix-shaped contraction dims
   std::size_t out_offset = 0;            // element offset into the arena
@@ -105,7 +111,6 @@ struct PlanWorkspace {
   std::vector<char> env_run;  // backward steps an environment pass runs
   tsr::aligned_vector<cplx> scratch_a, scratch_b;
   std::vector<tsr::detail::MatmulFn> step_kernels;  // per-traversal dispatch
-  std::vector<std::size_t> idx;                // odometer scratch
   std::vector<const tsr::Tensor*> input_ptrs;  // for execute(const Network&)
   // Batched-replay scratch: variant keys of the varying inputs (in_vids),
   // every batched step's term -> unique-row map (vids), the per-step key /
@@ -129,10 +134,9 @@ struct BatchedStep {
   bool identity_a = true, identity_b = true;
   // Gather tables (source offset per flat output position) when the
   // operand permutation is small enough to materialize; otherwise the
-  // odometer walk below runs per slice.
+  // parent step's compiled walk runs per slice.
   std::vector<std::uint32_t> a_gather, b_gather;
-  std::vector<std::size_t> a_perm_shape, a_src_stride;
-  std::vector<std::size_t> b_perm_shape, b_src_stride;
+  tsr::PermuteWalk a_walk, b_walk;
   std::size_t a_elems = 1, b_elems = 1;
   std::size_t m = 1, k = 1, n = 1;
   std::size_t out_offset = 0;  // element offset into the *batched* arena
@@ -222,10 +226,9 @@ class BatchedPlan {
   std::size_t arena_elems_ = 0;
   std::size_t term_flops_ = 0, seq_flops_ = 0;  // one term's schedule split
   std::size_t scratch_a_elems_ = 0, scratch_b_elems_ = 0;
-  std::size_t max_rank_ = 0;
   bool output_identity_ = true;
   std::vector<std::size_t> output_shape_;
-  std::vector<std::size_t> output_src_stride_;
+  tsr::PermuteWalk output_walk_;
   std::vector<std::uint32_t> output_gather_;
   std::shared_ptr<std::atomic<std::size_t>> executions_;
 };
@@ -240,16 +243,16 @@ struct EnvStep {
   std::size_t sibling = 0;     // the other operand's slot (forward value read)
   std::size_t parent = 0;      // backward step writing E_out; kNoParent at the root
   std::size_t m = 1, k = 1, n = 1;  // this kernel call's dims (not the forward step's)
-  // Stride walk reading the sibling's native buffer as B'^T [n x k] (lhs)
-  // or A'^T [k x m] (rhs); empty when that walk is contiguous and the
+  // Compiled walk reading the sibling's native buffer as B'^T [n x k]
+  // (lhs) or A'^T [k x m] (rhs); empty when that walk is contiguous and the
   // sibling is read in place.
-  std::vector<std::size_t> sib_shape, sib_stride;
+  std::optional<tsr::PermuteWalk> sib_walk;
   std::size_t sib_elems = 1;
-  // The operand's permutation walk (PlanStep::a_/b_perm_shape and
-  // src_stride): the kernel writes the environment in the permuted layout
-  // and this walk scatters it back into the operand's native layout. Empty
-  // when the permutation is the identity (the kernel writes in place).
-  std::vector<std::size_t> scatter_shape, scatter_stride;
+  // The operand's permutation walk (PlanStep::a_walk / b_walk): the kernel
+  // writes the environment in the permuted layout and tsr::scatter_walk
+  // puts it back into the operand's native layout. Empty when the
+  // permutation is the identity (the kernel writes in place).
+  std::optional<tsr::PermuteWalk> scatter;
   std::size_t env_offset = 0;  // the operand's environment in the env arena
   std::size_t env_elems = 1;
   std::size_t out_env_offset = 0;  // environment of the step's output
@@ -281,7 +284,8 @@ struct EnvStep {
 ///    caller asks for. Each environment value depends only on the inputs,
 ///    never on which other targets were requested.
 ///
-/// Built in O(steps) walks with no per-element tables. Forward values,
+/// Built in O(steps): each walk is the plan's compiled operand walk or one
+/// compiled per backward step, with no per-element tables. Forward values,
 /// environments and transposition/scatter scratch share one
 /// liveness-packed arena (workspace_elems), checked against
 /// opts.max_workspace_elems at build. Thread-safe like ContractionPlan:
@@ -325,7 +329,6 @@ class EnvSchedule {
   std::size_t root_env_offset_ = 0;
   std::size_t arena_elems_ = 0;
   std::size_t scratch_a_elems_ = 0, scratch_b_elems_ = 0;
-  std::size_t max_rank_ = 0;
   std::size_t peak_elems_ = 0;
   std::size_t fwd_flops_ = 0, fwd_bytes_ = 0, bwd_flops_ = 0;
   // The plan's replay counter: a pass counts as replays of its plan.
@@ -428,14 +431,15 @@ class ContractionPlan {
   std::vector<std::size_t> input_elems_;  // expected size per input node
   std::size_t arena_elems_ = 0;
   std::size_t scratch_a_elems_ = 0, scratch_b_elems_ = 0;
-  std::size_t max_rank_ = 0;
   std::size_t peak_elems_ = 0;
   std::size_t total_flops_ = 0;
   std::size_t total_bytes_ = 0;
-  // Final axis reorder to ascending open-edge order.
+  // Final axis reorder to ascending open-edge order (source strides for the
+  // fingerprint, the compiled walk for execution).
   bool output_identity_ = true;
   std::vector<std::size_t> output_shape_;
   std::vector<std::size_t> output_src_stride_;
+  tsr::PermuteWalk output_walk_;
   OrderStrategy chosen_strategy_ = OrderStrategy::Greedy;
   // Replay counter for plan-reuse accounting; shared so plans stay movable.
   std::shared_ptr<std::atomic<std::size_t>> executions_;

@@ -8,12 +8,17 @@
 // of the executor's arenas. The state-vector families are checked against
 // a test-side copy of the engine's original branchy loops, and the
 // trajectory estimates they feed must carry the same bits on every tier.
+// The compiled permutation walks (tsr::PermuteWalk) are checked against the
+// per-element odometer they replaced, here so the ASan job runs them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,7 @@
 #include "tensor/aligned.hpp"
 #include "tensor/contract.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/tensor.hpp"
 #include "tn/plan.hpp"
 
 namespace noisim::tsr {
@@ -638,6 +644,180 @@ TEST(Trajectories, EstimateBitsAcrossTiers) {
     EXPECT_EQ(serial.std_error, ref_serial.std_error) << kernel_tier_name(tier);
     EXPECT_EQ(sim::sample_trajectory_sv(nc, 0, v, rng), ref_sample) << kernel_tier_name(tier);
   }
+}
+
+// --- compiled permutation walks ---------------------------------------------
+
+/// The per-element odometer the executor ran before walks were compiled:
+/// the oracle for tsr::permute_walk (gather: dst[flat] = src[at]) and
+/// tsr::scatter_walk (dst[at] = src[flat]), `at` the source offset of row-
+/// major position `flat` of `shape` read at `stride`.
+void odometer_walk(const cplx* src, const std::vector<std::size_t>& shape,
+                   const std::vector<std::size_t>& stride, cplx* dst, bool scatter) {
+  std::size_t total = 1;
+  for (std::size_t d : shape) total *= d;
+  std::vector<std::size_t> idx(shape.size(), 0);
+  std::size_t at = 0;
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    if (scatter)
+      dst[at] = src[flat];
+    else
+      dst[flat] = src[at];
+    for (std::size_t ax = shape.size(); ax-- > 0;) {
+      if (++idx[ax] < shape[ax]) {
+        at += stride[ax];
+        break;
+      }
+      at -= stride[ax] * (shape[ax] - 1);
+      idx[ax] = 0;
+    }
+  }
+}
+
+/// One walk case: a source shape and the permutation read through it.
+struct WalkCase {
+  std::vector<std::size_t> shape, perm;
+};
+
+/// Seeded cases over ranks 0-14 and dims 1-4 (at most 2^14 elements), in
+/// four kinds: a random permutation; the identity (already contiguous);
+/// the leading axes shuffled under an in-order suffix (one long contiguous
+/// innermost run); and the last axis rotated to the front (one long
+/// innermost run at a stride, the environment pass's large walks). Size-1
+/// axes occur at random and in an all-ones case per rank.
+std::vector<WalkCase> walk_cases(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<WalkCase> cases;
+  for (std::size_t rank = 0; rank <= 14; ++rank) {
+    for (std::size_t kind = 0; kind < 4; ++kind) {
+      for (std::size_t rep = 0; rep < 6; ++rep) {
+        WalkCase c;
+        std::size_t total = 1;
+        for (std::size_t ax = 0; ax < rank; ++ax) {
+          c.shape.push_back(1 + rng() % 4);
+          total *= c.shape.back();
+        }
+        while (total > (std::size_t{1} << 14)) {  // shrink a random axis
+          std::size_t& d = c.shape[rng() % rank];
+          if (d > 1) total = total / d * (d - 1), --d;
+        }
+        c.perm.resize(rank);
+        std::iota(c.perm.begin(), c.perm.end(), std::size_t{0});
+        const std::size_t suffix = rank == 0 ? 0 : rng() % rank;
+        if (kind == 0) std::shuffle(c.perm.begin(), c.perm.end(), rng);
+        if (kind == 2) std::shuffle(c.perm.begin(), c.perm.end() - suffix, rng);
+        if (kind == 3 && rank > 0) std::rotate(c.perm.begin(), c.perm.end() - 1, c.perm.end());
+        cases.push_back(c);
+      }
+    }
+    WalkCase ones;
+    ones.shape.assign(rank, 1);
+    ones.perm.resize(rank);
+    std::iota(ones.perm.rbegin(), ones.perm.rend(), std::size_t{0});
+    cases.push_back(ones);
+  }
+  return cases;
+}
+
+TEST(Walks, CompiledWalksMatchTheOdometerExactly) {
+  std::mt19937_64 rng(2211);
+  std::size_t long_strided = 0, long_contiguous = 0, dropped_ones = 0;
+  for (const WalkCase& c : walk_cases(17)) {
+    const std::vector<std::size_t> strides = row_major_strides(c.shape);
+    std::vector<std::size_t> out_shape, src_stride;
+    std::size_t total = 1;
+    for (const std::size_t p : c.perm) {
+      out_shape.push_back(c.shape[p]);
+      src_stride.push_back(strides[p]);
+      total *= c.shape[p];
+    }
+    std::ostringstream label;
+    label << "shape";
+    for (std::size_t d : c.shape) label << ' ' << d;
+    label << " perm";
+    for (std::size_t p : c.perm) label << ' ' << p;
+    const std::string what = label.str();
+
+    const PermuteWalk walk = compile_walk(out_shape, src_stride);
+    ASSERT_EQ(walk.elems(), total) << what;
+    for (const PermuteWalk::Axis& a : walk.outer) ASSERT_GE(a.extent, 2u) << what;
+    if (walk.inner_len >= 64) ++(walk.inner_stride == 1 ? long_contiguous : long_strided);
+    if (std::count(c.shape.begin(), c.shape.end(), std::size_t{1}) > 0) ++dropped_ones;
+
+    // Exact-size buffers, so a strided loop running past either end shows
+    // under ASan; zeros of both signs check that the copy moves bits.
+    const std::vector<cplx> src = [&] {
+      std::vector<cplx> v(total);
+      std::normal_distribution<double> gauss;
+      for (cplx& x : v) x = rng() % 5 == 0 ? cplx{-0.0, 0.0} : cplx{gauss(rng), gauss(rng)};
+      return v;
+    }();
+    const cplx sentinel{std::numeric_limits<double>::quiet_NaN(), 7.0};
+
+    // Gather, through the compiled walk, permute_into and permute_gather.
+    std::vector<cplx> ref(total, sentinel), got(total, sentinel), into(total, sentinel);
+    odometer_walk(src.data(), out_shape, src_stride, ref.data(), /*scatter=*/false);
+    permute_walk(src.data(), walk, got.data());
+    expect_bitwise(ref, got, "gather " + what);
+    permute_into(src.data(), c.shape, c.perm, into.data());
+    expect_bitwise(ref, into, "permute_into " + what);
+    const std::vector<std::uint32_t> table = permute_gather(out_shape, src_stride);
+    ASSERT_EQ(table.size(), total) << what;
+    bool in_order = true;
+    for (std::size_t f = 0; f < total; ++f) {
+      ASSERT_TRUE(same_bits(ref[f], src[table[f]])) << "permute_gather " << what << " elem " << f;
+      in_order = in_order && table[f] == f;
+    }
+    EXPECT_EQ(walk.contiguous(), in_order) << what;
+
+    // Scatter: the dual, and the inverse of the gather.
+    std::vector<cplx> sref(total, sentinel), sgot(total, sentinel);
+    odometer_walk(src.data(), out_shape, src_stride, sref.data(), /*scatter=*/true);
+    scatter_walk(src.data(), walk, sgot.data());
+    expect_bitwise(sref, sgot, "scatter " + what);
+    std::vector<cplx> back(total, sentinel);
+    scatter_walk(got.data(), walk, back.data());
+    expect_bitwise(src, back, "scatter of gather " + what);
+  }
+  // The generator reached the shapes the coalescing is for.
+  EXPECT_GT(long_strided, 0u);
+  EXPECT_GT(long_contiguous, 0u);
+  EXPECT_GT(dropped_ones, 0u);
+}
+
+TEST(Walks, CoalescingMergesCoAdjacentAxesAndDropsOnes) {
+  // The environment pass's large walk: [2, 8192] read transposed from a
+  // rank-14 all-2 tensor, plus size-1 axes anywhere.
+  std::vector<std::size_t> shape(14, 2);
+  std::vector<std::size_t> perm(14);
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::rotate(perm.begin(), perm.end() - 1, perm.end());  // last axis first
+  const std::vector<std::size_t> strides = row_major_strides(shape);
+  std::vector<std::size_t> out_shape{1}, src_stride{99};
+  for (const std::size_t p : perm) {
+    out_shape.push_back(shape[p]);
+    src_stride.push_back(strides[p]);
+    out_shape.push_back(1);
+    src_stride.push_back(5);
+  }
+  const PermuteWalk walk = compile_walk(out_shape, src_stride);
+  EXPECT_EQ(walk.inner_len, 8192u);
+  EXPECT_EQ(walk.inner_stride, 2u);
+  ASSERT_EQ(walk.outer.size(), 1u);
+  EXPECT_EQ(walk.outer[0].extent, 2u);
+  EXPECT_EQ(walk.outer[0].stride, 1u);
+  EXPECT_FALSE(walk.contiguous());
+
+  // Only size-1 axes moved: a plain copy.
+  const PermuteWalk copy = compile_walk(std::vector<std::size_t>{3, 1, 4},
+                                        std::vector<std::size_t>{4, 1, 1});
+  EXPECT_TRUE(copy.contiguous());
+  EXPECT_EQ(copy.inner_len, 12u);
+  // Rank 0 and zero-extent shapes.
+  EXPECT_EQ(compile_walk({}, {}).elems(), 1u);
+  EXPECT_EQ(compile_walk(std::vector<std::size_t>{3, 0, 2}, std::vector<std::size_t>{1, 3, 3})
+                .elems(),
+            0u);
 }
 
 }  // namespace
