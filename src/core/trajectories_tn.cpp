@@ -7,6 +7,8 @@
 #include <span>
 #include <string>
 
+#include "sim/mixture_draw.hpp"
+
 namespace noisim::core {
 
 namespace {
@@ -20,11 +22,6 @@ struct TnSkeleton {
   std::vector<ch::UnitaryMixture> mixtures;
 };
 
-// Mixture probabilities may deviate from sum 1 by roundoff (tiny Kraus
-// terms are dropped by unitary_mixture, completeness is validated to 1e-9);
-// anything past this is an unnormalized channel, not noise.
-constexpr double kMixtureSumTol = 1e-6;
-
 TnSkeleton build_skeleton(const ch::NoisyCircuit& nc) {
   TnSkeleton sk;
   for (const ch::Op& op : nc.ops()) {
@@ -33,24 +30,11 @@ TnSkeleton build_skeleton(const ch::NoisyCircuit& nc) {
       continue;
     }
     const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    auto mix = noise.channel.unitary_mixture();
-    la::detail::require(mix.has_value(),
-                        "trajectories_tn: channel is not a mixture of unitaries");
-    // Validate and normalize the mixture up front: the inverse-CDF sampler
-    // below assumes a probability distribution. An unnormalized mixture
-    // (e.g. a non-CPTP Kraus set) used to fall through sample_index and
-    // silently sample the LAST unitary with the whole missing mass.
-    la::detail::require(!mix->probs.empty(),
-                        "trajectories_tn: channel has no unitary component");
-    double sum = 0.0;
-    for (const double p : mix->probs) {
-      la::detail::require(p >= 0.0, "trajectories_tn: negative mixture probability");
-      sum += p;
-    }
-    if (std::abs(sum - 1.0) > kMixtureSumTol)
-      la::detail::fail("trajectories_tn: mixture probabilities sum to " +
-                       std::to_string(sum) + ", not 1 (unnormalized channel)");
-    for (double& p : mix->probs) p /= sum;
+    // An unnormalized mixture (e.g. a non-CPTP Kraus set) is rejected: the
+    // inverse-CDF draw would give its LAST unitary the whole missing mass.
+    std::string why;
+    auto mix = sim::normalized_mixture(noise.channel, &why);
+    if (!mix) la::detail::fail("trajectories_tn: " + why);
     sk.site_gate_index.push_back(sk.gates.size());
     if (noise.num_qubits() == 1)
       sk.gates.push_back(qc::u1q(noise.qubit, la::Matrix::identity(2)));
@@ -59,28 +43,6 @@ TnSkeleton build_skeleton(const ch::NoisyCircuit& nc) {
     sk.mixtures.push_back(std::move(*mix));
   }
   return sk;
-}
-
-// Inverse-CDF draw from a normalized probability vector. Unlike
-// std::discrete_distribution, this carries no state across calls, so the
-// engine's per-chunk RNG reseeding fully determines every draw. The
-// skeleton builder normalizes every mixture, so running past the last
-// bucket can only be top-of-CDF roundoff (u within a few ulp of 1);
-// anything bigger means the distribution is corrupted and fails loudly
-// instead of silently returning the last index.
-std::size_t sample_index(const std::vector<double>& probs, std::mt19937_64& rng) {
-  la::detail::require(!probs.empty(), "sample_index: empty probability vector");
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  const double u = unif(rng);
-  double cumulative = 0.0;
-  for (std::size_t k = 0; k < probs.size(); ++k) {
-    cumulative += probs[k];
-    if (u < cumulative) return k;
-  }
-  if (u >= cumulative + 1e-12)
-    la::detail::fail("sample_index: cumulative probability " + std::to_string(cumulative) +
-                     " leaves the draw uncovered (unnormalized distribution)");
-  return probs.size() - 1;  // top-of-CDF rounding only
 }
 
 // One trajectory sweep's read-only state, shared by every worker: the
@@ -185,7 +147,7 @@ class TrajectorySweep {
         for (std::size_t s = 0; s < sb; ++s)
           for (std::size_t site = 0; site < num_sites; ++site)
             (*draws)[s * num_sites + site] =
-                &site_tensors_[site][sample_index(sk_.mixtures[site].probs, rng)];
+                &site_tensors_[site][sim::sample_index(sk_.mixtures[site].probs, rng)];
         for (std::size_t o0 = 0; o0 < shard_count; o0 += out_chunk_) {
           const std::size_t oc = std::min(out_chunk_, shard_count - o0);
           // Output-major pairs (o * sb + s): neighbours share their caps,
@@ -223,7 +185,7 @@ class TrajectorySweep {
       for (std::size_t s = 0; s < count; ++s) {
         for (std::size_t site = 0; site < sk_.mixtures.size(); ++site)
           (*gates)[sk_.site_gate_index[site]].custom =
-              sk_.mixtures[site].unitaries[sample_index(sk_.mixtures[site].probs, rng)];
+              sk_.mixtures[site].unitaries[sim::sample_index(sk_.mixtures[site].probs, rng)];
         const std::vector<cplx> amps =
             batch_amplitudes(n_, *gates, psi_bits_, v_bits_.subspan(shard_begin, shard_count),
                              eval_);
@@ -250,18 +212,10 @@ class TrajectorySweep {
 }  // namespace
 
 bool trajectories_tn_eligible(const ch::NoisyCircuit& nc) {
-  // Mirrors build_skeleton's channel validation without throwing.
+  // build_skeleton's channel validation, without throwing.
   for (const ch::Op& op : nc.ops()) {
     const ch::NoiseOp* noise = std::get_if<ch::NoiseOp>(&op);
-    if (!noise) continue;
-    const auto mix = noise->channel.unitary_mixture();
-    if (!mix.has_value() || mix->probs.empty()) return false;
-    double sum = 0.0;
-    for (const double p : mix->probs) {
-      if (p < 0.0) return false;
-      sum += p;
-    }
-    if (std::abs(sum - 1.0) > kMixtureSumTol) return false;
+    if (noise && !sim::normalized_mixture(noise->channel)) return false;
   }
   return true;
 }

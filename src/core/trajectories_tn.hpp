@@ -32,9 +32,10 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
                                       std::mt19937_64& rng, const EvalOptions& eval = {});
 
 /// Non-throwing precheck of trajectories_tn's channel requirements: true iff
-/// every noise channel is a mixture of unitaries with probabilities summing
-/// to 1 within the engine's tolerance. Backend selection uses this to rule
-/// the TN-trajectories backend in or out without paying an exception.
+/// sim::normalized_mixture accepts every noise channel (a mixture of
+/// unitaries with probabilities summing to 1 within sim::kMixtureSumTol).
+/// Backend selection uses this to rule the TN-trajectories backend in or
+/// out without paying an exception.
 bool trajectories_tn_eligible(const ch::NoisyCircuit& nc);
 
 /// Multithreaded variant: trajectories_tn_sweep at the one output v_bits,

@@ -3,28 +3,46 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
+#include "sim/mixture_draw.hpp"
 #include "tensor/kernels.hpp"
 
 namespace noisim::sim {
 
 namespace {
 
-/// One NoisyCircuit op resolved for replay: a gate as an SvOp, or a noise
-/// site with its Kraus operators' coefficients and, for 1-qubit sites, the
-/// Born operators K^dag K (the la::Matrix product k.adjoint() * k).
+/// True when the unitary `u` is a scalar multiple of the identity: applying
+/// it changes only the global phase, which |<v|psi>|^2 cannot see. The
+/// catalog's identity branches are c I with |c| = 1 up to an ulp or two.
+bool is_scalar_identity(const la::Matrix& u) {
+  constexpr double kTol = 1e-12;
+  for (std::size_t r = 0; r < u.rows(); ++r)
+    for (std::size_t c = 0; c < u.cols(); ++c)
+      if (std::abs(u(r, c) - (r == c ? u(0, 0) : cplx{0.0, 0.0})) > kTol) return false;
+  return true;
+}
+
+/// One NoisyCircuit op resolved for replay: a gate as an SvOp; a noise site
+/// whose channel is a normalized unitary mixture as its fixed branch
+/// weights and branch unitaries; or any other noise site with its Kraus
+/// operators' coefficients and, for 1-qubit sites, the Born operators
+/// K^dag K (the la::Matrix product k.adjoint() * k).
 struct TrajOp {
-  bool noise = false;
-  bool two_qubit = false;
-  SvOp gate;                               // !noise
-  std::size_t bit_a = 0, bit_b = 0;        // noise qubit (and qubit2) bits
-  std::vector<std::array<cplx, 16>> kraus;  // row-major 2x2 or 4x4
-  std::vector<SvOp> born;                  // 1-qubit: K^dag K per candidate
+  enum class Kind : std::uint8_t { Gate, Mixture, Born };
+  Kind kind = Kind::Gate;
+  SvOp gate;                                  // Gate
+  std::vector<double> probs;                  // Mixture: normalized weights
+  std::vector<std::optional<SvOp>> branches;  // Mixture: empty for c I
+  bool two_qubit = false;                     // noise sites
+  std::size_t bit_a = 0, bit_b = 0;           // noise qubit (and qubit2) bits
+  std::vector<std::array<cplx, 16>> kraus;    // Born: row-major 2x2 or 4x4
+  std::vector<SvOp> born;                     // Born, 1-qubit: K^dag K per candidate
 };
 
 /// Per-worker buffers: the state, reset to |psi> per sample, and the
 /// 2-qubit Born scratch, allocated only for circuits with a 2-qubit noise
-/// site.
+/// site that is not a unitary mixture.
 struct TrajBuffers {
   std::vector<cplx> state, scratch;
 };
@@ -52,13 +70,24 @@ class CompiledTrajectory {
         continue;
       }
       const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-      t.noise = true;
       t.two_qubit = noise.num_qubits() == 2;
       t.bit_a = qubit_bit(n, noise.qubit);
-      if (t.two_qubit) {
-        t.bit_b = qubit_bit(n, noise.qubit2);
-        two_qubit_noise_ = true;
+      if (t.two_qubit) t.bit_b = qubit_bit(n, noise.qubit2);
+      if (auto mix = normalized_mixture(noise.channel)) {
+        t.kind = TrajOp::Kind::Mixture;
+        t.probs = std::move(mix->probs);
+        for (const la::Matrix& u : mix->unitaries) {
+          if (is_scalar_identity(u))
+            t.branches.emplace_back();
+          else
+            t.branches.emplace_back(t.two_qubit ? SvOp::two(u, t.bit_a, t.bit_b)
+                                                : SvOp::one(u, t.bit_a));
+        }
+        ops_.push_back(std::move(t));
+        continue;
       }
+      t.kind = TrajOp::Kind::Born;
+      if (t.two_qubit) two_qubit_born_ = true;
       for (const la::Matrix& k : noise.channel.kraus()) {
         std::array<cplx, 16> c{};
         const std::size_t d = k.cols();
@@ -73,63 +102,79 @@ class CompiledTrajectory {
   /// One trajectory: |<v|psi_traj>|^2.
   double sample(TrajBuffers& buf, std::mt19937_64& rng) const {
     if (buf.state.size() != size_) buf.state.resize(size_);
-    if (two_qubit_noise_ && buf.scratch.size() != size_) buf.scratch.resize(size_);
+    if (two_qubit_born_ && buf.scratch.size() != size_) buf.scratch.resize(size_);
     std::fill(buf.state.begin(), buf.state.end(), cplx{0.0, 0.0});
     buf.state[psi_] = cplx{1.0, 0.0};
-    std::uniform_real_distribution<double> unif(0.0, 1.0);
 
     for (const TrajOp& op : ops_) {
-      if (!op.noise) {
-        op.gate.apply(buf.state.data(), size_, kt_);
-        continue;
-      }
-      // Born probabilities p_k = <psi| E_k^dag E_k |psi>: a local 2x2
-      // expectation for 1-qubit sites; for 2-qubit sites E_k |psi> is
-      // written into the scratch buffer and its norm read off.
-      auto born = [&](std::size_t k) {
-        if (!op.two_qubit) return expectation1(buf.state.data(), size_, op.born[k]).real();
-        kt_.sv_dense2_into(buf.state.data(), buf.scratch.data(), size_, op.bit_a, op.bit_b,
-                           op.kraus[k].data());
-        return norm2(buf.scratch.data(), size_);
-      };
-
-      double cumulative = 0.0;
-      const double u = unif(rng);
-      std::size_t chosen = op.kraus.size() - 1;
-      double p_chosen = 0.0;
-      for (std::size_t k = 0; k < op.kraus.size(); ++k) {
-        const double pk = born(k);
-        cumulative += pk;
-        if (u < cumulative) {
-          chosen = k;
-          p_chosen = pk;
+      switch (op.kind) {
+        case TrajOp::Kind::Gate:
+          op.gate.apply(buf.state.data(), size_, kt_);
+          break;
+        case TrajOp::Kind::Mixture: {
+          // State-independent weights: one uniform through the fixed CDF
+          // picks the branch, and a unitary needs no renormalization.
+          const std::optional<SvOp>& u = op.branches[sample_index(op.probs, rng)];
+          if (u) u->apply(buf.state.data(), size_, kt_);
           break;
         }
-        p_chosen = pk;  // fall through to the last operator on rounding
-      }
-      const double scale = p_chosen > 0.0 ? 1.0 / std::sqrt(p_chosen) : 0.0;
-      if (op.two_qubit) {
-        // The scratch holds E_chosen |psi> (the last candidate evaluated);
-        // renormalize with the 2x2 pass s*x + 0*y on the first qubit.
-        std::swap(buf.state, buf.scratch);
-        if (p_chosen > 0.0) {
-          const cplx renorm[4] = {{scale, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {scale, 0.0}};
-          kt_.sv_dense1(buf.state.data(), size_, op.bit_a, renorm);
-        }
-      } else if (p_chosen > 0.0) {
-        kt_.sv_kraus1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data(), scale);
-      } else {
-        kt_.sv_dense1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data());
+        case TrajOp::Kind::Born:
+          born_step(op, buf, rng);
+          break;
       }
     }
     return std::norm(buf.state[v_]);
   }
 
  private:
+  /// One uniform against the cumulative Born probabilities, then the
+  /// winner applied and renormalized.
+  void born_step(const TrajOp& op, TrajBuffers& buf, std::mt19937_64& rng) const {
+    // Born probabilities p_k = <psi| E_k^dag E_k |psi>: a local 2x2
+    // expectation for 1-qubit sites; for 2-qubit sites E_k |psi> is
+    // written into the scratch buffer and its norm read off.
+    auto born = [&](std::size_t k) {
+      if (!op.two_qubit) return expectation1(buf.state.data(), size_, op.born[k]).real();
+      kt_.sv_dense2_into(buf.state.data(), buf.scratch.data(), size_, op.bit_a, op.bit_b,
+                         op.kraus[k].data());
+      return norm2(buf.scratch.data(), size_);
+    };
+
+    std::uniform_real_distribution<double> unif(0.0, 1.0);
+    double cumulative = 0.0;
+    const double u = unif(rng);
+    std::size_t chosen = op.kraus.size() - 1;
+    double p_chosen = 0.0;
+    for (std::size_t k = 0; k < op.kraus.size(); ++k) {
+      const double pk = born(k);
+      cumulative += pk;
+      if (u < cumulative) {
+        chosen = k;
+        p_chosen = pk;
+        break;
+      }
+      p_chosen = pk;  // fall through to the last operator on rounding
+    }
+    const double scale = p_chosen > 0.0 ? 1.0 / std::sqrt(p_chosen) : 0.0;
+    if (op.two_qubit) {
+      // The scratch holds E_chosen |psi> (the last candidate evaluated);
+      // renormalize with the 2x2 pass s*x + 0*y on the first qubit.
+      std::swap(buf.state, buf.scratch);
+      if (p_chosen > 0.0) {
+        const cplx renorm[4] = {{scale, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {scale, 0.0}};
+        kt_.sv_dense1(buf.state.data(), size_, op.bit_a, renorm);
+      }
+    } else if (p_chosen > 0.0) {
+      kt_.sv_kraus1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data(), scale);
+    } else {
+      kt_.sv_dense1(buf.state.data(), size_, op.bit_a, op.kraus[chosen].data());
+    }
+  }
+
   const tsr::KernelTable& kt_;
   std::uint64_t psi_, v_;
   std::size_t size_ = 0;
-  bool two_qubit_noise_ = false;
+  bool two_qubit_born_ = false;
   std::vector<TrajOp> ops_;
 };
 
@@ -210,6 +255,12 @@ TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc) {
     }
     const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
     const double apply = (noise.num_qubits() == 1 ? 2.0 : 4.0) * dim;
+    if (const auto mix = normalized_mixture(noise.channel)) {
+      // A fixed-weight draw applies one branch; identity branches are free.
+      for (std::size_t k = 0; k < mix->probs.size(); ++k)
+        if (!is_scalar_identity(mix->unitaries[k])) out.per_sample_flops += mix->probs[k] * apply;
+      continue;
+    }
     if (noise.num_qubits() == 2) scratch_copy = true;
     // Born sampling evaluates each candidate (a local expectation or a
     // scratch apply + norm), then applies and renormalizes the winner.

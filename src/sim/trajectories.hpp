@@ -2,9 +2,17 @@
 // Quantum trajectories (Monte-Carlo wave function) method [Isakov et al.],
 // the paper's approximate baseline.
 //
-// Each trajectory runs the circuit on a state vector; at every noise site a
-// Kraus operator E_k is sampled with its exact Born probability
-// p_k = ||E_k |psi>||^2 and the state is renormalized. The estimator
+// Each trajectory runs the circuit on a state vector and picks one Kraus
+// branch at every noise site, drawing one uniform per site from the stream:
+//  * a site whose channel is a unitary mixture sum_k p_k U_k . U_k^dag
+//    (weights summing to 1 within kMixtureSumTol: depolarizing, Pauli
+//    channels, ...) draws k from its fixed weights p_k through the inverse
+//    CDF shared with the TN sampler (sim/mixture_draw.hpp) and applies U_k
+//    once -- or nothing, when U_k is a scalar multiple of the identity;
+//  * any other site draws E_k with its exact Born probability
+//    p_k = ||E_k |psi>||^2 and renormalizes the state.
+// Both are the same Monte-Carlo unravelling of the channel (a unitary
+// branch's Born probability is its fixed weight), so the estimator
 // mean(|<v|psi_traj>|^2) is unbiased for <v| E(|psi><psi|) |v>, with
 // standard error O(1/sqrt(samples)) -- the scaling the paper compares
 // against in Fig. 5 and Tables III.
@@ -64,9 +72,12 @@ struct TrajectoryCost {
 };
 
 /// Cost model of sample_trajectory_sv: every gate updates all 2^n
-/// amplitudes; every noise site additionally evaluates each Kraus
-/// candidate's Born probability and renormalizes the winner. Peak memory is
-/// the state plus the 2-qubit Born scratch copy.
+/// amplitudes. A unitary-mixture site costs its expected apply: the weight
+/// of its branches that are not scalar multiples of the identity, times one
+/// 1- or 2-qubit pass. Any other site evaluates each Kraus candidate's Born
+/// probability and renormalizes the winner ((Kraus count + 2) passes). Peak
+/// memory is the state, plus the Born scratch copy when some 2-qubit site
+/// is not a unitary mixture.
 TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc);
 
 }  // namespace noisim::sim

@@ -725,7 +725,7 @@ void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count
 /// One forward step of a plan: operands permuted into scratch where
 /// needed, output zero-filled, then accumulated. ContractionPlan::execute
 /// and EnvSchedule::execute share it, so their values agree bit for bit.
-void run_step(const PlanStep& step, const cplx* pa, const cplx* pb, cplx* out,
+void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
               PlanWorkspace& ws, const tsr::KernelTable& kt) {
   if (!step.identity_a) {
     tsr::permute_walk(pa, step.a_walk, ws.scratch_a.data());
@@ -1418,7 +1418,9 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
   }
 
   EnvSchedule es;
-  es.fwd_ = steps_;
+  // The pass runs the compiled walks, and the backward below reads the
+  // permuted shapes off the plan's own steps: the copies leave them out.
+  es.fwd_.assign(steps_.begin(), steps_.end());
   es.input_elems_ = input_elems_;
   es.targets_.assign(targets.begin(), targets.end());
   es.peak_elems_ = peak_elems_;
@@ -1435,7 +1437,7 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
   };
   // Forward: the plan's liveness packing, except that retained values are
   // not recycled by their forward consumer.
-  for (PlanStep& step : es.fwd_) {
+  for (ExecStep& step : es.fwd_) {
     step.out_offset = arena.alloc(step.out_elems);
     for (const std::size_t op : {step.lhs, step.rhs})
       if (op >= num_in && !retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
@@ -1531,7 +1533,7 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
     return slot < num_in ? inputs[slot]->data() : arena + fwd_[slot - num_in].out_offset;
   };
 
-  for (const PlanStep& step : fwd_) {
+  for (const ExecStep& step : fwd_) {
     step_checks();
     run_step(step, value(step.lhs), value(step.rhs), arena + step.out_offset, ws, kt);
   }

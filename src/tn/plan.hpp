@@ -38,24 +38,28 @@
 
 namespace noisim::tn {
 
-/// One pairwise contraction of a compiled plan. Slots 0..num_inputs-1 are
-/// the network's nodes (in node-index order); slot num_inputs + s is the
-/// output of step s.
-struct PlanStep {
+/// What one pairwise contraction executes. Slots 0..num_inputs-1 are the
+/// network's nodes (in node-index order); slot num_inputs + s is the output
+/// of step s.
+struct ExecStep {
   std::size_t lhs = 0, rhs = 0;  // operand slots
-  // Permutations bringing lhs to [free..., contracted...] and rhs to
-  // [contracted..., free...]: the permuted shape and source strides (the
-  // fingerprint's record) and the walk compiled from them (what executes).
-  // Empty when the permutation is the identity (the operand is used in
-  // place, no copy).
+  // Walks bringing lhs to [free..., contracted...] and rhs to
+  // [contracted..., free...]. Unused when the permutation is the identity
+  // (the operand is used in place, no copy).
   bool identity_a = true, identity_b = true;
-  std::vector<std::size_t> a_perm_shape, a_src_stride;
-  std::vector<std::size_t> b_perm_shape, b_src_stride;
   tsr::PermuteWalk a_walk, b_walk;
   std::size_t a_elems = 1, b_elems = 1;  // operand sizes (scratch sizing)
   std::size_t m = 1, k = 1, n = 1;       // matrix-shaped contraction dims
   std::size_t out_offset = 0;            // element offset into the arena
   std::size_t out_elems = 1;
+};
+
+/// One pairwise contraction of a compiled plan: the executed step plus the
+/// permuted shape and source strides each walk was compiled from (the
+/// fingerprint's record; empty for an identity permutation).
+struct PlanStep : ExecStep {
+  std::vector<std::size_t> a_perm_shape, a_src_stride;
+  std::vector<std::size_t> b_perm_shape, b_src_stride;
 };
 
 /// Grow-only buffer of *uninitialized* complex elements. The batched arena
@@ -321,7 +325,7 @@ class EnvSchedule {
   friend class ContractionPlan;
   EnvSchedule() = default;
 
-  std::vector<PlanStep> fwd_;  // the plan's steps, out_offset into the env arena
+  std::vector<ExecStep> fwd_;  // the plan's steps, out_offset into the env arena
   std::vector<EnvStep> bwd_;
   std::vector<std::size_t> input_elems_;
   std::vector<std::size_t> targets_;
