@@ -40,11 +40,15 @@ struct TrajOp {
   std::vector<SvOp> born;                     // Born, 1-qubit: K^dag K per candidate
 };
 
-/// Per-worker buffers: the state, reset to |psi> per sample, and the
-/// 2-qubit Born scratch, allocated only for circuits with a 2-qubit noise
-/// site that is not a unitary mixture.
+/// Per-worker buffers: the state, reset to |psi> per sample; the 2-qubit
+/// Born scratch, allocated only for circuits with a 2-qubit noise site that
+/// is not a unitary mixture; and, for circuits without Born sites, the
+/// sample's pre-drawn branches and the noise-free trajectory's value once
+/// this worker has evolved it.
 struct TrajBuffers {
   std::vector<cplx> state, scratch;
+  std::vector<std::size_t> drawn;
+  std::optional<double> clean;
 };
 
 /// A NoisyCircuit compiled once per call of a trajectory entry point and
@@ -87,6 +91,7 @@ class CompiledTrajectory {
         continue;
       }
       t.kind = TrajOp::Kind::Born;
+      has_born_ = true;
       if (t.two_qubit) two_qubit_born_ = true;
       for (const la::Matrix& k : noise.channel.kraus()) {
         std::array<cplx, 16> c{};
@@ -100,7 +105,34 @@ class CompiledTrajectory {
   }
 
   /// One trajectory: |<v|psi_traj>|^2.
+  ///
+  /// Without Born sites no branch depends on the state, so every site's
+  /// branch is drawn first, in site order -- the uniforms the inline loop
+  /// would consume, in the same order. A sample whose every branch is a
+  /// scalar identity is the noise-free trajectory: the worker evolves it
+  /// once and returns the stored value for each later one, which is the
+  /// value the evolution would return again, bit for bit.
   double sample(TrajBuffers& buf, std::mt19937_64& rng) const {
+    if (has_born_) return evolve(buf, rng, nullptr);
+    buf.drawn.clear();
+    bool clean = true;
+    for (const TrajOp& op : ops_) {
+      if (op.kind != TrajOp::Kind::Mixture) continue;
+      const std::size_t k = sample_index(op.probs, rng);
+      clean = clean && !op.branches[k];
+      buf.drawn.push_back(k);
+    }
+    if (clean && buf.clean) return *buf.clean;
+    const double f = evolve(buf, rng, buf.drawn.data());
+    if (clean) buf.clean = f;
+    return f;
+  }
+
+ private:
+  /// Runs the circuit from |psi> and reads |<v|psi_traj>|^2. Mixture sites
+  /// take their branches from `drawn` in site order when it is non-null
+  /// (only for circuits without Born sites), else draw inline.
+  double evolve(TrajBuffers& buf, std::mt19937_64& rng, const std::size_t* drawn) const {
     if (buf.state.size() != size_) buf.state.resize(size_);
     if (two_qubit_born_ && buf.scratch.size() != size_) buf.scratch.resize(size_);
     std::fill(buf.state.begin(), buf.state.end(), cplx{0.0, 0.0});
@@ -114,8 +146,8 @@ class CompiledTrajectory {
         case TrajOp::Kind::Mixture: {
           // State-independent weights: one uniform through the fixed CDF
           // picks the branch, and a unitary needs no renormalization.
-          const std::optional<SvOp>& u = op.branches[sample_index(op.probs, rng)];
-          if (u) u->apply(buf.state.data(), size_, kt_);
+          const std::size_t k = drawn ? *drawn++ : sample_index(op.probs, rng);
+          if (const std::optional<SvOp>& u = op.branches[k]) u->apply(buf.state.data(), size_, kt_);
           break;
         }
         case TrajOp::Kind::Born:
@@ -126,7 +158,6 @@ class CompiledTrajectory {
     return std::norm(buf.state[v_]);
   }
 
- private:
   /// One uniform against the cumulative Born probabilities, then the
   /// winner applied and renormalized.
   void born_step(const TrajOp& op, TrajBuffers& buf, std::mt19937_64& rng) const {
@@ -174,7 +205,7 @@ class CompiledTrajectory {
   const tsr::KernelTable& kt_;
   std::uint64_t psi_, v_;
   std::size_t size_ = 0;
-  bool two_qubit_born_ = false;
+  bool has_born_ = false, two_qubit_born_ = false;
   std::vector<TrajOp> ops_;
 };
 
