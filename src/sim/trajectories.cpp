@@ -278,25 +278,40 @@ TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc) {
   // cannot overflow; at such widths every memory budget fails anyway.
   const double dim = std::pow(2.0, std::min(nc.num_qubits(), 62));
   TrajectoryCost out;
-  bool scratch_copy = false;
+  double gate_flops = 0.0, p_clean = 1.0;
+  bool born = false, scratch_copy = false;
   for (const ch::Op& op : nc.ops()) {
     if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      out.per_sample_flops += (g->num_qubits() == 1 ? 2.0 : 4.0) * dim;
+      const double apply = (g->num_qubits() == 1 ? 2.0 : 4.0) * dim;
+      out.per_sample_flops += apply;
+      gate_flops += apply;
       continue;
     }
     const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
     const double apply = (noise.num_qubits() == 1 ? 2.0 : 4.0) * dim;
     if (const auto mix = normalized_mixture(noise.channel)) {
       // A fixed-weight draw applies one branch; identity branches are free.
-      for (std::size_t k = 0; k < mix->probs.size(); ++k)
-        if (!is_scalar_identity(mix->unitaries[k])) out.per_sample_flops += mix->probs[k] * apply;
+      double identity = 0.0;
+      for (std::size_t k = 0; k < mix->probs.size(); ++k) {
+        if (is_scalar_identity(mix->unitaries[k]))
+          identity += mix->probs[k];
+        else
+          out.per_sample_flops += mix->probs[k] * apply;
+      }
+      p_clean *= identity;
       continue;
     }
+    born = true;
     if (noise.num_qubits() == 2) scratch_copy = true;
     // Born sampling evaluates each candidate (a local expectation or a
     // scratch apply + norm), then applies and renormalizes the winner.
     out.per_sample_flops +=
         (static_cast<double>(noise.channel.kraus().size()) + 2.0) * apply;
+  }
+  if (!born) {
+    // Clean samples reuse the worker's one noise-free evolution.
+    out.per_sample_flops *= 1.0 - p_clean;
+    out.per_worker_flops = gate_flops;
   }
   out.peak_elems = static_cast<std::size_t>(dim * (scratch_copy ? 2.0 : 1.0));
   return out;

@@ -17,6 +17,14 @@
 // standard error O(1/sqrt(samples)) -- the scaling the paper compares
 // against in Fig. 5 and Tables III.
 //
+// Without Born sites no draw depends on the state, so a sample draws all its
+// branches first. When every one is a scalar identity -- the common case at
+// low noise, (1 - 1e-3)^12 = 98.8% of the Fig. 5 samples -- the sample is
+// the noise-free trajectory, which each worker evolves once per call and
+// then returns from memory: a call pays about one evolution per worker plus
+// one per sample that drew an error, with every estimate bit-identical to
+// evolving each sample. Circuits with a Born site evolve every sample.
+//
 // This is the "MM-based" trajectories variant (statevector); the TN-based
 // variant lives in core/trajectories_tn.hpp because it reuses the tensor
 // network amplitude machinery.
@@ -44,7 +52,9 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
                                  std::uint64_t v_bits, std::size_t samples, std::uint64_t seed,
                                  const ParallelOptions& opts);
 
-/// Single-trajectory sample (exposed for tests of the sampling step).
+/// Single-trajectory sample (exposed for tests of the sampling step). It
+/// compiles the circuit per call, so it always evolves: the reference a
+/// reused clean trajectory must match.
 double sample_trajectory_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::uint64_t v_bits, std::mt19937_64& rng);
 
@@ -63,21 +73,29 @@ double hoeffding_accuracy(std::size_t samples, double failure_prob);
 
 /// Plan-time cost model of one trajectory engine, in the commensurate units
 /// the backend-selection front door (core/backend.hpp) compares: flops are
-/// modeled complex multiply-adds, peak_elems transient complex elements.
+/// modeled complex multiply-adds, peak_elems transient complex elements. A
+/// call of `samples` samples on `workers` workers is priced
+/// samples * per_sample_flops + workers * per_worker_flops.
 /// Shared by the statevector (sv_trajectory_cost) and MPS
 /// (mps::mps_trajectory_cost) models.
 struct TrajectoryCost {
   double per_sample_flops = 0.0;
+  double per_worker_flops = 0.0;  // paid once by each worker per call
   std::size_t peak_elems = 0;
 };
 
-/// Cost model of sample_trajectory_sv: every gate updates all 2^n
-/// amplitudes. A unitary-mixture site costs its expected apply: the weight
-/// of its branches that are not scalar multiples of the identity, times one
-/// 1- or 2-qubit pass. Any other site evaluates each Kraus candidate's Born
-/// probability and renormalizes the winner ((Kraus count + 2) passes). Peak
-/// memory is the state, plus the Born scratch copy when some 2-qubit site
-/// is not a unitary mixture.
+/// Cost model of the trajectories_sv entry points: an evolution updates all
+/// 2^n amplitudes per gate. A unitary-mixture site costs its expected apply:
+/// the weight of its branches that are not scalar multiples of the
+/// identity, times one 1- or 2-qubit pass. Any other (Born) site evaluates
+/// each Kraus candidate's Born probability and renormalizes the winner
+/// ((Kraus count + 2) passes). With a Born site every sample pays the full
+/// evolution. Without one, a sample is clean (every branch an identity)
+/// with probability P_clean, the product over sites of their identity
+/// weight, and reuses its worker's noise-free evolution: per_sample_flops
+/// is (1 - P_clean) times the full evolution, and per_worker_flops the
+/// gate passes of the one clean evolution. Peak memory is the state, plus
+/// the Born scratch copy when some 2-qubit site is not a unitary mixture.
 TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc);
 
 }  // namespace noisim::sim

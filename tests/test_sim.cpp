@@ -221,6 +221,31 @@ TEST(Trajectories, HoeffdingRejectsDegenerateInputs) {
 
 // --- parallel engine ---------------------------------------------------------
 
+TEST(Trajectories, SvCostChargesTheCleanEvolutionOncePerWorker) {
+  // dim 8: a 1-qubit pass is 16 modeled flops, a 2-qubit pass 32.
+  qc::Circuit c(3);
+  c.add(qc::h(0)).add(qc::cx(0, 1));
+  const double gates = 16.0 + 32.0;
+  ch::NoisyCircuit nc(c);
+  const TrajectoryCost noiseless = sv_trajectory_cost(nc);
+  EXPECT_EQ(noiseless.per_sample_flops, 0.0);
+  EXPECT_EQ(noiseless.per_worker_flops, gates);
+
+  // Identity weights 0.7 and 0.9: a sample is clean with probability 0.63,
+  // and only the others pay the evolution with its expected noise passes.
+  nc.add_noise(0, ch::depolarizing(0.3));
+  nc.add_noise(1, ch::bit_flip(0.1));
+  const TrajectoryCost mixtures = sv_trajectory_cost(nc);
+  EXPECT_NEAR(mixtures.per_sample_flops, (1.0 - 0.7 * 0.9) * (gates + (0.3 + 0.1) * 16.0), 1e-9);
+  EXPECT_EQ(mixtures.per_worker_flops, gates);
+
+  // A Born site evolves every sample: no reuse is priced.
+  nc.add_noise(2, ch::amplitude_damping(0.2));
+  const TrajectoryCost born = sv_trajectory_cost(nc);
+  EXPECT_NEAR(born.per_sample_flops, gates + (0.3 + 0.1) * 16.0 + (2.0 + 2.0) * 16.0, 1e-9);
+  EXPECT_EQ(born.per_worker_flops, 0.0);
+}
+
 TEST(ParallelEngine, WelfordMatchesTwoPassStatistics) {
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
