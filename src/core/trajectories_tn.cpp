@@ -232,25 +232,13 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
                               std::min(kStreamBatch, samples), eval.tn.control);
   const sim::ShardChunkSampler sample = sweep.worker_sampler();
   std::vector<double> values(kStreamBatch);
-  double sum = 0.0, sum_sq = 0.0;
+  sim::Welford stats;  // folded in sample order
   for (std::size_t s = 0; s < samples; s += kStreamBatch) {
     const std::size_t k = std::min(kStreamBatch, samples - s);
     sample(rng, 0, 1, k, std::span<double>(values.data(), k));
-    for (std::size_t t = 0; t < k; ++t) {
-      sum += values[t];
-      sum_sq += values[t] * values[t];
-    }
+    for (std::size_t t = 0; t < k; ++t) stats.add(values[t]);
   }
-
-  sim::TrajectoryResult out;
-  out.samples = samples;
-  out.mean = sum / static_cast<double>(samples);
-  if (samples > 1) {
-    const double var =
-        (sum_sq - sum * sum / static_cast<double>(samples)) / static_cast<double>(samples - 1);
-    out.std_error = std::sqrt(std::max(0.0, var) / static_cast<double>(samples));
-  }
-  return out;
+  return stats.result();
 }
 
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,

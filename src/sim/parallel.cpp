@@ -52,6 +52,14 @@ double Welford::variance() const {
   return m2 / static_cast<double>(count - 1);
 }
 
+TrajectoryResult Welford::result() const {
+  TrajectoryResult out;
+  out.samples = count;
+  out.mean = mean;
+  if (count > 1) out.std_error = std::sqrt(variance() / static_cast<double>(count));
+  return out;
+}
+
 namespace {
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -166,10 +174,7 @@ std::vector<TrajectoryResult> run_trajectories_sharded(
     Welford total;
     for (std::size_t c = 0; c < num_chunks; ++c)
       total.merge(chunk_stats[c * num_estimates + o]);
-    out[o].samples = total.count;
-    out[o].mean = total.mean;
-    if (total.count > 1)
-      out[o].std_error = std::sqrt(total.variance() / static_cast<double>(total.count));
+    out[o] = total.result();
   }
   return out;
 }

@@ -68,6 +68,9 @@ struct Welford {
   void merge(const Welford& other);
   /// Unbiased sample variance (n-1 denominator); 0 when count < 2.
   double variance() const;
+  /// The estimate: count samples, their mean, and the standard error of
+  /// the mean sqrt(variance / count) (0 when count < 2).
+  TrajectoryResult result() const;
 };
 
 /// Derived RNG for one chunk: decorrelates consecutive chunk indices far

@@ -222,24 +222,10 @@ TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_b
                                  std::uint64_t v_bits, std::size_t samples,
                                  std::mt19937_64& rng) {
   const CompiledTrajectory traj(nc, psi_bits, v_bits);
-  // Zero samples is a well-defined (empty) estimate, not an error.
-  if (samples == 0) return {};
   TrajBuffers buf;
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const double f = traj.sample(buf, rng);
-    sum += f;
-    sum_sq += f * f;
-  }
-  TrajectoryResult out;
-  out.samples = samples;
-  out.mean = sum / static_cast<double>(samples);
-  if (samples > 1) {
-    const double var =
-        (sum_sq - sum * sum / static_cast<double>(samples)) / static_cast<double>(samples - 1);
-    out.std_error = std::sqrt(std::max(0.0, var) / static_cast<double>(samples));
-  }
-  return out;
+  Welford stats;  // folded in sample order, as one chunk of the runner
+  for (std::size_t s = 0; s < samples; ++s) stats.add(traj.sample(buf, rng));
+  return stats.result();  // zero samples: the well-defined empty estimate
 }
 
 TrajectoryResult trajectories_sv(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,

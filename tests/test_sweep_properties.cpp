@@ -344,9 +344,11 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
     double serial_mean, serial_std_error;
     double mean[3], std_error[3];  // per output of vb; vb[0] is the threaded case
   };
-  // Recorded before the TN samplers moved onto one replay path.
+  // Recorded before the TN samplers moved onto one replay path; the serial
+  // std_error was re-recorded (one ulp) when the serial overload moved to
+  // the runner's Welford fold.
   const Pins tn_pins{0x1.76c26108e8ac7p-8,
-                     0x1.0cd1175d98cb6p-10,
+                     0x1.0cd1175d98cb5p-10,
                      {0x1.c5a8f40493511p-9, 0x1.9d113c51e10aap-9, 0x1.7cc6049d1554fp-11},
                      {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982abp-11, 0x1.fe50181881617p-13}};
   const Pins sv_pins{0x1.76c26108e8ac7p-8,
