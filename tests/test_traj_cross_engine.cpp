@@ -7,10 +7,18 @@
 // would agree with the other only statistically, and fails here. The
 // state-vector estimate is also checked against the exact density-matrix
 // reference.
+//
+// The state-vector sampler evolves the noise-free trajectory once per worker
+// and reuses its value for every later sample whose branches are all
+// identities. Its serial estimate must therefore equal, bit for bit, a
+// Welford fold of sample_trajectory_sv calls (which compile per call and so
+// always evolve) on the same stream, and leave that stream in the same
+// state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <random>
 #include <string>
 
@@ -18,6 +26,7 @@
 #include "channels/catalog.hpp"
 #include "core/trajectories_tn.hpp"
 #include "sim/density.hpp"
+#include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectories.hpp"
 
@@ -98,6 +107,70 @@ void expect_engines_agree(const ch::NoisyCircuit& nc, const std::string& name) {
   EXPECT_GT(sv.std_error, 1e-6 * sv.mean) << name << ", serial";
   expect_close(sv.mean, tn.mean, name + ", serial mean");
   expect_close(sv.std_error, tn.std_error, name + ", serial std_error");
+}
+
+/// The serial estimate against its per-sample oracle, bit for bit, with the
+/// caller's stream left in the same state.
+sim::TrajectoryResult expect_reuse_matches_per_sample(const ch::NoisyCircuit& nc,
+                                                       const std::string& name) {
+  const std::uint64_t v = likely_output();
+  constexpr std::size_t kSamples = 512;
+  std::mt19937_64 rng_run(91), rng_ref(91);
+  const sim::TrajectoryResult run = sim::trajectories_sv(nc, 0, v, kSamples, rng_run);
+  sim::Welford ref;
+  for (std::size_t s = 0; s < kSamples; ++s) ref.add(sim::sample_trajectory_sv(nc, 0, v, rng_ref));
+  const sim::TrajectoryResult want = ref.result();
+  EXPECT_EQ(run.samples, kSamples) << name;
+  EXPECT_EQ(run.mean, want.mean) << name << ": mean";
+  EXPECT_EQ(run.std_error, want.std_error) << name << ": std_error";
+  EXPECT_TRUE(rng_run == rng_ref) << name << ": the streams diverged";
+  return run;
+}
+
+/// A unitary mixture whose identity branch comes last, as a phase times I:
+/// X with weight 0.05, Z with 0.03, e^{i pi/3} I with 0.92.
+ch::Channel identity_last() {
+  la::Matrix x{{0.0, 1.0}, {1.0, 0.0}}, z{{1.0, 0.0}, {0.0, -1.0}};
+  la::Matrix id = la::Matrix::identity(2);
+  x *= std::sqrt(0.05);
+  z *= std::sqrt(0.03);
+  id *= std::polar(std::sqrt(0.92), std::numbers::pi / 3.0);
+  return ch::Channel("identity_last", {x, z, id});
+}
+
+TEST(TrajReuseOracle, DepolarizingLowNoiseMostlyClean) {
+  const auto r = expect_reuse_matches_per_sample(grid_with(ch::depolarizing(1e-3), 30),
+                                                 "depolarizing(1e-3)");
+  EXPECT_GT(r.std_error, 0.0);  // some samples drew an error
+}
+
+TEST(TrajReuseOracle, DepolarizingHighNoiseMostlyEvolving) {
+  const auto r = expect_reuse_matches_per_sample(grid_with(ch::depolarizing(0.3), 12),
+                                                 "depolarizing(0.3)");
+  EXPECT_GT(r.std_error, 0.0);
+}
+
+TEST(TrajReuseOracle, TwoQubitDepolarizing) {
+  const auto r = expect_reuse_matches_per_sample(grid_two_qubit(0.2), "two_qubit_depolarizing");
+  EXPECT_GT(r.std_error, 0.0);
+}
+
+TEST(TrajReuseOracle, IdentityBranchNotFirst) {
+  const auto r = expect_reuse_matches_per_sample(grid_with(identity_last(), 12), "identity_last");
+  EXPECT_GT(r.std_error, 0.0);
+}
+
+TEST(TrajReuseOracle, MixturesWithABornSite) {
+  ch::NoisyCircuit nc = grid_with(ch::depolarizing(0.05), 12);
+  nc.add_noise(4, ch::amplitude_damping(0.3));
+  const auto r = expect_reuse_matches_per_sample(nc, "mixtures + amplitude_damping");
+  EXPECT_GT(r.std_error, 0.0);
+}
+
+TEST(TrajReuseOracle, NoiseFreeHasZeroError) {
+  const auto r = expect_reuse_matches_per_sample(ch::NoisyCircuit(grid()), "noise-free");
+  EXPECT_EQ(r.std_error, 0.0);
+  EXPECT_GT(r.mean, 0.0);
 }
 
 TEST(TrajCrossEngine, DepolarizingLowNoise) {
