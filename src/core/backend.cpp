@@ -10,7 +10,6 @@
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
 #include "fault/fault.hpp"
-#include "mps/mps_trajectories.hpp"
 #include "sim/density.hpp"
 #include "sim/trajectories.hpp"
 #include "tdd/tdd_sim.hpp"
@@ -259,35 +258,6 @@ class SvTrajectoriesBackend final : public Backend {
   }
 };
 
-class MpsTrajectoriesBackend final : public Backend {
- public:
-  BackendKind kind() const override { return BackendKind::MpsTrajectories; }
-
-  CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t, std::uint64_t,
-                        const SimulateOptions& opts) const override {
-    CostEstimate est;
-    const int n = nc.num_qubits();
-    // Only bid in the exact-bond regime: with chi below 2^ceil(n/2) the
-    // SVD truncations would silently void the Hoeffding guarantee.
-    const double exact_bond = std::pow(2.0, std::min((n + 1) / 2, 60));
-    if (exact_bond > static_cast<double>(opts.mps.max_bond)) {
-      est.reason = "mps.max_bond " + std::to_string(opts.mps.max_bond) +
-                   " below the exact regime 2^ceil(n/2) = " + format_double(exact_bond);
-      return est;
-    }
-    return sampler_estimate(mps::mps_trajectory_cost(nc, opts.mps), opts);
-  }
-
-  void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
-           const SimulateOptions& opts, const CostEstimate& config,
-           SimResult& out) const override {
-    out.traj = mps::trajectories_mps(nc, psi_bits, v_bits, config.samples, opts.seed,
-                                     parallel_options(opts), opts.mps);
-    out.value = out.traj.mean;
-    out.error_bound = config.achievable_error;
-  }
-};
-
 }  // namespace
 
 const char* backend_name(BackendKind kind) {
@@ -297,7 +267,6 @@ const char* backend_name(BackendKind kind) {
     case BackendKind::TnApprox: return "tn-approx";
     case BackendKind::TnTrajectories: return "tn-trajectories";
     case BackendKind::SvTrajectories: return "sv-trajectories";
-    case BackendKind::MpsTrajectories: return "mps-trajectories";
   }
   return "unknown";
 }
@@ -308,10 +277,8 @@ const std::vector<const Backend*>& default_backends() {
   static const TnApproxBackend tn_approx;
   static const TnTrajectoriesBackend tn_trajectories;
   static const SvTrajectoriesBackend sv_trajectories;
-  static const MpsTrajectoriesBackend mps_trajectories;
-  static const std::vector<const Backend*> all{&density,         &tdd_backend,
-                                               &tn_approx,       &tn_trajectories,
-                                               &sv_trajectories, &mps_trajectories};
+  static const std::vector<const Backend*> all{&density, &tdd_backend, &tn_approx,
+                                               &tn_trajectories, &sv_trajectories};
   return all;
 }
 

@@ -2,10 +2,11 @@
 // Unified backend interface and the budget-driven simulate() front door.
 //
 // Every engine the repo grew -- exact density matrices, TDD contraction,
-// Algorithm-1 tensor-network approximation, and the three trajectory
-// baselines -- estimates the same quantity <v|E(|psi><psi|)|v>, but until
-// this layer each had its own entry point, option struct, and failure mode,
-// and callers had to know which one fits their circuit. core::simulate()
+// Algorithm-1 tensor-network approximation, and the state-vector and
+// tensor-network trajectory samplers -- estimates the same quantity
+// <v|E(|psi><psi|)|v>, but until this layer each had its own entry point,
+// option struct, and failure mode, and callers had to know which one fits
+// their circuit. core::simulate()
 // removes that: it asks every eligible backend for a PLAN-TIME cost
 // estimate (flops, transient memory, achievable error bound), picks the
 // cheapest configuration that meets the caller's budgets, runs it, and
@@ -32,7 +33,6 @@
 
 #include "channels/noisy_circuit.hpp"
 #include "core/approx.hpp"
-#include "mps/mps.hpp"
 #include "sim/parallel.hpp"
 
 namespace noisim::core {
@@ -43,12 +43,11 @@ class PlanCache;
 /// tie-break priority on equal modeled cost: deterministic engines first
 /// (their error bounds are certain), samplers last.
 enum class BackendKind {
-  Density,          ///< sim::exact_fidelity_mm (exact, 4^n memory)
-  Tdd,              ///< tdd::exact_fidelity_tdd (exact, diagram-sized)
-  TnApprox,         ///< core::approximate_fidelity (Algorithm 1, level ladder)
-  TnTrajectories,   ///< core::trajectories_tn (unitary-mixture channels only)
-  SvTrajectories,   ///< sim::trajectories_sv
-  MpsTrajectories,  ///< mps::trajectories_mps (exact-bond regime only)
+  Density,         ///< sim::exact_fidelity_mm (exact, 4^n memory)
+  Tdd,             ///< tdd::exact_fidelity_tdd (exact, diagram-sized)
+  TnApprox,        ///< core::approximate_fidelity (Algorithm 1, level ladder)
+  TnTrajectories,  ///< core::trajectories_tn (unitary-mixture channels only)
+  SvTrajectories,  ///< sim::trajectories_sv
 };
 
 /// Stable display name ("density", "tdd", "tn-approx", ...).
@@ -97,10 +96,6 @@ struct SimulateOptions {
   /// Skip selection and use this backend (still budget-checked: throws
   /// LinalgError if the forced backend is infeasible, naming the reason).
   std::optional<BackendKind> force_backend;
-  /// MPS trajectory options. The MPS backend only competes in the exact
-  /// regime 2^ceil(n/2) <= mps.max_bond, where no truncation can occur;
-  /// raise max_bond to let it bid on wider circuits.
-  mps::MpsOptions mps;
   /// Cooperative cancellation / deadline control (core/run_control.hpp),
   /// threaded into every engine simulate() estimates or runs: the planner
   /// polls it per merge, the TN plan executors per step, the TDD engine per

@@ -31,7 +31,6 @@ constexpr SiteSpec kSites[] = {
     {"run-tn-approx", Kind::MemoryOut},
     {"run-tn-trajectories", Kind::MemoryOut},
     {"run-sv-trajectories", Kind::MemoryOut},
-    {"run-mps-trajectories", Kind::MemoryOut},
 };
 constexpr std::size_t kNumSites = sizeof(kSites) / sizeof(kSites[0]);
 

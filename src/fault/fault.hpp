@@ -25,7 +25,6 @@
 //   run-tn-approx        MemoryOutError   simulate() before TnApproxBackend::run
 //   run-tn-trajectories  MemoryOutError   simulate() before TnTrajectoriesBackend::run
 //   run-sv-trajectories  MemoryOutError   simulate() before SvTrajectoriesBackend::run
-//   run-mps-trajectories MemoryOutError   simulate() before MpsTrajectoriesBackend::run
 //
 // The allocation sites throw MemoryOutError rather than std::bad_alloc on
 // purpose: an injected allocation failure models "this backend cannot get

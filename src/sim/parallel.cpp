@@ -193,10 +193,4 @@ TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
       opts)[0];
 }
 
-TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
-                                  const Sampler& sampler, const ParallelOptions& opts) {
-  return run_trajectories(
-      samples, seed, [&sampler](std::size_t) { return sampler; }, opts);
-}
-
 }  // namespace noisim::sim

@@ -1,9 +1,9 @@
 #pragma once
 // Shared multithreaded Monte-Carlo trajectory engine.
 //
-// All three trajectory baselines (statevector, MPS, tensor network) draw
-// i.i.d. fidelity samples in an outer loop; this engine parallelizes that
-// loop while keeping the estimate bit-for-bit reproducible for a fixed seed
+// Both trajectory samplers (statevector and tensor network) draw i.i.d.
+// fidelity samples in an outer loop; this engine parallelizes that loop
+// while keeping the estimate bit-for-bit reproducible for a fixed seed
 // regardless of the number of worker threads. There is ONE runner,
 // run_trajectories_sharded; run_trajectories is its single-estimate,
 // sample-at-a-time adapter.
@@ -13,8 +13,10 @@
 //    the set of random streams is a function of (seed, chunk_size) only,
 //    never of the thread count;
 //  * idle workers steal the next unclaimed (shard, chunk) item from a
-//    shared atomic counter, so uneven per-sample costs (e.g. MPS bond
-//    growth) balance out without a static partition;
+//    shared atomic counter, so uneven per-sample costs balance out without
+//    a static partition (a statevector sample that reuses its worker's
+//    noise-free trajectory is nearly free; one that draws an error evolves
+//    the whole state);
 //  * each chunk accumulates its own Welford mean/M2 and the per-chunk
 //    statistics are merged in chunk order (Chan's parallel variance
 //    update) after all workers join; the merge order is deterministic, so
@@ -124,9 +126,5 @@ std::vector<TrajectoryResult> run_trajectories_sharded(
 TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
                                   const SamplerFactory& make_sampler,
                                   const ParallelOptions& opts = {});
-
-/// Convenience overload for samplers without per-worker scratch.
-TrajectoryResult run_trajectories(std::size_t samples, std::uint64_t seed,
-                                  const Sampler& sampler, const ParallelOptions& opts = {});
 
 }  // namespace noisim::sim

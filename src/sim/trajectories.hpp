@@ -76,8 +76,8 @@ double hoeffding_accuracy(std::size_t samples, double failure_prob);
 /// modeled complex multiply-adds, peak_elems transient complex elements. A
 /// call of `samples` samples on `workers` workers is priced
 /// samples * per_sample_flops + workers * per_worker_flops.
-/// Shared by the statevector (sv_trajectory_cost) and MPS
-/// (mps::mps_trajectory_cost) models.
+/// Filled by sv_trajectory_cost and by the tensor-network trajectory bid
+/// (one layer replay per sample).
 struct TrajectoryCost {
   double per_sample_flops = 0.0;
   double per_worker_flops = 0.0;  // paid once by each worker per call

@@ -15,7 +15,6 @@
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/trajectories_tn.hpp"
-#include "mps/mps_trajectories.hpp"
 #include "sim/trajectories.hpp"
 
 namespace noisim::core {
@@ -460,7 +459,7 @@ TEST(TrajOutputs, ZeroSamplesAndNoOutputs) {
   EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, tn_eval()).empty());
 }
 
-// --- zero-sample entry points (SV / MPS / TN) ---------------------------------
+// --- zero-sample entry points (SV / TN) ---------------------------------------
 
 TEST(ZeroSamples, AllBackendsReturnEmptyEstimates) {
   const ch::NoisyCircuit nc = traj_workload(29);
@@ -471,10 +470,7 @@ TEST(ZeroSamples, AllBackendsReturnEmptyEstimates) {
   const sim::TrajectoryResult tn_seeded = trajectories_tn(nc, 0, 0, 0, 7, popts, tn_eval());
   const sim::TrajectoryResult sv_direct = sim::trajectories_sv(nc, 0, 0, 0, rng);
   const sim::TrajectoryResult sv_seeded = sim::trajectories_sv(nc, 0, 0, 0, 7, popts);
-  const sim::TrajectoryResult mps_direct = mps::trajectories_mps(nc, 0, 0, 0, rng);
-  const sim::TrajectoryResult mps_seeded = mps::trajectories_mps(nc, 0, 0, 0, 7, popts);
-  for (const sim::TrajectoryResult& r :
-       {tn_direct, tn_seeded, sv_direct, sv_seeded, mps_direct, mps_seeded}) {
+  for (const sim::TrajectoryResult& r : {tn_direct, tn_seeded, sv_direct, sv_seeded}) {
     EXPECT_EQ(r.samples, 0u);
     EXPECT_EQ(r.mean, 0.0);
     EXPECT_EQ(r.std_error, 0.0);

@@ -1,5 +1,6 @@
 // Deterministic fault-injection coverage: NOISIM_FAULTS grammar, site
-// firing semantics, the simulate() escalation matrix (every feasible
+// firing semantics, run-* sites in lockstep with the backend registry, the
+// simulate() escalation matrix (every feasible
 // backend pair recovers bitwise-identical to direct invocation of the
 // survivor), run-time (not plan-time) TimeoutError escalation for the
 // TN-capable backends, sweep-queue and trajectory-runner worker throws
@@ -7,6 +8,7 @@
 // EnvFaultDrill CI hook that tolerates any env-armed fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -47,7 +49,7 @@ struct EnvGuard {
   }
 };
 
-// All six backends bid feasible on this circuit at this budget (asserted in
+// Every backend bids feasible on this circuit at this budget (asserted in
 // the matrix test), which is what lets the escalation ladder walk every
 // pair.
 ch::NoisyCircuit all_backends_circuit() {
@@ -63,7 +65,7 @@ SimulateOptions all_backends_options() {
 // TnTrajectories wins this one (TN layer replay is ~4 orders cheaper than
 // the 2^16 state-vector sweep), with SvTrajectories as the only other
 // feasible bid: density is past its qubit cap, TDD past the memory budget,
-// TnApprox past max_terms, MPS outside the exact-bond regime.
+// and TnApprox past max_terms.
 ch::NoisyCircuit tn_traj_circuit() {
   return bench::insert_noises(bench::qaoa(16, 1, 77), 6, bench::depolarizing_noise(0.1), 31);
 }
@@ -117,6 +119,22 @@ TEST_F(FaultTest, DisarmedPokesAreNoOps) {
   // Unknown site names poke as no-ops even while another site is armed.
   fault::arm("plan-mo", 1);
   EXPECT_NO_THROW(fault::poke("definitely-not-a-site"));
+}
+
+// The run-<backend> sites move in lockstep with simulate()'s registry:
+// every run-* site names a backend in default_backends(), and every backend
+// has its site. The escalation matrix only arms backend -> site; this also
+// catches a site left behind by a retired backend.
+TEST_F(FaultTest, RunSitesMatchTheBackendRegistry) {
+  std::vector<std::string> backend_sites;
+  for (const Backend* b : default_backends())
+    backend_sites.push_back(std::string("run-") + backend_name(b->kind()));
+  std::vector<std::string> run_sites;
+  for (const std::string_view site : fault::known_sites())
+    if (site.starts_with("run-")) run_sites.emplace_back(site);
+  std::sort(backend_sites.begin(), backend_sites.end());
+  std::sort(run_sites.begin(), run_sites.end());
+  EXPECT_EQ(run_sites, backend_sites);
 }
 
 TEST_F(FaultTest, EnvGrammarErrorsNameTheVariable) {
@@ -401,13 +419,14 @@ TEST_F(FaultTest, TrajectoryChunkThrowPropagatesAndRerunsBitIdentical) {
   };
   sim::ParallelOptions popts;
   popts.threads = 2;
-  const sim::TrajectoryResult base = sim::run_trajectories(512, 7, sampler, popts);
+  const sim::SamplerFactory factory = [&](std::size_t) { return sampler; };
+  const sim::TrajectoryResult base = sim::run_trajectories(512, 7, factory, popts);
 
   for (const std::uint64_t nth : {std::uint64_t{1}, std::uint64_t{4}}) {
     fault::arm("traj-chunk", nth);
-    EXPECT_THROW(sim::run_trajectories(512, 7, sampler, popts), fault::FaultError);
+    EXPECT_THROW(sim::run_trajectories(512, 7, factory, popts), fault::FaultError);
     EXPECT_TRUE(fault::fired("traj-chunk"));
-    const sim::TrajectoryResult rerun = sim::run_trajectories(512, 7, sampler, popts);
+    const sim::TrajectoryResult rerun = sim::run_trajectories(512, 7, factory, popts);
     EXPECT_EQ(rerun.mean, base.mean) << "nth=" << nth;
     EXPECT_EQ(rerun.std_error, base.std_error) << "nth=" << nth;
     EXPECT_EQ(rerun.samples, base.samples) << "nth=" << nth;

@@ -1,13 +1,10 @@
-// Tests for the MPS simulator and MPS trajectories.
+// Tests for the MPS simulator.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "bench_support/generators.hpp"
-#include "channels/catalog.hpp"
 #include "mps/mps.hpp"
-#include "mps/mps_trajectories.hpp"
-#include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
 namespace noisim::mps {
@@ -159,59 +156,6 @@ TEST(Mps, QaoaGridRunsAtModestBond) {
   s.apply_circuit(c);
   EXPECT_NEAR(s.norm2(), 1.0, 1e-6);
   EXPECT_GE(s.max_bond_dim(), 2u);
-}
-
-// --- MPS trajectories -----------------------------------------------------------
-
-TEST(MpsTrajectories, AgreesWithDensityMatrix) {
-  const qc::Circuit c = random_circuit(4, 12, 31);
-  ch::NoisyCircuit nc(4);
-  const auto& gs = c.gates();
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    nc.add_gate(gs[i]);
-    if (i == 3) nc.add_noise(1, ch::depolarizing(0.15));
-    if (i == 8) nc.add_noise(2, ch::amplitude_damping(0.2));
-  }
-  const double exact = sim::exact_fidelity_mm(nc, 0, 0);
-  std::mt19937_64 rng(5);
-  const sim::TrajectoryResult r = trajectories_mps(nc, 0, 0, 2500, rng, {32, 1e-14});
-  EXPECT_NEAR(r.mean, exact, 5.0 * r.std_error + 1e-6);
-}
-
-TEST(MpsTrajectories, HandlesTwoQubitNoise) {
-  qc::Circuit c(3);
-  c.add(qc::h(0)).add(qc::cx(0, 1)).add(qc::cx(1, 2));
-  ch::NoisyCircuit nc(3);
-  for (std::size_t i = 0; i < c.gates().size(); ++i) {
-    nc.add_gate(c.gates()[i]);
-    if (i == 1) nc.add_noise_2q(0, 1, ch::two_qubit_depolarizing(0.2));
-  }
-  const double exact = sim::exact_fidelity_mm(nc, 0, 0);
-  std::mt19937_64 rng(6);
-  const sim::TrajectoryResult r = trajectories_mps(nc, 0, 0, 2500, rng, {16, 1e-14});
-  EXPECT_NEAR(r.mean, exact, 5.0 * r.std_error + 1e-6);
-}
-
-TEST(MpsTrajectories, ParallelVariantIsDeterministicAndUnbiased) {
-  const qc::Circuit c = random_circuit(4, 12, 31);
-  ch::NoisyCircuit nc(4);
-  const auto& gs = c.gates();
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    nc.add_gate(gs[i]);
-    if (i == 3) nc.add_noise(1, ch::depolarizing(0.15));
-    if (i == 8) nc.add_noise(2, ch::amplitude_damping(0.2));
-  }
-  const double exact = sim::exact_fidelity_mm(nc, 0, 0);
-
-  sim::ParallelOptions popts;
-  popts.threads = 1;
-  const sim::TrajectoryResult serial = trajectories_mps(nc, 0, 0, 1500, 4, popts, {32, 1e-14});
-  popts.threads = 4;
-  const sim::TrajectoryResult parallel = trajectories_mps(nc, 0, 0, 1500, 4, popts, {32, 1e-14});
-
-  EXPECT_EQ(parallel.mean, serial.mean);
-  EXPECT_EQ(parallel.std_error, serial.std_error);
-  EXPECT_NEAR(parallel.mean, exact, 5.0 * parallel.std_error + 1e-6);
 }
 
 }  // namespace

@@ -202,23 +202,24 @@ TEST(RunControl, TrajectoryRunnersStopWithinOneChunk) {
     std::uniform_real_distribution<double> u(0.0, 1.0);
     return u(rng);
   };
+  const sim::SamplerFactory factory = [&](std::size_t) { return sampler; };
   sim::ParallelOptions popts;
   popts.threads = 2;
 
   RunControl c;
   c.request_cancel();
   popts.control = &c;
-  EXPECT_THROW(sim::run_trajectories(1024, 42, sampler, popts), CancelledError);
+  EXPECT_THROW(sim::run_trajectories(1024, 42, factory, popts), CancelledError);
 
   c.reset();
   c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
-  EXPECT_THROW(sim::run_trajectories(1024, 42, sampler, popts), TimeoutError);
+  EXPECT_THROW(sim::run_trajectories(1024, 42, factory, popts), TimeoutError);
 
   // Never fires -> bit-identical to no control, at any thread count.
   c.reset();
-  const sim::TrajectoryResult guarded = sim::run_trajectories(1024, 42, sampler, popts);
+  const sim::TrajectoryResult guarded = sim::run_trajectories(1024, 42, factory, popts);
   popts.control = nullptr;
-  const sim::TrajectoryResult bare = sim::run_trajectories(1024, 42, sampler, popts);
+  const sim::TrajectoryResult bare = sim::run_trajectories(1024, 42, factory, popts);
   EXPECT_EQ(guarded.mean, bare.mean);
   EXPECT_EQ(guarded.std_error, bare.std_error);
   EXPECT_EQ(guarded.samples, bare.samples);

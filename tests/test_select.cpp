@@ -18,7 +18,6 @@
 #include "core/doubled_network.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
-#include "mps/mps_trajectories.hpp"
 #include "sim/density.hpp"
 #include "sim/trajectories.hpp"
 #include "tdd/tdd_sim.hpp"
@@ -181,9 +180,6 @@ double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uin
       return trajectories_tn(nc, psi, v, r.config.samples, opts.seed, popts, opts.eval).mean;
     case BackendKind::SvTrajectories:
       return sim::trajectories_sv(nc, psi, v, r.config.samples, opts.seed, popts).mean;
-    case BackendKind::MpsTrajectories:
-      return mps::trajectories_mps(nc, psi, v, r.config.samples, opts.seed, popts, opts.mps)
-          .mean;
   }
   return std::numeric_limits<double>::quiet_NaN();
 }

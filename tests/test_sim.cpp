@@ -372,9 +372,10 @@ TEST(ParallelEngine, WorkerExceptionsPropagate) {
   ParallelOptions opts;
   opts.threads = 4;
   opts.chunk_size = 1;
-  EXPECT_THROW(run_trajectories(
-                   64, 9, [](std::mt19937_64&) -> double { throw LinalgError("boom"); }, opts),
-               LinalgError);
+  const SamplerFactory factory = [](std::size_t) -> Sampler {
+    return [](std::mt19937_64&) -> double { throw LinalgError("boom"); };
+  };
+  EXPECT_THROW(run_trajectories(64, 9, factory, opts), LinalgError);
 }
 
 TEST(Trajectories, SingleSampleOfUnitaryMixtureIsValidFidelity) {
