@@ -53,8 +53,8 @@ void check_budgets(CostEstimate& est, const SimulateOptions& opts) {
 
 // Shared sampler sizing: Hoeffding sample count for the error budget,
 // capped by max_samples, times the engine's per-sample cost model, plus its
-// per-worker cost once per worker. Peak memory scales with the worker count
-// too (each worker owns its state).
+// once-per-call cost. Peak memory scales with the worker count (each worker
+// owns its state).
 CostEstimate sampler_estimate(const sim::TrajectoryCost& cost, const SimulateOptions& opts) {
   CostEstimate est;
   const std::size_t needed = sim::hoeffding_samples(opts.error_budget, opts.failure_prob);
@@ -67,8 +67,7 @@ CostEstimate sampler_estimate(const sim::TrajectoryCost& cost, const SimulateOpt
   est.achievable_error = sim::hoeffding_accuracy(needed, opts.failure_prob);
   const std::size_t workers =
       std::max<std::size_t>(std::min<std::size_t>(sim::resolve_threads(opts.threads), needed), 1);
-  est.flops = cost.per_sample_flops * static_cast<double>(needed) +
-              cost.per_worker_flops * static_cast<double>(workers);
+  est.flops = cost.per_sample_flops * static_cast<double>(needed) + cost.per_call_flops;
   est.peak_elems = cost.peak_elems * workers;
   check_budgets(est, opts);
   return est;

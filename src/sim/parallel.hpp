@@ -14,7 +14,7 @@
 //    never of the thread count;
 //  * idle workers steal the next unclaimed (shard, chunk) item from a
 //    shared atomic counter, so uneven per-sample costs balance out without
-//    a static partition (a statevector sample that reuses its worker's
+//    a static partition (a statevector sample that reuses the call's
 //    noise-free trajectory is nearly free; one that draws an error evolves
 //    the whole state);
 //  * each chunk accumulates its own Welford mean/M2 and the per-chunk

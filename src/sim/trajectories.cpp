@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <mutex>
 #include <optional>
 
 #include "sim/mixture_draw.hpp"
@@ -23,11 +24,11 @@ bool is_scalar_identity(const la::Matrix& u) {
   return true;
 }
 
-/// One NoisyCircuit op resolved for replay: a gate as an SvOp; a noise site
-/// whose channel is a normalized unitary mixture as its fixed branch
-/// weights and branch unitaries; or any other noise site with its Kraus
-/// operators' coefficients and, for 1-qubit sites, the Born operators
-/// K^dag K (the la::Matrix product k.adjoint() * k).
+/// One step of the replayed program: a fused gate operator (see GateFuser)
+/// as an SvOp; a noise site whose channel is a normalized unitary mixture
+/// as its fixed branch weights and branch unitaries; or any other noise
+/// site with its Kraus operators' coefficients and, for 1-qubit sites, the
+/// Born operators K^dag K (the la::Matrix product k.adjoint() * k).
 struct TrajOp {
   enum class Kind : std::uint8_t { Gate, Mixture, Born };
   Kind kind = Kind::Gate;
@@ -43,16 +44,96 @@ struct TrajOp {
 /// Per-worker buffers: the state, reset to |psi> per sample; the 2-qubit
 /// Born scratch, allocated only for circuits with a 2-qubit noise site that
 /// is not a unitary mixture; and, for circuits without Born sites, the
-/// sample's pre-drawn branches and the noise-free trajectory's value once
-/// this worker has evolved it.
+/// sample's pre-drawn branches.
 struct TrajBuffers {
   std::vector<cplx> state, scratch;
   std::vector<std::size_t> drawn;
-  std::optional<double> clean;
+};
+
+/// Fuses one run of gates with no noise site between them into <= 2-qubit
+/// operators, as la::Matrix products:
+///  * a 1-qubit gate is multiplied into the last operator of the run that
+///    touches its qubit (kron'd with the identity when that operator is
+///    2-qubit), or starts a new 1-qubit operator when there is none;
+///  * a 2-qubit gate whose two qubits were last touched by the same
+///    operator -- necessarily a 2-qubit one on that pair -- is multiplied
+///    into it, conjugated by SWAP when its qubit order is reversed; any
+///    other 2-qubit gate starts a new operator.
+/// Nothing later in the run touches a merged gate's qubits, so moving the
+/// gate back to that operator keeps the product. The products keep exact
+/// zeros, so SvOp::one/two still classify the result (CX RZ CX is Diag2).
+class GateFuser {
+ public:
+  explicit GateFuser(int n) : n_(n), last_(static_cast<std::size_t>(n), kNone) {}
+
+  void add(const qc::Gate& g) {
+    const la::Matrix m = g.matrix();
+    const int a = g.qubits[0];
+    const std::size_t ia = last_[static_cast<std::size_t>(a)];
+    if (g.num_qubits() == 1) {
+      if (ia != kNone) {
+        Fused& f = run_[ia];
+        if (f.b < 0)
+          f.m = m * f.m;
+        else
+          f.m = (f.a == a ? la::kron(m, id2_) : la::kron(id2_, m)) * f.m;
+        return;
+      }
+      last_[static_cast<std::size_t>(a)] = run_.size();
+      run_.push_back({a, -1, m});
+      return;
+    }
+    const int b = g.qubits[1];
+    if (ia != kNone && ia == last_[static_cast<std::size_t>(b)]) {
+      Fused& f = run_[ia];
+      f.m = (f.a == a ? m : swap_conjugate(m)) * f.m;
+      return;
+    }
+    last_[static_cast<std::size_t>(a)] = last_[static_cast<std::size_t>(b)] = run_.size();
+    run_.push_back({a, b, m});
+  }
+
+  /// Appends the run's operators to `ops` in order and starts a new run.
+  void flush(std::vector<TrajOp>& ops) {
+    for (const Fused& f : run_) {
+      TrajOp t;
+      t.gate = f.b < 0 ? SvOp::one(f.m, qubit_bit(n_, f.a))
+                       : SvOp::two(f.m, qubit_bit(n_, f.a), qubit_bit(n_, f.b));
+      ops.push_back(std::move(t));
+    }
+    run_.clear();
+    std::fill(last_.begin(), last_.end(), kNone);
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// A fused operator: 2x2 on qubit a (b < 0), or 4x4 on (a, b) with a the
+  /// matrix's high-order qubit.
+  struct Fused {
+    int a, b;
+    la::Matrix m;
+  };
+
+  /// SWAP m SWAP: the 4x4 `m` with its two qubits' roles exchanged.
+  static la::Matrix swap_conjugate(const la::Matrix& m) {
+    constexpr std::size_t kSwapped[4] = {0, 2, 1, 3};
+    la::Matrix out(4, 4);
+    for (std::size_t r = 0; r < 4; ++r)
+      for (std::size_t c = 0; c < 4; ++c) out(r, c) = m(kSwapped[r], kSwapped[c]);
+    return out;
+  }
+
+  int n_;
+  std::vector<std::size_t> last_;  // per qubit: index in run_ of its last operator
+  std::vector<Fused> run_;
+  const la::Matrix id2_ = la::Matrix::identity(2);
 };
 
 /// A NoisyCircuit compiled once per call of a trajectory entry point and
-/// replayed by every sample (read-only, shared by all workers).
+/// replayed by every sample, shared by all workers: read-only except for
+/// the noise-free trajectory's value, which the first clean sample of the
+/// call evolves once (see sample()).
 class CompiledTrajectory {
  public:
   CompiledTrajectory(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits)
@@ -63,16 +144,14 @@ class CompiledTrajectory {
     la::detail::require(psi_bits < size_, "trajectories_sv: psi_bits out of range");
     la::detail::require(v_bits < size_, "trajectories_sv: v_bits out of range");
     ops_.reserve(nc.size());
+    GateFuser run(n);
     for (const ch::Op& op : nc.ops()) {
-      TrajOp t;
       if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-        const la::Matrix m = g->matrix();
-        t.gate = g->num_qubits() == 1
-                     ? SvOp::one(m, qubit_bit(n, g->qubits[0]))
-                     : SvOp::two(m, qubit_bit(n, g->qubits[0]), qubit_bit(n, g->qubits[1]));
-        ops_.push_back(std::move(t));
+        run.add(*g);
         continue;
       }
+      run.flush(ops_);
+      TrajOp t;
       const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
       t.two_qubit = noise.num_qubits() == 2;
       t.bit_a = qubit_bit(n, noise.qubit);
@@ -102,6 +181,7 @@ class CompiledTrajectory {
       }
       ops_.push_back(std::move(t));
     }
+    run.flush(ops_);
   }
 
   /// One trajectory: |<v|psi_traj>|^2.
@@ -109,9 +189,11 @@ class CompiledTrajectory {
   /// Without Born sites no branch depends on the state, so every site's
   /// branch is drawn first, in site order -- the uniforms the inline loop
   /// would consume, in the same order. A sample whose every branch is a
-  /// scalar identity is the noise-free trajectory: the worker evolves it
-  /// once and returns the stored value for each later one, which is the
-  /// value the evolution would return again, bit for bit.
+  /// scalar identity is the noise-free trajectory: the first such sample of
+  /// the call, on whichever worker, evolves it once; every other one, on
+  /// any worker, returns that value (waiting for it if the evolution is
+  /// still running), which is the value its own evolution would return,
+  /// bit for bit.
   double sample(TrajBuffers& buf, std::mt19937_64& rng) const {
     if (has_born_) return evolve(buf, rng, nullptr);
     buf.drawn.clear();
@@ -122,10 +204,9 @@ class CompiledTrajectory {
       clean = clean && !op.branches[k];
       buf.drawn.push_back(k);
     }
-    if (clean && buf.clean) return *buf.clean;
-    const double f = evolve(buf, rng, buf.drawn.data());
-    if (clean) buf.clean = f;
-    return f;
+    if (!clean) return evolve(buf, rng, buf.drawn.data());
+    std::call_once(clean_once_, [&] { clean_ = evolve(buf, rng, buf.drawn.data()); });
+    return clean_;
   }
 
  private:
@@ -207,6 +288,8 @@ class CompiledTrajectory {
   std::size_t size_ = 0;
   bool has_born_ = false, two_qubit_born_ = false;
   std::vector<TrajOp> ops_;
+  mutable std::once_flag clean_once_;
+  mutable double clean_ = 0.0;  // the noise-free trajectory, once evolved
 };
 
 }  // namespace
@@ -295,9 +378,9 @@ TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc) {
         (static_cast<double>(noise.channel.kraus().size()) + 2.0) * apply;
   }
   if (!born) {
-    // Clean samples reuse the worker's one noise-free evolution.
+    // Clean samples reuse the call's one noise-free evolution.
     out.per_sample_flops *= 1.0 - p_clean;
-    out.per_worker_flops = gate_flops;
+    out.per_call_flops = gate_flops;
   }
   out.peak_elems = static_cast<std::size_t>(dim * (scratch_copy ? 2.0 : 1.0));
   return out;

@@ -20,10 +20,19 @@
 // Without Born sites no draw depends on the state, so a sample draws all its
 // branches first. When every one is a scalar identity -- the common case at
 // low noise, (1 - 1e-3)^12 = 98.8% of the Fig. 5 samples -- the sample is
-// the noise-free trajectory, which each worker evolves once per call and
-// then returns from memory: a call pays about one evolution per worker plus
-// one per sample that drew an error, with every estimate bit-identical to
-// evolving each sample. Circuits with a Born site evolve every sample.
+// the noise-free trajectory, which the call evolves once, on the first
+// worker that draws it, and every other clean sample on any worker returns
+// from memory: a call pays one evolution plus one per sample that drew an
+// error, with every estimate bit-identical to evolving each sample.
+// Circuits with a Born site evolve every sample.
+//
+// An evolution replays a fused program: each run of gates between two
+// noise sites is multiplied out into <= 2-qubit operators (a 1-qubit gate
+// into the last operator on its qubit, a 2-qubit gate into the last one on
+// its pair), each then classified by shape like any SvOp: a Fig. 5
+// circuit's 120 gate passes become 52-63. Fused products round differently
+// from the gate-by-gate passes of Statevector::apply_circuit, which stays
+// unfused as the independent oracle; noise sites are never fused.
 //
 // This is the "MM-based" trajectories variant (statevector); the TN-based
 // variant lives in core/trajectories_tn.hpp because it reuses the tensor
@@ -74,28 +83,29 @@ double hoeffding_accuracy(std::size_t samples, double failure_prob);
 /// Plan-time cost model of one trajectory engine, in the commensurate units
 /// the backend-selection front door (core/backend.hpp) compares: flops are
 /// modeled complex multiply-adds, peak_elems transient complex elements. A
-/// call of `samples` samples on `workers` workers is priced
-/// samples * per_sample_flops + workers * per_worker_flops.
+/// call of `samples` samples is priced
+/// samples * per_sample_flops + per_call_flops.
 /// Filled by sv_trajectory_cost and by the tensor-network trajectory bid
 /// (one layer replay per sample).
 struct TrajectoryCost {
   double per_sample_flops = 0.0;
-  double per_worker_flops = 0.0;  // paid once by each worker per call
+  double per_call_flops = 0.0;  // paid once per call, whatever the worker count
   std::size_t peak_elems = 0;
 };
 
 /// Cost model of the trajectories_sv entry points: an evolution updates all
-/// 2^n amplitudes per gate. A unitary-mixture site costs its expected apply:
-/// the weight of its branches that are not scalar multiples of the
-/// identity, times one 1- or 2-qubit pass. Any other (Born) site evaluates
-/// each Kraus candidate's Born probability and renormalizes the winner
-/// ((Kraus count + 2) passes). With a Born site every sample pays the full
-/// evolution. Without one, a sample is clean (every branch an identity)
-/// with probability P_clean, the product over sites of their identity
-/// weight, and reuses its worker's noise-free evolution: per_sample_flops
-/// is (1 - P_clean) times the full evolution, and per_worker_flops the
-/// gate passes of the one clean evolution. Peak memory is the state, plus
-/// the Born scratch copy when some 2-qubit site is not a unitary mixture.
+/// 2^n amplitudes per source gate (the fused program's fewer passes are not
+/// modeled). A unitary-mixture site costs its expected apply: the weight of
+/// its branches that are not scalar multiples of the identity, times one 1-
+/// or 2-qubit pass. Any other (Born) site evaluates each Kraus candidate's
+/// Born probability and renormalizes the winner ((Kraus count + 2) passes).
+/// With a Born site every sample pays the full evolution. Without one, a
+/// sample is clean (every branch an identity) with probability P_clean, the
+/// product over sites of their identity weight, and reuses the call's one
+/// noise-free evolution: per_sample_flops is (1 - P_clean) times the full
+/// evolution, and per_call_flops the gate passes of that clean evolution.
+/// Peak memory is the state, plus the Born scratch copy when some 2-qubit
+/// site is not a unitary mixture.
 TrajectoryCost sv_trajectory_cost(const ch::NoisyCircuit& nc);
 
 }  // namespace noisim::sim

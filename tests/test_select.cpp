@@ -112,6 +112,29 @@ TEST(BackendSelection, HighNoiseLooseBudgetGoesToASampler) {
   EXPECT_EQ(r.traj.samples, r.config.samples);
 }
 
+TEST(BackendSelection, SvSamplerBidPaysTheCleanEvolutionOncePerCall) {
+  // Mixture-only noise: the call evolves the noise-free trajectory once,
+  // whatever its worker count, so only the state memory scales with it.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::hf_vqe(8, 21), 6, bench::depolarizing_noise(1e-3), 23);
+  const Backend* sv = nullptr;
+  for (const Backend* b : default_backends())
+    if (b->kind() == BackendKind::SvTrajectories) sv = b;
+  ASSERT_NE(sv, nullptr);
+  SimulateOptions opts;
+  opts.error_budget = 5e-2;
+  opts.threads = 1;
+  const CostEstimate one = sv->estimate(nc, 0, 0, opts);
+  opts.threads = 4;
+  const CostEstimate four = sv->estimate(nc, 0, 0, opts);
+  const sim::TrajectoryCost cost = sim::sv_trajectory_cost(nc);
+  ASSERT_GT(cost.per_call_flops, 0.0);
+  EXPECT_EQ(one.flops, cost.per_sample_flops * static_cast<double>(one.samples) +
+                           cost.per_call_flops);
+  EXPECT_EQ(four.flops, one.flops);
+  EXPECT_EQ(four.peak_elems, 4 * one.peak_elems);
+}
+
 TEST(BackendSelection, ForcedBackendIsHonoredAndBudgetChecked) {
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::hf_vqe(6, 11), 2, bench::depolarizing_noise(0.05), 13);

@@ -221,15 +221,16 @@ TEST(Trajectories, HoeffdingRejectsDegenerateInputs) {
 
 // --- parallel engine ---------------------------------------------------------
 
-TEST(Trajectories, SvCostChargesTheCleanEvolutionOncePerWorker) {
-  // dim 8: a 1-qubit pass is 16 modeled flops, a 2-qubit pass 32.
+TEST(Trajectories, SvCostChargesTheCleanEvolutionOncePerCall) {
+  // dim 8: a 1-qubit pass is 16 modeled flops, a 2-qubit pass 32, priced
+  // per source gate whatever the fused program runs.
   qc::Circuit c(3);
   c.add(qc::h(0)).add(qc::cx(0, 1));
   const double gates = 16.0 + 32.0;
   ch::NoisyCircuit nc(c);
   const TrajectoryCost noiseless = sv_trajectory_cost(nc);
   EXPECT_EQ(noiseless.per_sample_flops, 0.0);
-  EXPECT_EQ(noiseless.per_worker_flops, gates);
+  EXPECT_EQ(noiseless.per_call_flops, gates);
 
   // Identity weights 0.7 and 0.9: a sample is clean with probability 0.63,
   // and only the others pay the evolution with its expected noise passes.
@@ -237,13 +238,13 @@ TEST(Trajectories, SvCostChargesTheCleanEvolutionOncePerWorker) {
   nc.add_noise(1, ch::bit_flip(0.1));
   const TrajectoryCost mixtures = sv_trajectory_cost(nc);
   EXPECT_NEAR(mixtures.per_sample_flops, (1.0 - 0.7 * 0.9) * (gates + (0.3 + 0.1) * 16.0), 1e-9);
-  EXPECT_EQ(mixtures.per_worker_flops, gates);
+  EXPECT_EQ(mixtures.per_call_flops, gates);
 
   // A Born site evolves every sample: no reuse is priced.
   nc.add_noise(2, ch::amplitude_damping(0.2));
   const TrajectoryCost born = sv_trajectory_cost(nc);
   EXPECT_NEAR(born.per_sample_flops, gates + (0.3 + 0.1) * 16.0 + (2.0 + 2.0) * 16.0, 1e-9);
-  EXPECT_EQ(born.per_worker_flops, 0.0);
+  EXPECT_EQ(born.per_call_flops, 0.0);
 }
 
 TEST(ParallelEngine, WelfordMatchesTwoPassStatistics) {
@@ -441,22 +442,21 @@ TEST(Statevector, OutOfRangeQubitAndBitsThrow) {
 
 // --- golden estimate bits ------------------------------------------------------
 //
-// Fixed-seed trajectories_sv estimates pinned as hex-float literals. The
-// amplitude-damping case goes through the Born path: its bits were recorded
-// from the engine before its state-vector kernels were rewritten (branchy
-// full-range loops, per-sample allocation), so they pin that the rewrite
-// performs the same IEEE operations per amplitude: any change to Born
-// probabilities, Kraus selection, renormalization or the amplitude read-out
-// moves at least one of them. The depolarizing cases are unitary mixtures,
-// drawn from their fixed weights (sim/mixture_draw.hpp): they were
-// re-recorded when those sites stopped taking the Born path, and moved only
-// at roundoff (the same branches are chosen; the low-noise serial
-// std_error, a roundoff residue of 32 equal samples, became an exact 0).
-// They pin the fixed-weight draw, the identity-branch skip and the
-// branch unitaries' kernels. The serial pins were re-recorded once more,
-// at a few ulp, when the serial overload moved from a sum/sum-of-squares
-// to the runner's Welford fold. Every kernel tier must reproduce every case,
-// at one and four threads and through the serial overload.
+// Fixed-seed trajectories_sv estimates pinned as hex-float literals. Every
+// case evolves the fused gate program (each run of gates between two noise
+// sites multiplied out into <= 2-qubit operators), so any change to the
+// fusion rules, the operators' shape classes or the kernels that apply them
+// moves at least one pin. The amplitude-damping case goes through the Born
+// path: it also pins the Born probabilities, Kraus selection,
+// renormalization and the amplitude read-out. The depolarizing cases are
+// unitary mixtures, drawn from their fixed weights (sim/mixture_draw.hpp):
+// they pin the fixed-weight draw, the identity-branch skip, the branch
+// unitaries' kernels and the call's one noise-free evolution, whose value
+// every clean sample on every worker returns. All four cases were
+// re-recorded when the gate runs were fused and moved only at roundoff
+// (at most 2 ulp; the same branches are chosen). Every kernel tier must
+// reproduce every case, at one and four threads and through the serial
+// overload.
 
 struct GoldenCase {
   const char* name;
@@ -496,14 +496,14 @@ ch::NoisyCircuit golden_two_qubit() {
 
 TEST(TrajectoryGolden, EstimatesMatchPinnedBitsOnEveryTierAndThreadCount) {
   const GoldenCase cases[] = {
-      {"fig5 depolarizing(1e-3)", golden_fig5(1e-3), 11289, 32, 0x1.f3c41d839a299p-11, 0x0p+0,
-       0x1.f3c41d839a299p-11, 0x0p+0},
-      {"fig5 depolarizing(0.3)", golden_fig5(0.3), 11289, 32, 0x1.985ab0efa330cp-13,
-       0x1.815e4ceec5f56p-15, 0x1.11d1d14900981p-13, 0x1.a7e7fd627d751p-16},
-      {"amplitude_damping(0.25)", golden_damping(), 110, 64, 0x1.d5842abcfe0e3p-7,
-       0x1.9eff4680a461ap-10, 0x1.084d8b510c1e1p-6, 0x1.a2cf8c837edb3p-10},
-      {"two_qubit_depolarizing(0.2)", golden_two_qubit(), 110, 64, 0x1.3f3a43d45dabdp-6,
-       0x1.115b9856bef03p-9, 0x1.9ccb966b34d63p-6, 0x1.120c5efe49df6p-9},
+      {"fig5 depolarizing(1e-3)", golden_fig5(1e-3), 11289, 32, 0x1.f3c41d839a29bp-11, 0x0p+0,
+       0x1.f3c41d839a29bp-11, 0x0p+0},
+      {"fig5 depolarizing(0.3)", golden_fig5(0.3), 11289, 32, 0x1.985ab0efa330bp-13,
+       0x1.815e4ceec5f54p-15, 0x1.11d1d14900981p-13, 0x1.a7e7fd627d751p-16},
+      {"amplitude_damping(0.25)", golden_damping(), 110, 64, 0x1.d5842abcfe0e4p-7,
+       0x1.9eff4680a461ap-10, 0x1.084d8b510c1e2p-6, 0x1.a2cf8c837edb5p-10},
+      {"two_qubit_depolarizing(0.2)", golden_two_qubit(), 110, 64, 0x1.3f3a43d45dabfp-6,
+       0x1.115b9856bef04p-9, 0x1.9ccb966b34d65p-6, 0x1.120c5efe49df7p-9},
   };
   for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
     const auto tier = static_cast<tsr::KernelTier>(t);

@@ -8,12 +8,18 @@
 // state-vector estimate is also checked against the exact density-matrix
 // reference.
 //
-// The state-vector sampler evolves the noise-free trajectory once per worker
+// The state-vector sampler evolves the noise-free trajectory once per call
 // and reuses its value for every later sample whose branches are all
 // identities. Its serial estimate must therefore equal, bit for bit, a
 // Welford fold of sample_trajectory_sv calls (which compile per call and so
 // always evolve) on the same stream, and leave that stream in the same
-// state.
+// state; and a threaded call whose every sample is clean must equal the
+// serial estimate bit for bit.
+//
+// The sampler evolves a fused gate program (each run of gates between two
+// noise sites multiplied out into <= 2-qubit operators). The fusion oracle
+// holds it to the unfused Statevector::apply_gate, gate by gate, at 1e-12
+// relative on seeded random circuits built so every fusion rule fires.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,14 +27,17 @@
 #include <numbers>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "bench_support/generators.hpp"
 #include "channels/catalog.hpp"
 #include "core/trajectories_tn.hpp"
+#include "linalg/qr.hpp"
 #include "sim/density.hpp"
 #include "sim/parallel.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectories.hpp"
+#include "tensor/kernels.hpp"
 
 namespace noisim {
 namespace {
@@ -208,6 +217,185 @@ TEST(TrajCrossEngine, StateVectorEstimateMatchesExactDensity) {
   EXPECT_GT(r.std_error, 0.0);
   EXPECT_LE(std::abs(r.mean - exact), 5.0 * r.std_error)
       << "estimate " << r.mean << " +- " << r.std_error << " vs exact " << exact;
+}
+
+// --- fused gate program --------------------------------------------------------
+
+/// How often each fusion case occurs in a generated circuit.
+struct FusionCoverage {
+  int one_after_two_high = 0;  // 1-qubit gate on the 2-qubit gate's first qubit
+  int one_after_two_low = 0;   // ... on its second qubit
+  int same_pair_same_order = 0;
+  int same_pair_reversed = 0;
+  int cx = 0, cz = 0, swap = 0, u2q = 0;
+};
+
+la::Matrix swap_matrix() {
+  la::Matrix m(4, 4);
+  m(0, 0) = m(1, 2) = m(2, 1) = m(3, 3) = cplx{1.0, 0.0};
+  return m;
+}
+
+/// The k-th 2-qubit gate kind on (a, b): CX, CZ, SWAP, a Haar-random U2q,
+/// then the catalog's parameterized kinds.
+qc::Gate two_qubit_gate(int k, int a, int b, std::mt19937_64& rng, FusionCoverage& cov) {
+  std::uniform_real_distribution<double> angle(0.1, 6.2);
+  switch (k % 8) {
+    case 0: ++cov.cx; return qc::cx(a, b);
+    case 1: ++cov.cz; return qc::cz(a, b);
+    case 2: ++cov.swap; return qc::u2q(a, b, swap_matrix());
+    case 3: ++cov.u2q; return qc::u2q(a, b, la::random_unitary(4, rng));
+    case 4: return qc::zz(a, b, angle(rng));
+    case 5: return qc::fsim(a, b, angle(rng), angle(rng));
+    case 6: return qc::cphase(a, b, angle(rng));
+    default: return qc::cu(a, b, la::random_unitary(2, rng));
+  }
+}
+
+qc::Gate one_qubit_gate(int q, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> angle(0.1, 6.2);
+  switch (rng() % 6) {
+    case 0: return qc::h(q);
+    case 1: return qc::rx(q, angle(rng));
+    case 2: return qc::ry(q, angle(rng));
+    case 3: return qc::rz(q, angle(rng));
+    case 4: return qc::t(q);
+    default: return qc::u1q(q, la::random_unitary(2, rng));
+  }
+}
+
+/// A seeded random n-qubit circuit of `blocks` blocks. A block is a 1-qubit
+/// layer on random qubits, then a 2-qubit gate on a random ordered pair
+/// followed by one of: a 1-qubit gate on its first or second qubit, a
+/// 2-qubit gate on the same pair in the same or reversed order, or nothing.
+/// With `noise`, a bit_flip(1.0) site (a forced X) follows each gate with
+/// probability 1/5, splitting the gate runs the sampler fuses.
+ch::NoisyCircuit fusion_circuit(int n, int blocks, std::uint64_t seed, bool noise,
+                                FusionCoverage& cov) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> qubit(0, n - 1);
+  ch::NoisyCircuit nc(n);
+  const auto add = [&](const qc::Gate& g) {
+    nc.add_gate(g);
+    if (noise && rng() % 5 == 0) nc.add_noise(qubit(rng), ch::bit_flip(1.0));
+  };
+  int kind = 0;
+  for (int b = 0; b < blocks; ++b) {
+    for (int q = 0; q < n; ++q)
+      if (rng() % 2 == 0) add(one_qubit_gate(q, rng));
+    const int a = qubit(rng);
+    int c = qubit(rng);
+    while (c == a) c = qubit(rng);
+    add(two_qubit_gate(kind++, a, c, rng, cov));
+    switch (rng() % 5) {
+      case 0: ++cov.one_after_two_high; add(one_qubit_gate(a, rng)); break;
+      case 1: ++cov.one_after_two_low; add(one_qubit_gate(c, rng)); break;
+      case 2: ++cov.same_pair_same_order; add(two_qubit_gate(kind++, a, c, rng, cov)); break;
+      case 3: ++cov.same_pair_reversed; add(two_qubit_gate(kind++, c, a, rng, cov)); break;
+      default: break;
+    }
+  }
+  return nc;
+}
+
+/// The unfused oracle: Statevector::apply_circuit over the circuit's gates,
+/// with every (forced bit_flip(1.0)) noise site replaced by an X gate.
+sim::Statevector unfused_state(const ch::NoisyCircuit& nc, std::uint64_t psi) {
+  qc::Circuit c(nc.num_qubits());
+  for (const ch::Op& op : nc.ops()) {
+    if (const qc::Gate* g = std::get_if<qc::Gate>(&op))
+      c.add(*g);
+    else
+      c.add(qc::x(std::get<ch::NoiseOp>(op).qubit));
+  }
+  sim::Statevector sv = sim::Statevector::basis(nc.num_qubits(), psi);
+  sv.apply_circuit(c);
+  return sv;
+}
+
+/// One sample of the fused program against the unfused oracle at every
+/// output at least as likely as the uniform 2^-n, on every kernel tier.
+void expect_fused_matches_unfused(bool noise) {
+  FusionCoverage cov;
+  int checked = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const int n = 4 + static_cast<int>(seed % 3);
+    const ch::NoisyCircuit nc = fusion_circuit(n, 24, 1000 + seed, noise, cov);
+    const std::uint64_t psi = (seed * 0x9e3779b97f4a7c15ULL) >> (64 - n);
+    for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+      const auto tier = static_cast<tsr::KernelTier>(t);
+      if (!tsr::kernel_table(tier)) continue;
+      const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
+      const sim::Statevector ref = unfused_state(nc, psi);
+      for (std::uint64_t v = 0; v < ref.size(); ++v) {
+        const double want = std::norm(ref.amplitude(v));
+        if (want * static_cast<double>(ref.size()) < 1.0) continue;
+        std::mt19937_64 rng(seed);
+        const sim::TrajectoryResult got = sim::trajectories_sv(nc, psi, v, 1, rng);
+        EXPECT_LE(std::abs(got.mean - want), kRtol * want)
+            << "seed " << seed << ", v " << v << " on " << tsr::kernel_tier_name(tier)
+            << ": fused " << got.mean << " vs unfused " << want;
+        ++checked;
+      }
+      tsr::set_kernel_tier(prev);
+    }
+  }
+  EXPECT_GT(checked, 0);
+  // Every fusion case occurred in some circuit.
+  EXPECT_GT(cov.one_after_two_high, 0);
+  EXPECT_GT(cov.one_after_two_low, 0);
+  EXPECT_GT(cov.same_pair_same_order, 0);
+  EXPECT_GT(cov.same_pair_reversed, 0);
+  EXPECT_GT(cov.cx, 0);
+  EXPECT_GT(cov.cz, 0);
+  EXPECT_GT(cov.swap, 0);
+  EXPECT_GT(cov.u2q, 0);
+}
+
+TEST(TrajFusionOracle, NoiseFreeMatchesUnfusedApplyCircuit) {
+  expect_fused_matches_unfused(false);
+}
+
+TEST(TrajFusionOracle, ForcedBitFlipsMatchUnfusedGatesAndXs) {
+  expect_fused_matches_unfused(true);
+}
+
+TEST(TrajFusionOracle, ThreadedAllCleanEqualsSerialBitwise) {
+  // Two identity branches (I and a phase times I): every sample draws a
+  // branch per site but is clean, so every worker waits for or returns the
+  // call's one noise-free evolution.
+  la::Matrix id = la::Matrix::identity(2), phased = la::Matrix::identity(2);
+  id *= std::sqrt(0.5);
+  phased *= std::polar(std::sqrt(0.5), std::numbers::pi / 3.0);
+  const ch::Channel two_identities("two_identities", {id, phased});
+  FusionCoverage cov;
+  ch::NoisyCircuit nc(6);
+  const ch::NoisyCircuit gates = fusion_circuit(6, 30, 11, false, cov);
+  int placed = 0;
+  for (const ch::Op& op : gates.ops()) {
+    nc.add_gate(std::get<qc::Gate>(op));
+    if (++placed % 7 == 0) nc.add_noise(placed % 6, two_identities);
+  }
+  sim::Statevector ref(6);
+  ref.apply_circuit(nc.gates_only());
+  std::uint64_t v = 0;
+  for (std::uint64_t b = 1; b < ref.size(); ++b)
+    if (std::norm(ref.amplitude(b)) > std::norm(ref.amplitude(v))) v = b;
+
+  std::mt19937_64 rng(5);
+  const sim::TrajectoryResult serial = sim::trajectories_sv(nc, 0, v, 256, rng);
+  EXPECT_EQ(serial.std_error, 0.0);
+  EXPECT_LE(std::abs(serial.mean - std::norm(ref.amplitude(v))),
+            kRtol * std::norm(ref.amplitude(v)));
+  for (const std::size_t threads : {2ul, 4ul}) {
+    sim::ParallelOptions popts;
+    popts.threads = threads;
+    popts.chunk_size = 4;
+    const sim::TrajectoryResult r = sim::trajectories_sv(nc, 0, v, 256, 5, popts);
+    EXPECT_EQ(r.samples, 256u);
+    EXPECT_EQ(r.mean, serial.mean) << threads << " threads";
+    EXPECT_EQ(r.std_error, serial.std_error) << threads << " threads";
+  }
 }
 
 }  // namespace
