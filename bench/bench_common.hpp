@@ -7,7 +7,10 @@
 // paper's TO/MO table entries (scaled down with the workload).
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "bench_support/generators.hpp"
@@ -51,6 +54,25 @@ inline std::string g17(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+/// The whole file at `path`; empty when it cannot be read.
+inline std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// The number following the first `"<key>": ` at or after `from` in `text`
+/// (false when absent). The baseline gates read committed JSON with it.
+inline bool scan_field(const std::string& text, const std::string& key, double* out,
+                       std::size_t from = 0) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag, from);
+  if (at == std::string::npos) return false;
+  *out = std::strtod(text.c_str() + at + tag.size(), nullptr);
+  return true;
 }
 
 }  // namespace noisim::bench

@@ -10,8 +10,16 @@
 // zero (at v = 0 most references are ~1e-12, so a backend returning 0 would
 // pass); the ATPG row keeps v = 0, which its output projector makes ideal.
 // Exits non-zero on any violation. Per-backend pick counts land in
-// BENCH_select.json (or the first argument) so drift in the cost model's
-// arbitration shows up in the perf trajectory.
+// BENCH_select.json (or the first non-flag argument) so drift in the cost
+// model's arbitration shows up in the perf trajectory.
+//
+//   bench_select [out.json] [--baseline <json>]
+//
+// --baseline also fails (exit 1) unless every row's backend, level, sample
+// count and value bits equal the committed run of the same workload in
+// <json> (values are written with %.17g, so they round-trip exactly): any
+// change to a bid, the selection or an engine that moves a pick or a value
+// fails the gate. Timings and the machine record are never compared.
 
 #include <chrono>
 #include <cmath>
@@ -75,11 +83,48 @@ struct Row {
   bool violation = false;
 };
 
+/// Whether `row` carries the backend, level, sample count and value bits
+/// of the committed row of the same workload; prints the committed row
+/// when it does not.
+bool matches_baseline(const std::string& baseline, const Row& row) {
+  const std::size_t at = baseline.find("{\"workload\": \"" + row.name + "\"");
+  if (at == std::string::npos) {
+    std::cout << "baseline: no row for \"" << row.name << "\"\n";
+    return false;
+  }
+  const std::string committed = baseline.substr(at, baseline.find('}', at) - at);
+  double level = -1.0, samples = -1.0, value = std::nan("");
+  bench::scan_field(committed, "level", &level);
+  bench::scan_field(committed, "samples", &samples);
+  bench::scan_field(committed, "value", &value);
+  const bool same =
+      committed.find("\"backend\": \"" + row.backend + "\"") != std::string::npos &&
+      level == static_cast<double>(row.level) && samples == static_cast<double>(row.samples) &&
+      value == row.value && std::signbit(value) == std::signbit(row.value);
+  if (!same)
+    std::cout << "baseline: \"" << row.name << "\" picked " << row.backend << " level "
+              << row.level << " samples " << row.samples << " value " << bench::g17(row.value)
+              << "; committed " << committed << "}\n";
+  return same;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_select.json";
-  if (argc > 1) out_path = argv[1];
+  std::string baseline_path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--baseline") {
+      if (i + 1 >= argc) {
+        std::cerr << "error: --baseline requires a path\n";
+        return 2;
+      }
+      baseline_path = argv[++i];
+    } else {
+      out_path = arg;
+    }
+  }
 
   std::vector<Workload> pool;
   pool.push_back({"hf_6 tight (exact regime)",
@@ -168,6 +213,21 @@ int main(int argc, char** argv) {
   for (const auto& [name, count] : picks) std::cout << " " << name << "=" << count;
   std::cout << "\nbudget violations: " << violations << "\n";
 
+  bool baseline_ok = true;
+  if (!baseline_path.empty()) {
+    const std::string baseline = bench::read_text(baseline_path);
+    double committed_rows = 0.0;
+    if (!bench::scan_field(baseline, "workloads", &committed_rows) ||
+        committed_rows != static_cast<double>(rows.size())) {
+      std::cout << "baseline: " << baseline_path << " is unreadable or does not hold "
+                << rows.size() << " rows\n";
+      baseline_ok = false;
+    }
+    for (const Row& row : rows) baseline_ok = matches_baseline(baseline, row) && baseline_ok;
+    std::cout << "baseline picks and value bits: " << (baseline_ok ? "same" : "DIFFERENT")
+              << "\n";
+  }
+
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"select\",\n"
@@ -198,5 +258,5 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "wrote " << out_path << "\n";
 
-  return violations == 0 ? 0 : 1;
+  return violations == 0 && baseline_ok ? 0 : 1;
 }

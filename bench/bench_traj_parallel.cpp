@@ -44,19 +44,10 @@ double time_seconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The number following the first `"<key>": ` in `text` (false when absent).
-bool scan_field(const std::string& text, const std::string& key, double* out) {
-  const std::string tag = "\"" + key + "\": ";
-  const std::size_t at = text.find(tag);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + tag.size(), nullptr);
-  return true;
-}
-
 /// Bitwise comparison of one recorded estimate field; prints the verdict.
 bool same_bits(const std::string& baseline, const std::string& key, double got) {
   double want = 0.0;
-  if (!scan_field(baseline, key, &want)) {
+  if (!bench::scan_field(baseline, key, &want)) {
     std::cout << "baseline: field \"" << key << "\" missing\n";
     return false;
   }
@@ -225,14 +216,11 @@ int main(int argc, char** argv) {
 
   bool baseline_ok = true;
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
+    const std::string baseline = bench::read_text(baseline_path);
+    if (baseline.empty()) {
       std::cout << "baseline: cannot read " << baseline_path << "\n";
       baseline_ok = false;
     } else {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const std::string baseline = buf.str();
       const bool l = same_estimates(baseline, low);
       const bool h = same_estimates(baseline, high);
       baseline_ok = l && h;

@@ -38,10 +38,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <random>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/approx.hpp"
@@ -82,40 +80,13 @@ struct KRun {
 /// `"k": <k>` inside `path`. Returns false when absent.
 bool baseline_field(const std::string& path, std::size_t k, const std::string& key,
                     double* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string k_tag = "\"k\": " + std::to_string(k);
-  std::size_t at = text.find(k_tag);
-  if (at == std::string::npos) return false;
-  const std::string key_tag = "\"" + key + "\": ";
-  at = text.find(key_tag, at);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + key_tag.size(), nullptr);
-  return true;
-}
-
-/// Top-level numeric field scan (fields outside the per-k run objects).
-bool scan_field(const std::string& path, const std::string& key, double* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string key_tag = "\"" + key + "\": ";
-  const std::size_t at = text.find(key_tag);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + at + key_tag.size(), nullptr);
-  return true;
+  const std::string text = bench::read_text(path);
+  const std::size_t at = text.find("\"k\": " + std::to_string(k));
+  return at != std::string::npos && bench::scan_field(text, key, out, at);
 }
 
 std::string baseline_cpu(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::string text = bench::read_text(path);
   const std::string tag = "\"cpu_model\": \"";
   const std::size_t at = text.find(tag);
   if (at == std::string::npos) return {};
@@ -441,7 +412,8 @@ int main(int argc, char** argv) {
     // load cancels; the ~4ms absolute ladder time is too noisy to gate):
     // > 20% speedup loss vs the committed run fails.
     double base_speedup = 0.0;
-    if (sweep_mode && scan_field(baseline_path, "sweep_cache_speedup", &base_speedup) &&
+    if (sweep_mode && bench::scan_field(bench::read_text(baseline_path), "sweep_cache_speedup",
+                                     &base_speedup) &&
         base_speedup > 0.0) {
       const bool regressed = sweep.speedup() < base_speedup * 0.8;
       std::cout << "baseline sweep ladder: cache speedup "

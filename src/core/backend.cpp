@@ -6,13 +6,11 @@
 #include <numeric>
 #include <sstream>
 
-#include "core/doubled_network.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
 #include "fault/fault.hpp"
 #include "sim/density.hpp"
 #include "sim/trajectories.hpp"
-#include "tdd/tdd_sim.hpp"
 
 namespace noisim::core {
 
@@ -24,6 +22,12 @@ namespace {
 // constant rejects configurations near the wire instead of discovering the
 // timeout mid-run.
 constexpr double kModelFlopsPerSecond = 2e8;
+
+// Highest Algorithm-1 level the TnApprox ladder searches.
+constexpr std::size_t kMaxLevel = 8;
+// Sample-count cap of the trajectory backends; a budget needing more
+// samples than this marks them infeasible.
+constexpr std::size_t kMaxSamples = std::size_t{1} << 24;
 
 std::string format_double(double x) {
   std::ostringstream os;
@@ -52,15 +56,15 @@ void check_budgets(CostEstimate& est, const SimulateOptions& opts) {
 }
 
 // Shared sampler sizing: Hoeffding sample count for the error budget,
-// capped by max_samples, times the engine's per-sample cost model, plus its
+// capped by kMaxSamples, times the engine's per-sample cost model, plus its
 // once-per-call cost. Peak memory scales with the worker count (each worker
 // owns its state).
 CostEstimate sampler_estimate(const sim::TrajectoryCost& cost, const SimulateOptions& opts) {
   CostEstimate est;
   const std::size_t needed = sim::hoeffding_samples(opts.error_budget, opts.failure_prob);
-  if (needed > opts.max_samples) {
-    est.reason = "needs " + std::to_string(needed) + " samples, above max_samples " +
-                 std::to_string(opts.max_samples);
+  if (needed > kMaxSamples) {
+    est.reason = "needs " + std::to_string(needed) + " samples, above the sampler cap " +
+                 std::to_string(kMaxSamples);
     return est;
   }
   est.samples = needed;
@@ -107,48 +111,6 @@ class DensityBackend final : public Backend {
   }
 };
 
-class TddBackend final : public Backend {
- public:
-  BackendKind kind() const override { return BackendKind::Tdd; }
-
-  CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                        std::uint64_t v_bits, const SimulateOptions& opts) const override {
-    CostEstimate est;
-    // doubled_network adds the 2n input caps first, none sharing an edge,
-    // so the proxy's peak is at least 2^min(2n, kProxyMaxRank) -- and is
-    // exactly that clamp once 2n reaches it. When the clamp already breaks
-    // memory_budget the bid is priced without building the network:
-    // peak_elems and reason are the full proxy's, and flops holds only the
-    // caps' share of the proxy (a lower bound).
-    const std::size_t caps = 2 * static_cast<std::size_t>(nc.num_qubits());
-    if (caps >= tdd::kProxyMaxRank &&
-        (std::size_t{1} << tdd::kProxyMaxRank) > opts.memory_budget) {
-      est.peak_elems = std::size_t{1} << tdd::kProxyMaxRank;
-      for (std::size_t i = 1; i <= caps; ++i)
-        est.flops += std::ldexp(1.0, static_cast<int>(std::min(i, tdd::kProxyMaxRank)));
-      check_budgets(est, opts);
-      return est;
-    }
-    const tdd::TddCostProxy proxy =
-        tdd::sequential_cost_proxy(doubled_network(nc, psi_bits, v_bits));
-    est.flops = proxy.flops;
-    est.peak_elems =
-        proxy.peak_elems >= static_cast<double>(std::numeric_limits<std::size_t>::max())
-            ? std::numeric_limits<std::size_t>::max()
-            : static_cast<std::size_t>(proxy.peak_elems);
-    check_budgets(est, opts);
-    return est;
-  }
-
-  void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
-           const SimulateOptions& opts, const CostEstimate&, SimResult& out) const override {
-    tdd::TddSimOptions topts;
-    topts.control = opts.control;
-    out.value = tdd::exact_fidelity_tdd(nc, psi_bits, v_bits, topts);
-    out.error_bound = 0.0;
-  }
-};
-
 class TnApproxBackend final : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::TnApprox; }
@@ -166,7 +128,7 @@ class TnApproxBackend final : public Backend {
     // Walk the level ladder to the cheapest (lowest) level meeting the
     // error budget; cost grows combinatorially with the level, so the
     // first hit is the best bid.
-    const std::size_t top = std::min(opts.max_level, model.num_sites);
+    const std::size_t top = std::min(kMaxLevel, model.num_sites);
     double best_bound = std::numeric_limits<double>::infinity();
     for (std::size_t level = 0; level <= top; ++level) {
       if (model.term_count(level) > opts.max_terms) {
@@ -262,7 +224,6 @@ class SvTrajectoriesBackend final : public Backend {
 const char* backend_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::Density: return "density";
-    case BackendKind::Tdd: return "tdd";
     case BackendKind::TnApprox: return "tn-approx";
     case BackendKind::TnTrajectories: return "tn-trajectories";
     case BackendKind::SvTrajectories: return "sv-trajectories";
@@ -272,12 +233,11 @@ const char* backend_name(BackendKind kind) {
 
 const std::vector<const Backend*>& default_backends() {
   static const DensityBackend density;
-  static const TddBackend tdd_backend;
   static const TnApproxBackend tn_approx;
   static const TnTrajectoriesBackend tn_trajectories;
   static const SvTrajectoriesBackend sv_trajectories;
-  static const std::vector<const Backend*> all{&density, &tdd_backend, &tn_approx,
-                                               &tn_trajectories, &sv_trajectories};
+  static const std::vector<const Backend*> all{&density, &tn_approx, &tn_trajectories,
+                                               &sv_trajectories};
   return all;
 }
 
@@ -370,7 +330,7 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
   for (const std::size_t i : order) {
     if (!bids[i].estimate.feasible) break;  // order is feasible-first
     try {
-      // Injection site at the winner's entry (run-density, run-tdd, ...):
+      // Injection site at the winner's entry (run-density, run-tn-approx, ...):
       // fires before the engine touches its state, so escalation recovers
       // through the next bid exactly as a real first-instruction failure
       // would. The enabled() guard keeps the disarmed path allocation-free.

@@ -1,12 +1,11 @@
 #pragma once
 // Unified backend interface and the budget-driven simulate() front door.
 //
-// Every engine the repo grew -- exact density matrices, TDD contraction,
-// Algorithm-1 tensor-network approximation, and the state-vector and
-// tensor-network trajectory samplers -- estimates the same quantity
-// <v|E(|psi><psi|)|v>, but until this layer each had its own entry point,
-// option struct, and failure mode, and callers had to know which one fits
-// their circuit. core::simulate()
+// Four engines -- exact density matrices, Algorithm-1 tensor-network
+// approximation, and the state-vector and tensor-network trajectory
+// samplers -- estimate the same quantity <v|E(|psi><psi|)|v>, but until
+// this layer each had its own entry point, option struct, and failure mode,
+// and callers had to know which one fits their circuit. core::simulate()
 // removes that: it asks every eligible backend for a PLAN-TIME cost
 // estimate (flops, transient memory, achievable error bound), picks the
 // cheapest configuration that meets the caller's budgets, runs it, and
@@ -17,8 +16,8 @@
 // compiled tn::ContractionPlan's flop/arena accounting through the shared
 // PlanCache (so estimating pre-warms exactly the template the run replays),
 // trajectory adapters combine sim::hoeffding_samples with closed-form
-// per-sample sweep models, and the TDD adapter walks the doubled network's
-// sequential absorb order without building a single diagram.
+// per-sample sweep models, and the density adapter prices the
+// superoperator evolution in closed form.
 //
 // The selection never changes results: run() enters each engine's public
 // entry point with the same options a direct caller would pass, so
@@ -44,13 +43,12 @@ class PlanCache;
 /// (their error bounds are certain), samplers last.
 enum class BackendKind {
   Density,         ///< sim::exact_fidelity_mm (exact, 4^n memory)
-  Tdd,             ///< tdd::exact_fidelity_tdd (exact, diagram-sized)
   TnApprox,        ///< core::approximate_fidelity (Algorithm 1, level ladder)
   TnTrajectories,  ///< core::trajectories_tn (unitary-mixture channels only)
   SvTrajectories,  ///< sim::trajectories_sv
 };
 
-/// Stable display name ("density", "tdd", "tn-approx", ...).
+/// Stable display name ("density", "tn-approx", ...).
 const char* backend_name(BackendKind kind);
 
 /// Budgets and knobs of one simulate() call. The defaults ask for a 1e-3
@@ -78,14 +76,9 @@ struct SimulateOptions {
   std::size_t threads = 1;
   /// RNG seed for the trajectory backends.
   std::uint64_t seed = 12345;
-  /// Highest Algorithm-1 level the TnApprox ladder searches.
-  std::size_t max_level = 8;
   /// Term-count guard of the ladder: levels whose enumerated term count
   /// exceeds this are not considered (terms are materialized per level).
   double max_terms = 1048576.0;
-  /// Sample-count cap of the trajectory backends; a budget needing more
-  /// samples than this marks them infeasible.
-  std::size_t max_samples = std::size_t{1} << 24;
   /// Evaluation options threaded to the TN engines (contract options,
   /// sv/tn crossover, simplify). Leave default unless forcing a topology.
   EvalOptions eval;
@@ -98,14 +91,13 @@ struct SimulateOptions {
   std::optional<BackendKind> force_backend;
   /// Cooperative cancellation / deadline control (core/run_control.hpp),
   /// threaded into every engine simulate() estimates or runs: the planner
-  /// polls it per merge, the TN plan executors per step, the TDD engine per
-  /// node, the sweep queue per claimed item, and the trajectory runners per
-  /// chunk. An expired deadline raises TimeoutError (which the escalation
-  /// ladder treats like any run-time timeout); a cancel raises
-  /// CancelledError, which simulate() never absorbs -- it propagates to the
-  /// caller. With `deadline` > 0 the engines see a child of this control
-  /// carrying the call's deadline; this control's own conditions still
-  /// apply through it. Null disables; a control that never fires leaves
+  /// polls it per merge, the TN plan executors per step, the sweep queue
+  /// per claimed item, and the trajectory runners per chunk. An expired
+  /// deadline raises TimeoutError (which the escalation ladder treats like
+  /// any run-time timeout); a cancel raises CancelledError, which
+  /// simulate() never absorbs -- it propagates to the caller. With
+  /// `deadline` > 0 the engines see a child of this control carrying the
+  /// call's deadline; this control's own conditions still apply through it. Null disables; a control that never fires leaves
   /// results bit-identical. Caller-owned, must outlive the call.
   const RunControl* control = nullptr;
 };
@@ -113,7 +105,7 @@ struct SimulateOptions {
 /// One backend's plan-time bid: what it would cost and what it can promise.
 /// flops are modeled complex multiply-adds on a commensurate scale across
 /// backends (the selection's sort key); peak_elems are transient complex
-/// elements (TDD: dense-equivalent upper bound).
+/// elements.
 struct CostEstimate {
   bool feasible = false;
   /// Why the backend is out (empty when feasible): ineligible circuit,

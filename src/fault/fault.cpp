@@ -27,7 +27,6 @@ constexpr SiteSpec kSites[] = {
     {"sweep-worker", Kind::Fault},
     {"traj-chunk", Kind::Fault},
     {"run-density", Kind::MemoryOut},
-    {"run-tdd", Kind::MemoryOut},
     {"run-tn-approx", Kind::MemoryOut},
     {"run-tn-trajectories", Kind::MemoryOut},
     {"run-sv-trajectories", Kind::MemoryOut},

@@ -21,7 +21,6 @@
 //   sweep-worker         FaultError       sweep queue, before item eval
 //   traj-chunk           FaultError       trajectory runners, before a chunk
 //   run-density          MemoryOutError   simulate() before DensityBackend::run
-//   run-tdd              MemoryOutError   simulate() before TddBackend::run
 //   run-tn-approx        MemoryOutError   simulate() before TnApproxBackend::run
 //   run-tn-trajectories  MemoryOutError   simulate() before TnTrajectoriesBackend::run
 //   run-sv-trajectories  MemoryOutError   simulate() before SvTrajectoriesBackend::run

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <unordered_set>
 
 #include "core/doubled_network.hpp"
@@ -57,32 +56,6 @@ cplx tdd_contract_network(const tn::Network& net, const TddSimOptions& opts, Tdd
 double exact_fidelity_tdd(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                           std::uint64_t v_bits, const TddSimOptions& opts, TddStats* stats) {
   return tdd_contract_network(core::doubled_network(nc, psi_bits, v_bits), opts, stats).real();
-}
-
-TddCostProxy sequential_cost_proxy(const tn::Network& net) {
-  // Mirror of tdd_contract_network's loop without building any diagrams:
-  // only the accumulated open-edge support matters for the dense proxy.
-  std::unordered_set<tn::EdgeId> open;
-  TddCostProxy out;
-  for (std::size_t i = 0; i < net.num_nodes(); ++i) {
-    const tn::Node& node = net.node(i);
-    std::size_t summed = 0;
-    for (tn::EdgeId e : node.edges) {
-      if (open.count(e)) {
-        ++summed;
-        open.erase(e);
-      } else {
-        open.insert(e);
-      }
-    }
-    // Union of accumulator + node indices has open-after + summed edges
-    // (= a + b - s), clamped to kProxyMaxRank.
-    const std::size_t rank_sum = std::min(open.size() + summed, kProxyMaxRank);
-    out.flops += std::pow(2.0, static_cast<double>(rank_sum));
-    out.peak_elems = std::max(
-        out.peak_elems, std::pow(2.0, static_cast<double>(std::min(open.size(), kProxyMaxRank))));
-  }
-  return out;
 }
 
 }  // namespace noisim::tdd

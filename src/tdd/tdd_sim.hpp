@@ -40,21 +40,4 @@ double exact_fidelity_tdd(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                           std::uint64_t v_bits, const TddSimOptions& opts = {},
                           TddStats* stats = nullptr);
 
-/// Dense-equivalent cost proxy of tdd_contract_network's sequential absorb
-/// order, for plan-time backend selection. Walks nodes in insertion order
-/// tracking the accumulated diagram's open-edge support: absorbing a node
-/// with `a` open accumulator edges, `b` node edges, and `s` edges summed out
-/// is charged 2^(a + b - s) modeled flops; peak_elems is the largest
-/// intermediate support 2^rank. This upper-bounds the diagram sizes (TDD
-/// sharing only shrinks them), which is the safe direction for a budget
-/// check. Cheap: no tensors are touched.
-struct TddCostProxy {
-  double flops = 0.0;
-  double peak_elems = 0.0;
-};
-/// The proxy clamps every rank it charges at this value, so 2^rank stays
-/// finite; networks that large fail any realistic budget regardless.
-inline constexpr std::size_t kProxyMaxRank = 60;
-TddCostProxy sequential_cost_proxy(const tn::Network& net);
-
 }  // namespace noisim::tdd

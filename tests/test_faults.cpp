@@ -64,8 +64,7 @@ SimulateOptions all_backends_options() {
 
 // TnTrajectories wins this one (TN layer replay is ~4 orders cheaper than
 // the 2^16 state-vector sweep), with SvTrajectories as the only other
-// feasible bid: density is past its qubit cap, TDD past the memory budget,
-// and TnApprox past max_terms.
+// feasible bid: density is past its qubit cap and TnApprox past max_terms.
 ch::NoisyCircuit tn_traj_circuit() {
   return bench::insert_noises(bench::qaoa(16, 1, 77), 6, bench::depolarizing_noise(0.1), 31);
 }

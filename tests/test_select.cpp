@@ -15,7 +15,6 @@
 #include "channels/catalog.hpp"
 #include "core/atpg.hpp"
 #include "core/backend.hpp"
-#include "core/doubled_network.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
 #include "sim/density.hpp"
@@ -78,6 +77,7 @@ TEST(BackendSelection, TinyCircuitPicksAnExactBackend) {
   EXPECT_EQ(r.config.samples, 0u);
   EXPECT_NEAR(r.value, sim::exact_fidelity_mm(nc, 0, 0), 1e-9);
   EXPECT_EQ(r.considered.size(), default_backends().size());
+  EXPECT_EQ(default_backends().size(), 4u);  // density, tn-approx, both samplers
 }
 
 TEST(BackendSelection, LowNoiseWideCircuitTakesTheLevelLadder) {
@@ -192,11 +192,6 @@ double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uin
   switch (r.backend) {
     case BackendKind::Density:
       return sim::exact_fidelity_mm(nc, psi, v);
-    case BackendKind::Tdd: {
-      tdd::TddSimOptions topts;
-      topts.control = opts.control;
-      return tdd::exact_fidelity_tdd(nc, psi, v, topts);
-    }
     case BackendKind::TnApprox:
       return approximate_fidelity(nc, psi, v, tn_approx_options(opts, r.config.level)).value;
     case BackendKind::TnTrajectories:
@@ -333,11 +328,10 @@ TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {
   }
 }
 
-TEST(BackendSelection, WideCircuitTddBidSkipsTheDoubledNetwork) {
-  // The committed Fig. 4 circuit (qaoa_64 + 8 realistic noises): 128 input
-  // caps already put the TDD proxy's peak at its 2^60 clamp, so the bid is
-  // ruled out from that bound alone. The ruling, the winner and every
-  // value bit are pinned to what the full proxy produced.
+TEST(BackendSelection, Fig4CircuitTakesLevelOneOfTheLadder) {
+  // The committed Fig. 4 circuit (qaoa_64 + 8 realistic noises): past the
+  // density cap, so the pick is the level ladder. The winner, its level
+  // and every value bit are pinned.
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 508);
   SimulateOptions opts;
@@ -348,19 +342,27 @@ TEST(BackendSelection, WideCircuitTddBidSkipsTheDoubledNetwork) {
   EXPECT_EQ(r.config.level, 1u);
   EXPECT_EQ(r.value, 0x1.de7bc4ba59629p-63);
   EXPECT_EQ(r.error_bound, 0x1.44f5e07a4c8p-10);
-  const CostEstimate* tdd_bid = nullptr;
-  for (const BackendChoice& c : r.considered)
-    if (c.kind == BackendKind::Tdd) tdd_bid = &c.estimate;
-  ASSERT_NE(tdd_bid, nullptr);
-  EXPECT_FALSE(tdd_bid->feasible);
-  EXPECT_EQ(tdd_bid->reason,
-            "modeled peak 1152921504606846976 elems exceeds memory_budget 67108864");
+}
 
-  // The shortcut's peak is the full proxy's, and its flops never exceed it.
-  const tdd::TddCostProxy proxy = tdd::sequential_cost_proxy(doubled_network(nc, 0, 0));
-  EXPECT_EQ(static_cast<double>(tdd_bid->peak_elems), proxy.peak_elems);
-  EXPECT_LE(tdd_bid->flops, proxy.flops);
-  EXPECT_GT(tdd_bid->flops, 0.0);
+TEST(BackendSelection, SmallExactRegimeGoesToDensity) {
+  // Small circuits at a tight budget: the ladder needs level 2, which bids
+  // above the exact density engine. The value is exact_fidelity_mm's bit
+  // for bit, and the TDD contraction of the doubled diagram agrees as an
+  // independent exact oracle.
+  const std::vector<ch::NoisyCircuit> circuits = {
+      bench::insert_noises(bench::hf_vqe(4, 11), 6, bench::depolarizing_noise(1e-2), 13),
+      bench::insert_noises(bench::qaoa_grid(2, 3, 1, 7), 6, bench::realistic_noise(1e-2), 13),
+  };
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    SimulateOptions opts;
+    opts.error_budget = 1e-3;
+    const SimResult r = simulate(circuits[i], 0, 0, opts);
+    EXPECT_EQ(r.backend, BackendKind::Density) << "circuit " << i << " picked "
+                                               << backend_name(r.backend);
+    EXPECT_EQ(r.value, sim::exact_fidelity_mm(circuits[i], 0, 0)) << "circuit " << i;
+    EXPECT_LE(std::abs(r.value - tdd::exact_fidelity_tdd(circuits[i], 0, 0)), 1e-12)
+        << "circuit " << i;
+  }
 }
 
 TEST(Atpg, SimulateOverloadsMatchTheApproxPathSemantics) {
