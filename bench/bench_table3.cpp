@@ -4,7 +4,10 @@
 // Protocol (following the paper): 20 depolarizing noises with p = 0.001 are
 // injected into QAOA circuits; the trajectories sample count is chosen to
 // match the precision of our level-1 approximation; precision is measured
-// against the exact (TN-based) fidelity where computable.
+// against the exact (TN-based) fidelity where computable. The Traj (TN)
+// column contracts every sampled trajectory's amplitude on every row, the
+// 4- and 9-qubit grids included (core::trajectories_tn has no state-vector
+// path).
 
 #include "bench_common.hpp"
 #include "core/approx.hpp"
@@ -72,10 +75,10 @@ int main() {
     });
     const auto traj_tn = bench::run_guarded([&] {
       const bench::Deadline budget(bench::timeout_large());
-      core::EvalOptions eval;
-      eval.tn.control = &budget;
-      eval.tn.max_tensor_elems = bench::memory_budget();
-      return core::trajectories_tn(nc, 0, 0, samples, rng_tn, eval).mean;
+      tn::ContractOptions copts;
+      copts.control = &budget;
+      copts.max_tensor_elems = bench::memory_budget();
+      return core::trajectories_tn(nc, 0, 0, samples, rng_tn, copts).mean;
     });
 
     auto precision = [&](const bench::RunOutcome& r) {

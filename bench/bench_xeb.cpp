@@ -246,12 +246,12 @@ int main(int argc, char** argv) {
     for (int round = 0; round < 2; ++round) {
       auto t0 = Clock::now();
       const std::vector<sim::TrajectoryResult> tbatch =
-          core::trajectories_tn_sweep(nc, 0, vb, traj_samples, 7, popts, eval, K);
+          core::trajectories_tn_sweep(nc, 0, vb, traj_samples, 7, popts, eval.tn, K);
       run.traj_batched_seconds = std::min(run.traj_batched_seconds, secs(t0, Clock::now()));
       t0 = Clock::now();
       for (std::size_t o = 0; o < K; ++o) {
         const sim::TrajectoryResult ref =
-            core::trajectories_tn(nc, 0, vb[o], traj_samples, 7, popts, eval);
+            core::trajectories_tn(nc, 0, vb[o], traj_samples, 7, popts, eval.tn);
         run.traj_identical = run.traj_identical && ref.mean == tbatch[o].mean &&
                              ref.std_error == tbatch[o].std_error;
       }

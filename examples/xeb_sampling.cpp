@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // Trajectory estimates sharing one set of sampled noise realizations.
   sim::ParallelOptions popts;
   const std::vector<sim::TrajectoryResult> traj =
-      core::trajectories_tn_sweep(nc, 0, xs, 400, 11, popts, eval, K);
+      core::trajectories_tn_sweep(nc, 0, xs, 400, 11, popts, eval.tn, K);
 
   std::printf("\n%-18s %-12s %-12s %-18s\n", "bitstring", "p_ideal", "A(1)",
               "trajectories");

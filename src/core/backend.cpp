@@ -174,6 +174,16 @@ class TnTrajectoriesBackend final : public Backend {
       est.reason = "a channel is not a normalized mixture of unitaries";
       return est;
     }
+    // The tensor-network crossover that routes TnApprox's layers: below it
+    // (or with eval.backend = StateVector) the sv-trajectories bid covers
+    // the same samples on the state vector.
+    const int n = nc.num_qubits();
+    if (!uses_tensor_network(opts.eval, n)) {
+      est.reason = "eval resolves to the state vector at " + std::to_string(n) +
+                   " qubits, below the tensor-network crossover (Auto contracts past " +
+                   std::to_string(kSvMaxQubits) + ")";
+      return est;
+    }
     if (opts.eval.simplify) {
       est.reason = "eval.simplify is not applied by the trajectories skeleton";
       return est;
@@ -194,7 +204,7 @@ class TnTrajectoriesBackend final : public Backend {
            const SimulateOptions& opts, const CostEstimate& config,
            SimResult& out) const override {
     out.traj = trajectories_tn(nc, psi_bits, v_bits, config.samples, opts.seed,
-                               parallel_options(opts), opts.eval);
+                               parallel_options(opts), opts.eval.tn);
     out.value = out.traj.mean;
     out.error_bound = config.achievable_error;
   }

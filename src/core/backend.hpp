@@ -17,7 +17,10 @@
 // PlanCache (so estimating pre-warms exactly the template the run replays),
 // trajectory adapters combine sim::hoeffding_samples with closed-form
 // per-sample sweep models, and the density adapter prices the
-// superoperator evolution in closed form.
+// superoperator evolution in closed form. The two tensor-network adapters
+// share one crossover: tn-trajectories bids only where eval resolves to
+// the tensor network (uses_tensor_network), the path that routes
+// tn-approx's layers; below it sv-trajectories samples the same mixture.
 //
 // The selection never changes results: run() enters each engine's public
 // entry point with the same options a direct caller would pass, so
@@ -44,7 +47,7 @@ class PlanCache;
 enum class BackendKind {
   Density,         ///< sim::exact_fidelity_mm (exact, 4^n memory)
   TnApprox,        ///< core::approximate_fidelity (Algorithm 1, level ladder)
-  TnTrajectories,  ///< core::trajectories_tn (unitary-mixture channels only)
+  TnTrajectories,  ///< core::trajectories_tn (unitary mixtures, TN crossover only)
   SvTrajectories,  ///< sim::trajectories_sv
 };
 

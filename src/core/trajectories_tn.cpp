@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "sim/mixture_draw.hpp"
 
@@ -45,42 +45,38 @@ TnSkeleton build_skeleton(const ch::NoisyCircuit& nc) {
   return sk;
 }
 
+// The entry points' input checks, run before any sample count or compile:
+// every basis label is in range and every noise channel is a normalized
+// mixture of unitaries (the skeleton builder's check). Returns the skeleton.
+TnSkeleton checked_skeleton(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                            std::span<const std::uint64_t> v_bits) {
+  const int n = nc.num_qubits();
+  require_basis_label(psi_bits, n, "trajectories_tn");
+  for (const std::uint64_t v : v_bits) require_basis_label(v, n, "trajectories_tn");
+  return build_skeleton(nc);
+}
+
 // One trajectory sweep's read-only state, shared by every worker: the
-// skeleton and its mixtures, and -- on the plan-replay path -- the compiled
-// template whose noise-site nodes AND output caps are the varying slots
-// (the Algorithm-1 sweep's plan shape), so one traversal scores up to
-// sample_batch sampled trajectories x out_chunk outputs. A traversal of one
-// output (out_chunk 1, e.g. trajectories_tn) holds its caps fixed, so they
-// enter as shared substitutions instead of varying slots.
+// skeleton and its mixtures, and the compiled template whose noise-site
+// nodes AND output caps are the varying slots (the Algorithm-1 sweep's plan
+// shape), so one traversal scores up to sample_batch sampled trajectories x
+// out_chunk outputs. A traversal of one output (out_chunk 1, e.g.
+// trajectories_tn) holds its caps fixed, so they enter as shared
+// substitutions instead of varying slots.
 class TrajectorySweep {
  public:
   // `samples_per_chunk` bounds the samples one sampler call scores (the
-  // engine's chunk size, clamped to the sample count). `control` is the
-  // sweep's run control: the template compile and every replay poll it.
-  TrajectorySweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
-                  std::span<const std::uint64_t> v_bits, const EvalOptions& eval,
-                  std::size_t shard_outputs, std::size_t samples_per_chunk,
-                  const RunControl* control)
-      : sk_(build_skeleton(nc)),
-        n_(nc.num_qubits()),
-        psi_bits_(psi_bits),
+  // engine's chunk size, clamped to the sample count). `copts.control` is
+  // the sweep's run control: the template compile and every replay poll it.
+  TrajectorySweep(TnSkeleton sk, int n, std::uint64_t psi_bits,
+                  std::span<const std::uint64_t> v_bits, const tn::ContractOptions& copts,
+                  std::size_t shard_outputs, std::size_t samples_per_chunk)
+      : sk_(std::move(sk)),
+        n_(n),
         v_bits_(v_bits),
-        eval_(eval) {
-    eval_.tn.control = control;
-    require_basis_label(psi_bits, n_, "trajectories_tn");
-    for (const std::uint64_t v : v_bits) require_basis_label(v, n_, "trajectories_tn");
-    const std::size_t K = v_bits.size();
-    // Plan replay needs the contraction backend and a gate list that is
-    // shape-stable per sample (simplify would cancel differently per draw).
-    if (!uses_tensor_network(eval, n_) || eval.simplify) {
-      // One evolution scores a whole shard, so the default shard is all K
-      // (sharding would repeat the evolution per shard; explicit shards
-      // stay bit-identical, just costlier).
-      shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : K);
-      return;
-    }
-    shard_ = std::min(K, shard_outputs > 0 ? shard_outputs : kOutputChunk);
-    tmpl_.emplace(n_, sk_.gates, psi_bits, v_bits[0], eval_);
+        control_(copts.control),
+        shard_(std::min(v_bits.size(), shard_outputs > 0 ? shard_outputs : kOutputChunk)),
+        tmpl_(n, sk_.gates, psi_bits, v_bits[0], {.tn = copts}) {
     const std::size_t num_sites = sk_.mixtures.size();
 
     // Tensorized mixture unitaries per (site, mixture index) -- sampling
@@ -93,7 +89,7 @@ class TrajectorySweep {
       const qc::Gate& g = sk_.gates[sk_.site_gate_index[site]];
       for (const la::Matrix& u : sk_.mixtures[site].unitaries)
         site_tensors_[site].push_back(gate_matrix_tensor(u, g.num_qubits()));
-      slots_.push_back(tmpl_->node_of_gate(sk_.site_gate_index[site]));
+      slots_.push_back(tmpl_.node_of_gate(sk_.site_gate_index[site]));
       counts.push_back(sk_.mixtures[site].unitaries.size());
     }
     // One traversal covers up to the output-batched width times as many
@@ -101,7 +97,7 @@ class TrajectorySweep {
     // walk sub-chunks, narrower ones just underfill the plan.
     out_chunk_ = std::min(shard_, kOutputChunk);
     if (out_chunk_ > 1) {
-      for (const std::size_t cap : tmpl_->output_cap_nodes()) {
+      for (const std::size_t cap : tmpl_.output_cap_nodes()) {
         slots_.push_back(cap);
         counts.push_back(2);
       }
@@ -111,7 +107,7 @@ class TrajectorySweep {
     const std::size_t capacity = sample_batch_ * out_chunk_;
     bplan_ = batched_plan_or_null(capacity, [&] {
       return std::make_shared<const tn::BatchedPlan>(
-          tmpl_->compile_batched(slots_, capacity, nullptr, counts));
+          tmpl_.compile_batched(slots_, capacity, nullptr, counts));
     });
   }
   // Samplers and their evaluators point into this object.
@@ -125,16 +121,11 @@ class TrajectorySweep {
   // reads the sweep state shared. One draw set per trajectory, in sample
   // order, whatever the shard -- the RNG consumption of every entry point.
   sim::ShardChunkSampler worker_sampler() const {
-    return tmpl_ ? replay_sampler() : evolution_sampler();
-  }
-
- private:
-  sim::ShardChunkSampler replay_sampler() const {
     const std::size_t num_sites = sk_.mixtures.size();
     const std::size_t V = slots_.size();
     const std::size_t capacity = sample_batch_ * out_chunk_;
     auto evaluator =
-        std::make_shared<ReplayEvaluator>(*tmpl_, slots_, bplan_.get(), eval_.tn.control);
+        std::make_shared<ReplayEvaluator>(tmpl_, slots_, bplan_.get(), control_);
     auto draws = std::make_shared<std::vector<const tsr::Tensor*>>(sample_batch_ * num_sites);
     auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
     auto amps = std::make_shared<std::vector<cplx>>(capacity);
@@ -158,13 +149,13 @@ class TrajectorySweep {
                   std::span(*ptrs).subspan((o * sb + s) * V, V);
               std::ranges::copy(std::span(*draws).subspan(s * num_sites, num_sites), p.begin());
               if (V > num_sites)
-                tmpl_->fill_output_caps(v_bits_[shard_begin + o0 + o], p.subspan(num_sites));
+                tmpl_.fill_output_caps(v_bits_[shard_begin + o0 + o], p.subspan(num_sites));
             }
           shared->clear();
           if (V == num_sites)  // one output per traversal: its caps are shared
             for (int q = 0; q < n_; ++q)
-              shared->push_back({tmpl_->node_of_output_cap(q),
-                                 &tmpl_->output_cap(basis_bit(v_bits_[shard_begin + o0], n_, q))});
+              shared->push_back({tmpl_.node_of_output_cap(q),
+                                 &tmpl_.output_cap(basis_bit(v_bits_[shard_begin + o0], n_, q))});
           const std::size_t k = sb * oc;
           evaluator->evaluate(*shared, std::span<const tsr::Tensor* const>(*ptrs).first(k * V),
                               k, *amps);
@@ -176,33 +167,13 @@ class TrajectorySweep {
     };
   }
 
-  // Non-replay backends: the sampled unitaries land in a worker-private
-  // gate list, and one batch_amplitudes evolution scores the shard.
-  sim::ShardChunkSampler evolution_sampler() const {
-    auto gates = std::make_shared<std::vector<qc::Gate>>(sk_.gates);
-    return [this, gates](std::mt19937_64& rng, std::size_t shard_begin,
-                         std::size_t shard_count, std::size_t count, std::span<double> out) {
-      for (std::size_t s = 0; s < count; ++s) {
-        for (std::size_t site = 0; site < sk_.mixtures.size(); ++site)
-          (*gates)[sk_.site_gate_index[site]].custom =
-              sk_.mixtures[site].unitaries[sim::sample_index(sk_.mixtures[site].probs, rng)];
-        const std::vector<cplx> amps =
-            batch_amplitudes(n_, *gates, psi_bits_, v_bits_.subspan(shard_begin, shard_count),
-                             eval_);
-        for (std::size_t o = 0; o < shard_count; ++o)
-          out[s * shard_count + o] = std::norm(amps[o]);
-      }
-    };
-  }
-
+ private:
   TnSkeleton sk_;
   int n_;
-  std::uint64_t psi_bits_;
   std::span<const std::uint64_t> v_bits_;
-  EvalOptions eval_;
-  std::size_t shard_ = 0;
-  // Plan-replay path only (tmpl_ engaged).
-  std::optional<AmplitudeTemplate> tmpl_;
+  const RunControl* control_;
+  std::size_t shard_;
+  AmplitudeTemplate tmpl_;
   std::vector<std::size_t> slots_;  // site nodes, then (out_chunk > 1) the caps
   std::vector<std::vector<tsr::Tensor>> site_tensors_;
   std::size_t out_chunk_ = 0, sample_batch_ = 0;
@@ -222,14 +193,15 @@ bool trajectories_tn_eligible(const ch::NoisyCircuit& nc) {
 
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
-                                      std::mt19937_64& rng, const EvalOptions& eval) {
+                                      std::mt19937_64& rng, const tn::ContractOptions& copts) {
+  TnSkeleton sk = checked_skeleton(nc, psi_bits, std::span(&v_bits, 1));
   // Zero samples is a well-defined empty estimate (and no mean to divide).
   if (samples == 0) return {};
   // The threaded runner's sampler, driven in chunks of the engine's default
   // chunk size off the caller's stream.
   constexpr std::size_t kStreamBatch = 32;
-  const TrajectorySweep sweep(nc, psi_bits, std::span(&v_bits, 1), eval, 1,
-                              std::min(kStreamBatch, samples), eval.tn.control);
+  const TrajectorySweep sweep(std::move(sk), nc.num_qubits(), psi_bits, std::span(&v_bits, 1),
+                              copts, 1, std::min(kStreamBatch, samples));
   const sim::ShardChunkSampler sample = sweep.worker_sampler();
   std::vector<double> values(kStreamBatch);
   sim::Welford stats;  // folded in sample order
@@ -244,21 +216,24 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
-                                      const EvalOptions& eval) {
+                                      const tn::ContractOptions& copts) {
   return trajectories_tn_sweep(nc, psi_bits, std::span(&v_bits, 1), samples, seed, popts,
-                               eval)[0];
+                               copts)[0];
 }
 
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
     const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
     std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,
-    const sim::ParallelOptions& popts, const EvalOptions& eval,
+    const sim::ParallelOptions& popts, const tn::ContractOptions& copts,
     std::size_t shard_outputs) {
+  TnSkeleton sk = checked_skeleton(nc, psi_bits, v_bits);
   const std::size_t K = v_bits.size();
-  if (K == 0) return {};
-  if (samples == 0) return std::vector<sim::TrajectoryResult>(K);
-  const TrajectorySweep sweep(nc, psi_bits, v_bits, eval, shard_outputs,
-                              std::min(popts.chunk_size, samples), popts.control);
+  if (K == 0 || samples == 0) return std::vector<sim::TrajectoryResult>(K);
+  // The engine's control governs the template compile and every replay.
+  tn::ContractOptions run_opts = copts;
+  run_opts.control = popts.control;
+  const TrajectorySweep sweep(std::move(sk), nc.num_qubits(), psi_bits, v_bits, run_opts,
+                              shard_outputs, std::min(popts.chunk_size, samples));
   return sim::run_trajectories_sharded(
       samples, K, sweep.shard(), seed, [&](std::size_t) { return sweep.worker_sampler(); },
       popts);

@@ -7,7 +7,11 @@
 // independent, so each trajectory reduces to one noiseless amplitude
 // evaluation of the circuit with sampled unitary insertions -- computed by
 // tensor network contraction, which is what lets this baseline scale past
-// the state-vector variant's memory wall.
+// the state-vector variant's memory wall. Every entry point contracts: the
+// skeleton's plan is compiled once and replayed per sample through a
+// core::ReplayEvaluator, whatever the qubit count (sim::trajectories_sv is
+// the state-vector sampler). Inputs are validated before the sample count
+// is looked at, so samples == 0 rejects what any other count rejects.
 
 #include <cstdint>
 #include <random>
@@ -26,10 +30,13 @@ namespace noisim::core {
 /// sample order). Throws LinalgError if any noise channel is not a mixture
 /// of unitaries or if a mixture's probabilities do not sum to 1 beyond
 /// roundoff (unnormalized channels would silently skew the inverse-CDF
-/// sampling). samples == 0 returns the well-defined empty estimate.
+/// sampling), or if a basis label is out of range. samples == 0 returns the
+/// well-defined empty estimate. `copts.control` polls the template compile
+/// and every replay.
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
-                                      std::mt19937_64& rng, const EvalOptions& eval = {});
+                                      std::mt19937_64& rng,
+                                      const tn::ContractOptions& copts = {});
 
 /// Non-throwing precheck of trajectories_tn's channel requirements: true iff
 /// sim::normalized_mixture accepts every noise channel (a mixture of
@@ -44,32 +51,31 @@ bool trajectories_tn_eligible(const ch::NoisyCircuit& nc);
 sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                       std::uint64_t v_bits, std::size_t samples,
                                       std::uint64_t seed, const sim::ParallelOptions& popts,
-                                      const EvalOptions& eval = {});
+                                      const tn::ContractOptions& copts = {});
 
 /// Estimate <v_t|E(|psi><psi|)|v_t> for EVERY output bitstring in `v_bits`
 /// from ONE set of sampled trajectories: each trajectory draws its site
-/// unitaries once and scores the bitstrings on the same sampled circuit --
-/// on the tensor-network path through one core::ReplayEvaluator whose
-/// varying slots are the noise sites and the basis caps (the Algorithm-1
-/// sweep's plan shape): a traversal covers up to (chunk samples x <= 32
-/// outputs) pairs, capped at 256. The bitstrings are partitioned into
-/// shards of `shard_outputs`, and the (bitstring-shard x sample-chunk) grid
-/// forms a single 2-D work queue (sim::run_trajectories_sharded). Each item
-/// draws its chunk's noise realizations -- the same streams every shard
-/// draws, since the site draws are independent of the scored outputs.
-/// Element t is bit-identical to trajectories_tn(nc, psi_bits, v_bits[t],
-/// samples, seed, popts, eval) at EVERY thread count and shard size;
-/// per-worker transient storage is O(chunk_size x shard). Estimates are
-/// correlated across bitstrings (they share the noise realizations), which
-/// is exactly what sampling / XEB workloads want. shard_outputs 0 picks the
-/// default: 32 (the output-batched traversal width) on the plan-replay
-/// path, all K on the other backends (whose per-sample evaluation covers
-/// every output in one evolution, so sharding would repeat it). samples == 0
+/// unitaries once and scores the bitstrings on the same sampled circuit
+/// through one core::ReplayEvaluator whose varying slots are the noise
+/// sites and the basis caps (the Algorithm-1 sweep's plan shape): a
+/// traversal covers up to (chunk samples x <= 32 outputs) pairs, capped at
+/// 256. The bitstrings are partitioned into shards of `shard_outputs`, and
+/// the (bitstring-shard x sample-chunk) grid forms a single 2-D work queue
+/// (sim::run_trajectories_sharded). Each item draws its chunk's noise
+/// realizations -- the same streams every shard draws, since the site draws
+/// are independent of the scored outputs. Element t is bit-identical to
+/// trajectories_tn(nc, psi_bits, v_bits[t], samples, seed, popts, copts) at
+/// EVERY thread count and shard size; per-worker transient storage is
+/// O(chunk_size x shard). Estimates are correlated across bitstrings (they
+/// share the noise realizations), which is exactly what sampling / XEB
+/// workloads want. shard_outputs 0 picks the default, kOutputChunk = 32
+/// (the output-batched traversal width). `popts.control` (not
+/// copts.control) polls the template compile and every replay. samples == 0
 /// returns K well-defined empty estimates.
 std::vector<sim::TrajectoryResult> trajectories_tn_sweep(
     const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
     std::span<const std::uint64_t> v_bits, std::size_t samples, std::uint64_t seed,
-    const sim::ParallelOptions& popts, const EvalOptions& eval = {},
+    const sim::ParallelOptions& popts, const tn::ContractOptions& copts = {},
     std::size_t shard_outputs = 0);
 
 }  // namespace noisim::core

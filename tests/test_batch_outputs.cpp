@@ -428,16 +428,15 @@ TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 4, 59);
   sim::ParallelOptions serial;
   serial.threads = 1;
-  EvalOptions eval = tn_eval();
-  eval.tn.greedy_cost_weights = {1.0};
-  const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, eval, vb.size());
+  tn::ContractOptions copts;
+  copts.greedy_cost_weights = {1.0};
+  const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, copts, vb.size());
 
   // Budget = the skeleton's per-term arena: the output batch reports MO at
   // compile time and per-term plan replay takes over.
   const tn::Network net = amplitude_network(nc.num_qubits(), skeleton_gates(nc), 0, 0, false);
-  EvalOptions budgeted = eval;
-  budgeted.tn.max_workspace_elems =
-      tn::ContractionPlan::compile(net, eval.tn).workspace_elems();
+  tn::ContractOptions budgeted = copts;
+  budgeted.max_workspace_elems = tn::ContractionPlan::compile(net, copts).workspace_elems();
   const auto fallback = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, budgeted, vb.size());
   for (std::size_t o = 0; o < vb.size(); ++o) {
     EXPECT_EQ(full[o].mean, fallback[o].mean);
@@ -449,14 +448,40 @@ TEST(TrajOutputs, ZeroSamplesAndNoOutputs) {
   const ch::NoisyCircuit nc = traj_workload(23);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 3, 61);
   sim::ParallelOptions popts;
-  const auto empty = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, tn_eval(), vb.size());
+  const auto empty = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, {}, vb.size());
   ASSERT_EQ(empty.size(), vb.size());
   for (const sim::TrajectoryResult& r : empty) {
     EXPECT_EQ(r.samples, 0u);
     EXPECT_EQ(r.mean, 0.0);
     EXPECT_EQ(r.std_error, 0.0);
   }
-  EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, tn_eval()).empty());
+  EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts).empty());
+}
+
+// samples == 0 used to return the empty estimate before any input check, so
+// an out-of-range label or a non-mixture channel passed silently where
+// sim::trajectories_sv rejects it.
+TEST(TrajectoriesTn, ZeroSamplesStillValidateInputs) {
+  ch::NoisyCircuit nc(3);
+  nc.add_gate(qc::h(0));
+  nc.add_noise(0, ch::depolarizing(0.1));
+  std::mt19937_64 rng(1);
+  sim::ParallelOptions popts;
+  const std::uint64_t out_of_range = 8;  // bit 3 of a 3-qubit label
+  const std::vector<std::uint64_t> vb{0, out_of_range};
+  EXPECT_THROW(trajectories_tn(nc, out_of_range, 0, 0, rng), LinalgError);
+  EXPECT_THROW(trajectories_tn(nc, 0, out_of_range, 0, rng), LinalgError);
+  EXPECT_THROW(trajectories_tn(nc, out_of_range, 0, 0, 7, popts), LinalgError);
+  EXPECT_THROW(trajectories_tn(nc, 0, out_of_range, 0, 7, popts), LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(nc, 0, vb, 0, 7, popts), LinalgError);
+  EXPECT_THROW(sim::trajectories_sv(nc, 0, out_of_range, 0, rng), LinalgError);
+
+  ch::NoisyCircuit damped(3);
+  damped.add_gate(qc::h(0));
+  damped.add_noise(0, ch::amplitude_damping(0.3));
+  EXPECT_THROW(trajectories_tn(damped, 0, 0, 0, rng), LinalgError);
+  EXPECT_THROW(trajectories_tn(damped, 0, 0, 0, 7, popts), LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(damped, 0, std::span(vb).first(1), 0, 7, popts), LinalgError);
 }
 
 // --- zero-sample entry points (SV / TN) ---------------------------------------
@@ -466,8 +491,8 @@ TEST(ZeroSamples, AllBackendsReturnEmptyEstimates) {
   std::mt19937_64 rng(1);
   sim::ParallelOptions popts;
 
-  const sim::TrajectoryResult tn_direct = trajectories_tn(nc, 0, 0, 0, rng, tn_eval());
-  const sim::TrajectoryResult tn_seeded = trajectories_tn(nc, 0, 0, 0, 7, popts, tn_eval());
+  const sim::TrajectoryResult tn_direct = trajectories_tn(nc, 0, 0, 0, rng);
+  const sim::TrajectoryResult tn_seeded = trajectories_tn(nc, 0, 0, 0, 7, popts);
   const sim::TrajectoryResult sv_direct = sim::trajectories_sv(nc, 0, 0, 0, rng);
   const sim::TrajectoryResult sv_seeded = sim::trajectories_sv(nc, 0, 0, 0, 7, popts);
   for (const sim::TrajectoryResult& r : {tn_direct, tn_seeded, sv_direct, sv_seeded}) {
@@ -492,12 +517,11 @@ TEST(SampleIndex, UnnormalizedMixtureFailsLoudly) {
   nc.add_gate(qc::h(0));
   nc.add_noise(0, bad);
   std::mt19937_64 rng(1);
-  EXPECT_THROW(trajectories_tn(nc, 0, 0, 10, rng, sv_eval()), LinalgError);
+  EXPECT_THROW(trajectories_tn(nc, 0, 0, 10, rng), LinalgError);
   sim::ParallelOptions popts;
-  EXPECT_THROW(trajectories_tn(nc, 0, 0, 10, 7, popts, sv_eval()), LinalgError);
+  EXPECT_THROW(trajectories_tn(nc, 0, 0, 10, 7, popts), LinalgError);
   const std::vector<std::uint64_t> vb{0, 1};
-  EXPECT_THROW(trajectories_tn_sweep(nc, 0, vb, 10, 7, popts, sv_eval(), vb.size()),
-               LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(nc, 0, vb, 10, 7, popts, {}, vb.size()), LinalgError);
 }
 
 TEST(SampleIndex, RoundoffDeficitIsNormalizedAway) {
@@ -511,7 +535,7 @@ TEST(SampleIndex, RoundoffDeficitIsNormalizedAway) {
   nc.add_gate(qc::h(0));
   nc.add_noise(0, nearly);
   std::mt19937_64 rng(2);
-  const sim::TrajectoryResult r = trajectories_tn(nc, 0, 0, 200, rng, sv_eval());
+  const sim::TrajectoryResult r = trajectories_tn(nc, 0, 0, 200, rng);
   EXPECT_EQ(r.samples, 200u);
   EXPECT_GE(r.mean, 0.0);
   EXPECT_LE(r.mean, 1.0 + 1e-12);

@@ -291,11 +291,11 @@ TEST(Amplitude, OutOfRangeBasisLabelsThrowOnEveryPath) {
     EXPECT_THROW(amplitude(n, gates, psi, v, sv), LinalgError);
     EXPECT_THROW(approximate_fidelity(nc, psi, v, approx), LinalgError);
     EXPECT_THROW(simulate(nc, psi, v), LinalgError);
-    EXPECT_THROW(trajectories_tn(nc, psi, v, 4, 7, popts, tn), LinalgError);
+    EXPECT_THROW(trajectories_tn(nc, psi, v, 4, 7, popts), LinalgError);
   }
   EXPECT_THROW(batch_amplitudes(n, gates, 0, bad_outputs, tn), LinalgError);
   EXPECT_THROW(approximate_fidelity_outputs(nc, 0, bad_outputs, approx), LinalgError);
-  EXPECT_THROW(trajectories_tn_sweep(nc, 0, bad_outputs, 4, 7, popts, tn), LinalgError);
+  EXPECT_THROW(trajectories_tn_sweep(nc, 0, bad_outputs, 4, 7, popts), LinalgError);
 
   // Every bit of a 64-bit label addresses a qubit once n >= 64.
   EXPECT_NO_THROW(require_basis_label(~std::uint64_t{0}, 64, "test"));

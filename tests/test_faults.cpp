@@ -59,6 +59,11 @@ ch::NoisyCircuit all_backends_circuit() {
 SimulateOptions all_backends_options() {
   SimulateOptions opts;
   opts.error_budget = 5e-2;
+  // At 6 qubits Auto resolves to the state vector, which rules out the
+  // tn-trajectories bid and never replays a contraction plan; the tensor
+  // network keeps every backend bidding and puts the plan-compile and
+  // exec-step fault sites on the TN winners' paths.
+  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
   return opts;
 }
 
@@ -224,11 +229,7 @@ TEST_F(FaultTest, EscalationRecoversThroughEveryBackendPairBitIdentical) {
 // and simulate() must record the escalation and recover.
 TEST_F(FaultTest, RunTimeTimeoutEscalatesTnApproxAndRecovers) {
   const ch::NoisyCircuit nc = all_backends_circuit();
-  SimulateOptions opts = all_backends_options();
-  // At 6 qubits the Auto crossover picks the state-vector term path, which
-  // never replays a contraction plan; force the TN executor so the
-  // exec-step site is actually on the winner's hot path.
-  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
+  const SimulateOptions opts = all_backends_options();
   const SimResult base = simulate(nc, 0, 0, opts);
   ASSERT_EQ(base.backend, BackendKind::TnApprox) << "workload drifted";
 
@@ -271,11 +272,7 @@ TEST_F(FaultTest, RunTimeTimeoutEscalatesTnTrajectoriesAndRecovers) {
 // the injected reason) and selection proceeds without it.
 TEST_F(FaultTest, PlanTimeFaultRulesTheBidderOutDuringEstimation) {
   const ch::NoisyCircuit nc = all_backends_circuit();
-  SimulateOptions opts = all_backends_options();
-  // Force the TN path (see above): plan compilation -- where the plan-mo /
-  // plan-to sites live -- only happens for the tensor-network executor.
-  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
-
+  const SimulateOptions opts = all_backends_options();
   for (const char* site : {"plan-mo", "plan-to"}) {
     fault::disarm_all();
     fault::arm(site, 1);

@@ -13,6 +13,7 @@
 #include "core/approx.hpp"
 #include "core/circuit_network.hpp"
 #include "core/trajectories_tn.hpp"
+#include "sim/trajectories.hpp"
 #include "tn/contractor.hpp"
 #include "tn/plan.hpp"
 
@@ -578,24 +579,21 @@ TEST(PlanReplay, ApproxBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PlanReplay, TrajectoriesTnReplayMatchesStateVectorSampling) {
-  // TN trajectories replay one plan per sample; the sampled unitary draws
-  // are backend-independent, so the same seed through the state-vector
-  // backend evaluates the same trajectories -- means must agree to
-  // numerical precision, and the replay path must stay bit-identical
-  // across thread counts.
+  // TN trajectories replay one plan per sample; both samplers draw the
+  // mixture branches through one protocol, so the state-vector sampler with
+  // the same seed and chunk evaluates the same trajectories -- means must
+  // agree to numerical precision, and the replay path must stay
+  // bit-identical across thread counts.
   const qc::Circuit circuit = bench::qaoa(9, 1, 5);
   const ch::NoisyCircuit nc =
       bench::insert_noises(circuit, 3, bench::depolarizing_noise(0.02), 17);
-  EvalOptions tn_eval, sv_eval;
-  tn_eval.backend = EvalOptions::Backend::TensorNetwork;
-  sv_eval.backend = EvalOptions::Backend::StateVector;
   sim::ParallelOptions serial, quad;
   serial.threads = 1;
   quad.threads = 4;
-  const sim::TrajectoryResult tn_run = trajectories_tn(nc, 0, 0, 200, 7, serial, tn_eval);
-  const sim::TrajectoryResult sv_run = trajectories_tn(nc, 0, 0, 200, 7, serial, sv_eval);
+  const sim::TrajectoryResult tn_run = trajectories_tn(nc, 0, 0, 200, 7, serial);
+  const sim::TrajectoryResult sv_run = sim::trajectories_sv(nc, 0, 0, 200, 7, serial);
   EXPECT_NEAR(tn_run.mean, sv_run.mean, 1e-9);
-  const sim::TrajectoryResult threaded = trajectories_tn(nc, 0, 0, 200, 7, quad, tn_eval);
+  const sim::TrajectoryResult threaded = trajectories_tn(nc, 0, 0, 200, 7, quad);
   EXPECT_EQ(tn_run.mean, threaded.mean);
   EXPECT_EQ(tn_run.std_error, threaded.std_error);
 }
@@ -750,11 +748,12 @@ TEST(BatchedTrajectories, BudgetFallbackIsBitIdenticalToBatchedSampling) {
   sim::ParallelOptions serial;
   serial.threads = 1;
 
-  const sim::TrajectoryResult batched = trajectories_tn(nc, 0, 0, 200, 7, serial, eval);
+  const sim::TrajectoryResult batched = trajectories_tn(nc, 0, 0, 200, 7, serial, eval.tn);
 
   EvalOptions budgeted = eval;
   budgeted.tn.max_workspace_elems = skeleton_arena_elems(nc, false, eval);
-  const sim::TrajectoryResult fallback = trajectories_tn(nc, 0, 0, 200, 7, serial, budgeted);
+  const sim::TrajectoryResult fallback =
+      trajectories_tn(nc, 0, 0, 200, 7, serial, budgeted.tn);
   EXPECT_EQ(batched.mean, fallback.mean);
   EXPECT_EQ(batched.std_error, fallback.std_error);
   EXPECT_EQ(batched.samples, fallback.samples);

@@ -183,6 +183,31 @@ TEST(BackendSelection, NonMixtureNoiseRulesOutTnTrajectories) {
   EXPECT_NE(r.backend, BackendKind::TnTrajectories);
 }
 
+// tn-trajectories bids on the crossover that routes tn-approx's layers: at
+// 6 qubits Auto resolves to the state vector, where sv-trajectories samples
+// the same mixture, so the bid is ruled out naming the crossover; forcing
+// the tensor network makes it feasible.
+TEST(BackendSelection, TnTrajectoriesBidsOnlyOnTheTensorNetworkPath) {
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::hf_vqe(6, 11), 2, bench::depolarizing_noise(0.05), 13);
+  auto tn_trajectories_bid = [&](const SimulateOptions& opts) {
+    const SimResult r = simulate(nc, 0, 0, opts);
+    for (const BackendChoice& c : r.considered)
+      if (c.kind == BackendKind::TnTrajectories) return c.estimate;
+    ADD_FAILURE() << "no tn-trajectories bid";
+    return CostEstimate{};
+  };
+  SimulateOptions opts;
+  opts.error_budget = 5e-2;
+  const CostEstimate auto_bid = tn_trajectories_bid(opts);
+  EXPECT_FALSE(auto_bid.feasible);
+  EXPECT_NE(auto_bid.reason.find("crossover"), std::string::npos) << auto_bid.reason;
+
+  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
+  const CostEstimate tn_bid = tn_trajectories_bid(opts);
+  EXPECT_TRUE(tn_bid.feasible) << tn_bid.reason;
+}
+
 // The bit-identity contract: simulate()'s value must equal invoking the
 // chosen engine directly with the reported configuration.
 double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uint64_t v,
@@ -195,7 +220,7 @@ double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uin
     case BackendKind::TnApprox:
       return approximate_fidelity(nc, psi, v, tn_approx_options(opts, r.config.level)).value;
     case BackendKind::TnTrajectories:
-      return trajectories_tn(nc, psi, v, r.config.samples, opts.seed, popts, opts.eval).mean;
+      return trajectories_tn(nc, psi, v, r.config.samples, opts.seed, popts, opts.eval.tn).mean;
     case BackendKind::SvTrajectories:
       return sim::trajectories_sv(nc, psi, v, r.config.samples, opts.seed, popts).mean;
   }

@@ -257,7 +257,7 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
 
 TEST(SweepProperties, TrajectorySweepBitIdenticalAcrossShardsAndThreads) {
   // A 3x3 grid keeps the per-sample contractions small enough to afford
-  // the full shard x thread x backend cross under the sanitizer jobs.
+  // the full shard x thread cross under the sanitizer jobs.
   const ch::NoisyCircuit nc = bench::insert_noises(
       bench::qaoa(9, 1, 5), 3, bench::depolarizing_noise(0.02), 31);
   std::mt19937_64 rng(80);
@@ -270,20 +270,17 @@ TEST(SweepProperties, TrajectorySweepBitIdenticalAcrossShardsAndThreads) {
   quad.threads = 4;
   const std::size_t K = vb.size();
 
-  for (const EvalOptions& eval : {tn_eval(), sv_eval()}) {
-    std::vector<sim::TrajectoryResult> refs;
-    for (const std::uint64_t v : vb)
-      refs.push_back(trajectories_tn(nc, 0, v, 48, 7, serial, eval));
-    for (const std::size_t shard : {std::size_t{1}, std::size_t{3}, K}) {
-      for (const sim::ParallelOptions& popts : {serial, quad}) {
-        const auto sweep = trajectories_tn_sweep(nc, 0, vb, 48, 7, popts, eval, shard);
-        ASSERT_EQ(sweep.size(), K);
-        for (std::size_t o = 0; o < K; ++o) {
-          EXPECT_EQ(refs[o].mean, sweep[o].mean)
-              << "shard " << shard << " threads " << popts.threads << " output " << o;
-          EXPECT_EQ(refs[o].std_error, sweep[o].std_error)
-              << "shard " << shard << " threads " << popts.threads << " output " << o;
-        }
+  std::vector<sim::TrajectoryResult> refs;
+  for (const std::uint64_t v : vb) refs.push_back(trajectories_tn(nc, 0, v, 48, 7, serial));
+  for (const std::size_t shard : {std::size_t{1}, std::size_t{3}, K}) {
+    for (const sim::ParallelOptions& popts : {serial, quad}) {
+      const auto sweep = trajectories_tn_sweep(nc, 0, vb, 48, 7, popts, {}, shard);
+      ASSERT_EQ(sweep.size(), K);
+      for (std::size_t o = 0; o < K; ++o) {
+        EXPECT_EQ(refs[o].mean, sweep[o].mean)
+            << "shard " << shard << " threads " << popts.threads << " output " << o;
+        EXPECT_EQ(refs[o].std_error, sweep[o].std_error)
+            << "shard " << shard << " threads " << popts.threads << " output " << o;
       }
     }
   }
@@ -322,22 +319,21 @@ void expect_pinned(const sim::TrajectoryResult& r, double mean, double std_error
 // Absolute pin of the TN trajectory estimates (mean/std_error as %a
 // literals): the relative checks elsewhere (sweep vs per-bitstring, threads
 // vs serial) cannot see a change in RNG consumption or fold order that
-// every entry point shares. Every case runs on the plan-replay path, under
-// a workspace budget that admits only the per-term plan (the batched
-// traversals fall back), and on the state-vector path; the first two
-// evaluate the same sampled amplitudes through the same plan, so they share
-// pins.
+// every entry point shares. Both cases run the plan-replay path, the second
+// under a workspace budget that admits only the per-term plan (the batched
+// traversals fall back); they evaluate the same sampled amplitudes through
+// the same plan, so they share pins.
 TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
   const ch::NoisyCircuit nc = tn_golden_circuit();
   const std::vector<std::uint64_t> vb{0, 0x0a5, 0x1ff};
   constexpr std::size_t kSamples = 70;
   constexpr std::uint64_t kSeed = 2024;
 
-  EvalOptions tn = tn_eval();
-  tn.tn.greedy_cost_weights = {1.0};
-  EvalOptions budgeted = tn;
-  budgeted.tn.max_workspace_elems =
-      tn::ContractionPlan::compile(amplitude_network(9, identity_skeleton(nc), 0, 0, false), tn.tn)
+  tn::ContractOptions copts;
+  copts.greedy_cost_weights = {1.0};
+  tn::ContractOptions budgeted = copts;
+  budgeted.max_workspace_elems =
+      tn::ContractionPlan::compile(amplitude_network(9, identity_skeleton(nc), 0, 0, false), copts)
           .workspace_elems();
 
   struct Pins {
@@ -351,15 +347,11 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
                      0x1.0cd1175d98cb5p-10,
                      {0x1.c5a8f40493511p-9, 0x1.9d113c51e10aap-9, 0x1.7cc6049d1554fp-11},
                      {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982abp-11, 0x1.fe50181881617p-13}};
-  const Pins sv_pins{0x1.76c26108e8ac7p-8,
-                     0x1.0cd1175d98cb6p-10,
-                     {0x1.c5a8f40493512p-9, 0x1.9d113c51e10acp-9, 0x1.7cc6049d1554fp-11},
-                     {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982afp-11, 0x1.fe50181881617p-13}};
   const struct {
     const char* name;
-    EvalOptions eval;
+    tn::ContractOptions copts;
     const Pins& pins;
-  } cases[] = {{"tn", tn, tn_pins}, {"tn budgeted", budgeted, tn_pins}, {"sv", sv_eval(), sv_pins}};
+  } cases[] = {{"tn", copts, tn_pins}, {"tn budgeted", budgeted, tn_pins}};
 
   for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
     const auto tier = static_cast<tsr::KernelTier>(t);
@@ -368,17 +360,17 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
     for (const auto& gc : cases) {
       const std::string where = std::string(gc.name) + " on " + tsr::kernel_tier_name(tier);
       std::mt19937_64 rng(kSeed);
-      expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, rng, gc.eval), gc.pins.serial_mean,
+      expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, rng, gc.copts), gc.pins.serial_mean,
                     gc.pins.serial_std_error, where + ", serial");
       for (const std::size_t threads : {1ul, 4ul}) {
         sim::ParallelOptions popts;
         popts.threads = threads;
-        expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, kSeed, popts, gc.eval),
+        expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, kSeed, popts, gc.copts),
                       gc.pins.mean[0], gc.pins.std_error[0],
                       where + ", threads " + std::to_string(threads));
         for (const std::size_t shard : {1ul, 3ul}) {
           const auto sweep =
-              trajectories_tn_sweep(nc, 0, vb, kSamples, kSeed, popts, gc.eval, shard);
+              trajectories_tn_sweep(nc, 0, vb, kSamples, kSeed, popts, gc.copts, shard);
           ASSERT_EQ(sweep.size(), vb.size());
           for (std::size_t o = 0; o < vb.size(); ++o)
             expect_pinned(sweep[o], gc.pins.mean[o], gc.pins.std_error[o],
@@ -554,18 +546,18 @@ TEST(SweepProperties, EmptyBitstringSpansAreWellDefinedEverywhere) {
     EXPECT_TRUE(sweep.values.empty());
     EXPECT_EQ(sweep.contractions, 0u);
     EXPECT_GT(sweep.tight_error_bound, 0.0);
+  }
 
-    // Trajectory sweeps: no outputs -> no estimates; zero samples -> K
-    // empty estimates (and no capacity-0 plans on either path).
-    EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts, eval).empty());
-    const std::vector<std::uint64_t> vb{0, 1, 2};
-    const auto zero = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts, eval);
-    ASSERT_EQ(zero.size(), vb.size());
-    for (const sim::TrajectoryResult& r : zero) {
-      EXPECT_EQ(r.samples, 0u);
-      EXPECT_EQ(r.mean, 0.0);
-      EXPECT_EQ(r.std_error, 0.0);
-    }
+  // Trajectory sweeps: no outputs -> no estimates; zero samples -> K empty
+  // estimates (and no capacity-0 plan).
+  EXPECT_TRUE(trajectories_tn_sweep(nc, 0, {}, 10, 7, popts).empty());
+  const std::vector<std::uint64_t> vb{0, 1, 2};
+  const auto zero = trajectories_tn_sweep(nc, 0, vb, 0, 7, popts);
+  ASSERT_EQ(zero.size(), vb.size());
+  for (const sim::TrajectoryResult& r : zero) {
+    EXPECT_EQ(r.samples, 0u);
+    EXPECT_EQ(r.mean, 0.0);
+    EXPECT_EQ(r.std_error, 0.0);
   }
 }
 

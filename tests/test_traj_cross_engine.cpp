@@ -81,12 +81,6 @@ std::uint64_t likely_output() {
   return best;
 }
 
-core::EvalOptions tn_eval() {
-  core::EvalOptions eval;
-  eval.backend = core::EvalOptions::Backend::TensorNetwork;
-  return eval;
-}
-
 void expect_close(double sv, double tn, const std::string& what) {
   EXPECT_LE(std::abs(sv - tn), kRtol * std::max(std::abs(sv), std::abs(tn)))
       << what << ": sv " << sv << " vs tn " << tn;
@@ -104,7 +98,7 @@ void expect_engines_agree(const ch::NoisyCircuit& nc, const std::string& name) {
     popts.chunk_size = 16;
     const sim::TrajectoryResult sv = sim::trajectories_sv(nc, 0, v, kSamples, 77, popts);
     const sim::TrajectoryResult tn =
-        core::trajectories_tn(nc, 0, v, kSamples, 77, popts, tn_eval());
+        core::trajectories_tn(nc, 0, v, kSamples, 77, popts, tn::ContractOptions{});
     const std::string where = name + ", threads " + std::to_string(threads);
     EXPECT_GT(sv.std_error, 1e-6 * sv.mean) << where;
     expect_close(sv.mean, tn.mean, where + " mean");
@@ -112,7 +106,8 @@ void expect_engines_agree(const ch::NoisyCircuit& nc, const std::string& name) {
   }
   std::mt19937_64 rng_sv(78), rng_tn(78);
   const sim::TrajectoryResult sv = sim::trajectories_sv(nc, 0, v, kSamples, rng_sv);
-  const sim::TrajectoryResult tn = core::trajectories_tn(nc, 0, v, kSamples, rng_tn, tn_eval());
+  const sim::TrajectoryResult tn =
+      core::trajectories_tn(nc, 0, v, kSamples, rng_tn, tn::ContractOptions{});
   EXPECT_GT(sv.std_error, 1e-6 * sv.mean) << name << ", serial";
   expect_close(sv.mean, tn.mean, name + ", serial mean");
   expect_close(sv.std_error, tn.std_error, name + ", serial std_error");
