@@ -21,10 +21,17 @@
 // the wider search in planning time. It is informational, never gated:
 // on a shared host plan seconds move by up to 1.7x between phases.
 //
+// The Fig. 4 rows (the 8x8 QAOA grid behind qaoa_64 and qaoa_grid_8x8)
+// also compile Auto at ContractOptions::replays = 4, the replay count of a
+// level-1 simulate() call (two layers x one environment pass): the one-pass
+// plan's flops and per-strategy stats, where the RandomGreedy restarts are
+// priced out.
+//
 // Plans are pure functions of topology + options, so the recorded flop
 // counts are machine-independent; --baseline <json> additionally gates
 // them for EXACT equality against the committed BENCH_orders.json: greedy
-// and Auto flops, and Auto's per-strategy wins and best-candidate flops
+// and Auto flops, and Auto's per-strategy wins and best-candidate flops,
+// one-pass columns included
 // (a mismatch means plan selection drifted -- a determinism bug, an
 // unbaselined planner change, or search pruning that leaked into what a
 // strategy records). Plan wall times are reported and compared
@@ -44,6 +51,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "core/backend.hpp"
 #include "core/circuit_network.hpp"
 #include "tn/plan.hpp"
 
@@ -54,6 +62,7 @@ using namespace noisim;
 struct Workload {
   std::string name;
   qc::Circuit circuit;
+  bool fig4 = false;  // also compile the one-pass plan
 };
 
 struct OrderRun {
@@ -72,6 +81,10 @@ struct OrderRun {
   }
   tn::OrderStrategy chosen = tn::OrderStrategy::Greedy;
   tn::ContractStats portfolio_stats;
+  /// Auto at a level-1 simulate() call's replay count (Fig. 4 rows only).
+  bool one_pass = false;
+  std::size_t one_pass_flops = 0;
+  tn::ContractStats one_pass_stats;
   bool value_checked = false;  // execution fit the budget on both plans
   bool value_agrees = true;
 };
@@ -112,7 +125,8 @@ std::string object_field(const std::string& text, const std::string& key) {
 
 /// Compare a run against its committed row: greedy and Auto flops, and
 /// Auto's per-strategy wins and best-candidate flops (strategies the
-/// baseline omits count as 0). Prints one line per mismatch.
+/// baseline omits count as 0); on rows that record them, the one-pass
+/// plan's flops and per-strategy stats too. Prints one line per mismatch.
 bool matches_baseline(const OrderRun& r, const std::string& row) {
   bool ok = true;
   auto expect = [&](const std::string& what, std::size_t got, double committed) {
@@ -121,16 +135,30 @@ bool matches_baseline(const OrderRun& r, const std::string& row) {
               << static_cast<std::size_t>(committed) << "  DRIFT (plan selection changed)\n";
     ok = false;
   };
+  // `stats_text` starts at the stats object whose strategy maps come first.
+  auto expect_strategies = [&](const std::string& prefix, const tn::ContractStats& stats,
+                               const std::string& stats_text) {
+    const std::string chosen = object_field(stats_text, "strategy_chosen");
+    const std::string flops = object_field(stats_text, "strategy_flops");
+    for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
+      const std::string name = tn::order_strategy_name(static_cast<tn::OrderStrategy>(s));
+      expect(prefix + "strategy_chosen." + name, stats.strategy_chosen[s],
+             number_field(chosen, name, 0.0));
+      expect(prefix + "strategy_flops." + name, stats.strategy_flops[s],
+             number_field(flops, name, 0.0));
+    }
+  };
   expect("greedy flops", r.greedy_flops, number_field(row, "greedy_flops", -1.0));
   expect("portfolio flops", r.portfolio_flops, number_field(row, "portfolio_flops", -1.0));
-  const std::string chosen = object_field(row, "strategy_chosen");
-  const std::string flops = object_field(row, "strategy_flops");
-  for (std::size_t s = 0; s < tn::kNumOrderStrategies; ++s) {
-    const std::string name = tn::order_strategy_name(static_cast<tn::OrderStrategy>(s));
-    expect("strategy_chosen." + name, r.portfolio_stats.strategy_chosen[s],
-           number_field(chosen, name, 0.0));
-    expect("strategy_flops." + name, r.portfolio_stats.strategy_flops[s],
-           number_field(flops, name, 0.0));
+  expect_strategies("", r.portfolio_stats, row);
+  const std::size_t one_pass_at = row.find("\"one_pass_stats\": ");
+  if (r.one_pass != (one_pass_at != std::string::npos)) {
+    std::cout << "baseline " << r.name << ": one-pass columns "
+              << (r.one_pass ? "missing from the committed row" : "unexpected") << "  DRIFT\n";
+    ok = false;
+  } else if (r.one_pass) {
+    expect("one_pass flops", r.one_pass_flops, number_field(row, "one_pass_flops", -1.0));
+    expect_strategies("one_pass.", r.one_pass_stats, row.substr(one_pass_at));
   }
   return ok;
 }
@@ -166,14 +194,14 @@ int main(int argc, char** argv) {
 
   std::vector<Workload> workloads;
   workloads.push_back({"qaoa_36", bench::qaoa(36, 1, 7)});
-  workloads.push_back({"qaoa_64", bench::qaoa(64, 1, 11)});
+  workloads.push_back({"qaoa_64", bench::qaoa(64, 1, 11), /*fig4=*/true});
   workloads.push_back({"hf_vqe_8", bench::hf_vqe(8, 3)});
   workloads.push_back({"hf_vqe_12", bench::hf_vqe(12, 3)});
   workloads.push_back({"inst_4x4_12", bench::supremacy_inst(4, 4, 12, 5)});
   workloads.push_back({"inst_4x5_16", bench::supremacy_inst(4, 5, 16, 5)});
   // The square QAOA grids of the paper's 225-qubit rows, at laptop scale:
   // the drift gate pins the order Auto picks on grid-shaped networks.
-  workloads.push_back({"qaoa_grid_8x8", bench::qaoa_grid(8, 8, 1, 13)});
+  workloads.push_back({"qaoa_grid_8x8", bench::qaoa_grid(8, 8, 1, 13), /*fig4=*/true});
   workloads.push_back({"qaoa_grid_11x11", bench::qaoa_grid(11, 11, 1, 13)});
   if (bench::large_mode()) {
     workloads.push_back({"qaoa_121", bench::qaoa(121, 1, 11)});
@@ -185,6 +213,9 @@ int main(int argc, char** argv) {
   greedy_opts.max_tensor_elems = bench::memory_budget();
   tn::ContractOptions portfolio_opts;  // Auto
   portfolio_opts.max_tensor_elems = bench::memory_budget();
+  // The replay count simulate()'s TnApprox adapter sets at level 1.
+  tn::ContractOptions one_pass_opts = portfolio_opts;
+  one_pass_opts.replays = core::tn_approx_options({}, 1).eval.tn.replays;
 
   using Clock = std::chrono::steady_clock;
   std::vector<OrderRun> runs;
@@ -231,6 +262,15 @@ int main(int argc, char** argv) {
       run.portfolio_flops = portfolio_plan->total_flops();
       run.portfolio_peak = portfolio_plan->peak_elems();
       run.chosen = portfolio_plan->chosen_strategy();
+    }
+    if (w.fig4) {
+      // Deterministic, so one compile; the plan is not executed.
+      const bench::RunOutcome o = bench::run_guarded([&] {
+        run.one_pass_flops =
+            tn::ContractionPlan::compile(net, one_pass_opts, &run.one_pass_stats).total_flops();
+        return 0.0;
+      });
+      run.one_pass = o.ok();
     }
     // Kept-cheapest: the greedy ladder is an Auto candidate, so whenever
     // greedy compiles Auto must compile too and never cost more; a greedy
@@ -338,8 +378,12 @@ int main(int argc, char** argv) {
         << ", \"portfolio_plan_seconds\": " << bench::sci(r.portfolio_plan_seconds)
         << ", \"portfolio_over_greedy_plan_seconds\": " << bench::fixed(r.plan_seconds_ratio(), 3)
         << ", \"value_agrees\": " << (r.value_agrees ? "true" : "false")
-        << ",\n     \"portfolio_stats\": " << bench::stats_json(r.portfolio_stats) << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
+        << ",\n     \"portfolio_stats\": " << bench::stats_json(r.portfolio_stats);
+    if (r.one_pass)
+      out << ",\n     \"one_pass_replays\": " << one_pass_opts.replays
+          << ", \"one_pass_flops\": " << r.one_pass_flops
+          << ", \"one_pass_stats\": " << bench::stats_json(r.one_pass_stats);
+    out << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << out_path << "\n";

@@ -86,9 +86,14 @@ int main() {
       return bench::sci(std::abs(r.value - exact.value));
     };
 
+    // Millisecond runs: seconds in the precision columns' notation, so they
+    // do not round to 0.00; MO/TO keep their labels.
+    auto seconds = [](const bench::RunOutcome& r) {
+      return r.ok() ? bench::sci(r.seconds) : bench::format_time(r);
+    };
     table.add_row({row.name, precision(ours), precision(traj_mm), precision(traj_tn),
-                   bench::format_time(ours), bench::format_time(traj_mm),
-                   bench::format_time(traj_tn), std::to_string(samples)});
+                   seconds(ours), seconds(traj_mm), seconds(traj_tn),
+                   std::to_string(samples)});
   }
 
   table.print(std::cout);

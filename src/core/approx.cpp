@@ -987,6 +987,21 @@ ApproxBatchResult sweep_or_throw(const ch::NoisyCircuit& nc, std::uint64_t psi_b
   return r;
 }
 
+// The plan-independent fields of the cost model: per-site norms and term
+// counts.
+ApproxCostModel bound_model(const ch::NoisyCircuit& nc, const std::vector<Site>& sites) {
+  ApproxCostModel model;
+  model.num_sites = sites.size();
+  model.max_rate = nc.max_noise_rate();
+  for (const Site& s : sites) {
+    model.dominant_norms.push_back(la::spectral_norm(s.split.term(0)));
+    model.subdominant_norms.push_back(s.split.dominant_term_error());
+    model.split_terms.push_back(s.split.terms());
+    if (s.arity != 1) model.all_1q = false;
+  }
+  return model;
+}
+
 }  // namespace
 
 double ApproxCostModel::error_bound(std::size_t level) const {
@@ -1012,20 +1027,15 @@ double ApproxCostModel::term_count(std::size_t level) const {
   return total;
 }
 
+ApproxCostModel approx_bound_model(const ch::NoisyCircuit& nc) {
+  return bound_model(nc, build_base(nc).sites);
+}
+
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   const ApproxOptions& opts) {
   const int n = nc.num_qubits();
   BaseLists base = build_base(nc);
-
-  ApproxCostModel model;
-  model.num_sites = base.sites.size();
-  model.max_rate = nc.max_noise_rate();
-  for (const Site& s : base.sites) {
-    model.dominant_norms.push_back(la::spectral_norm(s.split.term(0)));
-    model.subdominant_norms.push_back(s.split.dominant_term_error());
-    model.split_terms.push_back(s.split.terms());
-    if (s.arity != 1) model.all_1q = false;
-  }
+  ApproxCostModel model = bound_model(nc, base.sites);
 
   // The sweep's own skeleton, so the template below is the one the run
   // replays; the compile polls the caller's control like the sweep's own.

@@ -290,6 +290,12 @@ struct ApproxCostModel {
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   const ApproxOptions& opts = {});
 
+/// The plan-independent part of approx_cost_model: the per-site norms and
+/// term counts behind error_bound / term_count, with no template compiled
+/// (layer_flops and peak_elems stay 0). Enough to pick a level before
+/// choosing the options its template compiles under.
+ApproxCostModel approx_bound_model(const ch::NoisyCircuit& nc);
+
 /// Rewrite <v|E(rho)|v> with v = U_ideal |v_bits> into basis form by
 /// appending U_ideal^dagger to the circuit: <v|E(rho)|v> =
 /// <v_bits| (U^dag . E)(rho) |v_bits>. Combined with EvalOptions::simplify

@@ -28,6 +28,9 @@ constexpr std::size_t kMaxLevel = 8;
 // Sample-count cap of the trajectory backends; a budget needing more
 // samples than this marks them infeasible.
 constexpr std::size_t kMaxSamples = std::size_t{1} << 24;
+// Forward-pass equivalents a level <= 1 sweep replays its plan for: two
+// layers x one environment pass (a forward plus a backward) per output.
+constexpr std::size_t kOnePassReplays = 4;
 
 std::string format_double(double x) {
   std::ostringstream os;
@@ -118,30 +121,30 @@ class TnApproxBackend final : public Backend {
   CostEstimate estimate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                         std::uint64_t, const SimulateOptions& opts) const override {
     CostEstimate est;
-    const ApproxCostModel model =
-        approx_cost_model(nc, psi_bits, tn_approx_options(opts, 0));
-    est.peak_elems = model.peak_elems;  // level-independent: one layer at a time
-    if (est.peak_elems > opts.memory_budget) {
-      check_budgets(est, opts);
-      return est;
-    }
     // Walk the level ladder to the cheapest (lowest) level meeting the
     // error budget; cost grows combinatorially with the level, so the
-    // first hit is the best bid.
-    const std::size_t top = std::min(kMaxLevel, model.num_sites);
+    // first hit is the best bid. Bounds and term counts do not depend on
+    // the plan, so the level is picked first and only the template its run
+    // uses is compiled (tn_approx_options prices the order search against
+    // replays at level <= 1 only).
+    const ApproxCostModel bounds = approx_bound_model(nc);
+    const std::size_t top = std::min(kMaxLevel, bounds.num_sites);
     double best_bound = std::numeric_limits<double>::infinity();
     for (std::size_t level = 0; level <= top; ++level) {
-      if (model.term_count(level) > opts.max_terms) {
+      if (bounds.term_count(level) > opts.max_terms) {
         est.reason = "level " + std::to_string(level) + " needs " +
-                     format_double(model.term_count(level)) +
+                     format_double(bounds.term_count(level)) +
                      " terms, above max_terms (best bound " + format_double(best_bound) + ")";
         return est;
       }
-      const double bound = model.error_bound(level);
+      const double bound = bounds.error_bound(level);
       best_bound = std::min(best_bound, bound);
       if (bound > opts.error_budget) continue;
+      const ApproxCostModel model =
+          approx_cost_model(nc, psi_bits, tn_approx_options(opts, level));
       est.level = level;
       est.achievable_error = bound;
+      est.peak_elems = model.peak_elems;  // one layer at a time
       est.flops = model.sweep_flops(level);
       check_budgets(est, opts);
       return est;
@@ -190,10 +193,12 @@ class TnTrajectoriesBackend final : public Backend {
     }
     // Each trajectory is ONE single-layer amplitude evaluation of the same
     // topology Algorithm 1 contracts, so the cost model's layer figures
-    // apply verbatim. The trajectory run compiles its own template and never
-    // reads the plan cache, so nothing compiled here is reused by it.
-    const ApproxCostModel model =
-        approx_cost_model(nc, psi_bits, tn_approx_options(opts, 0));
+    // apply verbatim. The trajectory run compiles its own template under
+    // the caller's eval.tn and never reads the plan cache, so the bid
+    // prices a plan of those options (not the adapter's one-pass search).
+    ApproxOptions model_opts = tn_approx_options(opts, 0);
+    model_opts.eval.tn = opts.eval.tn;
+    const ApproxCostModel model = approx_cost_model(nc, psi_bits, model_opts);
     sim::TrajectoryCost cost;
     cost.per_sample_flops = model.layer_flops;
     cost.peak_elems = model.peak_elems;
@@ -255,6 +260,10 @@ ApproxOptions tn_approx_options(const SimulateOptions& opts, std::size_t level) 
   ApproxOptions a;
   a.level = level;
   a.eval = opts.eval;
+  // A level <= 1 sweep replays its plan a known few times; let Auto price
+  // its order search against them unless the caller chose otherwise.
+  if (level <= 1 && a.eval.tn.strategy == tn::OrderStrategy::Auto && a.eval.tn.replays == 0)
+    a.eval.tn.replays = kOnePassReplays;
   a.threads = opts.threads;
   a.plan_cache = opts.plan_cache;
   a.control = opts.control;

@@ -24,7 +24,12 @@
 //                 RandomGreedy, keeping the order with minimum total flops
 //                 (ties: smaller peak intermediate, then the earlier
 //                 candidate); Sequential is the last resort when every
-//                 candidate exceeds the memory budget. Candidates are
+//                 candidate exceeds the memory budget. With
+//                 ContractOptions::replays set, the RandomGreedy restarts
+//                 run only when the replays they would serve can repay
+//                 them: replays x (best ladder / Alternating flops) must
+//                 reach kRestartMacPerNode x restarts x input nodes, a
+//                 price in counted MACs, never wall clock. Candidates are
 //                 scored by a shape-only walk over flat node and edge
 //                 arrays that one compiler resets between candidates; a
 //                 walk stops early once its running flops exceed the best
@@ -76,6 +81,19 @@ inline const char* order_strategy_name(OrderStrategy s) {
   return "unknown";
 }
 
+/// RandomGreedy restart count: each restart reseeds the score jitter and
+/// redraws alpha from a per-restart stream seeded by the network's
+/// topology hash and the restart index alone.
+inline constexpr std::size_t kRandomGreedyRestarts = 4;
+
+/// Modeled cost of one RandomGreedy restart walk, in complex MACs per input
+/// node: the walk's measured time expressed at the environment pass's
+/// throughput (on an AVX-512 AMD EPYC: ~0.45 ms per walk on the 664-node
+/// Fig. 4 layer against ~3.9 GMAC/s, about 2.6K MAC per node). A fixed
+/// constant, so the ContractOptions::replays test prices counted work and
+/// never reads a clock.
+inline constexpr std::size_t kRestartMacPerNode = 2600;
+
 struct ContractOptions {
   OrderStrategy strategy = OrderStrategy::Auto;
   /// Maximum number of complex elements a single intermediate may hold.
@@ -95,6 +113,17 @@ struct ContractOptions {
   /// many times can afford a deeper ladder. Must be non-empty for
   /// Greedy/Auto.
   std::vector<double> greedy_cost_weights{1.0, 4.0};
+  /// Forward-pass equivalents the plan will serve: how many times the
+  /// caller replays it (an environment pass counts one forward plus one
+  /// backward). 0 = unknown, the full Auto search. With replays > 0, Auto
+  /// skips the RandomGreedy restarts when replays x best_flops (the
+  /// cheaper of the greedy ladder and Alternating) is below
+  /// kRestartMacPerNode x kRandomGreedyRestarts x num_nodes -- the
+  /// restarts' own modeled cost, so a one-shot plan does not pay more
+  /// search than its replays could save. Counted work only: the plan stays
+  /// a pure function of topology + options. Ignored by the single
+  /// strategies.
+  std::size_t replays = 0;
   /// Cooperative control polled during PLANNING (compile-time cancel /
   /// deadline / memory ceiling); caller-owned, may be null. Run-time
   /// (replay) control travels through tn::PlanWorkspace::control instead,

@@ -155,11 +155,6 @@ bool cheaper(std::size_t flops, std::size_t peak, const ScoredOrder& kept) {
   return flops < kept.flops || (flops == kept.flops && peak < kept.peak);
 }
 
-/// RandomGreedy restart count: each restart reseeds the score jitter and
-/// redraws alpha from a per-restart stream seeded by the network's
-/// topology hash and the restart index alone.
-constexpr std::size_t kRandomGreedyRestarts = 4;
-
 constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
@@ -669,12 +664,20 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
 
   // Auto: the fixed search, cheapest candidate wins (ties: earlier
   // strategy). Sequential is the last resort when every candidate exceeds
-  // the memory budget.
+  // the memory budget. With a known replay count the RandomGreedy restarts
+  // run only when the replays they serve can repay their modeled cost.
   OrderStrategy chosen = opts.strategy;
   std::optional<ScoredOrder> order;
   if (opts.strategy == OrderStrategy::Auto) {
+    // The restarts repay when replays x best_flops >= restart_cost, tested
+    // by a ceiling division that cannot overflow.
+    const std::size_t restart_cost =
+        kRestartMacPerNode * kRandomGreedyRestarts * compiler.num_inputs;
     for (const OrderStrategy s :
          {OrderStrategy::Greedy, OrderStrategy::Alternating, OrderStrategy::RandomGreedy}) {
+      if (s == OrderStrategy::RandomGreedy && opts.replays > 0 && order &&
+          order->flops < (restart_cost + opts.replays - 1) / opts.replays)
+        continue;
       try {
         ScoredOrder cand = search(s);
         if (!order || cheaper(cand.flops, cand.peak, *order)) {

@@ -699,6 +699,74 @@ TEST(PlanSelection, AutoStrategyFlopsMatchDirectCompiles) {
   }
 }
 
+TEST(PlanSelection, ReplayPricedCompilesAreFingerprintIdentical) {
+  // A known replay count keeps the search a pure function of topology +
+  // options: repeated and concurrent compiles keep the same plan.
+  for (const SelectionCase& c : selection_cases()) {
+    tn::ContractOptions opts = c.opts;
+    opts.replays = 4;
+    const tn::ContractionPlan first = tn::ContractionPlan::compile(c.net, opts);
+    const tn::ContractionPlan again = tn::ContractionPlan::compile(c.net, opts);
+    EXPECT_EQ(again.fingerprint(), first.fingerprint());
+    EXPECT_EQ(again.chosen_strategy(), first.chosen_strategy());
+    std::vector<std::string> got(3);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t)
+      pool.emplace_back(
+          [&, t] { got[t] = tn::ContractionPlan::compile(c.net, opts).fingerprint(); });
+    for (std::thread& th : pool) th.join();
+    for (const std::string& fp : got) EXPECT_EQ(fp, first.fingerprint());
+  }
+}
+
+TEST(PlanSelection, RestartsRunExactlyWhenTheReplaysRepayThem) {
+  // The RandomGreedy restarts run iff replays x (the cheaper of the greedy
+  // ladder and Alternating) reaches their modeled cost. At the threshold
+  // the plan is the full search's; one replay below it the restarts record
+  // nothing and the plan is the better of the other two.
+  std::size_t one_pass_skips = 0;
+  for (const SelectionCase& c : selection_cases()) {
+    std::size_t best = 0;
+    for (const tn::OrderStrategy s : {tn::OrderStrategy::Greedy, tn::OrderStrategy::Alternating}) {
+      tn::ContractOptions direct = c.opts;
+      direct.strategy = s;
+      try {
+        const std::size_t flops = tn::ContractionPlan::compile(c.net, direct).total_flops();
+        best = best == 0 ? flops : std::min(best, flops);
+      } catch (const MemoryOutError&) {
+      }
+    }
+    // With neither fitting the budget, the restarts are the only candidates
+    // left and run at any replay count.
+    const std::size_t cost =
+        tn::kRestartMacPerNode * tn::kRandomGreedyRestarts * c.net.num_nodes();
+    const std::size_t threshold = best == 0 ? 1 : (cost + best - 1) / best;  // fewest that repay
+    if (threshold > 4) ++one_pass_skips;
+    const std::size_t rg = static_cast<std::size_t>(tn::OrderStrategy::RandomGreedy);
+
+    tn::ContractOptions full = c.opts;
+    tn::ContractStats full_stats;
+    const tn::ContractionPlan full_plan = tn::ContractionPlan::compile(c.net, full, &full_stats);
+    tn::ContractOptions at = c.opts;
+    at.replays = threshold;
+    tn::ContractStats at_stats;
+    EXPECT_EQ(tn::ContractionPlan::compile(c.net, at, &at_stats).fingerprint(),
+              full_plan.fingerprint());
+    EXPECT_EQ(at_stats.strategy_flops, full_stats.strategy_flops);
+    if (threshold < 2) continue;
+
+    tn::ContractOptions below = c.opts;
+    below.replays = threshold - 1;
+    tn::ContractStats below_stats;
+    const tn::ContractionPlan plan = tn::ContractionPlan::compile(c.net, below, &below_stats);
+    EXPECT_EQ(below_stats.strategy_flops[rg], 0u);
+    EXPECT_NE(plan.chosen_strategy(), tn::OrderStrategy::RandomGreedy);
+    EXPECT_EQ(plan.total_flops(), best);
+  }
+  // Every Fig. 4 layer prices the restarts out at a level-1 call's 4 replays.
+  EXPECT_GE(one_pass_skips, 8u);
+}
+
 TEST(BatchedApprox, BitIdenticalAcrossBatchSizesLevels0To2) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
   for (std::size_t level = 0; level <= 2; ++level) {

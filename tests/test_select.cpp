@@ -369,6 +369,75 @@ TEST(BackendSelection, Fig4CircuitTakesLevelOneOfTheLadder) {
   EXPECT_EQ(r.error_bound, 0x1.44f5e07a4c8p-10);
 }
 
+TEST(BackendSelection, Fig4RunSkipsTheRestartsAndReusesTheBidsTemplate) {
+  // A level-1 Fig. 4 call replays its plan four times (two layers x one
+  // environment pass), which cannot repay the RandomGreedy restarts: the
+  // bid compiles the one template without them and the run fetches it.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 508);
+  PlanCache cache;
+  SimulateOptions opts;
+  opts.error_budget = 1e-2;
+  opts.threads = 1;
+  opts.plan_cache = &cache;
+  const SimResult r = simulate(nc, 0, 0, opts);
+  ASSERT_EQ(r.backend, BackendKind::TnApprox);
+  ASSERT_EQ(r.config.level, 1u);
+  const std::size_t rg = static_cast<std::size_t>(tn::OrderStrategy::RandomGreedy);
+  EXPECT_EQ(r.stats.strategy_flops[rg], 0u);
+  EXPECT_EQ(cache.size(), 1u);  // one template, compiled by the bid
+  EXPECT_GT(r.stats.plan_cache_hits, 0u);
+
+  // The same options without a cache compile that template themselves:
+  // the greedy ladder ran, the restarts did not.
+  SimulateOptions uncached = opts;
+  uncached.plan_cache = nullptr;
+  const ApproxResult direct = approximate_fidelity(nc, 0, 0, tn_approx_options(uncached, 1));
+  EXPECT_GT(direct.contract_stats.strategy_flops[static_cast<std::size_t>(
+                tn::OrderStrategy::Greedy)],
+            0u);
+  EXPECT_EQ(direct.contract_stats.strategy_flops[rg], 0u);
+  EXPECT_EQ(direct.value, r.value);
+}
+
+TEST(BackendSelection, OnePassAndFullSearchTemplatesKeyApart) {
+  // Level <= 1 prices the Auto search against 4 replays, level >= 2 keeps
+  // the full search; the two plan classes never share a cache entry. A
+  // pinned strategy is the caller's choice and is never priced.
+  SimulateOptions opts;
+  const tn::ContractOptions one_pass = tn_approx_options(opts, 1).eval.tn;
+  const tn::ContractOptions full = tn_approx_options(opts, 2).eval.tn;
+  EXPECT_EQ(tn_approx_options(opts, 0).eval.tn.replays, 4u);
+  EXPECT_EQ(one_pass.replays, 4u);
+  EXPECT_EQ(full.replays, 0u);
+  const qc::Circuit c = bench::qaoa(16, 1, 77);
+  EXPECT_NE(PlanCache::template_key(16, c.gates(), 0, 0, one_pass),
+            PlanCache::template_key(16, c.gates(), 0, 0, full));
+  opts.eval.tn.strategy = tn::OrderStrategy::Greedy;
+  EXPECT_EQ(tn_approx_options(opts, 1).eval.tn.replays, 0u);
+}
+
+TEST(BackendSelection, TnTrajectoriesBidPricesTheSamplersFullSearchPlan) {
+  // The sampler compiles under the caller's eval.tn (the full Auto search),
+  // not the adapter's one-pass options, so its bid prices that template.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::depolarizing_noise(0.05), 508);
+  SimulateOptions opts;
+  opts.error_budget = 5e-2;
+  const Backend* tn_traj = nullptr;
+  for (const Backend* b : default_backends())
+    if (b->kind() == BackendKind::TnTrajectories) tn_traj = b;
+  ASSERT_NE(tn_traj, nullptr);
+  const CostEstimate bid = tn_traj->estimate(nc, 0, 0, opts);
+  ASSERT_TRUE(bid.feasible) << bid.reason;
+  ApproxOptions full;
+  full.eval = opts.eval;
+  const double per_sample_flops = approx_cost_model(nc, 0, full).layer_flops;
+  EXPECT_EQ(bid.flops, per_sample_flops * static_cast<double>(bid.samples));
+  // The one-pass template differs here, so the check tells the two apart.
+  EXPECT_NE(approx_cost_model(nc, 0, tn_approx_options(opts, 0)).layer_flops, per_sample_flops);
+}
+
 TEST(BackendSelection, SmallExactRegimeGoesToDensity) {
   // Small circuits at a tight budget: the ladder needs level 2, which bids
   // above the exact density engine. The value is exact_fidelity_mm's bit
