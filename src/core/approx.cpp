@@ -1,9 +1,9 @@
 #include "core/approx.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -156,31 +156,6 @@ std::vector<Term> enumerate_terms(const std::vector<Site>& sites, std::size_t le
   }
   return out;
 }
-
-// Shared progress accounting (the contract ApproxOptions::progress
-// documents): the counter is atomic and the possibly-not-thread-safe user
-// callback is serialized behind a mutex, incremented inside the lock so
-// observed values are strictly increasing by one.
-class SerializedProgress {
- public:
-  explicit SerializedProgress(const std::function<void(std::size_t)>& callback)
-      : callback_(callback) {}
-  void note() EXCLUDES(mutex_) {
-    if (callback_) {
-      const support::MutexLock lock(mutex_);
-      callback_(++done_);
-    } else {
-      ++done_;
-    }
-  }
-
- private:
-  // Immutable reference; the (possibly not thread-safe) callee is what the
-  // mutex serializes, not the member itself.
-  const std::function<void(std::size_t)>& callback_;
-  std::atomic<std::size_t> done_{0};
-  support::Mutex mutex_;
-};
 
 // Wall-clock split of a sweep: everything before eval_started() is the
 // upfront setup (network build + plan compilation -- or plan-cache lookups
@@ -367,15 +342,14 @@ struct ChunkFold {
 
 // Scheduler for the sharded (term-range x output-chunk) work queue: item
 // claims, the bounded buffer pool, the cooperative cancel/abort flags, the
-// first-exception slot, the per-chunk streaming folds, and the
-// outstanding-chunk progress counters all live behind ONE annotated mutex,
-// so -Wthread-safety proves every cross-worker access is locked. Workers
-// call claim() -- which also polls the RunControl, the poll point of the
-// engine's cancellation contract -- evaluate the claimed item into their
-// pool buffer WITHOUT the lock (buffer ownership travels with the claim),
-// and hand the buffer back through fold_item(). After the join, the owning
-// thread runs finish() (stash drain + pool-integrity check + rethrow) and
-// moves the fold results out by value via take_folds().
+// first-exception slot and the per-chunk streaming folds all live behind
+// ONE annotated mutex, so -Wthread-safety proves every cross-worker access
+// is locked. Workers call claim() -- which also polls the RunControl, the
+// poll point of the engine's cancellation contract -- evaluate the claimed
+// item into their pool buffer WITHOUT the lock (buffer ownership travels
+// with the claim), and hand the buffer back through fold_item(). After the
+// join, the owning thread runs finish() (stash drain + pool-integrity check
+// + rethrow) and moves the fold results out by value via take_folds().
 class SweepQueue {
  public:
   /// Term range r is [range_start[r], range_start[r + 1]).
@@ -395,9 +369,6 @@ class SweepQueue {
       folds_[c].count = std::min(shard, K - folds_[c].begin);
       folds_[c].sums.assign(folds_[c].count * (level_ + 1), cplx{0.0, 0.0});
     }
-    // Outstanding chunk folds per term, for the TERM-counting progress
-    // contract: a term is reported once every chunk has folded it.
-    term_pending_.assign(terms_.size(), num_chunks_);
     free_bufs_.resize(pool_size_);
     for (std::size_t b = 0; b < pool_size_; ++b) free_bufs_[b] = b;
   }
@@ -469,17 +440,15 @@ class SweepQueue {
 
   /// Stash the completed item's buffer and fold every consecutively ready
   /// range in term-enumeration order -- the same arithmetic, in the same
-  /// order, as the per-bitstring reference's reduction. Returns how many
-  /// terms completed their LAST outstanding chunk (progress accounting;
-  /// the caller reports them outside the lock). `buffers` is the pool
-  /// storage: the claiming worker wrote values[buf] without the lock, and
-  /// this mutex hand-off is what publishes them to whichever worker folds.
-  std::size_t fold_item(std::size_t range, std::size_t chunk, std::size_t buf,
-                        const std::vector<std::vector<cplx>>& buffers) EXCLUDES(mutex_) {
+  /// order, as the per-bitstring reference's reduction. `buffers` is the
+  /// pool storage: the claiming worker wrote values[buf] without the lock,
+  /// and this mutex hand-off is what publishes them to whichever worker
+  /// folds.
+  void fold_item(std::size_t range, std::size_t chunk, std::size_t buf,
+                 const std::vector<std::vector<cplx>>& buffers) EXCLUDES(mutex_) {
     const support::MutexLock lock(mutex_);
     ChunkFold& cf = folds_[chunk];
     cf.stash.emplace(range, buf);
-    std::size_t terms_done = 0;
     for (auto it = cf.stash.find(cf.cursor); it != cf.stash.end();
          it = cf.stash.find(cf.cursor)) {
       const std::size_t fbuf = it->second;
@@ -490,14 +459,12 @@ class SweepQueue {
         const std::size_t u = terms_[f0 + t].level;
         for (std::size_t o = 0; o < cf.count; ++o)
           cf.sums[o * (level_ + 1) + u] += fv[t * cf.count + o];
-        if (--term_pending_[f0 + t] == 0) ++terms_done;
       }
       cf.stash.erase(it);
       free_bufs_.push_back(fbuf);
       ++cf.cursor;
     }
     cv_.notify_all();
-    return terms_done;
   }
 
   /// Teardown, called once after every worker joined: stashed buffers whose
@@ -558,7 +525,6 @@ class SweepQueue {
   std::exception_ptr abort_error_ GUARDED_BY(mutex_);
   std::vector<std::size_t> free_bufs_ GUARDED_BY(mutex_);  // bounded buffer pool
   std::vector<ChunkFold> folds_ GUARDED_BY(mutex_);
-  std::vector<std::size_t> term_pending_ GUARDED_BY(mutex_);
 };
 
 // The one Algorithm-1 engine, behind approximate_fidelity (K = 1),
@@ -576,8 +542,6 @@ class SweepQueue {
 //    soon as they become the chunk's next range, reproducing the reference
 //    reduction arithmetic (term_sums[level] += value, term by term) exactly
 //    -- at any thread count, shard size, or completion order.
-//  * A term's progress callback fires once its value has been folded for
-//    every output chunk (term counts stay strictly increasing by one).
 ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                 std::span<const std::uint64_t> v_bits,
                                 const ApproxOptions& opts, std::size_t shard_outputs) {
@@ -610,7 +574,6 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t num_terms = terms.size();
   const std::size_t nn = static_cast<std::size_t>(n);
 
-  SerializedProgress progress(opts.progress);
   tn::ContractStats setup_stats;
   SweepTimer timer(result.plan_seconds, result.eval_seconds);
 
@@ -919,13 +882,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
         queue.record_abort(buf, std::current_exception());
         break;
       }
-      std::size_t terms_done = queue.fold_item(r, c, buf, buffers);
-      // The user callback runs OUTSIDE the scheduler lock: a slow callback
-      // only delays this worker (the documented contract), and a throwing
-      // one unwinds after the fold state and buffers are already
-      // consistent, so the other workers drain the queue and the exception
-      // surfaces through the join below.
-      for (; terms_done > 0; --terms_done) progress.note();
+      queue.fold_item(r, c, buf, buffers);
     }
     we.flush(worker_stats[w]);
   };

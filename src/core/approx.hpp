@@ -26,7 +26,6 @@
 // plan (batched across terms and outputs).
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "channels/noisy_circuit.hpp"
@@ -43,15 +42,6 @@ struct ApproxOptions {
   /// Worker threads for the (independent) term evaluations; 1 = serial.
   /// Results are reduced in deterministic enumeration order either way.
   std::size_t threads = 1;
-  /// Optional progress callback invoked after each term with the number of
-  /// terms evaluated so far (benchmarks use it for long sweeps). With
-  /// threads > 1 the callback runs on worker threads but calls are
-  /// SERIALIZED behind an internal mutex -- never concurrent -- and the
-  /// reported counter is incremented inside that lock, so the observed
-  /// values are strictly increasing by one (call i sees exactly i). The
-  /// callback therefore needs no synchronization of its own; a slow
-  /// callback stalls the workers.
-  std::function<void(std::size_t)> progress;
   /// Width of the sweep's term ranges (tensor-network backend); results
   /// are bit-identical at any width or thread count. The u <= 1 terms
   /// (levels 0 and 1) are cut into ranges of this width, and each range's
@@ -146,9 +136,7 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 ///    terms differ.
 /// outputs[o] is bit-identical to approximate_fidelity(nc, psi_bits,
 /// v_bits[o], opts) (same evaluators, same enumeration-order reduction per
-/// output); T1 differs from per-term replay at roundoff. The progress
-/// callback still counts TERMS, not term x output pairs (a term is
-/// reported once its value has been folded for every output). When the
+/// output); T1 differs from per-term replay at roundoff. When the
 /// combined batch or the environment schedule exceeds max_workspace_elems
 /// the sweep falls back to per-term plan replay for those terms.
 ///
@@ -203,11 +191,7 @@ ApproxBatchResult approximate_fidelity_outputs(const ch::NoisyCircuit& nc,
 /// output bitstrings through a single 2-D work queue.
 struct SweepOptions {
   /// Term evaluation options (level, backend, threads, batch_terms,
-  /// plan_cache) -- identical semantics to approximate_fidelity. The
-  /// progress callback counts TERMS: a term is reported once its value has
-  /// been folded for every output, so the observed counts are strictly
-  /// increasing by one up to the term total exactly like the single-output
-  /// sweep's.
+  /// plan_cache) -- identical semantics to approximate_fidelity.
   ApproxOptions approx;
   /// Output-shard size: the bitstring set is partitioned into chunks of
   /// this many outputs, and the work queue is the cross product of term

@@ -208,7 +208,7 @@ class TnTrajectoriesBackend final : public Backend {
   void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
            const SimulateOptions& opts, const CostEstimate& config,
            SimResult& out) const override {
-    out.traj = trajectories_tn(nc, psi_bits, v_bits, config.samples, opts.seed,
+    out.traj = trajectories_tn(nc, psi_bits, v_bits, config.samples, kSimulateSeed,
                                parallel_options(opts), opts.eval.tn);
     out.value = out.traj.mean;
     out.error_bound = config.achievable_error;
@@ -227,7 +227,7 @@ class SvTrajectoriesBackend final : public Backend {
   void run(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
            const SimulateOptions& opts, const CostEstimate& config,
            SimResult& out) const override {
-    out.traj = sim::trajectories_sv(nc, psi_bits, v_bits, config.samples, opts.seed,
+    out.traj = sim::trajectories_sv(nc, psi_bits, v_bits, config.samples, kSimulateSeed,
                                     parallel_options(opts));
     out.value = out.traj.mean;
     out.error_bound = config.achievable_error;
@@ -276,8 +276,8 @@ void validate_simulate_options(const SimulateOptions& opts) {
   la::detail::require(opts.memory_budget != 0, "simulate: memory_budget must be nonzero");
   la::detail::require(std::isfinite(opts.deadline) && opts.deadline >= 0.0,
                       "simulate: deadline must be finite and nonnegative");
-  la::detail::require(opts.failure_prob > 0.0 && opts.failure_prob < 2.0,
-                      "simulate: failure_prob must be in (0, 2)");
+  la::detail::require(opts.failure_prob > 0.0 && opts.failure_prob < 1.0,
+                      "simulate: failure_prob must be in (0, 1)");
   la::detail::require(std::isfinite(opts.max_terms) && opts.max_terms >= 1.0,
                       "simulate: max_terms must be at least 1");
 }
@@ -306,10 +306,7 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
     ropts.control = &call_control;
   }
 
-  std::vector<const Backend*> pool;
-  for (const Backend* b : default_backends())
-    if (!ropts.force_backend || b->kind() == *ropts.force_backend) pool.push_back(b);
-
+  const std::vector<const Backend*>& pool = default_backends();
   std::vector<BackendChoice> bids(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     bids[i].kind = pool[i]->kind();
@@ -324,11 +321,6 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
       bids[i].estimate.reason = e.what();
     }
   }
-
-  if (ropts.force_backend && !bids.empty() && !bids.front().estimate.feasible)
-    la::detail::fail(std::string("simulate: forced backend ") +
-                     backend_name(*ropts.force_backend) + " infeasible: " +
-                     bids.front().estimate.reason);
 
   // Selection order: feasible bids by modeled flops (BackendKind order
   // breaking ties -- deterministic engines first), then the ruled-out bids

@@ -28,7 +28,6 @@
 // directly with the reported config (a property the test suite asserts).
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +53,10 @@ enum class BackendKind {
 /// Stable display name ("density", "tn-approx", ...).
 const char* backend_name(BackendKind kind);
 
+/// RNG seed the two trajectory backends sample with. Pass it to
+/// trajectories_sv / trajectories_tn to reproduce a sampler pick directly.
+inline constexpr std::uint64_t kSimulateSeed = 12345;
+
 /// Budgets and knobs of one simulate() call. The defaults ask for a 1e-3
 /// error bound within 1 GiB of transient complex elements and no deadline.
 struct SimulateOptions {
@@ -73,12 +76,11 @@ struct SimulateOptions {
   double deadline = 0.0;
   /// Confidence parameter of the trajectory backends' Hoeffding sizing:
   /// the returned half-width holds with probability 1 - failure_prob.
+  /// Must lie in (0, 1).
   double failure_prob = 0.01;
   /// Worker threads handed to the engines (1 = serial). Fixed-seed results
   /// are bit-identical at any thread count, so this never changes values.
   std::size_t threads = 1;
-  /// RNG seed for the trajectory backends.
-  std::uint64_t seed = 12345;
   /// Term-count guard of the ladder: levels whose enumerated term count
   /// exceeds this are not considered (terms are materialized per level).
   double max_terms = 1048576.0;
@@ -89,9 +91,6 @@ struct SimulateOptions {
   /// call-local cache so estimation still pre-warms the run; pass one to
   /// amortize planning across calls. Never changes results.
   PlanCache* plan_cache = nullptr;
-  /// Skip selection and use this backend (still budget-checked: throws
-  /// LinalgError if the forced backend is infeasible, naming the reason).
-  std::optional<BackendKind> force_backend;
   /// Cooperative cancellation / deadline control (core/run_control.hpp),
   /// threaded into every engine simulate() estimates or runs: the planner
   /// polls it per merge, the TN plan executors per step, the sweep queue
@@ -193,7 +192,9 @@ void validate_simulate_options(const SimulateOptions& opts);
 /// The front door: estimate every backend, pick the cheapest feasible
 /// configuration, run it, escalate on run-time MO/TO. Throws LinalgError
 /// when no backend can meet the budgets (the message lists every backend's
-/// reason) or when a forced backend is infeasible.
+/// reason). To run one engine regardless of the others' bids, call its
+/// entry point directly, or its default_backends() adapter's estimate()
+/// and run().
 SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint64_t v_bits,
                    const SimulateOptions& opts = {});
 

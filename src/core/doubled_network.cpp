@@ -5,6 +5,16 @@
 
 namespace noisim::core {
 
+namespace {
+
+/// The doubled diagram body without output caps: the open (top, bottom)
+/// wire pair per qubit carries the evolved density matrix sigma[i, j].
+struct OpenDoubledNetwork {
+  tn::Network net;
+  std::vector<tn::EdgeId> top;     // final top wire of each qubit
+  std::vector<tn::EdgeId> bottom;  // final bottom wire of each qubit
+};
+
 OpenDoubledNetwork doubled_network_open(const ch::NoisyCircuit& nc, std::uint64_t psi_bits) {
   const int n = nc.num_qubits();
   la::detail::require(n > 0, "doubled_network: qubit count out of range");
@@ -80,6 +90,8 @@ OpenDoubledNetwork doubled_network_open(const ch::NoisyCircuit& nc, std::uint64_
 
   return OpenDoubledNetwork{std::move(net), std::move(top), std::move(bot)};
 }
+
+}  // namespace
 
 tn::Network doubled_network(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::uint64_t v_bits) {

@@ -18,16 +18,6 @@
 
 namespace noisim::core {
 
-/// The doubled diagram body without output caps: the open (top, bottom)
-/// wire pair per qubit carries the evolved density matrix sigma[i, j].
-struct OpenDoubledNetwork {
-  tn::Network net;
-  std::vector<tn::EdgeId> top;     // final top wire of each qubit
-  std::vector<tn::EdgeId> bottom;  // final bottom wire of each qubit
-};
-
-OpenDoubledNetwork doubled_network_open(const ch::NoisyCircuit& nc, std::uint64_t psi_bits);
-
 /// Build the doubled diagram for <v_bits| E(|psi_bits><psi_bits|) |v_bits>.
 tn::Network doubled_network(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::uint64_t v_bits);

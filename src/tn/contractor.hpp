@@ -3,9 +3,12 @@
 //
 // Strategies:
 //  * Greedy     — repeatedly contract the connected pair with the best
-//                 (result_size - size_a - size_b) score; this is the classic
-//                 opt_einsum-style greedy heuristic and works well on the
-//                 quasi-1D / shallow-grid circuit networks in the paper.
+//                 (result_size - alpha * (size_a + size_b)) score, walked
+//                 once per weight of a fixed ladder, alpha = 1 then 4, and
+//                 keeping the cheaper schedule by total flops (alpha = 1,
+//                 the classic opt_einsum-style heuristic, wins ties). It
+//                 works well on the quasi-1D / shallow-grid circuit
+//                 networks in the paper.
 //  * Sequential — absorb nodes into an accumulator in insertion order. The
 //                 circuit builders insert gate tensors in time order, which
 //                 makes this equivalent to Schrodinger simulation (optimal
@@ -20,7 +23,7 @@
 //                 function of the network topology, never wall clock or
 //                 entropy, so the chosen plan stays a pure function of
 //                 topology + options.
-//  * Auto       — one fixed search: the greedy ladder, Alternating, and
+//  * Auto       — one fixed search: the Greedy ladder, Alternating, and
 //                 RandomGreedy, keeping the order with minimum total flops
 //                 (ties: smaller peak intermediate, then the earlier
 //                 candidate); Sequential is the last resort when every
@@ -104,20 +107,11 @@ struct ContractOptions {
   /// it raises MemoryOutError at plan time. 0 disables the check --
   /// max_tensor_elems alone then bounds the largest single intermediate.
   std::size_t max_workspace_elems = 0;
-  /// Score weights the Greedy planner tries (score = result_size -
-  /// weight * (size_a + size_b)); the cheapest schedule by total flops
-  /// wins, earlier entries winning ties -- weight 1.0 (the classic
-  /// opt_einsum heuristic) leads so a different schedule is only chosen
-  /// when strictly cheaper. Every entry multiplies one-shot planning cost,
-  /// so the default stays at two; callers that compile once and replay
-  /// many times can afford a deeper ladder. Must be non-empty for
-  /// Greedy/Auto.
-  std::vector<double> greedy_cost_weights{1.0, 4.0};
   /// Forward-pass equivalents the plan will serve: how many times the
   /// caller replays it (an environment pass counts one forward plus one
   /// backward). 0 = unknown, the full Auto search. With replays > 0, Auto
   /// skips the RandomGreedy restarts when replays x best_flops (the
-  /// cheaper of the greedy ladder and Alternating) is below
+  /// cheaper of the Greedy weight ladder and Alternating) is below
   /// kRestartMacPerNode x kRandomGreedyRestarts x num_nodes -- the
   /// restarts' own modeled cost, so a one-shot plan does not pay more
   /// search than its replays could save. Counted work only: the plan stays

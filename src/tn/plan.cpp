@@ -1,6 +1,7 @@
 #include "tn/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -156,6 +157,12 @@ bool cheaper(std::size_t flops, std::size_t peak, const ScoredOrder& kept) {
 }
 
 constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
+
+/// Score weights of the Greedy ladder (score = result_size - weight *
+/// (size_a + size_b)), walked in this order; weight 1.0 leads so a
+/// different schedule is chosen only when strictly cheaper. Every entry
+/// multiplies one-shot planning cost, so the ladder stays at two.
+constexpr std::array<double, 2> kGreedyCostWeights{1.0, 4.0};
 
 }  // namespace
 
@@ -624,12 +631,10 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
     switch (s) {
       case OrderStrategy::Greedy:
         // A deterministic ladder of score weights. Planning happens once
-        // per topology while the plan replays per term, so a several-fold
-        // deeper search at plan time is almost free -- and routinely finds
-        // schedules several times cheaper than alpha = 1 alone.
-        la::detail::require(!opts.greedy_cost_weights.empty(),
-                            "ContractionPlan: no greedy cost weights configured");
-        for (const double alpha : opts.greedy_cost_weights)
+        // per topology while the plan replays per term, so a second walk
+        // at plan time is cheap -- and routinely finds schedules several
+        // times cheaper than alpha = 1 alone.
+        for (const double alpha : kGreedyCostWeights)
           attempt([&](PlanCompiler& c) { c.greedy(alpha); });
         break;
       case OrderStrategy::Sequential:

@@ -1,13 +1,10 @@
 // Tests for the output-bitstring batching axis: batch_amplitudes /
 // AmplitudeTemplate::compile_batched_outputs, approximate_fidelity_outputs,
-// trajectories_tn_sweep -- plus the sampling-path regression tests this
-// PR fixes (unnormalized mixtures, zero-sample entry points, progress
-// serialization).
+// trajectories_tn_sweep -- plus sampling-path regression tests
+// (unnormalized mixtures, zero-sample entry points).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
-#include <thread>
 
 #include "bench_support/generators.hpp"
 #include "bench_support/harness.hpp"
@@ -16,6 +13,7 @@
 #include "core/approx.hpp"
 #include "core/trajectories_tn.hpp"
 #include "sim/trajectories.hpp"
+#include "skeleton.hpp"
 
 namespace noisim::core {
 namespace {
@@ -30,25 +28,6 @@ EvalOptions sv_eval() {
   EvalOptions eval;
   eval.backend = EvalOptions::Backend::StateVector;
   return eval;
-}
-
-/// The trajectories/approx skeleton topology: the circuit's gates with one
-/// identity placeholder per noise site (same shapes as the insertions that
-/// replace them). Used to compute per-term plan arenas for the
-/// workspace-budget tests.
-std::vector<qc::Gate> skeleton_gates(const ch::NoisyCircuit& nc) {
-  std::vector<qc::Gate> gates;
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      gates.push_back(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    gates.push_back(noise.num_qubits() == 1
-                        ? qc::u1q(noise.qubit, la::Matrix::identity(2))
-                        : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
-  }
-  return gates;
 }
 
 std::vector<std::uint64_t> sampled_bitstrings(int n, std::size_t count, std::uint64_t seed) {
@@ -139,7 +118,6 @@ TEST(BatchedOutputs, WorkspaceBudgetTripsOnlyTheOutputBatch) {
   // batch_amplitudes falls back bit-identically.
   const qc::Circuit c = bench::qaoa(16, 1, 19);
   EvalOptions eval = tn_eval();
-  eval.tn.greedy_cost_weights = {1.0};
   const AmplitudeTemplate probe(16, c.gates(), 0, 0, eval);
   eval.tn.max_workspace_elems = probe.plan().workspace_elems();
 
@@ -306,20 +284,21 @@ TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   ApproxOptions opts;
   opts.level = 1;
   opts.eval = tn_eval();
-  opts.eval.tn.greedy_cost_weights = {1.0};
 
   const ApproxBatchResult full = approximate_fidelity_outputs(nc, 0, vb, opts);
   // Per-term plans of both layers share the skeleton topology; take the
   // larger arena so per-term replay fits exactly.
   std::size_t arena = 0;
   for (const bool conj : {false, true}) {
-    const tn::Network net = amplitude_network(nc.num_qubits(), skeleton_gates(nc), 0, 0, conj);
+    const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, conj);
     arena = std::max(arena,
                      tn::ContractionPlan::compile(net, opts.eval.tn).workspace_elems());
   }
   ApproxOptions budgeted = opts;
   budgeted.eval.tn.max_workspace_elems = arena;
   const ApproxBatchResult fallback = approximate_fidelity_outputs(nc, 0, vb, budgeted);
+  // The fallback fires: per-term replay executes other contractions.
+  EXPECT_NE(fallback.contract_stats.flops, full.contract_stats.flops);
   for (std::size_t o = 0; o < vb.size(); ++o) {
     ApproxResult replay;
     replay.raw = fallback.raw[o];
@@ -376,41 +355,14 @@ TEST(ApproxOutputs, EmptyOutputsReturnBoundsOnly) {
   EXPECT_GT(r.tight_error_bound, 0.0);
 }
 
-TEST(ApproxOutputs, ProgressCountsTermsOnce) {
+TEST(ApproxOutputs, ContractionsCountEveryTermPerOutput) {
   const ch::NoisyCircuit nc = xeb_workload(16, 3, 509);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 4, 47);
   ApproxOptions opts;
   opts.level = 1;
   opts.eval = tn_eval();
-  std::size_t calls = 0;
-  opts.progress = [&](std::size_t done) { calls = done; };
-  approximate_fidelity_outputs(nc, 0, vb, opts);
-  EXPECT_EQ(calls, 1u + 3u * nc.noise_count());
-}
-
-// --- progress serialization (doc'd contract of ApproxOptions::progress) -------
-
-TEST(ApproxProgress, CallsAreSerializedAndStrictlyIncreasing) {
-  const ch::NoisyCircuit nc = xeb_workload(16, 4, 511);
-  ApproxOptions opts;
-  opts.level = 1;
-  opts.threads = 4;
-  opts.eval = tn_eval();
-
-  std::atomic<int> in_flight{0};
-  std::atomic<bool> overlapped{false};
-  std::vector<std::size_t> seen;  // protected by the documented serialization
-  opts.progress = [&](std::size_t done) {
-    if (in_flight.fetch_add(1) != 0) overlapped = true;
-    seen.push_back(done);
-    std::this_thread::yield();  // widen any race window
-    in_flight.fetch_sub(1);
-  };
-  approximate_fidelity(nc, 0, 0, opts);
-
-  EXPECT_FALSE(overlapped.load());
-  ASSERT_EQ(seen.size(), 1u + 3u * nc.noise_count());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, opts);
+  EXPECT_EQ(r.contractions, 2u * (1u + 3u * nc.noise_count()) * vb.size());
 }
 
 // --- trajectories_tn_sweep, every bitstring in one shard -------------------
@@ -428,15 +380,19 @@ TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 4, 59);
   sim::ParallelOptions serial;
   serial.threads = 1;
-  tn::ContractOptions copts;
-  copts.greedy_cost_weights = {1.0};
+  const tn::ContractOptions copts;
   const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, copts, vb.size());
 
   // Budget = the skeleton's per-term arena: the output batch reports MO at
   // compile time and per-term plan replay takes over.
-  const tn::Network net = amplitude_network(nc.num_qubits(), skeleton_gates(nc), 0, 0, false);
+  const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, false);
   tn::ContractOptions budgeted = copts;
   budgeted.max_workspace_elems = tn::ContractionPlan::compile(net, copts).workspace_elems();
+  // The fallback fires: even a two-sample batch over the noise sites alone,
+  // smaller than any batch the sweep compiles, is over that budget.
+  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted)
+                   .compile_batched(noise_site_nodes(nc), 2, budgeted),
+               MemoryOutError);
   const auto fallback = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, budgeted, vb.size());
   for (std::size_t o = 0; o < vb.size(); ++o) {
     EXPECT_EQ(full[o].mean, fallback[o].mean);

@@ -439,16 +439,6 @@ TEST(Algorithm1, IdealOutputProjectorMatchesDirectFidelity) {
   EXPECT_NEAR(approximate_fidelity(projected, 0, 0, opts).value, direct, 1e-9);
 }
 
-TEST(Algorithm1, ProgressCallbackCountsTerms) {
-  const ch::NoisyCircuit nc = random_noisy_circuit(3, 8, 3, 13, 0.02);
-  std::size_t calls = 0;
-  ApproxOptions opts;
-  opts.level = 1;
-  opts.progress = [&](std::size_t done) { calls = done; };
-  approximate_fidelity(nc, 0, 0, opts);
-  EXPECT_EQ(calls, 1u + 3u * nc.noise_count());
-}
-
 // --- TN trajectories --------------------------------------------------------------
 
 TEST(TrajectoriesTn, AgreesWithExactForDepolarizing) {

@@ -17,6 +17,7 @@
 #include "core/approx.hpp"
 #include "core/backend.hpp"
 #include "fault/fault.hpp"
+#include "run_backend.hpp"
 #include "sim/parallel.hpp"
 #include "support/env.hpp"
 
@@ -212,11 +213,9 @@ TEST_F(FaultTest, EscalationRecoversThroughEveryBackendPairBitIdentical) {
           << r.escalations[i].second;
     }
 
-    // Bit-identity with direct invocation of the survivor.
+    // Bit-identity with the survivor run on its own.
     fault::disarm_all();
-    SimulateOptions forced = opts;
-    forced.force_backend = feasible[k];
-    const SimResult direct = simulate(nc, 0, 0, forced);
+    const SimResult direct = run_backend(feasible[k], nc, 0, 0, opts);
     EXPECT_EQ(r.value, direct.value) << "survivor " << backend_name(feasible[k]);
     EXPECT_EQ(r.error_bound, direct.error_bound);
     EXPECT_EQ(r.traj.samples, direct.traj.samples);
@@ -242,9 +241,7 @@ TEST_F(FaultTest, RunTimeTimeoutEscalatesTnApproxAndRecovers) {
       << r.escalations[0].second;
 
   fault::disarm_all();
-  SimulateOptions forced = opts;
-  forced.force_backend = r.backend;
-  EXPECT_EQ(r.value, simulate(nc, 0, 0, forced).value);
+  EXPECT_EQ(r.value, run_backend(r.backend, nc, 0, 0, opts).value);
 }
 
 TEST_F(FaultTest, RunTimeTimeoutEscalatesTnTrajectoriesAndRecovers) {
@@ -263,9 +260,7 @@ TEST_F(FaultTest, RunTimeTimeoutEscalatesTnTrajectoriesAndRecovers) {
       << r.escalations[0].second;
 
   fault::disarm_all();
-  SimulateOptions forced = opts;
-  forced.force_backend = BackendKind::SvTrajectories;
-  EXPECT_EQ(r.value, simulate(nc, 0, 0, forced).value);
+  EXPECT_EQ(r.value, run_backend(BackendKind::SvTrajectories, nc, 0, 0, opts).value);
 }
 
 // Plan-time faults rule a backend out during ESTIMATION (the bid records

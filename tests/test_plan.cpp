@@ -14,6 +14,7 @@
 #include "core/circuit_network.hpp"
 #include "core/trajectories_tn.hpp"
 #include "sim/trajectories.hpp"
+#include "skeleton.hpp"
 #include "tn/contractor.hpp"
 #include "tn/plan.hpp"
 
@@ -614,18 +615,7 @@ TEST(PlanReplay, ApproxAgreesWithStateVectorReference) {
 /// same topology as the circuit with identity placeholders at the noise
 /// sites, so its layer network can be built independently.
 tn::Network skeleton_network(const ch::NoisyCircuit& nc, bool conjugate = false) {
-  std::vector<qc::Gate> gates;
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      gates.push_back(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    gates.push_back(noise.num_qubits() == 1
-                        ? qc::u1q(noise.qubit, la::Matrix::identity(2))
-                        : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
-  }
-  return amplitude_network(nc.num_qubits(), gates, 0, 0, conjugate);
+  return amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, conjugate);
 }
 
 /// The skeleton's per-term plan arena -- used by the workspace-budget tests
@@ -812,7 +802,6 @@ TEST(BatchedTrajectories, BudgetFallbackIsBitIdenticalToBatchedSampling) {
       bench::insert_noises(circuit, 3, bench::depolarizing_noise(0.02), 17);
   EvalOptions eval;
   eval.backend = EvalOptions::Backend::TensorNetwork;
-  eval.tn.greedy_cost_weights = {1.0};
   sim::ParallelOptions serial;
   serial.threads = 1;
 
@@ -820,6 +809,11 @@ TEST(BatchedTrajectories, BudgetFallbackIsBitIdenticalToBatchedSampling) {
 
   EvalOptions budgeted = eval;
   budgeted.tn.max_workspace_elems = skeleton_arena_elems(nc, false, eval);
+  // The fallback fires: even a two-sample batch over the noise sites, the
+  // smallest the sampler compiles, is over that budget.
+  EXPECT_THROW(tn::ContractionPlan::compile(skeleton_network(nc), budgeted.tn)
+                   .compile_batched(noise_site_nodes(nc), 2, budgeted.tn),
+               MemoryOutError);
   const sim::TrajectoryResult fallback =
       trajectories_tn(nc, 0, 0, 200, 7, serial, budgeted.tn);
   EXPECT_EQ(batched.mean, fallback.mean);

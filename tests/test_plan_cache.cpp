@@ -113,7 +113,7 @@ TEST(PlanCache, DifferentContractOptionsMiss) {
 
   // Same skeleton, different planner options -> different template key.
   ApproxOptions other = opts;
-  other.eval.tn.greedy_cost_weights = {1.0};
+  other.eval.tn.max_tensor_elems = std::size_t{1} << 25;
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, other);
   EXPECT_EQ(r.contract_stats.plan_cache_hits, 0u);
   EXPECT_EQ(cache.misses(), misses_after_first + 2);
@@ -130,15 +130,15 @@ TEST(PlanCache, PortfolioKnobsChangeTheTemplateKey) {
   opts.plan_cache = &cache;
   (void)approximate_fidelity_outputs(nc, 0, vb, opts);
 
-  // A deeper greedy ladder changes the planner configuration, so the
-  // template key must miss: the ladder may legitimately pick a different
+  // A known replay count changes the Auto search, so the template key
+  // must miss: the priced search may legitimately pick a different
   // schedule, and serving either under the other's key would break replay
   // determinism.
-  ApproxOptions ladder = opts;
-  ladder.eval.tn.greedy_cost_weights = {1.0, 4.0, 16.0};
-  const ApproxBatchResult r_ladder = approximate_fidelity_outputs(nc, 0, vb, ladder);
-  EXPECT_EQ(r_ladder.contract_stats.plan_cache_hits, 0u);
-  EXPECT_EQ(r_ladder.contract_stats.plan_cache_misses, 2u);
+  ApproxOptions priced = opts;
+  priced.eval.tn.replays = 4;
+  const ApproxBatchResult r_priced = approximate_fidelity_outputs(nc, 0, vb, priced);
+  EXPECT_EQ(r_priced.contract_stats.plan_cache_hits, 0u);
+  EXPECT_EQ(r_priced.contract_stats.plan_cache_misses, 2u);
 
   // A warm repeat of the original options still hits everything and stays
   // bitwise-equal to a cache-free run.

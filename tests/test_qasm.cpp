@@ -1,14 +1,11 @@
-// Tests for OpenQASM interop and Pauli observables.
+// Tests for OpenQASM interop.
 #include <gtest/gtest.h>
 
 #include <numbers>
 #include <random>
 
 #include "bench_support/generators.hpp"
-#include "channels/catalog.hpp"
 #include "circuit/qasm.hpp"
-#include "core/observables.hpp"
-#include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
 namespace noisim {
@@ -207,74 +204,6 @@ TEST(QasmImport, GeneratedBenchmarkSurvivesRoundTrip) {
   a.apply_circuit(c);
   b.apply_circuit(back);
   EXPECT_TRUE(approx_equal(a.inner(b), cplx{1.0, 0.0}, 1e-10));
-}
-
-// --- Pauli observables -----------------------------------------------------------
-
-TEST(PauliString, ParseAndWeight) {
-  const auto p = core::PauliString::parse("IXYZ");
-  EXPECT_EQ(p.num_qubits(), 4u);
-  EXPECT_EQ(p.weight(), 3u);
-  EXPECT_THROW(core::PauliString::parse("IXQ"), LinalgError);
-  EXPECT_THROW(core::PauliString::parse(""), LinalgError);
-}
-
-la::Matrix pauli_matrix(const std::string& ops) {
-  la::Matrix m = la::Matrix::identity(1);
-  const la::Matrix table[4] = {la::Matrix::identity(2), qc::x(0).matrix(), qc::y(0).matrix(),
-                               qc::z(0).matrix()};
-  for (char c : ops) {
-    int idx = c == 'I' ? 0 : c == 'X' ? 1 : c == 'Y' ? 2 : 3;
-    m = la::kron(m, table[idx]);
-  }
-  return m;
-}
-
-class PauliObservables : public ::testing::TestWithParam<int> {};
-
-TEST_P(PauliObservables, MatchesDensityMatrixTrace) {
-  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
-  std::uniform_real_distribution<double> angle(-2.0, 2.0);
-  qc::Circuit c(3);
-  c.add(qc::h(0)).add(qc::ry(1, angle(rng))).add(qc::cz(0, 1)).add(qc::rx(2, angle(rng)));
-  c.add(qc::cx(1, 2));
-  ch::NoisyCircuit nc(3);
-  for (std::size_t i = 0; i < c.gates().size(); ++i) {
-    nc.add_gate(c.gates()[i]);
-    if (i == 2) nc.add_noise(1, ch::depolarizing(0.1));
-  }
-
-  sim::DensityMatrix dm(3);
-  dm.evolve(nc);
-
-  for (const char* ops : {"ZII", "IZI", "XXI", "IYZ", "XYZ", "III"}) {
-    const la::Matrix p = pauli_matrix(ops);
-    const double want = (p * dm.to_matrix()).trace().real();
-    const double got = core::expectation_pauli(nc, 0, core::PauliString::parse(ops));
-    EXPECT_NEAR(got, want, 1e-9) << ops;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PauliObservables, ::testing::Range(0, 6));
-
-TEST(PauliObservables, IdentityStringIsTrace) {
-  ch::NoisyCircuit nc(2);
-  nc.add_gate(qc::h(0));
-  nc.add_noise(0, ch::amplitude_damping(0.3));
-  EXPECT_NEAR(core::expectation_pauli(nc, 0, core::PauliString::parse("II")), 1.0, 1e-10);
-}
-
-TEST(PauliObservables, DepolarizingShrinksBlochZ) {
-  // <Z> of |0> after depolarizing(p) is 1 - 4p/3.
-  ch::NoisyCircuit nc(1);
-  nc.add_noise(0, ch::depolarizing(0.3));
-  EXPECT_NEAR(core::expectation_pauli(nc, 0, core::PauliString::parse("Z")), 1.0 - 0.4, 1e-10);
-}
-
-TEST(PauliObservables, WidthMismatchThrows) {
-  ch::NoisyCircuit nc(2);
-  nc.add_gate(qc::h(0));
-  EXPECT_THROW(core::expectation_pauli(nc, 0, core::PauliString::parse("Z")), LinalgError);
 }
 
 }  // namespace

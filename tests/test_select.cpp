@@ -58,6 +58,10 @@ TEST(SimulateOptionsValidation, BadBudgetsThrowNamingTheField) {
   opts = SimulateOptions{};
   opts.failure_prob = 0.0;
   expect_throw_naming(opts, "failure_prob");
+  opts.failure_prob = 1.0;
+  expect_throw_naming(opts, "failure_prob");
+  opts.failure_prob = 1.5;
+  expect_throw_naming(opts, "failure_prob");
   opts.failure_prob = 2.0;
   expect_throw_naming(opts, "failure_prob");
 
@@ -135,35 +139,32 @@ TEST(BackendSelection, SvSamplerBidPaysTheCleanEvolutionOncePerCall) {
   EXPECT_EQ(four.peak_elems, 4 * one.peak_elems);
 }
 
-TEST(BackendSelection, ForcedBackendIsHonoredAndBudgetChecked) {
+TEST(BackendSelection, RuledOutBidsNameTheirReason) {
+  auto density_bid = [](const SimResult& r) {
+    for (const BackendChoice& c : r.considered)
+      if (c.kind == BackendKind::Density) return c.estimate;
+    ADD_FAILURE() << "no density bid";
+    return CostEstimate{};
+  };
+  // A memory budget below the 2 * 4^6 density footprint: the bid names it.
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::hf_vqe(6, 11), 2, bench::depolarizing_noise(0.05), 13);
-  SimulateOptions opts;
-  opts.error_budget = 5e-2;
-  opts.force_backend = BackendKind::SvTrajectories;
-  const SimResult r = simulate(nc, 0, 0, opts);
-  EXPECT_EQ(r.backend, BackendKind::SvTrajectories);
-  EXPECT_EQ(r.considered.size(), 1u);
+  SimulateOptions squeezed;
+  squeezed.error_budget = 5e-2;
+  squeezed.memory_budget = 1000;
+  const CostEstimate squeezed_bid = density_bid(simulate(nc, 0, 0, squeezed));
+  EXPECT_FALSE(squeezed_bid.feasible);
+  EXPECT_NE(squeezed_bid.reason.find("memory_budget"), std::string::npos) << squeezed_bid.reason;
 
-  // Forcing an infeasible backend throws, naming it and the violated budget.
-  SimulateOptions squeezed = opts;
-  squeezed.force_backend = BackendKind::Density;
-  squeezed.memory_budget = 1000;  // below the 2 * 4^6 density footprint
-  try {
-    simulate(nc, 0, 0, squeezed);
-    FAIL() << "expected LinalgError for the forced infeasible backend";
-  } catch (const LinalgError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("density"), std::string::npos) << what;
-    EXPECT_NE(what.find("memory_budget"), std::string::npos) << what;
-  }
-
-  // Wider than the density cap: forcing it reports the qubit limit.
+  // Wider than the density cap: the bid names the qubit limit.
   const ch::NoisyCircuit wide =
       bench::insert_noises(bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 601);
-  SimulateOptions forced;
-  forced.force_backend = BackendKind::Density;
-  EXPECT_THROW(simulate(wide, 0, 0, forced), LinalgError);
+  SimulateOptions opts;
+  opts.error_budget = 2e-2;
+  const CostEstimate wide_bid = density_bid(simulate(wide, 0, 0, opts));
+  EXPECT_FALSE(wide_bid.feasible);
+  EXPECT_NE(wide_bid.reason.find("density matrices cap at"), std::string::npos)
+      << wide_bid.reason;
 }
 
 TEST(BackendSelection, NonMixtureNoiseRulesOutTnTrajectories) {
@@ -220,9 +221,10 @@ double direct_invocation(const ch::NoisyCircuit& nc, std::uint64_t psi, std::uin
     case BackendKind::TnApprox:
       return approximate_fidelity(nc, psi, v, tn_approx_options(opts, r.config.level)).value;
     case BackendKind::TnTrajectories:
-      return trajectories_tn(nc, psi, v, r.config.samples, opts.seed, popts, opts.eval.tn).mean;
+      return trajectories_tn(nc, psi, v, r.config.samples, kSimulateSeed, popts, opts.eval.tn)
+          .mean;
     case BackendKind::SvTrajectories:
-      return sim::trajectories_sv(nc, psi, v, r.config.samples, opts.seed, popts).mean;
+      return sim::trajectories_sv(nc, psi, v, r.config.samples, kSimulateSeed, popts).mean;
   }
   return std::numeric_limits<double>::quiet_NaN();
 }
@@ -304,9 +306,9 @@ TEST(BackendSelection, DeadlineValuesShareOnePlanCacheEntry) {
   SimulateOptions opts;
   opts.error_budget = 2e-2;
   opts.plan_cache = &cache;
-  opts.force_backend = BackendKind::TnApprox;
   opts.deadline = 5.0;
   const SimResult first = simulate(nc, 0, 0, opts);
+  EXPECT_EQ(first.backend, BackendKind::TnApprox);
   const std::size_t misses = cache.misses();
   const std::size_t entries = cache.size();
   opts.deadline = 6.0;
@@ -325,17 +327,17 @@ TEST(BackendSelection, CallDeadlineKeepsTheCallersMemoryCeiling) {
   caller.set_memory_ceiling_elems(1);
   SimulateOptions opts;
   opts.error_budget = 2e-2;
-  opts.force_backend = BackendKind::TnApprox;
   opts.deadline = 60.0;
   opts.control = &caller;
-  try {
-    simulate(nc, 0, 0, opts);
-    FAIL() << "expected the forced run to escalate on the memory ceiling";
-  } catch (const LinalgError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("run escalated"), std::string::npos) << what;
-    EXPECT_NE(what.find("memory ceiling"), std::string::npos) << what;
-  }
+  // The tn-approx pick escalates on the ceiling, as does every other
+  // contraction; the state-vector sampler, which commits no contraction
+  // arena, serves the call.
+  const SimResult r = simulate(nc, 0, 0, opts);
+  ASSERT_FALSE(r.escalations.empty());
+  EXPECT_EQ(r.escalations[0].first, BackendKind::TnApprox);
+  for (const auto& [kind, err] : r.escalations)
+    EXPECT_NE(err.find("memory ceiling"), std::string::npos) << backend_name(kind) << ": " << err;
+  EXPECT_EQ(r.backend, BackendKind::SvTrajectories);
 }
 
 TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {

@@ -8,6 +8,7 @@
 #include "channels/catalog.hpp"
 #include "core/backend.hpp"
 #include "linalg/qr.hpp"
+#include "run_backend.hpp"
 #include "sim/density.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectories.hpp"
@@ -418,15 +419,16 @@ TEST(Trajectories, OutOfRangeBitstringsThrowBeforeSampling) {
   EXPECT_NO_THROW(sample_trajectory_sv(nc, 7, 7, rng));
 }
 
-TEST(Trajectories, ForcedSvTrajectoriesRejectsOutOfRangeOutput) {
+TEST(Trajectories, SvTrajectoriesBackendRejectsOutOfRangeOutput) {
   qc::Circuit c(3);
   c.add(qc::h(0)).add(qc::cx(0, 1));
   ch::NoisyCircuit nc(c);
   nc.add_noise(1, ch::depolarizing(0.1));
   core::SimulateOptions opts;
   opts.error_budget = 5e-2;
-  opts.force_backend = core::BackendKind::SvTrajectories;
-  EXPECT_THROW(core::simulate(nc, 0, std::uint64_t{1} << 40, opts), LinalgError);
+  EXPECT_THROW(core::run_backend(core::BackendKind::SvTrajectories, nc, 0,
+                                 std::uint64_t{1} << 40, opts),
+               LinalgError);
 }
 
 TEST(Statevector, OutOfRangeQubitAndBitsThrow) {

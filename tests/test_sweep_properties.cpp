@@ -18,6 +18,7 @@
 #include "core/approx.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
+#include "skeleton.hpp"
 #include "tensor/kernels.hpp"
 
 namespace noisim::core {
@@ -69,23 +70,6 @@ std::vector<std::uint64_t> random_bitstrings(int n, std::size_t count, std::mt19
   std::vector<std::uint64_t> out(count);
   for (auto& v : out) v = rng() & mask;
   return out;
-}
-
-/// The noisy circuit's gates with an identity at every noise site: the
-/// topology every plan-replay engine compiles.
-std::vector<qc::Gate> identity_skeleton(const ch::NoisyCircuit& nc) {
-  std::vector<qc::Gate> skeleton;
-  for (const ch::Op& op : nc.ops()) {
-    if (const qc::Gate* g = std::get_if<qc::Gate>(&op)) {
-      skeleton.push_back(*g);
-      continue;
-    }
-    const ch::NoiseOp& noise = std::get<ch::NoiseOp>(op);
-    skeleton.push_back(noise.num_qubits() == 1
-                           ? qc::u1q(noise.qubit, la::Matrix::identity(2))
-                           : qc::u2q(noise.qubit, noise.qubit2, la::Matrix::identity(4)));
-  }
-  return skeleton;
 }
 
 void expect_sweep_matches_refs(const ApproxBatchResult& sweep,
@@ -183,7 +167,7 @@ TEST(SweepProperties, LargeBitstringSetWithRaggedShards) {
   }
 }
 
-TEST(SweepProperties, ProgressCountsTermsOnceAcrossShards) {
+TEST(SweepProperties, ContractionsCountEveryTermOnceAcrossShards) {
   const ch::NoisyCircuit nc = bench::insert_noises(
       bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 503);
   std::mt19937_64 rng(78);
@@ -193,15 +177,8 @@ TEST(SweepProperties, ProgressCountsTermsOnceAcrossShards) {
   sopts.approx.eval = tn_eval();
   sopts.approx.threads = 4;
   sopts.shard_outputs = 2;  // 5 chunks: every term folds across 5 items
-  std::vector<std::size_t> seen;
-  std::mutex seen_mutex;
-  sopts.approx.progress = [&](std::size_t done) {
-    const std::lock_guard<std::mutex> lock(seen_mutex);
-    seen.push_back(done);
-  };
-  xeb_sweep(nc, 0, vb, sopts);
-  ASSERT_EQ(seen.size(), 1u + 3u * nc.noise_count());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  const ApproxBatchResult r = xeb_sweep(nc, 0, vb, sopts);
+  EXPECT_EQ(r.contractions, 2u * (1u + 3u * nc.noise_count()) * vb.size());
 }
 
 TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
@@ -216,7 +193,6 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
   ApproxOptions base;
   base.level = 1;
   base.eval = tn_eval();
-  base.eval.tn.greedy_cost_weights = {1.0};
   std::vector<ApproxResult> refs;
   for (const std::uint64_t v : vb) refs.push_back(approximate_fidelity(nc, 0, v, base));
 
@@ -226,6 +202,11 @@ TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
   ApproxOptions budgeted = base;
   budgeted.eval.tn.max_workspace_elems =
       tn::ContractionPlan::compile(net, base.eval.tn).workspace_elems();
+  // The fallback fires: the level-1 terms' environment schedule is over
+  // that budget.
+  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted.eval.tn)
+                   .compile_env(noise_site_nodes(nc), budgeted.eval.tn),
+               MemoryOutError);
 
   for (const std::size_t shard : {3ul, 11ul}) {
     SweepOptions sopts;
@@ -330,11 +311,14 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
   constexpr std::uint64_t kSeed = 2024;
 
   tn::ContractOptions copts;
-  copts.greedy_cost_weights = {1.0};
+  const tn::Network net = amplitude_network(9, identity_skeleton(nc), 0, 0, false);
   tn::ContractOptions budgeted = copts;
-  budgeted.max_workspace_elems =
-      tn::ContractionPlan::compile(amplitude_network(9, identity_skeleton(nc), 0, 0, false), copts)
-          .workspace_elems();
+  budgeted.max_workspace_elems = tn::ContractionPlan::compile(net, copts).workspace_elems();
+  // The fallback fires: even a two-sample batch over the noise sites, the
+  // smallest the samplers compile, is over that budget.
+  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted)
+                   .compile_batched(noise_site_nodes(nc), 2, budgeted),
+               MemoryOutError);
 
   struct Pins {
     double serial_mean, serial_std_error;

@@ -61,6 +61,12 @@ exercised by --self-test):
                     budget is a RunControl deadline; an engine keeping its
                     own clock would give each compile or replay a fresh
                     budget instead of one per call.
+  lib-no-test-support
+                    no file under src/ outside src/bench_support/ and
+                    src/mps/ includes bench_support/ or mps/ headers. Those
+                    two directories serve benches, examples and tests only;
+                    an engine that reached into them would tie the library
+                    to its test support.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -85,6 +91,7 @@ RULES = (
     "cache-key-covers-options",
     "replay-evaluator",
     "one-deadline",
+    "lib-no-test-support",
 )
 
 
@@ -572,6 +579,30 @@ def check_one_deadline(root, cxx_files):
     return findings
 
 
+# Raw text, not strip_code: the include path is a string literal.
+TEST_SUPPORT_INCLUDE_RE = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*[<"]((?:bench_support|mps)/[^>"]*)[>"]', re.MULTILINE)
+TEST_SUPPORT_DIRS = {"bench_support", "mps"}
+
+
+def check_lib_no_test_support(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if len(rel) < 2 or rel[0] != "src" or rel[1] in TEST_SUPPORT_DIRS:
+            continue
+        for m in TEST_SUPPORT_INCLUDE_RE.finditer(text):
+            findings.append(Finding(
+                path, line_of(text, m.start()), "lib-no-test-support",
+                f"src/ includes '{m.group(1)}'; bench_support/ and mps/ serve "
+                "benches, examples and tests, and the library engines must "
+                "not depend on them"))
+    return findings
+
+
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+ContractOptions\s*\{")
 TEMPLATE_KEY_RE = re.compile(r"\bPlanCache\s*::\s*template_key\s*\(")
 # Options that never change what a plan computes, so keys leave them out.
@@ -670,6 +701,7 @@ def run_rules(root, cxx_files):
     findings += check_cache_key_covers_options(cxx_files)
     findings += check_replay_evaluator(root, cxx_files)
     findings += check_one_deadline(root, cxx_files)
+    findings += check_lib_no_test_support(root, cxx_files)
     return findings
 
 
