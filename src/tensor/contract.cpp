@@ -50,8 +50,9 @@ Plan make_plan(const Tensor& a, std::span<const std::size_t> axes_a, const Tenso
 
 namespace detail {
 
-void matmul_accumulate(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                       std::size_t n) {
+void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+            std::size_t n) {
+  // The reference definition: zero the output, then accumulate onto it.
   // Panel sizes: a kBlockK x kBlockJ panel of b (64 KiB of complex<double>)
   // stays cache-resident across the whole i loop. Blocks are visited in
   // ascending order, so each out[i, j] still accumulates over kk = 0..k-1
@@ -63,6 +64,7 @@ void matmul_accumulate(const cplx* a, const cplx* b, cplx* out, std::size_t m, s
   // compiler vectorizes it instead of emitting __muldc3 calls.
   constexpr std::size_t kBlockK = 64;
   constexpr std::size_t kBlockJ = 64;
+  std::fill_n(out, m * n, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
   double* po = reinterpret_cast<double*>(out);
@@ -101,6 +103,7 @@ template <std::size_t Kc>
 void matmul_small_k(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
                     std::size_t n) {
   (void)k;  // == Kc by dispatch contract
+  std::fill_n(out, m * n, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
   double* po = reinterpret_cast<double*>(out);
@@ -133,6 +136,7 @@ void matmul_small_kn(const cplx* a, const cplx* b, cplx* out, std::size_t m, std
                      std::size_t n) {
   (void)k;  // == Kc by dispatch contract
   (void)n;  // == Nc by dispatch contract
+  std::fill_n(out, m * Nc, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
   double* po = reinterpret_cast<double*>(out);
@@ -182,14 +186,15 @@ MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n) {
     if (n == 2) return &matmul_small_kn<16, 2>;
     if (n == 4) return &matmul_small_kn<16, 4>;
   }
-  return &matmul_accumulate;
+  return &matmul;
 }
 
-void matmul_accumulate_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
-                                const std::uint32_t* b_idx, cplx* out, std::size_t m,
-                                std::size_t k, std::size_t n) {
+void matmul_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
+                     const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
+                     std::size_t n) {
   // Plain i/kk/j traversal: blocking only reorders (i, j) visits, never the
   // per-element kk order, so this is bit-identical to the blocked kernel.
+  std::fill_n(out, m * n, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
   double* po = reinterpret_cast<double*>(out);
@@ -222,10 +227,9 @@ void matmul_accumulate_gathered(const cplx* a, const std::uint32_t* a_idx, const
   }
 }
 
-void matmul_accumulate_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m,
-                               std::size_t k, std::size_t n, std::size_t batch,
-                               std::size_t a_stride, std::size_t b_stride,
-                               std::size_t out_stride) {
+void matmul_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+                    std::size_t n, std::size_t batch, std::size_t a_stride,
+                    std::size_t b_stride, std::size_t out_stride) {
   const MatmulFn kernel = select_matmul(m, k, n);
   for (std::size_t s = 0; s < batch; ++s)
     kernel(a + s * a_stride, b + s * b_stride, out + s * out_stride, m, k, n);

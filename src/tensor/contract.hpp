@@ -28,13 +28,16 @@ inline Tensor contract(const Tensor& a, std::initializer_list<std::size_t> axes_
 
 namespace detail {
 
-/// out[m x n] += a[m x k] * b[k x n]. `out` must be zero-initialized (or
-/// hold a partial sum to accumulate onto). Cache-blocked over the k and j
-/// loops; per output element the k-accumulation order is ascending
-/// regardless of blocking, so results are bit-identical to the naive
-/// triple loop. Shared by tsr::contract and the tn plan executor.
-void matmul_accumulate(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                       std::size_t n);
+/// out[m x n] = a[m x k] * b[k x n]. Every element of `out` is written, so
+/// its prior contents never matter (an uninitialized arena segment is a
+/// valid destination). Per output element the value is exactly that of
+/// the naive fill-then-accumulate loop: start at +0.0, then add
+/// a(i, kk) * b(kk, j) for kk = 0..k-1 ascending, skipping exact-zero
+/// a(i, kk) -- cache blocking and register tiling never reorder that sum,
+/// and a row whose a entries are all zero stays +0.0. Shared by
+/// tsr::contract and the tn plan executor.
+void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+            std::size_t n);
 
 /// Signature shared by the generic kernel and the small-shape microkernels.
 using MatmulFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
@@ -43,7 +46,7 @@ using MatmulFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t m
 /// Kernel dispatch: a specialized microkernel for the dominant small shapes
 /// of circuit tensor networks (k in {2, 4}, m*n <= 64 -- dim-2 wire bundles
 /// against rank-3/4 gate tensors), the generic cache-blocked kernel
-/// otherwise. Every returned kernel accumulates ascending-k per output
+/// otherwise. Every returned kernel computes matmul's value per output
 /// element, so the choice never changes bits -- callers executing many
 /// same-shape products (the batched plan executor) select once per step
 /// instead of re-entering the blocked kernel's setup per term. The fixed-k
@@ -55,27 +58,25 @@ MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n);
 /// Permutation-fused variant: reads operand elements through optional
 /// gather tables instead of requiring pre-permuted copies -- a_idx[i*k+kk]
 /// (when non-null) is the flat offset of logical element (i, kk) in `a`,
-/// b_idx[kk*n+j] likewise for `b`. Per output element the accumulation is
-/// still ascending-k with the same zero-skip, so results are bit-identical
-/// to permuting into scratch and calling matmul_accumulate; what changes is
-/// that each operand is read once in place instead of copied, written, and
-/// re-read. The batched executor uses this for its per-term (sequential)
-/// pass, where operands change every term and permuted copies would be
-/// pure overhead.
-void matmul_accumulate_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
-                                const std::uint32_t* b_idx, cplx* out, std::size_t m,
-                                std::size_t k, std::size_t n);
+/// b_idx[kk*n+j] likewise for `b`. Writes every output element with
+/// matmul's value, so results are bit-identical to permuting into scratch
+/// and calling matmul; what changes is that each operand is read once in
+/// place instead of copied, written, and re-read. The batched executor uses
+/// this for its per-term (sequential) pass, where operands change every
+/// term and permuted copies would be pure overhead.
+void matmul_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
+                     const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
+                     std::size_t n);
 
 /// Strided-batched variant: for each slice s < batch,
-///   out[s*out_stride] += a[s*a_stride] * b[s*b_stride]
+///   out[s*out_stride] = a[s*a_stride] * b[s*b_stride]
 /// as one m x k x n matmul. A stride of 0 broadcasts that operand across
 /// the batch (shared leaf tensors are read in place, never copied). Kernel
 /// selection and dispatch happen once for the whole batch; each slice is
-/// bit-identical to a standalone matmul_accumulate call on its operands.
-void matmul_accumulate_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m,
-                               std::size_t k, std::size_t n, std::size_t batch,
-                               std::size_t a_stride, std::size_t b_stride,
-                               std::size_t out_stride);
+/// bit-identical to a standalone matmul call on its operands.
+void matmul_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+                    std::size_t n, std::size_t batch, std::size_t a_stride,
+                    std::size_t b_stride, std::size_t out_stride);
 
 // --- state-vector kernels ---------------------------------------------------
 //

@@ -6,13 +6,17 @@
 // apply + renormalization, the out-of-place 2-qubit apply) with
 // BIT-IDENTICAL results.
 //
-// The bit-identity contract: every tier accumulates ascending-k per output
-// element with the scalar tier's zero-skip, and performs the complex
-// multiply-accumulate as the same sequence of IEEE double operations
-// (mul, mul, sub/add, add -- never contracted into FMA), only on wider
-// registers. The state-vector families likewise run, per amplitude, the
-// scalar tier's exact operation sequence (coefficient-times-amplitude as
-// mul, mul, sub/add; row sums left to right). Lane-wise the arithmetic is
+// The bit-identity contract: every matmul kernel writes out = a * b over
+// the whole output (no caller zero-fills), and every tier computes each
+// output element as the scalar reference does -- start at +0.0, then add
+// the product of each nonzero a(i, kk) in ascending k -- with the complex
+// multiply-accumulate as the same sequence of IEEE double operations (mul,
+// mul, sub/add, add -- never contracted into FMA). The scalar tier zeroes
+// its output and accumulates in memory; the SIMD tiers hold each output
+// tile in registers seeded with +0.0 and store it once. The state-vector
+// families likewise run, per amplitude, the scalar tier's exact operation
+// sequence (coefficient-times-amplitude as mul, mul, sub/add; row sums left
+// to right). Lane-wise the arithmetic is
 // the scalar arithmetic, so the tier choice NEVER changes bits -- the
 // determinism contract of the plan executor (replay == recontract,
 // batched == per-term, any thread count) and of the trajectory samplers
@@ -69,7 +73,7 @@ using Sv2IntoFn = void (*)(const cplx* src, cplx* dst, std::size_t size, std::si
 /// bit-identity contract above to keep replays interchangeable with the
 /// CPU reference path.
 struct KernelTable {
-  detail::MatmulFn matmul;      // generic blocked matmul_accumulate
+  detail::MatmulFn matmul;      // generic blocked matmul
   detail::SelectFn select;      // fixed-shape microkernel dispatch
   detail::GatheredFn gathered;  // permutation-fused gather-table variant
   detail::BatchedFn batched;    // strided-batched (stride 0 = broadcast)

@@ -3,9 +3,11 @@
 //
 // One 512-bit register holds FOUR complex elements. AVX-512 has no addsub
 // instruction, so the even-lane subtraction is expressed as an XOR of the
-// real lanes' sign bits followed by an add: a + (-b) is IEEE-identical to
-// a - b bit for bit, so the sequence per output element still matches the
-// scalar kernel exactly. Remainders cascade through the 256-bit pair and
+// sign bits of the swapped operand's real lanes, then mul and add:
+// ai*(-b_im) is -(ai*b_im) exactly (IEEE rounding is sign-symmetric) and
+// a + (-b) is a - b bit for bit, so the sequence per output element still
+// matches the scalar kernel exactly -- and the negation runs once per
+// operand register, not once per product. Remainders cascade through the 256-bit pair and
 // 128-bit single-element paths -- identical lane arithmetic at every
 // width, so results never depend on where the vector/tail boundary falls.
 
@@ -26,30 +28,14 @@
 #endif
 
 #include <algorithm>
+#include <type_traits>
 
 namespace noisim::tsr::detail {
 namespace {
 
-inline void axpy_one(double ar, double ai, const double* b, double* o) {
-  const __m128d vb = _mm_loadu_pd(b);
-  const __m128d vs = _mm_shuffle_pd(vb, vb, 0b01);
-  const __m128d t1 = _mm_mul_pd(_mm_set1_pd(ar), vb);
-  const __m128d t2 = _mm_mul_pd(_mm_set1_pd(ai), vs);
-  const __m128d vo = _mm_loadu_pd(o);
-  _mm_storeu_pd(o, _mm_add_pd(vo, _mm_addsub_pd(t1, t2)));
-}
-
-inline void axpy_two(double ar, double ai, const double* b, double* o) {
-  const __m256d vb = _mm256_loadu_pd(b);
-  const __m256d vs = _mm256_permute_pd(vb, 0b0101);
-  const __m256d t1 = _mm256_mul_pd(_mm256_set1_pd(ar), vb);
-  const __m256d t2 = _mm256_mul_pd(_mm256_set1_pd(ai), vs);
-  const __m256d vo = _mm256_loadu_pd(o);
-  _mm256_storeu_pd(o, _mm256_add_pd(vo, _mm256_addsub_pd(t1, t2)));
-}
-
-/// Sign mask over the real (even) lanes: XORing t2 with it negates exactly
-/// the lanes the scalar kernel subtracts, turning add into addsub.
+/// Sign mask over the real (even) lanes: XORing the swapped operand with it
+/// negates exactly the products the scalar kernel subtracts, turning add
+/// into addsub.
 inline __m512d negate_even(__m512d v) {
   const __m512d mask =
       _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);  // element 7 ... element 0
@@ -57,63 +43,24 @@ inline __m512d negate_even(__m512d v) {
       _mm512_xor_si512(_mm512_castpd_si512(v), _mm512_castpd_si512(mask)));
 }
 
-inline void axpy_tail(double ar, double ai, const double* b, double* o, std::size_t n) {
-  std::size_t j = 0;
-  if (j + 2 <= n) {
-    axpy_two(ar, ai, b, o);
-    j += 2;
-  }
-  if (j < n) axpy_one(ar, ai, b + 2 * j, o + 2 * j);
-}
-
-inline void axpy(double ar, double ai, const double* b, double* o, std::size_t n) {
-  const __m512d var = _mm512_set1_pd(ar);
-  const __m512d vai = _mm512_set1_pd(ai);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m512d vb = _mm512_loadu_pd(b + 2 * j);
-    const __m512d vs = _mm512_permute_pd(vb, 0x55);  // swap re/im per pair
-    const __m512d t1 = _mm512_mul_pd(var, vb);
-    const __m512d t2 = _mm512_mul_pd(vai, vs);
-    const __m512d vo = _mm512_loadu_pd(o + 2 * j);
-    _mm512_storeu_pd(o + 2 * j, _mm512_add_pd(vo, _mm512_add_pd(t1, negate_even(t2))));
-  }
-  axpy_tail(ar, ai, b + 2 * j, o + 2 * j, n - j);
-}
-
-inline void axpy_gathered(double ar, double ai, const double* pb, const std::uint32_t* bidx,
-                          double* o, std::size_t n) {
-  const __m512d var = _mm512_set1_pd(ar);
-  const __m512d vai = _mm512_set1_pd(ai);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d lo = _mm256_set_m128d(_mm_loadu_pd(pb + 2 * bidx[j + 1]),
-                                        _mm_loadu_pd(pb + 2 * bidx[j]));
-    const __m256d hi = _mm256_set_m128d(_mm_loadu_pd(pb + 2 * bidx[j + 3]),
-                                        _mm_loadu_pd(pb + 2 * bidx[j + 2]));
-    const __m512d vb = _mm512_insertf64x4(_mm512_castpd256_pd512(lo), hi, 1);
-    const __m512d vs = _mm512_permute_pd(vb, 0x55);
-    const __m512d t1 = _mm512_mul_pd(var, vb);
-    const __m512d t2 = _mm512_mul_pd(vai, vs);
-    const __m512d vo = _mm512_loadu_pd(o + 2 * j);
-    _mm512_storeu_pd(o + 2 * j, _mm512_add_pd(vo, _mm512_add_pd(t1, negate_even(t2))));
-  }
-  for (; j < n; ++j) axpy_one(ar, ai, pb + 2 * bidx[j], o + 2 * j);
-}
-
-/// State-vector widths (see kernels_simd_body.inc): four, two and one
-/// complex elements per 512-, 256- and 128-bit register.
+/// Register widths (see kernels_simd_body.inc): four, two and one complex
+/// elements per 512-, 256- and 128-bit register.
 struct W512 {
   using R = __m512d;
   static constexpr std::size_t kLanes = 4;
   static R load(const cplx* p) { return _mm512_loadu_pd(reinterpret_cast<const double*>(p)); }
   static void store(cplx* p, R x) { _mm512_storeu_pd(reinterpret_cast<double*>(p), x); }
   static R bcast(double x) { return _mm512_set1_pd(x); }
+  static R zero() { return _mm512_setzero_pd(); }
   static R add(R a, R b) { return _mm512_add_pd(a, b); }
   static R mul(R a, R b) { return _mm512_mul_pd(a, b); }
-  static R swap(R x) { return _mm512_permute_pd(x, 0x55); }
-  static R cmul(R cr, R ci, R x) {
-    return _mm512_add_pd(_mm512_mul_pd(cr, x), negate_even(_mm512_mul_pd(ci, swap(x))));
+  static R cross(R x) { return negate_even(_mm512_permute_pd(x, 0x55)); }
+  static R combine(R a, R b) { return _mm512_add_pd(a, b); }
+  static R gather(const cplx* p, const std::uint32_t* idx) {
+    const double* d = reinterpret_cast<const double*>(p);
+    const __m256d lo = _mm256_set_m128d(_mm_loadu_pd(d + 2 * idx[1]), _mm_loadu_pd(d + 2 * idx[0]));
+    const __m256d hi = _mm256_set_m128d(_mm_loadu_pd(d + 2 * idx[3]), _mm_loadu_pd(d + 2 * idx[2]));
+    return _mm512_insertf64x4(_mm512_castpd256_pd512(lo), hi, 1);
   }
 };
 
@@ -123,11 +70,14 @@ struct W256 {
   static R load(const cplx* p) { return _mm256_loadu_pd(reinterpret_cast<const double*>(p)); }
   static void store(cplx* p, R x) { _mm256_storeu_pd(reinterpret_cast<double*>(p), x); }
   static R bcast(double x) { return _mm256_set1_pd(x); }
+  static R zero() { return _mm256_setzero_pd(); }
   static R add(R a, R b) { return _mm256_add_pd(a, b); }
   static R mul(R a, R b) { return _mm256_mul_pd(a, b); }
-  static R swap(R x) { return _mm256_permute_pd(x, 0b0101); }
-  static R cmul(R cr, R ci, R x) {
-    return _mm256_addsub_pd(_mm256_mul_pd(cr, x), _mm256_mul_pd(ci, swap(x)));
+  static R cross(R x) { return _mm256_permute_pd(x, 0b0101); }
+  static R combine(R a, R b) { return _mm256_addsub_pd(a, b); }
+  static R gather(const cplx* p, const std::uint32_t* idx) {
+    return _mm256_set_m128d(_mm_loadu_pd(reinterpret_cast<const double*>(p + idx[1])),
+                            _mm_loadu_pd(reinterpret_cast<const double*>(p + idx[0])));
   }
 };
 
@@ -137,13 +87,48 @@ struct W128 {
   static R load(const cplx* p) { return _mm_loadu_pd(reinterpret_cast<const double*>(p)); }
   static void store(cplx* p, R x) { _mm_storeu_pd(reinterpret_cast<double*>(p), x); }
   static R bcast(double x) { return _mm_set1_pd(x); }
+  static R zero() { return _mm_setzero_pd(); }
   static R add(R a, R b) { return _mm_add_pd(a, b); }
   static R mul(R a, R b) { return _mm_mul_pd(a, b); }
-  static R swap(R x) { return _mm_shuffle_pd(x, x, 0b01); }
-  static R cmul(R cr, R ci, R x) {
-    return _mm_addsub_pd(_mm_mul_pd(cr, x), _mm_mul_pd(ci, swap(x)));
-  }
+  static R cross(R x) { return _mm_shuffle_pd(x, x, 0b01); }
+  static R combine(R a, R b) { return _mm_addsub_pd(a, b); }
+  static R gather(const cplx* p, const std::uint32_t* idx) { return load(p + idx[0]); }
 };
+
+/// Matmul column ladder: tiles of four 512-bit registers (16 complex
+/// columns; with four rows, 16 accumulators + 10 operand registers of the
+/// 32), then up to three 512-bit registers, one 256-bit and one 128-bit
+/// register for the remainder.
+template <class F>
+[[gnu::always_inline]] inline void for_col_tiles(std::size_t n, F&& f) {
+  using Four = std::integral_constant<std::size_t, 4>;
+  using Three = std::integral_constant<std::size_t, 3>;
+  using Two = std::integral_constant<std::size_t, 2>;
+  using One = std::integral_constant<std::size_t, 1>;
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) f(W512{}, Four{}, j);
+  switch ((n - j) / 4) {
+    case 3:
+      f(W512{}, Three{}, j);
+      j += 12;
+      break;
+    case 2:
+      f(W512{}, Two{}, j);
+      j += 8;
+      break;
+    case 1:
+      f(W512{}, One{}, j);
+      j += 4;
+      break;
+    default:
+      break;
+  }
+  if (n - j >= 2) {
+    f(W256{}, One{}, j);
+    j += 2;
+  }
+  if (j < n) f(W128{}, One{}, j);
+}
 
 template <class F>
 inline void with_width(std::size_t run, F&& f) {
@@ -160,7 +145,7 @@ inline void with_width(std::size_t run, F&& f) {
 }  // namespace
 
 const KernelTable* avx512_table() {
-  static const KernelTable table{&simd_matmul_accumulate,
+  static const KernelTable table{&simd_matmul<>,
                                  &simd_select_matmul,
                                  &simd_matmul_gathered,
                                  &simd_matmul_batched,

@@ -19,10 +19,10 @@ const KernelTable* avx512_table();
 /// Scalar reference table: the contract.cpp kernels every other tier is
 /// bit-checked against. Always present.
 const KernelTable* scalar_table() {
-  static const KernelTable table{&matmul_accumulate,
+  static const KernelTable table{&matmul,
                                  &select_matmul,
-                                 &matmul_accumulate_gathered,
-                                 &matmul_accumulate_batched,
+                                 &matmul_gathered,
+                                 &matmul_batched,
                                  &sv_dense1,
                                  &sv_diag1,
                                  &sv_dense2,

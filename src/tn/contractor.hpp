@@ -145,9 +145,10 @@ struct ContractStats {
   /// so deduplicated/broadcast work is visible as *missing* flops).
   std::size_t flops = 0;
   /// Modeled memory traffic of the executed steps, in bytes: operand reads
-  /// (3x for operands that go through a permutation copy), output zero-fill
-  /// + write, and the final output materialization. Together with `flops`
-  /// this records the arithmetic intensity of a run.
+  /// (3x for operands that go through a permutation copy), one output write
+  /// per kernel call (plus a read and a write for an environment scattered
+  /// back to its operand's layout), and the final output materialization.
+  /// Together with `flops` this records the arithmetic intensity of a run.
   std::size_t bytes_moved = 0;
   /// Session-level plan-cache accounting (core::PlanCache): lookups served
   /// from the cache vs lookups that had to compile a template or batched

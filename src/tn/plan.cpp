@@ -406,9 +406,9 @@ struct PlanCompiler {
       permutation(v, perm_b, step.identity_b, step.b_perm_shape, step.b_src_stride, step.b_walk,
                   scratch_b);
       // Traffic model: operand reads (plus a read+write permutation copy
-      // when not identity), output zero-fill + accumulate write.
+      // when not identity), one output write.
       bytes += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
-                               step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+                               step.b_elems * (step.identity_b ? 1 : 3) + step.out_elems);
       steps.push_back(std::move(step));
     }
 
@@ -731,7 +731,7 @@ void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count
 }
 
 /// One forward step of a plan: operands permuted into scratch where
-/// needed, output zero-filled, then accumulated. ContractionPlan::execute
+/// needed, then one kernel call writes the output. ContractionPlan::execute
 /// and EnvSchedule::execute share it, so their values agree bit for bit.
 void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
               PlanWorkspace& ws, const tsr::KernelTable& kt) {
@@ -743,7 +743,6 @@ void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
     tsr::permute_walk(pb, step.b_walk, ws.scratch_b.data());
     pb = ws.scratch_b.data();
   }
-  std::fill(out, out + step.out_elems, cplx{0.0, 0.0});
   kt.matmul(pa, pb, out, step.m, step.k, step.n);
 }
 
@@ -1123,7 +1122,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
 
   std::size_t kernels = 0, flops = 0, bytes = 0, peak = 0;
   auto kernel_bytes = [](const BatchedStep& st) {
-    return sizeof(cplx) * (st.a_elems + st.b_elems + 2 * st.out_elems);
+    return sizeof(cplx) * (st.a_elems + st.b_elems + st.out_elems);
   };
 
   // PASS 1: batched steps (uniform and shared-cone), one traversal for the
@@ -1175,7 +1174,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
       if (rows != k) rows_linear = false;
     }
 
-    std::fill(out0, out0 + rows * st.out_elems, cplx{0.0, 0.0});
     peak = std::max(peak, rows * st.out_elems);
 
     // Fast path: rows map 1:1 onto operand slices laid out contiguously in
@@ -1322,7 +1320,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
         const std::uint32_t rep = ws.vids[s * k + t];
         if (ws.seq_last[s] == rep) continue;  // buffer already holds this variant
         cplx* out0 = ws.batch_arena.data() + st.out_offset;
-        std::fill(out0, out0 + st.out_elems, cplx{0.0, 0.0});
         peak = std::max(peak, st.out_elems);
         // Operands change every term here, so permutations are fused into
         // the kernel through the gather tables (each operand read once in
@@ -1451,7 +1448,7 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
       if (op >= num_in && !retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
     check_budget();
     es.fwd_bytes_ += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
-                                     step.b_elems * (step.identity_b ? 1 : 3) + 2 * step.out_elems);
+                                     step.b_elems * (step.identity_b ? 1 : 3) + step.out_elems);
   }
 
   // Backward, in reverse forward order: each on-path step's operand
@@ -1497,7 +1494,7 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
       if (walked) es.scratch_a_elems_ = std::max(es.scratch_a_elems_, e.sib_elems);
       if (scattered) es.scratch_b_elems_ = std::max(es.scratch_b_elems_, e.env_elems);
       e.bytes = sizeof(cplx) * (e.sib_elems * (walked ? 3 : 1) + step.out_elems +
-                                e.env_elems * (scattered ? 4 : 2));
+                                e.env_elems * (scattered ? 3 : 1));
       es.bwd_flops_ += e.m * e.k * e.n;
       writer[slot] = es.bwd_.size();
       es.bwd_.push_back(std::move(e));
@@ -1567,7 +1564,6 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
     }
     const cplx* env_out = arena + st.out_env_offset;
     cplx* dst = st.scatter ? ws.scratch_b.data() : arena + st.env_offset;
-    std::fill(dst, dst + st.env_elems, cplx{0.0, 0.0});
     if (st.lhs)
       kt.matmul(env_out, sib, dst, st.m, st.k, st.n);
     else

@@ -63,10 +63,10 @@ struct PlanStep : ExecStep {
 };
 
 /// Grow-only buffer of *uninitialized* complex elements. The batched arena
-/// is written row by row (each output row is zero-filled immediately before
-/// its accumulation), so value-initializing the whole allocation -- sized
-/// for the worst-case batch, usually far beyond the rows a variant-compacted
-/// replay touches -- would fault and zero pages that are never read.
+/// is written row by row (each kernel call writes its whole output row), so
+/// value-initializing the whole allocation -- sized for the worst-case
+/// batch, usually far beyond the rows a variant-compacted replay touches --
+/// would fault and zero pages that are never read.
 /// Storage is tsr::kKernelAlignment (64-byte) aligned like every other
 /// executor buffer, so aligned vector loads are safe in any arena segment.
 class ArenaBuffer {
@@ -410,8 +410,8 @@ class ContractionPlan {
   /// Schedule cost: sum of m*k*n over all pairwise steps.
   std::size_t total_flops() const { return total_flops_; }
   /// Modeled memory traffic of one replay, in bytes (operand reads -- 3x
-  /// for operands copied through a permutation -- plus output zero-fill and
-  /// write per step, plus the final output materialization).
+  /// for operands copied through a permutation -- plus one output write per
+  /// step, plus the final output materialization).
   std::size_t total_bytes() const { return total_bytes_; }
   /// Arena high-water mark (elements): peak memory of all live
   /// intermediates under the liveness-packed layout.

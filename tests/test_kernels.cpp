@@ -1,7 +1,9 @@
-// Kernel-tier suite (ctest -L kernels): every SIMD tier must be BITWISE
-// identical to the scalar reference -- per kernel family across a shape
-// grid exercising odd/non-dividing sizes, zero-skip rows, gathered and
-// broadcast operands, and end to end through approximate_fidelity /
+// Kernel-tier suite (ctest -L kernels): every tier, scalar included, must
+// write the bits of the naive fill-then-accumulate loop kept below -- per
+// matmul kernel family, into NaN-filled outputs, across a shape grid
+// exercising odd/non-dividing sizes, signed-zero and all-zero rows,
+// gathered and broadcast operands -- and SIMD tiers must be BITWISE
+// identical to the scalar reference end to end through approximate_fidelity /
 // xeb_sweep with each tier forced at multiple thread counts. Also covers
 // the dispatch machinery (cpuid detection, NOISIM_KERNELS parsing and
 // fallback, per-tier stats counters) and the 64-byte-alignment guarantee
@@ -52,27 +54,72 @@ struct TierGuard {
 };
 
 /// Random interleaved complex buffer; when `with_zeros`, ~25% of elements
-/// are exact (+0, +0) so the kernels' zero-skip branch is exercised --
-/// including on negative-zero-adjacent accumulations.
+/// are exact zeros of every sign pattern ((+-0, +-0) all trip the kernels'
+/// zero-skip), so the skip and the sign of zero sums are exercised.
 aligned_vector<cplx> random_buf(std::size_t elems, std::mt19937_64& rng, bool with_zeros) {
   std::normal_distribution<double> gauss;
   aligned_vector<cplx> buf(elems);
   for (auto& v : buf) {
     if (with_zeros && rng() % 4 == 0)
-      v = cplx{0.0, 0.0};
+      v = cplx{rng() % 2 ? -0.0 : 0.0, rng() % 2 ? -0.0 : 0.0};
     else
       v = cplx{gauss(rng), gauss(rng)};
   }
   return buf;
 }
 
+/// An m x k left operand (`batch` slices) from random_buf whose middle row
+/// is all (signed) zeros in every slice: the kernels skip that row's every
+/// product, so its outputs must come out +0.0 whatever the buffer held.
+aligned_vector<cplx> lhs_buf(std::size_t m, std::size_t k, std::mt19937_64& rng,
+                             std::size_t batch = 1) {
+  aligned_vector<cplx> a = random_buf(batch * m * k, rng, true);
+  for (std::size_t s = 0; s < batch; ++s)
+    for (std::size_t kk = 0; kk < k; ++kk)
+      a[s * m * k + (m / 2) * k + kk] = cplx{kk % 2 ? -0.0 : 0.0, kk % 3 ? 0.0 : -0.0};
+  return a;
+}
+
+/// The value every matmul kernel must write, bit for bit: each output
+/// element starts at +0.0 and adds a(i, kk) * b(kk, j) in ascending kk,
+/// skipping exact-zero a(i, kk) -- the fill-then-accumulate loop that
+/// defines the kernel family.
+aligned_vector<cplx> naive_matmul(const cplx* a, const cplx* b, std::size_t m, std::size_t k,
+                                  std::size_t n) {
+  aligned_vector<cplx> out(m * n, cplx{0.0, 0.0});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const cplx x = a[i * k + kk];
+      if (x.real() == 0.0 && x.imag() == 0.0) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        const cplx y = b[kk * n + j];
+        const cplx o = out[i * n + j];
+        out[i * n + j] = cplx{o.real() + (x.real() * y.real() - x.imag() * y.imag()),
+                              o.imag() + (x.real() * y.imag() + x.imag() * y.real())};
+      }
+    }
+  return out;
+}
+
+/// Output buffers start as NaN: a kernel that leaves any element unwritten
+/// (or reads it back before writing) fails the bitwise check.
+aligned_vector<cplx> nan_buf(std::size_t elems) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return aligned_vector<cplx>(elems, cplx{nan, nan});
+}
+
+/// Identical bit patterns, zero signs included.
+bool same_bits(const cplx& a, const cplx& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) == std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) == std::bit_cast<std::uint64_t>(b.imag());
+}
+
 void expect_same_bits(const aligned_vector<cplx>& ref, const aligned_vector<cplx>& got,
-                      const char* what) {
+                      const std::string& what) {
   ASSERT_EQ(ref.size(), got.size()) << what;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].real(), got[i].real()) << what << " elem " << i;
-    EXPECT_EQ(ref[i].imag(), got[i].imag()) << what << " elem " << i;
-  }
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_TRUE(same_bits(ref[i], got[i]))
+        << what << " elem " << i << ": " << ref[i] << " vs " << got[i];
 }
 
 struct Shape {
@@ -81,12 +128,21 @@ struct Shape {
 
 /// Odd/non-dividing sizes around every vector width and the 64-wide cache
 /// blocks, plus the exact shapes the select ladder special-cases
-/// (k in {2,4,8,16} x n in {2,4}, and the m*n <= 64 small-k path).
+/// (k in {2,4,8,16} x n in {2,4}, and the m*n <= 64 small-k path), k past
+/// the register kernels' 256-wide k blocks, and the environment-pass
+/// shapes of the xeb workload (long rows, long k, tiny panels).
 const Shape kShapes[] = {
-    {1, 1, 1},  {1, 2, 2},   {3, 2, 4},   {2, 4, 1},  {5, 2, 4},  {7, 4, 2},  {9, 16, 4},
-    {4, 8, 2},  {6, 16, 2},  {8, 2, 8},   {5, 7, 3},  {3, 5, 5},  {13, 3, 7}, {1, 6, 31},
-    {2, 9, 33}, {3, 130, 5}, {2, 3, 130}, {65, 4, 2}, {33, 2, 3}, {4, 66, 66},
+    {1, 1, 1},   {1, 2, 2},     {3, 2, 4},   {2, 4, 1},    {5, 2, 4},  {7, 4, 2},
+    {9, 16, 4},  {4, 8, 2},     {6, 16, 2},  {8, 2, 8},    {5, 7, 3},  {3, 5, 5},
+    {13, 3, 7},  {1, 6, 31},    {2, 9, 33},  {3, 130, 5},  {2, 3, 130}, {65, 4, 2},
+    {33, 2, 3},  {4, 66, 66},   {3, 600, 5}, {4, 4, 4096}, {8, 4, 2048}, {16, 256, 4},
+    {8, 2, 2},   {2, 2, 8},
 };
+
+std::string shape_name(const char* family, const KernelTable& kt, const Shape& s) {
+  return std::string(family) + " " + kt.name + " " + std::to_string(s.m) + "x" +
+         std::to_string(s.k) + "x" + std::to_string(s.n);
+}
 
 TEST(Kernels, ScalarTableAlwaysAvailableAndDetectionOrdered) {
   ASSERT_NE(kernel_table(KernelTier::Scalar), nullptr);
@@ -131,102 +187,85 @@ TEST(Kernels, SetTierReturnsPreviousAndFallsBackWhenUnsupported) {
   EXPECT_EQ(active_kernel_tier(), original);
 }
 
-TEST(Kernels, MatmulBitwiseAcrossTiersAndShapes) {
+TEST(Kernels, MatmulAndSelectWriteTheNaiveLoopsBitsOnEveryTier) {
   std::mt19937_64 rng(41);
   for (const Shape& s : kShapes) {
     for (const bool zeros : {false, true}) {
-      const aligned_vector<cplx> a = random_buf(s.m * s.k, rng, zeros);
+      const aligned_vector<cplx> a =
+          zeros ? lhs_buf(s.m, s.k, rng) : random_buf(s.m * s.k, rng, false);
       const aligned_vector<cplx> b = random_buf(s.k * s.n, rng, zeros);
-      aligned_vector<cplx> ref(s.m * s.n, cplx{0.0, 0.0});
-      detail::matmul_accumulate(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
+      const aligned_vector<cplx> ref = naive_matmul(a.data(), b.data(), s.m, s.k, s.n);
       for (const KernelTier tier : available_tiers()) {
-        const KernelTable* kt = kernel_table(tier);
-        aligned_vector<cplx> got(s.m * s.n, cplx{0.0, 0.0});
-        kt->matmul(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-        expect_same_bits(ref, got,
-                         (std::string("matmul ") + kt->name + " " + std::to_string(s.m) + "x" +
-                          std::to_string(s.k) + "x" + std::to_string(s.n))
-                             .c_str());
+        const KernelTable& kt = *kernel_table(tier);
+        aligned_vector<cplx> got = nan_buf(s.m * s.n);
+        kt.matmul(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+        expect_same_bits(ref, got, shape_name("matmul", kt, s));
+        got = nan_buf(s.m * s.n);
+        kt.select(s.m, s.k, s.n)(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+        expect_same_bits(ref, got, shape_name("select", kt, s));
       }
     }
   }
 }
 
-TEST(Kernels, SelectedMicrokernelsBitwiseAcrossTiersAndShapes) {
-  std::mt19937_64 rng(42);
-  for (const Shape& s : kShapes) {
-    const aligned_vector<cplx> a = random_buf(s.m * s.k, rng, true);
-    const aligned_vector<cplx> b = random_buf(s.k * s.n, rng, true);
-    aligned_vector<cplx> ref(s.m * s.n, cplx{0.0, 0.0});
-    detail::select_matmul(s.m, s.k, s.n)(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-    // select must agree with the generic kernel within a tier, too.
-    aligned_vector<cplx> generic(s.m * s.n, cplx{0.0, 0.0});
-    detail::matmul_accumulate(a.data(), b.data(), generic.data(), s.m, s.k, s.n);
-    expect_same_bits(generic, ref, "scalar select vs generic");
-    for (const KernelTier tier : available_tiers()) {
-      const KernelTable* kt = kernel_table(tier);
-      aligned_vector<cplx> got(s.m * s.n, cplx{0.0, 0.0});
-      kt->select(s.m, s.k, s.n)(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-      expect_same_bits(ref, got,
-                       (std::string("select ") + kt->name + " " + std::to_string(s.m) + "x" +
-                        std::to_string(s.k) + "x" + std::to_string(s.n))
-                           .c_str());
-    }
-  }
-}
-
-TEST(Kernels, GatheredBitwiseAcrossTiersAndIndexModes) {
+TEST(Kernels, GatheredWritesTheNaiveLoopsBitsInEveryIndexMode) {
   std::mt19937_64 rng(43);
   for (const Shape& s : kShapes) {
-    const aligned_vector<cplx> a = random_buf(s.m * s.k, rng, true);
+    const aligned_vector<cplx> a = lhs_buf(s.m, s.k, rng);
     const aligned_vector<cplx> b = random_buf(s.k * s.n, rng, true);
-    // Gather tables: random permutations of the operand elements, the same
-    // shape permute_gather produces for fused permutations.
+    const aligned_vector<cplx> ref = naive_matmul(a.data(), b.data(), s.m, s.k, s.n);
+    // Gather tables: random permutations, the shape permute_gather produces
+    // for fused permutations. The gathered copies hold logical element e at
+    // offset idx[e], so every index mode reads the same logical operands.
     std::vector<std::uint32_t> a_idx(s.m * s.k), b_idx(s.k * s.n);
-    for (std::size_t i = 0; i < a_idx.size(); ++i) a_idx[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t i = 0; i < b_idx.size(); ++i) b_idx[i] = static_cast<std::uint32_t>(i);
+    std::iota(a_idx.begin(), a_idx.end(), 0u);
+    std::iota(b_idx.begin(), b_idx.end(), 0u);
     std::shuffle(a_idx.begin(), a_idx.end(), rng);
     std::shuffle(b_idx.begin(), b_idx.end(), rng);
-    const std::uint32_t* amode[] = {nullptr, a_idx.data()};
-    const std::uint32_t* bmode[] = {nullptr, b_idx.data()};
-    for (const std::uint32_t* ai : amode) {
-      for (const std::uint32_t* bi : bmode) {
-        aligned_vector<cplx> ref(s.m * s.n, cplx{0.0, 0.0});
-        detail::matmul_accumulate_gathered(a.data(), ai, b.data(), bi, ref.data(), s.m, s.k,
-                                           s.n);
+    aligned_vector<cplx> a_gath(a.size()), b_gath(b.size());
+    for (std::size_t e = 0; e < a.size(); ++e) a_gath[a_idx[e]] = a[e];
+    for (std::size_t e = 0; e < b.size(); ++e) b_gath[b_idx[e]] = b[e];
+    for (const bool ga : {false, true}) {
+      for (const bool gb : {false, true}) {
         for (const KernelTier tier : available_tiers()) {
-          const KernelTable* kt = kernel_table(tier);
-          aligned_vector<cplx> got(s.m * s.n, cplx{0.0, 0.0});
-          kt->gathered(a.data(), ai, b.data(), bi, got.data(), s.m, s.k, s.n);
+          const KernelTable& kt = *kernel_table(tier);
+          aligned_vector<cplx> got = nan_buf(s.m * s.n);
+          kt.gathered(ga ? a_gath.data() : a.data(), ga ? a_idx.data() : nullptr,
+                      gb ? b_gath.data() : b.data(), gb ? b_idx.data() : nullptr, got.data(),
+                      s.m, s.k, s.n);
           expect_same_bits(ref, got,
-                           (std::string("gathered ") + kt->name + (ai ? " a-idx" : "") +
-                            (bi ? " b-idx" : ""))
-                               .c_str());
+                           shape_name("gathered", kt, s) + (ga ? " a-idx" : "") +
+                               (gb ? " b-idx" : ""));
         }
       }
     }
   }
 }
 
-TEST(Kernels, BatchedBitwiseAcrossTiersIncludingBroadcast) {
+TEST(Kernels, BatchedWritesTheNaiveLoopsBitsIncludingBroadcast) {
   std::mt19937_64 rng(44);
   for (const Shape& s : kShapes) {
     const std::size_t batch = 5;
-    const aligned_vector<cplx> a = random_buf(batch * s.m * s.k, rng, true);
+    const aligned_vector<cplx> a = lhs_buf(s.m, s.k, rng, batch);
     const aligned_vector<cplx> b = random_buf(batch * s.k * s.n, rng, true);
     // Stride combinations: full/full, broadcast-a (stride 0), broadcast-b.
     const std::size_t strides[][2] = {
         {s.m * s.k, s.k * s.n}, {0, s.k * s.n}, {s.m * s.k, 0}};
     for (const auto& st : strides) {
-      aligned_vector<cplx> ref(batch * s.m * s.n, cplx{0.0, 0.0});
-      detail::matmul_accumulate_batched(a.data(), b.data(), ref.data(), s.m, s.k, s.n, batch,
-                                        st[0], st[1], s.m * s.n);
+      aligned_vector<cplx> ref(batch * s.m * s.n);
+      for (std::size_t sl = 0; sl < batch; ++sl) {
+        const aligned_vector<cplx> slice =
+            naive_matmul(a.data() + sl * st[0], b.data() + sl * st[1], s.m, s.k, s.n);
+        std::copy(slice.begin(), slice.end(), ref.begin() + sl * s.m * s.n);
+      }
       for (const KernelTier tier : available_tiers()) {
-        const KernelTable* kt = kernel_table(tier);
-        aligned_vector<cplx> got(batch * s.m * s.n, cplx{0.0, 0.0});
-        kt->batched(a.data(), b.data(), got.data(), s.m, s.k, s.n, batch, st[0], st[1],
-                    s.m * s.n);
-        expect_same_bits(ref, got, (std::string("batched ") + kt->name).c_str());
+        const KernelTable& kt = *kernel_table(tier);
+        aligned_vector<cplx> got = nan_buf(batch * s.m * s.n);
+        kt.batched(a.data(), b.data(), got.data(), s.m, s.k, s.n, batch, st[0], st[1],
+                   s.m * s.n);
+        expect_same_bits(ref, got,
+                         shape_name("batched", kt, s) + " strides " + std::to_string(st[0]) +
+                             "/" + std::to_string(st[1]));
       }
     }
   }
@@ -479,12 +518,6 @@ void expect_values_equal(const std::vector<cplx>& ref, const std::vector<cplx>& 
     ASSERT_EQ(ref[i].real(), got[i].real()) << what << " elem " << i;
     ASSERT_EQ(ref[i].imag(), got[i].imag()) << what << " elem " << i;
   }
-}
-
-/// Identical bit patterns, zero signs included.
-bool same_bits(const cplx& a, const cplx& b) {
-  return std::bit_cast<std::uint64_t>(a.real()) == std::bit_cast<std::uint64_t>(b.real()) &&
-         std::bit_cast<std::uint64_t>(a.imag()) == std::bit_cast<std::uint64_t>(b.imag());
 }
 
 /// Tier vs scalar: identical bit patterns, zero signs included.

@@ -1,9 +1,13 @@
 // Tests for the plan/execute contraction engine: plan determinism,
-// replay equivalence (including the Algorithm-1 substitution path), and
-// MO/TO surfacing at plan time.
+// replay equivalence (including the Algorithm-1 substitution path), MO/TO
+// surfacing at plan time, and replays on NaN-poisoned workspaces on every
+// kernel tier (ctest label `kernels`).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <thread>
 
@@ -15,6 +19,7 @@
 #include "core/trajectories_tn.hpp"
 #include "sim/trajectories.hpp"
 #include "skeleton.hpp"
+#include "tensor/kernels.hpp"
 #include "tn/contractor.hpp"
 #include "tn/plan.hpp"
 
@@ -31,8 +36,9 @@ Tensor random_tensor(std::vector<std::size_t> shape, std::mt19937_64& rng) {
 }
 
 /// The ladder network from the contractor tests: two rails with rungs,
-/// nontrivial enough that greedy ordering makes real choices.
-Network ladder_network(std::uint64_t seed) {
+/// nontrivial enough that greedy ordering makes real choices. Every edge
+/// has dimension `d`.
+Network ladder_network(std::uint64_t seed, std::size_t d = 2) {
   std::mt19937_64 rng(seed);
   Network net;
   std::vector<EdgeId> rail_a, rail_b, rungs;
@@ -41,13 +47,13 @@ Network ladder_network(std::uint64_t seed) {
     rail_b.push_back(net.new_edge());
   }
   for (int i = 0; i < 5; ++i) rungs.push_back(net.new_edge());
-  net.add_node(random_tensor({2, 2}, rng), {rail_a[0], rail_b[0]});
+  net.add_node(random_tensor({d, d}, rng), {rail_a[0], rail_b[0]});
   for (int i = 0; i < 4; ++i) {
-    net.add_node(random_tensor({2, 2, 2}, rng), {rail_a[i], rail_a[i + 1], rungs[i]});
-    net.add_node(random_tensor({2, 2, 2}, rng), {rail_b[i], rail_b[i + 1], rungs[i]});
+    net.add_node(random_tensor({d, d, d}, rng), {rail_a[i], rail_a[i + 1], rungs[i]});
+    net.add_node(random_tensor({d, d, d}, rng), {rail_b[i], rail_b[i + 1], rungs[i]});
   }
-  net.add_node(random_tensor({2, 2, 2}, rng), {rail_a[4], rail_b[4], rungs[4]});
-  net.add_node(random_tensor({2}, rng), {rungs[4]});
+  net.add_node(random_tensor({d, d, d}, rng), {rail_a[4], rail_b[4], rungs[4]});
+  net.add_node(random_tensor({d}, rng), {rungs[4]});
   return net;
 }
 
@@ -516,6 +522,121 @@ TEST(Plan, PerTermExecuteRecordsFlopsAndBytes) {
   plan.execute(net, ws, &stats);
   EXPECT_EQ(stats.flops, 2 * plan.total_flops());
   EXPECT_EQ(stats.bytes_moved, 2 * plan.total_bytes());
+}
+
+/// NaN in every workspace buffer a replay writes before it reads: arena,
+/// batched and environment arenas, permutation scratch. Sized above every
+/// plan below, so no execute reallocates them.
+constexpr std::size_t kPoisonElems = std::size_t{1} << 16;
+void poison(PlanWorkspace& ws) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const cplx bad{nan, nan};
+  ws.arena.assign(kPoisonElems, bad);
+  ws.scratch_a.assign(kPoisonElems, bad);
+  ws.scratch_b.assign(kPoisonElems, bad);
+  for (ArenaBuffer* buf : {&ws.batch_arena, &ws.env_arena}) {
+    buf->ensure(kPoisonElems);
+    std::fill_n(buf->data(), kPoisonElems, bad);
+  }
+}
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+std::span<const cplx> elems(const Tensor& t) { return {t.data(), t.size()}; }
+
+/// A batched replay's inputs: its network's tensors as the shared slots,
+/// plus `k` terms of varying tensors (term-major).
+struct BatchCase {
+  const Network* net;
+  BatchedPlan plan;
+  std::vector<Tensor> variants;
+  std::vector<const Tensor*> varying;
+  std::size_t k;
+};
+
+std::vector<const Tensor*> node_tensors(const Network& net) {
+  std::vector<const Tensor*> out;
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) out.push_back(&net.node(i).tensor);
+  return out;
+}
+
+// Every executor writes each kernel output whole, so a replay through a
+// workspace full of NaN carries the bits of a fresh workspace's replay: the
+// plan replay, an environment pass toward every input, and batched replays
+// through the strided fast path and the sequential (per-term) pass, on
+// every kernel tier.
+TEST(Executors, PoisonedWorkspaceReplaysBitIdentically) {
+  std::mt19937_64 rng(71);
+  // Bond dimension 8: intermediates past the sequential pass's size floor,
+  // so its kernels run in every gather-table mode.
+  const Network net = ladder_network(28, 8);
+  const ContractionPlan plan = ContractionPlan::compile(net);
+  std::vector<std::size_t> targets(net.num_nodes());
+  std::iota(targets.begin(), targets.end(), std::size_t{0});
+  const EnvSchedule env = plan.compile_env(targets);
+  const std::vector<char> want(targets.size(), 1);
+  const std::vector<const Tensor*> inputs = node_tensors(net);
+
+  std::vector<BatchCase> batches;
+  {
+    // Two varying slots without a variant-count promise: the sequential
+    // pass replays the root region term by term.
+    const std::vector<std::size_t> vslots{2, 9};
+    BatchCase b{&net, plan.compile_batched(vslots, 5), {}, {}, 4};
+    for (int v = 0; v < 3; ++v)
+      for (const std::size_t slot : vslots)
+        b.variants.push_back(random_tensor(net.node(slot).tensor.shape(), rng));
+    for (const std::size_t t : {0, 2, 4, 2}) {  // (slot 2, slot 9) variants per term
+      b.varying.push_back(&b.variants[t]);
+      b.varying.push_back(&b.variants[t + 1]);
+    }
+    batches.push_back(std::move(b));
+  }
+  // The bond-2 ladder with one varying leaf whose declared variants are all
+  // distinct: rows map 1:1 onto slices, the strided fast path.
+  const Network small = ladder_network(29);
+  const ContractionPlan small_plan = ContractionPlan::compile(small);
+  {
+    const std::vector<std::size_t> vslots{0};
+    const std::vector<std::size_t> counts{4};
+    BatchCase b{&small, small_plan.compile_batched(vslots, 4, {}, nullptr, counts), {}, {}, 4};
+    for (int v = 0; v < 4; ++v)
+      b.variants.push_back(random_tensor(small.node(0).tensor.shape(), rng));
+    for (const Tensor& t : b.variants) b.varying.push_back(&t);
+    batches.push_back(std::move(b));
+  }
+  ASSERT_LE(plan.workspace_elems(), kPoisonElems);
+  ASSERT_LE(env.workspace_elems(), kPoisonElems);
+  for (const BatchCase& b : batches) ASSERT_LE(b.plan.workspace_elems(), kPoisonElems);
+
+  for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
+    const tsr::KernelTable* kt = tsr::kernel_table(static_cast<tsr::KernelTier>(t));
+    if (!kt) continue;
+    PlanWorkspace fresh, dirty;
+    fresh.kernels = dirty.kernels = kt;
+    poison(dirty);
+    EXPECT_TRUE(same_bits(elems(plan.execute(inputs, fresh)), elems(plan.execute(inputs, dirty))))
+        << kt->name << " plan replay";
+
+    poison(dirty);
+    const cplx v_fresh = env.execute(inputs, want, fresh);
+    const cplx v_dirty = env.execute(inputs, want, dirty);
+    EXPECT_TRUE(same_bits({&v_fresh, 1}, {&v_dirty, 1})) << kt->name << " environment value";
+    for (std::size_t e = 0; e < targets.size(); ++e)
+      EXPECT_TRUE(same_bits(env.env(e, fresh), env.env(e, dirty)))
+          << kt->name << " environment of target " << e;
+
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      const BatchCase& b = batches[i];
+      const std::vector<const Tensor*> shared = node_tensors(*b.net);
+      poison(dirty);
+      EXPECT_TRUE(same_bits(elems(b.plan.execute(shared, b.varying, b.k, fresh)),
+                            elems(b.plan.execute(shared, b.varying, b.k, dirty))))
+          << kt->name << " batched replay " << i;
+    }
+  }
 }
 
 }  // namespace

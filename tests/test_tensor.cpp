@@ -242,7 +242,7 @@ TEST(Kernels, MicrokernelDispatchIsBitIdenticalToGenericKernel) {
     const Tensor a = random_tensor_with_zeros({m, k}, rng);
     const Tensor b = random_tensor_with_zeros({k, n}, rng);
     std::vector<cplx> ref(m * n, cplx{0.0, 0.0}), got(m * n, cplx{0.0, 0.0});
-    detail::matmul_accumulate(a.data(), b.data(), ref.data(), m, k, n);
+    detail::matmul(a.data(), b.data(), ref.data(), m, k, n);
     detail::select_matmul(m, k, n)(a.data(), b.data(), got.data(), m, k, n);
     EXPECT_TRUE(same_bits(ref, got)) << "shape " << m << "x" << k << "x" << n;
   }
@@ -255,19 +255,14 @@ TEST(Kernels, BatchedMatchesPerSliceBitwise) {
   const Tensor b = random_tensor_with_zeros({batch, k, n}, rng);
   std::vector<cplx> ref(batch * m * n, cplx{0.0, 0.0}), got(ref.size(), cplx{0.0, 0.0});
   for (std::size_t s = 0; s < batch; ++s)
-    detail::matmul_accumulate(a.data() + s * m * k, b.data() + s * k * n,
-                              ref.data() + s * m * n, m, k, n);
-  detail::matmul_accumulate_batched(a.data(), b.data(), got.data(), m, k, n, batch, m * k,
-                                    k * n, m * n);
+    detail::matmul(a.data() + s * m * k, b.data() + s * k * n, ref.data() + s * m * n, m, k, n);
+  detail::matmul_batched(a.data(), b.data(), got.data(), m, k, n, batch, m * k, k * n, m * n);
   EXPECT_TRUE(same_bits(ref, got));
 
   // Stride 0 broadcasts an operand across the batch.
-  std::fill(ref.begin(), ref.end(), cplx{0.0, 0.0});
-  std::fill(got.begin(), got.end(), cplx{0.0, 0.0});
   for (std::size_t s = 0; s < batch; ++s)
-    detail::matmul_accumulate(a.data(), b.data() + s * k * n, ref.data() + s * m * n, m, k, n);
-  detail::matmul_accumulate_batched(a.data(), b.data(), got.data(), m, k, n, batch, 0, k * n,
-                                    m * n);
+    detail::matmul(a.data(), b.data() + s * k * n, ref.data() + s * m * n, m, k, n);
+  detail::matmul_batched(a.data(), b.data(), got.data(), m, k, n, batch, 0, k * n, m * n);
   EXPECT_TRUE(same_bits(ref, got));
 }
 
@@ -281,20 +276,18 @@ TEST(Kernels, GatheredMatchesPermutedCopyBitwise) {
   const Tensor a = a_t.permute({1, 0});
   const Tensor b = b_t.permute({1, 0});
   std::vector<cplx> ref(m * n, cplx{0.0, 0.0}), got(m * n, cplx{0.0, 0.0});
-  detail::matmul_accumulate(a.data(), b.data(), ref.data(), m, k, n);
+  detail::matmul(a.data(), b.data(), ref.data(), m, k, n);
 
   const std::vector<std::size_t> a_shape{m, k}, a_stride{1, m};
   const std::vector<std::size_t> b_shape{k, n}, b_stride{1, k};
   const std::vector<std::uint32_t> a_idx = permute_gather(a_shape, a_stride);
   const std::vector<std::uint32_t> b_idx = permute_gather(b_shape, b_stride);
-  detail::matmul_accumulate_gathered(a_t.data(), a_idx.data(), b_t.data(), b_idx.data(),
-                                     got.data(), m, k, n);
+  detail::matmul_gathered(a_t.data(), a_idx.data(), b_t.data(), b_idx.data(), got.data(), m, k,
+                          n);
   EXPECT_TRUE(same_bits(ref, got));
 
   // One-sided gather (a permuted, b already in kernel order).
-  std::fill(got.begin(), got.end(), cplx{0.0, 0.0});
-  detail::matmul_accumulate_gathered(a_t.data(), a_idx.data(), b.data(), nullptr, got.data(),
-                                     m, k, n);
+  detail::matmul_gathered(a_t.data(), a_idx.data(), b.data(), nullptr, got.data(), m, k, n);
   EXPECT_TRUE(same_bits(ref, got));
 }
 
