@@ -2,10 +2,7 @@
 
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,9 +10,8 @@
 #include "circuit/simplify.hpp"
 #include "core/bounds.hpp"
 #include "core/plan_cache.hpp"
-#include "fault/fault.hpp"
 #include "linalg/svd.hpp"
-#include "support/mutex.hpp"
+#include "sim/parallel.hpp"
 
 namespace noisim::core {
 
@@ -316,232 +312,37 @@ std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
 
-// One work item evaluates terms [t0, t0 + tcount) at outputs
-// [obegin, obegin + ocount): out[t * ocount + o] = term value at output o.
-// Every value is bit-identical to the single-output reference's value for
-// that (term, output) pair -- batching only shares work, never changes bits.
-using ItemEval = std::function<void(std::size_t t0, std::size_t tcount, std::size_t obegin,
-                                    std::size_t ocount, std::span<cplx> out,
-                                    tn::ContractStats& stats)>;
-struct WorkerEval {
-  ItemEval eval;
-  // Merge any session-held stats into the worker's record (called once,
-  // after the worker drains the queue).
-  std::function<void(tn::ContractStats&)> flush;
-};
+// Evaluates terms [t0, t0 + tcount) at outputs [obegin, obegin + ocount):
+// out[t * ocount + o] = term value at output o. Every value is bit-identical
+// to the single-output reference's value for that (term, output) pair --
+// batching only shares work, never changes bits.
+using TermEval = std::function<void(std::size_t t0, std::size_t tcount, std::size_t obegin,
+                                    std::size_t ocount, std::span<cplx> out)>;
 
-// Streaming fold state for one output chunk (guarded by SweepQueue::mutex_).
-// The stash is an ORDERED map on purpose: folding walks completed ranges in
-// ascending term-enumeration order (lint rule unordered-fold).
-struct ChunkFold {
-  std::size_t begin = 0, count = 0;  // output range of the chunk
-  std::size_t cursor = 0;            // next term range to fold
-  std::vector<cplx> sums;            // count x (level + 1), output-major
-  std::map<std::size_t, std::size_t> stash;  // completed range -> buffer
-};
-
-// Scheduler for the sharded (term-range x output-chunk) work queue: item
-// claims, the bounded buffer pool, the cooperative cancel/abort flags, the
-// first-exception slot and the per-chunk streaming folds all live behind
-// ONE annotated mutex, so -Wthread-safety proves every cross-worker access
-// is locked. Workers call claim() -- which also polls the RunControl, the
-// poll point of the engine's cancellation contract -- evaluate the claimed
-// item into their pool buffer WITHOUT the lock (buffer ownership travels
-// with the claim), and hand the buffer back through fold_item(). After the
-// join, the owning thread runs finish() (stash drain + pool-integrity check
-// + rethrow) and moves the fold results out by value via take_folds().
-class SweepQueue {
- public:
-  /// Term range r is [range_start[r], range_start[r + 1]).
-  SweepQueue(const std::vector<Term>& terms, std::size_t K, std::size_t shard,
-             std::size_t level, const std::vector<std::size_t>& range_start,
-             std::size_t num_chunks, std::size_t pool_size, const RunControl* control)
-      : terms_(terms),
-        range_start_(range_start),
-        num_chunks_(num_chunks),
-        num_items_((range_start.size() - 1) * num_chunks),
-        level_(level),
-        pool_size_(pool_size),
-        control_(control) {
-    folds_.resize(num_chunks_);
-    for (std::size_t c = 0; c < num_chunks_; ++c) {
-      folds_[c].begin = c * shard;
-      folds_[c].count = std::min(shard, K - folds_[c].begin);
-      folds_[c].sums.assign(folds_[c].count * (level_ + 1), cplx{0.0, 0.0});
-    }
-    free_bufs_.resize(pool_size_);
-    for (std::size_t b = 0; b < pool_size_; ++b) free_bufs_[b] = b;
-  }
-
-  /// Claim the next (range, chunk) item together with a pool buffer,
-  /// blocking while the pool is empty. Polls the RunControl first
-  /// (cancellation/deadline at item-claim granularity: a cancel drains the
-  /// queue for salvage, a deadline or any other control error aborts).
-  /// Returns false when the worker should stop claiming: queue exhausted,
-  /// a sibling aborted, or a cancel was observed.
-  bool claim(std::size_t* range, std::size_t* chunk, std::size_t* buf) EXCLUDES(mutex_) {
-    if (control_) {
-      try {
-        control_->poll();
-      } catch (const CancelledError&) {
-        record_cancel();
-        return false;
-      } catch (...) {
-        // A non-cancel control error (deadline, memory ceiling) aborts the
-        // sweep; stash the exception OBJECT explicitly so finish() rethrows
-        // the TimeoutError/MemoryOutError that actually fired, never a
-        // generic "a worker stopped".
-        record_abort(std::current_exception());
-        return false;
-      }
-    }
-    const support::MutexLock lock(mutex_);
-    while (!(aborted_ || cancelled_ || next_item_ >= num_items_ || !free_bufs_.empty()))
-      cv_.wait(mutex_);
-    if (aborted_ || cancelled_ || next_item_ >= num_items_) return false;
-    const std::size_t item = next_item_++;
-    *buf = free_bufs_.back();
-    free_bufs_.pop_back();
-    if (next_item_ >= num_items_) cv_.notify_all();
-    // Range-major item order: for any chunk, lower term ranges are
-    // dispensed first, so every stashed buffer's predecessor is already in
-    // flight -- the fold below always advances.
-    *range = item / num_chunks_;
-    *chunk = item % num_chunks_;
-    return true;
-  }
-
-  /// Record the first worker/control exception (passed explicitly, never
-  /// fished out of ambient state) and tell siblings to drain; finish()
-  /// rethrows exactly that object after the join. The buffer-returning
-  /// overload hands the claimed buffer back to the pool (an abandoned item
-  /// computes nothing, so its buffer is clean).
-  void record_abort(std::exception_ptr err) EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    abort_locked(std::move(err));
-  }
-  void record_abort(std::size_t buf, std::exception_ptr err) EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    free_bufs_.push_back(buf);
-    abort_locked(std::move(err));
-  }
-
-  /// Record an explicit cancel: the queue drains and the caller SALVAGES
-  /// completed chunks instead of throwing (xeb_sweep's salvage contract).
-  void record_cancel() EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    cancel_locked();
-  }
-  void record_cancel(std::size_t buf) EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    free_bufs_.push_back(buf);
-    cancel_locked();
-  }
-
-  /// Stash the completed item's buffer and fold every consecutively ready
-  /// range in term-enumeration order -- the same arithmetic, in the same
-  /// order, as the per-bitstring reference's reduction. `buffers` is the
-  /// pool storage: the claiming worker wrote values[buf] without the lock,
-  /// and this mutex hand-off is what publishes them to whichever worker
-  /// folds.
-  void fold_item(std::size_t range, std::size_t chunk, std::size_t buf,
-                 const std::vector<std::vector<cplx>>& buffers) EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    ChunkFold& cf = folds_[chunk];
-    cf.stash.emplace(range, buf);
-    for (auto it = cf.stash.find(cf.cursor); it != cf.stash.end();
-         it = cf.stash.find(cf.cursor)) {
-      const std::size_t fbuf = it->second;
-      const std::size_t f0 = range_start_[cf.cursor];
-      const std::size_t fcount = range_start_[cf.cursor + 1] - f0;
-      const std::vector<cplx>& fv = buffers[fbuf];
-      for (std::size_t t = 0; t < fcount; ++t) {
-        const std::size_t u = terms_[f0 + t].level;
-        for (std::size_t o = 0; o < cf.count; ++o)
-          cf.sums[o * (level_ + 1) + u] += fv[t * cf.count + o];
-      }
-      cf.stash.erase(it);
-      free_bufs_.push_back(fbuf);
-      ++cf.cursor;
-    }
-    cv_.notify_all();
-  }
-
-  /// Teardown, called once after every worker joined: stashed buffers whose
-  /// predecessor range never arrived (abort / cancel) go back to the pool,
-  /// after which every buffer must be accounted for -- a leak here would
-  /// strand values across reruns. Rethrows the first worker exception.
-  void finish() EXCLUDES(mutex_) {
-    std::exception_ptr err;
-    {
-      const support::MutexLock lock(mutex_);
-      for (ChunkFold& cf : folds_) {
-        for (const auto& [range, fbuf] : cf.stash) free_bufs_.push_back(fbuf);
-        cf.stash.clear();
-      }
-      la::detail::require(free_bufs_.size() == pool_size_,
-                          "sweep_outputs: buffer pool integrity lost during teardown");
-      err = abort_error_;
-    }
-    if (err) std::rethrow_exception(err);
-  }
-
-  bool was_cancelled() const EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    return cancelled_;
-  }
-
-  /// Move the fold results out (by value, per the no-references-into-
-  /// guarded-state convention). Call after finish().
-  std::vector<ChunkFold> take_folds() EXCLUDES(mutex_) {
-    const support::MutexLock lock(mutex_);
-    return std::move(folds_);
-  }
-
- private:
-  void abort_locked(std::exception_ptr err) REQUIRES(mutex_) {
-    aborted_ = true;
-    if (!abort_error_) abort_error_ = std::move(err);
-    cv_.notify_all();
-  }
-  void cancel_locked() REQUIRES(mutex_) {
-    cancelled_ = true;
-    cv_.notify_all();
-  }
-
-  const std::vector<Term>& terms_;  // immutable enumeration-order term list
-  const std::vector<std::size_t>& range_start_;  // immutable term-range table
-  const std::size_t num_chunks_;
-  const std::size_t num_items_;
-  const std::size_t level_;
-  const std::size_t pool_size_;
-  const RunControl* const control_;  // polled, never written
-
-  mutable support::Mutex mutex_;
-  support::CondVar cv_;  // lint: not-guarded(condvar; always signalled with mutex_ held)
-  std::size_t next_item_ GUARDED_BY(mutex_) = 0;
-  bool aborted_ GUARDED_BY(mutex_) = false;    // worker threw: drain, rethrow after join
-  bool cancelled_ GUARDED_BY(mutex_) = false;  // explicit cancel: drain, then SALVAGE
-  std::exception_ptr abort_error_ GUARDED_BY(mutex_);
-  std::vector<std::size_t> free_bufs_ GUARDED_BY(mutex_);  // bounded buffer pool
-  std::vector<ChunkFold> folds_ GUARDED_BY(mutex_);
+// Per-worker tensor-network state: the environment evaluator for u <= 1
+// items, the replay evaluator for the rest, and their scratch.
+struct TnWorker {
+  std::optional<EnvEvaluator> env;
+  std::optional<ReplayEvaluator> replay;
+  std::vector<AmplitudeTemplate::Substitution> subs;  // sites, then caps
+  std::vector<char> want;                             // per site
+  std::vector<const tsr::Tensor*> ptrs;               // replay pairs x slots
+  std::vector<cplx> top_amp, bot_amp;
 };
 
 // The one Algorithm-1 engine, behind approximate_fidelity (K = 1),
-// approximate_fidelity_outputs and xeb_sweep: a single 2-D (term-range x
-// output-chunk) work queue drained by `threads` workers, with a streaming
-// chunk-ordered reduction.
+// approximate_fidelity_outputs and xeb_sweep: a (term-range x output-chunk)
+// grid on the shared ordered-fold queue (sim::run_ordered_queue), drained
+// by `threads` workers.
 //
-//  * Items are dispensed in range-major order together with a buffer from a
-//    bounded pool (threads + 2 buffers): a worker only claims an item when
-//    a buffer is free, so every in-flight item is actually computing --
-//    which is what guarantees the fold below always makes progress and the
-//    transient value storage stays O(threads x item), never O(terms x K).
+//  * Ranges are the queue's ranks and output chunks its streams, so items
+//    are dispensed range-major with a buffer from a bounded pool (threads +
+//    2 buffers): transient value storage stays O(threads x item), never
+//    O(terms x K).
 //  * Each chunk folds its term values strictly in global term-enumeration
-//    order: completed items land in a per-chunk stash and are folded as
-//    soon as they become the chunk's next range, reproducing the reference
-//    reduction arithmetic (term_sums[level] += value, term by term) exactly
-//    -- at any thread count, shard size, or completion order.
+//    order into per-output level sums, reproducing the reference reduction
+//    arithmetic (term_sums[level] += value, term by term) exactly -- at any
+//    thread count, shard size, or completion order.
 ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                 std::span<const std::uint64_t> v_bits,
                                 const ApproxOptions& opts, std::size_t shard_outputs) {
@@ -667,8 +468,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // wide. When the queue would still hold fewer items than workers (a
   // single output is one chunk), a block's ranges narrow further so every
   // worker gets one -- the split never changes bits.
-  const std::size_t ranges_wanted =
-      (std::max<std::size_t>(opts.threads, 1) + num_chunks - 1) / num_chunks;
+  const std::size_t requested = sim::resolve_threads(opts.threads);
+  const std::size_t ranges_wanted = (requested + num_chunks - 1) / num_chunks;
   std::vector<std::size_t> range_start;
   auto cut = [&](std::size_t begin, std::size_t end, std::size_t width) {
     const std::size_t count = end - begin;
@@ -681,21 +482,13 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   cut(env_terms, num_terms, term_batch);
   range_start.push_back(num_terms);
   const std::size_t num_ranges = range_start.size() - 1;
+  const std::size_t threads = sim::queue_workers(requested, num_ranges * num_chunks);
+  std::vector<tn::ContractStats> worker_stats(threads);
+  std::vector<std::unique_ptr<TnWorker>> tn_workers(threads);
 
   // Per-worker evaluator factory.
-  std::function<WorkerEval(std::size_t)> make_eval;
+  std::function<TermEval(std::size_t)> make_eval;
   if (tn_path) {
-    // Per-worker TN state: the environment evaluator for u <= 1 items, the
-    // replay evaluator for the rest, and their scratch.
-    struct TnWorker {
-      std::optional<EnvEvaluator> env;
-      std::optional<ReplayEvaluator> replay;
-      std::vector<AmplitudeTemplate::Substitution> subs;  // sites, then caps
-      std::vector<char> want;                             // per site
-      std::vector<const tsr::Tensor*> ptrs;               // replay pairs x slots
-      std::vector<cplx> top_amp, bot_amp;
-    };
-
     // Environment items: per output, one pass per layer with the dominant
     // factor at every site. T0 is the pass's value; a level-1 term (s, i)
     // is <E_s, factor_i(s)>, and the backward runs only toward the sites
@@ -766,8 +559,8 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
     // The item lambdas are copied in: they go out of scope before the
     // workers call make_eval.
-    make_eval = [&, env_item, replay_item](std::size_t) -> WorkerEval {
-      auto w = std::make_shared<TnWorker>();
+    make_eval = [&, env_item, replay_item](std::size_t worker) -> TermEval {
+      TnWorker* w = (tn_workers[worker] = std::make_unique<TnWorker>()).get();
       std::size_t amps = 0;
       if (env_terms > 0) {
         w->env.emplace(at.tmpl(), *env, control);
@@ -782,33 +575,26 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       }
       w->top_amp.resize(amps);
       w->bot_amp.resize(amps);
-      WorkerEval we;
-      we.eval = [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
-                                              std::size_t obegin, std::size_t ocount,
-                                              std::span<cplx> out, tn::ContractStats&) {
+      return [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
+                                           std::size_t obegin, std::size_t ocount,
+                                           std::span<cplx> out) {
         if (t0 < env_terms)
           env_item(*w, t0, tcount, obegin, ocount, out);
         else
           replay_item(*w, t0, tcount, obegin, ocount, out);
       };
-      we.flush = [w](tn::ContractStats& stats) {
-        if (w->env) stats.merge(w->env->stats());
-        if (w->replay) stats.merge(w->replay->stats());
-      };
-      return we;
     };
   } else {
     // State-vector path: each term materializes its gate lists and
     // evaluates the chunk's outputs through batch_amplitudes (one evolution
     // per layer per term per chunk). The bottom list carries conj(V), so its
     // amplitudes are the conjugated bottom layer, as on the replay path.
-    make_eval = [&](std::size_t) -> WorkerEval {
+    make_eval = [&](std::size_t worker) -> TermEval {
       auto top = std::make_shared<std::vector<qc::Gate>>(sk.gates);
       auto bottom = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-      WorkerEval we;
-      we.eval = [&, top, bottom](std::size_t t0, std::size_t tcount, std::size_t obegin,
-                                 std::size_t ocount, std::span<cplx> out,
-                                 tn::ContractStats& stats) {
+      return [&, top, bottom, &stats = worker_stats[worker]](
+                 std::size_t t0, std::size_t tcount, std::size_t obegin, std::size_t ocount,
+                 std::span<cplx> out) {
         const std::span<const std::uint64_t> chunk_outputs = v_bits.subspan(obegin, ocount);
         for (std::size_t t = 0; t < tcount; ++t) {
           if (control) control->poll();  // state-vector terms have no inner poll points
@@ -828,101 +614,77 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             out[t * ocount + o] = top_amp[o] * std::conj(bot_amp[o]);
         }
       };
-      we.flush = [](tn::ContractStats&) {};
-      return we;
     };
   }
 
   // --- scheduler + streaming fold ------------------------------------------
-  const std::size_t num_items = num_ranges * num_chunks;
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min<std::size_t>(opts.threads, num_items));
-  std::vector<tn::ContractStats> worker_stats(threads);
-
+  sim::OrderedWork work;
+  work.ranks = num_ranges;
+  work.streams = num_chunks;
+  work.threads = threads;
   // Bounded buffer pool: claiming an item claims a buffer with it, so a
   // stalled chunk can never strand completed-but-unfoldable values beyond
-  // the pool -- the O(outputs) table bound of the engine contract. The pool
-  // STORAGE lives out here (workers write their claimed slot lock-free);
-  // the free list and all other shared scheduler state live inside the
-  // annotated SweepQueue above.
-  const std::size_t pool_size = std::min(num_items, threads + 2);
-  std::vector<std::vector<cplx>> buffers(pool_size);
-
-  SweepQueue queue(terms, K, shard, level, range_start, num_chunks, pool_size, control);
+  // the pool -- the O(outputs) table bound of the engine contract.
+  work.pool = std::min(num_ranges * num_chunks, threads + 2);
+  work.control = control;
+  work.fault_site = "sweep-worker";
+  std::vector<std::vector<cplx>> buffers(work.pool);
+  // Chunk c's running level sums: ocount(c) x (level + 1), output-major.
+  auto chunk_count = [&](std::size_t c) { return std::min(shard, K - c * shard); };
+  std::vector<std::vector<cplx>> sums(num_chunks);
+  for (std::size_t c = 0; c < num_chunks; ++c)
+    sums[c].assign(chunk_count(c) * (level + 1), cplx{0.0, 0.0});
 
   timer.eval_started();
-  auto worker = [&](std::size_t w) {
-    WorkerEval we;
-    try {
-      we = make_eval(w);  // session construction allocates; it can fail too
-    } catch (...) {
-      queue.record_abort(std::current_exception());
-      return;
-    }
-    while (true) {
-      std::size_t r = 0, c = 0, buf = 0;
-      if (!queue.claim(&r, &c, &buf)) break;
-      const std::size_t t0 = range_start[r];
-      const std::size_t tcount = range_start[r + 1] - t0;
-      const std::size_t obegin = c * shard;
-      const std::size_t ocount = std::min(shard, K - obegin);
-      std::vector<cplx>& vbuf = buffers[buf];
-      try {
-        fault::poke("sweep-worker");
-        vbuf.resize(tcount * ocount);
-        we.eval(t0, tcount, obegin, ocount, std::span<cplx>(vbuf), worker_stats[w]);
-      } catch (const CancelledError&) {
-        // Step-granularity cancel inside the plan executor: the claimed item
-        // is abandoned (its chunk stays short of num_ranges, so it reports
-        // invalid), the buffer goes straight back to the pool, and the queue
-        // drains for salvage like the claim-time cancel inside claim().
-        queue.record_cancel(buf);
-        break;
-      } catch (...) {
-        queue.record_abort(buf, std::current_exception());
-        break;
-      }
-      queue.fold_item(r, c, buf, buffers);
-    }
-    we.flush(worker_stats[w]);
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      futures.push_back(std::async(std::launch::async, worker, w));
-    for (auto& f : futures) f.get();
-  }
-  queue.finish();
+  const sim::OrderedOutcome outcome = sim::run_ordered_queue(
+      work,
+      [&](std::size_t worker) -> sim::ItemEval {
+        return [&, eval = make_eval(worker)](std::size_t r, std::size_t c, std::size_t buf) {
+          const std::size_t t0 = range_start[r];
+          const std::size_t tcount = range_start[r + 1] - t0;
+          std::vector<cplx>& vbuf = buffers[buf];
+          vbuf.resize(tcount * chunk_count(c));
+          eval(t0, tcount, c * shard, chunk_count(c), std::span<cplx>(vbuf));
+        };
+      },
+      [&](std::size_t r, std::size_t c, std::size_t buf) {
+        const std::size_t ocount = chunk_count(c);
+        const std::vector<cplx>& values = buffers[buf];
+        for (std::size_t t = range_start[r]; t < range_start[r + 1]; ++t) {
+          const std::size_t row = (t - range_start[r]) * ocount;
+          for (std::size_t o = 0; o < ocount; ++o)
+            sums[c][o * (level + 1) + terms[t].level] += values[row + o];
+        }
+      });
   timer.eval_done();
 
   // Deterministic stats reduction: setup first, then workers in order.
+  for (std::size_t w = 0; w < threads; ++w) {
+    if (!tn_workers[w]) continue;
+    if (tn_workers[w]->env) worker_stats[w].merge(tn_workers[w]->env->stats());
+    if (tn_workers[w]->replay) worker_stats[w].merge(tn_workers[w]->replay->stats());
+  }
   result.contract_stats.merge(setup_stats);
   for (const tn::ContractStats& ws : worker_stats) result.contract_stats.merge(ws);
 
   // Per-output assembly from the streamed level sums -- the same arithmetic,
   // in the same order, as the output's single-output sweep.
-  const std::vector<ChunkFold> folds = queue.take_folds();
   result.values.assign(K, 0.0);
   result.raw.assign(K, cplx{0.0, 0.0});
   result.term_sums.assign(K, std::vector<cplx>(level + 1, cplx{0.0, 0.0}));
   result.level_values.assign(K, {});
-  result.cancelled = queue.was_cancelled();
+  result.cancelled = outcome.cancelled;
   result.valid.assign(K, 1);
   for (std::size_t c = 0; c < num_chunks; ++c) {
-    const ChunkFold& cf = folds[c];
     // Salvage contract: a chunk's outputs are valid only once every term
     // range has been folded into it -- those sums are then bitwise equal to
     // the uncancelled run's, because the fold order per chunk is fixed.
-    const bool chunk_valid = cf.cursor == num_ranges;
-    for (std::size_t o = 0; o < cf.count; ++o) {
-      const std::size_t go = cf.begin + o;
+    const bool chunk_valid = outcome.folded[c] == num_ranges;
+    for (std::size_t o = 0; o < chunk_count(c); ++o) {
+      const std::size_t go = c * shard + o;
       if (!chunk_valid) result.valid[go] = 0;
       for (std::size_t u = 0; u <= level; ++u)
-        result.term_sums[go][u] = cf.sums[o * (level + 1) + u];
+        result.term_sums[go][u] = sums[c][o * (level + 1) + u];
       for (std::size_t u = 0; u <= level; ++u) {
         result.raw[go] += result.term_sums[go][u];
         result.level_values[go].push_back(result.raw[go].real());

@@ -39,8 +39,10 @@ class PlanCache;
 struct ApproxOptions {
   std::size_t level = 1;
   EvalOptions eval;
-  /// Worker threads for the (independent) term evaluations; 1 = serial.
-  /// Results are reduced in deterministic enumeration order either way.
+  /// Worker threads for the (independent) term evaluations; 1 = serial,
+  /// 0 = the NOISIM_THREADS env var if set, else every hardware thread
+  /// (sim::resolve_threads, as for the trajectory samplers). Results are
+  /// reduced in deterministic enumeration order either way.
   std::size_t threads = 1;
   /// Width of the sweep's term ranges (tensor-network backend); results
   /// are bit-identical at any width or thread count. The u <= 1 terms
@@ -206,19 +208,23 @@ struct SweepOptions {
   std::size_t shard_outputs = 0;
 };
 
-/// Evaluate A(l) at every bitstring of `v_bits` over the 2-D (term-range x
-/// output-chunk) work queue described by `opts`. result[o] is bit-identical
-/// to approximate_fidelity(nc, psi_bits, v_bits[o], opts.approx) at EVERY
-/// thread count, shard size, batch width, and plan-cache state (the two are
-/// bit-identical to each other; T1 differs from per-term replay at
-/// roundoff, see the header): every term value depends only on the plan,
-/// the output and the factors, and each chunk folds its
-/// term values in global term-enumeration order (out-of-order item
-/// completions are stash-buffered through a bounded pool and folded in
-/// order), so every output reproduces the reference reduction arithmetic
-/// exactly. Peak memory for the sweep value table is O(outputs) -- per-chunk
-/// running level sums plus a buffer pool of O(threads) in-flight items --
-/// never the O(terms x outputs) table the pre-sharding sweep materialized.
+/// Evaluate A(l) at every bitstring of `v_bits` over a (term-range x
+/// output-chunk) grid on the shared ordered-fold work queue
+/// (sim::run_ordered_queue, which also runs the trajectory samplers), shaped
+/// by `opts`. result[o] is bit-identical to approximate_fidelity(nc,
+/// psi_bits, v_bits[o], opts.approx) at EVERY thread count, shard size,
+/// batch width, and plan-cache state (the two are bit-identical to each
+/// other; T1 differs from per-term replay at roundoff, see the header):
+/// every term value depends only on the plan, the output and the factors,
+/// and each output chunk is one of the queue's
+/// fold streams: it folds its term values in global term-enumeration order
+/// (out-of-order item completions are stash-buffered through a bounded pool
+/// of threads + 2 buffers and folded in order), so every output reproduces
+/// the reference reduction arithmetic exactly. A cancel drains the queue
+/// and salvages (cancelled = true, completed chunks valid). Peak memory for
+/// the sweep value table is O(outputs) -- per-chunk running level sums plus
+/// a buffer pool of O(threads) in-flight items -- never the O(terms x
+/// outputs) table the pre-sharding sweep materialized.
 ApproxBatchResult xeb_sweep(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                             std::span<const std::uint64_t> v_bits,
                             const SweepOptions& opts = {});

@@ -78,8 +78,10 @@ struct SimulateOptions {
   /// the returned half-width holds with probability 1 - failure_prob.
   /// Must lie in (0, 1).
   double failure_prob = 0.01;
-  /// Worker threads handed to the engines (1 = serial). Fixed-seed results
-  /// are bit-identical at any thread count, so this never changes values.
+  /// Worker threads handed to the engines (1 = serial; 0 = the
+  /// NOISIM_THREADS env var if set, else every hardware thread, resolved by
+  /// sim::resolve_threads for every backend). Fixed-seed results are
+  /// bit-identical at any thread count, so this never changes values.
   std::size_t threads = 1;
   /// Term-count guard of the ladder: levels whose enumerated term count
   /// exceeds this are not considered (terms are materialized per level).

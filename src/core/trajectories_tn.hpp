@@ -60,8 +60,10 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
 /// sites and the basis caps (the Algorithm-1 sweep's plan shape): a
 /// traversal covers up to (chunk samples x <= 32 outputs) pairs, capped at
 /// 256. The bitstrings are partitioned into shards of `shard_outputs`, and
-/// the (bitstring-shard x sample-chunk) grid forms a single 2-D work queue
-/// (sim::run_trajectories_sharded). Each item draws its chunk's noise
+/// the (sample-chunk x bitstring-shard) grid runs on the shared ordered-fold
+/// work queue through sim::run_trajectories_sharded, which folds each
+/// estimate's per-chunk statistics in chunk order as chunks complete (no
+/// chunks x outputs table). Each item draws its chunk's noise
 /// realizations -- the same streams every shard draws, since the site draws
 /// are independent of the scored outputs. Element t is bit-identical to
 /// trajectories_tn(nc, psi_bits, v_bits[t], samples, seed, popts, copts) at

@@ -18,8 +18,8 @@
 //   plan-to              TimeoutError     ContractionPlan::compile entry
 //   exec-step-mo         MemoryOutError   per-step in plan/batched executors
 //   exec-step-to         TimeoutError     per-step in plan/batched executors
-//   sweep-worker         FaultError       sweep queue, before item eval
-//   traj-chunk           FaultError       trajectory runners, before a chunk
+//   sweep-worker         FaultError       work queue, before a sweep item's eval
+//   traj-chunk           FaultError       work queue, before a trajectory chunk
 //   run-density          MemoryOutError   simulate() before DensityBackend::run
 //   run-tn-approx        MemoryOutError   simulate() before TnApproxBackend::run
 //   run-tn-trajectories  MemoryOutError   simulate() before TnTrajectoriesBackend::run

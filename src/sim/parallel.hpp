@@ -1,26 +1,31 @@
 #pragma once
-// Shared multithreaded Monte-Carlo trajectory engine.
+// The one work queue, and the Monte-Carlo trajectory runner built on it.
 //
-// Both trajectory samplers (statevector and tensor network) draw i.i.d.
-// fidelity samples in an outer loop; this engine parallelizes that loop
-// while keeping the estimate bit-for-bit reproducible for a fixed seed
-// regardless of the number of worker threads. There is ONE runner,
-// run_trajectories_sharded; run_trajectories is its single-estimate,
-// sample-at-a-time adapter.
+// Algorithm 1's term sweep (core/approx.cpp) and the trajectory samplers do
+// the same kind of work: many independent items whose results are summed in
+// a fixed order. Both run on ONE scheduler, run_ordered_queue, with two
+// folds: the sweep's per-output-chunk level sums in term-enumeration order,
+// and the runner's per-estimate Welford totals in sample-chunk order.
 //
-//  * the sample budget is split into fixed-size chunks, and chunk c always
-//    draws from its own std::mt19937_64 seeded from splitmix64(seed, c) --
-//    the set of random streams is a function of (seed, chunk_size) only,
-//    never of the thread count;
-//  * idle workers steal the next unclaimed (shard, chunk) item from a
-//    shared atomic counter, so uneven per-sample costs balance out without
-//    a static partition (a statevector sample that reuses the call's
-//    noise-free trajectory is nearly free; one that draws an error evolves
-//    the whole state);
-//  * each chunk accumulates its own Welford mean/M2 and the per-chunk
-//    statistics are merged in chunk order (Chan's parallel variance
-//    update) after all workers join; the merge order is deterministic, so
-//    the floating-point result is too.
+//  * items form a (rank x stream) grid dispensed rank-major; stream s folds
+//    its items strictly in rank order, so the floating-point result is a
+//    function of the grid alone, never of the thread count or of the order
+//    in which workers finish;
+//  * idle workers claim the next item together with a buffer from a bounded
+//    pool, evaluate it without the lock, and hand the buffer to the fold;
+//    an out-of-order completion waits in its stream's stash until it is
+//    next, so transient storage is O(pool), never O(items);
+//  * a RunControl is polled once per claim; a cancel drains the queue (the
+//    caller salvages or raises), any other error drains it and the first
+//    one is rethrown after every worker joined.
+//
+// The trajectory runner's grid is (sample chunk x estimate shard): chunk c
+// always draws from its own std::mt19937_64 seeded from
+// splitmix64(seed, c) -- the set of random streams is a function of
+// (seed, chunk_size) only -- and each chunk's per-estimate Welford
+// statistics merge into that estimate's total in chunk order (Chan's
+// parallel variance update). There is ONE runner, run_trajectories_sharded;
+// run_trajectories is its single-estimate, sample-at-a-time adapter.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,6 +64,53 @@ struct ParallelOptions {
 
 /// Resolve ParallelOptions::threads (0 -> env/hardware default).
 std::size_t resolve_threads(std::size_t requested);
+
+/// Workers a queue of `items` items runs for a requested thread count:
+/// resolve_threads(requested), at most one per item, at least one.
+std::size_t queue_workers(std::size_t requested, std::size_t items);
+
+/// One run of the ordered-fold work queue: `ranks x streams` items,
+/// dispensed rank-major (item = rank * streams + stream).
+struct OrderedWork {
+  std::size_t ranks = 0;
+  std::size_t streams = 0;
+  /// Workers; queue_workers() of the caller's request.
+  std::size_t threads = 1;
+  /// Buffers in the bounded pool (>= 1). A worker claims an item only
+  /// together with a free buffer, so the in-flight and stashed items never
+  /// outnumber it. A pool only a few buffers larger than `threads` can
+  /// stall workers while the oldest unfolded item of a stream runs.
+  std::size_t pool = 1;
+  /// Polled once per claim (null disables).
+  const core::RunControl* control = nullptr;
+  /// fault::poke'd once per item, before its evaluation.
+  const char* fault_site = "";
+};
+
+/// Evaluate the claimed item (rank, stream) into pool buffer `buf`. Runs
+/// without the queue lock; the buffer belongs to the claiming worker until
+/// the fold releases it.
+using ItemEval = std::function<void(std::size_t rank, std::size_t stream, std::size_t buf)>;
+/// Per-worker evaluator factory: called once on each worker thread, so an
+/// evaluator can own scratch state without synchronization.
+using ItemEvalFactory = std::function<ItemEval(std::size_t worker)>;
+/// Fold a completed item's buffer. Called under the queue lock, one fold at
+/// a time, for each stream in ascending rank order.
+using ItemFold = std::function<void(std::size_t rank, std::size_t stream, std::size_t buf)>;
+
+struct OrderedOutcome {
+  /// A cancel (at a claim-time poll, or a CancelledError from an item)
+  /// drained the queue; the streams' completed prefixes stay folded.
+  bool cancelled = false;
+  /// Per stream: how many ranks were folded (`ranks` when it completed).
+  std::vector<std::size_t> folded;
+};
+
+/// Drain the queue with `work.threads` workers. Every worker exception
+/// other than a cancel stops the claims and the first one is rethrown after
+/// every worker joined; a buffer leaked from the pool is a LinalgError.
+OrderedOutcome run_ordered_queue(const OrderedWork& work, const ItemEvalFactory& make_eval,
+                                 const ItemFold& fold);
 
 /// Streaming mean/variance accumulator with a deterministic pairwise merge.
 struct Welford {
@@ -105,15 +157,17 @@ using ShardChunkSamplerFactory = std::function<ShardChunkSampler(std::size_t wor
 /// trajectory's randomness (e.g. one sampled noise realization scored at
 /// many output bitstrings), over a single 2-D (estimate-shard x
 /// sample-chunk) work queue. The estimates are partitioned into shards of
-/// `shard_size` (0 = one shard holding all of them) and workers steal
-/// (shard, chunk) items, so a sweep with few sample chunks but many
-/// estimates fills every thread instead of idling on a chunk-only
-/// partition, and a worker's value buffer holds chunk_size x shard_size
-/// samples. Estimate o accumulates its own per-chunk Welford statistics
-/// and merges them in chunk order, and the chunk RNG streams depend only
-/// on (seed, chunk_size): estimate o is bit-identical to the
-/// single-estimate runner fed stream o, at every thread count and shard
-/// size. samples == 0 yields well-defined empty estimates (0 samples,
+/// `shard_size` (0 = one shard holding all of them) and the ordered queue
+/// dispenses (chunk, shard) items chunk-major, so a sweep with few sample
+/// chunks but many estimates fills every thread instead of idling on a
+/// chunk-only partition, and a worker's value buffer holds chunk_size x
+/// shard_size samples. An item builds its chunk's per-estimate Welford
+/// from zero in sample order, and the fold merges it into that estimate's
+/// running total in chunk order; the chunk RNG streams depend only on
+/// (seed, chunk_size): estimate o is bit-identical to the single-estimate
+/// runner fed stream o, at every thread count and shard size. The runner
+/// holds O(num_estimates) totals plus the pool, never a chunks x estimates
+/// table. samples == 0 yields well-defined empty estimates (0 samples,
 /// mean 0, no error bar) without invoking the sampler.
 std::vector<TrajectoryResult> run_trajectories_sharded(
     std::size_t samples, std::size_t num_estimates, std::size_t shard_size,

@@ -1,7 +1,8 @@
 // lint-fixture: expect(worker-pool)
-// A third scheduler in src/: launches its own workers with std::async
-// instead of going through the sweep engine or the trajectory runner, so it
-// has neither the cooperative drain nor the fault sites those two carry.
+// A second scheduler in src/: the Algorithm-1 sweep launching its own
+// workers with std::async instead of running on the one ordered-fold queue
+// in sim/parallel.cpp, so it would have to re-earn that queue's cooperative
+// drain, fault sites and deterministic fold.
 #include <cstddef>
 #include <future>
 #include <vector>

@@ -20,6 +20,7 @@
 #include "run_backend.hpp"
 #include "sim/parallel.hpp"
 #include "support/env.hpp"
+#include "uneven_sampler.hpp"
 
 namespace noisim::core {
 namespace {
@@ -422,6 +423,28 @@ TEST_F(FaultTest, TrajectoryChunkThrowPropagatesAndRerunsBitIdentical) {
     EXPECT_EQ(rerun.std_error, base.std_error) << "nth=" << nth;
     EXPECT_EQ(rerun.samples, base.samples) << "nth=" << nth;
     fault::disarm_all();
+  }
+
+  // Uneven per-item cost, 3 shards x 38 chunks at 4 threads: the fault
+  // lands while earlier items are still running and later ones sit in the
+  // stash, and the rerun must still find the pool whole.
+  popts.threads = 4;
+  popts.chunk_size = 8;
+  const sim::ShardChunkSamplerFactory uneven = sim::uneven_sampler();
+  const std::vector<sim::TrajectoryResult> sharded =
+      sim::run_trajectories_sharded(300, 5, 2, 7, uneven, popts);
+  for (const std::uint64_t nth : {std::uint64_t{1}, std::uint64_t{9}, std::uint64_t{60}}) {
+    fault::arm("traj-chunk", nth);
+    EXPECT_THROW(sim::run_trajectories_sharded(300, 5, 2, 7, uneven, popts),
+                 fault::FaultError);
+    EXPECT_TRUE(fault::fired("traj-chunk"));
+    fault::disarm_all();
+    const std::vector<sim::TrajectoryResult> rerun =
+        sim::run_trajectories_sharded(300, 5, 2, 7, uneven, popts);
+    for (std::size_t o = 0; o < sharded.size(); ++o) {
+      EXPECT_EQ(rerun[o].mean, sharded[o].mean) << "nth=" << nth << " o=" << o;
+      EXPECT_EQ(rerun[o].std_error, sharded[o].std_error) << "nth=" << nth << " o=" << o;
+    }
   }
 }
 

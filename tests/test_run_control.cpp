@@ -7,6 +7,7 @@
 // NOISIM_THREADS validation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <random>
@@ -20,6 +21,7 @@
 #include "support/env.hpp"
 #include "tn/contractor.hpp"
 #include "tn/plan.hpp"
+#include "uneven_sampler.hpp"
 
 namespace noisim::core {
 namespace {
@@ -223,6 +225,33 @@ TEST(RunControl, TrajectoryRunnersStopWithinOneChunk) {
   EXPECT_EQ(guarded.mean, bare.mean);
   EXPECT_EQ(guarded.std_error, bare.std_error);
   EXPECT_EQ(guarded.samples, bare.samples);
+
+  // A cancel raised from inside the sampler (as the TN sampler's replays
+  // poll their control) at the 20th of 3 shards x 38 unevenly costed
+  // chunks, 4 threads: the runner raises, and a rerun reproduces the base
+  // bits.
+  popts.threads = 4;
+  popts.chunk_size = 8;
+  c.reset();
+  std::atomic<int> until_cancel{-1};  // items left before the cancel; < 0 never
+  const sim::ShardChunkSamplerFactory uneven = sim::uneven_sampler([&] {
+    if (until_cancel.fetch_sub(1) == 1) c.request_cancel();
+    c.poll();
+  });
+  const std::vector<sim::TrajectoryResult> base =
+      sim::run_trajectories_sharded(300, 5, 2, 42, uneven, popts);
+  until_cancel = 20;
+  EXPECT_THROW(sim::run_trajectories_sharded(300, 5, 2, 42, uneven, popts), CancelledError);
+  EXPECT_TRUE(c.cancel_requested());
+  c.reset();
+  until_cancel = -1;
+  const std::vector<sim::TrajectoryResult> rerun =
+      sim::run_trajectories_sharded(300, 5, 2, 42, uneven, popts);
+  for (std::size_t o = 0; o < base.size(); ++o) {
+    EXPECT_EQ(rerun[o].mean, base[o].mean) << o;
+    EXPECT_EQ(rerun[o].std_error, base[o].std_error) << o;
+    EXPECT_EQ(rerun[o].samples, base[o].samples) << o;
+  }
 }
 
 // --- Algorithm-1 sweeps --------------------------------------------------
@@ -422,6 +451,23 @@ TEST(ResolveThreads, AcceptsPositiveIntegersAndIgnoresEnvWhenRequested) {
   EXPECT_EQ(sim::resolve_threads(3), 3u);
   ::unsetenv("NOISIM_THREADS");
   EXPECT_GE(sim::resolve_threads(0), 1u);
+}
+
+TEST(ResolveThreads, ApproximateFidelityResolvesZeroThreadsLikeTheSamplers) {
+  // threads = 0 means the same for every engine: the sweep reads
+  // NOISIM_THREADS through sim::resolve_threads, so a bad value fails loud
+  // instead of silently running one worker.
+  EnvGuard guard("NOISIM_THREADS");
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(4, 1, 3), 2, bench::depolarizing_noise(0.01), 5);
+  ApproxOptions opts;
+  opts.threads = 0;
+  ::setenv("NOISIM_THREADS", "abc", 1);
+  EXPECT_THROW(approximate_fidelity(nc, 0, 0, opts), LinalgError);
+  ::setenv("NOISIM_THREADS", "2", 1);
+  const ApproxResult two = approximate_fidelity(nc, 0, 0, opts);
+  opts.threads = 1;
+  EXPECT_EQ(two.value, approximate_fidelity(nc, 0, 0, opts).value);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "sim/statevector.hpp"
 #include "sim/trajectories.hpp"
 #include "tensor/kernels.hpp"
+#include "uneven_sampler.hpp"
 
 namespace noisim::sim {
 namespace {
@@ -307,6 +308,44 @@ TEST(ParallelEngine, SameSeedSameEstimateAcrossThreadCounts) {
     EXPECT_EQ(r.mean, base.mean) << threads << " threads";
     EXPECT_EQ(r.std_error, base.std_error) << threads << " threads";
     EXPECT_EQ(r.samples, base.samples);
+  }
+
+  // Uneven per-item cost and many more chunks than threads + 2: items
+  // finish out of order, so the queue stashes them and the bounded pool
+  // fills, at every thread count and shard size. The serial oracle folds
+  // each chunk's per-estimate statistics from zero in sample order and
+  // merges them in chunk order.
+  constexpr std::size_t kSamples = 300, kEstimates = 5, kChunk = 8;
+  ParallelOptions uneven;
+  uneven.chunk_size = kChunk;
+  const ShardChunkSamplerFactory factory = uneven_sampler();
+  const ShardChunkSampler serial = factory(0);
+  std::vector<Welford> oracle(kEstimates);
+  std::vector<double> values(kChunk * kEstimates);
+  for (std::size_t c = 0; c * kChunk < kSamples; ++c) {
+    std::mt19937_64 rng = chunk_rng(42, c);
+    const std::size_t count = std::min(kChunk, kSamples - c * kChunk);
+    serial(rng, 0, kEstimates, count, std::span<double>(values.data(), count * kEstimates));
+    for (std::size_t o = 0; o < kEstimates; ++o) {
+      Welford chunk;
+      for (std::size_t s = 0; s < count; ++s) chunk.add(values[s * kEstimates + o]);
+      oracle[o].merge(chunk);
+    }
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t shard : {0u, 1u, 3u}) {
+      uneven.threads = threads;
+      const std::vector<TrajectoryResult> r =
+          run_trajectories_sharded(kSamples, kEstimates, shard, 42, factory, uneven);
+      ASSERT_EQ(r.size(), kEstimates);
+      for (std::size_t o = 0; o < kEstimates; ++o) {
+        const TrajectoryResult want = oracle[o].result();
+        EXPECT_EQ(r[o].mean, want.mean) << threads << " threads, shard " << shard << ", o " << o;
+        EXPECT_EQ(r[o].std_error, want.std_error)
+            << threads << " threads, shard " << shard << ", o " << o;
+        EXPECT_EQ(r[o].samples, kSamples);
+      }
+    }
   }
 }
 

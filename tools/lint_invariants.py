@@ -38,12 +38,12 @@ exercised by --self-test):
                     carry // lint: not-guarded(<reason>) -- the audit
                     behind the Clang thread-safety annotations, enforced
                     even on GCC-only checkouts.
-  worker-pool       std::async appears in src/ only at the two worker-pool
-                    launch sites: once in core/approx.cpp (the Algorithm-1
-                    sweep engine) and once in sim/parallel.cpp (the
-                    trajectory runner). A third scheduler would have to
-                    re-earn the cooperative drain, fault sites and
-                    deterministic fold those two carry.
+  worker-pool       std::async appears in src/ exactly once: the launch
+                    site of the shared ordered-fold queue in sim/parallel.cpp
+                    (sim::run_ordered_queue), which runs both the
+                    Algorithm-1 sweep and the trajectory runner. A second
+                    scheduler would have to re-earn the cooperative drain,
+                    fault sites and deterministic fold that queue carries.
   cache-key-covers-options
                     every tn::ContractOptions field except `control` is
                     read as copts.<field> inside PlanCache::template_key --
@@ -495,9 +495,9 @@ def check_mutex_guards(cxx_files):
 
 
 ASYNC_RE = re.compile(r"\bstd\s*::\s*async\b")
-# The sanctioned launch sites, as paths relative to the scan root, and how
-# many std::async calls each may hold.
-WORKER_POOL_SITES = {("src", "core", "approx.cpp"): 1, ("src", "sim", "parallel.cpp"): 1}
+# The sanctioned launch site, as a path relative to the scan root, and how
+# many std::async calls it may hold.
+WORKER_POOL_SITES = {("src", "sim", "parallel.cpp"): 1}
 
 
 def check_worker_pool(root, cxx_files):
@@ -515,13 +515,12 @@ def check_worker_pool(root, cxx_files):
             if count <= allowed:
                 continue
             where = ("a second launch site in this file" if allowed
-                     else "a launch site outside the two worker pools")
+                     else "a launch site outside the shared work queue")
             findings.append(Finding(
                 path, line_of(code, m.start()), "worker-pool",
                 f"std::async at {where}; src/ schedules work only through the "
-                "Algorithm-1 sweep engine (core/approx.cpp) and the trajectory "
-                "runner (sim/parallel.cpp) -- route new parallel work through "
-                "one of them"))
+                "one ordered-fold queue (sim::run_ordered_queue in "
+                "sim/parallel.cpp) -- run new parallel work on it"))
     return findings
 
 
