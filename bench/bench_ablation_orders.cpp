@@ -22,10 +22,10 @@
 // on a shared host plan seconds move by up to 1.7x between phases.
 //
 // The Fig. 4 rows (the 8x8 QAOA grid behind qaoa_64 and qaoa_grid_8x8)
-// also compile Auto at ContractOptions::replays = 4, the replay count of a
-// level-1 simulate() call (two layers x one environment pass): the one-pass
-// plan's flops and per-strategy stats, where the RandomGreedy restarts are
-// priced out.
+// also compile Auto at the replay count of a level-1 simulate() call
+// (ContractOptions::replays = 2: one layer x one environment pass): the
+// one-pass plan's flops and per-strategy stats, where the RandomGreedy
+// restarts are priced out.
 //
 // Plans are pure functions of topology + options, so the recorded flop
 // counts are machine-independent; --baseline <json> additionally gates

@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     });
 
     run.contractions = run.reuse_result.contractions;
-    run.terms = run.contractions / 2;
+    run.terms = run.contractions;
     run.bit_identical = run.replan.ok() && run.reuse.ok() && run.batched.ok() &&
                         bench::replay_mismatch(run.reuse_result, run.replan_result).empty() &&
                         same_bits(run.reuse_result, run.batched_result);

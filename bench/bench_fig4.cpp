@@ -3,8 +3,9 @@
 // The paper's claim: the exact TN-based method blows up (memory-out past
 // ~30 noises on qaoa_100) because every noise tensor couples the top and
 // bottom layers of the doubled diagram and drives up the contraction
-// treewidth, while the level-1 approximation contracts 2(1+3N)
-// *single-layer* networks and scales linearly in N.
+// treewidth, while the level-1 approximation contracts 1+3N
+// *single-layer* networks (the paper counts both layers, 2(1+3N); the
+// bottom layer is the top one's conjugate) and scales linearly in N.
 //
 // Writes machine-readable rows (with contraction/plan-reuse stats) to
 // BENCH_fig4.json (or argv[1]).
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
   std::cout << "\nCSV for plotting:\n";
   bench::write_csv(std::cout, csv);
   std::cout << "\nExpected shape (paper Fig. 4): TN-exact grows steeply / hits MO as the\n"
-            << "noise count rises; ours grows linearly (contractions = 2(1+3N)).\n";
+            << "noise count rises; ours grows linearly (contractions = 1+3N, half the\n"
+            << "paper's two-layer 2(1+3N)).\n";
 
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_fig4.json";
   std::ofstream out(out_path);

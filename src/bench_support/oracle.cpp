@@ -37,7 +37,7 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
   level = std::min(level, sites);
 
   // The literal bottom layer <v|conj(G_d)...V...|psi>: every gate replaced
-  // by its entry-wise conjugate, V itself at the sites.
+  // by its entry-wise conjugate, V = conj(U) at the sites.
   std::vector<qc::Gate> bottom;
   for (const qc::Gate& g : gates)
     bottom.push_back(g.num_qubits() == 1 ? qc::u1q(g.qubits[0], g.matrix().conj())
@@ -50,7 +50,7 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
   auto add_term = [&](std::size_t u) {
     for (std::size_t s = 0; s < sites; ++s) {
       top[pos[s]].custom = splits[s].u[choice[s]];
-      bottom[pos[s]].custom = splits[s].v[choice[s]];
+      bottom[pos[s]].custom = splits[s].u[choice[s]].conj();
     }
     result.term_sums[u] +=
         core::amplitude(n, top, psi_bits, v_bits, eval, &result.contract_stats) *

@@ -6,14 +6,16 @@
 // amplitude evaluator: the terms are enumerated here from split_noise, and
 // every term's two single-layer amplitudes go through core::amplitude(),
 // which builds and plans each network from scratch. The bottom layer is
-// evaluated literally, as its own gate list of conjugated gates with V at
-// the sites, not as the conjugate of the top layer the sweep replays. Both
-// paths run one planner and one executor and fold the term values in the
-// same enumeration order. The sweep takes its level-0 and level-1 terms
-// from one environment pass per layer (core::EnvEvaluator), which sums a
-// level-1 term in another order than contracting its network, so
-// approximate_fidelity matches the oracle as replay_mismatch states: bit
-// for bit except at level 1, and there at roundoff.
+// evaluated literally, as its own gate list of conjugated gates with
+// V = conj(U) at the sites, not as the conjugate of the top layer the sweep
+// squares; conjugating every gate conjugates the amplitude bit for bit, so
+// top * bottom is the sweep's |top|^2 exactly. Both paths run one planner
+// and one executor and fold the term values in the same enumeration order.
+// The sweep takes its level-0 and level-1 terms from one environment pass
+// (core::EnvEvaluator), which sums a level-1 term in another order than
+// contracting its network, so approximate_fidelity matches the oracle as
+// replay_mismatch states: bit for bit except at level 1, and there at
+// roundoff.
 
 #include <cstdint>
 #include <span>
@@ -28,9 +30,10 @@ namespace noisim::bench {
 /// enumerated level by level, site subsets in lexicographic order, and the
 /// subdominant split indices with the lowest chosen site varying fastest
 /// (approximate_fidelity's order); each term contributes
-/// <v|top|psi> * <v|bottom|psi>, with U at the sites of `top` and V at the
-/// sites of the conjugated-gate `bottom`, folded into term_sums[u]. Fills value,
-/// raw, level_values, term_sums, contractions, contract_stats and
+/// <v|top|psi> * <v|bottom|psi>, with U at the sites of `top` and
+/// V = conj(U) at the sites of the conjugated-gate `bottom`, folded into
+/// term_sums[u]. Fills value, raw, level_values, term_sums, contractions
+/// (2 per term: both layers, the paper's count), contract_stats and
 /// eval_seconds (the whole call); the bounds and plan_seconds stay 0.
 /// Serial. Throws LinalgError when eval.simplify is set (the sweep
 /// simplifies a placeholder skeleton once, which a per-term gate list cannot

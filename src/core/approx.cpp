@@ -177,12 +177,12 @@ class SweepTimer {
 };
 
 // Tensorized SVD factors per (site, term index) and the network node each
-// site substitutes. Both layers replay the one template: the bottom layer
-// <v|conj(G)...V...|psi> is the conjugate of the top network fed conj(V),
-// so `bot` holds conj(V) and the fold conjugates its amplitude back.
+// site substitutes. The split is symmetric (V_s = conj(U_s)), so a term's
+// bottom layer <v|conj(G)...V...|psi> is the conjugate of its top layer and
+// the term is |top|^2: one layer per term, on U.
 struct SiteFactors {
-  std::vector<std::size_t> node;                   // network node per site
-  std::vector<std::vector<tsr::Tensor>> top, bot;  // U / conj(V) factor tensors
+  std::vector<std::size_t> node;            // network node per site
+  std::vector<std::vector<tsr::Tensor>> u;  // U factor tensors
 };
 SiteFactors build_site_factors(const std::vector<Site>& sites,
                                const std::vector<std::size_t>& site_pos,
@@ -190,16 +190,12 @@ SiteFactors build_site_factors(const std::vector<Site>& sites,
   SiteFactors f;
   const std::size_t num_sites = sites.size();
   f.node.resize(num_sites);
-  f.top.resize(num_sites);
-  f.bot.resize(num_sites);
+  f.u.resize(num_sites);
   for (std::size_t s = 0; s < num_sites; ++s) {
     f.node[s] = tmpl.node_of_gate(site_pos[s]);
     const Site& site = sites[s];
-    for (std::size_t t = 0; t < site.split.terms(); ++t) {
-      f.top[s].push_back(gate_matrix_tensor(site.split.u[t], static_cast<int>(site.arity)));
-      f.bot[s].push_back(
-          gate_matrix_tensor(site.split.v[t].conj(), static_cast<int>(site.arity)));
-    }
+    for (std::size_t t = 0; t < site.split.terms(); ++t)
+      f.u[s].push_back(gate_matrix_tensor(site.split.u[t], static_cast<int>(site.arity)));
   }
   return f;
 }
@@ -319,6 +315,10 @@ std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
 using TermEval = std::function<void(std::size_t t0, std::size_t tcount, std::size_t obegin,
                                     std::size_t ocount, std::span<cplx> out)>;
 
+// A term's value from its one layer's amplitude a: the bottom layer is
+// conj(a), so the term is |a|^2 with an imaginary part of exactly +0.
+cplx term_value(cplx a) { return {std::norm(a), 0.0}; }
+
 // Per-worker tensor-network state: the environment evaluator for u <= 1
 // items, the replay evaluator for the rest, and their scratch.
 struct TnWorker {
@@ -327,7 +327,7 @@ struct TnWorker {
   std::vector<AmplitudeTemplate::Substitution> subs;  // sites, then caps
   std::vector<char> want;                             // per site
   std::vector<const tsr::Tensor*> ptrs;               // replay pairs x slots
-  std::vector<cplx> top_amp, bot_amp;
+  std::vector<cplx> amp;
 };
 
 // The one Algorithm-1 engine, behind approximate_fidelity (K = 1),
@@ -419,7 +419,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
   try {
   if (tn_path) {
-    // One canonical v = 0 template serves both layers: the output caps are
+    // One canonical v = 0 template serves every term: the output caps are
     // placeholders (always substituted below), so one cached entry serves
     // EVERY bitstring set over this skeleton -- that is what makes the plan
     // cache hit across XEB batches arriving over time.
@@ -428,7 +428,6 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
 
     // Per-output cap pointer table (the template's shared <0|/<1| objects,
     // so the executor's pointer compaction shares rows across bitstrings).
-    // Basis caps are real, so the same tensors serve the bottom layer.
     caps_of_output.resize(K * nn);
     for (std::size_t o = 0; o < K; ++o)
       at.tmpl().fill_output_caps(v_bits[o], std::span(caps_of_output).subspan(o * nn, nn));
@@ -489,44 +488,36 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // Per-worker evaluator factory.
   std::function<TermEval(std::size_t)> make_eval;
   if (tn_path) {
-    // Environment items: per output, one pass per layer with the dominant
-    // factor at every site. T0 is the pass's value; a level-1 term (s, i)
-    // is <E_s, factor_i(s)>, and the backward runs only toward the sites
-    // this item's level-1 terms use.
+    // Environment items: per output, one pass with the dominant factor at
+    // every site. T0 is the pass's value; a level-1 term (s, i) is
+    // <E_s, U_i(s)>, and the backward runs only toward the sites this
+    // item's level-1 terms use.
     auto env_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
                         std::size_t ocount, std::span<cplx> out) {
       std::ranges::fill(w.want, 0);
       for (std::size_t t = t0; t < t0 + tcount; ++t)
         if (terms[t].level == 1) w.want[terms[t].sites[0]] = 1;
-      auto layer = [&](const std::vector<std::vector<tsr::Tensor>>& factors,
-                       std::vector<cplx>& amp) {
-        for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &factors[s][0];
-        const cplx value = w.env->evaluate(w.subs, w.want, tcount);
-        for (std::size_t t = 0; t < tcount; ++t) {
-          const Term& term = terms[t0 + t];
-          amp[t] = term.level == 0
-                       ? value
-                       : w.env->overlap(term.sites[0], factors[term.sites[0]][term.term_idx[0]]);
-        }
-      };
+      for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &fac.u[s][0];
       for (std::size_t o = 0; o < ocount; ++o) {
         const auto caps = std::span(caps_of_output).subspan((obegin + o) * nn, nn);
         for (std::size_t q = 0; q < nn; ++q) w.subs[num_sites + q].second = caps[q];
-        layer(fac.top, w.top_amp);
-        layer(fac.bot, w.bot_amp);
-        for (std::size_t t = 0; t < tcount; ++t)
-          out[t * ocount + o] = w.top_amp[t] * std::conj(w.bot_amp[t]);
+        const cplx value = w.env->evaluate(w.subs, w.want, tcount);
+        for (std::size_t t = 0; t < tcount; ++t) {
+          const Term& term = terms[t0 + t];
+          out[t * ocount + o] = term_value(
+              term.level == 0
+                  ? value
+                  : w.env->overlap(term.sites[0], fac.u[term.sites[0]][term.term_idx[0]]));
+        }
       }
     };
 
     // Replay items cover (term range x <= out_chunk outputs) pairs per
     // evaluator call -- noise slots level-capped, cap slots unconstrained.
-    // Each chunk runs twice: on the U factors (top layer) and on the
-    // conj(V) factors (conjugated bottom layer). Pairs are laid out
-    // output-major (pair o * tcount + t): neighbouring pairs share their
-    // output caps and differ only at one term's noise sites, so the batched
-    // plan's per-pair root pass reuses every step outside the changed
-    // sites' cones (see BatchedPlan).
+    // Pairs are laid out output-major (pair o * tcount + t): neighbouring
+    // pairs share their output caps and differ only at one term's noise
+    // sites, so the batched plan's per-pair root pass reuses every step
+    // outside the changed sites' cones (see BatchedPlan).
     auto replay_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
                            std::size_t ocount, std::span<cplx> out) {
       for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
@@ -534,26 +525,22 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
         const std::size_t kk = tcount * oc;
         // Dominant factor everywhere, subdominant at the term's chosen
         // sites; the output chunk's caps in the trailing slots.
-        auto fill = [&](const std::vector<std::vector<tsr::Tensor>>& factors) {
-          for (std::size_t o = 0; o < oc; ++o) {
-            const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
-            for (std::size_t t = 0; t < tcount; ++t) {
-              const Term& term = terms[t0 + t];
-              const std::size_t p = (o * tcount + t) * V;
-              for (std::size_t s = 0; s < num_sites; ++s) w.ptrs[p + s] = &factors[s][0];
-              for (std::size_t c = 0; c < term.sites.size(); ++c)
-                w.ptrs[p + term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
-              std::ranges::copy(caps, w.ptrs.begin() + static_cast<std::ptrdiff_t>(p + num_sites));
-            }
+        for (std::size_t o = 0; o < oc; ++o) {
+          const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
+          for (std::size_t t = 0; t < tcount; ++t) {
+            const Term& term = terms[t0 + t];
+            const std::size_t p = (o * tcount + t) * V;
+            for (std::size_t s = 0; s < num_sites; ++s) w.ptrs[p + s] = &fac.u[s][0];
+            for (std::size_t c = 0; c < term.sites.size(); ++c)
+              w.ptrs[p + term.sites[c]] = &fac.u[term.sites[c]][term.term_idx[c]];
+            std::ranges::copy(caps, w.ptrs.begin() + static_cast<std::ptrdiff_t>(p + num_sites));
           }
-          return std::span<const tsr::Tensor* const>(w.ptrs).first(kk * V);
-        };
-        w.replay->evaluate({}, fill(fac.top), kk, w.top_amp);
-        w.replay->evaluate({}, fill(fac.bot), kk, w.bot_amp);
+        }
+        w.replay->evaluate({}, std::span<const tsr::Tensor* const>(w.ptrs).first(kk * V), kk,
+                           w.amp);
         for (std::size_t t = 0; t < tcount; ++t)
           for (std::size_t o = 0; o < oc; ++o)
-            out[t * ocount + o0 + o] =
-                w.top_amp[o * tcount + t] * std::conj(w.bot_amp[o * tcount + t]);
+            out[t * ocount + o0 + o] = term_value(w.amp[o * tcount + t]);
       }
     };
 
@@ -573,8 +560,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
         w->ptrs.resize(capacity * V);
         amps = std::max(amps, capacity);
       }
-      w->top_amp.resize(amps);
-      w->bot_amp.resize(amps);
+      w->amp.resize(amps);
       return [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
                                            std::size_t obegin, std::size_t ocount,
                                            std::span<cplx> out) {
@@ -585,14 +571,12 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       };
     };
   } else {
-    // State-vector path: each term materializes its gate lists and
+    // State-vector path: each term materializes its gate list and
     // evaluates the chunk's outputs through batch_amplitudes (one evolution
-    // per layer per term per chunk). The bottom list carries conj(V), so its
-    // amplitudes are the conjugated bottom layer, as on the replay path.
+    // per term per chunk).
     make_eval = [&](std::size_t worker) -> TermEval {
-      auto top = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-      auto bottom = std::make_shared<std::vector<qc::Gate>>(sk.gates);
-      return [&, top, bottom, &stats = worker_stats[worker]](
+      auto gates = std::make_shared<std::vector<qc::Gate>>(sk.gates);
+      return [&, gates, &stats = worker_stats[worker]](
                  std::size_t t0, std::size_t tcount, std::size_t obegin, std::size_t ocount,
                  std::span<cplx> out) {
         const std::span<const std::uint64_t> chunk_outputs = v_bits.subspan(obegin, ocount);
@@ -603,15 +587,11 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
             std::size_t ti = 0;
             for (std::size_t c = 0; c < term.sites.size(); ++c)
               if (term.sites[c] == s) ti = term.term_idx[c];
-            (*top)[sk.site_pos[s]].custom = base.sites[s].split.u[ti];
-            (*bottom)[sk.site_pos[s]].custom = base.sites[s].split.v[ti].conj();
+            (*gates)[sk.site_pos[s]].custom = base.sites[s].split.u[ti];
           }
-          const std::vector<cplx> top_amp =
-              batch_amplitudes(n, *top, psi_bits, chunk_outputs, sk.eval, &stats);
-          const std::vector<cplx> bot_amp =
-              batch_amplitudes(n, *bottom, psi_bits, chunk_outputs, sk.eval, &stats);
-          for (std::size_t o = 0; o < ocount; ++o)
-            out[t * ocount + o] = top_amp[o] * std::conj(bot_amp[o]);
+          const std::vector<cplx> amp =
+              batch_amplitudes(n, *gates, psi_bits, chunk_outputs, sk.eval, &stats);
+          for (std::size_t o = 0; o < ocount; ++o) out[t * ocount + o] = term_value(amp[o]);
         }
       };
     };
@@ -692,7 +672,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       result.values[go] = result.raw[go].real();
     }
   }
-  result.contractions = 2 * num_terms * K;
+  result.contractions = num_terms * K;
   return result;
 }
 
@@ -774,11 +754,14 @@ ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_
     model.layer_flops = static_cast<double>(plan.total_flops());
     model.peak_elems = plan.workspace_elems();
   } else {
-    // State-vector path: one forward evolution per layer, a 2x2 (4x4) row
-    // update per amplitude per gate.
+    // State-vector path: one forward evolution per term, a 2x2 (4x4) row
+    // update per amplitude per gate plus the gate's fixed cost (its matrix
+    // and dispatch), measured at ~128 MAC of density-engine throughput.
+    constexpr double kSvGateFixedMacs = 128.0;
     const double dim = std::pow(2.0, std::min(n, 62));
     double flops = 0.0;
-    for (const qc::Gate& g : sk.gates) flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim;
+    for (const qc::Gate& g : sk.gates)
+      flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim + kSvGateFixedMacs;
     model.layer_flops = flops;
     model.peak_elems = static_cast<std::size_t>(dim);
   }

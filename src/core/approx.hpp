@@ -6,24 +6,24 @@
 // dominant term at all but u noise sites and one of the three subdominant
 // terms at the chosen u sites. Every substitution splits the doubled
 // diagram into two *independent* single-layer networks (top: U insertions;
-// bottom: V insertions), each contracted on its own -- this is what gives
-// the method its scalability (Fig. 4). The bottom network is the top one
-// with every tensor conjugated, so the sweep compiles one plan and
-// evaluates the bottom layer as conj(top network fed conj(V)); the term is
-// top * conj(that). Complex products and sums are sign-symmetric under
-// conjugation without FMA contraction, so this equals contracting the
-// conjugated network bit for bit (up to the sign of an exact zero).
+// bottom: V insertions) -- this is what gives the method its scalability
+// (Fig. 4). The split of a Kraus-built channel is symmetric, V_i^s =
+// conj(U_i^s) (core/superop.hpp), so the bottom network is the top one with
+// every tensor conjugated and its amplitude is the conjugate of the top's:
+// each term is |a|^2 of ONE single-layer amplitude a, real and
+// nonnegative, with an imaginary part of exactly 0. The paper counts two
+// contractions per term (contraction_count); the sweep contracts one.
 //
 // On the tensor-network path a level-1 term differs from the all-dominant
 // network at one site s only, so its layer value is <E_s, K>: the
 // environment of site s against the substituted factor K. One environment
-// pass per layer (tn::EnvSchedule: a forward contraction plus one backward
-// pass) yields T0 and every E_s, so the u <= 1 terms cost about two
-// forwards per layer per output instead of two contractions per term.
-// T0 is the forward value, bit-identical to replaying the plan; a level-1
-// term sums in a different order than contracting its network, so T1
-// differs from per-term replay at roundoff. Terms with u >= 2 replay the
-// plan (batched across terms and outputs).
+// pass (tn::EnvSchedule: a forward contraction plus one backward pass)
+// yields T0 and every E_s, so the u <= 1 terms cost about two forwards per
+// output instead of one contraction per term. T0 is the forward value,
+// bit-identical to replaying the plan; a level-1 term sums in a different
+// order than contracting its network, so T1 differs from per-term replay
+// at roundoff. Terms with u >= 2 replay the plan (batched across terms and
+// outputs).
 
 #include <cstdint>
 #include <span>
@@ -47,10 +47,10 @@ struct ApproxOptions {
   /// Width of the sweep's term ranges (tensor-network backend); results
   /// are bit-identical at any width or thread count. The u <= 1 terms
   /// (levels 0 and 1) are cut into ranges of this width, and each range's
-  /// item runs one environment pass per layer per output, with the backward
-  /// only toward its own terms' sites -- so a width covering all of them
-  /// runs one pass per layer per output. The u >= 2 terms are replayed:
-  /// each layer's contraction plan is compiled once and an item of this
+  /// item runs one environment pass per output, with the backward only
+  /// toward its own terms' sites -- so a width covering all of them runs
+  /// one pass per output. The u >= 2 terms are replayed: the layer's
+  /// contraction plan is compiled once and an item of this
   /// many terms (at most 256 (term, output) pairs) executes in ONE batched
   /// traversal -- steps outside the noise sites' light cone run once per
   /// batch, duplicate slices are memcpy'd, and per-step dispatch /
@@ -96,8 +96,8 @@ struct ApproxResult {
   std::vector<double> level_values;
   /// Per-level term sums T_0, ..., T_l.
   std::vector<cplx> term_sums;
-  /// Number of single-layer network contractions performed
-  /// (2 per enumerated term, matching Theorem 1's cost model).
+  /// Number of single-layer network contractions performed: one per
+  /// enumerated term (contraction_count, the paper's, counts two).
   std::size_t contractions = 0;
   /// Theorem 1 bound evaluated at the circuit's max noise rate (for
   /// circuits with only 1-qubit noise; otherwise equals tight_error_bound).
@@ -128,7 +128,7 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 /// every sampled bitstring). Output-independent work is shared:
 ///  * the term enumeration, SVD splits, templates, and plans are built once;
 ///  * on the tensor-network path the u <= 1 terms come from one environment
-///    pass per layer per output; for u >= 2 the output-basis caps join the
+///    pass per output; for u >= 2 the output-basis caps join the
 ///    noise sites as varying slots of the batched plan, so each chunk of
 ///    batch_terms terms x (up to 32) outputs executes in ONE traversal --
 ///    steps outside every cone run once per chunk, noise-cone rows are
@@ -159,7 +159,7 @@ struct ApproxBatchResult {
   std::vector<std::vector<double>> level_values;
   /// Per-output per-level term sums: term_sums[o][u] = T_u at output o.
   std::vector<std::vector<cplx>> term_sums;
-  /// Logical single-layer contractions: 2 per enumerated term per output
+  /// Logical single-layer contractions: 1 per enumerated term per output
   /// (what per-term replay would perform; batching shares work across them
   /// without changing the count).
   std::size_t contractions = 0;
@@ -240,7 +240,8 @@ struct ApproxCostModel {
   /// Every noise site is 1-qubit, i.e. the paper's Theorem 1 applies.
   bool all_1q = true;
   double max_rate = 0.0;
-  /// Per-site split norms: ||U_0 (x) V_0||_2 and ||M - U_0 (x) V_0||_2.
+  /// Per-site split norms: ||U_0 (x) conj(U_0)||_2 and
+  /// ||M - U_0 (x) conj(U_0)||_2.
   std::vector<double> dominant_norms;
   std::vector<double> subdominant_norms;
   /// Per-site Kronecker term count (4 for 1-qubit noise, 16 for 2-qubit).
@@ -264,9 +265,9 @@ struct ApproxCostModel {
   /// at level u when every site is 1-qubit). Returned as double -- the count
   /// grows combinatorially.
   double term_count(std::size_t level) const;
-  /// Modeled work of the level-l sweep: two single-layer evaluations per
-  /// enumerated term (Theorem 1's cost model).
-  double sweep_flops(std::size_t level) const { return 2.0 * term_count(level) * layer_flops; }
+  /// Modeled work of the level-l sweep: one single-layer evaluation per
+  /// enumerated term.
+  double sweep_flops(std::size_t level) const { return term_count(level) * layer_flops; }
 };
 
 /// Build the cost model for approximate_fidelity(nc, psi_bits, v, opts) at

@@ -28,9 +28,9 @@ constexpr std::size_t kMaxLevel = 8;
 // Sample-count cap of the trajectory backends; a budget needing more
 // samples than this marks them infeasible.
 constexpr std::size_t kMaxSamples = std::size_t{1} << 24;
-// Forward-pass equivalents a level <= 1 sweep replays its plan for: two
-// layers x one environment pass (a forward plus a backward) per output.
-constexpr std::size_t kOnePassReplays = 4;
+// Forward-pass equivalents a level <= 1 sweep replays its plan for: one
+// layer x one environment pass (a forward plus a backward) per output.
+constexpr std::size_t kOnePassReplays = 2;
 
 std::string format_double(double x) {
   std::ostringstream os;

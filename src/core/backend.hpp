@@ -182,7 +182,7 @@ const std::vector<const Backend*>& default_backends();
 /// for estimation and for the run, so plan-cache keys match and tests can
 /// reproduce simulate()'s exact direct-invocation arguments. At level <= 1,
 /// when the caller left eval.tn.strategy = Auto and eval.tn.replays = 0, it
-/// sets eval.tn.replays = 4 (two layers x one forward + one backward
+/// sets eval.tn.replays = 2 (one layer x one forward + one backward
 /// environment pass), so a one-output call skips order search its replays
 /// cannot repay; level >= 2 keeps the caller's eval.tn.
 ApproxOptions tn_approx_options(const SimulateOptions& opts, std::size_t level);

@@ -17,7 +17,8 @@ double theorem1_error_bound(std::size_t num_noises, double p, std::size_t level)
 double level1_asymptotic_bound(std::size_t num_noises, double p);
 
 /// Number of single-layer tensor-network contractions of the level-l
-/// approximation: 2 * sum_{i=0..l} C(N,i) 3^i (Theorem 1).
+/// approximation: 2 * sum_{i=0..l} C(N,i) 3^i (Theorem 1, both layers; the
+/// sweep contracts only the top one, ApproxResult::contractions).
 double contraction_count(std::size_t num_noises, std::size_t level);
 
 /// Fig. 5 sample models, both using the level-1 Theorem-1 bound as the

@@ -52,7 +52,7 @@ tn::Network amplitude_network(int n, const std::vector<qc::Gate>& gates,
   }
 
   // Output caps <v_q|. For computational basis states the bra is real, so
-  // conjugation is a no-op and the same tensor serves both layers.
+  // conjugation is a no-op on them.
   for (int q = 0; q < n; ++q) {
     const bool one = basis_bit(v_bits, n, q);
     net.add_node(basis_state_tensor(one), {wire[static_cast<std::size_t>(q)]},

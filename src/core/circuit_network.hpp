@@ -57,10 +57,9 @@ inline void require_basis_label(std::uint64_t bits, int n, const char* what) {
 
 /// Build the tensor network of <v| gates |psi> over n qubits with
 /// computational-basis product states |psi_bits>, |v_bits>.
-/// `conjugate` conjugates every tensor entry. The library never sets it:
-/// the bottom layer of Algorithm 1 is evaluated as the conjugate of the
-/// top layer's network. It stays only because perfbench/src/workloads.cpp
-/// passes it.
+/// `conjugate` conjugates every tensor entry. The library never sets it
+/// (Algorithm 1 contracts one layer per term); it stays only because
+/// perfbench/src/workloads.cpp passes it.
 tn::Network amplitude_network(int n, const std::vector<qc::Gate>& gates,
                               std::uint64_t psi_bits, std::uint64_t v_bits,
                               bool conjugate = false);

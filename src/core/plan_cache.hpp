@@ -6,10 +6,9 @@
 // batches arriving over time) recompile identical AmplitudeTemplates and
 // batched plans on every call: the plan is a pure function of the network
 // topology and the contraction options, so all of that work is cacheable.
-// A sweep evaluates both layers of the doubled diagram through one template
-// (the bottom layer is the conjugate of the top one's network fed
-// conjugated factors), so a skeleton occupies one entry. A PlanCache
-// memoizes two levels:
+// A sweep evaluates every term as |a|^2 of one single-layer network (the
+// bottom layer is the conjugate of the top one), so a skeleton occupies one
+// entry. A PlanCache memoizes two levels:
 //
 //  * template entries -- one compiled AmplitudeTemplate per distinct
 //    (qubit count, skeleton gate list, |psi>/<v| basis labels,

@@ -22,30 +22,26 @@ la::Matrix tensor_permutation(const la::Matrix& m) {
   return tensor_permutation_general(m, 2);
 }
 
-la::Matrix SplitNoise::term(std::size_t s) const { return la::kron(u[s], v[s]); }
+la::Matrix SplitNoise::term(std::size_t s) const { return la::kron(u[s], u[s].conj()); }
 
 la::Matrix SplitNoise::reconstruct() const {
-  const std::size_t dd = u.front().rows() * v.front().rows();
+  const std::size_t dd = u.front().rows() * u.front().rows();
   la::Matrix m(dd, dd);
   for (std::size_t s = 0; s < terms(); ++s) m += term(s);
   return m;
 }
 
 double SplitNoise::dominant_term_error() const {
-  const std::size_t dd = u.front().rows() * v.front().rows();
+  const std::size_t dd = u.front().rows() * u.front().rows();
   la::Matrix rest(dd, dd);
   for (std::size_t s = 1; s < terms(); ++s) rest += term(s);
   return la::spectral_norm(rest);
 }
 
-SplitNoise split_superoperator(const la::Matrix& superop, double drop_tol) {
-  std::size_t dim = 0;
-  if (superop.rows() == 4) dim = 2;
-  if (superop.rows() == 16) dim = 4;
-  la::detail::require(dim != 0 && superop.cols() == superop.rows(),
-                      "split_superoperator: need a 4x4 or 16x16 superoperator");
-  const la::Matrix permuted = tensor_permutation_general(superop, dim);
-  const la::SvdResult d = la::svd(permuted);
+SplitNoise split_noise(const ch::Channel& channel, double drop_tol) {
+  const std::size_t dim = channel.dim();
+  la::detail::require(dim == 2 || dim == 4, "split_noise: 1- or 2-qubit channels only");
+  const la::SvdResult d = la::svd(tensor_permutation_general(channel.superoperator(), dim));
 
   SplitNoise out;
   for (std::size_t s = 0; s < d.s.size(); ++s) {
@@ -53,23 +49,14 @@ SplitNoise split_superoperator(const la::Matrix& superop, double drop_tol) {
     // term of the split, and a dropped zero term is a zero matrix there.
     if (d.s[s] < drop_tol || (drop_tol > 0.0 && d.s[s] == 0.0)) continue;
     const double w = std::sqrt(d.s[s]);
-    la::Matrix us(dim, dim), vs(dim, dim);
+    la::Matrix us(dim, dim);
     for (std::size_t i = 0; i < dim; ++i)
       for (std::size_t k = 0; k < dim; ++k) us(i, k) = w * d.u(dim * i + k, s);
-    for (std::size_t j = 0; j < dim; ++j)
-      for (std::size_t l = 0; l < dim; ++l) vs(j, l) = w * std::conj(d.v(dim * j + l, s));
     out.u.push_back(std::move(us));
-    out.v.push_back(std::move(vs));
     out.weights.push_back(d.s[s]);
   }
-  la::detail::require(!out.u.empty(), "split_superoperator: all terms dropped");
+  la::detail::require(!out.u.empty(), "split_noise: all terms dropped");
   return out;
-}
-
-SplitNoise split_noise(const ch::Channel& channel, double drop_tol) {
-  la::detail::require(channel.dim() == 2 || channel.dim() == 4,
-                      "split_noise: 1- or 2-qubit channels only");
-  return split_superoperator(channel.superoperator(), drop_tol);
 }
 
 }  // namespace noisim::core

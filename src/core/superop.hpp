@@ -8,7 +8,10 @@
 // diagram. The *tensor permutation* regroups to Mt[(i,k), (j,l)]; an SVD
 // Mt = sum_s d_s u_s v_s^dag then yields M = sum_s U_s (x) V_s with
 //   U_s[i,k] = sqrt(d_s) u_s[2i+k],   V_s[j,l] = sqrt(d_s) conj(v_s[2j+l]).
-// U_0 (x) V_0 is the paper's dominant approximation of the noise
+// For a Kraus-built channel Mt = sum_k vec(E_k) vec(E_k)^dag is Hermitian
+// PSD, so v_s = Mt u_s / d_s = u_s on every nonzero weight and
+// V_s = conj(U_s): the split is symmetric, and SplitNoise keeps U_s only.
+// U_0 (x) conj(U_0) is the paper's dominant approximation of the noise
 // (||M - U_0 (x) V_0|| < 4 delta when the noise rate ||M - I|| < delta,
 // Lemma 2).
 
@@ -24,18 +27,18 @@ la::Matrix tensor_permutation(const la::Matrix& m);
 /// noise, d = 4 for the 2-qubit extension).
 la::Matrix tensor_permutation_general(const la::Matrix& m, std::size_t d);
 
-/// Rank-1 Kronecker split of a noise superoperator.
+/// Rank-1 Kronecker split of a noise superoperator: M = sum_s U_s (x)
+/// conj(U_s).
 struct SplitNoise {
-  std::vector<la::Matrix> u;     // top factors (2x2), dominant first
-  std::vector<la::Matrix> v;     // bottom factors (2x2)
+  std::vector<la::Matrix> u;     // factors (d x d), dominant first
   std::vector<double> weights;   // singular values of the permuted matrix
 
   std::size_t terms() const { return u.size(); }
-  /// The Kronecker term U_s (x) V_s as a 4x4 matrix.
+  /// The Kronecker term U_s (x) conj(U_s) as a d^2 x d^2 matrix.
   la::Matrix term(std::size_t s) const;
-  /// sum_s U_s (x) V_s (equals the superoperator; for testing).
+  /// sum_s U_s (x) conj(U_s) (equals the superoperator; for testing).
   la::Matrix reconstruct() const;
-  /// ||M - U_0 (x) V_0||_2, the actual dominant-term error.
+  /// ||M - U_0 (x) conj(U_0)||_2, the actual dominant-term error.
   double dominant_term_error() const;
 };
 
@@ -44,8 +47,5 @@ struct SplitNoise {
 /// paper). Terms with singular value <= drop_tol are dropped (the paper
 /// keeps all; dropping is exposed for ablations).
 SplitNoise split_noise(const ch::Channel& channel, double drop_tol = 0.0);
-
-/// Split an arbitrary d^2 x d^2 superoperator (testing / ablation entry).
-SplitNoise split_superoperator(const la::Matrix& superop, double drop_tol = 0.0);
 
 }  // namespace noisim::core

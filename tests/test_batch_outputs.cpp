@@ -274,7 +274,7 @@ TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
 }
 
 TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
-  // Budget = the two layers' per-term arenas: neither the combined terms x
+  // Budget = the per-term plan's arena: neither the combined terms x
   // outputs batch nor the environment schedule fits, so the sweep must drop
   // to per-term plan replay. Against the unbudgeted sweep (whose level-1
   // terms come from environment passes) every value matches as
@@ -286,14 +286,10 @@ TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
   opts.eval = tn_eval();
 
   const ApproxBatchResult full = approximate_fidelity_outputs(nc, 0, vb, opts);
-  // Per-term plans of both layers share the skeleton topology; take the
-  // larger arena so per-term replay fits exactly.
-  std::size_t arena = 0;
-  for (const bool conj : {false, true}) {
-    const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, conj);
-    arena = std::max(arena,
-                     tn::ContractionPlan::compile(net, opts.eval.tn).workspace_elems());
-  }
+  // The per-term plan shares the skeleton's topology, so per-term replay
+  // fits exactly.
+  const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0);
+  const std::size_t arena = tn::ContractionPlan::compile(net, opts.eval.tn).workspace_elems();
   ApproxOptions budgeted = opts;
   budgeted.eval.tn.max_workspace_elems = arena;
   const ApproxBatchResult fallback = approximate_fidelity_outputs(nc, 0, vb, budgeted);
@@ -362,7 +358,7 @@ TEST(ApproxOutputs, ContractionsCountEveryTermPerOutput) {
   opts.level = 1;
   opts.eval = tn_eval();
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, opts);
-  EXPECT_EQ(r.contractions, 2u * (1u + 3u * nc.noise_count()) * vb.size());
+  EXPECT_EQ(r.contractions, (1u + 3u * nc.noise_count()) * vb.size());
 }
 
 // --- trajectories_tn_sweep, every bitstring in one shard -------------------

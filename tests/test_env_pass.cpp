@@ -1,9 +1,10 @@
 // Environment-pass suite: the adjoint schedule (tn::EnvSchedule,
 // core::EnvEvaluator) behind Algorithm 1's level-0 and level-1 terms.
-// A dominant-factor self-check on every kernel tier and both layers, bitwise
-// determinism of the sweep across threads, shards, batch widths and cache
-// state, the re-planning oracle at roundoff, the Theorem-1 bound against
-// exact density simulation, the stats the pass reports, and its MAC cost.
+// A dominant-factor self-check on every kernel tier, bitwise determinism of
+// the sweep across threads, shards, batch widths and cache state, the
+// re-planning oracle at roundoff, the Theorem-1 bound and the one-layer
+// invariants against exact density simulation, the stats the pass reports,
+// and its MAC cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,9 +113,9 @@ void expect_same_bits(const ApproxBatchResult& a, const ApproxBatchResult& b,
 }
 
 // With the dominant factor at every site, each site's environment against
-// that same factor is the network's value again -- on both layers, at
-// every site, on every kernel tier. The pass's value itself is the plan's
-// replay value bit for bit.
+// that same factor is the network's value again -- at every site, on every
+// kernel tier. The pass's value itself is the plan's replay value bit for
+// bit.
 TEST(EnvPass, DominantOverlapEqualsForwardValueOnEveryTier) {
   const ch::NoisyCircuit nc = mixed_circuit(3, 4, 3);
   const Skeleton sk = skeleton(
@@ -129,25 +130,19 @@ TEST(EnvPass, DominantOverlapEqualsForwardValueOnEveryTier) {
       const tn::EnvSchedule sched = tmpl.compile_env(nodes);
       EnvEvaluator ev(tmpl, sched);
       const std::vector<char> all(nodes.size(), 1);
-      // Top layer: the template's own U_0 tensors; bottom layer: conj(V_0).
-      std::vector<tsr::Tensor> top, bot;
-      for (std::size_t s = 0; s < nodes.size(); ++s) {
-        top.push_back(gate_matrix_tensor(sk.splits[s].u[0], sk.arity[s]));
-        bot.push_back(gate_matrix_tensor(sk.splits[s].v[0].conj(), sk.arity[s]));
-      }
-      for (const bool bottom : {false, true}) {
-        const std::vector<tsr::Tensor>& factors = bottom ? bot : top;
-        std::vector<AmplitudeTemplate::Substitution> subs;
-        for (std::size_t s = 0; s < nodes.size(); ++s) subs.emplace_back(nodes[s], &factors[s]);
-        const cplx value = ev.evaluate(subs, all, 1);
-        AmplitudeTemplate::Session session = tmpl.session();
-        EXPECT_EQ(value, session.evaluate(subs));
-        ASSERT_GT(std::abs(value), 1e-3);
-        for (std::size_t s = 0; s < nodes.size(); ++s)
-          EXPECT_LE(std::abs(ev.overlap(s, factors[s]) - value), 1e-12 * std::abs(value))
-              << tsr::kernel_tier_name(tier) << (bottom ? " bottom" : " top") << " output " << v
-              << " site " << s;
-      }
+      // The template's own U_0 tensors.
+      std::vector<tsr::Tensor> factors;
+      for (std::size_t s = 0; s < nodes.size(); ++s)
+        factors.push_back(gate_matrix_tensor(sk.splits[s].u[0], sk.arity[s]));
+      std::vector<AmplitudeTemplate::Substitution> subs;
+      for (std::size_t s = 0; s < nodes.size(); ++s) subs.emplace_back(nodes[s], &factors[s]);
+      const cplx value = ev.evaluate(subs, all, 1);
+      AmplitudeTemplate::Session session = tmpl.session();
+      EXPECT_EQ(value, session.evaluate(subs));
+      ASSERT_GT(std::abs(value), 1e-3);
+      for (std::size_t s = 0; s < nodes.size(); ++s)
+        EXPECT_LE(std::abs(ev.overlap(s, factors[s]) - value), 1e-12 * std::abs(value))
+            << tsr::kernel_tier_name(tier) << " output " << v << " site " << s;
     }
     tsr::set_kernel_tier(prev);
   }
@@ -189,7 +184,8 @@ TEST(EnvPass, SweepBitIdenticalAcrossThreadsShardsBatchesAndCache) {
 }
 
 // Against the re-planning oracle, which contracts every term's two layers
-// from scratch (the bottom one literally, with V and conjugated gates).
+// from scratch (the bottom one literally, with V = conj(U) and conjugated
+// gates).
 TEST(EnvPass, MatchesReplanningOracleWithTwoQubitSite) {
   const ch::NoisyCircuit nc = mixed_circuit(3, 4, 7);
   const std::vector<std::uint64_t> vb = likely_outputs(nc, 3);
@@ -208,7 +204,10 @@ TEST(EnvPass, MatchesReplanningOracleWithTwoQubitSite) {
 // Theorem 1 against exact density-matrix simulation: every forced-TN value
 // lies within the reported tight bound of the exact one. One evolution
 // serves every output (sim::exact_fidelity_mm's computation, which would
-// evolve once per output).
+// evolve once per output). Every term is |a|^2 of one layer, so each level
+// sum is real (imaginary part exactly 0) and nonnegative, A(l) never
+// decreases in l, and it never exceeds the exact value, the sum of every
+// level.
 TEST(EnvPass, WithinTightBoundOfExactDensity) {
   const ch::NoisyCircuit nc = mixed_circuit(2, 5, 9);
   const std::vector<std::uint64_t> vb = likely_outputs(nc, 3);
@@ -222,16 +221,24 @@ TEST(EnvPass, WithinTightBoundOfExactDensity) {
     opts.eval = tn_eval();
     const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, opts);
     for (std::size_t o = 0; o < vb.size(); ++o) {
+      const std::string where = "level " + std::to_string(level) + " output " + std::to_string(o);
       ASSERT_GT(exact[o], 1e-3);
-      EXPECT_LE(std::abs(r.values[o] - exact[o]), r.tight_error_bound)
-          << "level " << level << " output " << o;
+      EXPECT_LE(std::abs(r.values[o] - exact[o]), r.tight_error_bound) << where;
+      for (std::size_t u = 0; u <= level; ++u) {
+        EXPECT_EQ(r.term_sums[o][u].imag(), 0.0) << where << " T" << u;
+        EXPECT_GE(r.term_sums[o][u].real(), 0.0) << where << " T" << u;
+        if (u > 0) {
+          EXPECT_GE(r.level_values[o][u], r.level_values[o][u - 1]) << where;
+        }
+        EXPECT_LE(r.level_values[o][u], exact[o] * (1.0 + 1e-12)) << where << " A(" << u << ")";
+      }
     }
   }
 }
 
 // A level-1 sweep whose chunks each take all u <= 1 terms in one item runs,
-// per output and layer, exactly one forward and one full backward pass; its
-// stats count them and every logical contraction.
+// per output, exactly one forward and one full backward pass; its stats
+// count them and every logical contraction.
 TEST(EnvPass, StatsCountOneForwardAndBackwardPerOutputAndLayer) {
   const ch::NoisyCircuit nc = mixed_circuit(3, 4, 11);
   const Skeleton sk = skeleton(nc, identity_site);
@@ -245,7 +252,7 @@ TEST(EnvPass, StatsCountOneForwardAndBackwardPerOutputAndLayer) {
   opts.eval = tn_eval();
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, opts);
   const tn::ContractStats& st = r.contract_stats;
-  const std::size_t passes = 2 * vb.size();
+  const std::size_t passes = vb.size();
   EXPECT_EQ(st.flops, passes * (sched.forward_flops() + sched.backward_flops()));
   EXPECT_EQ(st.num_pairwise,
             passes * (tmpl.plan().steps().size() + sched.backward_steps().size()));
@@ -257,7 +264,7 @@ TEST(EnvPass, StatsCountOneForwardAndBackwardPerOutputAndLayer) {
 }
 
 // The point of the pass: a level-1 sweep costs a few forward contractions
-// per output and layer, not one per term.
+// per output, not one per term.
 TEST(EnvPass, LevelOneCostsAtMostThreeForwardsPerOutputAndLayer) {
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::qaoa(36, 1, 77), 6, bench::realistic_noise(), 506);
@@ -269,9 +276,9 @@ TEST(EnvPass, LevelOneCostsAtMostThreeForwardsPerOutputAndLayer) {
   opts.eval = tn_eval();
   const double layer_flops = approx_cost_model(nc, 0, opts).layer_flops;
   const ApproxBatchResult r = approximate_fidelity_outputs(nc, 0, vb, opts);
-  const double per_layer =
-      static_cast<double>(r.contract_stats.flops) / static_cast<double>(2 * vb.size());
-  EXPECT_LE(per_layer, 3.0 * layer_flops) << "plan " << layer_flops << " MAC";
+  const double per_output =
+      static_cast<double>(r.contract_stats.flops) / static_cast<double>(vb.size());
+  EXPECT_LE(per_output, 3.0 * layer_flops) << "plan " << layer_flops << " MAC";
 }
 
 }  // namespace

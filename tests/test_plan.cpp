@@ -678,9 +678,10 @@ TEST(PlanReplay, ApproxBitIdenticalToPerTermPlanningLevels0To2) {
     // Level-1 terms come from environment passes: roundoff-close to
     // per-term replay, every other term sum bit-identical.
     EXPECT_EQ(bench::replay_mismatch(reuse, replan), "") << "level " << level;
-    EXPECT_EQ(replan.contractions, reuse.contractions);
+    // The oracle contracts both layers of every term; the sweep one.
+    EXPECT_EQ(replan.contractions, 2 * reuse.contractions);
     if (level >= 1) {
-      // 1 plan serves both layers, plus its environment schedule; every
+      // 1 plan serves every term, plus its environment schedule; every
       // logical contraction past the first replays the plan.
       EXPECT_EQ(reuse.contract_stats.plans_compiled, 2u);
       EXPECT_EQ(reuse.contract_stats.plan_executions, reuse.contractions);
@@ -874,7 +875,8 @@ TEST(PlanSelection, RestartsRunExactlyWhenTheReplaysRepayThem) {
     EXPECT_NE(plan.chosen_strategy(), tn::OrderStrategy::RandomGreedy);
     EXPECT_EQ(plan.total_flops(), best);
   }
-  // Every Fig. 4 layer prices the restarts out at a level-1 call's 4 replays.
+  // Every Fig. 4 layer prices the restarts out even at 4 replays, twice a
+  // level-1 call's 2.
   EXPECT_GE(one_pass_skips, 8u);
 }
 
@@ -903,7 +905,7 @@ TEST(BatchedApprox, BitIdenticalAcrossThreadCounts) {
 TEST(BatchedApprox, StatsCountBatchedCompilesAndReplays) {
   const ch::NoisyCircuit nc = fig4_workload(16, 3);
   const ApproxResult r = approximate_fidelity(nc, 0, 0, tn_opts(1, 1, 32));
-  // 1 per-term plan + 1 batched plan compiled on top, both layers each.
+  // 1 per-term plan + 1 batched plan compiled on top.
   EXPECT_EQ(r.contract_stats.plans_compiled, 2u);
   EXPECT_EQ(r.contract_stats.plan_executions, r.contractions);
   EXPECT_EQ(r.contract_stats.plan_reuse_hits, r.contractions - 1);

@@ -367,14 +367,14 @@ TEST(BackendSelection, Fig4CircuitTakesLevelOneOfTheLadder) {
   const SimResult r = simulate(nc, 0, 0, opts);
   EXPECT_EQ(r.backend, BackendKind::TnApprox);
   EXPECT_EQ(r.config.level, 1u);
-  EXPECT_EQ(r.value, 0x1.de7bc4ba59629p-63);
+  EXPECT_EQ(r.value, 0x1.de7bc4ba59626p-63);
   EXPECT_EQ(r.error_bound, 0x1.44f5e07a4c8p-10);
 }
 
 TEST(BackendSelection, Fig4RunSkipsTheRestartsAndReusesTheBidsTemplate) {
-  // A level-1 Fig. 4 call replays its plan four times (two layers x one
-  // environment pass), which cannot repay the RandomGreedy restarts: the
-  // bid compiles the one template without them and the run fetches it.
+  // A level-1 Fig. 4 call replays its plan twice (one environment pass: a
+  // forward and a backward), which cannot repay the RandomGreedy restarts:
+  // the bid compiles the one template without them and the run fetches it.
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 508);
   PlanCache cache;
@@ -403,14 +403,14 @@ TEST(BackendSelection, Fig4RunSkipsTheRestartsAndReusesTheBidsTemplate) {
 }
 
 TEST(BackendSelection, OnePassAndFullSearchTemplatesKeyApart) {
-  // Level <= 1 prices the Auto search against 4 replays, level >= 2 keeps
+  // Level <= 1 prices the Auto search against 2 replays, level >= 2 keeps
   // the full search; the two plan classes never share a cache entry. A
   // pinned strategy is the caller's choice and is never priced.
   SimulateOptions opts;
   const tn::ContractOptions one_pass = tn_approx_options(opts, 1).eval.tn;
   const tn::ContractOptions full = tn_approx_options(opts, 2).eval.tn;
-  EXPECT_EQ(tn_approx_options(opts, 0).eval.tn.replays, 4u);
-  EXPECT_EQ(one_pass.replays, 4u);
+  EXPECT_EQ(tn_approx_options(opts, 0).eval.tn.replays, 2u);
+  EXPECT_EQ(one_pass.replays, 2u);
   EXPECT_EQ(full.replays, 0u);
   const qc::Circuit c = bench::qaoa(16, 1, 77);
   EXPECT_NE(PlanCache::template_key(16, c.gates(), 0, 0, one_pass),

@@ -178,7 +178,7 @@ TEST(SweepProperties, ContractionsCountEveryTermOnceAcrossShards) {
   sopts.approx.threads = 4;
   sopts.shard_outputs = 2;  // 5 chunks: every term folds across 5 items
   const ApproxBatchResult r = xeb_sweep(nc, 0, vb, sopts);
-  EXPECT_EQ(r.contractions, 2u * (1u + 3u * nc.noise_count()) * vb.size());
+  EXPECT_EQ(r.contractions, (1u + 3u * nc.noise_count()) * vb.size());
 }
 
 TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
@@ -416,7 +416,11 @@ void expect_level_pins(const cplx& raw, const std::vector<double>& level_values,
 // the noise-free circuit's most likely bitstrings, so every value is well
 // away from zero. The TN level-1 and level-2 pins were re-recorded once
 // when level-1 terms moved to environment passes (imaginary parts moved by
-// <= 5.5e-19 of |raw|; every real part and every level-0 pin held).
+// <= 5.5e-19 of |raw|; every real part and every level-0 pin held). Every
+// pin was re-recorded once when each term became |a|^2 of one layer
+// instead of top * conj(bottom) with the bottom factors from the SVD's v:
+// real parts moved by <= 6 ulp (1.2e-15 relative), and every imaginary part
+// became exactly 0.
 TEST(ApproxGolden, ValuesMatchPinnedBits) {
   const struct {
     const char* name;
@@ -429,40 +433,40 @@ TEST(ApproxGolden, ValuesMatchPinnedBits) {
        approx_golden_tn(),
        tn_eval(),
        {0x5e7, 0x927, 0x8de7, 0x9e7, 0x92b},
-       {{{{0x1.f92366ab0ff34p-8, -0x1p-64},
-          {0x1.fa9c903abfff5p-8, -0x1.b62p-65},
-          {0x1.fa9efc84482b9p-8, -0x1.b6fb478p-65}}},
-        {{{0x1.e77f62cb4f99bp-8, -0x1.8p-64},
-          {0x1.e9357764ddf96p-8, -0x1.90008p-64},
-          {0x1.e938d8a2c2abdp-8, -0x1.8f6bba6p-64}}},
-        {{{0x1.c854646f57171p-8, -0x1.8p-65},
-          {0x1.c9b45157168d6p-8, -0x1.175ap-65},
-          {0x1.c9b684dcc2422p-8, -0x1.1834f24p-65}}},
-        {{{0x1.c36e7db5b3a79p-8, -0x1.3p-61},
-          {0x1.c51c52871c935p-8, -0x1.2d7dp-61},
-          {0x1.c51f5b7801f28p-8, -0x1.2d8d455p-61}}},
-        {{{0x1.98b451d659063p-8, -0x1.18p-61},
-          {0x1.9a1a545146cd8p-8, -0x1.1a2a8p-61},
-          {0x1.9a1d09cea3e3ep-8, -0x1.1a19913p-61}}}}},
+       {{{{0x1.f92366ab0ff33p-8, 0x0p+0},
+          {0x1.fa9c903abfff4p-8, 0x0p+0},
+          {0x1.fa9efc84482b8p-8, 0x0p+0}}},
+        {{{0x1.e77f62cb4f99cp-8, 0x0p+0},
+          {0x1.e9357764ddf97p-8, 0x0p+0},
+          {0x1.e938d8a2c2abep-8, 0x0p+0}}},
+        {{{0x1.c854646f57171p-8, 0x0p+0},
+          {0x1.c9b45157168d6p-8, 0x0p+0},
+          {0x1.c9b684dcc2422p-8, 0x0p+0}}},
+        {{{0x1.c36e7db5b3a78p-8, 0x0p+0},
+          {0x1.c51c52871c934p-8, 0x0p+0},
+          {0x1.c51f5b7801f27p-8, 0x0p+0}}},
+        {{{0x1.98b451d65906p-8, 0x0p+0},
+          {0x1.9a1a545146cd5p-8, 0x0p+0},
+          {0x1.9a1d09cea3e3bp-8, 0x0p+0}}}}},
       {"sv hf_8",
        approx_golden_sv(),
        sv_eval(),
        {0xc6, 0xa6, 0xb4, 0xd4, 0xc5},
-       {{{{0x1.a40b0f033d425p-4, 0x1.4p-55},
-          {0x1.ae1610da60de9p-4, 0x1.48708p-55},
-          {0x1.ae2f34096a895p-4, 0x1.48775068p-55}}},
-        {{{0x1.8d589208c5e69p-4, -0x1.cp-55},
-          {0x1.95d0ae14a1796p-4, -0x1.c2e7p-55},
-          {0x1.95e68f4e1e186p-4, -0x1.c2e6a9cp-55}}},
+       {{{{0x1.a40b0f033d421p-4, 0x0p+0},
+          {0x1.ae1610da60de5p-4, 0x0p+0},
+          {0x1.ae2f34096a891p-4, 0x0p+0}}},
+        {{{0x1.8d589208c5e64p-4, 0x0p+0},
+          {0x1.95d0ae14a1791p-4, 0x0p+0},
+          {0x1.95e68f4e1e181p-4, 0x0p+0}}},
         {{{0x1.5c8e55c84b0f5p-4, 0x0p+0},
-          {0x1.65156bd1c959ep-4, -0x1.3fp-62},
-          {0x1.652c46f5546a3p-4, -0x1.41f23dp-62}}},
+          {0x1.65156bd1c959ep-4, 0x0p+0},
+          {0x1.652c46f5546a3p-4, 0x0p+0}}},
         {{{0x1.2e6146bab05d5p-4, 0x0p+0},
-          {0x1.37fadb56fe2b9p-4, 0x1.6bp-61},
-          {0x1.38130f9c6dba1p-4, 0x1.6e45p-61}}},
-        {{{0x1.26dc3e19eaa19p-4, 0x1.8p-56},
-          {0x1.2ef39a3c72127p-4, 0x1.8974p-56},
-          {0x1.2f0ae2029d898p-4, 0x1.8974abe8p-56}}}}},
+          {0x1.37fadb56fe2b9p-4, 0x0p+0},
+          {0x1.38130f9c6dba1p-4, 0x0p+0}}},
+        {{{0x1.26dc3e19eaa13p-4, 0x0p+0},
+          {0x1.2ef39a3c72121p-4, 0x0p+0},
+          {0x1.2f0ae2029d892p-4, 0x0p+0}}}}},
   };
 
   for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
