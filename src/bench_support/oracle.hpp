@@ -46,8 +46,8 @@ core::ApproxResult replanned_fidelity(const ch::NoisyCircuit& nc, std::uint64_t 
 inline constexpr double kEnvReplayRtol = 1e-12;
 
 /// How an Algorithm-1 result (raw, per-level term sums and level values)
-/// must match a per-term replay of the same terms -- replanned_fidelity, or
-/// the sweep's own replay fallback: term_sums[0] and term_sums[u >= 2] bit
+/// must match a per-term replay of the same terms (replanned_fidelity):
+/// term_sums[0] and term_sums[u >= 2] bit
 /// for bit; term_sums[1], raw and level_values[u >= 1] within
 /// kEnvReplayRtol * |A(1)| of the replay (A(1) = the replay's T0 + T1), and
 /// level_values[0] bit for bit. Returns "" on a match, else the first

@@ -200,20 +200,19 @@ SiteFactors build_site_factors(const std::vector<Site>& sites,
   return f;
 }
 
-// Error bounds: the paper's Theorem 1 when every site is 1-qubit, and the
-// generalized per-site product bound (numerically tight) always.
-void fill_error_bounds(const std::vector<Site>& sites, std::size_t level, double max_rate,
-                       double& error_bound, double& tight_error_bound) {
-  std::vector<double> dominant_norms, subdominant_norms;
-  bool all_1q = true;
+// The plan-independent fields of the cost model: per-site norms and term
+// counts.
+ApproxCostModel bound_model(const ch::NoisyCircuit& nc, const std::vector<Site>& sites) {
+  ApproxCostModel model;
+  model.num_sites = sites.size();
+  model.max_rate = nc.max_noise_rate();
   for (const Site& s : sites) {
-    dominant_norms.push_back(la::spectral_norm(s.split.term(0)));
-    subdominant_norms.push_back(s.split.dominant_term_error());
-    if (s.arity != 1) all_1q = false;
+    model.dominant_norms.push_back(la::spectral_norm(s.split.term(0)));
+    model.subdominant_norms.push_back(s.split.dominant_term_error());
+    model.split_terms.push_back(s.split.terms());
+    if (s.arity != 1) model.all_1q = false;
   }
-  tight_error_bound = generalized_error_bound(dominant_norms, subdominant_norms, level);
-  error_bound =
-      all_1q ? theorem1_error_bound(sites.size(), max_rate, level) : tight_error_bound;
+  return model;
 }
 
 // --- plan-cache acquisition ---------------------------------------------------
@@ -288,22 +287,16 @@ std::shared_ptr<const tn::BatchedPlan> acquire_batched(
       setup_stats);
 }
 
-// The environment schedule toward every noise site, or null when its arena
-// exceeds the workspace budget: those terms then replay the plan, as terms
-// do when a batched plan is over budget.
+// The environment schedule toward every noise site.
 std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
                                                    std::span<const std::size_t> sites,
                                                    tn::ContractStats& setup_stats) {
-  try {
-    return acquire_derived<tn::EnvSchedule>(
-        at,
-        [&](const PlanCache::Entry& e, const std::function<tn::EnvSchedule()>& compile,
-            bool* hit) { return e.env_schedule(PlanCache::env_key(sites), compile, hit); },
-        [&](tn::ContractStats* stats) { return at.tmpl().compile_env(sites, stats); },
-        setup_stats);
-  } catch (const MemoryOutError&) {
-    return nullptr;
-  }
+  return acquire_derived<tn::EnvSchedule>(
+      at,
+      [&](const PlanCache::Entry& e, const std::function<tn::EnvSchedule()>& compile,
+          bool* hit) { return e.env_schedule(PlanCache::env_key(sites), compile, hit); },
+      [&](tn::ContractStats* stats) { return at.tmpl().compile_env(sites, stats); },
+      setup_stats);
 }
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
@@ -354,9 +347,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t num_sites = base.sites.size();
   const std::size_t level = std::min(opts.level, num_sites);
 
+  // Error bounds: the generalized per-site product bound (numerically
+  // tight) always, reported as the paper's Theorem 1 when every site is
+  // 1-qubit.
   ApproxBatchResult result;
-  fill_error_bounds(base.sites, level, nc.max_noise_rate(), result.error_bound,
-                    result.tight_error_bound);
+  const ApproxCostModel bounds = bound_model(nc, base.sites);
+  result.tight_error_bound = bounds.error_bound(level);
+  result.error_bound = bounds.all_1q ? theorem1_error_bound(num_sites, bounds.max_rate, level)
+                                     : result.tight_error_bound;
   // K == 0 is a well-defined empty sweep: bounds only, no compiled plans
   // (a capacity-0 batched plan must never be requested).
   if (K == 0) return result;
@@ -440,16 +438,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     V = slots.size();
 
     env = acquire_env(at, fac.node, setup_stats);
-    if (env)
-      while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
+    while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
   }
   term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms - env_terms,
                          std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
   capacity = term_batch * out_chunk;
   if (tn_path && env_terms < num_terms) {
-    // Without a batched plan (1 x 1 items, a combined batch beyond the
-    // workspace budget, or one that shares nothing) each term replays the
-    // per-term plan, bit-identically.
+    // Without a batched plan (1 x 1 items, or a batch that shares nothing)
+    // each term replays the per-term plan, bit-identically.
     std::vector<std::size_t> counts(V, 2);
     std::vector<char> unconstrained(V, 0);
     for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
@@ -548,19 +544,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // workers call make_eval.
     make_eval = [&, env_item, replay_item](std::size_t worker) -> TermEval {
       TnWorker* w = (tn_workers[worker] = std::make_unique<TnWorker>()).get();
-      std::size_t amps = 0;
-      if (env_terms > 0) {
-        w->env.emplace(at.tmpl(), *env, control);
-        for (std::size_t v = 0; v < V; ++v) w->subs.emplace_back(slots[v], nullptr);
-        w->want.resize(num_sites);
-        amps = env_terms;
-      }
+      w->env.emplace(at.tmpl(), *env, control);
+      for (std::size_t v = 0; v < V; ++v) w->subs.emplace_back(slots[v], nullptr);
+      w->want.resize(num_sites);
       if (env_terms < num_terms) {
         w->replay.emplace(at.tmpl(), slots, bplan.get(), control);
         w->ptrs.resize(capacity * V);
-        amps = std::max(amps, capacity);
+        w->amp.resize(capacity);
       }
-      w->amp.resize(amps);
       return [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
                                            std::size_t obegin, std::size_t ocount,
                                            std::span<cplx> out) {
@@ -684,21 +675,6 @@ ApproxBatchResult sweep_or_throw(const ch::NoisyCircuit& nc, std::uint64_t psi_b
   ApproxBatchResult r = sweep_outputs(nc, psi_bits, v_bits, opts, /*shard_outputs=*/0);
   if (r.cancelled) throw CancelledError(std::string(what) + " cancelled via RunControl");
   return r;
-}
-
-// The plan-independent fields of the cost model: per-site norms and term
-// counts.
-ApproxCostModel bound_model(const ch::NoisyCircuit& nc, const std::vector<Site>& sites) {
-  ApproxCostModel model;
-  model.num_sites = sites.size();
-  model.max_rate = nc.max_noise_rate();
-  for (const Site& s : sites) {
-    model.dominant_norms.push_back(la::spectral_norm(s.split.term(0)));
-    model.subdominant_norms.push_back(s.split.dominant_term_error());
-    model.split_terms.push_back(s.split.terms());
-    if (s.arity != 1) model.all_1q = false;
-  }
-  return model;
 }
 
 }  // namespace

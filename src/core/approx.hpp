@@ -56,11 +56,10 @@ struct ApproxOptions {
   /// batch, duplicate slices are memcpy'd, and per-step dispatch /
   /// permutation work amortizes over the batch, bit-identically to per-term
   /// replay. <= 1 is a range of one term. The batched and environment
-  /// workspaces are checked against max_workspace_elems; when the per-term
-  /// plan fits but one of them does not, its terms replay per term instead
-  /// of raising MemoryOutError (bit-identical for replayed terms, roundoff
-  /// for level-1 terms). A deadline is the `control`'s, one clock for the
-  /// whole call, so TO behavior does not depend on the width.
+  /// arenas meet the `control`'s memory ceiling like the per-term plan's:
+  /// one over it raises MemoryOutError. A deadline is the `control`'s, one
+  /// clock for the whole call, so TO behavior does not depend on the
+  /// width.
   std::size_t batch_terms = 32;
   /// Optional session-level plan/template cache (core/plan_cache.hpp).
   /// When set, approximate_fidelity / approximate_fidelity_outputs /
@@ -90,7 +89,8 @@ struct ApproxOptions {
 struct ApproxResult {
   /// A(l): the approximation of <v|E(|psi><psi|)|v> (real part).
   double value = 0.0;
-  /// Complex value before dropping the imaginary roundoff.
+  /// Complex sum of the terms. Every term is |a|^2 with an imaginary part
+  /// of exactly +0, so raw.imag() is exactly 0 and value == raw.real().
   cplx raw{0.0, 0.0};
   /// Partial sums A(0), A(1), ..., A(l): level_values[k] = A(k).
   std::vector<double> level_values;
@@ -138,9 +138,9 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 ///    terms differ.
 /// outputs[o] is bit-identical to approximate_fidelity(nc, psi_bits,
 /// v_bits[o], opts) (same evaluators, same enumeration-order reduction per
-/// output); T1 differs from per-term replay at roundoff. When the
-/// combined batch or the environment schedule exceeds max_workspace_elems
-/// the sweep falls back to per-term plan replay for those terms.
+/// output); T1 differs from per-term replay at roundoff. The combined
+/// batch and the environment schedule meet opts.control's memory ceiling
+/// before their arenas are committed: one over it raises MemoryOutError.
 ///
 /// Like approximate_fidelity, this is a thin wrapper over the sweep engine
 /// behind xeb_sweep, at the default shard size: work is scheduled as a 2-D
@@ -257,8 +257,8 @@ struct ApproxCostModel {
   bool tensor_network = false;
 
   /// Error bound the level-l sweep reports: the generalized per-site product
-  /// bound, computed from the same norms fill_error_bounds uses, so it
-  /// matches ApproxResult::tight_error_bound exactly.
+  /// bound. The sweep reads its ApproxResult::tight_error_bound from here,
+  /// so the two match exactly.
   double error_bound(std::size_t level) const;
   /// Number of enumerated terms of the level-l sum (sum of elementary
   /// symmetric sums over the per-site subdominant choices; C(N,u) 3^u terms

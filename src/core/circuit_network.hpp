@@ -80,9 +80,9 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 /// tn::BatchedPlan, so steps outside every cap's light cone run once per
 /// batch -- see AmplitudeTemplate::compile_batched_outputs). Element t is
 /// bit-identical to amplitude(n, gates, psi_bits, v_bits[t], ...) with the
-/// same options; a single bitstring, or an output-batched workspace beyond
-/// opts.tn.max_workspace_elems, replays the per-bitstring plan instead
-/// (batched_plan_or_null), which is bit-identical too.
+/// same options; a single bitstring, or an output batch that shares no
+/// work, replays the per-bitstring plan instead (batched_plan_or_null),
+/// which is bit-identical too.
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
                                    std::span<const std::uint64_t> v_bits,
@@ -185,9 +185,9 @@ class AmplitudeTemplate {
   /// traversal. `variant_counts[v]` (optional) promises at most that many
   /// distinct tensors ever substituted at nodes[v], shrinking the batched
   /// arena to each step's variant product (see
-  /// tn::ContractionPlan::compile_batched). Throws MemoryOutError when the
-  /// batched arena exceeds the template's max_workspace_elems budget -- the
-  /// per-term path may fit a budget its batched counterpart exceeds.
+  /// tn::ContractionPlan::compile_batched). The batched arena is larger
+  /// than the per-term plan's; a RunControl memory ceiling meets it when a
+  /// BatchedSession commits it.
   tn::BatchedPlan compile_batched(std::span<const std::size_t> nodes, std::size_t capacity,
                                   tn::ContractStats* stats = nullptr,
                                   std::span<const std::size_t> variant_counts = {},
@@ -199,8 +199,8 @@ class AmplitudeTemplate {
   }
 
   /// Compile the plan's environment schedule toward the given (network
-  /// node) input slots (see tn::EnvSchedule). Throws MemoryOutError when
-  /// its arena exceeds the template's max_workspace_elems budget.
+  /// node) input slots (see tn::EnvSchedule). Its arena meets a RunControl
+  /// memory ceiling when a pass commits it.
   tn::EnvSchedule compile_env(std::span<const std::size_t> nodes,
                               tn::ContractStats* stats = nullptr) const {
     return plan_.compile_env(nodes, copts_, stats);
@@ -212,8 +212,8 @@ class AmplitudeTemplate {
   /// one traversal evaluates the skeleton amplitude at up to `capacity`
   /// output bitstrings. Steps outside every cap's light cone run once per
   /// batch; cap-cone steps store one row per distinct projection of the
-  /// batch's bitstrings onto the cone's qubits. Throws MemoryOutError when
-  /// the batched arena exceeds the template's max_workspace_elems budget.
+  /// batch's bitstrings onto the cone's qubits. Like compile_batched, the
+  /// arena meets a RunControl memory ceiling only when it is committed.
   tn::BatchedPlan compile_batched_outputs(std::size_t capacity,
                                           tn::ContractStats* stats = nullptr) const;
 
@@ -305,23 +305,16 @@ class AmplitudeTemplate {
 
 /// The batched plan a ReplayEvaluator should run for `capacity` terms per
 /// traversal, or null when per-term replay is the right call: capacity <= 1
-/// (a batch of one shares nothing), the batched arena exceeds the workspace
-/// budget (`compile` throws MemoryOutError -- the per-term plan may fit a
-/// budget its batched counterpart exceeds), or the batch shares no work
+/// (a batch of one shares nothing) or the batch shares no work
 /// (!output_batch_worthwhile). `compile()` builds the capacity-wide plan as
 /// a std::shared_ptr<const tn::BatchedPlan> (or fetches it from a plan
-/// cache); any other exception propagates.
+/// cache); its exceptions propagate.
 template <class Compile>
 std::shared_ptr<const tn::BatchedPlan> batched_plan_or_null(std::size_t capacity,
                                                             Compile&& compile) {
   if (capacity <= 1) return nullptr;
-  try {
-    std::shared_ptr<const tn::BatchedPlan> bplan = compile();
-    if (output_batch_worthwhile(*bplan)) return bplan;
-  } catch (const MemoryOutError&) {
-    // Batch-aware workspace budget exceeded; per-term replay still fits.
-  }
-  return nullptr;
+  std::shared_ptr<const tn::BatchedPlan> bplan = compile();
+  return output_batch_worthwhile(*bplan) ? bplan : nullptr;
 }
 
 /// Per-worker replay of same-topology amplitudes that differ only at the

@@ -138,13 +138,12 @@ std::string PlanCache::template_key(int n, const std::vector<qc::Gate>& skeleton
                                     const tn::ContractOptions& copts) {
   std::string key;
   key.reserve(64 + skeleton.size() * 48);
-  put_u64(key, 8);  // key-format version (8: the greedy weight ladder no longer an option)
+  put_u64(key, 9);  // key-format version (9: no workspace budget option)
   put_u64(key, static_cast<std::uint64_t>(n));
   put_u64(key, psi_bits);
   put_u64(key, v_bits);
   put_u64(key, static_cast<std::uint64_t>(copts.strategy));
   put_u64(key, copts.max_tensor_elems);
-  put_u64(key, copts.max_workspace_elems);
   put_u64(key, copts.replays);
   put_u64(key, skeleton.size());
   for (const qc::Gate& g : skeleton) {

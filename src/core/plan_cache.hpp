@@ -69,8 +69,8 @@ class PlanCache {
     /// Memoized compile_batched: returns the plan cached under `key`, or
     /// runs `compile` and caches its result. `hit` (optional) reports
     /// whether the plan came from the memo; the owning cache's counters are
-    /// updated either way. If `compile` throws (e.g. MemoryOutError from a
-    /// batch-aware workspace budget) nothing is cached and the exception
+    /// updated either way. If `compile` throws (e.g. CancelledError from
+    /// the compile's control) nothing is cached and the exception
     /// propagates -- the next lookup with the same key retries. The memo is
     /// bounded (kMaxBatchedPlans distinct keys; compiled plans are large):
     /// inserting past the bound resets it, so a pathological stream of

@@ -40,10 +40,12 @@
 //                 Only the winning order is materialized into a plan.
 //
 // Guard rails: the contractor enforces a tensor-size budget, throwing
-// MemoryOutError; a wall-clock budget is a core::RunControl deadline
-// (ContractOptions::control while planning, PlanWorkspace::control while
-// replaying), raising TimeoutError. The benchmark harness maps these to the
-// paper's "MO" / "TO" table entries.
+// MemoryOutError; a whole arena's budget is a core::RunControl memory
+// ceiling (PlanWorkspace::control, checked before an executor commits its
+// arena), raising MemoryOutError too; a wall-clock budget is a RunControl
+// deadline (ContractOptions::control while planning, PlanWorkspace::control
+// while replaying), raising TimeoutError. The benchmark harness maps these
+// to the paper's "MO" / "TO" table entries.
 //
 // Since the plan/execute split, contract_network is a thin wrapper: it
 // compiles a ContractionPlan (tn/plan.hpp) for the network's topology and
@@ -99,14 +101,10 @@ inline constexpr std::size_t kRestartMacPerNode = 2600;
 
 struct ContractOptions {
   OrderStrategy strategy = OrderStrategy::Auto;
-  /// Maximum number of complex elements a single intermediate may hold.
+  /// Maximum number of complex elements a single intermediate may hold;
+  /// exceeding it raises MemoryOutError at plan time (the paper's "MO").
   /// 2^26 elements = 1 GiB of complex<double>.
   std::size_t max_tensor_elems = std::size_t{1} << 26;
-  /// Budget for the plan's whole intermediate arena (the liveness-packed
-  /// workspace all intermediates live in), in complex elements; exceeding
-  /// it raises MemoryOutError at plan time. 0 disables the check --
-  /// max_tensor_elems alone then bounds the largest single intermediate.
-  std::size_t max_workspace_elems = 0;
   /// Forward-pass equivalents the plan will serve: how many times the
   /// caller replays it (an environment pass counts one forward plus one
   /// backward). 0 = unknown, the full Auto search. With replays > 0, Auto
@@ -119,8 +117,9 @@ struct ContractOptions {
   /// strategies.
   std::size_t replays = 0;
   /// Cooperative control polled during PLANNING (compile-time cancel /
-  /// deadline / memory ceiling); caller-owned, may be null. Run-time
-  /// (replay) control travels through tn::PlanWorkspace::control instead,
+  /// deadline); caller-owned, may be null. Run-time (replay) control --
+  /// including the memory ceiling the executors check before committing
+  /// an arena -- travels through tn::PlanWorkspace::control instead,
   /// because compiled plans are cached and shared across calls whose
   /// controls differ -- nothing execution-scoped may be baked into a plan.
   /// Deliberately excluded from PlanCache keys (core/plan_cache.cpp

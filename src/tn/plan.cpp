@@ -168,13 +168,13 @@ constexpr std::array<double, 2> kGreedyCostWeights{1.0, 4.0};
 
 /// Shape-and-edge-only replica of the contractor's working state. Every
 /// candidate order is a scored walk: merge() tracks edges, dims, the
-/// per-intermediate (and, when set, arena) budgets, flops and peak, and
-/// records the pair it merged. A materializing walk also lays out the
-/// arena and emits the PlanSteps (permutation stride tables, traffic model)
-/// that finalize() turns into a ContractionPlan; compile() runs one,
-/// replaying the winning candidate's pairs through the same merge(). The
-/// pairwise order, tie-breaking, and budget checks mirror the eager
-/// contractor exactly, so a compiled plan replays to bit-identical results.
+/// per-intermediate budget, flops and peak, and records the pair it merged.
+/// A materializing walk also lays out the arena and emits the PlanSteps
+/// (permutation stride tables, traffic model) that finalize() turns into a
+/// ContractionPlan; compile() runs one, replaying the winning candidate's
+/// pairs through the same merge(). The pairwise order, tie-breaking, and
+/// budget checks mirror the eager contractor exactly, so a compiled plan
+/// replays to bit-identical results.
 ///
 /// compile() builds ONE compiler and reset()s it between walks. State is
 /// flat: each node is an (offset, rank, elems) record into shared edge and
@@ -207,12 +207,11 @@ struct PlanCompiler {
 
   // Per-walk state, cleared by reset().
   bool materialize = false;
-  bool track_arena = false;
   std::size_t flop_bound = kNoBound;
   std::vector<std::pair<std::size_t, std::size_t>> pairs;  // merge order
   std::vector<PlanStep> steps;                              // materialize only
   ArenaLayout arena;
-  std::vector<std::size_t> slot_offset;  // arena offset (0 unless track_arena)
+  std::vector<std::size_t> slot_offset;  // arena offset (0 unless materialize)
   std::size_t peak = 0;
   std::size_t flops = 0;  // sum of m*k*n over all steps (schedule cost)
   std::size_t bytes = 0;  // modeled memory traffic of one replay
@@ -255,7 +254,6 @@ struct PlanCompiler {
     dim_pool.resize(input_axes);
     owners = input_owners;
     materialize = materialize_steps;
-    track_arena = materialize_steps || opts.max_workspace_elems > 0;
     flop_bound = bound;
     pairs.clear();
     steps.clear();
@@ -368,13 +366,10 @@ struct PlanCompiler {
 
     // Arena: the output region is claimed while both operands are still
     // live (no overlap), then consumed operand regions are recycled.
-    // Scoring walks skip it unless a workspace budget needs checking.
+    // Scoring walks skip it.
     std::size_t out_offset = 0;
-    if (track_arena) {
+    if (materialize) {
       out_offset = arena.alloc(out_elems);
-      if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
-        throw MemoryOutError("contraction plan workspace exceeded budget (arena of " +
-                             std::to_string(arena.high_water()) + " elements)");
       if (u >= num_inputs) arena.release(slot_offset[u], nu.elems);
       if (v >= num_inputs) arena.release(slot_offset[v], nv.elems);
     }
@@ -874,8 +869,7 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   }
   bp.varying_slots_.assign(varying_slots.begin(), varying_slots.end());
 
-  // Replay the schedule shape-only to lay out the arenas and check their
-  // combined high-water mark against the (batch-aware) workspace budget.
+  // Replay the schedule shape-only to lay out the arenas.
   //
   // Each step's ROW BOUND is the number of distinct values its output can
   // take across a batch: the variant structure of the varying slots in its
@@ -942,13 +936,6 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   std::vector<std::size_t> slot_offset(num_in + steps_.size(), 0);
   std::vector<std::size_t> slot_belems(num_in + steps_.size(), 0);
   ArenaLayout batched_arena, seq_arena;
-  auto check_budget = [&] {
-    if (opts.max_workspace_elems > 0 &&
-        batched_arena.high_water() + seq_arena.high_water() > opts.max_workspace_elems)
-      throw MemoryOutError("batched contraction plan workspace exceeded budget (arena of " +
-                           std::to_string(batched_arena.high_water() + seq_arena.high_water()) +
-                           " elements for batch of " + std::to_string(capacity) + ")");
-  };
 
   bp.steps_.reserve(steps_.size());
   for (std::size_t s = 0; s < steps_.size(); ++s) {
@@ -1002,7 +989,6 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
       if (step.rhs >= num_in) batched_arena.release(slot_offset[step.rhs], slot_belems[step.rhs]);
       slot_belems[num_in + s] = belems;
     }
-    check_budget();
     slot_varying[num_in + s] = bs.varying_out ? 1 : 0;
     slot_seq[num_in + s] = bs.sequential ? 1 : 0;
     slot_offset[num_in + s] = bs.out_offset;
@@ -1435,18 +1421,12 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
   es.executions_ = executions_;
 
   ArenaLayout arena;
-  auto check_budget = [&] {
-    if (opts.max_workspace_elems > 0 && arena.high_water() > opts.max_workspace_elems)
-      throw MemoryOutError("environment schedule workspace exceeded budget (arena of " +
-                           std::to_string(arena.high_water()) + " elements)");
-  };
   // Forward: the plan's liveness packing, except that retained values are
   // not recycled by their forward consumer.
   for (ExecStep& step : es.fwd_) {
     step.out_offset = arena.alloc(step.out_elems);
     for (const std::size_t op : {step.lhs, step.rhs})
       if (op >= num_in && !retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
-    check_budget();
     es.fwd_bytes_ += sizeof(cplx) * (step.a_elems * (step.identity_a ? 1 : 3) +
                                      step.b_elems * (step.identity_b ? 1 : 3) + step.out_elems);
   }
@@ -1502,7 +1482,6 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
     arena.release(env_offset[out], step.out_elems);
     for (const std::size_t op : {step.lhs, step.rhs})
       if (op >= num_in && retained[op]) arena.release(es.fwd_[op - num_in].out_offset, elems(op));
-    check_budget();
   }
   for (const std::size_t t : targets) es.target_step_.push_back(writer[t]);
   es.arena_elems_ = arena.high_water();

@@ -161,8 +161,9 @@ struct BatchedStep {
 ///
 ///  * Intermediates downstream of a varying slot live as [K, ...] batched
 ///    buffers in a liveness-packed arena laid out at compile time (the
-///    whole batched arena is checked against max_workspace_elems there, so
-///    batch-induced MO surfaces before any arithmetic);
+///    whole batched arena is checked against the workspace control's
+///    memory ceiling before execute() commits it, so batch-induced MO
+///    surfaces before any arithmetic);
 ///  * steps untouched by any varying slot run ONCE per batch and broadcast
 ///    into their consumers (stride-0 operands), instead of once per term;
 ///  * slices are variant-compacted: terms whose operands are
@@ -291,9 +292,9 @@ struct EnvStep {
 /// Built in O(steps): each walk is the plan's compiled operand walk or one
 /// compiled per backward step, with no per-element tables. Forward values,
 /// environments and transposition/scatter scratch share one
-/// liveness-packed arena (workspace_elems), checked against
-/// opts.max_workspace_elems at build. Thread-safe like ContractionPlan:
-/// concurrent passes need distinct workspaces.
+/// liveness-packed arena (workspace_elems), checked against the workspace
+/// control's memory ceiling before execute() commits it. Thread-safe like
+/// ContractionPlan: concurrent passes need distinct workspaces.
 class EnvSchedule {
  public:
   /// Target input slots, in the order targets were requested.
@@ -350,11 +351,11 @@ class ContractionPlan {
   /// running flops exceed that strategy's best so far, which cannot change
   /// the kept order (ties still go to the earlier candidate) or the flops
   /// ContractStats records per strategy. Throws MemoryOutError when every
-  /// candidate has an intermediate above opts.max_tensor_elems (or an
-  /// arena above opts.max_workspace_elems), so MO surfaces at plan time,
-  /// before any arithmetic runs; opts.control is polled per merge and per
-  /// greedy candidate, so a cancel or expired deadline abandons the whole
-  /// compile.
+  /// candidate has an intermediate above opts.max_tensor_elems, so MO
+  /// surfaces at plan time, before any arithmetic runs; the whole arena
+  /// (workspace_elems) meets the RunControl memory ceiling at execute().
+  /// opts.control is polled per merge and per greedy candidate, so a
+  /// cancel or expired deadline abandons the whole compile.
   static ContractionPlan compile(const Network& net, const ContractOptions& opts = {},
                                  ContractStats* stats = nullptr);
 
@@ -386,9 +387,8 @@ class ContractionPlan {
   /// variants in every term (e.g. an output-basis cap, which flips freely
   /// across a batch of bitstrings), so its variant count enters each cone's
   /// row bound as a full multiplicative factor instead of a deviation.
-  /// Throws MemoryOutError when the batched arena exceeds
-  /// opts.max_workspace_elems (batch-aware enforcement: the per-term plan
-  /// may fit a budget its batched counterpart exceeds).
+  /// The batched arena (workspace_elems, larger than the per-term plan's)
+  /// meets the RunControl memory ceiling when execute() commits it.
   BatchedPlan compile_batched(std::span<const std::size_t> varying_slots, std::size_t capacity,
                               const ContractOptions& opts = {}, ContractStats* stats = nullptr,
                               std::span<const std::size_t> variant_counts = {},
@@ -397,9 +397,8 @@ class ContractionPlan {
 
   /// Compile the environment schedule of this plan toward the given input
   /// slots (distinct; see EnvSchedule). The plan's result must be a scalar.
-  /// Throws MemoryOutError when the schedule's arena exceeds
-  /// opts.max_workspace_elems -- the plan itself may fit a budget its
-  /// schedule exceeds. Counts one plans_compiled.
+  /// The schedule's arena (larger than the plan's) meets the RunControl
+  /// memory ceiling when execute() commits it. Counts one plans_compiled.
   EnvSchedule compile_env(std::span<const std::size_t> targets, const ContractOptions& opts = {},
                           ContractStats* stats = nullptr) const;
 

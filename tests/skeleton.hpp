@@ -1,7 +1,7 @@
 #pragma once
 // The topology every plan-replay engine (the Algorithm-1 sweep and the
 // tensor-network trajectory sampler) compiles for a noisy circuit, rebuilt
-// independently for tests that size workspace budgets from it.
+// independently for tests that size arenas and memory ceilings from it.
 #include <cstddef>
 #include <variant>
 #include <vector>

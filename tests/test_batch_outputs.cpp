@@ -7,13 +7,11 @@
 #include <random>
 
 #include "bench_support/generators.hpp"
-#include "bench_support/harness.hpp"
 #include "bench_support/oracle.hpp"
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/trajectories_tn.hpp"
 #include "sim/trajectories.hpp"
-#include "skeleton.hpp"
 
 namespace noisim::core {
 namespace {
@@ -110,35 +108,6 @@ TEST(BatchedOutputs, PartialBatchesThroughTemplateApi) {
     const cplx ref = ref_session.evaluate(subs);
     EXPECT_EQ(ref, out[t]);
   }
-}
-
-TEST(BatchedOutputs, WorkspaceBudgetTripsOnlyTheOutputBatch) {
-  // Budget = exactly the per-term plan arena: per-bitstring replay fits,
-  // the output batch does not -- MO surfaces at compile time and
-  // batch_amplitudes falls back bit-identically.
-  const qc::Circuit c = bench::qaoa(16, 1, 19);
-  EvalOptions eval = tn_eval();
-  const AmplitudeTemplate probe(16, c.gates(), 0, 0, eval);
-  eval.tn.max_workspace_elems = probe.plan().workspace_elems();
-
-  const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, eval);
-  (void)tmpl.compile_batched_outputs(1);  // capacity 1 matches the per-term arena
-  EXPECT_THROW(tmpl.compile_batched_outputs(16), MemoryOutError);
-  const bench::RunOutcome out = bench::run_guarded([&] {
-    tmpl.compile_batched_outputs(16);
-    return 0.0;
-  });
-  EXPECT_EQ(out.status, bench::RunOutcome::Status::MemoryOut);
-  EXPECT_EQ(bench::format_time(out), "MO");
-
-  // The convenience API degrades to per-bitstring replay instead of
-  // failing, and stays bitwise-equal to the unbudgeted path.
-  const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 12, 23);
-  const std::vector<cplx> budgeted = batch_amplitudes(16, c.gates(), 0, vb, eval);
-  EvalOptions unbudgeted = eval;
-  unbudgeted.tn.max_workspace_elems = 0;
-  const std::vector<cplx> full = batch_amplitudes(16, c.gates(), 0, vb, unbudgeted);
-  for (std::size_t t = 0; t < vb.size(); ++t) EXPECT_EQ(budgeted[t], full[t]);
 }
 
 // --- sequential_flop_fraction fallback boundary -------------------------------
@@ -273,34 +242,27 @@ TEST(ApproxOutputs, ReferencePathsMatchPerBitstring) {
   expect_outputs_match_per_bitstring(nc, vb, sv);
 }
 
-TEST(ApproxOutputs, WorkspaceBudgetFallsBackBitIdentically) {
-  // Budget = the per-term plan's arena: neither the combined terms x
-  // outputs batch nor the environment schedule fits, so the sweep must drop
-  // to per-term plan replay. Against the unbudgeted sweep (whose level-1
-  // terms come from environment passes) every value matches as
-  // replay_mismatch states.
+TEST(ApproxOutputs, PerTermReplayMatchesTheBatchedSweep) {
+  // A one-output call with batch_terms = 1 has capacity 1: its u >= 2
+  // terms replay the per-term plan (no batched plan is compiled), and they
+  // must match the terms x outputs batch bit for bit. The u <= 1 terms come
+  // from environment passes on both sides.
   const ch::NoisyCircuit nc = xeb_workload(16, 3, 505);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 5, 43);
   ApproxOptions opts;
-  opts.level = 1;
+  opts.level = 2;
   opts.eval = tn_eval();
+  const ApproxBatchResult batched = approximate_fidelity_outputs(nc, 0, vb, opts);
 
-  const ApproxBatchResult full = approximate_fidelity_outputs(nc, 0, vb, opts);
-  // The per-term plan shares the skeleton's topology, so per-term replay
-  // fits exactly.
-  const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0);
-  const std::size_t arena = tn::ContractionPlan::compile(net, opts.eval.tn).workspace_elems();
-  ApproxOptions budgeted = opts;
-  budgeted.eval.tn.max_workspace_elems = arena;
-  const ApproxBatchResult fallback = approximate_fidelity_outputs(nc, 0, vb, budgeted);
-  // The fallback fires: per-term replay executes other contractions.
-  EXPECT_NE(fallback.contract_stats.flops, full.contract_stats.flops);
+  ApproxOptions per_term = opts;
+  per_term.batch_terms = 1;
   for (std::size_t o = 0; o < vb.size(); ++o) {
-    ApproxResult replay;
-    replay.raw = fallback.raw[o];
-    replay.term_sums = fallback.term_sums[o];
-    replay.level_values = fallback.level_values[o];
-    EXPECT_EQ(bench::replay_mismatch(full, o, replay), "") << "output " << o;
+    const ApproxResult r = approximate_fidelity(nc, 0, vb[o], per_term);
+    // The template and the environment schedule; no batched plan.
+    EXPECT_EQ(r.contract_stats.plans_compiled, 2u);
+    EXPECT_EQ(r.raw, batched.raw[o]) << "output " << o;
+    EXPECT_EQ(r.term_sums, batched.term_sums[o]) << "output " << o;
+    EXPECT_EQ(r.level_values, batched.level_values[o]) << "output " << o;
   }
 }
 
@@ -371,28 +333,20 @@ ch::NoisyCircuit traj_workload(std::uint64_t seed) {
                               seed);
 }
 
-TEST(TrajOutputs, WorkspaceBudgetFallsBackBitIdentically) {
+TEST(TrajOutputs, PerSampleReplayMatchesTheOutputBatch) {
+  // One-sample chunks: a one-output shard has capacity 1 and replays the
+  // per-term plan, a whole-set shard batches the outputs. Both draw the
+  // same (seed, chunk_size) streams, so every estimate matches bit for bit.
   const ch::NoisyCircuit nc = traj_workload(19);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 4, 59);
   sim::ParallelOptions serial;
   serial.threads = 1;
-  const tn::ContractOptions copts;
-  const auto full = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, copts, vb.size());
-
-  // Budget = the skeleton's per-term arena: the output batch reports MO at
-  // compile time and per-term plan replay takes over.
-  const tn::Network net = amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, false);
-  tn::ContractOptions budgeted = copts;
-  budgeted.max_workspace_elems = tn::ContractionPlan::compile(net, copts).workspace_elems();
-  // The fallback fires: even a two-sample batch over the noise sites alone,
-  // smaller than any batch the sweep compiles, is over that budget.
-  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted)
-                   .compile_batched(noise_site_nodes(nc), 2, budgeted),
-               MemoryOutError);
-  const auto fallback = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, budgeted, vb.size());
+  serial.chunk_size = 1;
+  const auto batched = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, {}, vb.size());
+  const auto per_sample = trajectories_tn_sweep(nc, 0, vb, 64, 7, serial, {}, 1);
   for (std::size_t o = 0; o < vb.size(); ++o) {
-    EXPECT_EQ(full[o].mean, fallback[o].mean);
-    EXPECT_EQ(full[o].std_error, fallback[o].std_error);
+    EXPECT_EQ(batched[o].mean, per_sample[o].mean);
+    EXPECT_EQ(batched[o].std_error, per_sample[o].std_error);
   }
 }
 

@@ -398,7 +398,7 @@ TEST_P(Algorithm1, FullLevelReproducesExactFidelity) {
   opts.level = nc.noise_count();  // A(N) is exact
   const ApproxResult r = approximate_fidelity(nc, 0, 0, opts);
   EXPECT_NEAR(r.value, exact, 1e-9);
-  EXPECT_NEAR(r.raw.imag(), 0.0, 1e-9);
+  EXPECT_EQ(r.raw.imag(), 0.0);  // every term is |a|^2 + 0i
 }
 
 TEST_P(Algorithm1, ErrorIsWithinTheorem1Bound) {

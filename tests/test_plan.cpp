@@ -17,6 +17,7 @@
 #include "core/approx.hpp"
 #include "core/circuit_network.hpp"
 #include "core/trajectories_tn.hpp"
+#include "sim/parallel.hpp"
 #include "sim/trajectories.hpp"
 #include "skeleton.hpp"
 #include "tensor/kernels.hpp"
@@ -144,13 +145,6 @@ TEST(Plan, WorkspaceAccountingIsBounded) {
   for (const PlanStep& s : plan.steps()) total += s.out_elems;
   EXPECT_GE(plan.workspace_elems(), plan.peak_elems());
   EXPECT_LT(plan.workspace_elems(), total);
-}
-
-TEST(Plan, WorkspaceBudgetThrowsMemoryOut) {
-  const Network net = ladder_network(6);
-  ContractOptions opts;
-  opts.max_workspace_elems = 2;  // far below any real arena
-  EXPECT_THROW(ContractionPlan::compile(net, opts), MemoryOutError);
 }
 
 Network over_budget_network(std::uint64_t seed) {
@@ -297,23 +291,6 @@ TEST(Portfolio, AutoFitsATensorBudgetForcedGreedyExceeds) {
   EXPECT_TRUE(same_bits(eager, plan.execute(net, ws)));
 }
 
-TEST(Portfolio, AutoKeepsACandidateWithinTheWorkspaceBudget) {
-  // A max_workspace_elems just below the cheapest-flop candidate's arena:
-  // the scored walk drops that candidate and Auto keeps one whose arena
-  // fits, without materialization ever raising MemoryOutError.
-  const qc::Circuit c = bench::qaoa(16, 1, 7);
-  const Network net = core::amplitude_network(c.num_qubits(), c.gates(), 0, 0);
-  const ContractionPlan cheapest = ContractionPlan::compile(net);
-  ContractOptions opts;
-  opts.max_workspace_elems = cheapest.workspace_elems() - 1;
-  const ContractionPlan plan = ContractionPlan::compile(net, opts);
-  EXPECT_LE(plan.workspace_elems(), opts.max_workspace_elems);
-  EXPECT_GE(plan.total_flops(), cheapest.total_flops());
-  const Tensor eager = contract_network(net, opts);
-  PlanWorkspace ws;
-  EXPECT_TRUE(same_bits(eager, plan.execute(net, ws)));
-}
-
 TEST(Portfolio, StatsRecordChosenStrategyAndCandidateFlops) {
   const Network net = ladder_network(32);
   ContractStats stats;
@@ -441,29 +418,6 @@ TEST(BatchedPlan, SingleTermBatchMatches) {
   const BatchedPlan bplan = plan.compile_batched(vslots, 3, {}, nullptr,
                                                  std::vector<std::size_t>{1});
   expect_batched_matches_per_term(net, plan, bplan, vslots, variants, {{0}});
-}
-
-TEST(BatchedPlan, WorkspaceBudgetIsBatchAware) {
-  const Network net = ladder_network(24);
-  const ContractionPlan unbounded = ContractionPlan::compile(net);
-  ContractOptions opts;
-  opts.max_workspace_elems = unbounded.workspace_elems();
-
-  // The per-term plan fits its own arena exactly; a capacity-1 "batch" has
-  // identical buffer sizes and must also fit.
-  const ContractionPlan plan = ContractionPlan::compile(net, opts);
-  const std::vector<std::size_t> vslots{0, 3, 6, 9};
-  (void)plan.compile_batched(vslots, 1, opts);
-
-  // A real batch scales the varying buffers and keeps sequential-pass
-  // inputs alive, so the same budget must report MO at compile time.
-  EXPECT_THROW(plan.compile_batched(vslots, 8, opts), MemoryOutError);
-  const bench::RunOutcome out = bench::run_guarded([&] {
-    plan.compile_batched(vslots, 8, opts);
-    return 0.0;
-  });
-  EXPECT_EQ(out.status, bench::RunOutcome::Status::MemoryOut);
-  EXPECT_EQ(bench::format_time(out), "MO");
 }
 
 TEST(BatchedPlan, RejectsMoreVariantsThanDeclared) {
@@ -736,40 +690,21 @@ TEST(PlanReplay, ApproxAgreesWithStateVectorReference) {
 /// The skeleton approximate_fidelity / trajectories_tn contract has the
 /// same topology as the circuit with identity placeholders at the noise
 /// sites, so its layer network can be built independently.
-tn::Network skeleton_network(const ch::NoisyCircuit& nc, bool conjugate = false) {
-  return amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0, conjugate);
-}
-
-/// The skeleton's per-term plan arena -- used by the workspace-budget tests
-/// below to pick budgets the per-term path fits exactly.
-std::size_t skeleton_arena_elems(const ch::NoisyCircuit& nc, bool conjugate,
-                                 const EvalOptions& eval) {
-  return tn::ContractionPlan::compile(skeleton_network(nc, conjugate), eval.tn).workspace_elems();
+tn::Network skeleton_network(const ch::NoisyCircuit& nc) {
+  return amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0);
 }
 
 // --- Plan selection pins ------------------------------------------------------
 
 /// The networks whose Auto selection is pinned: the Fig. 4 layer (qaoa_64
-/// + 8 realistic noises) at 8 seeded placements under default options, and
-/// a noise-free qaoa_16 layer whose workspace budget is one element below
-/// the cheapest candidate's arena, so candidates memory-out mid-walk.
-struct SelectionCase {
-  tn::Network net;
-  tn::ContractOptions opts;
-};
-
-std::vector<SelectionCase> selection_cases() {
-  std::vector<SelectionCase> cases;
+/// + 8 realistic noises) at 8 seeded placements, compiled under default
+/// options.
+std::vector<tn::Network> selection_cases() {
+  std::vector<tn::Network> cases;
   const qc::Circuit fig4 = bench::qaoa(64, 1, 77);
   for (std::uint64_t p = 0; p < 8; ++p)
-    cases.push_back({skeleton_network(bench::insert_noises(fig4, 8, bench::realistic_noise(),
-                                                           2024 + 7919 * p)),
-                     {}});
-  const qc::Circuit small = bench::qaoa(16, 1, 7);
-  tn::Network net = amplitude_network(small.num_qubits(), small.gates(), 0, 0);
-  tn::ContractOptions opts;
-  opts.max_workspace_elems = tn::ContractionPlan::compile(net).workspace_elems() - 1;
-  cases.push_back({std::move(net), opts});
+    cases.push_back(skeleton_network(
+        bench::insert_noises(fig4, 8, bench::realistic_noise(), 2024 + 7919 * p)));
   return cases;
 }
 
@@ -782,27 +717,27 @@ TEST(PlanSelection, AutoFingerprintsMatchPinnedDigest) {
   // Plan selection is pinned: any planner change that moves one Auto pair
   // (or one arena offset) on these networks changes the digest.
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const SelectionCase& c : selection_cases()) {
-    const tn::ContractionPlan plan = tn::ContractionPlan::compile(c.net, c.opts);
+  for (const tn::Network& net : selection_cases()) {
+    const tn::ContractionPlan plan = tn::ContractionPlan::compile(net);
     h = fnv1a(h, tn::order_strategy_name(plan.chosen_strategy()));
     h = fnv1a(h, plan.fingerprint());
   }
-  EXPECT_EQ(h, 0xd9284cbc218bfe3bULL);
+  EXPECT_EQ(h, 0x36549cf4fa3c4839ULL);
 }
 
 TEST(PlanSelection, AutoStrategyFlopsMatchDirectCompiles) {
   // Auto records each strategy's best candidate cost: exactly what a
   // direct compile of that strategy keeps, or 0 where it memory-outs.
-  for (const SelectionCase& c : selection_cases()) {
+  for (const tn::Network& net : selection_cases()) {
     tn::ContractStats stats;
-    (void)tn::ContractionPlan::compile(c.net, c.opts, &stats);
+    (void)tn::ContractionPlan::compile(net, {}, &stats);
     for (const tn::OrderStrategy s : {tn::OrderStrategy::Greedy, tn::OrderStrategy::Alternating,
                                       tn::OrderStrategy::RandomGreedy}) {
-      tn::ContractOptions direct = c.opts;
+      tn::ContractOptions direct;
       direct.strategy = s;
       std::size_t expect = 0;
       try {
-        expect = tn::ContractionPlan::compile(c.net, direct).total_flops();
+        expect = tn::ContractionPlan::compile(net, direct).total_flops();
       } catch (const MemoryOutError&) {
       }
       EXPECT_EQ(stats.strategy_flops[static_cast<std::size_t>(s)], expect)
@@ -814,18 +749,18 @@ TEST(PlanSelection, AutoStrategyFlopsMatchDirectCompiles) {
 TEST(PlanSelection, ReplayPricedCompilesAreFingerprintIdentical) {
   // A known replay count keeps the search a pure function of topology +
   // options: repeated and concurrent compiles keep the same plan.
-  for (const SelectionCase& c : selection_cases()) {
-    tn::ContractOptions opts = c.opts;
+  for (const tn::Network& net : selection_cases()) {
+    tn::ContractOptions opts;
     opts.replays = 4;
-    const tn::ContractionPlan first = tn::ContractionPlan::compile(c.net, opts);
-    const tn::ContractionPlan again = tn::ContractionPlan::compile(c.net, opts);
+    const tn::ContractionPlan first = tn::ContractionPlan::compile(net, opts);
+    const tn::ContractionPlan again = tn::ContractionPlan::compile(net, opts);
     EXPECT_EQ(again.fingerprint(), first.fingerprint());
     EXPECT_EQ(again.chosen_strategy(), first.chosen_strategy());
     std::vector<std::string> got(3);
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < got.size(); ++t)
       pool.emplace_back(
-          [&, t] { got[t] = tn::ContractionPlan::compile(c.net, opts).fingerprint(); });
+          [&, t] { got[t] = tn::ContractionPlan::compile(net, opts).fingerprint(); });
     for (std::thread& th : pool) th.join();
     for (const std::string& fp : got) EXPECT_EQ(fp, first.fingerprint());
   }
@@ -837,40 +772,38 @@ TEST(PlanSelection, RestartsRunExactlyWhenTheReplaysRepayThem) {
   // the plan is the full search's; one replay below it the restarts record
   // nothing and the plan is the better of the other two.
   std::size_t one_pass_skips = 0;
-  for (const SelectionCase& c : selection_cases()) {
+  for (const tn::Network& net : selection_cases()) {
     std::size_t best = 0;
     for (const tn::OrderStrategy s : {tn::OrderStrategy::Greedy, tn::OrderStrategy::Alternating}) {
-      tn::ContractOptions direct = c.opts;
+      tn::ContractOptions direct;
       direct.strategy = s;
       try {
-        const std::size_t flops = tn::ContractionPlan::compile(c.net, direct).total_flops();
+        const std::size_t flops = tn::ContractionPlan::compile(net, direct).total_flops();
         best = best == 0 ? flops : std::min(best, flops);
       } catch (const MemoryOutError&) {
       }
     }
     // With neither fitting the budget, the restarts are the only candidates
     // left and run at any replay count.
-    const std::size_t cost =
-        tn::kRestartMacPerNode * tn::kRandomGreedyRestarts * c.net.num_nodes();
+    const std::size_t cost = tn::kRestartMacPerNode * tn::kRandomGreedyRestarts * net.num_nodes();
     const std::size_t threshold = best == 0 ? 1 : (cost + best - 1) / best;  // fewest that repay
     if (threshold > 4) ++one_pass_skips;
     const std::size_t rg = static_cast<std::size_t>(tn::OrderStrategy::RandomGreedy);
 
-    tn::ContractOptions full = c.opts;
     tn::ContractStats full_stats;
-    const tn::ContractionPlan full_plan = tn::ContractionPlan::compile(c.net, full, &full_stats);
-    tn::ContractOptions at = c.opts;
+    const tn::ContractionPlan full_plan = tn::ContractionPlan::compile(net, {}, &full_stats);
+    tn::ContractOptions at;
     at.replays = threshold;
     tn::ContractStats at_stats;
-    EXPECT_EQ(tn::ContractionPlan::compile(c.net, at, &at_stats).fingerprint(),
+    EXPECT_EQ(tn::ContractionPlan::compile(net, at, &at_stats).fingerprint(),
               full_plan.fingerprint());
     EXPECT_EQ(at_stats.strategy_flops, full_stats.strategy_flops);
     if (threshold < 2) continue;
 
-    tn::ContractOptions below = c.opts;
+    tn::ContractOptions below;
     below.replays = threshold - 1;
     tn::ContractStats below_stats;
-    const tn::ContractionPlan plan = tn::ContractionPlan::compile(c.net, below, &below_stats);
+    const tn::ContractionPlan plan = tn::ContractionPlan::compile(net, below, &below_stats);
     EXPECT_EQ(below_stats.strategy_flops[rg], 0u);
     EXPECT_NE(plan.chosen_strategy(), tn::OrderStrategy::RandomGreedy);
     EXPECT_EQ(plan.total_flops(), best);
@@ -915,33 +848,28 @@ TEST(BatchedApprox, StatsCountBatchedCompilesAndReplays) {
   EXPECT_GT(r.plan_seconds, 0.0);
 }
 
-TEST(BatchedTrajectories, BudgetFallbackIsBitIdenticalToBatchedSampling) {
-  // trajectories_tn batches samples across each RNG chunk; when the batched
-  // plan exceeds the workspace budget it falls back to per-sample replay.
-  // Fallback and batched runs must produce the same estimate bit for bit --
-  // which is also the direct batched-vs-per-sample equivalence check.
+TEST(BatchedTrajectories, PerSampleReplayIsBitIdenticalToBatchedSampling) {
+  // The serial trajectories_tn batches each chunk of up to 32 samples into
+  // one traversal; a one-sample call has capacity 1 and replays the
+  // per-term plan. Folding one-sample calls on the same stream must give
+  // the batched estimate bit for bit -- the direct batched-vs-per-sample
+  // equivalence check.
   const qc::Circuit circuit = bench::qaoa(9, 1, 5);
   const ch::NoisyCircuit nc =
       bench::insert_noises(circuit, 3, bench::depolarizing_noise(0.02), 17);
-  EvalOptions eval;
-  eval.backend = EvalOptions::Backend::TensorNetwork;
-  sim::ParallelOptions serial;
-  serial.threads = 1;
+  constexpr std::size_t kSamples = 70;
 
-  const sim::TrajectoryResult batched = trajectories_tn(nc, 0, 0, 200, 7, serial, eval.tn);
+  std::mt19937_64 batched_rng(7);
+  const sim::TrajectoryResult batched = trajectories_tn(nc, 0, 0, kSamples, batched_rng);
 
-  EvalOptions budgeted = eval;
-  budgeted.tn.max_workspace_elems = skeleton_arena_elems(nc, false, eval);
-  // The fallback fires: even a two-sample batch over the noise sites, the
-  // smallest the sampler compiles, is over that budget.
-  EXPECT_THROW(tn::ContractionPlan::compile(skeleton_network(nc), budgeted.tn)
-                   .compile_batched(noise_site_nodes(nc), 2, budgeted.tn),
-               MemoryOutError);
-  const sim::TrajectoryResult fallback =
-      trajectories_tn(nc, 0, 0, 200, 7, serial, budgeted.tn);
-  EXPECT_EQ(batched.mean, fallback.mean);
-  EXPECT_EQ(batched.std_error, fallback.std_error);
-  EXPECT_EQ(batched.samples, fallback.samples);
+  std::mt19937_64 rng(7);
+  sim::Welford fold;
+  for (std::size_t s = 0; s < kSamples; ++s) fold.add(trajectories_tn(nc, 0, 0, 1, rng).mean);
+  const sim::TrajectoryResult per_sample = fold.result();
+  EXPECT_EQ(batched.mean, per_sample.mean);
+  EXPECT_EQ(batched.std_error, per_sample.std_error);
+  EXPECT_EQ(batched.samples, per_sample.samples);
+  EXPECT_EQ(batched_rng(), rng());  // same draws consumed
 }
 
 }  // namespace

@@ -173,14 +173,14 @@ TEST_P(PhysicalInvariants, ExactFidelityIsAProbability) {
   EXPECT_LE(f, 1.0 + 1e-12);
 }
 
-TEST_P(PhysicalInvariants, ApproximationImaginaryPartIsRoundoff) {
+TEST_P(PhysicalInvariants, ApproximationImaginaryPartIsExactlyZero) {
   const qc::Circuit c = bench::qaoa_grid(2, 3, 1, static_cast<std::uint64_t>(GetParam()) + 9);
   const ch::NoisyCircuit nc =
       bench::insert_noises(c, 4, bench::realistic_noise(1e-2), GetParam() + 2u);
   core::ApproxOptions opts;
   opts.level = nc.noise_count();
   const core::ApproxResult r = core::approximate_fidelity(nc, 0, 0, opts);
-  EXPECT_LT(std::abs(r.raw.imag()), 1e-9);
+  EXPECT_EQ(r.raw.imag(), 0.0);  // every term is |a|^2 + 0i
 }
 
 TEST_P(PhysicalInvariants, TightBoundHoldsOnIdealOutputWorkloads) {

@@ -1,7 +1,8 @@
 // RunControl coverage: unit semantics (cancel -> CancelledError, deadline ->
 // TimeoutError, memory ceiling -> MemoryOutError), run-time enforcement
 // inside the plan executor (a deadline that expires AFTER compile throws
-// from execute), cooperative cancellation of the trajectory runners and the
+// from execute; a memory ceiling trips each executor's own arena),
+// cooperative cancellation of the trajectory runners and the
 // Algorithm-1 sweeps, xeb_sweep's salvage contract (valid outputs bitwise
 // equal to the uncancelled run), the never-fires determinism contract, and
 // NOISIM_THREADS validation.
@@ -10,10 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <thread>
 
 #include "bench_support/generators.hpp"
+#include "bench_support/harness.hpp"
 #include "core/approx.hpp"
 #include "core/backend.hpp"
 #include "core/run_control.hpp"
@@ -21,6 +24,7 @@
 #include "support/env.hpp"
 #include "tn/contractor.hpp"
 #include "tn/plan.hpp"
+#include "skeleton.hpp"
 #include "uneven_sampler.hpp"
 
 namespace noisim::core {
@@ -279,6 +283,85 @@ TEST(RunControl, ApproximateFidelityRaisesOnCancelAndIsBitIdenticalOtherwise) {
   c.reset();
   c.set_deadline(RunControl::Clock::now() - std::chrono::milliseconds(1));
   EXPECT_THROW(approximate_fidelity(nc, 0, 0, opts), TimeoutError);
+}
+
+// The memory ceiling is the library's one arena budget. A ceiling at the
+// per-term plan's arena sits below the batched plan's and the environment
+// schedule's (the wider arenas the sweep runs), so those executors must
+// raise MemoryOutError naming their arena while the per-term plan runs.
+
+tn::Network sweep_network(const ch::NoisyCircuit& nc) {
+  return amplitude_network(nc.num_qubits(), identity_skeleton(nc), 0, 0);
+}
+
+void expect_memory_out_naming(const std::function<void()>& run, const std::string& arena) {
+  try {
+    run();
+    ADD_FAILURE() << "expected MemoryOutError from the " << arena;
+  } catch (const MemoryOutError& e) {
+    EXPECT_NE(std::string(e.what()).find(arena), std::string::npos) << e.what();
+  }
+}
+
+TEST(RunControl, CeilingAtThePlanArenaTripsOnlyTheWiderArenas) {
+  const ch::NoisyCircuit nc = sweep_circuit();
+  const tn::Network net = sweep_network(nc);
+  const tn::ContractionPlan plan = tn::ContractionPlan::compile(net);
+  const std::vector<std::size_t> sites = noise_site_nodes(nc);
+  constexpr std::size_t kTerms = 8;
+  const tn::BatchedPlan bplan = plan.compile_batched(sites, kTerms);
+  const tn::EnvSchedule env = plan.compile_env(sites);
+  const std::size_t ceiling = plan.workspace_elems();
+  ASSERT_LT(ceiling, bplan.workspace_elems());
+  ASSERT_LT(ceiling, env.workspace_elems());
+
+  RunControl c;
+  c.set_memory_ceiling_elems(ceiling);
+  tn::PlanWorkspace ws;
+  ws.control = &c;
+  std::vector<const tsr::Tensor*> inputs;
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) inputs.push_back(&net.node(i).tensor);
+  std::vector<const tsr::Tensor*> varying;
+  for (std::size_t t = 0; t < kTerms; ++t)
+    for (const std::size_t s : sites) varying.push_back(&net.node(s).tensor);
+  auto run_batched = [&] { bplan.execute(inputs, varying, kTerms, ws); };
+  expect_memory_out_naming(run_batched, "batched contraction arena");
+  const bench::RunOutcome out = bench::run_guarded([&] {
+    run_batched();
+    return 0.0;
+  });
+  EXPECT_EQ(bench::format_time(out), "MO");
+  const std::vector<char> want(sites.size(), 1);
+  expect_memory_out_naming([&] { env.execute(inputs, want, ws); }, "environment arena");
+
+  tn::PlanWorkspace bare_ws;
+  const tsr::Tensor bare = plan.execute(net, bare_ws);
+  const tsr::Tensor guarded = plan.execute(net, ws);
+  ASSERT_EQ(bare.size(), guarded.size());
+  for (std::size_t i = 0; i < bare.size(); ++i) EXPECT_EQ(bare[i], guarded[i]);
+}
+
+TEST(RunControl, CeilingBelowTheEnvironmentArenaFailsALevelOneSweep) {
+  // Level 1 on the tensor-network path: every term comes from environment
+  // passes. A ceiling the per-term plan fits but the environment schedule
+  // does not raises MemoryOutError; no per-term replay takes over.
+  const ch::NoisyCircuit nc = sweep_circuit();
+  const tn::ContractionPlan plan = tn::ContractionPlan::compile(sweep_network(nc));
+  const std::size_t env_arena = plan.compile_env(noise_site_nodes(nc)).workspace_elems();
+  ASSERT_LT(plan.workspace_elems(), env_arena);
+
+  ApproxOptions opts;
+  opts.level = 1;
+  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
+  const ApproxResult bare = approximate_fidelity(nc, 0, 0, opts);
+  RunControl c;
+  c.set_memory_ceiling_elems(plan.workspace_elems());
+  opts.control = &c;
+  expect_memory_out_naming([&] { approximate_fidelity(nc, 0, 0, opts); }, "environment arena");
+
+  // At the environment arena itself the sweep runs, bit-identical.
+  c.set_memory_ceiling_elems(env_arena);
+  EXPECT_EQ(approximate_fidelity(nc, 0, 0, opts).raw, bare.raw);
 }
 
 TEST(RunControl, CostModelCompilePollsTheCallersControl) {

@@ -13,12 +13,11 @@
 #include <sstream>
 
 #include "bench_support/generators.hpp"
-#include "bench_support/oracle.hpp"
 #include "channels/catalog.hpp"
 #include "core/approx.hpp"
 #include "core/plan_cache.hpp"
 #include "core/trajectories_tn.hpp"
-#include "skeleton.hpp"
+#include "sim/parallel.hpp"
 #include "tensor/kernels.hpp"
 
 namespace noisim::core {
@@ -181,56 +180,29 @@ TEST(SweepProperties, ContractionsCountEveryTermOnceAcrossShards) {
   EXPECT_EQ(r.contractions, (1u + 3u * nc.noise_count()) * vb.size());
 }
 
-TEST(SweepProperties, WorkspaceBudgetFallbackStaysBitIdentical) {
-  // A budget that admits the per-term plans but neither the combined batch
-  // nor the environment schedule: the engine must fall back to per-term
-  // plan replay, at any shard size, and match the unbudgeted sweep (whose
-  // level-1 terms come from environment passes) as replay_mismatch states.
+TEST(SweepProperties, PerTermReplayStaysBitIdenticalToTheBatchedSweep) {
+  // A one-output call with batch_terms = 1 has capacity 1, so its u >= 2
+  // terms replay the per-term plan; the sharded sweep batches them across
+  // terms and outputs. Every value matches bit for bit at any shard size.
   const ch::NoisyCircuit nc = bench::insert_noises(
       bench::qaoa(16, 1, 77), 3, bench::depolarizing_noise(0.01), 505);
   std::mt19937_64 rng(79);
   const std::vector<std::uint64_t> vb = random_bitstrings(16, 11, rng);
   ApproxOptions base;
-  base.level = 1;
+  base.level = 2;
   base.eval = tn_eval();
+  ApproxOptions per_term = base;
+  per_term.batch_terms = 1;
   std::vector<ApproxResult> refs;
-  for (const std::uint64_t v : vb) refs.push_back(approximate_fidelity(nc, 0, v, base));
-
-  // Budget = the per-term plan arena of the noise skeleton: per-term
-  // replay fits exactly, the combined batch does not.
-  const tn::Network net = amplitude_network(16, identity_skeleton(nc), 0, 0, false);
-  ApproxOptions budgeted = base;
-  budgeted.eval.tn.max_workspace_elems =
-      tn::ContractionPlan::compile(net, base.eval.tn).workspace_elems();
-  // The fallback fires: the level-1 terms' environment schedule is over
-  // that budget.
-  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted.eval.tn)
-                   .compile_env(noise_site_nodes(nc), budgeted.eval.tn),
-               MemoryOutError);
+  for (const std::uint64_t v : vb) refs.push_back(approximate_fidelity(nc, 0, v, per_term));
 
   for (const std::size_t shard : {3ul, 11ul}) {
     SweepOptions sopts;
-    sopts.approx = budgeted;
+    sopts.approx = base;
     sopts.approx.threads = 2;
     sopts.shard_outputs = shard;
-    const ApproxBatchResult sweep = xeb_sweep(nc, 0, vb, sopts);
-    for (std::size_t o = 0; o < vb.size(); ++o) {
-      ApproxResult replay;
-      replay.raw = sweep.raw[o];
-      replay.term_sums = sweep.term_sums[o];
-      replay.level_values = sweep.level_values[o];
-      EXPECT_EQ(bench::replay_mismatch(refs[o], replay), "") << "shard " << shard;
-    }
-  }
-
-  // approximate_fidelity is the one-output sweep: under the same budget its
-  // term batch no longer fits either, and it falls back to per-term replay
-  // instead of raising MemoryOutError.
-  ApproxOptions single = budgeted;
-  single.threads = 2;
-  for (std::size_t o = 0; o < vb.size(); ++o) {
-    const ApproxResult r = approximate_fidelity(nc, 0, vb[o], single);
-    EXPECT_EQ(bench::replay_mismatch(refs[o], r), "") << "single output " << o;
+    expect_sweep_matches_refs(xeb_sweep(nc, 0, vb, sopts), refs,
+                              ("shard " + std::to_string(shard)).c_str());
   }
 }
 
@@ -300,25 +272,16 @@ void expect_pinned(const sim::TrajectoryResult& r, double mean, double std_error
 // Absolute pin of the TN trajectory estimates (mean/std_error as %a
 // literals): the relative checks elsewhere (sweep vs per-bitstring, threads
 // vs serial) cannot see a change in RNG consumption or fold order that
-// every entry point shares. Both cases run the plan-replay path, the second
-// under a workspace budget that admits only the per-term plan (the batched
-// traversals fall back); they evaluate the same sampled amplitudes through
-// the same plan, so they share pins.
+// every entry point shares. Every case runs the plan-replay path; the
+// serial pins are also checked through one-sample calls, which have
+// capacity 1 and replay the per-term plan instead of a batched traversal:
+// they evaluate the same sampled amplitudes through the same plan, so they
+// share pins.
 TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
   const ch::NoisyCircuit nc = tn_golden_circuit();
   const std::vector<std::uint64_t> vb{0, 0x0a5, 0x1ff};
   constexpr std::size_t kSamples = 70;
   constexpr std::uint64_t kSeed = 2024;
-
-  tn::ContractOptions copts;
-  const tn::Network net = amplitude_network(9, identity_skeleton(nc), 0, 0, false);
-  tn::ContractOptions budgeted = copts;
-  budgeted.max_workspace_elems = tn::ContractionPlan::compile(net, copts).workspace_elems();
-  // The fallback fires: even a two-sample batch over the noise sites, the
-  // smallest the samplers compile, is over that budget.
-  EXPECT_THROW(tn::ContractionPlan::compile(net, budgeted)
-                   .compile_batched(noise_site_nodes(nc), 2, budgeted),
-               MemoryOutError);
 
   struct Pins {
     double serial_mean, serial_std_error;
@@ -327,40 +290,37 @@ TEST(TnTrajectoryGolden, EstimatesMatchPinnedBits) {
   // Recorded before the TN samplers moved onto one replay path; the serial
   // std_error was re-recorded (one ulp) when the serial overload moved to
   // the runner's Welford fold.
-  const Pins tn_pins{0x1.76c26108e8ac7p-8,
-                     0x1.0cd1175d98cb5p-10,
-                     {0x1.c5a8f40493511p-9, 0x1.9d113c51e10aap-9, 0x1.7cc6049d1554fp-11},
-                     {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982abp-11, 0x1.fe50181881617p-13}};
-  const struct {
-    const char* name;
-    tn::ContractOptions copts;
-    const Pins& pins;
-  } cases[] = {{"tn", copts, tn_pins}, {"tn budgeted", budgeted, tn_pins}};
+  const Pins pins{0x1.76c26108e8ac7p-8,
+                  0x1.0cd1175d98cb5p-10,
+                  {0x1.c5a8f40493511p-9, 0x1.9d113c51e10aap-9, 0x1.7cc6049d1554fp-11},
+                  {0x1.a908a9131e5f2p-11, 0x1.d5d1f52a982abp-11, 0x1.fe50181881617p-13}};
 
   for (std::size_t t = 0; t < tsr::kNumKernelTiers; ++t) {
     const auto tier = static_cast<tsr::KernelTier>(t);
     if (!tsr::kernel_table(tier)) continue;
     const tsr::KernelTier prev = tsr::set_kernel_tier(tier);
-    for (const auto& gc : cases) {
-      const std::string where = std::string(gc.name) + " on " + tsr::kernel_tier_name(tier);
-      std::mt19937_64 rng(kSeed);
-      expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, rng, gc.copts), gc.pins.serial_mean,
-                    gc.pins.serial_std_error, where + ", serial");
-      for (const std::size_t threads : {1ul, 4ul}) {
-        sim::ParallelOptions popts;
-        popts.threads = threads;
-        expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, kSeed, popts, gc.copts),
-                      gc.pins.mean[0], gc.pins.std_error[0],
-                      where + ", threads " + std::to_string(threads));
-        for (const std::size_t shard : {1ul, 3ul}) {
-          const auto sweep =
-              trajectories_tn_sweep(nc, 0, vb, kSamples, kSeed, popts, gc.copts, shard);
-          ASSERT_EQ(sweep.size(), vb.size());
-          for (std::size_t o = 0; o < vb.size(); ++o)
-            expect_pinned(sweep[o], gc.pins.mean[o], gc.pins.std_error[o],
-                          where + ", sweep threads " + std::to_string(threads) + " shard " +
-                              std::to_string(shard) + " output " + std::to_string(o));
-        }
+    const std::string where = std::string("tn on ") + tsr::kernel_tier_name(tier);
+    std::mt19937_64 rng(kSeed);
+    expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, rng), pins.serial_mean,
+                  pins.serial_std_error, where + ", serial");
+    std::mt19937_64 per_sample_rng(kSeed);
+    sim::Welford fold;
+    for (std::size_t s = 0; s < kSamples; ++s)
+      fold.add(trajectories_tn(nc, 0, vb[0], 1, per_sample_rng).mean);
+    expect_pinned(fold.result(), pins.serial_mean, pins.serial_std_error,
+                  where + ", serial per-sample replay");
+    for (const std::size_t threads : {1ul, 4ul}) {
+      sim::ParallelOptions popts;
+      popts.threads = threads;
+      expect_pinned(trajectories_tn(nc, 0, vb[0], kSamples, kSeed, popts), pins.mean[0],
+                    pins.std_error[0], where + ", threads " + std::to_string(threads));
+      for (const std::size_t shard : {1ul, 3ul}) {
+        const auto sweep = trajectories_tn_sweep(nc, 0, vb, kSamples, kSeed, popts, {}, shard);
+        ASSERT_EQ(sweep.size(), vb.size());
+        for (std::size_t o = 0; o < vb.size(); ++o)
+          expect_pinned(sweep[o], pins.mean[o], pins.std_error[o],
+                        where + ", sweep threads " + std::to_string(threads) + " shard " +
+                            std::to_string(shard) + " output " + std::to_string(o));
       }
     }
     tsr::set_kernel_tier(prev);

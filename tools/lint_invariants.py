@@ -61,6 +61,13 @@ exercised by --self-test):
                     budget is a RunControl deadline; an engine keeping its
                     own clock would give each compile or replay a fresh
                     budget instead of one per call.
+  one-memory-guard  in src/, `catch (... MemoryOutError` appears only in
+                    tn/plan.cpp (the order search skipping a candidate),
+                    core/backend.cpp (simulate()'s escalation) and
+                    bench_support/harness.cpp (the "MO" table cell). An
+                    arena's budget is the RunControl memory ceiling; an
+                    engine that caught MemoryOutError to fall back would
+                    grow a second, silent guard around the same allocation.
   lib-no-test-support
                     no file under src/ outside src/bench_support/ and
                     src/mps/ includes bench_support/ or mps/ headers. Those
@@ -91,6 +98,7 @@ RULES = (
     "cache-key-covers-options",
     "replay-evaluator",
     "one-deadline",
+    "one-memory-guard",
     "lib-no-test-support",
 )
 
@@ -578,6 +586,34 @@ def check_one_deadline(root, cxx_files):
     return findings
 
 
+CATCH_MEMORY_OUT_RE = re.compile(
+    r"\bcatch\s*\(\s*(?:const\s+)?(?:[\w:]*::)?MemoryOutError\b")
+# The order search, simulate()'s escalation, and the benchmark "MO" cell.
+ONE_MEMORY_GUARD_FILES = {("src", "tn", "plan.cpp"),
+                          ("src", "core", "backend.cpp"),
+                          ("src", "bench_support", "harness.cpp")}
+
+
+def check_one_memory_guard(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if not rel or rel[0] != "src" or rel in ONE_MEMORY_GUARD_FILES:
+            continue
+        code = strip_code(text)
+        for m in CATCH_MEMORY_OUT_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "one-memory-guard",
+                "MemoryOutError caught outside tn/plan.cpp, core/backend.cpp and "
+                "bench_support/harness.cpp; an arena's budget is the "
+                "core::RunControl memory ceiling -- let MemoryOutError "
+                "propagate instead of falling back"))
+    return findings
+
+
 # Raw text, not strip_code: the include path is a string literal.
 TEST_SUPPORT_INCLUDE_RE = re.compile(
     r'^[ \t]*#[ \t]*include[ \t]*[<"]((?:bench_support|mps)/[^>"]*)[>"]', re.MULTILINE)
@@ -700,6 +736,7 @@ def run_rules(root, cxx_files):
     findings += check_cache_key_covers_options(cxx_files)
     findings += check_replay_evaluator(root, cxx_files)
     findings += check_one_deadline(root, cxx_files)
+    findings += check_one_memory_guard(root, cxx_files)
     findings += check_lib_no_test_support(root, cxx_files)
     return findings
 
