@@ -106,7 +106,8 @@ class RunControl {
     return parent_ && parent_->deadline_expired();
   }
 
-  /// Arm a high-water memory ceiling in scalar elements (0 disables).
+  /// Arm a high-water memory ceiling in complex elements, the unit of the
+  /// executors' arenas (0 disables).
   void set_memory_ceiling_elems(std::size_t elems) noexcept {
     ceiling_elems_.store(elems, std::memory_order_relaxed);
   }
