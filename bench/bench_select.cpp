@@ -3,9 +3,9 @@
 // trajectory-friendly circuits, supremacy-style grids, an ATPG-projected
 // fault circuit) and record which backend the cost model picks for each,
 // how long estimation + execution took, and -- the gate -- that no run ever
-// violates its error budget against the exact density-matrix reference
-// (checked wherever the reference is computable, n <= 13) or claims a bound
-// above the budget. Each run probes <v| rho |v> from |0...0> at the most
+// violates its error budget against the exact reference (the doubled
+// network contracted by core::exact_fidelity_tn, on every row) or claims a
+// bound above the budget. Each run probes <v| rho |v> from |0...0> at the most
 // likely output v of the noise-free circuit, where the fidelity is far from
 // zero (at v = 0 most references are ~1e-12, so a backend returning 0 would
 // pass); the ATPG row keeps v = 0, which its output projector makes ideal.
@@ -32,8 +32,8 @@
 #include "channels/catalog.hpp"
 #include "core/atpg.hpp"
 #include "core/backend.hpp"
+#include "core/doubled_network.hpp"
 #include "core/plan_cache.hpp"
-#include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -78,7 +78,6 @@ struct Row {
   double error_bound = 0.0;
   double budget = 0.0;
   double seconds = 0.0;
-  bool has_reference = false;
   double reference = 0.0;
   bool violation = false;
 };
@@ -191,14 +190,11 @@ int main(int argc, char** argv) {
 
     // Gate 1: the achieved bound may never exceed the budget.
     if (row.error_bound > w.error_budget) row.violation = true;
-    // Gate 2: against the exact reference where it is computable. Sampler
-    // picks hold at the Hoeffding confidence; the fixed seeds here make the
-    // outcome reproducible, so a trip of this gate is a real regression.
-    if (w.nc.num_qubits() <= sim::kDensityMaxQubits) {
-      row.has_reference = true;
-      row.reference = sim::exact_fidelity_mm(w.nc, 0, row.v_bits);
-      if (std::abs(row.value - row.reference) > w.error_budget + 1e-12) row.violation = true;
-    }
+    // Gate 2: against the exact reference. Sampler picks hold at the
+    // Hoeffding confidence; the fixed seeds here make the outcome
+    // reproducible, so a trip of this gate is a real regression.
+    row.reference = core::exact_fidelity_tn(w.nc, 0, row.v_bits);
+    if (std::abs(row.value - row.reference) > w.error_budget + 1e-12) row.violation = true;
     if (row.violation) ++violations;
 
     table.add_row({row.name, std::to_string(row.v_bits), row.backend,
@@ -251,7 +247,7 @@ int main(int argc, char** argv) {
         << ", \"value\": " << bench::g17(r.value)
         << ", \"error_bound\": " << bench::g17(r.error_bound) << ", \"budget\": " << r.budget
         << ", \"seconds\": " << r.seconds
-        << ", \"reference\": " << (r.has_reference ? bench::g17(r.reference) : "null")
+        << ", \"reference\": " << bench::g17(r.reference)
         << ", \"violation\": " << (r.violation ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

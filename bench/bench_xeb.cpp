@@ -6,8 +6,8 @@
 // a real XEB run would use device measurements) three ways:
 //
 //  * ideal amplitudes p(x) = |<x|C|0>|^2 -- per-bitstring plan replay
-//    (one Session::evaluate per bitstring, the pre-batching reference)
-//    vs ONE output-batched traversal (AmplitudeTemplate::
+//    (a core::ReplayEvaluator with no batched plan, the pre-batching
+//    reference) vs ONE output-batched traversal (AmplitudeTemplate::
 //    compile_batched_outputs): the caps are varying slots, steps outside
 //    every cap cone run once per batch, cap-cone rows are shared between
 //    bitstrings that agree on the cone's qubits;
@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
   // One template serves every K: the reference path replays its plan per
   // bitstring, the batched path compiles an output-batched plan on top.
   const core::AmplitudeTemplate tmpl(n, circuit.gates(), 0, 0, eval);
-  const std::size_t nn = static_cast<std::size_t>(n);
 
   std::mt19937_64 sample_rng(2024);
   const std::uint64_t mask = n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
@@ -176,29 +175,18 @@ int main(int argc, char** argv) {
     // rounds before the best one is clear of host noise; the --baseline
     // gate reads it. 256 rounds take ~1 s for the three rows; with 32, the
     // K = 16 best on a shared 4-vCPU host spread up to 1.7x between runs.
-    core::AmplitudeTemplate::Session session = tmpl.session();
-    session.set_control(&budget);
-    std::vector<core::AmplitudeTemplate::Substitution> subs(nn);
-    std::vector<const tsr::Tensor*> caps(nn);
+    const core::ReplayLayout layout(tmpl, {}, {}, 1, K, K);
     const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(K);
-    core::AmplitudeTemplate::BatchedSession batched(tmpl, bplan);
-    batched.set_control(&budget);
-    std::vector<const tsr::Tensor*> ptrs(K * nn);
+    core::ReplayEvaluator per_bitstring(tmpl, layout, nullptr, &budget);
+    core::ReplayEvaluator batched(tmpl, layout, &bplan, &budget);
     std::vector<cplx> ref_amp(K), bat_amp(K);
     run.ref_eval_seconds = run.batched_eval_seconds = 1e300;
     for (int round = 0; round < 256; ++round) {
       auto t0 = Clock::now();
-      for (std::size_t o = 0; o < K; ++o) {
-        tmpl.fill_output_caps(vb[o], caps);
-        for (std::size_t q = 0; q < nn; ++q)
-          subs[q] = {tmpl.node_of_output_cap(static_cast<int>(q)), caps[q]};
-        ref_amp[o] = session.evaluate(subs);
-      }
+      per_bitstring.amplitudes({}, 1, vb, ref_amp);
       run.ref_eval_seconds = std::min(run.ref_eval_seconds, secs(t0, Clock::now()));
       t0 = Clock::now();
-      for (std::size_t o = 0; o < K; ++o)
-        tmpl.fill_output_caps(vb[o], std::span(ptrs).subspan(o * nn, nn));
-      batched.evaluate(std::span<const tsr::Tensor* const>(ptrs), K, bat_amp);
+      batched.amplitudes({}, 1, vb, bat_amp);
       run.batched_eval_seconds = std::min(run.batched_eval_seconds, secs(t0, Clock::now()));
     }
     run.amp_identical = true;

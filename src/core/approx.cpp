@@ -269,21 +269,20 @@ std::shared_ptr<const Plan> acquire_derived(const AcquiredTemplate& at, Memo&& m
   return plan;
 }
 
-std::shared_ptr<const tn::BatchedPlan> acquire_batched(
-    const AcquiredTemplate& at, std::span<const std::size_t> slots, std::size_t capacity,
-    std::span<const std::size_t> variant_counts, std::size_t max_varied_per_term,
-    std::span<const char> unconstrained, tn::ContractStats& setup_stats) {
+// The batched plan of `layout`, at most `level` sites per term off their
+// dominant factor.
+std::shared_ptr<const tn::BatchedPlan> acquire_batched(const AcquiredTemplate& at,
+                                                       const ReplayLayout& layout,
+                                                       std::size_t level,
+                                                       tn::ContractStats& setup_stats) {
   return acquire_derived<tn::BatchedPlan>(
       at,
       [&](const PlanCache::Entry& e, const std::function<tn::BatchedPlan()>& compile, bool* hit) {
-        return e.batched(PlanCache::batched_key(slots, capacity, variant_counts,
-                                                max_varied_per_term, unconstrained),
+        return e.batched(PlanCache::batched_key(layout.slots, layout.capacity(), layout.counts,
+                                                level, layout.unconstrained),
                          compile, hit);
       },
-      [&](tn::ContractStats* stats) {
-        return at.tmpl().compile_batched(slots, capacity, stats, variant_counts,
-                                         max_varied_per_term, unconstrained);
-      },
+      [&](tn::ContractStats* stats) { return layout.compile(at.tmpl(), level, stats); },
       setup_stats);
 }
 
@@ -302,15 +301,12 @@ std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
 // --- the sharded 2-D sweep engine ---------------------------------------------
 
 // Evaluates terms [t0, t0 + tcount) at outputs [obegin, obegin + ocount):
-// out[t * ocount + o] = term value at output o. Every value is bit-identical
-// to the single-output reference's value for that (term, output) pair --
-// batching only shares work, never changes bits.
+// out[t * ocount + o] = term value at output o. A term's bottom layer is the
+// conjugate of its top layer's amplitude a, so its value is the real |a|^2.
+// Every value is bit-identical to the single-output reference's value for
+// that (term, output) pair -- batching only shares work, never changes bits.
 using TermEval = std::function<void(std::size_t t0, std::size_t tcount, std::size_t obegin,
-                                    std::size_t ocount, std::span<cplx> out)>;
-
-// A term's value from its one layer's amplitude a: the bottom layer is
-// conj(a), so the term is |a|^2 with an imaginary part of exactly +0.
-cplx term_value(cplx a) { return {std::norm(a), 0.0}; }
+                                    std::size_t ocount, std::span<double> out)>;
 
 // Per-worker tensor-network state: the environment evaluator for u <= 1
 // items, the replay evaluator for the rest, and their scratch.
@@ -319,8 +315,7 @@ struct TnWorker {
   std::optional<ReplayEvaluator> replay;
   std::vector<AmplitudeTemplate::Substitution> subs;  // sites, then caps
   std::vector<char> want;                             // per site
-  std::vector<const tsr::Tensor*> ptrs;               // replay pairs x slots
-  std::vector<cplx> amp;
+  std::vector<const tsr::Tensor*> rows;               // replay terms x sites
 };
 
 // The one Algorithm-1 engine, behind approximate_fidelity (K = 1),
@@ -364,14 +359,13 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   // Cooperative control for this sweep. Threading it through sk.eval.tn
   // covers plan compilation; cached templates null it out of their stored
   // options (circuit_network.cpp), so a PlanCache hit can never replay a
-  // dangling pointer -- per-execution polling flows through
-  // Session::set_control.
+  // dangling pointer -- per-execution polling flows through each worker's
+  // evaluator.
   const RunControl* control = opts.control;
   sk.eval.tn.control = control;
 
   const std::vector<Term> terms = enumerate_terms(base.sites, level);
   const std::size_t num_terms = terms.size();
-  const std::size_t nn = static_cast<std::size_t>(n);
 
   tn::ContractStats setup_stats;
   SweepTimer timer(result.plan_seconds, result.eval_seconds);
@@ -384,7 +378,6 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   const std::size_t shard =
       std::min(K, shard_outputs > 0 ? shard_outputs : (tn_path ? kOutputChunk : K));
   const std::size_t num_chunks = (K + shard - 1) / shard;
-  const std::size_t out_chunk = std::min(shard, kOutputChunk);
 
   // --- plan-replay setup (templates, plans, factor tensors) ----------------
   // A cancel that lands during setup (template, schedule and batched-plan
@@ -405,58 +398,40 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   std::shared_ptr<const tn::EnvSchedule> env;
   std::shared_ptr<const tn::BatchedPlan> bplan;
   SiteFactors fac;
-  std::vector<const tsr::Tensor*> caps_of_output;
-  std::vector<std::size_t> slots;
-  std::size_t V = 0;
   // Terms [0, env_terms) -- the u <= 1 block -- come from environment
-  // passes; the rest replay the plan, up to `capacity` (term, output) pairs
-  // per batched traversal. Replay ranges are term_batch wide, capped so one
-  // traversal holds at most kMaxBatchPairs pairs.
+  // passes; the rest replay the plan through `layout`, one traversal's rows
+  // per term range.
+  ReplayLayout layout;
   std::size_t env_terms = 0;
-  std::size_t term_batch = 0, capacity = 0;
 
   try {
   if (tn_path) {
     // One canonical v = 0 template serves every term: the output caps are
-    // placeholders (always substituted below), so one cached entry serves
-    // EVERY bitstring set over this skeleton -- that is what makes the plan
-    // cache hit across XEB batches arriving over time.
+    // placeholders (always substituted), so one cached entry serves EVERY
+    // bitstring set over this skeleton -- that is what makes the plan cache
+    // hit across XEB batches arriving over time.
     at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
     fac = build_site_factors(base.sites, sk.site_pos, at.tmpl());
-
-    // Per-output cap pointer table (the template's shared <0|/<1| objects,
-    // so the executor's pointer compaction shares rows across bitstrings).
-    caps_of_output.resize(K * nn);
-    for (std::size_t o = 0; o < K; ++o)
-      at.tmpl().fill_output_caps(v_bits[o], std::span(caps_of_output).subspan(o * nn, nn));
-
-    // Combined varying slots: the noise sites keep Algorithm 1's per-term
-    // deviation promise (<= level), the output caps flip freely.
-    const std::vector<std::size_t> cap_nodes = at.tmpl().output_cap_nodes();
-    slots = fac.node;
-    slots.insert(slots.end(), cap_nodes.begin(), cap_nodes.end());
-    V = slots.size();
-
     env = acquire_env(at, fac.node, setup_stats);
     while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
-  }
-  term_batch = std::min({std::max<std::size_t>(opts.batch_terms, 1), num_terms - env_terms,
-                         std::max<std::size_t>(kMaxBatchPairs / out_chunk, 1)});
-  capacity = term_batch * out_chunk;
-  if (tn_path && env_terms < num_terms) {
-    // Without a batched plan (1 x 1 items, or a batch that shares nothing)
-    // each term replays the per-term plan, bit-identically.
-    std::vector<std::size_t> counts(V, 2);
-    std::vector<char> unconstrained(V, 0);
-    for (std::size_t s = 0; s < num_sites; ++s) counts[s] = base.sites[s].split.terms();
-    for (std::size_t v = num_sites; v < V; ++v) unconstrained[v] = 1;
-    bplan = batched_plan_or_null(capacity, [&] {
-      return acquire_batched(at, slots, capacity, counts, level, unconstrained, setup_stats);
-    });
+    if (env_terms < num_terms) {
+      std::vector<std::size_t> counts;
+      for (const Site& site : base.sites) counts.push_back(site.split.terms());
+      layout = ReplayLayout(at.tmpl(), fac.node, counts,
+                            std::min(opts.batch_terms, num_terms - env_terms), shard);
+      // Without a batched plan (one pair per traversal, or a batch that
+      // shares nothing) each term replays the per-term plan, bit-identically.
+      bplan = batched_plan_or_null(layout.capacity(),
+                                   [&] { return acquire_batched(at, layout, level, setup_stats); });
+    }
   }
   } catch (const CancelledError&) {
     return salvage_empty();
   }
+  const std::size_t term_batch =
+      tn_path ? layout.rows
+              : ReplayLayout::rows_per_traversal(std::min(opts.batch_terms, num_terms),
+                                                 std::min(shard, kOutputChunk));
 
   // Term ranges: the u <= 1 block in ranges min(batch_terms, block) wide
   // (an environment pass has no batched arena to size), the rest term_batch
@@ -489,18 +464,19 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     // <E_s, U_i(s)>, and the backward runs only toward the sites this
     // item's level-1 terms use.
     auto env_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
-                        std::size_t ocount, std::span<cplx> out) {
+                        std::size_t ocount, std::span<double> out) {
       std::ranges::fill(w.want, 0);
       for (std::size_t t = t0; t < t0 + tcount; ++t)
         if (terms[t].level == 1) w.want[terms[t].sites[0]] = 1;
       for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &fac.u[s][0];
       for (std::size_t o = 0; o < ocount; ++o) {
-        const auto caps = std::span(caps_of_output).subspan((obegin + o) * nn, nn);
-        for (std::size_t q = 0; q < nn; ++q) w.subs[num_sites + q].second = caps[q];
+        for (int q = 0; q < n; ++q)
+          w.subs[num_sites + static_cast<std::size_t>(q)].second =
+              &at.tmpl().output_cap(basis_bit(v_bits[obegin + o], n, q));
         const cplx value = w.env->evaluate(w.subs, w.want, tcount);
         for (std::size_t t = 0; t < tcount; ++t) {
           const Term& term = terms[t0 + t];
-          out[t * ocount + o] = term_value(
+          out[t * ocount + o] = std::norm(
               term.level == 0
                   ? value
                   : w.env->overlap(term.sites[0], fac.u[term.sites[0]][term.term_idx[0]]));
@@ -508,36 +484,20 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       }
     };
 
-    // Replay items cover (term range x <= out_chunk outputs) pairs per
-    // evaluator call -- noise slots level-capped, cap slots unconstrained.
-    // Pairs are laid out output-major (pair o * tcount + t): neighbouring
-    // pairs share their output caps and differ only at one term's noise
-    // sites, so the batched plan's per-pair root pass reuses every step
-    // outside the changed sites' cones (see BatchedPlan).
+    // Replay items: one row of factors per term -- the dominant factor
+    // everywhere, a subdominant one at the term's chosen sites -- scored at
+    // the item's outputs.
     auto replay_item = [&](TnWorker& w, std::size_t t0, std::size_t tcount, std::size_t obegin,
-                           std::size_t ocount, std::span<cplx> out) {
-      for (std::size_t o0 = 0; o0 < ocount; o0 += out_chunk) {
-        const std::size_t oc = std::min(out_chunk, ocount - o0);
-        const std::size_t kk = tcount * oc;
-        // Dominant factor everywhere, subdominant at the term's chosen
-        // sites; the output chunk's caps in the trailing slots.
-        for (std::size_t o = 0; o < oc; ++o) {
-          const auto caps = std::span(caps_of_output).subspan((obegin + o0 + o) * nn, nn);
-          for (std::size_t t = 0; t < tcount; ++t) {
-            const Term& term = terms[t0 + t];
-            const std::size_t p = (o * tcount + t) * V;
-            for (std::size_t s = 0; s < num_sites; ++s) w.ptrs[p + s] = &fac.u[s][0];
-            for (std::size_t c = 0; c < term.sites.size(); ++c)
-              w.ptrs[p + term.sites[c]] = &fac.u[term.sites[c]][term.term_idx[c]];
-            std::ranges::copy(caps, w.ptrs.begin() + static_cast<std::ptrdiff_t>(p + num_sites));
-          }
-        }
-        w.replay->evaluate({}, std::span<const tsr::Tensor* const>(w.ptrs).first(kk * V), kk,
-                           w.amp);
-        for (std::size_t t = 0; t < tcount; ++t)
-          for (std::size_t o = 0; o < oc; ++o)
-            out[t * ocount + o0 + o] = term_value(w.amp[o * tcount + t]);
+                           std::size_t ocount, std::span<double> out) {
+      for (std::size_t t = 0; t < tcount; ++t) {
+        const Term& term = terms[t0 + t];
+        const std::span<const tsr::Tensor*> row =
+            std::span(w.rows).subspan(t * num_sites, num_sites);
+        for (std::size_t s = 0; s < num_sites; ++s) row[s] = &fac.u[s][0];
+        for (std::size_t c = 0; c < term.sites.size(); ++c)
+          row[term.sites[c]] = &fac.u[term.sites[c]][term.term_idx[c]];
       }
+      w.replay->norms(w.rows, tcount, v_bits.subspan(obegin, ocount), out);
     };
 
     // The item lambdas are copied in: they go out of scope before the
@@ -545,16 +505,16 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     make_eval = [&, env_item, replay_item](std::size_t worker) -> TermEval {
       TnWorker* w = (tn_workers[worker] = std::make_unique<TnWorker>()).get();
       w->env.emplace(at.tmpl(), *env, control);
-      for (std::size_t v = 0; v < V; ++v) w->subs.emplace_back(slots[v], nullptr);
+      for (const std::size_t node : fac.node) w->subs.emplace_back(node, nullptr);
+      for (const std::size_t node : at.tmpl().output_cap_nodes()) w->subs.emplace_back(node, nullptr);
       w->want.resize(num_sites);
       if (env_terms < num_terms) {
-        w->replay.emplace(at.tmpl(), slots, bplan.get(), control);
-        w->ptrs.resize(capacity * V);
-        w->amp.resize(capacity);
+        w->replay.emplace(at.tmpl(), layout, bplan.get(), control);
+        w->rows.resize(term_batch * num_sites);
       }
       return [&, w, env_item, replay_item](std::size_t t0, std::size_t tcount,
                                            std::size_t obegin, std::size_t ocount,
-                                           std::span<cplx> out) {
+                                           std::span<double> out) {
         if (t0 < env_terms)
           env_item(*w, t0, tcount, obegin, ocount, out);
         else
@@ -569,7 +529,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       auto gates = std::make_shared<std::vector<qc::Gate>>(sk.gates);
       return [&, gates, &stats = worker_stats[worker]](
                  std::size_t t0, std::size_t tcount, std::size_t obegin, std::size_t ocount,
-                 std::span<cplx> out) {
+                 std::span<double> out) {
         const std::span<const std::uint64_t> chunk_outputs = v_bits.subspan(obegin, ocount);
         for (std::size_t t = 0; t < tcount; ++t) {
           if (control) control->poll();  // state-vector terms have no inner poll points
@@ -582,7 +542,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
           }
           const std::vector<cplx> amp =
               batch_amplitudes(n, *gates, psi_bits, chunk_outputs, sk.eval, &stats);
-          for (std::size_t o = 0; o < ocount; ++o) out[t * ocount + o] = term_value(amp[o]);
+          for (std::size_t o = 0; o < ocount; ++o) out[t * ocount + o] = std::norm(amp[o]);
         }
       };
     };
@@ -599,7 +559,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
   work.pool = std::min(num_ranges * num_chunks, threads + 2);
   work.control = control;
   work.fault_site = "sweep-worker";
-  std::vector<std::vector<cplx>> buffers(work.pool);
+  std::vector<std::vector<double>> buffers(work.pool);
   // Chunk c's running level sums: ocount(c) x (level + 1), output-major.
   auto chunk_count = [&](std::size_t c) { return std::min(shard, K - c * shard); };
   std::vector<std::vector<cplx>> sums(num_chunks);
@@ -613,14 +573,14 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
         return [&, eval = make_eval(worker)](std::size_t r, std::size_t c, std::size_t buf) {
           const std::size_t t0 = range_start[r];
           const std::size_t tcount = range_start[r + 1] - t0;
-          std::vector<cplx>& vbuf = buffers[buf];
+          std::vector<double>& vbuf = buffers[buf];
           vbuf.resize(tcount * chunk_count(c));
-          eval(t0, tcount, c * shard, chunk_count(c), std::span<cplx>(vbuf));
+          eval(t0, tcount, c * shard, chunk_count(c), std::span<double>(vbuf));
         };
       },
       [&](std::size_t r, std::size_t c, std::size_t buf) {
         const std::size_t ocount = chunk_count(c);
-        const std::vector<cplx>& values = buffers[buf];
+        const std::vector<double>& values = buffers[buf];
         for (std::size_t t = range_start[r]; t < range_start[r + 1]; ++t) {
           const std::size_t row = (t - range_start[r]) * ocount;
           for (std::size_t o = 0; o < ocount; ++o)

@@ -50,12 +50,14 @@ struct ApproxOptions {
   /// item runs one environment pass per output, with the backward only
   /// toward its own terms' sites -- so a width covering all of them runs
   /// one pass per output. The u >= 2 terms are replayed: the layer's
-  /// contraction plan is compiled once and an item of this
-  /// many terms (at most 256 (term, output) pairs) executes in ONE batched
-  /// traversal -- steps outside the noise sites' light cone run once per
-  /// batch, duplicate slices are memcpy'd, and per-step dispatch /
-  /// permutation work amortizes over the batch, bit-identically to per-term
-  /// replay. <= 1 is a range of one term. The batched and environment
+  /// contraction plan is compiled once and an item of this many terms (at
+  /// most 256 (term, output) pairs) executes in ONE batched traversal laid
+  /// out by core::ReplayLayout -- steps outside the noise sites' light cone
+  /// run once per batch, duplicate slices are memcpy'd, and per-step
+  /// dispatch / permutation work amortizes over the batch, bit-identically
+  /// to per-term replay. A traversal of one output (approximate_fidelity,
+  /// or a one-output shard) keeps its caps out of the batched arena as
+  /// shared inputs. <= 1 is a range of one term. The batched and environment
   /// arenas meet the `control`'s memory ceiling like the per-term plan's:
   /// one over it raises MemoryOutError. A deadline is the `control`'s, one
   /// clock for the whole call, so TO behavior does not depend on the
@@ -128,8 +130,9 @@ ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_
 /// every sampled bitstring). Output-independent work is shared:
 ///  * the term enumeration, SVD splits, templates, and plans are built once;
 ///  * on the tensor-network path the u <= 1 terms come from one environment
-///    pass per output; for u >= 2 the output-basis caps join the
-///    noise sites as varying slots of the batched plan, so each chunk of
+///    pass per output; for u >= 2 the output-basis caps join the noise
+///    sites as varying slots of the batched plan (core::ReplayLayout, when
+///    a traversal scores more than one output), so each chunk of
 ///    batch_terms terms x (up to 32) outputs executes in ONE traversal --
 ///    steps outside every cone run once per chunk, noise-cone rows are
 ///    shared across outputs, cap-cone rows across terms. The (term,
@@ -220,8 +223,12 @@ struct SweepOptions {
 /// fold streams: it folds its term values in global term-enumeration order
 /// (out-of-order item completions are stash-buffered through a bounded pool
 /// of threads + 2 buffers and folded in order), so every output reproduces
-/// the reference reduction arithmetic exactly. A cancel drains the queue
-/// and salvages (cancelled = true, completed chunks valid). Peak memory for
+/// the reference reduction arithmetic exactly. The u >= 2 terms of an item
+/// run through its worker's core::ReplayEvaluator, the replay path the TN
+/// trajectory sampler shares: one row of U factors per term, scored at
+/// the item's outputs (caps varying only when a traversal scores more than
+/// one of them). A cancel drains the queue and salvages (cancelled = true,
+/// completed chunks valid). Peak memory for
 /// the sweep value table is O(outputs) -- per-chunk running level sums plus
 /// a buffer pool of O(threads) in-flight items -- never the O(terms x
 /// outputs) table the pre-sharding sweep materialized.

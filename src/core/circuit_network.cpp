@@ -1,5 +1,7 @@
 #include "core/circuit_network.hpp"
 
+#include <algorithm>
+
 #include "circuit/simplify.hpp"
 #include "sim/statevector.hpp"
 #include "tensor/contract.hpp"
@@ -75,7 +77,7 @@ AmplitudeTemplate::AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleto
   // them, so the caller's RunControl -- which the compile above honored --
   // must not survive on the stored options: a later compile_batched through
   // a cache hit would poll a dangling pointer. Run-time control reaches
-  // replays through each Session's workspace instead (set_control).
+  // replays through each evaluator's workspace instead.
   copts_.control = nullptr;
 }
 
@@ -85,82 +87,26 @@ std::vector<std::size_t> AmplitudeTemplate::output_cap_nodes() const {
   return nodes;
 }
 
-void AmplitudeTemplate::fill_output_caps(std::uint64_t v_bits,
-                                         std::span<const tsr::Tensor*> ptrs) const {
-  la::detail::require(ptrs.size() >= static_cast<std::size_t>(n_),
-                      "fill_output_caps: pointer span too small");
-  for (int q = 0; q < n_; ++q)
-    ptrs[static_cast<std::size_t>(q)] = basis_bit(v_bits, n_, q) ? &cap_one_ : &cap_zero_;
-}
-
 tn::BatchedPlan AmplitudeTemplate::compile_batched_outputs(std::size_t capacity,
                                                            tn::ContractStats* stats) const {
-  const std::vector<std::size_t> nodes = output_cap_nodes();
-  // Every cap is <0| or <1| and flips freely across a batch of bitstrings,
-  // so each slot carries 2 variants with no per-term deviation promise.
-  const std::vector<std::size_t> counts(nodes.size(), 2);
-  const std::vector<char> unconstrained(nodes.size(), 1);
-  return compile_batched(nodes, capacity, stats, counts, static_cast<std::size_t>(-1),
-                         unconstrained);
+  return ReplayLayout(*this, {}, {}, 1, capacity, capacity).compile(*this, static_cast<std::size_t>(-1), stats);
 }
 
-AmplitudeTemplate::Session::Session(const AmplitudeTemplate& tmpl) : tmpl_(&tmpl) {
-  inputs_.reserve(tmpl.net_.num_nodes());
-  for (std::size_t i = 0; i < tmpl.net_.num_nodes(); ++i)
-    inputs_.push_back(&tmpl.net_.node(i).tensor);
+InputTable::InputTable(const AmplitudeTemplate& tmpl) : net_(&tmpl.net_) {
+  inputs_.reserve(net_->num_nodes());
+  for (std::size_t i = 0; i < net_->num_nodes(); ++i) inputs_.push_back(&net_->node(i).tensor);
 }
 
-AmplitudeTemplate::BatchedSession::BatchedSession(const AmplitudeTemplate& tmpl,
-                                                  const tn::BatchedPlan& bplan)
-    : tmpl_(&tmpl), bplan_(&bplan) {
-  shared_.reserve(tmpl.net_.num_nodes());
-  for (std::size_t i = 0; i < tmpl.net_.num_nodes(); ++i)
-    shared_.push_back(&tmpl.net_.node(i).tensor);
-}
-
-void AmplitudeTemplate::BatchedSession::evaluate(std::span<const Substitution> subs,
-                                                 std::span<const tsr::Tensor* const> ptrs,
-                                                 std::size_t k, std::span<cplx> out) {
+void InputTable::apply(std::span<const AmplitudeTemplate::Substitution> subs) {
   // Validate every index BEFORE applying anything: a mid-application throw
   // would leave earlier substitutions silently active in later calls.
-  for (const Substitution& s : subs)
-    la::detail::require(s.first < shared_.size(),
-                        "BatchedSession: substitution out of range");
-  for (const Substitution& s : subs) shared_[s.first] = s.second;
-  try {
-    evaluate(ptrs, k, out);
-  } catch (...) {
-    for (const Substitution& s : subs) shared_[s.first] = &tmpl_->net_.node(s.first).tensor;
-    throw;
-  }
-  for (const Substitution& s : subs) shared_[s.first] = &tmpl_->net_.node(s.first).tensor;
+  for (const AmplitudeTemplate::Substitution& s : subs)
+    la::detail::require(s.first < inputs_.size(), "InputTable: substitution out of range");
+  for (const AmplitudeTemplate::Substitution& s : subs) inputs_[s.first] = s.second;
 }
 
-void AmplitudeTemplate::BatchedSession::evaluate(std::span<const tsr::Tensor* const> ptrs,
-                                                 std::size_t k, std::span<cplx> out) {
-  la::detail::require(out.size() >= k, "BatchedSession: output span too small");
-  const tsr::Tensor amps = bplan_->execute(shared_, ptrs, k, ws_, &stats_);
-  la::detail::require(amps.size() == k, "BatchedSession: template output is not scalar");
-  std::copy(amps.data(), amps.data() + k, out.data());
-}
-
-cplx AmplitudeTemplate::Session::evaluate(std::span<const Substitution> subs) {
-  // Validate every index BEFORE applying anything: a mid-application throw
-  // would leave earlier substitutions silently active in later calls.
-  for (const Substitution& s : subs)
-    la::detail::require(s.first < inputs_.size(), "AmplitudeTemplate: substitution out of range");
-  for (const Substitution& s : subs) inputs_[s.first] = s.second;
-  cplx value;
-  try {
-    value = tmpl_->plan_
-                .execute(std::span<const tsr::Tensor* const>(inputs_), ws_, &stats_)
-                .to_scalar();
-  } catch (...) {
-    for (const Substitution& s : subs) inputs_[s.first] = &tmpl_->net_.node(s.first).tensor;
-    throw;
-  }
-  for (const Substitution& s : subs) inputs_[s.first] = &tmpl_->net_.node(s.first).tensor;
-  return value;
+void InputTable::restore(std::span<const AmplitudeTemplate::Substitution> subs) {
+  for (const AmplitudeTemplate::Substitution& s : subs) inputs_[s.first] = &net_->node(s.first).tensor;
 }
 
 namespace {
@@ -236,97 +182,146 @@ std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
     return out;
   }
 
-  // One compiled skeleton for every bitstring; the template's own caps are
-  // placeholders (the varying slots always substitute them).
+  // One compiled skeleton for every bitstring, replayed as one row at up
+  // to 64 outputs per traversal; the template's own caps are placeholders
+  // (every replay substitutes them).
   const AmplitudeTemplate tmpl(n, *use, psi_bits, v_bits[0], eval);
   if (stats) stats->merge(tmpl.compile_stats());
-  const std::size_t nn = static_cast<std::size_t>(n);
-
   constexpr std::size_t kOutputBatch = 64;
-  const std::size_t cap = std::min(v_bits.size(), kOutputBatch);
-  const auto bplan = batched_plan_or_null(cap, [&] {
-    return std::make_shared<const tn::BatchedPlan>(tmpl.compile_batched_outputs(cap, stats));
+  const ReplayLayout layout(tmpl, {}, {}, 1, v_bits.size(), kOutputBatch);
+  const auto bplan = batched_plan_or_null(layout.capacity(), [&] {
+    return std::make_shared<const tn::BatchedPlan>(
+        layout.compile(tmpl, static_cast<std::size_t>(-1), stats));
   });
-  const std::vector<std::size_t> slots = tmpl.output_cap_nodes();
-  ReplayEvaluator evaluator(tmpl, slots, bplan.get());
-  std::vector<const tsr::Tensor*> ptrs(cap * nn);
-  for (std::size_t b = 0; b < v_bits.size(); b += cap) {
-    const std::size_t k = std::min(cap, v_bits.size() - b);
-    for (std::size_t t = 0; t < k; ++t)
-      tmpl.fill_output_caps(v_bits[b + t], std::span(ptrs).subspan(t * nn, nn));
-    evaluator.evaluate({}, std::span<const tsr::Tensor* const>(ptrs).first(k * nn), k,
-                       std::span<cplx>(out).subspan(b, k));
-  }
+  ReplayEvaluator evaluator(tmpl, layout, bplan.get(), eval.tn.control);
+  evaluator.amplitudes({}, 1, v_bits, out);
   if (stats) stats->merge(evaluator.stats());
   return out;
 }
 
-ReplayEvaluator::ReplayEvaluator(const AmplitudeTemplate& tmpl,
-                                 std::span<const std::size_t> slots,
-                                 const tn::BatchedPlan* bplan, const RunControl* control)
-    : slots_(slots) {
-  if (bplan) {
-    batched_.emplace(tmpl, *bplan);
-    batched_->set_control(control);
-  } else {
-    per_term_.emplace(tmpl.session());
-    per_term_->set_control(control);
-  }
-}
-
-void ReplayEvaluator::evaluate(std::span<const AmplitudeTemplate::Substitution> shared,
-                               std::span<const tsr::Tensor* const> ptrs, std::size_t k,
-                               std::span<cplx> out) {
-  const std::size_t V = slots_.size();
-  la::detail::require(ptrs.size() >= k * V && out.size() >= k,
-                      "ReplayEvaluator: pointer or output span too small");
-  if (batched_) {
-    const std::size_t cap = batched_->capacity();
-    for (std::size_t b = 0; b < k; b += cap) {
-      const std::size_t kb = std::min(cap, k - b);
-      batched_->evaluate(shared, ptrs.subspan(b * V, kb * V), kb, out.subspan(b, kb));
+ReplayLayout::ReplayLayout(const AmplitudeTemplate& tmpl,
+                           std::span<const std::size_t> site_nodes,
+                           std::span<const std::size_t> site_counts, std::size_t rows_wanted,
+                           std::size_t outputs_wanted, std::size_t max_outputs)
+    : sites(site_nodes.size()),
+      outputs(std::clamp<std::size_t>(outputs_wanted, 1, std::max<std::size_t>(max_outputs, 1))),
+      slots(site_nodes.begin(), site_nodes.end()),
+      counts(site_counts.begin(), site_counts.end()),
+      unconstrained(sites, 0) {
+  la::detail::require(site_counts.size() == sites, "ReplayLayout: one count per site");
+  rows = rows_per_traversal(rows_wanted, outputs);
+  if (outputs > 1) {
+    for (const std::size_t cap : tmpl.output_cap_nodes()) {
+      slots.push_back(cap);
+      counts.push_back(2);
+      unconstrained.push_back(1);
     }
-    return;
-  }
-  subs_.assign(shared.begin(), shared.end());
-  subs_.resize(shared.size() + V);
-  for (std::size_t t = 0; t < k; ++t) {
-    for (std::size_t v = 0; v < V; ++v) subs_[shared.size() + v] = {slots_[v], ptrs[t * V + v]};
-    out[t] = per_term_->evaluate(subs_);
   }
 }
 
-const tn::ContractStats& ReplayEvaluator::stats() const {
-  return batched_ ? batched_->stats() : per_term_->stats();
+std::size_t ReplayLayout::rows_per_traversal(std::size_t rows, std::size_t outputs) {
+  return std::min(std::max<std::size_t>(rows, 1),
+                  std::max<std::size_t>(kMaxBatchPairs / std::max<std::size_t>(outputs, 1), 1));
+}
+
+tn::BatchedPlan ReplayLayout::compile(const AmplitudeTemplate& tmpl,
+                                      std::size_t max_varied_per_term,
+                                      tn::ContractStats* stats) const {
+  return tmpl.compile_batched(slots, capacity(), stats, counts, max_varied_per_term,
+                              unconstrained);
+}
+
+ReplayEvaluator::ReplayEvaluator(const AmplitudeTemplate& tmpl, ReplayLayout layout,
+                                 const tn::BatchedPlan* bplan, const RunControl* control)
+    : tmpl_(&tmpl),
+      layout_(std::move(layout)),
+      bplan_(bplan),
+      inputs_(tmpl),
+      ptrs_(layout_.capacity() * layout_.slots.size()),
+      pair_(layout_.slots.size()),
+      amps_(layout_.capacity()) {
+  la::detail::require(!bplan || (bplan->varying_slots() == layout_.slots &&
+                                 bplan->capacity() >= layout_.capacity()),
+                      "ReplayEvaluator: batched plan not compiled from this layout");
+  ws_.control = control;
+  if (layout_.slots.size() == layout_.sites)  // one output per traversal
+    for (int q = 0; q < tmpl.num_qubits(); ++q)
+      shared_.emplace_back(tmpl.node_of_output_cap(q), nullptr);
+}
+
+void ReplayEvaluator::amplitudes(std::span<const tsr::Tensor* const> rows, std::size_t k,
+                                 std::span<const std::uint64_t> outputs, std::span<cplx> out) {
+  la::detail::require(out.size() >= k * outputs.size(), "ReplayEvaluator: output span too small");
+  run(rows, k, outputs, [&](std::size_t i, cplx a) { out[i] = a; });
+}
+
+void ReplayEvaluator::norms(std::span<const tsr::Tensor* const> rows, std::size_t k,
+                            std::span<const std::uint64_t> outputs, std::span<double> out) {
+  la::detail::require(out.size() >= k * outputs.size(), "ReplayEvaluator: output span too small");
+  run(rows, k, outputs, [&](std::size_t i, cplx a) { out[i] = std::norm(a); });
+}
+
+template <class Store>
+void ReplayEvaluator::run(std::span<const tsr::Tensor* const> rows, std::size_t k,
+                          std::span<const std::uint64_t> outputs, Store&& store) {
+  const std::size_t S = layout_.sites, V = layout_.slots.size(), K = outputs.size();
+  const int n = tmpl_->num_qubits();
+  la::detail::require(rows.size() >= k * S, "ReplayEvaluator: row span too small");
+  auto cap = [&](std::uint64_t v, int q) { return &tmpl_->output_cap(basis_bit(v, n, q)); };
+  for (std::size_t r0 = 0; r0 < k; r0 += layout_.rows) {
+    const std::size_t rc = std::min(layout_.rows, k - r0);
+    for (std::size_t o0 = 0; o0 < K; o0 += layout_.outputs) {
+      const std::size_t oc = std::min(layout_.outputs, K - o0);
+      // Pair o * rc + r: row r0 + r's sites, then output o0 + o's caps
+      // when they vary; a one-output layout substitutes them as shared
+      // inputs instead.
+      for (std::size_t o = 0; o < oc; ++o)
+        for (std::size_t r = 0; r < rc; ++r) {
+          const std::span<const tsr::Tensor*> p =
+              std::span(ptrs_).subspan((o * rc + r) * V, V);
+          std::ranges::copy(rows.subspan((r0 + r) * S, S), p.begin());
+          for (std::size_t q = S; q < V; ++q) p[q] = cap(outputs[o0 + o], static_cast<int>(q - S));
+        }
+      for (std::size_t q = 0; q < shared_.size(); ++q)
+        shared_[q].second = cap(outputs[o0], static_cast<int>(q));
+      traverse(rc * oc);
+      for (std::size_t r = 0; r < rc; ++r)
+        for (std::size_t o = 0; o < oc; ++o) store((r0 + r) * K + o0 + o, amps_[o * rc + r]);
+    }
+  }
+}
+
+void ReplayEvaluator::traverse(std::size_t pairs) {
+  const std::size_t V = layout_.slots.size();
+  const auto ptrs = std::span<const tsr::Tensor* const>(ptrs_).first(pairs * V);
+  inputs_.with(shared_, [&](std::span<const tsr::Tensor* const> inputs) {
+    if (bplan_) {
+      const tsr::Tensor amps = bplan_->execute(inputs, ptrs, pairs, ws_, &stats_);
+      la::detail::require(amps.size() == pairs, "ReplayEvaluator: template output is not scalar");
+      std::copy(amps.data(), amps.data() + pairs, amps_.begin());
+      return;
+    }
+    for (std::size_t t = 0; t < pairs; ++t) {
+      for (std::size_t v = 0; v < V; ++v) pair_[v] = {layout_.slots[v], ptrs[t * V + v]};
+      inputs_.with(pair_, [&](std::span<const tsr::Tensor* const> in) {
+        amps_[t] = tmpl_->plan().execute(in, ws_, &stats_).to_scalar();
+      });
+    }
+  });
 }
 
 EnvEvaluator::EnvEvaluator(const AmplitudeTemplate& tmpl, const tn::EnvSchedule& sched,
                            const RunControl* control)
-    : tmpl_(&tmpl), sched_(&sched) {
+    : sched_(&sched), inputs_(tmpl) {
   ws_.control = control;
-  inputs_.reserve(tmpl.net_.num_nodes());
-  for (std::size_t i = 0; i < tmpl.net_.num_nodes(); ++i)
-    inputs_.push_back(&tmpl.net_.node(i).tensor);
 }
 
 cplx EnvEvaluator::evaluate(std::span<const AmplitudeTemplate::Substitution> subs,
                             std::span<const char> want, std::size_t terms) {
-  // Validate every index BEFORE applying anything (see Session::evaluate).
-  for (const AmplitudeTemplate::Substitution& s : subs)
-    la::detail::require(s.first < inputs_.size(), "EnvEvaluator: substitution out of range");
-  for (const AmplitudeTemplate::Substitution& s : subs) inputs_[s.first] = s.second;
-  auto restore = [&] {
-    for (const AmplitudeTemplate::Substitution& s : subs)
-      inputs_[s.first] = &tmpl_->net_.node(s.first).tensor;
-  };
   cplx value;
-  try {
-    value = sched_->execute(inputs_, want, ws_, &stats_, terms);
-  } catch (...) {
-    restore();
-    throw;
-  }
-  restore();
+  inputs_.with(subs, [&](std::span<const tsr::Tensor* const> inputs) {
+    value = sched_->execute(inputs, want, ws_, &stats_, terms);
+  });
   return value;
 }
 

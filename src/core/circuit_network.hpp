@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -76,13 +75,15 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 /// with the circuit evaluated once: the state-vector backend runs the
 /// single forward evolution and reads all amplitudes off the final state;
 /// the tensor-network backend compiles the skeleton once and replays it
-/// output-batched (the basis caps become varying slots of a
-/// tn::BatchedPlan, so steps outside every cap's light cone run once per
-/// batch -- see AmplitudeTemplate::compile_batched_outputs). Element t is
-/// bit-identical to amplitude(n, gates, psi_bits, v_bits[t], ...) with the
-/// same options; a single bitstring, or an output batch that shares no
-/// work, replays the per-bitstring plan instead (batched_plan_or_null),
-/// which is bit-identical too.
+/// through one ReplayEvaluator, up to 64 outputs per traversal (the basis
+/// caps become varying slots of a tn::BatchedPlan, so steps outside every
+/// cap's light cone run once per batch -- see
+/// AmplitudeTemplate::compile_batched_outputs). Element t is bit-identical
+/// to amplitude(n, gates, psi_bits, v_bits[t], ...) with the same options;
+/// a single bitstring, or an output batch that shares no work, replays the
+/// per-bitstring plan instead (batched_plan_or_null), which is
+/// bit-identical too. opts.tn.control governs the compile and every
+/// replay, its memory ceiling included.
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
                                    std::span<const std::uint64_t> v_bits,
@@ -113,10 +114,10 @@ inline EvalOptions resolved_eval_options(int, const std::vector<qc::Gate>&,
   return opts;
 }
 
-/// Output-batched traversal shape shared by the Algorithm-1 sweep and the
-/// trajectory sweep: up to kOutputChunk outputs per traversal, and at most
-/// kMaxBatchPairs (term or sample, output) pairs per traversal -- the
-/// measured batched-arena knee on the Fig. 4-style grids.
+/// Output-batched traversal shape of every replay engine (see
+/// ReplayLayout): up to kOutputChunk outputs per traversal, and at most
+/// kMaxBatchPairs (row, output) pairs per traversal -- the measured
+/// batched-arena knee on the Fig. 4-style grids.
 inline constexpr std::size_t kOutputChunk = 32;
 inline constexpr std::size_t kMaxBatchPairs = 256;
 
@@ -129,24 +130,26 @@ inline bool output_batch_worthwhile(const tn::BatchedPlan& bp) {
 
 /// Plan-once / replay-per-term amplitude evaluation.
 ///
-/// Builds the tensor network of <v| skeleton |psi> once, compiles its
-/// contraction plan once, and replays the plan with per-call tensor
-/// substitutions at chosen nodes. Every Algorithm-1 term and every TN
-/// trajectory sample shares one topology (only the noise-site insertions
-/// change), so this turns O(terms x (plan + contract)) into
-/// O(plan + terms x contract).
+/// Builds the tensor network of <v| skeleton |psi> once and compiles its
+/// contraction plan once; a ReplayEvaluator then replays the plan with
+/// per-term tensor substitutions at chosen nodes. Every Algorithm-1 term and
+/// every TN trajectory sample shares one topology (only the noise-site
+/// insertions and the output caps change), so this turns
+/// O(terms x (plan + contract)) into O(plan + terms x contract).
 ///
 /// The template is immutable after construction and safe to share across
-/// worker threads; each worker evaluates through its own Session (which
-/// owns the plan workspace). Construction compiles the plan, so
-/// MemoryOutError / TimeoutError surface here -- at plan time -- exactly
-/// like they would on a first contraction.
+/// worker threads; each worker evaluates through its own ReplayEvaluator or
+/// EnvEvaluator (which owns the plan workspace). Construction compiles the
+/// plan, so MemoryOutError / TimeoutError surface here -- at plan time --
+/// exactly like they would on a first contraction.
 class AmplitudeTemplate {
  public:
   /// `skeleton` must stay shape-stable under substitution: replacement
   /// tensors carry the same shape as the gate they stand in for.
   AmplitudeTemplate(int n, const std::vector<qc::Gate>& skeleton, std::uint64_t psi_bits,
                     std::uint64_t v_bits, const EvalOptions& opts);
+
+  int num_qubits() const { return n_; }
 
   /// Network node carrying skeleton gate `gate_index` (for substitutions).
   std::size_t node_of_gate(std::size_t gate_index) const {
@@ -165,16 +168,10 @@ class AmplitudeTemplate {
   std::vector<std::size_t> output_cap_nodes() const;
 
   /// Shared <0| / <1| cap tensor (same values basis_state_tensor builds).
-  /// fill_output_caps hands out these two objects, so the batched
-  /// executor's pointer-identity compaction shares rows across bitstrings
-  /// that agree on a qubit.
+  /// Every replay substitutes these two objects, so the batched executor's
+  /// pointer-identity compaction shares rows across bitstrings that agree
+  /// on a qubit.
   const tsr::Tensor& output_cap(bool one) const { return one ? cap_one_ : cap_zero_; }
-
-  /// Write the n cap-tensor pointers for output bitstring `v_bits` to
-  /// ptrs[0..n): ptrs[q] = &output_cap(bit q of v_bits). The span must
-  /// hold at least n entries; extra entries are left untouched (callers
-  /// fill per-output or per-pair blocks of a larger table).
-  void fill_output_caps(std::uint64_t v_bits, std::span<const tsr::Tensor*> ptrs) const;
 
   const tn::ContractionPlan& plan() const { return plan_; }
   /// Stats recorded while compiling the plan (plans_compiled = 1).
@@ -187,7 +184,7 @@ class AmplitudeTemplate {
   /// arena to each step's variant product (see
   /// tn::ContractionPlan::compile_batched). The batched arena is larger
   /// than the per-term plan's; a RunControl memory ceiling meets it when a
-  /// BatchedSession commits it.
+  /// ReplayEvaluator commits it.
   tn::BatchedPlan compile_batched(std::span<const std::size_t> nodes, std::size_t capacity,
                                   tn::ContractStats* stats = nullptr,
                                   std::span<const std::size_t> variant_counts = {},
@@ -206,90 +203,22 @@ class AmplitudeTemplate {
     return plan_.compile_env(nodes, copts_, stats);
   }
 
-  /// Batched replay across OUTPUT BITSTRINGS: the n output-cap nodes become
-  /// the varying slots (2 variants each -- <0| and <1| -- exempt from any
-  /// per-term deviation promise, since a bitstring flips caps freely), so
-  /// one traversal evaluates the skeleton amplitude at up to `capacity`
-  /// output bitstrings. Steps outside every cap's light cone run once per
+  /// Batched replay across `capacity` >= 2 OUTPUT BITSTRINGS: the plan of a
+  /// ReplayLayout with no sites, one row and `capacity` outputs per
+  /// traversal. The n output-cap nodes are its varying slots (2 variants
+  /// each, exempt from any per-term deviation promise, since a bitstring
+  /// flips caps freely). Steps outside every cap's light cone run once per
   /// batch; cap-cone steps store one row per distinct projection of the
   /// batch's bitstrings onto the cone's qubits. Like compile_batched, the
   /// arena meets a RunControl memory ceiling only when it is committed.
   tn::BatchedPlan compile_batched_outputs(std::size_t capacity,
                                           tn::ContractStats* stats = nullptr) const;
 
-  /// (node index, replacement tensor) pair for Session::evaluate.
+  /// (node index, replacement tensor) pair for InputTable::with.
   using Substitution = std::pair<std::size_t, const tsr::Tensor*>;
 
-  /// Per-thread evaluation state: plan workspace + input pointer table.
-  class Session {
-   public:
-    /// Evaluate the skeleton amplitude with each subs[i].first node's
-    /// tensor replaced by *subs[i].second (shapes must match). Replays the
-    /// compiled plan; no planning, near-zero allocation in steady state.
-    cplx evaluate(std::span<const Substitution> subs);
-    /// Cooperative run-time control: every plan replay through this session
-    /// polls it at step granularity (tn::PlanWorkspace::control). Sessions
-    /// are per-call state, so the control lives here and never on the
-    /// (cached, shared) template. Null disables.
-    void set_control(const RunControl* control) { ws_.control = control; }
-    /// Contraction stats accumulated across evaluate calls.
-    const tn::ContractStats& stats() const { return stats_; }
-
-   private:
-    friend class AmplitudeTemplate;
-    explicit Session(const AmplitudeTemplate& tmpl);
-    const AmplitudeTemplate* tmpl_;
-    tn::PlanWorkspace ws_;
-    std::vector<const tsr::Tensor*> inputs_;
-    tn::ContractStats stats_;
-  };
-
-  /// A fresh session; the template must outlive it.
-  Session session() const { return Session(*this); }
-
-  /// Per-thread batched evaluation state over a compiled BatchedPlan:
-  /// workspace plus the shared-input table. Evaluates K same-topology
-  /// amplitudes (e.g. K Algorithm-1 terms or K trajectory samples) in one
-  /// plan traversal; each amplitude is bit-identical to Session::evaluate
-  /// with the same substitutions.
-  class BatchedSession {
-   public:
-    /// Template and batched plan must outlive the session; `bplan` must
-    /// have been compiled from this template's plan.
-    BatchedSession(const AmplitudeTemplate& tmpl, const tn::BatchedPlan& bplan);
-    /// Evaluate k <= bplan.capacity() amplitudes: ptrs[t * V + v] stands in
-    /// at varying node bplan.varying_slots()[v] for term t (V = number of
-    /// varying nodes). Writes the k amplitudes to `out`.
-    void evaluate(std::span<const tsr::Tensor* const> ptrs, std::size_t k,
-                  std::span<cplx> out);
-    /// Like evaluate(ptrs, k, out) but with per-call substitutions at
-    /// SHARED (non-varying) nodes first: every term of the batch sees
-    /// subs[i].first's tensor replaced by *subs[i].second (shapes must
-    /// match). This is how one output-batched traversal evaluates a single
-    /// Algorithm-1 term or trajectory sample at many bitstrings -- the
-    /// term's noise-site tensors go in as shared substitutions, the caps
-    /// as varying slots. The substitutions are undone before returning.
-    void evaluate(std::span<const Substitution> subs,
-                  std::span<const tsr::Tensor* const> ptrs, std::size_t k,
-                  std::span<cplx> out);
-    /// Terms per traversal (the batched plan's capacity).
-    std::size_t capacity() const { return bplan_->capacity(); }
-    /// Cooperative run-time control, polled at step granularity by every
-    /// batched replay through this session (see Session::set_control).
-    void set_control(const RunControl* control) { ws_.control = control; }
-    /// Contraction stats accumulated across evaluate calls.
-    const tn::ContractStats& stats() const { return stats_; }
-
-   private:
-    const AmplitudeTemplate* tmpl_;
-    const tn::BatchedPlan* bplan_;
-    tn::PlanWorkspace ws_;
-    std::vector<const tsr::Tensor*> shared_;
-    tn::ContractStats stats_;
-  };
-
  private:
-  friend class EnvEvaluator;
+  friend class InputTable;
   // Declaration order matters: compile_stats_ is written while plan_
   // initializes, and plan_ compiles from net_ under copts_, which is kept
   // for compile_batched.
@@ -317,38 +246,124 @@ std::shared_ptr<const tn::BatchedPlan> batched_plan_or_null(std::size_t capacity
   return output_batch_worthwhile(*bplan) ? bplan : nullptr;
 }
 
-/// Per-worker replay of same-topology amplitudes that differ only at the
-/// template's `slots` nodes -- the evaluation path of every plan-replay
-/// engine (the TN trajectory samplers, batch_amplitudes, and the
-/// Algorithm-1 terms an EnvEvaluator does not cover). With a batched plan
-/// (compiled over exactly these slots), up to its capacity terms run per
-/// traversal; with none, each term replays the template's per-term plan. Every amplitude is bit-identical
-/// either way, so the choice only moves time and memory.
-class ReplayEvaluator {
+/// A template's input table -- node i contracts with *inputs[i] -- with
+/// scoped substitutions: the one substitution path of ReplayEvaluator and
+/// EnvEvaluator.
+class InputTable {
  public:
-  /// Template, slots and batched plan (may be null) must outlive the
-  /// evaluator.
-  /// `control` (cooperative run-time control, may be null) is polled at step
-  /// granularity by every replay, as in AmplitudeTemplate::Session.
-  ReplayEvaluator(const AmplitudeTemplate& tmpl, std::span<const std::size_t> slots,
-                  const tn::BatchedPlan* bplan, const RunControl* control = nullptr);
-  /// Evaluate k amplitudes: ptrs[t * V + v] stands in at slots[v] for term t
-  /// (V = number of slots), and every term sees the `shared` substitutions
-  /// at non-varying nodes. Writes the k amplitudes to out[0..k). Any k: the
-  /// batched path walks capacity-wide traversals. Order matters for cost,
-  /// not bits: the batched plan's per-term root pass reuses a step when
-  /// consecutive terms agree on its operands, so put the terms that share
-  /// the most inputs next to each other.
-  void evaluate(std::span<const AmplitudeTemplate::Substitution> shared,
-                std::span<const tsr::Tensor* const> ptrs, std::size_t k, std::span<cplx> out);
-  /// Contraction stats accumulated across evaluate calls.
-  const tn::ContractStats& stats() const;
+  /// The template must outlive the table.
+  explicit InputTable(const AmplitudeTemplate& tmpl);
+  /// Call run(inputs) with each subs[i].first node's tensor replaced by
+  /// *subs[i].second (shapes must match). Every index is checked before any
+  /// is applied, and the template's tensors are back in place when this
+  /// returns or rethrows, so a failed call leaves no substitution active.
+  template <class Run>
+  void with(std::span<const AmplitudeTemplate::Substitution> subs, Run&& run) {
+    apply(subs);
+    try {
+      run(std::span<const tsr::Tensor* const>(inputs_));
+    } catch (...) {
+      restore(subs);
+      throw;
+    }
+    restore(subs);
+  }
 
  private:
-  std::span<const std::size_t> slots_;
-  std::optional<AmplitudeTemplate::BatchedSession> batched_;
-  std::optional<AmplitudeTemplate::Session> per_term_;
-  std::vector<AmplitudeTemplate::Substitution> subs_;  // per-term scratch
+  void apply(std::span<const AmplitudeTemplate::Substitution> subs);
+  void restore(std::span<const AmplitudeTemplate::Substitution> subs);
+  const tn::Network* net_;
+  std::vector<const tsr::Tensor*> inputs_;
+};
+
+/// How a ReplayEvaluator lays (row, output) pairs onto plan traversals --
+/// the one output-batched layout of every replay engine. A row is one
+/// Algorithm-1 term or one trajectory sample: one tensor per site node.
+///  * Varying slots: the site nodes, then the n output caps -- but the caps
+///    only when a traversal scores more than one output. A traversal of one
+///    output substitutes its caps as shared inputs, which keeps them out of
+///    the batched arena.
+///  * A traversal scores up to `outputs` outputs (at most max_outputs) for
+///    up to `rows` rows, at most kMaxBatchPairs pairs.
+/// A batched plan is bit-identical to per-term replay whatever its slot
+/// set, so the layout moves only time and memory, never bits.
+struct ReplayLayout {
+  ReplayLayout() = default;
+  /// Rows of one tensor per entry of `site_nodes`, of which at most
+  /// `site_counts[s]` distinct ones ever stand at site s; calls score
+  /// `rows` rows at `outputs` outputs.
+  ReplayLayout(const AmplitudeTemplate& tmpl, std::span<const std::size_t> site_nodes,
+               std::span<const std::size_t> site_counts, std::size_t rows,
+               std::size_t outputs, std::size_t max_outputs = kOutputChunk);
+
+  /// Rows per traversal for `rows` rows at `outputs` outputs per traversal:
+  /// at least 1, and at most kMaxBatchPairs / outputs when that is >= 1.
+  static std::size_t rows_per_traversal(std::size_t rows, std::size_t outputs);
+
+  /// The batched plan of this layout: its slots at its capacity, at most
+  /// `max_varied_per_term` sites per row off their first tensor (Algorithm
+  /// 1's level), the caps unconstrained.
+  tn::BatchedPlan compile(const AmplitudeTemplate& tmpl,
+                          std::size_t max_varied_per_term = static_cast<std::size_t>(-1),
+                          tn::ContractStats* stats = nullptr) const;
+
+  std::size_t capacity() const { return rows * outputs; }
+
+  std::size_t sites = 0;            ///< leading slots, one per site node
+  std::size_t rows = 1;             ///< rows per traversal
+  std::size_t outputs = 1;          ///< outputs per traversal
+  std::vector<std::size_t> slots;   ///< site nodes, then (outputs > 1) the caps
+  std::vector<std::size_t> counts;  ///< distinct tensors per slot (2 per cap)
+  std::vector<char> unconstrained;  ///< 1 at the caps, which flip freely
+};
+
+/// Per-worker replay of same-topology amplitudes -- the one evaluation path
+/// of every plan-replay engine: the Algorithm-1 terms an EnvEvaluator does
+/// not cover, the TN trajectory samples, and batch_amplitudes. It owns the
+/// plan workspace, the template's input table and the contraction stats,
+/// and runs the batched plan when it has one, the template's per-term plan
+/// otherwise. Each traversal's pairs are output-major: neighbours share
+/// their caps and differ only at one row's sites, so the batched plan's
+/// per-pair root pass reuses every step outside those sites' cones. Every
+/// amplitude is bit-identical either way, so the plan choice (see
+/// batched_plan_or_null) only moves time and memory.
+class ReplayEvaluator {
+ public:
+  /// The template and `bplan` (compiled from `layout`, or null for per-term
+  /// replay) must outlive the evaluator. `control` (cooperative run-time
+  /// control, may be null) is polled at step granularity by every replay,
+  /// and its memory ceiling meets the arena each replay commits.
+  ReplayEvaluator(const AmplitudeTemplate& tmpl, ReplayLayout layout,
+                  const tn::BatchedPlan* bplan, const RunControl* control = nullptr);
+  /// out[r * outputs.size() + o] = the skeleton amplitude at output
+  /// bitstring outputs[o] with rows[r * S + s] at site node s, for r < k
+  /// (S = the layout's sites). Any k and any number of outputs: the calls
+  /// walk layout-sized traversals.
+  void amplitudes(std::span<const tsr::Tensor* const> rows, std::size_t k,
+                  std::span<const std::uint64_t> outputs, std::span<cplx> out);
+  /// amplitudes() read out as |a|^2: a trajectory sample's probability, and
+  /// an Algorithm-1 term (its bottom layer is the conjugate of its top).
+  void norms(std::span<const tsr::Tensor* const> rows, std::size_t k,
+             std::span<const std::uint64_t> outputs, std::span<double> out);
+  /// Contraction stats accumulated across calls.
+  const tn::ContractStats& stats() const { return stats_; }
+
+ private:
+  template <class Store>
+  void run(std::span<const tsr::Tensor* const> rows, std::size_t k,
+           std::span<const std::uint64_t> outputs, Store&& store);
+  void traverse(std::size_t pairs);
+
+  const AmplitudeTemplate* tmpl_;
+  ReplayLayout layout_;
+  const tn::BatchedPlan* bplan_;
+  InputTable inputs_;
+  tn::PlanWorkspace ws_;
+  tn::ContractStats stats_;
+  std::vector<const tsr::Tensor*> ptrs_;  // pairs x slots of one traversal
+  std::vector<AmplitudeTemplate::Substitution> shared_;  // a one-output layout's caps
+  std::vector<AmplitudeTemplate::Substitution> pair_;    // one per-term pair's slots
+  std::vector<cplx> amps_;                // one traversal's amplitudes
 };
 
 /// Per-worker environment passes over a template's tn::EnvSchedule: one
@@ -378,10 +393,9 @@ class EnvEvaluator {
   const tn::ContractStats& stats() const { return stats_; }
 
  private:
-  const AmplitudeTemplate* tmpl_;
   const tn::EnvSchedule* sched_;
+  InputTable inputs_;
   tn::PlanWorkspace ws_;
-  std::vector<const tsr::Tensor*> inputs_;
   tn::ContractStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "core/trajectories_tn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,12 +56,9 @@ TnSkeleton checked_skeleton(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
 }
 
 // One trajectory sweep's read-only state, shared by every worker: the
-// skeleton and its mixtures, and the compiled template whose noise-site
-// nodes AND output caps are the varying slots (the Algorithm-1 sweep's plan
-// shape), so one traversal scores up to sample_batch sampled trajectories x
-// out_chunk outputs. A traversal of one output (out_chunk 1, e.g.
-// trajectories_tn) holds its caps fixed, so they enter as shared
-// substitutions instead of varying slots.
+// skeleton and its mixtures, the compiled template, and the replay layout
+// whose rows are sampled trajectories (one unitary per noise site), so one
+// traversal scores several samples at several outputs.
 class TrajectorySweep {
  public:
   // `samples_per_chunk` bounds the samples one sampler call scores (the
@@ -72,42 +68,26 @@ class TrajectorySweep {
                   std::span<const std::uint64_t> v_bits, const tn::ContractOptions& copts,
                   std::size_t shard_outputs, std::size_t samples_per_chunk)
       : sk_(std::move(sk)),
-        n_(n),
         v_bits_(v_bits),
         control_(copts.control),
         shard_(std::min(v_bits.size(), shard_outputs > 0 ? shard_outputs : kOutputChunk)),
         tmpl_(n, sk_.gates, psi_bits, v_bits[0], {.tn = copts}) {
-    const std::size_t num_sites = sk_.mixtures.size();
-
     // Tensorized mixture unitaries per (site, mixture index) -- sampling
     // then allocates nothing per trajectory. Each site draws from its fixed
-    // mixture and each cap is <0| or <1|, which bounds every step's distinct
-    // rows by the variant product of its cone.
-    std::vector<std::size_t> counts;
-    site_tensors_.resize(num_sites);
-    for (std::size_t site = 0; site < num_sites; ++site) {
+    // mixture, which bounds every step's distinct rows by the variant
+    // product of its cone.
+    std::vector<std::size_t> nodes, counts;
+    for (std::size_t site = 0; site < sk_.mixtures.size(); ++site) {
       const qc::Gate& g = sk_.gates[sk_.site_gate_index[site]];
+      site_tensors_.emplace_back();
       for (const la::Matrix& u : sk_.mixtures[site].unitaries)
-        site_tensors_[site].push_back(gate_matrix_tensor(u, g.num_qubits()));
-      slots_.push_back(tmpl_.node_of_gate(sk_.site_gate_index[site]));
+        site_tensors_.back().push_back(gate_matrix_tensor(u, g.num_qubits()));
+      nodes.push_back(tmpl_.node_of_gate(sk_.site_gate_index[site]));
       counts.push_back(sk_.mixtures[site].unitaries.size());
     }
-    // One traversal covers up to the output-batched width times as many
-    // samples as keep it within kMaxBatchPairs pairs; shards wider than it
-    // walk sub-chunks, narrower ones just underfill the plan.
-    out_chunk_ = std::min(shard_, kOutputChunk);
-    if (out_chunk_ > 1) {
-      for (const std::size_t cap : tmpl_.output_cap_nodes()) {
-        slots_.push_back(cap);
-        counts.push_back(2);
-      }
-    }
-    sample_batch_ = std::min(std::max<std::size_t>(samples_per_chunk, 1),
-                             std::max<std::size_t>(kMaxBatchPairs / out_chunk_, 1));
-    const std::size_t capacity = sample_batch_ * out_chunk_;
-    bplan_ = batched_plan_or_null(capacity, [&] {
-      return std::make_shared<const tn::BatchedPlan>(
-          tmpl_.compile_batched(slots_, capacity, nullptr, counts));
+    layout_ = ReplayLayout(tmpl_, nodes, counts, samples_per_chunk, shard_);
+    bplan_ = batched_plan_or_null(layout_.capacity(), [&] {
+      return std::make_shared<const tn::BatchedPlan>(layout_.compile(tmpl_));
     });
   }
   // Samplers and their evaluators point into this object.
@@ -121,62 +101,29 @@ class TrajectorySweep {
   // reads the sweep state shared. One draw set per trajectory, in sample
   // order, whatever the shard -- the RNG consumption of every entry point.
   sim::ShardChunkSampler worker_sampler() const {
-    const std::size_t num_sites = sk_.mixtures.size();
-    const std::size_t V = slots_.size();
-    const std::size_t capacity = sample_batch_ * out_chunk_;
-    auto evaluator =
-        std::make_shared<ReplayEvaluator>(tmpl_, slots_, bplan_.get(), control_);
-    auto draws = std::make_shared<std::vector<const tsr::Tensor*>>(sample_batch_ * num_sites);
-    auto ptrs = std::make_shared<std::vector<const tsr::Tensor*>>(capacity * V);
-    auto amps = std::make_shared<std::vector<cplx>>(capacity);
-    auto shared = std::make_shared<std::vector<AmplitudeTemplate::Substitution>>();
-    return [this, num_sites, V, evaluator, draws, ptrs, amps, shared](
-               std::mt19937_64& rng, std::size_t shard_begin, std::size_t shard_count,
-               std::size_t count, std::span<double> out) {
-      for (std::size_t s0 = 0; s0 < count; s0 += sample_batch_) {
-        const std::size_t sb = std::min(sample_batch_, count - s0);
-        for (std::size_t s = 0; s < sb; ++s)
-          for (std::size_t site = 0; site < num_sites; ++site)
-            (*draws)[s * num_sites + site] =
-                &site_tensors_[site][sim::sample_index(sk_.mixtures[site].probs, rng)];
-        for (std::size_t o0 = 0; o0 < shard_count; o0 += out_chunk_) {
-          const std::size_t oc = std::min(out_chunk_, shard_count - o0);
-          // Output-major pairs (o * sb + s): neighbours share their caps,
-          // so the batched plan's per-pair root pass can reuse steps.
-          for (std::size_t o = 0; o < oc; ++o)
-            for (std::size_t s = 0; s < sb; ++s) {
-              const std::span<const tsr::Tensor*> p =
-                  std::span(*ptrs).subspan((o * sb + s) * V, V);
-              std::ranges::copy(std::span(*draws).subspan(s * num_sites, num_sites), p.begin());
-              if (V > num_sites)
-                tmpl_.fill_output_caps(v_bits_[shard_begin + o0 + o], p.subspan(num_sites));
-            }
-          shared->clear();
-          if (V == num_sites)  // one output per traversal: its caps are shared
-            for (int q = 0; q < n_; ++q)
-              shared->push_back({tmpl_.node_of_output_cap(q),
-                                 &tmpl_.output_cap(basis_bit(v_bits_[shard_begin + o0], n_, q))});
-          const std::size_t k = sb * oc;
-          evaluator->evaluate(*shared, std::span<const tsr::Tensor* const>(*ptrs).first(k * V),
-                              k, *amps);
-          for (std::size_t s = 0; s < sb; ++s)
-            for (std::size_t o = 0; o < oc; ++o)
-              out[(s0 + s) * shard_count + o0 + o] = std::norm((*amps)[o * sb + s]);
-        }
-      }
+    auto evaluator = std::make_shared<ReplayEvaluator>(tmpl_, layout_, bplan_.get(), control_);
+    auto rows = std::make_shared<std::vector<const tsr::Tensor*>>();
+    return [this, evaluator, rows](std::mt19937_64& rng, std::size_t shard_begin,
+                                   std::size_t shard_count, std::size_t count,
+                                   std::span<double> out) {
+      const std::size_t num_sites = sk_.mixtures.size();
+      rows->resize(count * num_sites);
+      for (std::size_t s = 0; s < count; ++s)
+        for (std::size_t site = 0; site < num_sites; ++site)
+          (*rows)[s * num_sites + site] =
+              &site_tensors_[site][sim::sample_index(sk_.mixtures[site].probs, rng)];
+      evaluator->norms(*rows, count, v_bits_.subspan(shard_begin, shard_count), out);
     };
   }
 
  private:
   TnSkeleton sk_;
-  int n_;
   std::span<const std::uint64_t> v_bits_;
   const RunControl* control_;
   std::size_t shard_;
   AmplitudeTemplate tmpl_;
-  std::vector<std::size_t> slots_;  // site nodes, then (out_chunk > 1) the caps
   std::vector<std::vector<tsr::Tensor>> site_tensors_;
-  std::size_t out_chunk_ = 0, sample_batch_ = 0;
+  ReplayLayout layout_;
   std::shared_ptr<const tn::BatchedPlan> bplan_;  // null: per-term replay
 };
 

@@ -54,12 +54,13 @@ sim::TrajectoryResult trajectories_tn(const ch::NoisyCircuit& nc, std::uint64_t 
                                       const tn::ContractOptions& copts = {});
 
 /// Estimate <v_t|E(|psi><psi|)|v_t> for EVERY output bitstring in `v_bits`
-/// from ONE set of sampled trajectories: each trajectory draws its site
-/// unitaries once and scores the bitstrings on the same sampled circuit
-/// through one core::ReplayEvaluator whose varying slots are the noise
-/// sites and the basis caps (the Algorithm-1 sweep's plan shape): a
-/// traversal covers up to (chunk samples x <= 32 outputs) pairs, capped at
-/// 256. The bitstrings are partitioned into shards of `shard_outputs`, and
+/// from ONE set of sampled trajectories: each trajectory draws one row of
+/// site unitaries and scores the bitstrings on the same sampled circuit
+/// through one core::ReplayEvaluator per worker, laid out by the
+/// core::ReplayLayout the Algorithm-1 sweep uses: the noise sites are the
+/// varying slots, joined by the basis caps when a traversal scores more
+/// than one output, and a traversal covers up to (chunk samples x <= 32
+/// outputs) pairs, capped at 256. The bitstrings are partitioned into shards of `shard_outputs`, and
 /// the (sample-chunk x bitstring-shard) grid runs on the shared ordered-fold
 /// work queue through sim::run_trajectories_sharded, which folds each
 /// estimate's per-chunk statistics in chunk order as chunks complete (no

@@ -91,23 +91,14 @@ TEST(BatchedOutputs, PartialBatchesThroughTemplateApi) {
   const qc::Circuit c = bench::qaoa(16, 1, 13);
   const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
   const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(8);
-  AmplitudeTemplate::BatchedSession session(tmpl, bplan);
-  AmplitudeTemplate::Session ref_session = tmpl.session();
+  const ReplayLayout layout(tmpl, {}, {}, 1, 8);
+  ReplayEvaluator batched(tmpl, layout, &bplan);
+  ReplayEvaluator per_term(tmpl, layout, nullptr);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 3, 17);
-  std::vector<const tsr::Tensor*> ptrs(3 * 16);
-  for (std::size_t t = 0; t < 3; ++t)
-    tmpl.fill_output_caps(vb[t], std::span(ptrs).subspan(t * 16, 16));
-  std::vector<cplx> out(3);
-  session.evaluate(std::span<const tsr::Tensor* const>(ptrs), 3, out);
-  std::vector<AmplitudeTemplate::Substitution> subs(16);
-  std::vector<const tsr::Tensor*> caps(16);
-  for (std::size_t t = 0; t < 3; ++t) {
-    tmpl.fill_output_caps(vb[t], caps);
-    for (int q = 0; q < 16; ++q) subs[static_cast<std::size_t>(q)] = {
-        tmpl.node_of_output_cap(q), caps[static_cast<std::size_t>(q)]};
-    const cplx ref = ref_session.evaluate(subs);
-    EXPECT_EQ(ref, out[t]);
-  }
+  std::vector<cplx> out(3), ref(3);
+  batched.amplitudes({}, 1, vb, out);
+  per_term.amplitudes({}, 1, vb, ref);
+  for (std::size_t t = 0; t < 3; ++t) EXPECT_EQ(ref[t], out[t]);
 }
 
 // --- sequential_flop_fraction fallback boundary -------------------------------
@@ -143,24 +134,16 @@ TEST(FlopFraction, AtOrAboveThresholdFallsBackToPerBitstringReplay) {
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 2, 73);
   expect_batch_matches_amplitude(16, c.gates(), vb, tn_eval());
 
-  // And the rejected batched plan itself still agrees bitwise with session
-  // replay: the policy is a performance call, never a correctness one.
-  AmplitudeTemplate::BatchedSession batched(tmpl, bp);
-  std::vector<const tsr::Tensor*> ptrs(2 * 16);
-  for (std::size_t t = 0; t < 2; ++t)
-    tmpl.fill_output_caps(vb[t], std::span(ptrs).subspan(t * 16, 16));
-  std::vector<cplx> out(2);
-  batched.evaluate(std::span<const tsr::Tensor* const>(ptrs), 2, out);
-  AmplitudeTemplate::Session session = tmpl.session();
-  std::vector<AmplitudeTemplate::Substitution> subs(16);
-  std::vector<const tsr::Tensor*> caps(16);
-  for (std::size_t t = 0; t < 2; ++t) {
-    tmpl.fill_output_caps(vb[t], caps);
-    for (int q = 0; q < 16; ++q)
-      subs[static_cast<std::size_t>(q)] = {tmpl.node_of_output_cap(q),
-                                           caps[static_cast<std::size_t>(q)]};
-    EXPECT_EQ(session.evaluate(subs), out[t]);
-  }
+  // And the rejected batched plan itself still agrees bitwise with
+  // per-term replay: the policy is a performance call, never a correctness
+  // one.
+  const ReplayLayout layout(tmpl, {}, {}, 1, 2);
+  ReplayEvaluator batched(tmpl, layout, &bp);
+  ReplayEvaluator per_term(tmpl, layout, nullptr);
+  std::vector<cplx> out(2), ref(2);
+  batched.amplitudes({}, 1, vb, out);
+  per_term.amplitudes({}, 1, vb, ref);
+  for (std::size_t t = 0; t < 2; ++t) EXPECT_EQ(ref[t], out[t]);
 }
 
 // --- approximate_fidelity_outputs ---------------------------------------------

@@ -137,8 +137,13 @@ TEST(EnvPass, DominantOverlapEqualsForwardValueOnEveryTier) {
       std::vector<AmplitudeTemplate::Substitution> subs;
       for (std::size_t s = 0; s < nodes.size(); ++s) subs.emplace_back(nodes[s], &factors[s]);
       const cplx value = ev.evaluate(subs, all, 1);
-      AmplitudeTemplate::Session session = tmpl.session();
-      EXPECT_EQ(value, session.evaluate(subs));
+      std::vector<const tsr::Tensor*> row;
+      for (const tsr::Tensor& f : factors) row.push_back(&f);
+      std::vector<std::size_t> counts(nodes.size(), 1);
+      ReplayEvaluator replay(tmpl, ReplayLayout(tmpl, nodes, counts, 1, 1), nullptr);
+      cplx replayed;
+      replay.amplitudes(row, 1, std::span(&v, 1), std::span(&replayed, 1));
+      EXPECT_EQ(value, replayed);
       ASSERT_GT(std::abs(value), 1e-3);
       for (std::size_t s = 0; s < nodes.size(); ++s)
         EXPECT_LE(std::abs(ev.overlap(s, factors[s]) - value), 1e-12 * std::abs(value))

@@ -364,6 +364,64 @@ TEST(RunControl, CeilingBelowTheEnvironmentArenaFailsALevelOneSweep) {
   EXPECT_EQ(approximate_fidelity(nc, 0, 0, opts).raw, bare.raw);
 }
 
+TEST(RunControl, OneOutputSweepSharesItsCapsOutsideTheBatchedArena) {
+  // Level 2 at one output: the u >= 2 terms replay 32 per traversal, and a
+  // traversal of one output substitutes its caps as shared inputs rather
+  // than varying slots. A ceiling at the shared-caps batched arena (below
+  // the arena with the caps varying) therefore runs the sweep, with the
+  // uncapped run's bits.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 2024);
+  const tn::ContractionPlan plan = tn::ContractionPlan::compile(sweep_network(nc));
+  constexpr std::size_t kLevel = 2, kTerms = 32;
+  std::vector<std::size_t> slots = noise_site_nodes(nc), counts;
+  for (const ch::Op& op : nc.ops())
+    if (const ch::NoiseOp* noise = std::get_if<ch::NoiseOp>(&op))
+      counts.push_back(noise->num_qubits() == 1 ? 4 : 16);
+  const std::size_t shared_caps =
+      plan.compile_batched(slots, kTerms, {}, nullptr, counts, kLevel).workspace_elems();
+  std::vector<char> unconstrained(slots.size(), 0);
+  for (int q = 0; q < nc.num_qubits(); ++q) {
+    slots.push_back(static_cast<std::size_t>(nc.num_qubits()) + nc.ops().size() +
+                    static_cast<std::size_t>(q));
+    counts.push_back(2);
+    unconstrained.push_back(1);
+  }
+  const std::size_t varying_caps =
+      plan.compile_batched(slots, kTerms, {}, nullptr, counts, kLevel, unconstrained)
+          .workspace_elems();
+  ASSERT_LT(shared_caps, varying_caps);
+
+  ApproxOptions opts;
+  opts.level = kLevel;
+  opts.batch_terms = kTerms;
+  opts.eval.backend = EvalOptions::Backend::TensorNetwork;
+  const ApproxResult bare = approximate_fidelity(nc, 0, 0, opts);
+  RunControl c;
+  c.set_memory_ceiling_elems(shared_caps);
+  opts.control = &c;
+  const ApproxResult capped = approximate_fidelity(nc, 0, 0, opts);
+  EXPECT_EQ(capped.raw, bare.raw);
+  EXPECT_EQ(capped.term_sums, bare.term_sums);
+  EXPECT_EQ(capped.level_values, bare.level_values);
+}
+
+TEST(RunControl, BatchAmplitudesReplaysUnderTheCallersCeiling) {
+  // batch_amplitudes compiles under eval.tn.control, and its replays must
+  // meet the same control's memory ceiling, as amplitude()'s do.
+  const qc::Circuit c16 = bench::qaoa(16, 1, 9);
+  const std::vector<std::uint64_t> vb{0, 1, 2, 3};
+  RunControl c;
+  c.set_memory_ceiling_elems(1);
+  EvalOptions eval;
+  eval.backend = EvalOptions::Backend::TensorNetwork;
+  eval.tn.control = &c;
+  EXPECT_THROW(amplitude(16, c16.gates(), 0, vb[0], eval), MemoryOutError);
+  EXPECT_THROW(batch_amplitudes(16, c16.gates(), 0, vb, eval), MemoryOutError);
+  EXPECT_THROW(batch_amplitudes(16, c16.gates(), 0, std::span(vb).first(1), eval),
+               MemoryOutError);
+}
+
 TEST(RunControl, CostModelCompilePollsTheCallersControl) {
   // approx_cost_model compiles the sweep's template on a cold cache -- real
   // work simulate()'s TnApprox and TnTrajectories bids do before any run.

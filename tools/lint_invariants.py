@@ -49,12 +49,15 @@ exercised by --self-test):
                     read as copts.<field> inside PlanCache::template_key --
                     an unkeyed planner option would let the plan cache serve
                     a plan compiled under different options.
-  replay-evaluator  in src/, AmplitudeTemplate::Session / BatchedSession are
-                    constructed only in core/circuit_network.cpp (behind
-                    core::ReplayEvaluator, the one batched-or-per-term
-                    replay path); tests/ and bench/ are exempt. A hand-
-                    written Session fallback elsewhere would re-grow the
-                    per-engine copies of that choice.
+  replay-evaluator  in src/ outside tn/, a tn::PlanWorkspace -- the scratch
+                    every plan replay executes in -- appears only in
+                    core/circuit_network.{hpp,cpp}, whose
+                    core::ReplayEvaluator runs the batched or the per-term
+                    plan itself (and EnvEvaluator the environment pass);
+                    tests/ and bench/ are exempt. An engine that picked
+                    between batched and per-term replay by hand would need
+                    its own workspace, re-growing per-engine copies of that
+                    choice.
   one-deadline      in src/, `throw TimeoutError` appears only in
                     core/run_control.hpp (RunControl::poll) and
                     fault/fault.cpp (the injection sites). A wall-clock
@@ -532,10 +535,8 @@ def check_worker_pool(root, cxx_files):
     return findings
 
 
-SESSION_RE = re.compile(
-    r"\bBatchedSession\b|\bAmplitudeTemplate\s*::\s*Session\b|(?:\.|->)\s*session\s*\(")
-# The evaluator's home: the header declares the session types, the TU is
-# the one place that constructs them.
+WORKSPACE_RE = re.compile(r"\bPlanWorkspace\b")
+# The evaluators' home: the header declares them, the TU runs their plans.
 REPLAY_EVALUATOR_FILES = {("src", "core", "circuit_network.hpp"),
                           ("src", "core", "circuit_network.cpp")}
 
@@ -547,16 +548,17 @@ def check_replay_evaluator(root, cxx_files):
             rel = path.relative_to(root).parts
         except ValueError:
             continue
-        if not rel or rel[0] != "src" or rel in REPLAY_EVALUATOR_FILES:
+        if (len(rel) < 2 or rel[0] != "src" or rel[1] == "tn"
+                or rel in REPLAY_EVALUATOR_FILES):
             continue
         code = strip_code(text)
-        for m in SESSION_RE.finditer(code):
+        for m in WORKSPACE_RE.finditer(code):
             findings.append(Finding(
                 path, line_of(code, m.start()), "replay-evaluator",
-                f"'{m.group(0).strip()}' outside core/circuit_network.cpp; plan "
+                "a plan workspace outside core/circuit_network.{hpp,cpp}; plan "
                 "replay in src/ goes through core::ReplayEvaluator (with a "
                 "batched plan from batched_plan_or_null, or none for per-term "
-                "replay), never a hand-written Session fallback"))
+                "replay), never a hand-picked executor"))
     return findings
 
 
