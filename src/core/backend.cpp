@@ -297,14 +297,15 @@ SimResult simulate(const ch::NoisyCircuit& nc, std::uint64_t psi_bits, std::uint
   SimulateOptions ropts = opts;
   PlanCache local_cache(8);
   if (!ropts.plan_cache) ropts.plan_cache = &local_cache;
-  // The wall-clock budget is one deadline for the whole call: every bid's
-  // estimation and every run, escalations included, spend the same clock.
-  // Chained to the caller's control so its cancel and ceiling still apply.
+  // One call-scoped control, chained to the caller's so its cancel and
+  // ceiling still apply. The wall-clock budget is one deadline for the
+  // whole call: every bid's estimation and every run, escalations
+  // included, spend the same clock. memory_budget is its memory ceiling:
+  // every arena a run commits meets the budget its bid was priced against.
   RunControl call_control(opts.control);
-  if (opts.deadline > 0.0) {
-    call_control.set_deadline_after(opts.deadline);
-    ropts.control = &call_control;
-  }
+  call_control.set_memory_ceiling_elems(opts.memory_budget);
+  if (opts.deadline > 0.0) call_control.set_deadline_after(opts.deadline);
+  ropts.control = &call_control;
 
   const std::vector<const Backend*>& pool = default_backends();
   std::vector<BackendChoice> bids(pool.size());

@@ -66,7 +66,10 @@ struct SimulateOptions {
   /// meets it. Must be positive and finite.
   double error_budget = 1e-3;
   /// Transient memory budget in complex elements (2^26 = 1 GiB). A backend
-  /// whose modeled peak exceeds it is not considered. Must be nonzero.
+  /// whose modeled peak exceeds it is not considered, and it is the memory
+  /// ceiling of the call's RunControl (see `control`): a run whose
+  /// contraction arena (per-term, batched or environment) exceeds it raises
+  /// MemoryOutError and escalates to the next bid. Must be nonzero.
   std::size_t memory_budget = std::size_t{1} << 26;
   /// Wall-clock budget of the whole call in seconds; 0 disables. Rules out
   /// configurations whose modeled flops cannot finish in time, and arms one
@@ -99,9 +102,11 @@ struct SimulateOptions {
   /// per claimed item, and the trajectory runners per chunk. An expired
   /// deadline raises TimeoutError (which the escalation ladder treats like
   /// any run-time timeout); a cancel raises CancelledError, which
-  /// simulate() never absorbs -- it propagates to the caller. With
-  /// `deadline` > 0 the engines see a child of this control carrying the
-  /// call's deadline; this control's own conditions still apply through it. Null disables; a control that never fires leaves
+  /// simulate() never absorbs -- it propagates to the caller. The engines
+  /// always see a call-scoped child of this control carrying
+  /// `memory_budget` as its memory ceiling and, with `deadline` > 0, the
+  /// call's deadline; this control's own conditions still apply through it.
+  /// Null adds nothing to the child; a control that never fires leaves
   /// results bit-identical. Caller-owned, must outlive the call.
   const RunControl* control = nullptr;
 };

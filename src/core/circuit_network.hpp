@@ -179,9 +179,9 @@ class AmplitudeTemplate {
 
   /// Compile a batched replay of the template's plan: up to `capacity`
   /// terms differing only at the given (network node) slots execute per
-  /// traversal. `variant_counts[v]` (optional) promises at most that many
-  /// distinct tensors ever substituted at nodes[v], shrinking the batched
-  /// arena to each step's variant product (see
+  /// traversal. `variant_counts[v]` (one per node, required) promises at
+  /// most that many distinct tensors ever substituted at nodes[v], sizing
+  /// the batched arena to each step's variant product (see
   /// tn::ContractionPlan::compile_batched). The batched arena is larger
   /// than the per-term plan's; a RunControl memory ceiling meets it when a
   /// ReplayEvaluator commits it.

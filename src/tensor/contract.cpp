@@ -227,14 +227,6 @@ void matmul_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
   }
 }
 
-void matmul_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                    std::size_t n, std::size_t batch, std::size_t a_stride,
-                    std::size_t b_stride, std::size_t out_stride) {
-  const MatmulFn kernel = select_matmul(m, k, n);
-  for (std::size_t s = 0; s < batch; ++s)
-    kernel(a + s * a_stride, b + s * b_stride, out + s * out_stride, m, k, n);
-}
-
 // --- state-vector kernels ---------------------------------------------------
 
 namespace {
@@ -403,7 +395,7 @@ Tensor contract(const Tensor& a, std::span<const std::size_t> axes_a, const Tens
   }
 
   Tensor out(p.out_shape);
-  active_kernels().matmul(pa, pb, out.data(), p.m, p.k, p.n);
+  active_kernels().select(p.m, p.k, p.n)(pa, pb, out.data(), p.m, p.k, p.n);
   return out;
 }
 

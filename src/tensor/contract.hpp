@@ -28,14 +28,16 @@ inline Tensor contract(const Tensor& a, std::initializer_list<std::size_t> axes_
 
 namespace detail {
 
-/// out[m x n] = a[m x k] * b[k x n]. Every element of `out` is written, so
-/// its prior contents never matter (an uninitialized arena segment is a
-/// valid destination). Per output element the value is exactly that of
-/// the naive fill-then-accumulate loop: start at +0.0, then add
-/// a(i, kk) * b(kk, j) for kk = 0..k-1 ascending, skipping exact-zero
-/// a(i, kk) -- cache blocking and register tiling never reorder that sum,
-/// and a row whose a entries are all zero stays +0.0. Shared by
-/// tsr::contract and the tn plan executor.
+/// The scalar tier's generic kernel, out[m x n] = a[m x k] * b[k x n], and
+/// the reference every matmul kernel is checked against. Every element of
+/// `out` is written, so its prior contents never matter (an uninitialized
+/// arena segment is a valid destination). Per output element the value is
+/// exactly that of the naive fill-then-accumulate loop: start at +0.0,
+/// then add a(i, kk) * b(kk, j) for kk = 0..k-1 ascending, skipping
+/// exact-zero a(i, kk) -- cache blocking and register tiling never reorder
+/// that sum, and a row whose a entries are all zero stays +0.0. Callers
+/// reach it through select_matmul, which returns it for every shape
+/// without a microkernel.
 void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
             std::size_t n);
 
@@ -43,16 +45,17 @@ void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t 
 using MatmulFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
                           std::size_t n);
 
-/// Kernel dispatch: a specialized microkernel for the dominant small shapes
-/// of circuit tensor networks (k in {2, 4}, m*n <= 64 -- dim-2 wire bundles
-/// against rank-3/4 gate tensors), the generic cache-blocked kernel
-/// otherwise. Every returned kernel computes matmul's value per output
-/// element, so the choice never changes bits -- callers executing many
-/// same-shape products (the batched plan executor) select once per step
-/// instead of re-entering the blocked kernel's setup per term. The fixed-k
-/// microkernels keep the inner j loop on raw contiguous doubles, which the
-/// compiler turns into SIMD mul/add (no FMA contraction, preserving IEEE
-/// semantics bit for bit).
+/// The scalar tier's one entry for a plain product (KernelTable::select):
+/// a specialized microkernel for the dominant small shapes of circuit
+/// tensor networks (k in {2, 4, 8, 16} against n in {2, 4}, or k in
+/// {2, 4} with m*n <= 64 -- dim-2 wire bundles against rank-3/4 gate
+/// tensors), the generic cache-blocked kernel otherwise. Every returned
+/// kernel computes matmul's value per output element, so the choice never
+/// changes bits. tsr::contract and every plan executor call the kernel this
+/// returns; the batched executor selects once per step and traversal
+/// instead of once per row. The fixed-shape microkernels keep the inner j
+/// loop on raw contiguous doubles, which the compiler turns into SIMD
+/// mul/add (no FMA contraction, preserving IEEE semantics bit for bit).
 MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n);
 
 /// Permutation-fused variant: reads operand elements through optional
@@ -67,16 +70,6 @@ MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n);
 void matmul_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
                      const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
                      std::size_t n);
-
-/// Strided-batched variant: for each slice s < batch,
-///   out[s*out_stride] = a[s*a_stride] * b[s*b_stride]
-/// as one m x k x n matmul. A stride of 0 broadcasts that operand across
-/// the batch (shared leaf tensors are read in place, never copied). Kernel
-/// selection and dispatch happen once for the whole batch; each slice is
-/// bit-identical to a standalone matmul call on its operands.
-void matmul_batched(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                    std::size_t n, std::size_t batch, std::size_t a_stride,
-                    std::size_t b_stride, std::size_t out_stride);
 
 // --- state-vector kernels ---------------------------------------------------
 //

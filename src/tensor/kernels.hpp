@@ -1,7 +1,8 @@
 #pragma once
 // Runtime-dispatched kernel tiers: one KernelTable per instruction-set
-// tier (scalar, AVX2, AVX-512), all implementing the four matmul kernel
-// families of tensor/contract.hpp and the state-vector kernel families
+// tier (scalar, AVX2, AVX-512), all implementing the two matmul kernel
+// families of tensor/contract.hpp -- the shape-selected kernel and the
+// gather-table variant -- and the state-vector kernel families
 // (1- and 2-qubit gate application, the CX permutation, the fused Kraus
 // apply + renormalization, the out-of-place 2-qubit apply) with
 // BIT-IDENTICAL results.
@@ -47,9 +48,6 @@ using SelectFn = MatmulFn (*)(std::size_t m, std::size_t k, std::size_t n);
 using GatheredFn = void (*)(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
                             const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
                             std::size_t n);
-using BatchedFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                           std::size_t n, std::size_t batch, std::size_t a_stride,
-                           std::size_t b_stride, std::size_t out_stride);
 
 // State-vector families (signatures and scalar semantics in
 // tensor/contract.hpp, sv_*).
@@ -65,18 +63,17 @@ using Sv2IntoFn = void (*)(const cplx* src, cplx* dst, std::size_t size, std::si
 }  // namespace detail
 
 /// One tier's implementation of the matmul and state-vector kernel
-/// families. The plan executor and the state-vector engine
+/// families. The plan executors, tsr::contract and the state-vector engine
 /// (sim/statevector.hpp) call kernels exclusively through a table (the
 /// executor seam): replacing the table replaces the device the plan
 /// replays on, which is the shape batched-contraction offload interfaces
-/// (cuTensorNet-style) expose. Any table slotted in must honor the
-/// bit-identity contract above to keep replays interchangeable with the
-/// CPU reference path.
+/// (cuTensorNet-style) expose. `select` is the one entry for a plain
+/// product: every executor asks it for the (m, k, n) kernel and calls what
+/// it returns. Any table slotted in must honor the bit-identity contract
+/// above to keep replays interchangeable with the CPU reference path.
 struct KernelTable {
-  detail::MatmulFn matmul;      // generic blocked matmul
-  detail::SelectFn select;      // fixed-shape microkernel dispatch
+  detail::SelectFn select;      // the (m, k, n) kernel: microkernel or generic
   detail::GatheredFn gathered;  // permutation-fused gather-table variant
-  detail::BatchedFn batched;    // strided-batched (stride 0 = broadcast)
   detail::Sv1Fn sv_dense1;        // 2x2 on one qubit
   detail::Sv1Fn sv_diag1;         // diagonal 2x2 on one qubit
   detail::Sv2Fn sv_dense2;        // 4x4 on two qubits

@@ -88,10 +88,8 @@ inline void with_width(std::size_t run, F&& f) {
 }  // namespace
 
 const KernelTable* avx2_table() {
-  static const KernelTable table{&simd_matmul<>,
-                                 &simd_select_matmul,
+  static const KernelTable table{&simd_select_matmul,
                                  &simd_matmul_gathered,
-                                 &simd_matmul_batched,
                                  &simd_sv_dense1,
                                  &simd_sv_diag1,
                                  &simd_sv_dense2,

@@ -19,10 +19,8 @@ const KernelTable* avx512_table();
 /// Scalar reference table: the contract.cpp kernels every other tier is
 /// bit-checked against. Always present.
 const KernelTable* scalar_table() {
-  static const KernelTable table{&matmul,
-                                 &select_matmul,
+  static const KernelTable table{&select_matmul,
                                  &matmul_gathered,
-                                 &matmul_batched,
                                  &sv_dense1,
                                  &sv_diag1,
                                  &sv_dense2,

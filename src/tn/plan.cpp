@@ -726,8 +726,9 @@ void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count
 }
 
 /// One forward step of a plan: operands permuted into scratch where
-/// needed, then one kernel call writes the output. ContractionPlan::execute
-/// and EnvSchedule::execute share it, so their values agree bit for bit.
+/// needed, then one call of the kernel kt.select picks for the step's shape
+/// writes the output. ContractionPlan::execute and EnvSchedule::execute
+/// share it, so their values agree bit for bit.
 void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
               PlanWorkspace& ws, const tsr::KernelTable& kt) {
   if (!step.identity_a) {
@@ -738,7 +739,7 @@ void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
     tsr::permute_walk(pb, step.b_walk, ws.scratch_b.data());
     pb = ws.scratch_b.data();
   }
-  kt.matmul(pa, pb, out, step.m, step.k, step.n);
+  kt.select(step.m, step.k, step.n)(pa, pb, out, step.m, step.k, step.n);
 }
 
 /// The walk reading an operand as the transpose of its permuted matrix
@@ -843,7 +844,7 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   fault::poke("plan-mo");
   fault::poke("plan-to");
   if (opts.control) opts.control->poll();
-  la::detail::require(variant_counts.empty() || variant_counts.size() == varying_slots.size(),
+  la::detail::require(variant_counts.size() == varying_slots.size(),
                       "compile_batched: one variant count per varying slot");
   la::detail::require(unconstrained.empty() || unconstrained.size() == varying_slots.size(),
                       "compile_batched: one unconstrained flag per varying slot");
@@ -873,7 +874,7 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   //
   // Each step's ROW BOUND is the number of distinct values its output can
   // take across a batch: the variant structure of the varying slots in its
-  // dependency cone (tracked as a bitmask while V <= 64), truncated by the
+  // dependency cone (a bitset over the varying slots), truncated by the
   // per-term variation promise (at most `max_varied_per_term` slots differ
   // from variant 0 in any one term -- Algorithm 1's level), capped at the
   // capacity. Steps whose bound stays small are BATCHED: their [rows, ...]
@@ -891,14 +892,12 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   // tracking (and the row bounds it buys) works at any slot count -- the
   // output-batching axis alone contributes n slots, which blows past a
   // single word well inside the XEB regime.
-  const bool track_cones = !variant_counts.empty();
-  const std::size_t words = track_cones ? (varying_slots.size() + 63) / 64 : 1;
+  const std::size_t words = (varying_slots.size() + 63) / 64;
   std::vector<std::uint64_t> slot_mask((num_in + steps_.size()) * words, 0);
   for (std::size_t i = 0; i < num_in; ++i)
     slot_varying[i] = bp.varying_index_of_input_[i] >= 0 ? 1 : 0;
-  if (track_cones)
-    for (std::size_t v = 0; v < varying_slots.size(); ++v)
-      slot_mask[varying_slots[v] * words + v / 64] |= std::uint64_t{1} << (v % 64);
+  for (std::size_t v = 0; v < varying_slots.size(); ++v)
+    slot_mask[varying_slots[v] * words + v / 64] |= std::uint64_t{1} << (v % 64);
   const std::size_t degree = std::min(max_varied_per_term, varying_slots.size());
   std::vector<std::size_t> coeff;  // e_j DP scratch for mask_bound
   auto mask_bound = [&](const std::uint64_t* mask) -> std::size_t {
@@ -941,21 +940,10 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
   for (std::size_t s = 0; s < steps_.size(); ++s) {
     const PlanStep& step = steps_[s];
     BatchedStep bs;
-    bs.lhs = step.lhs;
-    bs.rhs = step.rhs;
+    static_cast<ExecStep&>(bs) = step;
     bs.varying_a = slot_varying[step.lhs] != 0;
     bs.varying_b = slot_varying[step.rhs] != 0;
     bs.varying_out = bs.varying_a || bs.varying_b;
-    bs.identity_a = step.identity_a;
-    bs.identity_b = step.identity_b;
-    bs.a_walk = step.a_walk;
-    bs.b_walk = step.b_walk;
-    bs.a_elems = step.a_elems;
-    bs.b_elems = step.b_elems;
-    bs.m = step.m;
-    bs.k = step.k;
-    bs.n = step.n;
-    bs.out_elems = step.out_elems;
     if (!step.identity_a && tsr::permute_gather_applies(step.a_elems))
       bs.a_gather = tsr::permute_gather(step.a_perm_shape, step.a_src_stride);
     if (!step.identity_b && tsr::permute_gather_applies(step.b_elems))
@@ -964,12 +952,7 @@ BatchedPlan ContractionPlan::compile_batched(std::span<const std::size_t> varyin
     std::uint64_t* mask = slot_mask.data() + (num_in + s) * words;
     for (std::size_t w = 0; w < words; ++w)
       mask[w] = slot_mask[step.lhs * words + w] | slot_mask[step.rhs * words + w];
-    if (!bs.varying_out)
-      bs.row_bound = 1;
-    else if (track_cones)
-      bs.row_bound = mask_bound(mask);
-    else
-      bs.row_bound = capacity;
+    bs.row_bound = bs.varying_out ? mask_bound(mask) : 1;
     const bool operand_seq = (step.lhs >= num_in && slot_seq[step.lhs]) ||
                              (step.rhs >= num_in && slot_seq[step.rhs]);
     bs.sequential = operand_seq || (bs.varying_out && bs.row_bound >= seq_threshold &&
@@ -1128,7 +1111,6 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     // stores only the distinct rows. rows == k only where every term truly
     // differs (after the per-site cones merge near the root).
     std::size_t rows = 1;
-    bool rows_linear = st.varying_out;  // row r reads operand slice r
     if (st.varying_out) {
       for (std::size_t t = 0; t < k; ++t) {
         ws.key_a[t] = slot_key(st.lhs, t);
@@ -1151,37 +1133,19 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
           ws.ukey_a[rows] = ws.key_a[t];
           ws.ukey_b[rows] = ws.key_b[t];
           ws.urep[rows] = static_cast<std::uint32_t>(t);
-          if ((st.varying_a && ws.key_a[t] != t) || (st.varying_b && ws.key_b[t] != t))
-            rows_linear = false;
           ++rows;
         }
         vid[t] = row;
       }
-      if (rows != k) rows_linear = false;
     }
 
     peak = std::max(peak, rows * st.out_elems);
 
-    // Fast path: rows map 1:1 onto operand slices laid out contiguously in
-    // the arena (uniform operands broadcast with stride 0) -- one
-    // strided-batched call for the whole step.
-    const bool a_strided = !st.varying_a || st.lhs >= num_in;
-    const bool b_strided = !st.varying_b || st.rhs >= num_in;
-    if (rows_linear && st.identity_a && st.identity_b && a_strided && b_strided) {
-      const std::size_t a_stride = st.varying_a ? steps_[st.lhs - num_in].out_elems : 0;
-      const std::size_t b_stride = st.varying_b ? steps_[st.rhs - num_in].out_elems : 0;
-      kt.batched(slot_row_ptr(st.lhs, 0), slot_row_ptr(st.rhs, 0), out0, st.m, st.k, st.n,
-                 rows, a_stride, b_stride, st.out_elems);
-      kernels += rows;
-      flops += rows * st.m * st.k * st.n;
-      bytes += rows * kernel_bytes(st);
-      continue;
-    }
-
-    // General path: one kernel call per distinct row, operands resolved
-    // through the row's representative term, gather-table permutation into
-    // slice-sized scratch (re-gathered only when the operand's variant
-    // changes), and the kernel selected once per traversal.
+    // One kernel call per distinct row, operands resolved through the
+    // row's representative term (a uniform operand is the same buffer for
+    // every row), gather-table permutation into row-sized scratch
+    // (re-gathered only when the operand's variant changes), and the kernel
+    // selected once per traversal.
     std::ptrdiff_t last_a = -1, last_b = -1;
     for (std::size_t u = 0; u < rows; ++u) {
       const std::size_t t = st.varying_out ? ws.urep[u] : 0;
@@ -1543,10 +1507,11 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
     }
     const cplx* env_out = arena + st.out_env_offset;
     cplx* dst = st.scatter ? ws.scratch_b.data() : arena + st.env_offset;
+    const tsr::detail::MatmulFn kernel = kt.select(st.m, st.k, st.n);
     if (st.lhs)
-      kt.matmul(env_out, sib, dst, st.m, st.k, st.n);
+      kernel(env_out, sib, dst, st.m, st.k, st.n);
     else
-      kt.matmul(sib, env_out, dst, st.m, st.k, st.n);
+      kernel(sib, env_out, dst, st.m, st.k, st.n);
     if (st.scatter) tsr::scatter_walk(dst, *st.scatter, arena + st.env_offset);
     ++kernels;
     flops += st.m * st.k * st.n;

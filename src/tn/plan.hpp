@@ -14,8 +14,9 @@
 // thread), operand permutations are walks compiled at plan time
 // (tsr::PermuteWalk: size-1 axes dropped, co-adjacent axes merged, the
 // innermost run a strided loop) into reused scratch buffers, skipped
-// entirely when the permutation is the identity, and the pairwise kernel
-// is the cache-blocked matmul of tensor/contract.hpp.
+// entirely when the permutation is the identity, and every pairwise kernel
+// -- in the plan, batched and environment executors alike -- is the one
+// KernelTable::select returns for the step's (m, k, n).
 // Replaying a plan is bit-identical to contracting the network from scratch
 // with the same options.
 //
@@ -125,26 +126,20 @@ struct PlanWorkspace {
   std::vector<std::uint32_t> htab;  // first-occurrence probe table (dedup scans)
 };
 
-/// One pairwise step of a batched replay: the parent PlanStep plus the
-/// batch-dependent layout (batched arena offset, varying flags) and the
+/// One pairwise step of a batched replay: the parent plan's executed step
+/// (out_offset re-laid into the *batched* arena, out_elems per row) plus
+/// the batch-dependent layout (varying flags, row bound) and the
 /// materialized permutation gather tables. The step's (m, k, n) kernel is
 /// resolved from the ACTIVE kernel table once per traversal (not baked in
 /// at compile time), so plans cached across tier switches -- PlanCache
 /// entries outlive NOISIM_KERNELS overrides in tests and benchmarks --
 /// always execute on the tier the caller selected.
-struct BatchedStep {
-  std::size_t lhs = 0, rhs = 0;
+struct BatchedStep : ExecStep {
   bool varying_a = false, varying_b = false, varying_out = false;
-  bool identity_a = true, identity_b = true;
   // Gather tables (source offset per flat output position) when the
   // operand permutation is small enough to materialize; otherwise the
-  // parent step's compiled walk runs per slice.
+  // step's compiled walk runs per row.
   std::vector<std::uint32_t> a_gather, b_gather;
-  tsr::PermuteWalk a_walk, b_walk;
-  std::size_t a_elems = 1, b_elems = 1;
-  std::size_t m = 1, k = 1, n = 1;
-  std::size_t out_offset = 0;  // element offset into the *batched* arena
-  std::size_t out_elems = 1;   // per-row output size
   /// Compile-time bound on distinct rows this step can hold: the variant
   /// structure of the varying slots in the step's dependency cone, capped
   /// at the batch capacity. Sizes the arena buffer for batched steps.
@@ -164,16 +159,19 @@ struct BatchedStep {
 ///    whole batched arena is checked against the workspace control's
 ///    memory ceiling before execute() commits it, so batch-induced MO
 ///    surfaces before any arithmetic);
-///  * steps untouched by any varying slot run ONCE per batch and broadcast
-///    into their consumers (stride-0 operands), instead of once per term;
-///  * slices are variant-compacted: terms whose operands are
+///  * steps untouched by any varying slot run ONCE per batch, and every
+///    row of their consumers reads that one value in place;
+///  * rows are variant-compacted: terms whose operands are
 ///    known-identical (same substituted tensor pointers, recursively) map
 ///    to ONE stored row per step, so each distinct value is computed and
 ///    materialized exactly once -- Algorithm-1 batches are dominated by
 ///    the shared dominant factor, so most per-site cones collapse to a
 ///    handful of rows regardless of the batch size;
-///  * permutation walks are materialized as gather tables and operand
-///    dispatch/kernel selection happens once per step, not once per term;
+///  * each batched step is one loop over its distinct rows, calling the
+///    kernel KernelTable::select picked for the step once per traversal;
+///    permutation walks are materialized as gather tables, and an operand
+///    is re-permuted only when its variant changes from one row to the
+///    next;
 ///  * the merged-cone "root" region -- steps whose variant bound says every
 ///    term is distinct, so batching would only stream single-use rows
 ///    through memory -- replays per term through a small reused arena
@@ -184,11 +182,12 @@ struct BatchedStep {
 ///    next to each other (e.g. all terms of one output bitstring together,
 ///    not all outputs of one term).
 ///
-/// Every term reproduces the per-term replay bit for bit: broadcast and
-/// row-shared slices are the same deterministic arithmetic computed once,
-/// and the per-row kernels accumulate ascending-k exactly like the
-/// per-term kernel. Thread-safe like ContractionPlan: concurrent replays
-/// need distinct workspaces.
+/// Every term reproduces the per-term replay bit for bit: uniform and
+/// row-shared values are the same deterministic arithmetic computed once,
+/// and every row runs the kernel per-term replay runs for the step's
+/// shape (KernelTable::select; the gathered variant writes the same bits).
+/// Thread-safe like ContractionPlan: concurrent replays need distinct
+/// workspaces.
 class BatchedPlan {
  public:
   std::size_t capacity() const { return capacity_; }
@@ -370,13 +369,13 @@ class ContractionPlan {
 
   /// Compile a batched replay of this plan: up to `capacity` terms that
   /// differ only at the `varying_slots` input slots execute per traversal.
-  /// `variant_counts[v]` (optional) promises that at most that many
-  /// *distinct* tensors will ever be substituted at varying_slots[v] across
-  /// a batch -- e.g. the 4 SVD factors of an Algorithm-1 noise site, or a
-  /// channel's unitary-mixture size. The promise tightens each step's
-  /// arena buffer from `capacity` rows to the variant product of its
-  /// dependency cone (execute() checks it and fails loudly if violated);
-  /// empty means no promise (every varying buffer gets `capacity` rows).
+  /// `variant_counts` is required, one per varying slot: variant_counts[v]
+  /// promises that at most that many *distinct* tensors will ever be
+  /// substituted at varying_slots[v] across a batch -- e.g. the 4 SVD
+  /// factors of an Algorithm-1 noise site, or a channel's unitary-mixture
+  /// size. It sizes each step's arena buffer to the variant product of its
+  /// dependency cone, capped at `capacity` rows (execute() checks it and
+  /// fails loudly if violated).
   /// `max_varied_per_term` additionally promises that within any one term
   /// at most that many varying slots carry something other than their
   /// first (index-0) tensor -- Algorithm 1's approximation level: all but

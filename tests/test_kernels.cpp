@@ -1,13 +1,15 @@
 // Kernel-tier suite (ctest -L kernels): every tier, scalar included, must
 // write the bits of the naive fill-then-accumulate loop kept below -- per
-// matmul kernel family, into NaN-filled outputs, across a shape grid
-// exercising odd/non-dividing sizes, signed-zero and all-zero rows,
-// gathered and broadcast operands -- and SIMD tiers must be BITWISE
-// identical to the scalar reference end to end through approximate_fidelity /
-// xeb_sweep with each tier forced at multiple thread counts. Also covers
-// the dispatch machinery (cpuid detection, NOISIM_KERNELS parsing and
-// fallback, per-tier stats counters) and the 64-byte-alignment guarantee
-// of the executor's arenas. The state-vector families are checked against
+// matmul kernel family (the kernel `select` returns, and the gathered
+// variant), into NaN-filled outputs, across a shape grid exercising
+// odd/non-dividing sizes, signed-zero and all-zero rows and gathered
+// operands -- and SIMD tiers must be BITWISE identical to the scalar
+// reference end to end through approximate_fidelity / xeb_sweep with each
+// tier forced at multiple thread counts. Also covers the dispatch
+// machinery (cpuid detection, NOISIM_KERNELS parsing and fallback,
+// per-tier stats counters), that every plan executor's plain products go
+// through the table's `select`, and the 64-byte-alignment guarantee of
+// the executor's arenas. The state-vector families are checked against
 // a test-side copy of the engine's original branchy loops, and the
 // trajectory estimates they feed must carry the same bits on every tier.
 // The compiled permutation walks (tsr::PermuteWalk) are checked against the
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -68,15 +71,13 @@ aligned_vector<cplx> random_buf(std::size_t elems, std::mt19937_64& rng, bool wi
   return buf;
 }
 
-/// An m x k left operand (`batch` slices) from random_buf whose middle row
-/// is all (signed) zeros in every slice: the kernels skip that row's every
-/// product, so its outputs must come out +0.0 whatever the buffer held.
-aligned_vector<cplx> lhs_buf(std::size_t m, std::size_t k, std::mt19937_64& rng,
-                             std::size_t batch = 1) {
-  aligned_vector<cplx> a = random_buf(batch * m * k, rng, true);
-  for (std::size_t s = 0; s < batch; ++s)
-    for (std::size_t kk = 0; kk < k; ++kk)
-      a[s * m * k + (m / 2) * k + kk] = cplx{kk % 2 ? -0.0 : 0.0, kk % 3 ? 0.0 : -0.0};
+/// An m x k left operand from random_buf whose middle row is all (signed)
+/// zeros: the kernels skip that row's every product, so its outputs must
+/// come out +0.0 whatever the buffer held.
+aligned_vector<cplx> lhs_buf(std::size_t m, std::size_t k, std::mt19937_64& rng) {
+  aligned_vector<cplx> a = random_buf(m * k, rng, true);
+  for (std::size_t kk = 0; kk < k; ++kk)
+    a[(m / 2) * k + kk] = cplx{kk % 2 ? -0.0 : 0.0, kk % 3 ? 0.0 : -0.0};
   return a;
 }
 
@@ -187,7 +188,10 @@ TEST(Kernels, SetTierReturnsPreviousAndFallsBackWhenUnsupported) {
   EXPECT_EQ(active_kernel_tier(), original);
 }
 
-TEST(Kernels, MatmulAndSelectWriteTheNaiveLoopsBitsOnEveryTier) {
+TEST(Kernels, SelectWritesTheNaiveLoopsBitsOnEveryTier) {
+  // The scalar generic kernel (detail::matmul, select's fallback and the
+  // reference the microkernels are derived from) and every tier's selected
+  // kernel write the naive loop's bits.
   std::mt19937_64 rng(41);
   for (const Shape& s : kShapes) {
     for (const bool zeros : {false, true}) {
@@ -195,11 +199,11 @@ TEST(Kernels, MatmulAndSelectWriteTheNaiveLoopsBitsOnEveryTier) {
           zeros ? lhs_buf(s.m, s.k, rng) : random_buf(s.m * s.k, rng, false);
       const aligned_vector<cplx> b = random_buf(s.k * s.n, rng, zeros);
       const aligned_vector<cplx> ref = naive_matmul(a.data(), b.data(), s.m, s.k, s.n);
+      aligned_vector<cplx> got = nan_buf(s.m * s.n);
+      detail::matmul(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+      expect_same_bits(ref, got, shape_name("matmul", *kernel_table(KernelTier::Scalar), s));
       for (const KernelTier tier : available_tiers()) {
         const KernelTable& kt = *kernel_table(tier);
-        aligned_vector<cplx> got = nan_buf(s.m * s.n);
-        kt.matmul(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-        expect_same_bits(ref, got, shape_name("matmul", kt, s));
         got = nan_buf(s.m * s.n);
         kt.select(s.m, s.k, s.n)(a.data(), b.data(), got.data(), s.m, s.k, s.n);
         expect_same_bits(ref, got, shape_name("select", kt, s));
@@ -237,35 +241,6 @@ TEST(Kernels, GatheredWritesTheNaiveLoopsBitsInEveryIndexMode) {
                            shape_name("gathered", kt, s) + (ga ? " a-idx" : "") +
                                (gb ? " b-idx" : ""));
         }
-      }
-    }
-  }
-}
-
-TEST(Kernels, BatchedWritesTheNaiveLoopsBitsIncludingBroadcast) {
-  std::mt19937_64 rng(44);
-  for (const Shape& s : kShapes) {
-    const std::size_t batch = 5;
-    const aligned_vector<cplx> a = lhs_buf(s.m, s.k, rng, batch);
-    const aligned_vector<cplx> b = random_buf(batch * s.k * s.n, rng, true);
-    // Stride combinations: full/full, broadcast-a (stride 0), broadcast-b.
-    const std::size_t strides[][2] = {
-        {s.m * s.k, s.k * s.n}, {0, s.k * s.n}, {s.m * s.k, 0}};
-    for (const auto& st : strides) {
-      aligned_vector<cplx> ref(batch * s.m * s.n);
-      for (std::size_t sl = 0; sl < batch; ++sl) {
-        const aligned_vector<cplx> slice =
-            naive_matmul(a.data() + sl * st[0], b.data() + sl * st[1], s.m, s.k, s.n);
-        std::copy(slice.begin(), slice.end(), ref.begin() + sl * s.m * s.n);
-      }
-      for (const KernelTier tier : available_tiers()) {
-        const KernelTable& kt = *kernel_table(tier);
-        aligned_vector<cplx> got = nan_buf(batch * s.m * s.n);
-        kt.batched(a.data(), b.data(), got.data(), s.m, s.k, s.n, batch, st[0], st[1],
-                   s.m * s.n);
-        expect_same_bits(ref, got,
-                         shape_name("batched", kt, s) + " strides " + std::to_string(st[0]) +
-                             "/" + std::to_string(st[1]));
       }
     }
   }
@@ -392,34 +367,119 @@ TEST(Kernels, DispatchCountersAttributeEveryKernelToTheForcedTier) {
   }
 }
 
+/// A copy of the scalar table whose `select` hands out a kernel that counts
+/// its calls before running the scalar kernel for the shape, and whose
+/// `gathered` counts likewise: an executor that multiplies around `select`
+/// shows up as a kernel call the counters miss.
+std::atomic<std::size_t> g_select_calls{0}, g_gathered_calls{0};
+
+void counting_kernel(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+                     std::size_t n) {
+  g_select_calls.fetch_add(1, std::memory_order_relaxed);
+  detail::select_matmul(m, k, n)(a, b, out, m, k, n);
+}
+
+detail::MatmulFn counting_select(std::size_t, std::size_t, std::size_t) {
+  return &counting_kernel;
+}
+
+void counting_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
+                       const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
+                       std::size_t n) {
+  g_gathered_calls.fetch_add(1, std::memory_order_relaxed);
+  detail::matmul_gathered(a, a_idx, b, b_idx, out, m, k, n);
+}
+
+KernelTable counting_table() {
+  KernelTable kt = *kernel_table(KernelTier::Scalar);
+  kt.select = &counting_select;
+  kt.gathered = &counting_gathered;
+  return kt;
+}
+
 TEST(Kernels, WorkspaceTableOverridesActiveTier) {
   // The executor seam: a table injected through PlanWorkspace::kernels wins
-  // over the process-wide dispatch, and its invocations are attributed to
-  // ITS tier -- the contract a GPU/remote table will rely on.
+  // over the process-wide dispatch, its invocations are attributed to ITS
+  // tier, and every executor makes each plain product through its
+  // `select` -- the contract a GPU/remote table will rely on.
   std::mt19937_64 rng(47);
-  tn::Network net;
-  const tn::EdgeId e0 = net.new_edge(), e1 = net.new_edge(), e2 = net.new_edge();
   auto rand_tensor = [&](std::vector<std::size_t> shape) {
     Tensor t(std::move(shape));
     std::normal_distribution<double> gauss;
     for (std::size_t i = 0; i < t.size(); ++i) t[i] = cplx{gauss(rng), gauss(rng)};
     return t;
   };
+  tn::Network net;  // a ring: its value is a scalar, so it has an environment schedule
+  const tn::EdgeId e0 = net.new_edge(), e1 = net.new_edge(), e2 = net.new_edge();
   net.add_node(rand_tensor({2, 3}), {e0, e1});
   net.add_node(rand_tensor({3, 4}), {e1, e2});
   net.add_node(rand_tensor({4, 2}), {e2, e0});
   const tn::ContractionPlan plan = tn::ContractionPlan::compile(net, {});
 
   TierGuard guard(resolve_kernel_tier(KernelTier::Avx512));  // active != injected below
+  const KernelTable counting = counting_table();
+  auto reset_counts = [] {
+    g_select_calls = 0;
+    g_gathered_calls = 0;
+  };
+
+  // Per-term replay: one selected kernel per step.
   tn::PlanWorkspace ws;
+  ws.kernels = &counting;
   tn::ContractStats stats;
-  ws.kernels = kernel_table(KernelTier::Scalar);
+  reset_counts();
   const Tensor via_scalar = plan.execute(net, ws, &stats);
   EXPECT_EQ(stats.kernels_scalar, stats.num_pairwise);
+  EXPECT_EQ(stats.num_pairwise, plan.steps().size());
+  EXPECT_EQ(g_select_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(g_gathered_calls.load(), 0u);
   ws.kernels = nullptr;
   const Tensor via_active = plan.execute(net, ws);
   ASSERT_EQ(via_scalar.size(), via_active.size());
   for (std::size_t i = 0; i < via_scalar.size(); ++i) EXPECT_EQ(via_scalar[i], via_active[i]);
+
+  // An environment pass toward every input: forward and backward steps.
+  const std::vector<std::size_t> targets{0, 1, 2};
+  const tn::EnvSchedule env = plan.compile_env(targets);
+  std::vector<const Tensor*> inputs;
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) inputs.push_back(&net.node(i).tensor);
+  const std::vector<char> want(targets.size(), 1);
+  ws.kernels = &counting;
+  stats = {};
+  reset_counts();
+  env.execute(inputs, want, ws, &stats);
+  EXPECT_EQ(stats.num_pairwise, plan.steps().size() + env.backward_steps().size());
+  EXPECT_EQ(g_select_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(g_gathered_calls.load(), 0u);
+
+  // A batched traversal through both passes: a chain whose varying leaf
+  // feeds a 2048-element output, so the root step replays per term (the
+  // sequential pass) after the batched pass. Every kernel call is either a
+  // selected kernel or a gathered one.
+  tn::Network chain;
+  const tn::EdgeId p = chain.new_edge(), q = chain.new_edge(), r = chain.new_edge();
+  const tn::EdgeId u = chain.new_edge(), w = chain.new_edge();
+  chain.add_node(rand_tensor({2, 8}), {p, q});
+  chain.add_node(rand_tensor({2, 8}), {r, q});
+  chain.add_node(rand_tensor({16, 2, 64}), {w, r, u});
+  const tn::ContractionPlan chain_plan = tn::ContractionPlan::compile(chain, {});
+  constexpr std::size_t kTerms = 4;
+  const std::vector<std::size_t> slots{0}, counts{kTerms};
+  const tn::BatchedPlan bplan = chain_plan.compile_batched(slots, kTerms, {}, nullptr, counts);
+  ASSERT_GT(bplan.sequential_flop_fraction(), 0.0);
+  ASSERT_LT(bplan.sequential_flop_fraction(), 1.0);
+  std::vector<const Tensor*> shared;
+  for (std::size_t i = 0; i < chain.num_nodes(); ++i) shared.push_back(&chain.node(i).tensor);
+  std::vector<Tensor> variants;
+  for (std::size_t t = 0; t < kTerms; ++t) variants.push_back(rand_tensor({2, 8}));
+  std::vector<const Tensor*> varying;
+  for (const Tensor& v : variants) varying.push_back(&v);
+  stats = {};
+  reset_counts();
+  bplan.execute(shared, varying, kTerms, ws, &stats);
+  EXPECT_GT(g_select_calls.load(), 0u);
+  EXPECT_EQ(g_select_calls.load() + g_gathered_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(stats.kernels_scalar, stats.num_pairwise);
 }
 
 // --- state-vector families -----------------------------------------------------

@@ -390,9 +390,10 @@ TEST(BatchedPlan, MatchesPerTermReplayBitwise) {
   expect_batched_matches_per_term(net, plan, bplan, vslots, variants, choice);
 }
 
-TEST(BatchedPlan, MatchesWithoutVariantCountPromise) {
-  // No variant counts: every varying buffer is capacity-sized and most of
-  // the schedule goes through the sequential pass -- still bit-identical.
+TEST(BatchedPlan, MatchesWhenTheVariantProductReachesTheCapacity) {
+  // Two slots of 4 declared variants in a batch of capacity 5: where their
+  // cones merge, the variant product (16) is capped at the capacity, so
+  // those buffers are capacity-sized -- still bit-identical.
   std::mt19937_64 rng(31);
   const Network net = ladder_network(22);
   const ContractionPlan plan = ContractionPlan::compile(net);
@@ -404,7 +405,8 @@ TEST(BatchedPlan, MatchesWithoutVariantCountPromise) {
       vs.push_back(random_tensor(net.node(slot).tensor.shape(), rng));
     variants.push_back(std::move(vs));
   }
-  const BatchedPlan bplan = plan.compile_batched(vslots, 5);
+  const std::vector<std::size_t> counts{4, 4};
+  const BatchedPlan bplan = plan.compile_batched(vslots, 5, {}, nullptr, counts);
   const std::vector<std::vector<std::size_t>> choice{{0, 1}, {3, 1}, {0, 1}, {2, 2}};
   expect_batched_matches_per_term(net, plan, bplan, vslots, variants, choice);
 }
@@ -519,8 +521,8 @@ std::vector<const Tensor*> node_tensors(const Network& net) {
 // Every executor writes each kernel output whole, so a replay through a
 // workspace full of NaN carries the bits of a fresh workspace's replay: the
 // plan replay, an environment pass toward every input, and batched replays
-// through the strided fast path and the sequential (per-term) pass, on
-// every kernel tier.
+// through the batched row loop (broadcast uniform operands, one row per
+// term) and the sequential (per-term) pass, on every kernel tier.
 TEST(Executors, PoisonedWorkspaceReplaysBitIdentically) {
   std::mt19937_64 rng(71);
   // Bond dimension 8: intermediates past the sequential pass's size floor,
@@ -535,10 +537,11 @@ TEST(Executors, PoisonedWorkspaceReplaysBitIdentically) {
 
   std::vector<BatchCase> batches;
   {
-    // Two varying slots without a variant-count promise: the sequential
-    // pass replays the root region term by term.
-    const std::vector<std::size_t> vslots{2, 9};
-    BatchCase b{&net, plan.compile_batched(vslots, 5), {}, {}, 4};
+    // Two varying slots of 3 variants each in a batch of capacity 5: the
+    // sequential pass replays the root region term by term.
+    const std::vector<std::size_t> vslots{2, 9}, counts{3, 3};
+    BatchCase b{&net, plan.compile_batched(vslots, 5, {}, nullptr, counts), {}, {}, 4};
+    ASSERT_GT(b.plan.sequential_flop_fraction(), 0.0);
     for (int v = 0; v < 3; ++v)
       for (const std::size_t slot : vslots)
         b.variants.push_back(random_tensor(net.node(slot).tensor.shape(), rng));
@@ -549,7 +552,7 @@ TEST(Executors, PoisonedWorkspaceReplaysBitIdentically) {
     batches.push_back(std::move(b));
   }
   // The bond-2 ladder with one varying leaf whose declared variants are all
-  // distinct: rows map 1:1 onto slices, the strided fast path.
+  // distinct: one row per term, each reading the uniform operands in place.
   const Network small = ladder_network(29);
   const ContractionPlan small_plan = ContractionPlan::compile(small);
   {

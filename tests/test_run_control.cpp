@@ -309,7 +309,8 @@ TEST(RunControl, CeilingAtThePlanArenaTripsOnlyTheWiderArenas) {
   const tn::ContractionPlan plan = tn::ContractionPlan::compile(net);
   const std::vector<std::size_t> sites = noise_site_nodes(nc);
   constexpr std::size_t kTerms = 8;
-  const tn::BatchedPlan bplan = plan.compile_batched(sites, kTerms);
+  const std::vector<std::size_t> counts(sites.size(), 4);  // one-qubit sites: 4 SVD factors
+  const tn::BatchedPlan bplan = plan.compile_batched(sites, kTerms, {}, nullptr, counts);
   const tn::EnvSchedule env = plan.compile_env(sites);
   const std::size_t ceiling = plan.workspace_elems();
   ASSERT_LT(ceiling, bplan.workspace_elems());

@@ -340,6 +340,36 @@ TEST(BackendSelection, CallDeadlineKeepsTheCallersMemoryCeiling) {
   EXPECT_EQ(r.backend, BackendKind::SvTrajectories);
 }
 
+TEST(BackendSelection, MemoryBudgetIsTheCeilingOfEveryArenaTheRunCommits) {
+  // qaoa_64 + 8 realistic noises (seed 2024): the tn-approx bid prices the
+  // per-term plan arena (11,880 elements), but its level-1 run commits the
+  // environment arena (12,272). A budget between the two admits the bid;
+  // the run then meets the budget as its memory ceiling and escalates
+  // naming the environment arena. No other bid is feasible here, so the
+  // call fails listing that escalation.
+  const ch::NoisyCircuit nc =
+      bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 2024);
+  SimulateOptions opts;
+  opts.error_budget = 1e-2;
+  opts.threads = 1;
+  const SimResult roomy = simulate(nc, 0, 0, opts);
+  ASSERT_EQ(roomy.backend, BackendKind::TnApprox);
+  ASSERT_EQ(roomy.config.level, 1u);
+  ASSERT_TRUE(roomy.escalations.empty());
+  opts.memory_budget = 12076;
+  ASSERT_LT(roomy.config.peak_elems, opts.memory_budget);
+  try {
+    simulate(nc, 0, 0, opts);
+    FAIL() << "expected the tn-approx run to escalate on the environment arena";
+  } catch (const LinalgError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tn-approx: run escalated: environment arena needs 12272 elems, above "
+                        "RunControl memory ceiling of 12076"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(BackendSelection, ImpossibleBudgetsThrowListingEveryBackend) {
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::hf_vqe(6, 11), 2, bench::depolarizing_noise(0.05), 13);

@@ -248,24 +248,6 @@ TEST(Kernels, MicrokernelDispatchIsBitIdenticalToGenericKernel) {
   }
 }
 
-TEST(Kernels, BatchedMatchesPerSliceBitwise) {
-  std::mt19937_64 rng(12);
-  const std::size_t m = 6, k = 4, n = 9, batch = 5;
-  const Tensor a = random_tensor_with_zeros({batch, m, k}, rng);
-  const Tensor b = random_tensor_with_zeros({batch, k, n}, rng);
-  std::vector<cplx> ref(batch * m * n, cplx{0.0, 0.0}), got(ref.size(), cplx{0.0, 0.0});
-  for (std::size_t s = 0; s < batch; ++s)
-    detail::matmul(a.data() + s * m * k, b.data() + s * k * n, ref.data() + s * m * n, m, k, n);
-  detail::matmul_batched(a.data(), b.data(), got.data(), m, k, n, batch, m * k, k * n, m * n);
-  EXPECT_TRUE(same_bits(ref, got));
-
-  // Stride 0 broadcasts an operand across the batch.
-  for (std::size_t s = 0; s < batch; ++s)
-    detail::matmul(a.data(), b.data() + s * k * n, ref.data() + s * m * n, m, k, n);
-  detail::matmul_batched(a.data(), b.data(), got.data(), m, k, n, batch, 0, k * n, m * n);
-  EXPECT_TRUE(same_bits(ref, got));
-}
-
 TEST(Kernels, GatheredMatchesPermutedCopyBitwise) {
   std::mt19937_64 rng(13);
   // a stored as [k, m] (transposed), b stored as [n, k] (transposed):
