@@ -7,10 +7,11 @@
 //
 //  * ideal amplitudes p(x) = |<x|C|0>|^2 -- per-bitstring plan replay
 //    (a core::ReplayEvaluator with no batched plan, the pre-batching
-//    reference) vs ONE output-batched traversal (AmplitudeTemplate::
-//    compile_batched_outputs): the caps are varying slots, steps outside
-//    every cap cone run once per batch, cap-cone rows are shared between
-//    bitstrings that agree on the cone's qubits;
+//    reference) vs ONE output-batched traversal (the batched plan of a
+//    core::ReplayLayout with no sites and K outputs per traversal): the
+//    caps are varying slots, steps outside every cap cone run once per
+//    batch, cap-cone rows are shared between bitstrings that agree on the
+//    cone's qubits;
 //  * noisy probabilities A(l) = <x|E(rho)|x> via Algorithm 1 --
 //    per-bitstring approximate_fidelity vs approximate_fidelity_outputs
 //    (terms x outputs batched in one traversal per chunk);
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
     // gate reads it. 256 rounds take ~1 s for the three rows; with 32, the
     // K = 16 best on a shared 4-vCPU host spread up to 1.7x between runs.
     const core::ReplayLayout layout(tmpl, {}, {}, 1, K, K);
-    const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(K);
+    const tn::BatchedPlan bplan = layout.compile(tmpl);
     core::ReplayEvaluator per_bitstring(tmpl, layout, nullptr, &budget);
     core::ReplayEvaluator batched(tmpl, layout, &bplan, &budget);
     std::vector<cplx> ref_amp(K), bat_amp(K);

@@ -176,28 +176,16 @@ class SweepTimer {
   Clock::time_point eval_started_{};
 };
 
-// Tensorized SVD factors per (site, term index) and the network node each
-// site substitutes. The split is symmetric (V_s = conj(U_s)), so a term's
-// bottom layer <v|conj(G)...V...|psi> is the conjugate of its top layer and
-// the term is |top|^2: one layer per term, on U.
-struct SiteFactors {
-  std::vector<std::size_t> node;            // network node per site
-  std::vector<std::vector<tsr::Tensor>> u;  // U factor tensors
-};
-SiteFactors build_site_factors(const std::vector<Site>& sites,
-                               const std::vector<std::size_t>& site_pos,
-                               const AmplitudeTemplate& tmpl) {
-  SiteFactors f;
-  const std::size_t num_sites = sites.size();
-  f.node.resize(num_sites);
-  f.u.resize(num_sites);
-  for (std::size_t s = 0; s < num_sites; ++s) {
-    f.node[s] = tmpl.node_of_gate(site_pos[s]);
-    const Site& site = sites[s];
-    for (std::size_t t = 0; t < site.split.terms(); ++t)
-      f.u[s].push_back(gate_matrix_tensor(site.split.u[t], static_cast<int>(site.arity)));
-  }
-  return f;
+// Tensorized SVD factors per (site, term index). The split is symmetric
+// (V_s = conj(U_s)), so a term's bottom layer <v|conj(G)...V...|psi> is the
+// conjugate of its top layer and the term is |top|^2: one layer per term,
+// on U.
+std::vector<std::vector<tsr::Tensor>> site_factors(const std::vector<Site>& sites) {
+  std::vector<std::vector<tsr::Tensor>> u(sites.size());
+  for (std::size_t s = 0; s < sites.size(); ++s)
+    for (std::size_t t = 0; t < sites[s].split.terms(); ++t)
+      u[s].push_back(gate_matrix_tensor(sites[s].split.u[t], static_cast<int>(sites[s].arity)));
+  return u;
 }
 
 // The plan-independent fields of the cost model: per-site norms and term
@@ -269,33 +257,59 @@ std::shared_ptr<const Plan> acquire_derived(const AcquiredTemplate& at, Memo&& m
   return plan;
 }
 
-// The batched plan of `layout`, at most `level` sites per term off their
-// dominant factor.
-std::shared_ptr<const tn::BatchedPlan> acquire_batched(const AcquiredTemplate& at,
-                                                       const ReplayLayout& layout,
-                                                       std::size_t level,
-                                                       tn::ContractStats& setup_stats) {
-  return acquire_derived<tn::BatchedPlan>(
-      at,
-      [&](const PlanCache::Entry& e, const std::function<tn::BatchedPlan()>& compile, bool* hit) {
-        return e.batched(PlanCache::batched_key(layout.slots, layout.capacity(), layout.counts,
-                                                level, layout.unconstrained),
-                         compile, hit);
-      },
-      [&](tn::ContractStats* stats) { return layout.compile(at.tmpl(), level, stats); },
-      setup_stats);
-}
+// The plans a tensor-network sweep replays: the one template, the
+// environment schedule toward every site (terms [0, env_terms), u <= 1),
+// and for the later terms the replay layout at `shard` outputs per
+// traversal with its batched plan (null: per-term replay). The sweep and
+// approx_run_model both acquire them here, so a bid's compiles are the
+// run's plan-cache hits.
+struct SweepPlans {
+  AcquiredTemplate at;
+  std::vector<std::size_t> nodes;  // network node per site
+  std::shared_ptr<const tn::EnvSchedule> env;
+  ReplayLayout layout;
+  std::shared_ptr<const tn::BatchedPlan> bplan;
+};
 
-// The environment schedule toward every noise site.
-std::shared_ptr<const tn::EnvSchedule> acquire_env(const AcquiredTemplate& at,
-                                                   std::span<const std::size_t> sites,
-                                                   tn::ContractStats& setup_stats) {
-  return acquire_derived<tn::EnvSchedule>(
-      at,
+SweepPlans acquire_sweep_plans(const ApproxOptions& opts, int n, const SweepSkeleton& sk,
+                               std::uint64_t psi_bits, const std::vector<Site>& sites,
+                               std::size_t level, std::size_t env_terms, std::size_t num_terms,
+                               std::size_t shard, tn::ContractStats& setup_stats) {
+  SweepPlans p;
+  // One canonical v = 0 template serves every term: the output caps are
+  // placeholders (always substituted), so one cached entry serves EVERY
+  // bitstring set over this skeleton -- that is what makes the plan cache
+  // hit across XEB batches arriving over time.
+  p.at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
+  for (const std::size_t pos : sk.site_pos) p.nodes.push_back(p.at.tmpl().node_of_gate(pos));
+  p.env = acquire_derived<tn::EnvSchedule>(
+      p.at,
       [&](const PlanCache::Entry& e, const std::function<tn::EnvSchedule()>& compile,
-          bool* hit) { return e.env_schedule(PlanCache::env_key(sites), compile, hit); },
-      [&](tn::ContractStats* stats) { return at.tmpl().compile_env(sites, stats); },
+          bool* hit) { return e.env_schedule(PlanCache::env_key(p.nodes), compile, hit); },
+      [&](tn::ContractStats* stats) { return p.at.tmpl().compile_env(p.nodes, stats); },
       setup_stats);
+  if (env_terms == num_terms) return p;
+  std::vector<std::size_t> counts;
+  for (const Site& site : sites) counts.push_back(site.split.terms());
+  p.layout = ReplayLayout(p.at.tmpl(), p.nodes, counts,
+                          std::min(opts.batch_terms, num_terms - env_terms), shard);
+  const ReplayLayout& layout = p.layout;
+  // Without a batched plan (one pair per traversal, or a batch that shares
+  // nothing) each term replays the per-term plan, bit-identically. At most
+  // `level` sites per term are off their dominant factor.
+  p.bplan = batched_plan_or_null(layout.capacity(), [&] {
+    return acquire_derived<tn::BatchedPlan>(
+        p.at,
+        [&](const PlanCache::Entry& e, const std::function<tn::BatchedPlan()>& compile,
+            bool* hit) {
+          return e.batched(PlanCache::batched_key(layout.slots, layout.capacity(), layout.counts,
+                                                  level, layout.unconstrained),
+                           compile, hit);
+        },
+        [&](tn::ContractStats* stats) { return layout.compile(p.at.tmpl(), level, stats); },
+        setup_stats);
+  });
+  return p;
 }
 
 // --- the sharded 2-D sweep engine ---------------------------------------------
@@ -394,40 +408,23 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     return result;
   };
 
-  AcquiredTemplate at;
-  std::shared_ptr<const tn::EnvSchedule> env;
-  std::shared_ptr<const tn::BatchedPlan> bplan;
-  SiteFactors fac;
   // Terms [0, env_terms) -- the u <= 1 block -- come from environment
   // passes; the rest replay the plan through `layout`, one traversal's rows
   // per term range.
-  ReplayLayout layout;
+  SweepPlans plans;
   std::size_t env_terms = 0;
-
   try {
-  if (tn_path) {
-    // One canonical v = 0 template serves every term: the output caps are
-    // placeholders (always substituted), so one cached entry serves EVERY
-    // bitstring set over this skeleton -- that is what makes the plan cache
-    // hit across XEB batches arriving over time.
-    at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
-    fac = build_site_factors(base.sites, sk.site_pos, at.tmpl());
-    env = acquire_env(at, fac.node, setup_stats);
-    while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
-    if (env_terms < num_terms) {
-      std::vector<std::size_t> counts;
-      for (const Site& site : base.sites) counts.push_back(site.split.terms());
-      layout = ReplayLayout(at.tmpl(), fac.node, counts,
-                            std::min(opts.batch_terms, num_terms - env_terms), shard);
-      // Without a batched plan (one pair per traversal, or a batch that
-      // shares nothing) each term replays the per-term plan, bit-identically.
-      bplan = batched_plan_or_null(layout.capacity(),
-                                   [&] { return acquire_batched(at, layout, level, setup_stats); });
+    if (tn_path) {
+      while (env_terms < num_terms && terms[env_terms].level <= 1) ++env_terms;
+      plans = acquire_sweep_plans(opts, n, sk, psi_bits, base.sites, level, env_terms, num_terms,
+                                  shard, setup_stats);
     }
-  }
   } catch (const CancelledError&) {
     return salvage_empty();
   }
+  const auto& [at, nodes, env, layout, bplan] = plans;
+  std::vector<std::vector<tsr::Tensor>> factors;
+  if (tn_path) factors = site_factors(base.sites);
   const std::size_t term_batch =
       tn_path ? layout.rows
               : ReplayLayout::rows_per_traversal(std::min(opts.batch_terms, num_terms),
@@ -468,7 +465,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
       std::ranges::fill(w.want, 0);
       for (std::size_t t = t0; t < t0 + tcount; ++t)
         if (terms[t].level == 1) w.want[terms[t].sites[0]] = 1;
-      for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &fac.u[s][0];
+      for (std::size_t s = 0; s < num_sites; ++s) w.subs[s].second = &factors[s][0];
       for (std::size_t o = 0; o < ocount; ++o) {
         for (int q = 0; q < n; ++q)
           w.subs[num_sites + static_cast<std::size_t>(q)].second =
@@ -479,7 +476,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
           out[t * ocount + o] = std::norm(
               term.level == 0
                   ? value
-                  : w.env->overlap(term.sites[0], fac.u[term.sites[0]][term.term_idx[0]]));
+                  : w.env->overlap(term.sites[0], factors[term.sites[0]][term.term_idx[0]]));
         }
       }
     };
@@ -493,9 +490,9 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
         const Term& term = terms[t0 + t];
         const std::span<const tsr::Tensor*> row =
             std::span(w.rows).subspan(t * num_sites, num_sites);
-        for (std::size_t s = 0; s < num_sites; ++s) row[s] = &fac.u[s][0];
+        for (std::size_t s = 0; s < num_sites; ++s) row[s] = &factors[s][0];
         for (std::size_t c = 0; c < term.sites.size(); ++c)
-          row[term.sites[c]] = &fac.u[term.sites[c]][term.term_idx[c]];
+          row[term.sites[c]] = &factors[term.sites[c]][term.term_idx[c]];
       }
       w.replay->norms(w.rows, tcount, v_bits.subspan(obegin, ocount), out);
     };
@@ -505,7 +502,7 @@ ApproxBatchResult sweep_outputs(const ch::NoisyCircuit& nc, std::uint64_t psi_bi
     make_eval = [&, env_item, replay_item](std::size_t worker) -> TermEval {
       TnWorker* w = (tn_workers[worker] = std::make_unique<TnWorker>()).get();
       w->env.emplace(at.tmpl(), *env, control);
-      for (const std::size_t node : fac.node) w->subs.emplace_back(node, nullptr);
+      for (const std::size_t node : nodes) w->subs.emplace_back(node, nullptr);
       for (const std::size_t node : at.tmpl().output_cap_nodes()) w->subs.emplace_back(node, nullptr);
       w->want.resize(num_sites);
       if (env_terms < num_terms) {
@@ -637,6 +634,65 @@ ApproxBatchResult sweep_or_throw(const ch::NoisyCircuit& nc, std::uint64_t psi_b
   return r;
 }
 
+// approx_cost_model, and with `run_arenas` approx_run_model's
+// run_peak_elems.
+ApproxCostModel cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                           const ApproxOptions& opts, bool run_arenas) {
+  const int n = nc.num_qubits();
+  BaseLists base = build_base(nc);
+  ApproxCostModel model = bound_model(nc, base.sites);
+
+  // The sweep's own skeleton, so the template below is the one the run
+  // replays; the compile polls the caller's control like the sweep's own.
+  SweepSkeleton sk = sweep_skeleton(std::move(base.gates), model.num_sites, opts.eval);
+  sk.eval.tn.control = opts.control;
+
+  model.tensor_network = uses_tensor_network(sk.eval, n);
+  if (model.tensor_network) {
+    // Compile (or fetch) the sweep's one template under its own canonical
+    // v = 0 cache key: the plan's flops/arena ARE the per-layer
+    // cost (the output caps only change tensor values, never the plan), and
+    // a cache miss here is work the run would have paid anyway. Pricing
+    // the run's arenas acquires the one-output sweep's plans the same way.
+    tn::ContractStats setup_stats;
+    SweepPlans plans;
+    if (run_arenas) {
+      const std::size_t level = std::min(opts.level, model.num_sites);
+      const auto terms_upto = [&](std::size_t l) {
+        return static_cast<std::size_t>(model.term_count(std::min(l, level)));
+      };
+      const std::size_t env_terms = terms_upto(1), num_terms = terms_upto(level);
+      plans = acquire_sweep_plans(opts, n, sk, psi_bits, base.sites, level, env_terms, num_terms,
+                                  /*shard=*/1, setup_stats);
+      // Every pass commits the environment arena; terms past u = 1 replay
+      // the batched plan's arena, or the per-term plan's without one.
+      model.run_peak_elems = plans.env->workspace_elems();
+      if (env_terms < num_terms)
+        model.run_peak_elems =
+            std::max(model.run_peak_elems, plans.bplan ? plans.bplan->workspace_elems()
+                                                       : plans.at.tmpl().plan().workspace_elems());
+    } else {
+      plans.at = acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
+    }
+    const tn::ContractionPlan& plan = plans.at.tmpl().plan();
+    model.layer_flops = static_cast<double>(plan.total_flops());
+    model.peak_elems = plan.workspace_elems();
+  } else {
+    // State-vector path: one forward evolution per term, a 2x2 (4x4) row
+    // update per amplitude per gate plus the gate's fixed cost (its matrix
+    // and dispatch), measured at ~128 MAC of density-engine throughput.
+    constexpr double kSvGateFixedMacs = 128.0;
+    const double dim = std::pow(2.0, std::min(n, 62));
+    double flops = 0.0;
+    for (const qc::Gate& g : sk.gates)
+      flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim + kSvGateFixedMacs;
+    model.layer_flops = flops;
+    model.peak_elems = static_cast<std::size_t>(dim);
+    if (run_arenas) model.run_peak_elems = model.peak_elems;
+  }
+  return model;
+}
+
 }  // namespace
 
 double ApproxCostModel::error_bound(std::size_t level) const {
@@ -668,40 +724,12 @@ ApproxCostModel approx_bound_model(const ch::NoisyCircuit& nc) {
 
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   const ApproxOptions& opts) {
-  const int n = nc.num_qubits();
-  BaseLists base = build_base(nc);
-  ApproxCostModel model = bound_model(nc, base.sites);
+  return cost_model(nc, psi_bits, opts, /*run_arenas=*/false);
+}
 
-  // The sweep's own skeleton, so the template below is the one the run
-  // replays; the compile polls the caller's control like the sweep's own.
-  SweepSkeleton sk = sweep_skeleton(std::move(base.gates), model.num_sites, opts.eval);
-  sk.eval.tn.control = opts.control;
-
-  model.tensor_network = uses_tensor_network(sk.eval, n);
-  if (model.tensor_network) {
-    // Compile (or fetch) the sweep's one template under its own canonical
-    // v = 0 cache key: the plan's flops/arena ARE the per-layer
-    // cost (the output caps only change tensor values, never the plan), and
-    // a cache miss here is work the run would have paid anyway.
-    tn::ContractStats setup_stats;
-    const AcquiredTemplate at =
-        acquire_template(opts.plan_cache, n, sk.gates, psi_bits, 0, sk.eval, setup_stats);
-    const tn::ContractionPlan& plan = at.tmpl().plan();
-    model.layer_flops = static_cast<double>(plan.total_flops());
-    model.peak_elems = plan.workspace_elems();
-  } else {
-    // State-vector path: one forward evolution per term, a 2x2 (4x4) row
-    // update per amplitude per gate plus the gate's fixed cost (its matrix
-    // and dispatch), measured at ~128 MAC of density-engine throughput.
-    constexpr double kSvGateFixedMacs = 128.0;
-    const double dim = std::pow(2.0, std::min(n, 62));
-    double flops = 0.0;
-    for (const qc::Gate& g : sk.gates)
-      flops += (g.num_qubits() == 1 ? 2.0 : 4.0) * dim + kSvGateFixedMacs;
-    model.layer_flops = flops;
-    model.peak_elems = static_cast<std::size_t>(dim);
-  }
-  return model;
+ApproxCostModel approx_run_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                                 const ApproxOptions& opts) {
+  return cost_model(nc, psi_bits, opts, /*run_arenas=*/true);
 }
 
 ApproxResult approximate_fidelity(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,

@@ -260,6 +260,10 @@ struct ApproxCostModel {
   /// Transient memory of one evaluation in complex elements: the plan's
   /// liveness-packed arena high-water mark / the state-vector size.
   std::size_t peak_elems = 0;
+  /// approx_run_model only (0 otherwise): the largest arena a one-output
+  /// level-opts.level sweep commits -- the environment schedule's, past
+  /// level 1 also the batched plan's (or peak_elems) / the state vector.
+  std::size_t run_peak_elems = 0;
   /// Which per-term path the sweep takes for this circuit + options.
   bool tensor_network = false;
 
@@ -287,6 +291,13 @@ struct ApproxCostModel {
 /// error_bound/term_count/sweep_flops.
 ApproxCostModel approx_cost_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
                                   const ApproxOptions& opts = {});
+
+/// approx_cost_model plus run_peak_elems: on the tensor-network path it
+/// also compiles (or fetches from opts.plan_cache) the environment schedule
+/// and, past level 1, the batched plan approximate_fidelity(nc, psi_bits,
+/// v, opts) replays, under the run's own keys, so that run compiles nothing.
+ApproxCostModel approx_run_model(const ch::NoisyCircuit& nc, std::uint64_t psi_bits,
+                                 const ApproxOptions& opts);
 
 /// The plan-independent part of approx_cost_model: the per-site norms and
 /// term counts behind error_bound / term_count, with no template compiled

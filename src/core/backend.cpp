@@ -124,9 +124,10 @@ class TnApproxBackend final : public Backend {
     // Walk the level ladder to the cheapest (lowest) level meeting the
     // error budget; cost grows combinatorially with the level, so the
     // first hit is the best bid. Bounds and term counts do not depend on
-    // the plan, so the level is picked first and only the template its run
-    // uses is compiled (tn_approx_options prices the order search against
-    // replays at level <= 1 only).
+    // the plan, so the level is picked first and only the plans its run
+    // replays are compiled (tn_approx_options prices the order search
+    // against replays at level <= 1 only). The bid's peak is the largest
+    // arena that run commits, which its memory ceiling meets.
     const ApproxCostModel bounds = approx_bound_model(nc);
     const std::size_t top = std::min(kMaxLevel, bounds.num_sites);
     double best_bound = std::numeric_limits<double>::infinity();
@@ -140,11 +141,10 @@ class TnApproxBackend final : public Backend {
       const double bound = bounds.error_bound(level);
       best_bound = std::min(best_bound, bound);
       if (bound > opts.error_budget) continue;
-      const ApproxCostModel model =
-          approx_cost_model(nc, psi_bits, tn_approx_options(opts, level));
+      const ApproxCostModel model = approx_run_model(nc, psi_bits, tn_approx_options(opts, level));
       est.level = level;
       est.achievable_error = bound;
-      est.peak_elems = model.peak_elems;  // one layer at a time
+      est.peak_elems = model.run_peak_elems;
       est.flops = model.sweep_flops(level);
       check_budgets(est, opts);
       return est;

@@ -87,11 +87,6 @@ std::vector<std::size_t> AmplitudeTemplate::output_cap_nodes() const {
   return nodes;
 }
 
-tn::BatchedPlan AmplitudeTemplate::compile_batched_outputs(std::size_t capacity,
-                                                           tn::ContractStats* stats) const {
-  return ReplayLayout(*this, {}, {}, 1, capacity, capacity).compile(*this, static_cast<std::size_t>(-1), stats);
-}
-
 InputTable::InputTable(const AmplitudeTemplate& tmpl) : net_(&tmpl.net_) {
   inputs_.reserve(net_->num_nodes());
   for (std::size_t i = 0; i < net_->num_nodes(); ++i) inputs_.push_back(&net_->node(i).tensor);

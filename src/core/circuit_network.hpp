@@ -77,13 +77,12 @@ cplx amplitude(int n, const std::vector<qc::Gate>& gates, std::uint64_t psi_bits
 /// the tensor-network backend compiles the skeleton once and replays it
 /// through one ReplayEvaluator, up to 64 outputs per traversal (the basis
 /// caps become varying slots of a tn::BatchedPlan, so steps outside every
-/// cap's light cone run once per batch -- see
-/// AmplitudeTemplate::compile_batched_outputs). Element t is bit-identical
-/// to amplitude(n, gates, psi_bits, v_bits[t], ...) with the same options;
-/// a single bitstring, or an output batch that shares no work, replays the
-/// per-bitstring plan instead (batched_plan_or_null), which is
-/// bit-identical too. opts.tn.control governs the compile and every
-/// replay, its memory ceiling included.
+/// cap's light cone run once per batch -- see ReplayLayout). Element t is
+/// bit-identical to amplitude(n, gates, psi_bits, v_bits[t], ...) with the
+/// same options; a single bitstring, or an output batch that shares no
+/// work, replays the per-bitstring plan instead (batched_plan_or_null),
+/// which is bit-identical too. opts.tn.control governs the compile and
+/// every replay, its memory ceiling included.
 std::vector<cplx> batch_amplitudes(int n, const std::vector<qc::Gate>& gates,
                                    std::uint64_t psi_bits,
                                    std::span<const std::uint64_t> v_bits,
@@ -163,8 +162,8 @@ class AmplitudeTemplate {
     return static_cast<std::size_t>(n_) + num_gates_ + static_cast<std::size_t>(q);
   }
 
-  /// The n output-cap nodes in qubit order -- the varying slots
-  /// compile_batched_outputs declares.
+  /// The n output-cap nodes in qubit order -- the varying slots a
+  /// ReplayLayout of more than one output declares.
   std::vector<std::size_t> output_cap_nodes() const;
 
   /// Shared <0| / <1| cap tensor (same values basis_state_tensor builds).
@@ -202,17 +201,6 @@ class AmplitudeTemplate {
                               tn::ContractStats* stats = nullptr) const {
     return plan_.compile_env(nodes, copts_, stats);
   }
-
-  /// Batched replay across `capacity` >= 2 OUTPUT BITSTRINGS: the plan of a
-  /// ReplayLayout with no sites, one row and `capacity` outputs per
-  /// traversal. The n output-cap nodes are its varying slots (2 variants
-  /// each, exempt from any per-term deviation promise, since a bitstring
-  /// flips caps freely). Steps outside every cap's light cone run once per
-  /// batch; cap-cone steps store one row per distinct projection of the
-  /// batch's bitstrings onto the cone's qubits. Like compile_batched, the
-  /// arena meets a RunControl memory ceiling only when it is committed.
-  tn::BatchedPlan compile_batched_outputs(std::size_t capacity,
-                                          tn::ContractStats* stats = nullptr) const;
 
   /// (node index, replacement tensor) pair for InputTable::with.
   using Substitution = std::pair<std::size_t, const tsr::Tensor*>;

@@ -94,7 +94,7 @@ void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t 
 
 namespace {
 
-/// Fixed-k microkernel, k = Kc known at compile time. For k <= 64 and
+/// Fixed-k kernel, k = Kc known at compile time. For k <= 64 and
 /// n <= 64 the blocked kernel above degenerates to a single (k0, j0) block,
 /// i.e. the plain i/kk/j loop with the same zero-skip -- this kernel is that
 /// loop with the kk trip count baked in, so results are bit-identical while
@@ -102,7 +102,7 @@ namespace {
 template <std::size_t Kc>
 void matmul_small_k(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
                     std::size_t n) {
-  (void)k;  // == Kc by dispatch contract
+  (void)k;  // == Kc by the shape ladder
   std::fill_n(out, m * n, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
@@ -125,7 +125,7 @@ void matmul_small_k(const cplx* a, const cplx* b, cplx* out, std::size_t m, std:
   }
 }
 
-/// Fixed k x n panel microkernel for the circuit-network workhorse: a long
+/// Fixed k x n panel kernel for the circuit-network workhorse: a long
 /// boundary tensor (any m) absorbing a 1- or 2-qubit gate (k, n in {2, 4}).
 /// The whole b panel -- at most 4 x 4 complex -- is hoisted into locals
 /// reused by every row of a, and the kk/j loops fully unroll, leaving one
@@ -134,8 +134,8 @@ void matmul_small_k(const cplx* a, const cplx* b, cplx* out, std::size_t m, std:
 template <std::size_t Kc, std::size_t Nc>
 void matmul_small_kn(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
                      std::size_t n) {
-  (void)k;  // == Kc by dispatch contract
-  (void)n;  // == Nc by dispatch contract
+  (void)k;  // == Kc by the shape ladder
+  (void)n;  // == Nc by the shape ladder
   std::fill_n(out, m * Nc, cplx{0.0, 0.0});
   const double* pa = reinterpret_cast<const double*>(a);
   const double* pb = reinterpret_cast<const double*>(b);
@@ -161,33 +161,6 @@ void matmul_small_kn(const cplx* a, const cplx* b, cplx* out, std::size_t m, std
 }
 
 }  // namespace
-
-MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n) {
-  // The microkernels are only bit-identical while the blocked kernel stays
-  // a single block: k inside one kBlockK panel, n inside one kBlockJ panel
-  // (all shapes below satisfy both). Panel kernels cover gate absorption
-  // into arbitrarily long boundary tensors; the fixed-k kernels cover the
-  // remaining tiny outputs where blocked-kernel setup dominates.
-  if (k == 2) {
-    if (n == 2) return &matmul_small_kn<2, 2>;
-    if (n == 4) return &matmul_small_kn<2, 4>;
-    if (m * n <= 64) return &matmul_small_k<2>;
-  }
-  if (k == 4) {
-    if (n == 2) return &matmul_small_kn<4, 2>;
-    if (n == 4) return &matmul_small_kn<4, 4>;
-    if (m * n <= 64) return &matmul_small_k<4>;
-  }
-  if (k == 8) {
-    if (n == 2) return &matmul_small_kn<8, 2>;
-    if (n == 4) return &matmul_small_kn<8, 4>;
-  }
-  if (k == 16) {
-    if (n == 2) return &matmul_small_kn<16, 2>;
-    if (n == 4) return &matmul_small_kn<16, 4>;
-  }
-  return &matmul;
-}
 
 void matmul_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
                      const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
@@ -361,6 +334,20 @@ void sv_dense2_into(const cplx* src, cplx* dst, std::size_t size, std::size_t bi
   dense2(src, dst, size, bit_a, bit_b, m);
 }
 
+/// Scalar reference table: the kernels every other tier is bit-checked
+/// against, one matmul kernel per MatmulShape in the enum's order. Always
+/// present.
+const KernelTable* scalar_table() {
+  static const KernelTable table{
+      {&matmul_small_kn<2, 2>, &matmul_small_kn<2, 4>, &matmul_small_kn<4, 2>,
+       &matmul_small_kn<4, 4>, &matmul_small_kn<8, 2>, &matmul_small_kn<8, 4>,
+       &matmul_small_kn<16, 2>, &matmul_small_kn<16, 4>, &matmul_small_k<2>, &matmul_small_k<4>,
+       &matmul},
+      &matmul_gathered, &sv_dense1, &sv_diag1, &sv_dense2, &sv_diag2, &sv_cx, &sv_kraus1,
+      &sv_dense2_into, KernelTier::Scalar, "scalar"};
+  return &table;
+}
+
 }  // namespace detail
 
 std::size_t contract_result_size(const Tensor& a, std::span<const std::size_t> axes_a,
@@ -395,7 +382,7 @@ Tensor contract(const Tensor& a, std::span<const std::size_t> axes_a, const Tens
   }
 
   Tensor out(p.out_shape);
-  active_kernels().select(p.m, p.k, p.n)(pa, pb, out.data(), p.m, p.k, p.n);
+  active_kernels().matmul[matmul_shape(p.m, p.k, p.n)](pa, pb, out.data(), p.m, p.k, p.n);
   return out;
 }
 

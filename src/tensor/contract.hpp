@@ -6,6 +6,7 @@
 // (in order) followed by B's free axes. This is the single primitive the
 // tensor-network contractor is built on.
 
+#include <array>
 #include <span>
 
 #include "tensor/tensor.hpp"
@@ -26,6 +27,44 @@ inline Tensor contract(const Tensor& a, std::initializer_list<std::size_t> axes_
                   std::span<const std::size_t>(axes_b.begin(), axes_b.size()));
 }
 
+/// Rungs of the matmul shape ladder, one kernel of a tier's
+/// KernelTable::matmul each: k x n panels (any m) and fixed-k kernels for
+/// m*n <= 64 -- dim-2 wire bundles against rank-3/4 gate tensors, the
+/// dominant small shapes of circuit networks -- and the generic kernel.
+enum MatmulShape : std::uint8_t {
+  kMatmulK2N2, kMatmulK2N4, kMatmulK4N2, kMatmulK4N4,
+  kMatmulK8N2, kMatmulK8N4, kMatmulK16N2, kMatmulK16N4,  // k x n panels
+  kMatmulK2, kMatmulK4,                                  // fixed k
+  kMatmulGeneric
+};
+inline constexpr std::size_t kNumMatmulShapes = kMatmulGeneric + 1;
+
+/// The one shape ladder. The plan compiler stores each step's rung, so
+/// executors only index the table with it; tsr::contract asks per call.
+/// Every rung writes the generic kernel's bits: the rung moves time only.
+/// (Fixed shapes stay inside one cache block of the generic kernel.)
+constexpr MatmulShape matmul_shape(std::size_t m, std::size_t k, std::size_t n) {
+  if (k == 2) {
+    if (n == 2) return kMatmulK2N2;
+    if (n == 4) return kMatmulK2N4;
+    if (m * n <= 64) return kMatmulK2;
+  }
+  if (k == 4) {
+    if (n == 2) return kMatmulK4N2;
+    if (n == 4) return kMatmulK4N4;
+    if (m * n <= 64) return kMatmulK4;
+  }
+  if (k == 8) {
+    if (n == 2) return kMatmulK8N2;
+    if (n == 4) return kMatmulK8N4;
+  }
+  if (k == 16) {
+    if (n == 2) return kMatmulK16N2;
+    if (n == 4) return kMatmulK16N4;
+  }
+  return kMatmulGeneric;
+}
+
 namespace detail {
 
 /// The scalar tier's generic kernel, out[m x n] = a[m x k] * b[k x n], and
@@ -35,28 +74,21 @@ namespace detail {
 /// exactly that of the naive fill-then-accumulate loop: start at +0.0,
 /// then add a(i, kk) * b(kk, j) for kk = 0..k-1 ascending, skipping
 /// exact-zero a(i, kk) -- cache blocking and register tiling never reorder
-/// that sum, and a row whose a entries are all zero stays +0.0. Callers
-/// reach it through select_matmul, which returns it for every shape
-/// without a microkernel.
+/// that sum, and a row whose a entries are all zero stays +0.0. It is the
+/// scalar tier's kMatmulGeneric entry; the tier's fixed-shape entries are
+/// this loop with k (and n) baked in, their inner j loop on raw contiguous
+/// doubles that the compiler turns into SIMD mul/add (never FMA), so every
+/// entry writes these bits.
 void matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
             std::size_t n);
 
-/// Signature shared by the generic kernel and the small-shape microkernels.
+/// Signature shared by the generic kernel and the fixed-shape kernels.
 using MatmulFn = void (*)(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
                           std::size_t n);
 
-/// The scalar tier's one entry for a plain product (KernelTable::select):
-/// a specialized microkernel for the dominant small shapes of circuit
-/// tensor networks (k in {2, 4, 8, 16} against n in {2, 4}, or k in
-/// {2, 4} with m*n <= 64 -- dim-2 wire bundles against rank-3/4 gate
-/// tensors), the generic cache-blocked kernel otherwise. Every returned
-/// kernel computes matmul's value per output element, so the choice never
-/// changes bits. tsr::contract and every plan executor call the kernel this
-/// returns; the batched executor selects once per step and traversal
-/// instead of once per row. The fixed-shape microkernels keep the inner j
-/// loop on raw contiguous doubles, which the compiler turns into SIMD
-/// mul/add (no FMA contraction, preserving IEEE semantics bit for bit).
-MatmulFn select_matmul(std::size_t m, std::size_t k, std::size_t n);
+/// One kernel per MatmulShape: entry s serves every (m, k, n) that
+/// matmul_shape maps to s.
+using MatmulKernels = std::array<MatmulFn, kNumMatmulShapes>;
 
 /// Permutation-fused variant: reads operand elements through optional
 /// gather tables instead of requiring pre-permuted copies -- a_idx[i*k+kk]

@@ -1,8 +1,9 @@
 #pragma once
 // Runtime-dispatched kernel tiers: one KernelTable per instruction-set
 // tier (scalar, AVX2, AVX-512), all implementing the two matmul kernel
-// families of tensor/contract.hpp -- the shape-selected kernel and the
-// gather-table variant -- and the state-vector kernel families
+// families of tensor/contract.hpp -- one plain kernel per rung of the
+// tsr::matmul_shape ladder, and the gather-table variant -- and the
+// state-vector kernel families
 // (1- and 2-qubit gate application, the CX permutation, the fused Kraus
 // apply + renormalization, the out-of-place 2-qubit apply) with
 // BIT-IDENTICAL results.
@@ -44,7 +45,6 @@ inline constexpr std::size_t kNumKernelTiers = 3;
 
 namespace detail {
 
-using SelectFn = MatmulFn (*)(std::size_t m, std::size_t k, std::size_t n);
 using GatheredFn = void (*)(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
                             const std::uint32_t* b_idx, cplx* out, std::size_t m, std::size_t k,
                             std::size_t n);
@@ -67,13 +67,15 @@ using Sv2IntoFn = void (*)(const cplx* src, cplx* dst, std::size_t size, std::si
 /// (sim/statevector.hpp) call kernels exclusively through a table (the
 /// executor seam): replacing the table replaces the device the plan
 /// replays on, which is the shape batched-contraction offload interfaces
-/// (cuTensorNet-style) expose. `select` is the one entry for a plain
-/// product: every executor asks it for the (m, k, n) kernel and calls what
-/// it returns. Any table slotted in must honor the bit-identity contract
-/// above to keep replays interchangeable with the CPU reference path.
+/// (cuTensorNet-style) expose. `matmul` holds every plain product, one
+/// kernel per rung of matmul_shape: an executor calls kt.matmul[step.shape]
+/// with the rung compiled into the step, resolving the table itself once
+/// per traversal so cached plans follow tier switches. Any table slotted in
+/// must honor the bit-identity contract above to keep replays
+/// interchangeable with the CPU reference path.
 struct KernelTable {
-  detail::SelectFn select;      // the (m, k, n) kernel: microkernel or generic
-  detail::GatheredFn gathered;  // permutation-fused gather-table variant
+  detail::MatmulKernels matmul;   // the plain kernel per MatmulShape
+  detail::GatheredFn gathered;    // permutation-fused gather-table variant
   detail::Sv1Fn sv_dense1;        // 2x2 on one qubit
   detail::Sv1Fn sv_diag1;         // diagonal 2x2 on one qubit
   detail::Sv2Fn sv_dense2;        // 4x4 on two qubits

@@ -145,17 +145,10 @@ inline void with_width(std::size_t run, F&& f) {
 }  // namespace
 
 const KernelTable* avx512_table() {
-  static const KernelTable table{&simd_select_matmul,
-                                 &simd_matmul_gathered,
-                                 &simd_sv_dense1,
-                                 &simd_sv_diag1,
-                                 &simd_sv_dense2,
-                                 &simd_sv_diag2,
-                                 &simd_sv_cx,
-                                 &simd_sv_kraus1,
-                                 &simd_sv_dense2_into,
-                                 KernelTier::Avx512,
-                                 "avx512"};
+  static const KernelTable table{
+      kSimdMatmul, &simd_matmul_gathered, &simd_sv_dense1, &simd_sv_diag1, &simd_sv_dense2,
+      &simd_sv_diag2, &simd_sv_cx, &simd_sv_kraus1, &simd_sv_dense2_into, KernelTier::Avx512,
+      "avx512"};
   return &table;
 }
 

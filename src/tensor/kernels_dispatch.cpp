@@ -10,28 +10,13 @@ namespace noisim::tsr {
 
 namespace detail {
 
-// Defined in kernels_avx2.cpp / kernels_avx512.cpp; each returns nullptr
-// when its TU was compiled without the matching ISA (non-x86 targets, or a
+// Defined in contract.cpp (the scalar reference, always present) and
+// kernels_avx2.cpp / kernels_avx512.cpp; each SIMD table is nullptr when
+// its TU was compiled without the matching ISA (non-x86 targets, or a
 // toolchain lacking the flag).
+const KernelTable* scalar_table();
 const KernelTable* avx2_table();
 const KernelTable* avx512_table();
-
-/// Scalar reference table: the contract.cpp kernels every other tier is
-/// bit-checked against. Always present.
-const KernelTable* scalar_table() {
-  static const KernelTable table{&select_matmul,
-                                 &matmul_gathered,
-                                 &sv_dense1,
-                                 &sv_diag1,
-                                 &sv_dense2,
-                                 &sv_diag2,
-                                 &sv_cx,
-                                 &sv_kraus1,
-                                 &sv_dense2_into,
-                                 KernelTier::Scalar,
-                                 "scalar"};
-  return &table;
-}
 
 }  // namespace detail
 

@@ -387,6 +387,7 @@ struct PlanCompiler {
       step.m = m;
       step.k = k;
       step.n = n;
+      step.shape = tsr::matmul_shape(m, k, n);
       step.out_offset = out_offset;
       step.out_elems = out_elems;
       // Operand permutations: lhs to [free..., contracted...], rhs to
@@ -710,25 +711,65 @@ ContractionPlan ContractionPlan::compile(const Network& net, const ContractOptio
 
 namespace {
 
-/// Attribute `count` kernel invocations to the tier that executed them.
-void tally_kernels(ContractStats& stats, tsr::KernelTier tier, std::size_t count) {
-  switch (tier) {
-    case tsr::KernelTier::Scalar:
-      stats.kernels_scalar += count;
-      break;
-    case tsr::KernelTier::Avx2:
-      stats.kernels_avx2 += count;
-      break;
-    case tsr::KernelTier::Avx512:
-      stats.kernels_avx512 += count;
-      break;
+/// What one traversal did, for its ContractStats tally.
+struct Tally {
+  std::size_t kernels = 0, flops = 0, bytes = 0, peak = 0;
+};
+
+/// The frame of every executor's traversal (ContractionPlan, BatchedPlan,
+/// EnvSchedule): up front the arena meets the control's memory ceiling,
+/// the scratch is sized and the kernel table resolved (per traversal, so
+/// cached plans follow tier switches); step() runs before each step;
+/// finish() tallies the replay counter and stats. Each executor commits
+/// its own arena buffer once the frame is set up.
+class TraversalFrame {
+ public:
+  TraversalFrame(PlanWorkspace& ws, std::size_t arena_elems, const char* arena_name,
+                 std::size_t scratch_a_elems, std::size_t scratch_b_elems)
+      : kt(ws.kernels ? *ws.kernels : tsr::active_kernels()),  // the executor seam
+        control_(ws.control),
+        started_(Clock::now()) {
+    if (control_) control_->check_memory(arena_elems, arena_name);
+    ws.scratch_a.resize(scratch_a_elems);
+    ws.scratch_b.resize(scratch_b_elems);
   }
-}
+
+  const tsr::KernelTable& kt;
+
+  /// Once per step, before it runs.
+  void step() const {
+    fault::poke("exec-step-mo");
+    fault::poke("exec-step-to");
+    if (control_) control_->poll();
+  }
+
+  /// `terms` executions of the plan took `tally`'s work.
+  void finish(std::atomic<std::size_t>& executions, std::size_t terms, const Tally& tally,
+              ContractStats* stats) const {
+    const std::size_t prior = executions.fetch_add(terms, std::memory_order_relaxed);
+    if (!stats) return;
+    constexpr std::size_t ContractStats::*kByTier[tsr::kNumKernelTiers] = {
+        &ContractStats::kernels_scalar, &ContractStats::kernels_avx2,
+        &ContractStats::kernels_avx512};
+    stats->num_pairwise += tally.kernels;
+    stats->*kByTier[static_cast<std::size_t>(kt.tier)] += tally.kernels;
+    stats->peak_elems = std::max(stats->peak_elems, tally.peak);
+    stats->plan_executions += terms;
+    stats->plan_reuse_hits += prior > 0 ? terms : terms - 1;
+    stats->flops += tally.flops;
+    stats->bytes_moved += tally.bytes;
+    stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started_).count();
+  }
+
+ private:
+  const core::RunControl* control_;
+  Clock::time_point started_;
+};
 
 /// One forward step of a plan: operands permuted into scratch where
-/// needed, then one call of the kernel kt.select picks for the step's shape
-/// writes the output. ContractionPlan::execute and EnvSchedule::execute
-/// share it, so their values agree bit for bit.
+/// needed, then the table's kernel for the step's shape rung writes the
+/// output. ContractionPlan::execute and EnvSchedule::execute share it, so
+/// their values agree bit for bit.
 void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
               PlanWorkspace& ws, const tsr::KernelTable& kt) {
   if (!step.identity_a) {
@@ -739,7 +780,7 @@ void run_step(const ExecStep& step, const cplx* pa, const cplx* pb, cplx* out,
     tsr::permute_walk(pb, step.b_walk, ws.scratch_b.data());
     pb = ws.scratch_b.data();
   }
-  kt.select(step.m, step.k, step.n)(pa, pb, out, step.m, step.k, step.n);
+  kt.matmul[step.shape](pa, pb, out, step.m, step.k, step.n);
 }
 
 /// The walk reading an operand as the transpose of its permuted matrix
@@ -784,23 +825,13 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
     la::detail::require(inputs[i]->size() == input_elems_[i],
                         "ContractionPlan::execute: input tensor size mismatch");
 
-  const auto started = Clock::now();
-  if (ws.control) ws.control->check_memory(arena_elems_, "contraction arena");
+  const TraversalFrame frame(ws, arena_elems_, "contraction arena", scratch_a_elems_,
+                            scratch_b_elems_);
   ws.arena.resize(arena_elems_);
-  ws.scratch_a.resize(scratch_a_elems_);
-  ws.scratch_b.resize(scratch_b_elems_);
-
-  // Executor seam: an injected table (ws.kernels) wins, otherwise the
-  // process-wide dispatched tier. Resolved per replay, never baked into the
-  // plan, so cached plans honor tier switches.
-  const tsr::KernelTable& kt = ws.kernels ? *ws.kernels : tsr::active_kernels();
-
   for (const PlanStep& step : steps_) {
-    fault::poke("exec-step-mo");
-    fault::poke("exec-step-to");
-    if (ws.control) ws.control->poll();
+    frame.step();
     run_step(step, slot_data(step.lhs, inputs, ws), slot_data(step.rhs, inputs, ws),
-             ws.arena.data() + step.out_offset, ws, kt);
+             ws.arena.data() + step.out_offset, ws, frame.kt);
   }
 
   // Materialize the result with axes in ascending open-edge order.
@@ -812,17 +843,7 @@ tsr::Tensor ContractionPlan::execute(std::span<const tsr::Tensor* const> inputs,
   else
     tsr::permute_walk(src, output_walk_, result.data());
 
-  const std::size_t prior = executions_->fetch_add(1, std::memory_order_relaxed);
-  if (stats) {
-    stats->num_pairwise += steps_.size();
-    tally_kernels(*stats, kt.tier, steps_.size());
-    stats->peak_elems = std::max(stats->peak_elems, peak_elems_);
-    ++stats->plan_executions;
-    if (prior > 0) ++stats->plan_reuse_hits;
-    stats->flops += total_flops_;
-    stats->bytes_moved += total_bytes_;
-    stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started).count();
-  }
+  frame.finish(*executions_, 1, {steps_.size(), total_flops_, total_bytes_, peak_elems_}, stats);
   return result;
 }
 
@@ -1028,18 +1049,10 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
       la::detail::require(varying[t * V + v]->size() == input_elems_[varying_slots_[v]],
                           "BatchedPlan::execute: varying input size mismatch");
 
-  const auto started = Clock::now();
-  if (ws.control) ws.control->check_memory(arena_elems_, "batched contraction arena");
+  const TraversalFrame frame(ws, arena_elems_, "batched contraction arena", scratch_a_elems_,
+                            scratch_b_elems_);
+  const tsr::KernelTable& kt = frame.kt;
   ws.batch_arena.ensure(arena_elems_);
-  ws.scratch_a.resize(scratch_a_elems_);
-  ws.scratch_b.resize(scratch_b_elems_);
-  // Executor seam: resolve the kernel table and the per-step shape-
-  // specialized kernels once per traversal (not at compile_batched time --
-  // PlanCache entries outlive NOISIM_KERNELS / set_kernel_tier changes).
-  const tsr::KernelTable& kt = ws.kernels ? *ws.kernels : tsr::active_kernels();
-  ws.step_kernels.resize(steps_.size());
-  for (std::size_t s = 0; s < steps_.size(); ++s)
-    ws.step_kernels[s] = kt.select(steps_[s].m, steps_[s].k, steps_[s].n);
   ws.vids.resize(steps_.size() * k);
   ws.key_a.resize(k);
   ws.key_b.resize(k);
@@ -1089,7 +1102,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
            (ps.varying_out ? ws.vids[(slot - num_in) * k + t] * ps.out_elems : 0);
   };
 
-  std::size_t kernels = 0, flops = 0, bytes = 0, peak = 0;
+  Tally tally;
   auto kernel_bytes = [](const BatchedStep& st) {
     return sizeof(cplx) * (st.a_elems + st.b_elems + st.out_elems);
   };
@@ -1098,9 +1111,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
   // whole batch. Sequential (root-region) steps are skipped here and
   // replayed per term in pass 2 -- they never feed a batched step.
   for (std::size_t s = 0; s < steps_.size(); ++s) {
-    fault::poke("exec-step-mo");
-    fault::poke("exec-step-to");
-    if (ws.control) ws.control->poll();
+    frame.step();
     const BatchedStep& st = steps_[s];
     if (st.sequential) continue;
     cplx* out0 = ws.batch_arena.data() + st.out_offset;
@@ -1139,13 +1150,13 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
       }
     }
 
-    peak = std::max(peak, rows * st.out_elems);
+    tally.peak = std::max(tally.peak, rows * st.out_elems);
 
     // One kernel call per distinct row, operands resolved through the
     // row's representative term (a uniform operand is the same buffer for
     // every row), gather-table permutation into row-sized scratch
-    // (re-gathered only when the operand's variant changes), and the kernel
-    // selected once per traversal.
+    // (re-gathered only when the operand's variant changes), and the
+    // table's kernel for the step's shape rung.
     std::ptrdiff_t last_a = -1, last_b = -1;
     for (std::size_t u = 0; u < rows; ++u) {
       const std::size_t t = st.varying_out ? ws.urep[u] : 0;
@@ -1157,7 +1168,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
             tsr::gather_walk(pa, st.a_gather, ws.scratch_a.data());
           else
             tsr::permute_walk(pa, st.a_walk, ws.scratch_a.data());
-          bytes += sizeof(cplx) * 2 * st.a_elems;
+          tally.bytes += sizeof(cplx) * 2 * st.a_elems;
           last_a = cur;
         }
         pa = ws.scratch_a.data();
@@ -1170,15 +1181,15 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
             tsr::gather_walk(pb, st.b_gather, ws.scratch_b.data());
           else
             tsr::permute_walk(pb, st.b_walk, ws.scratch_b.data());
-          bytes += sizeof(cplx) * 2 * st.b_elems;
+          tally.bytes += sizeof(cplx) * 2 * st.b_elems;
           last_b = cur;
         }
         pb = ws.scratch_b.data();
       }
-      ws.step_kernels[s](pa, pb, out0 + u * st.out_elems, st.m, st.k, st.n);
-      ++kernels;
-      flops += st.m * st.k * st.n;
-      bytes += kernel_bytes(st);
+      kt.matmul[st.shape](pa, pb, out0 + u * st.out_elems, st.m, st.k, st.n);
+      ++tally.kernels;
+      tally.flops += st.m * st.k * st.n;
+      tally.bytes += kernel_bytes(st);
     }
   }
 
@@ -1254,14 +1265,12 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     ws.seq_last.assign(steps_.size(), static_cast<std::uint32_t>(-1));
 
     for (std::size_t t = 0; t < k; ++t) {
-      fault::poke("exec-step-mo");
-      fault::poke("exec-step-to");
-      if (ws.control) ws.control->poll();
+      frame.step();
       if (ws.term_rep[t] != t) {
         std::copy(result.data() + ws.term_rep[t] * out_elems,
                   result.data() + (ws.term_rep[t] + 1) * out_elems,
                   result.data() + t * out_elems);
-        bytes += sizeof(cplx) * 2 * out_elems;
+        tally.bytes += sizeof(cplx) * 2 * out_elems;
         continue;
       }
       for (std::size_t s = 0; s < steps_.size(); ++s) {
@@ -1270,7 +1279,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
         const std::uint32_t rep = ws.vids[s * k + t];
         if (ws.seq_last[s] == rep) continue;  // buffer already holds this variant
         cplx* out0 = ws.batch_arena.data() + st.out_offset;
-        peak = std::max(peak, st.out_elems);
+        tally.peak = std::max(tally.peak, st.out_elems);
         // Operands change every term here, so permutations are fused into
         // the kernel through the gather tables (each operand read once in
         // place) rather than copied to scratch; only permutations too big
@@ -1282,7 +1291,7 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
             a_idx = st.a_gather.data();
           } else {
             tsr::permute_walk(pa, st.a_walk, ws.scratch_a.data());
-            bytes += sizeof(cplx) * 2 * st.a_elems;
+            tally.bytes += sizeof(cplx) * 2 * st.a_elems;
             pa = ws.scratch_a.data();
           }
         }
@@ -1293,18 +1302,18 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
             b_idx = st.b_gather.data();
           } else {
             tsr::permute_walk(pb, st.b_walk, ws.scratch_b.data());
-            bytes += sizeof(cplx) * 2 * st.b_elems;
+            tally.bytes += sizeof(cplx) * 2 * st.b_elems;
             pb = ws.scratch_b.data();
           }
         }
         if (a_idx || b_idx)
           kt.gathered(pa, a_idx, pb, b_idx, out0, st.m, st.k, st.n);
         else
-          ws.step_kernels[s](pa, pb, out0, st.m, st.k, st.n);
+          kt.matmul[st.shape](pa, pb, out0, st.m, st.k, st.n);
         ws.seq_last[s] = rep;
-        ++kernels;
-        flops += st.m * st.k * st.n;
-        bytes += kernel_bytes(st);
+        ++tally.kernels;
+        tally.flops += st.m * st.k * st.n;
+        tally.bytes += kernel_bytes(st);
       }
       // The sequential buffers hold term t's values right now; materialize
       // before the next term overwrites them. (When any step is
@@ -1316,19 +1325,8 @@ tsr::Tensor BatchedPlan::execute(std::span<const tsr::Tensor* const> shared,
     for (std::size_t t = 0; t < k; ++t)
       materialize(slot_row_ptr(src_slot, t), result.data() + t * out_elems);
   }
-  bytes += sizeof(cplx) * 2 * out_elems * k;
-
-  const std::size_t prior = executions_->fetch_add(k, std::memory_order_relaxed);
-  if (stats) {
-    stats->num_pairwise += kernels;
-    tally_kernels(*stats, kt.tier, kernels);
-    stats->peak_elems = std::max(stats->peak_elems, peak);
-    stats->plan_executions += k;
-    stats->plan_reuse_hits += prior > 0 ? k : k - 1;
-    stats->flops += flops;
-    stats->bytes_moved += bytes;
-    stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started).count();
-  }
+  tally.bytes += sizeof(cplx) * 2 * out_elems * k;
+  frame.finish(*executions_, k, tally, stats);
   return result;
 }
 
@@ -1431,6 +1429,7 @@ EnvSchedule ContractionPlan::compile_env(std::span<const std::size_t> targets,
                                      step.m, step.k);
         if (!step.identity_b) e.scatter = step.b_walk;
       }
+      e.shape = tsr::matmul_shape(e.m, e.k, e.n);
       e.env_elems = elems(slot);
       e.env_offset = env_offset[slot] = arena.alloc(e.env_elems);
       e.out_env_offset = env_offset[out];
@@ -1464,25 +1463,17 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
                       "EnvSchedule::execute: one want flag per target");
   la::detail::require(terms >= 1, "EnvSchedule::execute: a pass stands in for at least one term");
 
-  const auto started = Clock::now();
-  auto step_checks = [&] {
-    fault::poke("exec-step-mo");
-    fault::poke("exec-step-to");
-    if (ws.control) ws.control->poll();
-  };
-
-  if (ws.control) ws.control->check_memory(arena_elems_, "environment arena");
+  const TraversalFrame frame(ws, arena_elems_, "environment arena", scratch_a_elems_,
+                            scratch_b_elems_);
+  const tsr::KernelTable& kt = frame.kt;
   ws.env_arena.ensure(arena_elems_);
-  ws.scratch_a.resize(scratch_a_elems_);
-  ws.scratch_b.resize(scratch_b_elems_);
-  const tsr::KernelTable& kt = ws.kernels ? *ws.kernels : tsr::active_kernels();
   cplx* arena = ws.env_arena.data();
   auto value = [&](std::size_t slot) -> const cplx* {
     return slot < num_in ? inputs[slot]->data() : arena + fwd_[slot - num_in].out_offset;
   };
 
   for (const ExecStep& step : fwd_) {
-    step_checks();
+    frame.step();
     run_step(step, value(step.lhs), value(step.rhs), arena + step.out_offset, ws, kt);
   }
   const cplx result = arena[fwd_.back().out_offset];
@@ -1495,10 +1486,10 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
            e = bwd_[e].parent)
         ws.env_run[e] = 1;
   arena[root_env_offset_] = cplx{1.0, 0.0};
-  std::size_t kernels = fwd_.size(), flops = fwd_flops_, bytes = fwd_bytes_;
+  Tally tally{fwd_.size(), fwd_flops_, fwd_bytes_, peak_elems_};
   for (std::size_t e = 0; e < bwd_.size(); ++e) {
     if (!ws.env_run[e]) continue;
-    step_checks();
+    frame.step();
     const EnvStep& st = bwd_[e];
     const cplx* sib = value(st.sibling);
     if (st.sib_walk) {
@@ -1507,28 +1498,17 @@ cplx EnvSchedule::execute(std::span<const tsr::Tensor* const> inputs, std::span<
     }
     const cplx* env_out = arena + st.out_env_offset;
     cplx* dst = st.scatter ? ws.scratch_b.data() : arena + st.env_offset;
-    const tsr::detail::MatmulFn kernel = kt.select(st.m, st.k, st.n);
+    const tsr::detail::MatmulFn kernel = kt.matmul[st.shape];
     if (st.lhs)
       kernel(env_out, sib, dst, st.m, st.k, st.n);
     else
       kernel(sib, env_out, dst, st.m, st.k, st.n);
     if (st.scatter) tsr::scatter_walk(dst, *st.scatter, arena + st.env_offset);
-    ++kernels;
-    flops += st.m * st.k * st.n;
-    bytes += st.bytes;
+    ++tally.kernels;
+    tally.flops += st.m * st.k * st.n;
+    tally.bytes += st.bytes;
   }
-
-  const std::size_t prior = executions_->fetch_add(terms, std::memory_order_relaxed);
-  if (stats) {
-    stats->num_pairwise += kernels;
-    tally_kernels(*stats, kt.tier, kernels);
-    stats->peak_elems = std::max(stats->peak_elems, peak_elems_);
-    stats->plan_executions += terms;
-    stats->plan_reuse_hits += prior > 0 ? terms : terms - 1;
-    stats->flops += flops;
-    stats->bytes_moved += bytes;
-    stats->elapsed_seconds += std::chrono::duration<double>(Clock::now() - started).count();
-  }
+  frame.finish(*executions_, terms, tally, stats);
   return result;
 }
 

@@ -15,8 +15,9 @@
 // (tsr::PermuteWalk: size-1 axes dropped, co-adjacent axes merged, the
 // innermost run a strided loop) into reused scratch buffers, skipped
 // entirely when the permutation is the identity, and every pairwise kernel
-// -- in the plan, batched and environment executors alike -- is the one
-// KernelTable::select returns for the step's (m, k, n).
+// -- in the plan, batched and environment executors alike, which share one
+// traversal frame -- is the KernelTable::matmul entry of the shape rung
+// compiled into the step (tsr::matmul_shape never runs per replay).
 // Replaying a plan is bit-identical to contracting the network from scratch
 // with the same options.
 //
@@ -51,6 +52,7 @@ struct ExecStep {
   tsr::PermuteWalk a_walk, b_walk;
   std::size_t a_elems = 1, b_elems = 1;  // operand sizes (scratch sizing)
   std::size_t m = 1, k = 1, n = 1;       // matrix-shaped contraction dims
+  tsr::MatmulShape shape = tsr::kMatmulGeneric;  // matmul_shape(m, k, n)
   std::size_t out_offset = 0;            // element offset into the arena
   std::size_t out_elems = 1;
 };
@@ -92,17 +94,19 @@ class ArenaBuffer {
   std::size_t cap_ = 0;
 };
 
-/// Per-thread scratch a plan executes in: the intermediate arena plus the
-/// permutation scratch buffers. Buffers only grow, so replaying a plan
-/// through the same workspace allocates nothing in steady state. All
-/// kernel-visible buffers are 64-byte aligned (tsr::aligned_vector /
-/// ArenaBuffer), so every tier's vector loads see aligned arena segments.
+/// Per-thread scratch a plan executes in: one arena per executor plus the
+/// permutation scratch buffers -- buffers and per-execution settings, no
+/// kernels (a step's kernel is the table's entry for its compiled rung).
+/// Buffers only grow, so replaying a plan through the same workspace
+/// allocates nothing in steady state. All kernel-visible buffers are
+/// 64-byte aligned (tsr::aligned_vector / ArenaBuffer), so every tier's
+/// vector loads see aligned arena segments.
 struct PlanWorkspace {
   /// Executor seam: when set, plans replay their kernels through THIS
   /// table instead of the runtime-dispatched tsr::active_kernels() -- the
   /// indirection a GPU/remote executor slots in behind (any table must
   /// honor the bit-identity contract of tensor/kernels.hpp). Null selects
-  /// the dispatched CPU tier.
+  /// the dispatched CPU tier. Either is resolved once per traversal.
   const tsr::KernelTable* kernels = nullptr;
   /// Cooperative run-time control (core/run_control.hpp), polled once per
   /// contraction step by ContractionPlan::execute, both BatchedPlan passes
@@ -115,7 +119,6 @@ struct PlanWorkspace {
   ArenaBuffer env_arena;    // environment passes only (EnvSchedule)
   std::vector<char> env_run;  // backward steps an environment pass runs
   tsr::aligned_vector<cplx> scratch_a, scratch_b;
-  std::vector<tsr::detail::MatmulFn> step_kernels;  // per-traversal dispatch
   std::vector<const tsr::Tensor*> input_ptrs;  // for execute(const Network&)
   // Batched-replay scratch: variant keys of the varying inputs (in_vids),
   // every batched step's term -> unique-row map (vids), the per-step key /
@@ -129,11 +132,11 @@ struct PlanWorkspace {
 /// One pairwise step of a batched replay: the parent plan's executed step
 /// (out_offset re-laid into the *batched* arena, out_elems per row) plus
 /// the batch-dependent layout (varying flags, row bound) and the
-/// materialized permutation gather tables. The step's (m, k, n) kernel is
-/// resolved from the ACTIVE kernel table once per traversal (not baked in
-/// at compile time), so plans cached across tier switches -- PlanCache
-/// entries outlive NOISIM_KERNELS overrides in tests and benchmarks --
-/// always execute on the tier the caller selected.
+/// materialized permutation gather tables. It inherits the step's shape
+/// rung; the kernel table that rung indexes is resolved once per traversal
+/// (never baked in at compile time), so plans cached across tier switches
+/// -- PlanCache entries outlive NOISIM_KERNELS overrides in tests and
+/// benchmarks -- always execute on the tier the caller selected.
 struct BatchedStep : ExecStep {
   bool varying_a = false, varying_b = false, varying_out = false;
   // Gather tables (source offset per flat output position) when the
@@ -168,7 +171,7 @@ struct BatchedStep : ExecStep {
 ///    the shared dominant factor, so most per-site cones collapse to a
 ///    handful of rows regardless of the batch size;
 ///  * each batched step is one loop over its distinct rows, calling the
-///    kernel KernelTable::select picked for the step once per traversal;
+///    KernelTable::matmul entry of the step's compiled shape rung;
 ///    permutation walks are materialized as gather tables, and an operand
 ///    is re-permuted only when its variant changes from one row to the
 ///    next;
@@ -185,7 +188,8 @@ struct BatchedStep : ExecStep {
 /// Every term reproduces the per-term replay bit for bit: uniform and
 /// row-shared values are the same deterministic arithmetic computed once,
 /// and every row runs the kernel per-term replay runs for the step's
-/// shape (KernelTable::select; the gathered variant writes the same bits).
+/// shape rung (KernelTable::matmul; the gathered variant writes the same
+/// bits).
 /// Thread-safe like ContractionPlan: concurrent replays need distinct
 /// workspaces.
 class BatchedPlan {
@@ -247,6 +251,7 @@ struct EnvStep {
   std::size_t sibling = 0;     // the other operand's slot (forward value read)
   std::size_t parent = 0;      // backward step writing E_out; kNoParent at the root
   std::size_t m = 1, k = 1, n = 1;  // this kernel call's dims (not the forward step's)
+  tsr::MatmulShape shape = tsr::kMatmulGeneric;  // matmul_shape(m, k, n)
   // Compiled walk reading the sibling's native buffer as B'^T [n x k]
   // (lhs) or A'^T [k x m] (rhs); empty when that walk is contiguous and the
   // sibling is read in place.

@@ -1,5 +1,5 @@
-// Tests for the output-bitstring batching axis: batch_amplitudes /
-// AmplitudeTemplate::compile_batched_outputs, approximate_fidelity_outputs,
+// Tests for the output-bitstring batching axis: batch_amplitudes / the
+// batched plan of a site-free ReplayLayout, approximate_fidelity_outputs,
 // trajectories_tn_sweep -- plus sampling-path regression tests
 // (unnormalized mixtures, zero-sample entry points).
 #include <gtest/gtest.h>
@@ -90,8 +90,8 @@ TEST(BatchedOutputs, PartialBatchesThroughTemplateApi) {
   // k < capacity and k not dividing capacity, straight on the template API.
   const qc::Circuit c = bench::qaoa(16, 1, 13);
   const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
-  const tn::BatchedPlan bplan = tmpl.compile_batched_outputs(8);
   const ReplayLayout layout(tmpl, {}, {}, 1, 8);
+  const tn::BatchedPlan bplan = layout.compile(tmpl);
   ReplayEvaluator batched(tmpl, layout, &bplan);
   ReplayEvaluator per_term(tmpl, layout, nullptr);
   const std::vector<std::uint64_t> vb = sampled_bitstrings(16, 3, 17);
@@ -113,7 +113,7 @@ TEST(BatchedOutputs, PartialBatchesThroughTemplateApi) {
 TEST(FlopFraction, JustBelowThresholdKeepsTheBatchedPath) {
   const qc::Circuit c = bench::supremacy_inst(4, 4, 16, 5);
   const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
-  const tn::BatchedPlan bp = tmpl.compile_batched_outputs(2);
+  const tn::BatchedPlan bp = ReplayLayout(tmpl, {}, {}, 1, 2).compile(tmpl);
   EXPECT_GT(bp.sequential_flop_fraction(), 0.99);
   EXPECT_LT(bp.sequential_flop_fraction(), 0.999);
   // The exact branch condition batch_amplitudes / the sweep engine /
@@ -126,7 +126,7 @@ TEST(FlopFraction, JustBelowThresholdKeepsTheBatchedPath) {
 TEST(FlopFraction, AtOrAboveThresholdFallsBackToPerBitstringReplay) {
   const qc::Circuit c = bench::supremacy_inst(4, 4, 24, 5);
   const AmplitudeTemplate tmpl(16, c.gates(), 0, 0, tn_eval());
-  const tn::BatchedPlan bp = tmpl.compile_batched_outputs(2);
+  const tn::BatchedPlan bp = ReplayLayout(tmpl, {}, {}, 1, 2).compile(tmpl);
   EXPECT_GE(bp.sequential_flop_fraction(), 0.999);
   EXPECT_LE(bp.sequential_flop_fraction(), 1.0);
   EXPECT_FALSE(output_batch_worthwhile(bp));

@@ -1,19 +1,22 @@
 // Kernel-tier suite (ctest -L kernels): every tier, scalar included, must
 // write the bits of the naive fill-then-accumulate loop kept below -- per
-// matmul kernel family (the kernel `select` returns, and the gathered
-// variant), into NaN-filled outputs, across a shape grid exercising
-// odd/non-dividing sizes, signed-zero and all-zero rows and gathered
-// operands -- and SIMD tiers must be BITWISE identical to the scalar
-// reference end to end through approximate_fidelity / xeb_sweep with each
-// tier forced at multiple thread counts. Also covers the dispatch
-// machinery (cpuid detection, NOISIM_KERNELS parsing and fallback,
-// per-tier stats counters), that every plan executor's plain products go
-// through the table's `select`, and the 64-byte-alignment guarantee of
-// the executor's arenas. The state-vector families are checked against
-// a test-side copy of the engine's original branchy loops, and the
-// trajectory estimates they feed must carry the same bits on every tier.
-// The compiled permutation walks (tsr::PermuteWalk) are checked against the
-// per-element odometer they replaced, here so the ASan job runs them.
+// matmul kernel family (every entry of the tier's `matmul` array, one per
+// rung of the tsr::matmul_shape ladder, and the gathered variant), into
+// NaN-filled outputs, across a shape grid exercising odd/non-dividing
+// sizes, signed-zero and all-zero rows and gathered operands -- and SIMD
+// tiers must be BITWISE identical to the scalar reference end to end
+// through approximate_fidelity / xeb_sweep with each tier forced at
+// multiple thread counts. Also covers the dispatch machinery (cpuid
+// detection, NOISIM_KERNELS parsing and fallback, per-tier stats
+// counters), the ladder's edges, that every plan executor's plain products
+// go through the table's `matmul` entry of the step's compiled rung, that
+// compiled plans replay on the tier active at replay, and the
+// 64-byte-alignment guarantee of the executor's arenas. The state-vector
+// families are checked against a test-side copy of the engine's original
+// branchy loops, and the trajectory estimates they feed must carry the
+// same bits on every tier. The compiled permutation walks
+// (tsr::PermuteWalk) are checked against the per-element odometer they
+// replaced, here so the ASan job runs them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +28,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support/generators.hpp"
@@ -128,7 +132,7 @@ struct Shape {
 };
 
 /// Odd/non-dividing sizes around every vector width and the 64-wide cache
-/// blocks, plus the exact shapes the select ladder special-cases
+/// blocks, plus at least one shape on every rung of the matmul_shape ladder
 /// (k in {2,4,8,16} x n in {2,4}, and the m*n <= 64 small-k path), k past
 /// the register kernels' 256-wide k blocks, and the environment-pass
 /// shapes of the xeb workload (long rows, long k, tiny panels).
@@ -137,7 +141,7 @@ const Shape kShapes[] = {
     {9, 16, 4},  {4, 8, 2},     {6, 16, 2},  {8, 2, 8},    {5, 7, 3},  {3, 5, 5},
     {13, 3, 7},  {1, 6, 31},    {2, 9, 33},  {3, 130, 5},  {2, 3, 130}, {65, 4, 2},
     {33, 2, 3},  {4, 66, 66},   {3, 600, 5}, {4, 4, 4096}, {8, 4, 2048}, {16, 256, 4},
-    {8, 2, 2},   {2, 2, 8},
+    {8, 2, 2},   {2, 2, 8},     {3, 4, 4},   {5, 8, 4},
 };
 
 std::string shape_name(const char* family, const KernelTable& kt, const Shape& s) {
@@ -188,12 +192,17 @@ TEST(Kernels, SetTierReturnsPreviousAndFallsBackWhenUnsupported) {
   EXPECT_EQ(active_kernel_tier(), original);
 }
 
-TEST(Kernels, SelectWritesTheNaiveLoopsBitsOnEveryTier) {
-  // The scalar generic kernel (detail::matmul, select's fallback and the
-  // reference the microkernels are derived from) and every tier's selected
-  // kernel write the naive loop's bits.
+TEST(Kernels, EveryMatmulRungWritesTheNaiveLoopsBitsOnEveryTier) {
+  // The scalar generic kernel (detail::matmul, the generic rung and the
+  // reference the fixed-shape kernels are derived from) and every entry of
+  // every tier's matmul array write the naive loop's bits. Each shape runs
+  // the entry its rung names, and the grid reaches every entry, so an
+  // array out of the enum's order (a fixed-k kernel on another k) fails.
   std::mt19937_64 rng(41);
+  std::vector<char> reached(kNumMatmulShapes, 0);
   for (const Shape& s : kShapes) {
+    const MatmulShape rung = matmul_shape(s.m, s.k, s.n);
+    reached[rung] = 1;
     for (const bool zeros : {false, true}) {
       const aligned_vector<cplx> a =
           zeros ? lhs_buf(s.m, s.k, rng) : random_buf(s.m * s.k, rng, false);
@@ -205,11 +214,40 @@ TEST(Kernels, SelectWritesTheNaiveLoopsBitsOnEveryTier) {
       for (const KernelTier tier : available_tiers()) {
         const KernelTable& kt = *kernel_table(tier);
         got = nan_buf(s.m * s.n);
-        kt.select(s.m, s.k, s.n)(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-        expect_same_bits(ref, got, shape_name("select", kt, s));
+        kt.matmul[rung](a.data(), b.data(), got.data(), s.m, s.k, s.n);
+        expect_same_bits(ref, got,
+                         shape_name("matmul rung", kt, s) + " #" + std::to_string(rung));
       }
     }
   }
+  for (std::size_t r = 0; r < kNumMatmulShapes; ++r)
+    EXPECT_TRUE(reached[r]) << "no shape of the grid reaches matmul rung " << r;
+}
+
+TEST(Kernels, MatmulShapePinsTheLaddersEdges) {
+  // Fixed-k rungs end at m*n = 64; panels take any m.
+  EXPECT_EQ(matmul_shape(8, 2, 8), kMatmulK2);
+  EXPECT_EQ(matmul_shape(1, 2, 64), kMatmulK2);
+  EXPECT_EQ(matmul_shape(5, 2, 13), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(1, 2, 65), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(8, 4, 8), kMatmulK4);
+  EXPECT_EQ(matmul_shape(64, 4, 1), kMatmulK4);
+  EXPECT_EQ(matmul_shape(13, 4, 5), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(65, 4, 1), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(4096, 2, 2), kMatmulK2N2);
+  EXPECT_EQ(matmul_shape(4096, 2, 4), kMatmulK2N4);
+  EXPECT_EQ(matmul_shape(4096, 4, 2), kMatmulK4N2);
+  EXPECT_EQ(matmul_shape(4096, 4, 4), kMatmulK4N4);
+  // k = 8 and 16 have panels only: n = 3 between them is generic.
+  EXPECT_EQ(matmul_shape(7, 8, 2), kMatmulK8N2);
+  EXPECT_EQ(matmul_shape(7, 8, 3), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(7, 8, 4), kMatmulK8N4);
+  EXPECT_EQ(matmul_shape(7, 16, 2), kMatmulK16N2);
+  EXPECT_EQ(matmul_shape(7, 16, 3), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(7, 16, 4), kMatmulK16N4);
+  // No rung for k = 3, however small the output.
+  EXPECT_EQ(matmul_shape(1, 3, 1), kMatmulGeneric);
+  EXPECT_EQ(matmul_shape(2, 3, 2), kMatmulGeneric);
 }
 
 TEST(Kernels, GatheredWritesTheNaiveLoopsBitsInEveryIndexMode) {
@@ -367,20 +405,69 @@ TEST(Kernels, DispatchCountersAttributeEveryKernelToTheForcedTier) {
   }
 }
 
-/// A copy of the scalar table whose `select` hands out a kernel that counts
-/// its calls before running the scalar kernel for the shape, and whose
-/// `gathered` counts likewise: an executor that multiplies around `select`
-/// shows up as a kernel call the counters miss.
-std::atomic<std::size_t> g_select_calls{0}, g_gathered_calls{0};
-
-void counting_kernel(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
-                     std::size_t n) {
-  g_select_calls.fetch_add(1, std::memory_order_relaxed);
-  detail::select_matmul(m, k, n)(a, b, out, m, k, n);
+/// A tensor of standard-normal complex entries.
+Tensor gauss_tensor(std::vector<std::size_t> shape, std::mt19937_64& rng) {
+  Tensor t(std::move(shape));
+  std::normal_distribution<double> gauss;
+  for (std::size_t i = 0; i < t.size(); ++i) t[i] = cplx{gauss(rng), gauss(rng)};
+  return t;
 }
 
-detail::MatmulFn counting_select(std::size_t, std::size_t, std::size_t) {
-  return &counting_kernel;
+/// A ring of three nodes: its value is a scalar, so it has an environment
+/// schedule.
+tn::Network ring_network(std::mt19937_64& rng) {
+  tn::Network net;
+  const tn::EdgeId e0 = net.new_edge(), e1 = net.new_edge(), e2 = net.new_edge();
+  net.add_node(gauss_tensor({2, 3}, rng), {e0, e1});
+  net.add_node(gauss_tensor({3, 4}, rng), {e1, e2});
+  net.add_node(gauss_tensor({4, 2}, rng), {e2, e0});
+  return net;
+}
+
+/// A chain whose varying leaf (slot 0, kChainTerms variants) feeds a
+/// 2048-element output, so a batched replay runs the root step per term
+/// (the sequential pass) after the batched pass.
+constexpr std::size_t kChainTerms = 4;
+
+tn::Network chain_network(std::mt19937_64& rng) {
+  tn::Network chain;
+  const tn::EdgeId p = chain.new_edge(), q = chain.new_edge(), r = chain.new_edge();
+  const tn::EdgeId u = chain.new_edge(), w = chain.new_edge();
+  chain.add_node(gauss_tensor({2, 8}, rng), {p, q});
+  chain.add_node(gauss_tensor({2, 8}, rng), {r, q});
+  chain.add_node(gauss_tensor({16, 2, 64}, rng), {w, r, u});
+  return chain;
+}
+
+tn::BatchedPlan chain_batched(const tn::ContractionPlan& plan) {
+  const std::vector<std::size_t> slots{0}, counts{kChainTerms};
+  return plan.compile_batched(slots, kChainTerms, {}, nullptr, counts);
+}
+
+std::vector<const Tensor*> node_tensors(const tn::Network& net) {
+  std::vector<const Tensor*> out;
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) out.push_back(&net.node(i).tensor);
+  return out;
+}
+
+/// A copy of the scalar table whose matmul entries count their calls,
+/// check that the executor indexed the entry of the call's own shape, and
+/// run the scalar entry; its `gathered` counts likewise. An executor that
+/// multiplies around the table shows up as a kernel call the counters
+/// miss, one that indexes a stale rung as a wrong-rung call.
+std::atomic<std::size_t> g_matmul_calls{0}, g_gathered_calls{0}, g_wrong_rung{0};
+
+template <std::size_t Rung>
+void counting_matmul(const cplx* a, const cplx* b, cplx* out, std::size_t m, std::size_t k,
+                     std::size_t n) {
+  g_matmul_calls.fetch_add(1, std::memory_order_relaxed);
+  if (matmul_shape(m, k, n) != Rung) g_wrong_rung.fetch_add(1, std::memory_order_relaxed);
+  kernel_table(KernelTier::Scalar)->matmul[Rung](a, b, out, m, k, n);
+}
+
+template <std::size_t... Rung>
+detail::MatmulKernels counting_matmuls(std::index_sequence<Rung...>) {
+  return {&counting_matmul<Rung>...};
 }
 
 void counting_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
@@ -392,7 +479,7 @@ void counting_gathered(const cplx* a, const std::uint32_t* a_idx, const cplx* b,
 
 KernelTable counting_table() {
   KernelTable kt = *kernel_table(KernelTier::Scalar);
-  kt.select = &counting_select;
+  kt.matmul = counting_matmuls(std::make_index_sequence<kNumMatmulShapes>{});
   kt.gathered = &counting_gathered;
   return kt;
 }
@@ -400,30 +487,22 @@ KernelTable counting_table() {
 TEST(Kernels, WorkspaceTableOverridesActiveTier) {
   // The executor seam: a table injected through PlanWorkspace::kernels wins
   // over the process-wide dispatch, its invocations are attributed to ITS
-  // tier, and every executor makes each plain product through its
-  // `select` -- the contract a GPU/remote table will rely on.
+  // tier, and every executor makes each plain product through the
+  // `matmul` entry of the step's rung -- the contract a GPU/remote table
+  // will rely on.
   std::mt19937_64 rng(47);
-  auto rand_tensor = [&](std::vector<std::size_t> shape) {
-    Tensor t(std::move(shape));
-    std::normal_distribution<double> gauss;
-    for (std::size_t i = 0; i < t.size(); ++i) t[i] = cplx{gauss(rng), gauss(rng)};
-    return t;
-  };
-  tn::Network net;  // a ring: its value is a scalar, so it has an environment schedule
-  const tn::EdgeId e0 = net.new_edge(), e1 = net.new_edge(), e2 = net.new_edge();
-  net.add_node(rand_tensor({2, 3}), {e0, e1});
-  net.add_node(rand_tensor({3, 4}), {e1, e2});
-  net.add_node(rand_tensor({4, 2}), {e2, e0});
+  const tn::Network net = ring_network(rng);
   const tn::ContractionPlan plan = tn::ContractionPlan::compile(net, {});
 
   TierGuard guard(resolve_kernel_tier(KernelTier::Avx512));  // active != injected below
   const KernelTable counting = counting_table();
   auto reset_counts = [] {
-    g_select_calls = 0;
+    g_matmul_calls = 0;
     g_gathered_calls = 0;
+    g_wrong_rung = 0;
   };
 
-  // Per-term replay: one selected kernel per step.
+  // Per-term replay: one kernel call per step.
   tn::PlanWorkspace ws;
   ws.kernels = &counting;
   tn::ContractStats stats;
@@ -431,8 +510,9 @@ TEST(Kernels, WorkspaceTableOverridesActiveTier) {
   const Tensor via_scalar = plan.execute(net, ws, &stats);
   EXPECT_EQ(stats.kernels_scalar, stats.num_pairwise);
   EXPECT_EQ(stats.num_pairwise, plan.steps().size());
-  EXPECT_EQ(g_select_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(g_matmul_calls.load(), stats.num_pairwise);
   EXPECT_EQ(g_gathered_calls.load(), 0u);
+  EXPECT_EQ(g_wrong_rung.load(), 0u);
   ws.kernels = nullptr;
   const Tensor via_active = plan.execute(net, ws);
   ASSERT_EQ(via_scalar.size(), via_active.size());
@@ -441,45 +521,105 @@ TEST(Kernels, WorkspaceTableOverridesActiveTier) {
   // An environment pass toward every input: forward and backward steps.
   const std::vector<std::size_t> targets{0, 1, 2};
   const tn::EnvSchedule env = plan.compile_env(targets);
-  std::vector<const Tensor*> inputs;
-  for (std::size_t i = 0; i < net.num_nodes(); ++i) inputs.push_back(&net.node(i).tensor);
+  const std::vector<const Tensor*> inputs = node_tensors(net);
   const std::vector<char> want(targets.size(), 1);
   ws.kernels = &counting;
   stats = {};
   reset_counts();
   env.execute(inputs, want, ws, &stats);
   EXPECT_EQ(stats.num_pairwise, plan.steps().size() + env.backward_steps().size());
-  EXPECT_EQ(g_select_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(g_matmul_calls.load(), stats.num_pairwise);
   EXPECT_EQ(g_gathered_calls.load(), 0u);
+  EXPECT_EQ(g_wrong_rung.load(), 0u);
 
-  // A batched traversal through both passes: a chain whose varying leaf
-  // feeds a 2048-element output, so the root step replays per term (the
-  // sequential pass) after the batched pass. Every kernel call is either a
-  // selected kernel or a gathered one.
-  tn::Network chain;
-  const tn::EdgeId p = chain.new_edge(), q = chain.new_edge(), r = chain.new_edge();
-  const tn::EdgeId u = chain.new_edge(), w = chain.new_edge();
-  chain.add_node(rand_tensor({2, 8}), {p, q});
-  chain.add_node(rand_tensor({2, 8}), {r, q});
-  chain.add_node(rand_tensor({16, 2, 64}), {w, r, u});
+  // A batched traversal through both passes. Every kernel call is either a
+  // matmul entry or a gathered one.
+  const tn::Network chain = chain_network(rng);
   const tn::ContractionPlan chain_plan = tn::ContractionPlan::compile(chain, {});
-  constexpr std::size_t kTerms = 4;
-  const std::vector<std::size_t> slots{0}, counts{kTerms};
-  const tn::BatchedPlan bplan = chain_plan.compile_batched(slots, kTerms, {}, nullptr, counts);
+  const tn::BatchedPlan bplan = chain_batched(chain_plan);
   ASSERT_GT(bplan.sequential_flop_fraction(), 0.0);
   ASSERT_LT(bplan.sequential_flop_fraction(), 1.0);
-  std::vector<const Tensor*> shared;
-  for (std::size_t i = 0; i < chain.num_nodes(); ++i) shared.push_back(&chain.node(i).tensor);
   std::vector<Tensor> variants;
-  for (std::size_t t = 0; t < kTerms; ++t) variants.push_back(rand_tensor({2, 8}));
+  for (std::size_t t = 0; t < kChainTerms; ++t) variants.push_back(gauss_tensor({2, 8}, rng));
   std::vector<const Tensor*> varying;
   for (const Tensor& v : variants) varying.push_back(&v);
   stats = {};
   reset_counts();
-  bplan.execute(shared, varying, kTerms, ws, &stats);
-  EXPECT_GT(g_select_calls.load(), 0u);
-  EXPECT_EQ(g_select_calls.load() + g_gathered_calls.load(), stats.num_pairwise);
+  bplan.execute(node_tensors(chain), varying, kChainTerms, ws, &stats);
+  EXPECT_GT(g_matmul_calls.load(), 0u);
+  EXPECT_EQ(g_matmul_calls.load() + g_gathered_calls.load(), stats.num_pairwise);
+  EXPECT_EQ(g_wrong_rung.load(), 0u);
   EXPECT_EQ(stats.kernels_scalar, stats.num_pairwise);
+}
+
+void expect_same_tensor_bits(const Tensor& ref, const Tensor& got, const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_TRUE(same_bits(ref[i], got[i])) << what << " elem " << i;
+}
+
+TEST(Kernels, CompiledPlansReplayOnTheTierActiveAtReplay) {
+  // A plan stores each step's rung, never a kernel: a plan, an environment
+  // schedule and a batched plan (both passes) compiled while the scalar
+  // tier is active replay on whichever tier is active at replay, every
+  // kernel call counted on that tier, with the scalar replay's bits.
+  std::mt19937_64 rng(48);
+  const tn::Network ring = ring_network(rng);
+  const tn::Network chain = chain_network(rng);
+  std::vector<Tensor> variants;
+  for (std::size_t t = 0; t < kChainTerms; ++t) variants.push_back(gauss_tensor({2, 8}, rng));
+  std::vector<const Tensor*> varying;
+  for (const Tensor& v : variants) varying.push_back(&v);
+  const std::vector<std::size_t> targets{0, 1, 2};
+  const std::vector<char> want(targets.size(), 1);
+
+  TierGuard scalar(KernelTier::Scalar);
+  const tn::ContractionPlan plan = tn::ContractionPlan::compile(ring, {});
+  const tn::EnvSchedule env = plan.compile_env(targets);
+  const tn::ContractionPlan chain_plan = tn::ContractionPlan::compile(chain, {});
+  const tn::BatchedPlan bplan = chain_batched(chain_plan);
+  ASSERT_GT(bplan.sequential_flop_fraction(), 0.0);
+  ASSERT_LT(bplan.sequential_flop_fraction(), 1.0);
+
+  struct Replay {
+    Tensor plan_value, batched;
+    cplx env_value;
+    std::vector<Tensor> envs;
+    tn::ContractStats stats;
+  };
+  auto replay = [&] {
+    Replay r;
+    tn::PlanWorkspace ws;
+    r.plan_value = plan.execute(ring, ws, &r.stats);
+    r.env_value = env.execute(node_tensors(ring), want, ws, &r.stats);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const std::span<const cplx> e = env.env(t, ws);
+      Tensor copy({e.size()});
+      std::copy(e.begin(), e.end(), copy.data());
+      r.envs.push_back(std::move(copy));
+    }
+    r.batched = bplan.execute(node_tensors(chain), varying, kChainTerms, ws, &r.stats);
+    return r;
+  };
+  const Replay ref = replay();
+  ASSERT_EQ(ref.stats.kernels_scalar, ref.stats.num_pairwise);
+
+  for (const KernelTier tier : available_tiers()) {
+    TierGuard guard(tier);
+    const Replay got = replay();
+    const tn::ContractStats& st = got.stats;
+    const std::string name = kernel_tier_name(tier);
+    EXPECT_EQ(st.num_pairwise, ref.stats.num_pairwise) << name;
+    const std::size_t in_tier = tier == KernelTier::Scalar ? st.kernels_scalar
+                                : tier == KernelTier::Avx2 ? st.kernels_avx2
+                                                           : st.kernels_avx512;
+    EXPECT_EQ(in_tier, st.num_pairwise) << name;
+    expect_same_tensor_bits(ref.plan_value, got.plan_value, name + " plan");
+    EXPECT_TRUE(same_bits(ref.env_value, got.env_value)) << name << " environment value";
+    for (std::size_t t = 0; t < targets.size(); ++t)
+      expect_same_tensor_bits(ref.envs[t], got.envs[t], name + " environment " + std::to_string(t));
+    expect_same_tensor_bits(ref.batched, got.batched, name + " batched");
+  }
 }
 
 // --- state-vector families -----------------------------------------------------

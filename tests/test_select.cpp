@@ -341,12 +341,13 @@ TEST(BackendSelection, CallDeadlineKeepsTheCallersMemoryCeiling) {
 }
 
 TEST(BackendSelection, MemoryBudgetIsTheCeilingOfEveryArenaTheRunCommits) {
-  // qaoa_64 + 8 realistic noises (seed 2024): the tn-approx bid prices the
-  // per-term plan arena (11,880 elements), but its level-1 run commits the
-  // environment arena (12,272). A budget between the two admits the bid;
-  // the run then meets the budget as its memory ceiling and escalates
-  // naming the environment arena. No other bid is feasible here, so the
-  // call fails listing that escalation.
+  // qaoa_64 + 8 realistic noises (seed 2024): the tn-approx level-1 run
+  // commits the environment arena (12,272 elements), larger than the
+  // per-term plan arena (11,880). The bid prices the largest arena its run
+  // commits, so a budget between the two rules tn-approx out at bid time
+  // with a reason naming the arena, and nothing escalates. No other bid is
+  // feasible here, so the call fails listing that reason. (The run-time
+  // ceiling itself is covered in test_run_control.)
   const ch::NoisyCircuit nc =
       bench::insert_noises(bench::qaoa(64, 1, 77), 8, bench::realistic_noise(), 2024);
   SimulateOptions opts;
@@ -356,17 +357,27 @@ TEST(BackendSelection, MemoryBudgetIsTheCeilingOfEveryArenaTheRunCommits) {
   ASSERT_EQ(roomy.backend, BackendKind::TnApprox);
   ASSERT_EQ(roomy.config.level, 1u);
   ASSERT_TRUE(roomy.escalations.empty());
+  EXPECT_EQ(roomy.config.peak_elems, 12272u);
+  // The bid compiled the environment schedule it priced; the run fetched
+  // it and the template from the call's cache and compiled nothing.
+  EXPECT_EQ(roomy.stats.plans_compiled, 0u);
+  EXPECT_EQ(roomy.stats.plan_cache_hits, 2u);
   opts.memory_budget = 12076;
-  ASSERT_LT(roomy.config.peak_elems, opts.memory_budget);
+  const Backend* tn_approx = nullptr;
+  for (const Backend* b : default_backends())
+    if (b->kind() == BackendKind::TnApprox) tn_approx = b;
+  ASSERT_NE(tn_approx, nullptr);
+  const CostEstimate bid = tn_approx->estimate(nc, 0, 0, opts);
+  EXPECT_FALSE(bid.feasible);
+  const std::string reason = "modeled peak 12272 elems exceeds memory_budget 12076";
+  EXPECT_EQ(bid.reason, reason);
   try {
     simulate(nc, 0, 0, opts);
-    FAIL() << "expected the tn-approx run to escalate on the environment arena";
+    FAIL() << "expected every bid to be ruled out";
   } catch (const LinalgError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("tn-approx: run escalated: environment arena needs 12272 elems, above "
-                        "RunControl memory ceiling of 12076"),
-              std::string::npos)
-        << what;
+    EXPECT_NE(what.find("tn-approx: " + reason), std::string::npos) << what;
+    EXPECT_EQ(what.find("escalated"), std::string::npos) << what;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "linalg/qr.hpp"
 #include "tensor/contract.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace noisim::tsr {
@@ -243,7 +244,8 @@ TEST(Kernels, MicrokernelDispatchIsBitIdenticalToGenericKernel) {
     const Tensor b = random_tensor_with_zeros({k, n}, rng);
     std::vector<cplx> ref(m * n, cplx{0.0, 0.0}), got(m * n, cplx{0.0, 0.0});
     detail::matmul(a.data(), b.data(), ref.data(), m, k, n);
-    detail::select_matmul(m, k, n)(a.data(), b.data(), got.data(), m, k, n);
+    const auto kernel = kernel_table(KernelTier::Scalar)->matmul[matmul_shape(m, k, n)];
+    kernel(a.data(), b.data(), got.data(), m, k, n);
     EXPECT_TRUE(same_bits(ref, got)) << "shape " << m << "x" << k << "x" << n;
   }
 }

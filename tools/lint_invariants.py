@@ -77,6 +77,13 @@ exercised by --self-test):
                     two directories serve benches, examples and tests only;
                     an engine that reached into them would tie the library
                     to its test support.
+  one-shape-ladder  in src/, no function returns a shape-specialized matmul
+                    instantiation (`return &matmul_small_kn<2, 4>;`,
+                    `return &simd_matmul<K, N>;`): the kernels are named
+                    only in each tier's KernelTable::matmul array, and
+                    tsr::matmul_shape is the one ladder that picks an
+                    entry. A function handing out kernels by shape is a
+                    second ladder that can drift from the first.
 
 Exit status: 0 = clean, 1 = findings (or a dead rule in --self-test).
 """
@@ -103,6 +110,7 @@ RULES = (
     "one-deadline",
     "one-memory-guard",
     "lib-no-test-support",
+    "one-shape-ladder",
 )
 
 
@@ -640,6 +648,30 @@ def check_lib_no_test_support(root, cxx_files):
     return findings
 
 
+# `return &simd_matmul<2, 4>;`, `return matmul_small_k<Kc>;`, qualified or not.
+RETURN_MATMUL_INSTANCE_RE = re.compile(
+    r"\breturn\s+&?\s*(?:[\w:]*::)?\w*matmul\w*\s*<")
+
+
+def check_one_shape_ladder(root, cxx_files):
+    findings = []
+    for path, text in cxx_files:
+        try:
+            rel = path.relative_to(root).parts
+        except ValueError:
+            continue
+        if not rel or rel[0] != "src":
+            continue
+        code = strip_code(text)
+        for m in RETURN_MATMUL_INSTANCE_RE.finditer(code):
+            findings.append(Finding(
+                path, line_of(code, m.start()), "one-shape-ladder",
+                "a function returns a shape-specialized matmul kernel; name "
+                "kernels only in a tier's KernelTable::matmul array and pick "
+                "the entry with tsr::matmul_shape, the one shape ladder"))
+    return findings
+
+
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+ContractOptions\s*\{")
 TEMPLATE_KEY_RE = re.compile(r"\bPlanCache\s*::\s*template_key\s*\(")
 # Options that never change what a plan computes, so keys leave them out.
@@ -740,6 +772,7 @@ def run_rules(root, cxx_files):
     findings += check_one_deadline(root, cxx_files)
     findings += check_one_memory_guard(root, cxx_files)
     findings += check_lib_no_test_support(root, cxx_files)
+    findings += check_one_shape_ladder(root, cxx_files)
     return findings
 
 
